@@ -7,12 +7,18 @@ coefficient vectors with the *first* basis direction varying fastest, so
 scalar multiples of the first basis vector come right after zero; scan
 witnesses quote whichever order the scan uses.
 
-All numpy arithmetic stays exact: entries are reduced mod p after every
-contraction and p is far too small for int64 overflow (enumerable rings
-need p**dim within budget).
+All numpy arithmetic stays exact.  Products run over the nonzero
+structure constants only: output coordinate k accumulates c*A_i*B_j for
+each constant c = sc[i][j][k], so an int64 entry sums at most nnz_k terms
+below (p-1)**3 before it is reduced mod p.  An `Enumeration` refuses
+(UnsupportedDomain) a prime for which that bound reaches 2**63; the ring
+itself still loads and works in exact Python arithmetic.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 
@@ -36,16 +42,29 @@ class Enumeration:
         self.p = require_finite(ring)
         self.n = ring.dim
         self.count = self.p ** self.n
-        self.sc = np.array([[[int(x) for x in row] for row in plane] for plane in ring.sc],
-                           dtype=np.int64)
+        # nonzero structure constants (i, j, k, c): b_i * b_j has c at coordinate k
+        self.terms = [(i, j, k, int(c)) for i, plane in enumerate(ring.sc)
+                      for j, row in enumerate(plane) for k, c in enumerate(row) if int(c)]
+        per_output = max(Counter(k for _, _, k, _ in self.terms).values(), default=0)
+        if per_output * (self.p - 1) ** 3 >= 2 ** 63:
+            raise UnsupportedDomain(
+                f"ring {ring.name!r}: {per_output} products of F_{self.p} entries can "
+                "overflow int64; enumeration needs a smaller prime")
+        # narrowest signed dtype holding the eliminator's a - f*b before reduction
+        self.elim_dtype = next(dt for dt in (np.int8, np.int16, np.int32, np.int64)
+                               if (self.p - 1) ** 2 + self.p <= np.iinfo(dt).max)
         self.radix = self.p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        self.inv_table = np.array([0] + [pow(a, self.p - 2, self.p) for a in range(1, self.p)],
-                                  dtype=np.int64)
         self.unit = np.array([int(x) for x in ring.unit_coords], dtype=np.int64)
         self._coords = None
         self._mul_table = None
         self._add_table = None
         self._comm_table = None
+
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        """Inverses mod p (0 for 0), built on first use: p - 1 modular powers."""
+        return np.array([0] + [pow(a, self.p - 2, self.p) for a in range(1, self.p)],
+                        dtype=np.int64)
 
     # -- indices and coordinates ----------------------------------------
 
@@ -65,19 +84,24 @@ class Enumeration:
 
     # -- batched arithmetic ----------------------------------------------
 
-    def mul(self, A, B) -> np.ndarray:
-        """Rowwise products: result[b] = A[b] * B[b]."""
+    def _products(self, A, B) -> np.ndarray:
+        """Broadcast products A * B over the leading axes, one structure
+        constant at a time.  Shared by `mul` and `mul_outer` so that
+        neither public kernel runs inside the other."""
         A = np.asarray(A, dtype=np.int64) % self.p
         B = np.asarray(B, dtype=np.int64) % self.p
-        T = np.tensordot(A, self.sc, axes=(-1, 0)) % self.p
-        return np.einsum('...jk,...j->...k', T, B) % self.p
+        out = np.zeros((self.n,) + np.broadcast_shapes(A.shape[:-1], B.shape[:-1]), dtype=np.int64)
+        for i, j, k, c in self.terms:
+            out[k] += c * A[..., i] * B[..., j]
+        return np.moveaxis(out % self.p, 0, -1)
+
+    def mul(self, A, B) -> np.ndarray:
+        """Rowwise products: result[b] = A[b] * B[b]."""
+        return self._products(A, B)
 
     def mul_outer(self, A, B) -> np.ndarray:
         """All products: result[a, b] = A[a] * B[b]."""
-        A = np.asarray(A, dtype=np.int64) % self.p
-        B = np.asarray(B, dtype=np.int64) % self.p
-        T = np.tensordot(A, self.sc, axes=(1, 0)) % self.p
-        return np.einsum('ajk,bj->abk', T, B) % self.p
+        return self._products(np.asarray(A)[:, None, :], np.asarray(B)[None, :, :])
 
     def square(self, A) -> np.ndarray:
         return self.mul(A, A)
@@ -88,12 +112,18 @@ class Enumeration:
     def left_mul_matrices(self, A) -> np.ndarray:
         """result[b] = matrix of x -> A[b] * x (column-vector action)."""
         A = np.asarray(A, dtype=np.int64) % self.p
-        return np.tensordot(A, self.sc, axes=(-1, 0)).swapaxes(-1, -2) % self.p
+        out = np.zeros((self.n, self.n) + A.shape[:-1], dtype=np.int64)
+        for i, j, k, c in self.terms:
+            out[k, j] += c * A[..., i]
+        return np.moveaxis(out % self.p, (0, 1), (-2, -1))
 
     def right_mul_matrices(self, A) -> np.ndarray:
         """result[b] = matrix of x -> x * A[b]."""
         A = np.asarray(A, dtype=np.int64) % self.p
-        return np.einsum('ijk,...j->...ki', self.sc, A) % self.p
+        out = np.zeros((self.n, self.n) + A.shape[:-1], dtype=np.int64)
+        for i, j, k, c in self.terms:
+            out[k, i] += c * A[..., j]
+        return np.moveaxis(out % self.p, (0, 1), (-2, -1))
 
     # -- full pair tables (index valued, budget guarded) ------------------
 
@@ -161,11 +191,13 @@ class Enumeration:
     def rank_batched(self, mats: np.ndarray, chunk: int = 4096) -> np.ndarray:
         """Ranks of a stack of small matrices by masked Gaussian elimination.
 
-        Eliminates column by column with per-matrix pivot choice; cost is
-        O(B * rows * cols * cols) int64 operations, which keeps scans over
-        hundreds of thousands of candidate elements in numpy.
+        Eliminates column by column with per-matrix pivot choice.  Column c
+        costs O(B * rows * (cols - c)) operations in `elim_dtype`, the
+        narrowest signed integer type that holds (p-1)**2 + p (int8 for
+        p <= 11, int16 for p <= 181), which keeps scans over hundreds of
+        thousands of candidate elements in numpy.
         """
-        mats = np.asarray(mats, dtype=np.int64) % self.p
+        mats = np.asarray(mats, dtype=np.int64)
         out = np.empty(len(mats), dtype=np.int64)
         for lo in range(0, len(mats), chunk):
             out[lo:lo + chunk] = self._eliminate_chunk(mats[lo:lo + chunk])[1]
@@ -174,7 +206,6 @@ class Enumeration:
     def rref_batched(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row-reduce a stack of matrices; returns (rows, ranks) with each
         matrix compressed to its nonzero reduced rows padded to C rows."""
-        mats = np.asarray(mats, dtype=np.int64) % self.p
         A, ranks = self._eliminate_chunk(mats)
         nonzero = (A != 0).any(axis=2)
         order = np.argsort(~nonzero, axis=1, kind="stable")
@@ -184,22 +215,34 @@ class Enumeration:
         return rows, ranks
 
     def _eliminate_chunk(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        A = A.copy()
-        B, R, C = A.shape
+        """Gauss-Jordan elimination of a (B, R, C) stack; returns the reduced
+        stack as int64 and the ranks.
+
+        Works in place on a column-major copy in `elim_dtype`: every entry
+        stays in [0, p) between steps and a - f*b lies in [-(p-1)**2, p), so
+        the narrow type is exact.  At column c the unused rows are already
+        zero left of c, so only columns c: change.
+        """
+        p = self.p
+        A = np.asarray(A, dtype=np.int64) % p
+        T = np.ascontiguousarray(A.astype(self.elim_dtype).swapaxes(1, 2))  # (B, C, R)
+        B, C, R = T.shape
+        inv = self.inv_table.astype(self.elim_dtype)
         used = np.zeros((B, R), dtype=bool)
         ranks = np.zeros(B, dtype=np.int64)
         rows = np.arange(B)
         for c in range(C):
-            col = A[:, :, c]
+            col = T[:, c, :]
             cand = (col != 0) & ~used
             has = cand.any(axis=1)
             piv = np.argmax(cand, axis=1)
-            prow = A[rows, piv]
-            pinv = self.inv_table[col[rows, piv]]
-            prow = prow * pinv[:, None] % self.p
-            upd = (A - col[:, :, None] * prow[:, None, :]) % self.p
-            upd[rows, piv] = prow
-            A = np.where(has[:, None, None], upd, A)
-            used[rows, piv] |= has
+            factor = col * has[:, None]
+            prow = T[rows, c:, piv] * inv[col[rows, piv]][:, None] % p
+            rest = T[:, c:, :]
+            rest -= prow[:, :, None] * factor[:, None, :]
+            rest %= p
+            sel = np.flatnonzero(has)
+            T[sel, c:, piv[sel]] = prow[sel]
+            used[sel, piv[sel]] = True
             ranks += has
-        return A, ranks
+        return T.swapaxes(1, 2).astype(np.int64), ranks

@@ -509,17 +509,28 @@ def _normalized_rep_mask(X: np.ndarray, p: int) -> np.ndarray:
     return has & (lead == 1)
 
 
-def _principal_ideals(ring: Ring, enum: Enumeration, budget: int) -> list[Subspace]:
+def _generator_classes(enum: Enumeration, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading-coefficient-1 representatives of the nonzero scalar classes,
+    in element order, and which of them have a full-rank L_a."""
+    X = enum.all_coords(budget)
+    reps = X[_normalized_rep_mask(X, enum.p)]
+    full = enum.rank_batched(enum.left_mul_matrices(reps)) == enum.n
+    return reps, full
+
+
+def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
+                      screened: np.ndarray) -> list[Subspace]:
     """Distinct ideals generated by single elements.
 
     Scalar multiples generate the same ideal, so generators run over the
-    leading-coefficient-1 representatives.  Each closure step multiplies
-    the current (compressed echelon) spanning rows by every basis vector
-    on both sides and row-reduces again; a generator is settled once its
-    rank stops growing.  Everything runs batched, in chunks.
+    leading-coefficient-1 representatives.  A screened generator (full-rank
+    L_a) has aR = R and needs no closure.  For the others each closure step
+    multiplies the current (compressed echelon) spanning rows by every
+    basis vector on both sides and row-reduces again; a generator is
+    settled once its rank stops growing.  Everything runs batched, in
+    chunks cut over all generators, so ideals are found in the same order
+    as without the screen.
     """
-    X = enum.all_coords(budget)
-    reps = X[_normalized_rep_mask(X, enum.p)]
     n = ring.dim
     basis = np.eye(n, dtype=np.int64)
     whole = Subspace.from_vectors(ring, [list(ring.basis_coords(i)) for i in range(n)])
@@ -534,7 +545,9 @@ def _principal_ideals(ring: Ring, enum: Enumeration, budget: int) -> list[Subspa
 
     chunk = 8192
     for lo in range(0, len(reps), chunk):
-        rows = reps[lo:lo + chunk][:, None, :]
+        if screened[lo:lo + chunk].any():
+            ideals.setdefault(whole.basis, whole)
+        rows = reps[lo:lo + chunk][~screened[lo:lo + chunk]][:, None, :]
         ranks = np.ones(len(rows), dtype=np.int64)
         for _ in range(n + 1):
             if not len(rows):
@@ -562,15 +575,18 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
     elements a and asks whether (a b_k) x = 0 has a nonzero solution x,
     which is the annihilation criterion with the inner factor running
     over the basis.
+
+    Both routes skip generators a with full-rank L_a: aR = R makes (a) the
+    whole ring, and 1 in span{a b_k} forces the stacked kernel to zero.
     """
     from .rings import is_alternative, is_k_torsion_free
 
     enum = Enumeration(r)
     n = r.dim
-    X = enum.all_coords(budget)
+    reps, screened = _generator_classes(enum, budget)
 
     # ideal route
-    ideals = _principal_ideals(r, enum, budget)
+    ideals = _principal_ideals(r, enum, reps, screened)
     minimal = []
     for sub in ideals:
         if not any(other.dim < sub.dim and all(sub.contains(list(v)) for v in other.basis)
@@ -596,17 +612,15 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
     # element route: for each nonzero a (one representative per scalar class,
     # which preserves the first witness in element order), the solutions of
     # (a b_k) x = 0 for all k form a kernel; a nonzero kernel refutes primeness.
-    reps_mask = _normalized_rep_mask(X, enum.p)
-    reps = X[reps_mask]
+    survivors = reps[~screened]
     prime_element = True
     element_witness = None
     chunk = 8192
     basis = np.eye(n, dtype=np.int64)
-    for lo in range(0, len(reps), chunk):
-        A = reps[lo:lo + chunk]
+    for lo in range(0, len(survivors), chunk):
+        A = survivors[lo:lo + chunk]
         AB = enum.mul_outer(A, basis)                      # (B, n, n): rows a*b_k
-        S = np.tensordot(AB, enum.sc, axes=(2, 0)) % enum.p  # (B, n, n, n)
-        S = S.transpose(0, 1, 3, 2).reshape(len(A), n * n, n)  # stack left-mult matrices
+        S = enum.left_mul_matrices(AB).reshape(len(A), n * n, n)  # stack left-mult matrices
         ranks = enum.rank_batched(S)
         bad = np.flatnonzero(ranks < n)
         if len(bad):

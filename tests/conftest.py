@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from altring import (PrimeField, build_map, gen_direct_sum, gen_m2,
                      gen_triangular2, gen_zorn, peirce_frame, zorn_idempotent)
 from altring.rings import Ring
+
+# Property tests draw the same examples on every run and stay cheap.
+settings.register_profile("altring", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("altring")
 
 
 @pytest.fixture(scope="session")

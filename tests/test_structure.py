@@ -1,13 +1,21 @@
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from altring import (center, check_main_hypotheses, check_primeness,
-                     check_spade_club, check_z_of_peirce_cell, idempotents,
+                     check_spade_club, check_z_of_peirce_cell, gen_m2, idempotents, linalg,
                      nucleus, peirce_frame, peirce_project,
                      verify_peirce_relations)
+from altring.enumeration import Enumeration
 from altring.errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible,
                             TrivialIdempotent, UnsupportedDomain)
 from altring.rings import Ring
 from altring.scalars import PrimeField
+from altring.structure import _generator_classes, _principal_ideals
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "primeness_golden.json").read_text())
 
 
 def test_center_dims(m2, zorn, dsum, t2):
@@ -250,3 +258,25 @@ def test_primeness_direct_sum_witness_is_valid(dsum):
         assert ((a * dsum.basis_element(k)) * b).is_zero()
     # ideal route found the two block ideals
     assert rep.quantifier_space["minimal_ideals"] == 2
+
+
+@pytest.mark.parametrize("key, ring_fixture", [("m2_plus_m2_f5", "dsum"),
+                                               ("triangular2_f5", "t2"), ("m2_f3", None)])
+def test_primeness_matches_golden(key, ring_fixture, request):
+    """Reports and the order ideals are found in, as recorded before the
+    unit-rank screen and the sparse kernels."""
+    ring = request.getfixturevalue(ring_fixture) if ring_fixture else gen_m2(3)
+    assert check_primeness(ring).to_json() == GOLDEN[key]["report"]
+    enum = Enumeration(ring)
+    reps, full = _generator_classes(enum, 10 ** 6)
+    ideals = _principal_ideals(ring, enum, reps, full)
+    assert [[list(row) for row in sub.basis] for sub in ideals] == GOLDEN[key]["ideals"]
+
+
+def test_unit_rank_screen_counts(zorn, dsum):
+    for ring, screened in ((zorn, 78000), (dsum, 57600)):
+        reps, full = _generator_classes(Enumeration(ring), 10 ** 6)
+        assert len(reps) == 97656 and int(full.sum()) == screened
+        # a full-rank L_a generates R, so its principal ideal is everything
+        a = [int(x) for x in reps[np.flatnonzero(full)[0]]]
+        assert linalg.rank(ring.left_mul_matrix(a), ring.domain) == ring.dim
