@@ -88,12 +88,7 @@ def cmd_gen(args, ws: Workspace) -> int:
         obj["notes"] = ("vector-matrix product: cross products enter the top-right "
                         "slot with a minus sign and the bottom-left with a plus; "
                         "the alternativity checker validates this convention before emission")
-    text = dumps(obj)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, dumps(obj))
     return 0
 
 

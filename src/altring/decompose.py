@@ -133,7 +133,7 @@ class DecompositionResult:
             "branch": self.branch,
             "psi_matrix": None if self.psi_matrix is None else
                 [[tgt.domain.fmt(x) for x in row] for row in self.psi_matrix],
-            "tau": [[int(x) for x in row] for row in self.tau],
+            "tau": self.tau.tolist(),
             "detection": self.detection.to_json(),
             "certificates": [c.to_json() for c in self.certificates],
             "all_required_pass": self.required_pass(),
@@ -308,10 +308,21 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
                              elem_witness(int(bad[0])) if len(bad) else None,
                              {"elements": int(es.count)}))
 
+    # witness: the first target element hit twice, with two preimages,
+    # else the first target element never hit
     psi_idx = et.index_of(psi)
-    certs.append(CheckReport("psi_bijective",
-                             bool((np.bincount(psi_idx, minlength=et.count) == 1).all()),
-                             None, {"elements": int(es.count)}))
+    hits = np.bincount(psi_idx, minlength=et.count)
+    wit = None
+    if (hits > 1).any():
+        k = int(np.flatnonzero(hits > 1)[0])
+        a, b = (int(x) for x in np.flatnonzero(psi_idx == k)[:2])
+        wit = {"image": coords_json(m.target, [int(v) for v in et.coords_of(k)]),
+               "a": coords_json(m.source, [int(v) for v in X[a]]),
+               "b": coords_json(m.source, [int(v) for v in X[b]])}
+    elif (hits == 0).any():
+        k = int(np.flatnonzero(hits == 0)[0])
+        wit = {"unreached": coords_json(m.target, [int(v) for v in et.coords_of(k)])}
+    certs.append(CheckReport("psi_bijective", wit is None, wit, {"elements": int(es.count)}))
 
     def product_fails(a_idx, b_idx):
         lhs = psi[es.index_of(es.mul(X[a_idx], X[b_idx]))]

@@ -13,6 +13,13 @@ each constant c = sc[i][j][k], so an int64 entry sums at most nnz_k terms
 below (p-1)**3 before it is reduced mod p.  An `Enumeration` refuses
 (UnsupportedDomain) a prime for which that bound reaches 2**63; the ring
 itself still loads and works in exact Python arithmetic.
+
+The product kernels work plane-major: each operand is reduced mod p and
+its coordinate axis moved to the front in one pass, so every A_i is a
+contiguous plane, and the result is returned as a coordinate-last view
+of the (n, ...) accumulator, not copied back.  `index_of` reduces mod p
+only when some entry lies outside [0, p); reduced input, the common case
+after a kernel, is indexed without a pass of divisions.
 """
 
 from __future__ import annotations
@@ -73,7 +80,10 @@ class Enumeration:
         return (idx[..., None] // self.radix) % self.p
 
     def index_of(self, coords) -> np.ndarray:
-        return np.asarray(coords, dtype=np.int64) % self.p @ self.radix
+        C = np.asarray(coords, dtype=np.int64)
+        if C.size and (C.min() < 0 or C.max() >= self.p):
+            C = C % self.p
+        return C @ self.radix
 
     def all_coords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         if self.count > budget:
@@ -84,16 +94,27 @@ class Enumeration:
 
     # -- batched arithmetic ----------------------------------------------
 
+    def _planes(self, A) -> np.ndarray:
+        """A reduced mod p with its coordinate axis first: (n, ...) planes."""
+        A = np.asarray(A, dtype=np.int64)
+        out = np.empty((A.shape[-1],) + A.shape[:-1], dtype=np.int64)
+        return np.remainder(np.moveaxis(A, -1, 0), self.p, out=out)
+
     def _products(self, A, B) -> np.ndarray:
         """Broadcast products A * B over the leading axes, one structure
-        constant at a time.  Shared by `mul` and `mul_outer` so that
-        neither public kernel runs inside the other."""
-        A = np.asarray(A, dtype=np.int64) % self.p
-        B = np.asarray(B, dtype=np.int64) % self.p
-        out = np.zeros((self.n,) + np.broadcast_shapes(A.shape[:-1], B.shape[:-1]), dtype=np.int64)
+        constant at a time on contiguous planes.  Shared by `mul` and
+        `mul_outer` so that neither public kernel runs inside the other."""
+        A, B = self._planes(A), self._planes(B)
+        shape = np.broadcast_shapes(A.shape[1:], B.shape[1:])
+        out = np.zeros((self.n,) + shape, dtype=np.int64)
+        term = np.empty(shape, dtype=np.int64)
         for i, j, k, c in self.terms:
-            out[k] += c * A[..., i] * B[..., j]
-        return np.moveaxis(out % self.p, 0, -1)
+            np.multiply(A[i], B[j], out=term)
+            if c != 1:
+                term *= c
+            out[k] += term
+        out %= self.p
+        return np.moveaxis(out, 0, -1)
 
     def mul(self, A, B) -> np.ndarray:
         """Rowwise products: result[b] = A[b] * B[b]."""
@@ -111,18 +132,18 @@ class Enumeration:
 
     def left_mul_matrices(self, A) -> np.ndarray:
         """result[b] = matrix of x -> A[b] * x (column-vector action)."""
-        A = np.asarray(A, dtype=np.int64) % self.p
-        out = np.zeros((self.n, self.n) + A.shape[:-1], dtype=np.int64)
+        A = self._planes(A)
+        out = np.zeros((self.n, self.n) + A.shape[1:], dtype=np.int64)
         for i, j, k, c in self.terms:
-            out[k, j] += c * A[..., i]
+            out[k, j] += c * A[i]
         return np.moveaxis(out % self.p, (0, 1), (-2, -1))
 
     def right_mul_matrices(self, A) -> np.ndarray:
         """result[b] = matrix of x -> x * A[b]."""
-        A = np.asarray(A, dtype=np.int64) % self.p
-        out = np.zeros((self.n, self.n) + A.shape[:-1], dtype=np.int64)
+        A = self._planes(A)
+        out = np.zeros((self.n, self.n) + A.shape[1:], dtype=np.int64)
         for i, j, k, c in self.terms:
-            out[k, i] += c * A[..., j]
+            out[k, i] += c * A[j]
         return np.moveaxis(out % self.p, (0, 1), (-2, -1))
 
     # -- full pair tables (index valued, budget guarded) ------------------

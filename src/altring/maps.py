@@ -11,6 +11,7 @@ the dense table and therefore needs a prime-field ring.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class MapTable:
         if images is not None:
             self.kind = "dense"
             self._images = np.asarray(images, dtype=np.int64)
-            if self._images.shape != (Enumeration(source).count, target.dim):
+            if self._images.shape != (self._source_enum.count, target.dim):
                 raise DimensionMismatch("dense table must cover every source element")
         else:
             self.kind = "structured"
@@ -79,15 +80,19 @@ class MapTable:
     def eval_coords(self, coords):
         """Image of one source coordinate vector (any scalar domain)."""
         if self.kind == "dense":
-            enum = Enumeration(self.source)
-            return tuple(int(c) for c in self._images[int(enum.index_of(
-                np.array([int(x) for x in coords], dtype=np.int64)))])
+            k = self._source_enum.index_of(np.array([int(x) for x in coords], dtype=np.int64))
+            return tuple(int(c) for c in self._images[int(k)])
         dom = self.source.domain
         out = linalg.mat_vec(self.matrix, list(coords), dom)
         lam = dom.zero
         for f, x in zip(self.offset_functional, coords):
             lam = dom.add(lam, dom.mul(f, x))
         return tuple(dom.add(a, dom.mul(lam, z)) for a, z in zip(out, self.offset_central))
+
+    @cached_property
+    def _source_enum(self) -> Enumeration:
+        """Index arithmetic of the source, built once per map."""
+        return Enumeration(self.source)
 
     def __call__(self, x: Element) -> Element:
         return Element(self.target, self.eval_coords(x.coords))
@@ -258,7 +263,9 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn, chunk: int = 1 << 18)
     fail_fn(a_idx, b_idx) returns a boolean failure mask.  Exhaustive mode
     walks pairs in enumeration order (row-major), so the reported witness
     is always the first failing pair; sampled mode records seed and
-    coverage for the report.
+    coverage for the report.  Sampled pairs are drawn uniformly with
+    replacement, so coverage = budget/total counts draws, not distinct
+    pairs: a pair can be drawn more than once.
     """
     total = count * count
     if total <= budget:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,36 @@ def test_corrupted_psi_breaks_named_case_with_witness(m2, negtr):
     assert not by["case_diag_offdiag"].ok
     assert by["case_diag_offdiag"].witness is not None
     assert not by["recomposition"].ok   # psi no longer matches phi - tau
+
+
+def test_psi_bijective_witness_replays(m2, negtr):
+    res = decompose(negtr, m2.basis_element(0), branch="ddagger")
+    assert next(c for c in res.certificates if c.condition == "psi_bijective").witness is None
+    # replace psi by a singular linear map (negtr's psi with coordinate 0 dropped)
+    M = [[0, 0, 0, 0]] + [list(row) for row in res.psi_matrix[1:]]
+    X = Enumeration(m2).all_coords()
+    res.psi = X @ np.array(M, dtype=np.int64).T % 5
+    res.tau = (negtr.images() - res.psi) % 5
+    cert = next(c for c in verify_decomposition(res) if c.condition == "psi_bijective")
+    assert not cert.ok
+
+    # replay in rings.py arithmetic: psi(x) = sum_i x_i psi(b_i); the witness
+    # is the first image (in element order) hit twice, with its first two preimages
+    cols = [m2.element([M[r][i] for r in range(4)]) for i in range(4)]
+
+    def psi(coords):
+        out = m2.zero()
+        for c, col in zip(coords, cols):
+            out = out + col.smul(c)
+        return out.coords
+
+    preimages = {}
+    for x in itertools.product(range(5), repeat=4):
+        preimages.setdefault(psi(x), []).append(list(x))
+    image = min(y for y, xs in preimages.items() if len(xs) > 1)
+    assert cert.witness == {"image": list(image), "a": preimages[image][0],
+                            "b": preimages[image][1]}
+    assert psi(cert.witness["a"]) == psi(cert.witness["b"]) == tuple(cert.witness["image"])
 
 
 def test_zorn_identity_roundtrip_sampled(zorn):

@@ -31,33 +31,39 @@ def unital_rings(draw, primes=(2, 3, 5, 7), max_dim=4):
                 [1] + [0] * (n - 1))
 
 
-def vectors(ring, min_size=1, max_size=6):
-    coord = st.integers(0, ring.domain.p - 1)
-    return st.lists(st.lists(coord, min_size=ring.dim, max_size=ring.dim),
-                    min_size=min_size, max_size=max_size)
-
-
 def ints(arr):
     return [int(x) for x in arr]
 
 
 def check_products(ring, A, B):
+    """A and B: unreduced (r, s, n) stacks, a rank-2 batch of vectors."""
     enum = Enumeration(ring)
-    A, B = [tuple(a) for a in A], [tuple(b) for b in B]
-    m = min(len(A), len(B))
-    rowwise = enum.mul(A[:m], B[:m])
-    comm = enum.commutator(A[:m], B[:m])
-    for a, b, got, got_comm in zip(A, B, rowwise, comm):
-        assert tuple(ints(got)) == ring.mul_coords(a, b)
-        assert tuple(ints(got_comm)) == ring.sub_coords(ring.mul_coords(a, b), ring.mul_coords(b, a))
-    outer = enum.mul_outer(A, B)
-    assert outer.shape == (len(A), len(B), ring.dim)
-    for a, row in zip(A, outer):
-        for b, got in zip(B, row):
-            assert tuple(ints(got)) == ring.mul_coords(a, b)
-    for a, L, R in zip(A, enum.left_mul_matrices(A), enum.right_mul_matrices(A)):
-        assert [ints(r) for r in L] == ring.left_mul_matrix(a)
-        assert [ints(r) for r in R] == ring.right_mul_matrix(a)
+    p, n = ring.domain.p, ring.dim
+
+    def ref(a, b):
+        return ring.mul_coords(tuple(int(x) % p for x in a), tuple(int(x) % p for x in b))
+
+    rowwise = enum.mul(A, B)
+    comm = enum.commutator(A, B)
+    firsts = enum.mul(A[:, :1], B)               # broadcast over the second batch axis
+    assert rowwise.shape == comm.shape == firsts.shape == A.shape
+    for idx in np.ndindex(A.shape[:-1]):
+        a, b = A[idx], B[idx]
+        assert tuple(ints(rowwise[idx])) == ref(a, b)
+        assert tuple(ints(comm[idx])) == ring.sub_coords(ref(a, b), ref(b, a))
+        assert tuple(ints(firsts[idx])) == ref(A[idx[0], 0], b)
+    flatA, flatB = A.reshape(-1, n), B[:1].reshape(-1, n)
+    outer = enum.mul_outer(flatA, flatB)
+    assert outer.shape == (len(flatA), len(flatB), n)
+    for a, row in zip(flatA, outer):
+        for b, got in zip(flatB, row):
+            assert tuple(ints(got)) == ref(a, b)
+    L, R = enum.left_mul_matrices(A), enum.right_mul_matrices(A)
+    assert L.shape == R.shape == A.shape + (n,)
+    for idx in np.ndindex(A.shape[:-1]):
+        a = tuple(int(x) % p for x in A[idx])
+        assert [ints(r) for r in L[idx]] == ring.left_mul_matrix(a)
+        assert [ints(r) for r in R[idx]] == ring.right_mul_matrix(a)
 
 
 def check_elimination(ring, mats):
@@ -76,8 +82,16 @@ def check_elimination(ring, mats):
 
 @st.composite
 def ring_and_products(draw, **kw):
+    """Two (r, s, n) stacks of mostly unreduced entries: near [0, p) or
+    large enough that an unreduced product would overflow int64."""
     ring = draw(unital_rings(**kw))
-    return ring, draw(vectors(ring)), draw(vectors(ring))
+    p = ring.domain.p
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), ring.dim)
+    coord = st.integers(-2 * p, 3 * p - 1) | st.integers(-2 ** 40, 2 ** 40)
+    size = shape[0] * shape[1] * shape[2]
+    A, B = (np.array(draw(st.lists(coord, min_size=size, max_size=size)),
+                     dtype=np.int64).reshape(shape) for _ in range(2))
+    return ring, A, B
 
 
 @st.composite
@@ -99,6 +113,31 @@ def test_products_match_reference(case):
 @given(ring_and_products(primes=(191,), max_dim=2))
 def test_products_match_reference_wide_prime(case):
     check_products(*case)
+
+
+@given(unital_rings(), st.sampled_from(["in_range", "negative", "at_least_p", "mixed"]),
+       st.integers(0, 5), st.data())
+def test_index_of_matches_reduced_radix(ring, kind, rows, data):
+    enum = Enumeration(ring)
+    p, n = ring.domain.p, ring.dim
+    lo, hi = {"in_range": (0, p - 1), "negative": (-3 * p, -1),
+              "at_least_p": (p, 4 * p), "mixed": (-3 * p, 4 * p)}[kind]
+    cells = data.draw(st.lists(st.integers(lo, hi), min_size=rows * n, max_size=rows * n))
+    C = np.array(cells, dtype=np.int64).reshape(rows, n)
+    got = enum.index_of(C)
+    assert got.shape == (rows,)
+    assert (got == C % p @ enum.radix).all()
+    for c, k in zip(C, got):
+        assert int(k) == sum(int(x) % p * p ** (n - 1 - i) for i, x in enumerate(c))
+    if rows:
+        assert int(enum.index_of(C[0])) == int(got[0])
+
+
+@pytest.mark.parametrize("edge, want", [(4, 4), (5, 0), (-1, 4), (-5, 0), (10 ** 12, 0)])
+def test_index_of_range_boundaries(edge, want):
+    enum = Enumeration(gen_m2(5))
+    C = np.array([[edge, 0, 0, 0], [0, 0, 0, edge]], dtype=np.int64)
+    assert ints(enum.index_of(C)) == [want * 125, want]
 
 
 @given(ring_and_stack())

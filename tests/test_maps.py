@@ -135,6 +135,21 @@ def test_map_json_round_trip(tmp_path, m2, negtr):
     assert (back.images() == dense.images()).all()
 
 
+def test_dense_eval_matches_table_with_one_enumeration(m2, negtr, monkeypatch):
+    negtr.images()
+    built = []
+    init = Enumeration.__init__
+    monkeypatch.setattr(Enumeration, "__init__",
+                        lambda self, ring: built.append(ring.name) or init(self, ring))
+    dense = negtr.replace_entry(0, [0, 0, 0, 0])
+    X = Enumeration(m2).all_coords()
+    imgs = dense.images()
+    for x, want in zip(X, imgs):
+        assert dense(m2.element([int(v) for v in x])).coords == tuple(int(v) for v in want)
+    assert dense.eval_coords((6, -4, 0, 0)) == dense.eval_coords((1, 1, 0, 0))
+    assert built == ["m2_f5", "m2_f5"]     # one for the map, then the test's own
+
+
 def test_table_loader_validates_entry_count(m2):
     with pytest.raises(ParseError):
         build_map(m2, m2, {"kind": "table", "entries": [[0, 0, 0, 0]] * 7})
