@@ -296,11 +296,16 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
                                  {"pairs": es.count ** 2, "checked": int(checked)},
                                  mode, seed if mode == "sampled" else None, cov))
 
-    def psi_add_fails(a_idx, b_idx):
-        s = es.index_of((X[a_idx] + X[b_idx]) % p)
-        return (psi[s] != (psi[a_idx] + psi[b_idx]) % p).any(axis=1)
+    psi_idx = et.index_of(psi)
+    tau_idx = et.index_of(tau)
 
-    pair_report("psi_additive", psi_add_fails)
+    def additive_fails(f_idx):
+        def fails(a_idx, b_idx):
+            lhs = f_idx[es.add_index(a_idx, b_idx, budget)]
+            return lhs != et.add_index(f_idx[a_idx], f_idx[b_idx], budget)
+        return fails
+
+    pair_report("psi_additive", additive_fails(psi_idx))
 
     Mnp = np.array([[int(x) for x in row] for row in res.psi_matrix], dtype=np.int64)
     bad = np.flatnonzero((X @ Mnp.T % p != psi).any(axis=1))
@@ -310,7 +315,6 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
 
     # witness: the first target element hit twice, with two preimages,
     # else the first target element never hit
-    psi_idx = et.index_of(psi)
     hits = np.bincount(psi_idx, minlength=et.count)
     wit = None
     if (hits > 1).any():
@@ -324,13 +328,14 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
         wit = {"unreached": coords_json(m.target, [int(v) for v in et.coords_of(k)])}
     certs.append(CheckReport("psi_bijective", wit is None, wit, {"elements": int(es.count)}))
 
+    # anti: psi(ab) = -psi(b)psi(a), the sign applied through the index table of x -> -x
+    neg = et.smul_index(p - 1, budget) if anti else None
+
     def product_fails(a_idx, b_idx):
-        lhs = psi[es.index_of(es.mul(X[a_idx], X[b_idx]))]
+        lhs = psi_idx[es.mul_index(a_idx, b_idx, budget)]
         if anti:
-            rhs = (-et.mul(psi[b_idx], psi[a_idx])) % p
-        else:
-            rhs = et.mul(psi[a_idx], psi[b_idx])
-        return (lhs != rhs).any(axis=1)
+            return lhs != neg[et.mul_index(psi_idx[b_idx], psi_idx[a_idx], budget)]
+        return lhs != et.mul_index(psi_idx[a_idx], psi_idx[b_idx], budget)
 
     pair_report("psi_anti_multiplicative" if anti else "psi_multiplicative", product_fails)
 
@@ -402,14 +407,8 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
     tau_zero = (tau == 0).all(axis=1)
 
     def tau_comm_fails(a_idx, b_idx):
-        k = es.index_of(es.commutator(X[a_idx], X[b_idx]))
-        return ~tau_zero[k]
+        return ~tau_zero[es.commutator_index(a_idx, b_idx, budget)]
 
     pair_report("tau_kills_commutators", tau_comm_fails)
-
-    def tau_add_fails(a_idx, b_idx):
-        s = es.index_of((X[a_idx] + X[b_idx]) % p)
-        return (tau[s] != (tau[a_idx] + tau[b_idx]) % p).any(axis=1)
-
-    pair_report("tau_additive", tau_add_fails)
+    pair_report("tau_additive", additive_fails(tau_idx))
     return certs

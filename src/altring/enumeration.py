@@ -20,6 +20,23 @@ contiguous plane, and the result is returned as a coordinate-last view
 of the (n, ...) accumulator, not copied back.  `index_of` reduces mod p
 only when some entry lies outside [0, p); reduced input, the common case
 after a kernel, is indexed without a pass of divisions.
+
+Pair scans work in index space.  The digit table `digits` holds the
+(n, count) coordinate planes of every element in `elim_dtype` (which
+holds (p-1)**2 + p, so the sum or difference of two digits stays exact
+in it), built once per Enumeration under the element budget.  The index kernels `mul_index`, `commutator_index` and
+`add_index` take element indices, gather their operand planes from the
+table with `take(idx, axis=1)`, accumulate in int64 and return indices
+by Horner's rule on the planes (`index_of_planes`): no coordinate rows,
+no transpose.  `mul_index` runs the same product core as `mul` and
+`mul_outer`.
+
+Commutators have one core of their own over the antisymmetrised
+constants d = (c_ijk - c_jik) mod p, i < j (`comm_terms`): plane k
+accumulates d*(A_i*B_j - A_j*B_i), so the diagonal and the repeated
+half of the basis pairs cost nothing.  The guard above covers it: each
+term lies in (-(p-1)**3, (p-1)**3), and a nonzero d_ijk needs c_ijk or
+c_jik nonzero, so output k sums at most nnz_k terms.
 """
 
 from __future__ import annotations
@@ -62,10 +79,12 @@ class Enumeration:
                                if (self.p - 1) ** 2 + self.p <= np.iinfo(dt).max)
         self.radix = self.p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
         self.unit = np.array([int(x) for x in ring.unit_coords], dtype=np.int64)
+        # antisymmetrised constants (i, j, k, d), i < j: [b_i, b_j] has d at coordinate k
+        self.comm_terms = [(i, j, k, d) for i in range(self.n) for j in range(i + 1, self.n)
+                           for k in range(self.n)
+                           if (d := (int(ring.sc[i][j][k]) - int(ring.sc[j][i][k])) % self.p)]
         self._coords = None
-        self._mul_table = None
-        self._add_table = None
-        self._comm_table = None
+        self._digits = None
 
     @cached_property
     def inv_table(self) -> np.ndarray:
@@ -85,12 +104,36 @@ class Enumeration:
             C = C % self.p
         return C @ self.radix
 
-    def all_coords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def _check_budget(self, budget: int):
         if self.count > budget:
             raise BudgetExceeded(self.count, budget, f"enumerating {self.ring.name!r}")
+
+    def all_coords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        self._check_budget(budget)
         if self._coords is None:
-            self._coords = self.coords_of(np.arange(self.count))
+            self._coords = np.ascontiguousarray(self.digits(budget).T, dtype=np.int64)
         return self._coords
+
+    def digits(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """(n, count) digit table in `elim_dtype`: plane i holds coordinate i
+        of every element, in element order."""
+        self._check_budget(budget)
+        if self._digits is None:
+            p, n = self.p, self.n
+            self._digits = np.empty((n, self.count), dtype=self.elim_dtype)
+            digit = np.arange(p, dtype=self.elim_dtype)[:, None]
+            for i in range(n):        # digit i cycles through 0..p-1 in runs of p**(n-1-i)
+                self._digits[i].reshape(p ** i, p, p ** (n - 1 - i))[:] = digit
+        return self._digits
+
+    def index_of_planes(self, P) -> np.ndarray:
+        """Element indices of reduced (n, ...) coordinate planes, by Horner's
+        rule in int64 (P may be any integer dtype)."""
+        idx = P[0].astype(np.int64)
+        for plane in P[1:]:
+            idx *= self.p
+            idx += plane
+        return idx
 
     # -- batched arithmetic ----------------------------------------------
 
@@ -100,35 +143,79 @@ class Enumeration:
         out = np.empty((A.shape[-1],) + A.shape[:-1], dtype=np.int64)
         return np.remainder(np.moveaxis(A, -1, 0), self.p, out=out)
 
-    def _products(self, A, B) -> np.ndarray:
-        """Broadcast products A * B over the leading axes, one structure
-        constant at a time on contiguous planes.  Shared by `mul` and
-        `mul_outer` so that neither public kernel runs inside the other."""
-        A, B = self._planes(A), self._planes(B)
+    def _product_planes(self, A, B) -> np.ndarray:
+        """Products of reduced (n, ...) planes, broadcast over the trailing
+        axes: plane k accumulates c*A_i*B_j in int64 on contiguous planes.
+        The one product core behind `mul`, `mul_outer` and `mul_index`, so
+        that no public kernel runs inside another."""
         shape = np.broadcast_shapes(A.shape[1:], B.shape[1:])
         out = np.zeros((self.n,) + shape, dtype=np.int64)
         term = np.empty(shape, dtype=np.int64)
         for i, j, k, c in self.terms:
-            np.multiply(A[i], B[j], out=term)
+            np.multiply(A[i], B[j], out=term, dtype=np.int64)
             if c != 1:
                 term *= c
             out[k] += term
         out %= self.p
-        return np.moveaxis(out, 0, -1)
+        return out
+
+    def _commutator_planes(self, A, B) -> np.ndarray:
+        """Commutators of reduced (n, ...) planes: plane k accumulates
+        d*(A_i*B_j - A_j*B_i) over the antisymmetrised constants, one
+        difference per basis pair i < j shared by every k it feeds.  The
+        one commutator core behind `commutator` and `commutator_index`."""
+        shape = np.broadcast_shapes(A.shape[1:], B.shape[1:])
+        out = np.zeros((self.n,) + shape, dtype=np.int64)
+        diff = np.empty(shape, dtype=np.int64)
+        swap = np.empty(shape, dtype=np.int64)
+        pair = None
+        for i, j, k, d in self.comm_terms:
+            if (i, j) != pair:
+                pair = (i, j)
+                np.multiply(A[i], B[j], out=diff, dtype=np.int64)
+                np.multiply(A[j], B[i], out=swap, dtype=np.int64)
+                diff -= swap
+            if d == 1:
+                out[k] += diff
+            else:
+                np.multiply(diff, d, out=swap)
+                out[k] += swap
+        out %= self.p
+        return out
 
     def mul(self, A, B) -> np.ndarray:
         """Rowwise products: result[b] = A[b] * B[b]."""
-        return self._products(A, B)
+        return np.moveaxis(self._product_planes(self._planes(A), self._planes(B)), 0, -1)
 
     def mul_outer(self, A, B) -> np.ndarray:
         """All products: result[a, b] = A[a] * B[b]."""
-        return self._products(np.asarray(A)[:, None, :], np.asarray(B)[None, :, :])
+        A, B = self._planes(A), self._planes(B)
+        return np.moveaxis(self._product_planes(A[:, :, None], B[:, None, :]), 0, -1)
 
     def square(self, A) -> np.ndarray:
         return self.mul(A, A)
 
     def commutator(self, A, B) -> np.ndarray:
-        return (self.mul(A, B) - self.mul(B, A)) % self.p
+        return np.moveaxis(self._commutator_planes(self._planes(A), self._planes(B)), 0, -1)
+
+    # -- index kernels: element indices in, element indices out -----------
+
+    def mul_index(self, a, b, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Index of a[t] * b[t] for index arrays a, b (broadcast)."""
+        D = self.digits(budget)
+        return self.index_of_planes(self._product_planes(D.take(a, axis=1), D.take(b, axis=1)))
+
+    def commutator_index(self, a, b, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Index of [a[t], b[t]] for index arrays a, b (broadcast)."""
+        D = self.digits(budget)
+        return self.index_of_planes(self._commutator_planes(D.take(a, axis=1), D.take(b, axis=1)))
+
+    def add_index(self, a, b, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Index of a[t] + b[t] for index arrays a, b (broadcast)."""
+        D = self.digits(budget)
+        S = D.take(a, axis=1) + D.take(b, axis=1)       # <= 2p - 2, exact in elim_dtype
+        S -= (S >= self.p) * S.dtype.type(self.p)
+        return self.index_of_planes(S)
 
     def left_mul_matrices(self, A) -> np.ndarray:
         """result[b] = matrix of x -> A[b] * x (column-vector action)."""
@@ -146,38 +233,10 @@ class Enumeration:
             out[k, i] += c * A[j]
         return np.moveaxis(out % self.p, (0, 1), (-2, -1))
 
-    # -- full pair tables (index valued, budget guarded) ------------------
-
-    def _pair_budget(self, budget: int, what: str):
-        if self.count ** 2 > budget:
-            raise BudgetExceeded(self.count ** 2, budget, what)
-
-    def mul_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        self._pair_budget(budget, f"pairwise products in {self.ring.name!r}")
-        if self._mul_table is None:
-            X = self.all_coords(budget)
-            self._mul_table = self.index_of(self.mul_outer(X, X))
-        return self._mul_table
-
-    def add_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        self._pair_budget(budget, f"pairwise sums in {self.ring.name!r}")
-        if self._add_table is None:
-            X = self.all_coords(budget)
-            self._add_table = self.index_of((X[:, None, :] + X[None, :, :]) % self.p)
-        return self._add_table
-
-    def commutator_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        self._pair_budget(budget, f"pairwise commutators in {self.ring.name!r}")
-        if self._comm_table is None:
-            X = self.all_coords(budget)
-            M = self.mul_outer(X, X)
-            self._comm_table = self.index_of((M - M.swapaxes(0, 1)) % self.p)
-        return self._comm_table
-
     def smul_index(self, lam: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """Index table of x -> lam*x over all elements."""
-        X = self.all_coords(budget)
-        return self.index_of((lam * X) % self.p)
+        scaled = (np.arange(self.p, dtype=np.int64) * lam % self.p).astype(self.elim_dtype)
+        return self.index_of_planes(scaled.take(self.digits(budget)))
 
     def idempotent_mask(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         X = self.all_coords(budget)

@@ -323,15 +323,11 @@ def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
                               seed: int = 0) -> CheckReport:
     """phi([x,y]) = [phi(x), phi(y)] over source pairs (sampled past budget)."""
     es, et = Enumeration(m.source), Enumeration(m.target)
-    Xs = es.all_coords(budget)
-    imgs = m.images(budget)
     f_idx = m.image_index(budget)
 
     def fails(a_idx, b_idx):
-        ka = es.commutator(Xs[a_idx], Xs[b_idx])
-        lhs = imgs[es.index_of(ka)]
-        rhs = et.commutator(imgs[a_idx], imgs[b_idx])
-        return (lhs != rhs).any(axis=1)
+        lhs = f_idx[es.commutator_index(a_idx, b_idx, budget)]
+        return lhs != et.commutator_index(f_idx[a_idx], f_idx[b_idx], budget)
 
     ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
     return CheckReport("lie_multiplicative", ok, _pair_witness(m, pair),
@@ -345,25 +341,31 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
     if not m.is_bijective(budget):
         raise NotBijective("idempotent preservation is a biconditional; the map must be a bijection")
     es, et = Enumeration(m.source), Enumeration(m.target)
-    Xs = es.all_coords(budget)
-    imgs = m.images(budget)
+    Ds, Dt = es.digits(budget), et.digits(budget)
+    f_idx = m.image_index(budget)
     idem_src = es.idempotent_mask(budget)
     idem_tgt = et.idempotent_mask(budget)
 
     p = es.p
 
     def fails(a_idx, b_idx):
+        # planes of a - lam*b on both sides, stepped from lam = 0 by - b mod p
+        d_src, b_src = Ds.take(a_idx, axis=1), Ds.take(b_idx, axis=1)
+        d_tgt, b_tgt = Dt.take(f_idx[a_idx], axis=1), Dt.take(f_idx[b_idx], axis=1)
         bad = np.zeros(len(a_idx), dtype=bool)
         for lam in range(p):
-            d_src = (Xs[a_idx] - lam * Xs[b_idx]) % p
-            d_tgt = (imgs[a_idx] - lam * imgs[b_idx]) % p
-            bad |= idem_src[es.index_of(d_src)] != idem_tgt[et.index_of(d_tgt)]
+            if lam:
+                for D, B in ((d_src, b_src), (d_tgt, b_tgt)):
+                    D -= B
+                    D += (D < 0) * D.dtype.type(p)
+            bad |= idem_src[es.index_of_planes(d_src)] != idem_tgt[et.index_of_planes(d_tgt)]
         return bad
 
     ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
     wit = _pair_witness(m, pair)
     if wit is not None:
         a, b = pair
+        Xs, imgs = es.all_coords(budget), m.images(budget)
         for lam in range(p):
             d = (Xs[a] - lam * Xs[b]) % p
             dt = (imgs[a] - lam * imgs[b]) % p
@@ -397,12 +399,9 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
                                    m.target, [int(x) for x in m.images(budget)[0]])},
                                {"elements": 1}))
 
-    imgs = m.images(budget)
     ok, wit = True, None
     for lam in range(es.p):
-        lhs = imgs[es.smul_index(lam, budget)]
-        rhs = (lam * imgs) % es.p
-        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+        bad = np.flatnonzero(idx[es.smul_index(lam, budget)] != et.smul_index(lam, budget)[idx])
         if len(bad) and ok:
             k = int(bad[0])
             ok = False
@@ -416,16 +415,17 @@ def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
                             seed: int = 0) -> CheckReport:
     """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs."""
     es, et = Enumeration(m.source), Enumeration(m.target)
-    Xs = es.all_coords(budget)
-    imgs = m.images(budget)
+    Dt = et.digits(budget)
+    f_idx = m.image_index(budget)
     zc = center(m.target)
     basis = [list(r) for r in zc.basis]
     pivots = list(zc.pivots)
 
     def fails(a_idx, b_idx):
-        s = (Xs[a_idx] + Xs[b_idx]) % es.p
-        defect = (imgs[es.index_of(s)] - imgs[a_idx] - imgs[b_idx]) % et.p
-        return ~et.in_span_mask(basis, pivots, defect)
+        defect = Dt.take(f_idx[es.add_index(a_idx, b_idx, budget)], axis=1).astype(np.int64)
+        defect -= Dt.take(f_idx[a_idx], axis=1)
+        defect -= Dt.take(f_idx[b_idx], axis=1)
+        return ~et.in_span_mask(basis, pivots, defect.T)
 
     ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
     return CheckReport("almost_additive", ok, _pair_witness(m, pair),

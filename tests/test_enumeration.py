@@ -28,8 +28,12 @@ def test_budget_guards(zorn):
     enum = Enumeration(zorn)
     with pytest.raises(BudgetExceeded):
         enum.all_coords(budget=1000)
-    with pytest.raises(BudgetExceeded):
-        enum.mul_table(budget=10**6)   # 5^16 pairs
+    for kernel in (enum.digits, lambda budget: enum.mul_index([0], [0], budget),
+                   lambda budget: enum.commutator_index([0], [0], budget),
+                   lambda budget: enum.add_index([0], [0], budget),
+                   lambda budget: enum.smul_index(2, budget)):
+        with pytest.raises(BudgetExceeded):
+            kernel(budget=1000)        # 5^8 elements
 
 
 def test_batched_mul_matches_ring(m2, zorn):
@@ -44,18 +48,17 @@ def test_batched_mul_matches_ring(m2, zorn):
             assert tuple(int(x) for x in g) == want
 
 
-def test_mul_outer_and_tables(m2):
+def test_index_kernels_on_matrix_units(m2):
     enum = Enumeration(m2)
-    X = enum.all_coords()
-    T = enum.mul_table()
     i = int(enum.index_of(np.array([0, 1, 0, 0])))   # E12
     j = int(enum.index_of(np.array([0, 0, 1, 0])))   # E21
-    assert int(T[i, j]) == int(enum.index_of(np.array([1, 0, 0, 0])))
-    A = enum.add_table()
-    assert int(A[i, j]) == int(enum.index_of(np.array([0, 1, 1, 0])))
-    K = enum.commutator_table()
-    unit = int(enum.index_of(enum.unit))
-    assert (K[:, unit] == 0).all()
+    assert int(enum.mul_index([i], [j])[0]) == int(enum.index_of(np.array([1, 0, 0, 0])))
+    assert int(enum.add_index([i], [j])[0]) == int(enum.index_of(np.array([0, 1, 1, 0])))
+    every = np.arange(enum.count)
+    unit = np.full(enum.count, int(enum.index_of(enum.unit)))
+    assert (enum.commutator_index(every, unit) == 0).all()
+    assert (enum.commutator_index(unit, every) == 0).all()
+    assert (enum.digits().T == enum.all_coords()).all()
 
 
 def test_left_right_mul_matrices(m2):

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from altring import PrimeField, center, check_primeness, gen_m2, linalg
@@ -113,6 +113,86 @@ def test_products_match_reference(case):
 @given(ring_and_products(primes=(191,), max_dim=2))
 def test_products_match_reference_wide_prime(case):
     check_products(*case)
+
+
+def skew(p):
+    """b1*b2 = 3b1 + 2b2 but b2*b1 = b1: constants != 1 with c_ijk != c_jik."""
+    sc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for j in range(3):
+        sc[0][j][j] = sc[j][0][j] = 1
+    sc[1][2] = [0, 3 % p, 2 % p]
+    sc[2][1] = [0, 1, 0]
+    sc[2][2] = [p - 1, 0, 4 % p]
+    return Ring(f"skew_f{p}", PrimeField(p), ["b0", "b1", "b2"], sc, [1, 0, 0])
+
+
+@st.composite
+def ring_and_index_pairs(draw, **kw):
+    ring = draw(unital_rings(**kw))
+    count = ring.domain.p ** ring.dim
+    size = draw(st.integers(1, 16))
+    idx = st.lists(st.integers(0, count - 1), min_size=size, max_size=size)
+    return ring, np.array(draw(idx), dtype=np.int64), np.array(draw(idx), dtype=np.int64)
+
+
+def check_index_kernels(ring, a, b):
+    """Index kernels against `rings.py` on base-p digits computed in Python."""
+    enum = Enumeration(ring)
+    p, n = ring.domain.p, ring.dim
+
+    def coords(k):
+        return tuple(int(k) // p ** (n - 1 - i) % p for i in range(n))
+
+    def index(c):
+        return sum(int(x) * p ** (n - 1 - i) for i, x in enumerate(c))
+
+    neg = enum.smul_index(p - 1)
+    got = {"mul": enum.mul_index(a, b), "comm": enum.commutator_index(a, b),
+           "add": enum.add_index(a, b), "anti": neg[enum.mul_index(b, a)]}
+    for kernel in got.values():
+        assert kernel.dtype == np.int64 and kernel.shape == a.shape
+    for t, (x, y) in enumerate(zip(map(coords, a), map(coords, b))):
+        xy, yx = ring.mul_coords(x, y), ring.mul_coords(y, x)
+        assert int(got["mul"][t]) == index(xy)
+        assert int(got["comm"][t]) == index(ring.sub_coords(xy, yx))
+        assert int(got["add"][t]) == index(ring.add_coords(x, y))
+        assert int(got["anti"][t]) == index(ring.smul_coords(p - 1, yx))
+    lam = int(a[0]) % p
+    scaled = enum.smul_index(lam)
+    assert all(int(scaled[k]) == index(ring.smul_coords(lam, coords(k)))
+               for k in range(0, enum.count, max(1, enum.count // 50)))
+
+
+@given(ring_and_index_pairs())
+@example((skew(7), np.array([100, 342, 57, 0]), np.array([287, 6, 342, 342])))
+def test_index_kernels_match_reference(case):
+    check_index_kernels(*case)
+
+
+@given(ring_and_index_pairs(primes=(191,), max_dim=2))
+@example((skew(97), np.array([912_672, 9_408]), np.array([96, 912_671])))
+def test_index_kernels_match_reference_wide_prime(case):
+    check_index_kernels(*case)
+
+
+@given(unital_rings() | st.sampled_from([skew(5), skew(7)]))
+def test_antisymmetrised_constants_match_commutator(ring):
+    """Every basis commutator, rebuilt from `comm_terms` (d at [i][j][k],
+    -d at [j][i][k], zero on the diagonal), equals `commutator` and the
+    reference arithmetic."""
+    enum = Enumeration(ring)
+    p, n = ring.domain.p, ring.dim
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, d in enum.comm_terms:
+        assert i < j and 0 < d < p
+        table[i][j][k], table[j][i][k] = d, p - d
+    E = np.eye(n, dtype=np.int64)
+    got = enum.commutator(E[:, None, :], E[None, :, :])
+    for i in range(n):
+        for j in range(n):
+            bi, bj = ring.basis_coords(i), ring.basis_coords(j)
+            want = ring.sub_coords(ring.mul_coords(bi, bj), ring.mul_coords(bj, bi))
+            assert tuple(table[i][j]) == tuple(ints(got[i, j])) == tuple(int(x) for x in want)
 
 
 @given(unital_rings(), st.sampled_from(["in_range", "negative", "at_least_p", "mixed"]),
