@@ -22,14 +22,15 @@ only when some entry lies outside [0, p); reduced input, the common case
 after a kernel, is indexed without a pass of divisions.
 
 Pair scans work in index space.  The digit table `digits` holds the
-(n, count) coordinate planes of every element in `elim_dtype` (which
-holds (p-1)**2 + p, so the sum or difference of two digits stays exact
-in it), built once per Enumeration under the element budget.  The index kernels `mul_index`, `commutator_index` and
-`add_index` take element indices, gather their operand planes from the
-table with `take(idx, axis=1)`, accumulate in int64 and return indices
-by Horner's rule on the planes (`index_of_planes`): no coordinate rows,
-no transpose.  `mul_index` runs the same product core as `mul` and
-`mul_outer`.
+(n, count) coordinate planes of every element in `elim_dtype`, the
+narrowest signed type holding (p-1)**2 + p, so the sum or difference of
+two digits stays exact in it; it is built once per Enumeration under
+the element budget.  The index kernels `mul_index`, `commutator_index`
+and `add_index` take element indices, gather their operand planes from
+the table with `take(idx, axis=1)`, accumulate in int64 and return
+indices by Horner's rule on the planes (`index_of_planes`): no
+coordinate rows, no transpose.  `mul_index` runs the same product core
+as `mul` and `mul_outer`.
 
 Commutators have one core of their own over the antisymmetrised
 constants d = (c_ijk - c_jik) mod p, i < j (`comm_terms`): plane k
@@ -37,6 +38,18 @@ accumulates d*(A_i*B_j - A_j*B_i), so the diagonal and the repeated
 half of the basis pairs cost nothing.  The guard above covers it: each
 term lies in (-(p-1)**3, (p-1)**3), and a nonzero d_ijk needs c_ijk or
 c_jik nonzero, so output k sums at most nnz_k terms.
+
+Multiplication matrices and elimination run in narrow dtypes, each
+sized by a bound of its own (`_narrowest_signed`).  Entry (k, j) of L_a
+sums c*a_i over the constants c = c_ijk (entry (k, i) of R_a sums
+c*a_j), so it stays below (p-1) times its weight, the sum of those
+constants.  `left/right_mul_matrices` accumulate in `mat_dtype`, which
+holds the largest weight times (p-1) plus p, reduce only the entries
+whose weight lets them reach p, and return reduced entries in it.  The
+eliminator picks its working type per call from the column count C (see
+`_eliminate_chunk`): it holds max(C-1, 1)*(p-1)**2 + p, so p = 5 runs
+in int8 up to C = 8 and in int16 beyond.  `elim_dtype` sizes only the
+digit table.
 """
 
 from __future__ import annotations
@@ -50,6 +63,15 @@ from .errors import BudgetExceeded, UnsupportedDomain
 from .rings import Ring
 
 DEFAULT_BUDGET = 10**6
+
+
+def _narrowest_signed(bound: int):
+    """Narrowest signed integer dtype holding every integer of magnitude
+    at most `bound`."""
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return dt
+    raise UnsupportedDomain(f"values up to {bound} do not fit int64")
 
 
 def require_finite(ring: Ring) -> int:
@@ -74,9 +96,16 @@ class Enumeration:
             raise UnsupportedDomain(
                 f"ring {ring.name!r}: {per_output} products of F_{self.p} entries can "
                 "overflow int64; enumeration needs a smaller prime")
-        # narrowest signed dtype holding the eliminator's a - f*b before reduction
-        self.elim_dtype = next(dt for dt in (np.int8, np.int16, np.int32, np.int64)
-                               if (self.p - 1) ** 2 + self.p <= np.iinfo(dt).max)
+        # digit table: holds (p-1)**2 + p, so a + b and a - b of two digits stay exact
+        self.elim_dtype = _narrowest_signed((self.p - 1) ** 2 + self.p)
+        # entry (k, j) of L_a sums c*a_i over the constants c_ijk, entry (k, i)
+        # of R_a sums c*a_j: at most (p-1) times the weight, the sum of those c
+        self.mat_weights = {True: Counter(), False: Counter()}      # keyed by `left`
+        for i, j, k, c in self.terms:
+            self.mat_weights[True][k, j] += c
+            self.mat_weights[False][k, i] += c
+        weight = max((w for ws in self.mat_weights.values() for w in ws.values()), default=0)
+        self.mat_dtype = _narrowest_signed(weight * (self.p - 1) + self.p)
         self.radix = self.p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
         self.unit = np.array([int(x) for x in ring.unit_coords], dtype=np.int64)
         # antisymmetrised constants (i, j, k, d), i < j: [b_i, b_j] has d at coordinate k
@@ -137,10 +166,11 @@ class Enumeration:
 
     # -- batched arithmetic ----------------------------------------------
 
-    def _planes(self, A) -> np.ndarray:
-        """A reduced mod p with its coordinate axis first: (n, ...) planes."""
+    def _planes(self, A, dtype=np.int64) -> np.ndarray:
+        """A reduced mod p with its coordinate axis first: (n, ...) planes
+        in `dtype`, which must hold p."""
         A = np.asarray(A, dtype=np.int64)
-        out = np.empty((A.shape[-1],) + A.shape[:-1], dtype=np.int64)
+        out = np.empty((A.shape[-1],) + A.shape[:-1], dtype=dtype)
         return np.remainder(np.moveaxis(A, -1, 0), self.p, out=out)
 
     def _product_planes(self, A, B) -> np.ndarray:
@@ -218,20 +248,25 @@ class Enumeration:
         return self.index_of_planes(S)
 
     def left_mul_matrices(self, A) -> np.ndarray:
-        """result[b] = matrix of x -> A[b] * x (column-vector action)."""
-        A = self._planes(A)
-        out = np.zeros((self.n, self.n) + A.shape[1:], dtype=np.int64)
-        for i, j, k, c in self.terms:
-            out[k, j] += c * A[i]
-        return np.moveaxis(out % self.p, (0, 1), (-2, -1))
+        """result[b] = matrix of x -> A[b] * x (column-vector action): column
+        j is A[b] * b_j.  Reduced entries in `mat_dtype`."""
+        return self._mul_matrices(A, left=True)
 
     def right_mul_matrices(self, A) -> np.ndarray:
-        """result[b] = matrix of x -> x * A[b]."""
-        A = self._planes(A)
-        out = np.zeros((self.n, self.n) + A.shape[1:], dtype=np.int64)
+        """result[b] = matrix of x -> x * A[b]: column j is b_j * A[b].
+        Reduced entries in `mat_dtype`."""
+        return self._mul_matrices(A, left=False)
+
+    def _mul_matrices(self, A, left: bool) -> np.ndarray:
+        A = self._planes(A, self.mat_dtype)
+        out = np.zeros((self.n, self.n) + A.shape[1:], dtype=self.mat_dtype)
         for i, j, k, c in self.terms:
-            out[k, i] += c * A[j]
-        return np.moveaxis(out % self.p, (0, 1), (-2, -1))
+            a, col = (A[i], j) if left else (A[j], i)
+            out[k, col] += a if c == 1 else self.mat_dtype(c) * a
+        for (k, col), w in self.mat_weights[left].items():
+            if w * (self.p - 1) >= self.p:    # the entry can leave [0, p)
+                out[k, col] %= self.p
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
     def smul_index(self, lam: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """Index table of x -> lam*x over all elements."""
@@ -268,61 +303,70 @@ class Enumeration:
 
     # -- batched rank over F_p ---------------------------------------------
 
-    def rank_batched(self, mats: np.ndarray, chunk: int = 4096) -> np.ndarray:
-        """Ranks of a stack of small matrices by masked Gaussian elimination.
-
-        Eliminates column by column with per-matrix pivot choice.  Column c
-        costs O(B * rows * (cols - c)) operations in `elim_dtype`, the
-        narrowest signed integer type that holds (p-1)**2 + p (int8 for
-        p <= 11, int16 for p <= 181), which keeps scans over hundreds of
-        thousands of candidate elements in numpy.
-        """
-        mats = np.asarray(mats, dtype=np.int64)
+    def rank_batched(self, mats, chunk: int = 4096) -> np.ndarray:
+        """Ranks of a (B, R, C) stack of small matrices of any integer dtype,
+        by Gauss-Jordan elimination (`_eliminate_chunk`) in chunks of
+        `chunk` matrices."""
+        mats = np.asarray(mats)
         out = np.empty(len(mats), dtype=np.int64)
         for lo in range(0, len(mats), chunk):
-            out[lo:lo + chunk] = self._eliminate_chunk(mats[lo:lo + chunk])[1]
+            out[lo:lo + chunk] = self._eliminate_chunk(mats[lo:lo + chunk])[2]
         return out
 
-    def rref_batched(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-reduce a stack of matrices; returns (rows, ranks) with each
-        matrix compressed to its nonzero reduced rows padded to C rows."""
-        A, ranks = self._eliminate_chunk(mats)
-        nonzero = (A != 0).any(axis=2)
-        order = np.argsort(~nonzero, axis=1, kind="stable")
-        C = A.shape[2]
-        take = order[:, :C]
-        rows = A[np.arange(len(A))[:, None], take]
-        return rows, ranks
+    def rref_batched(self, mats) -> tuple[np.ndarray, np.ndarray]:
+        """Row-reduce a (B, R, C) stack of any integer dtype; returns (rows,
+        ranks), each matrix compressed to its pivot rows (exactly its
+        nonzero reduced rows, in row order) padded with zero rows to C
+        rows.  Only the compressed (B, C, C) rows are widened to int64."""
+        T, used, ranks = self._eliminate_chunk(mats)
+        take = np.argsort(~used, axis=1, kind="stable")[:, :T.shape[1]]
+        rows = T.swapaxes(1, 2)[np.arange(len(T))[:, None], take]
+        return rows.astype(np.int64), ranks
 
-    def _eliminate_chunk(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Jordan elimination of a (B, R, C) stack; returns the reduced
-        stack as int64 and the ranks.
+    def _eliminate_chunk(self, A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gauss-Jordan elimination of a (B, R, C) stack of any integer dtype.
 
-        Works in place on a column-major copy in `elim_dtype`: every entry
-        stays in [0, p) between steps and a - f*b lies in [-(p-1)**2, p), so
-        the narrow type is exact.  At column c the unused rows are already
-        zero left of c, so only columns c: change.
+        Returns the reduced stack column-major, (B, C, R) in the working
+        dtype with every entry in [0, p); the (B, R) mask of pivot rows,
+        which are exactly the nonzero rows at the end; and the ranks.
+
+        Input is reduced mod p only when some entry lies outside [0, p).
+        The work runs in place on a column-major copy and reduces lazily:
+        step c reduces only column c and the pivot row, then subtracts
+        f*b from the columns c: with f and b both in [0, p).  A column
+        thus takes at most one subtraction below (p-1)**2 per earlier step
+        before its own step reduces it, so every entry lies in
+        [-(C-1)*(p-1)**2, p), and scaling the reduced pivot row by a**-1
+        stays at most (p-1)**2.  The working dtype is the narrowest signed
+        type holding max(C-1, 1)*(p-1)**2 + p.  After its step a column is
+        a unit column or stays reduced, so no final pass is needed.
         """
         p = self.p
-        A = np.asarray(A, dtype=np.int64) % p
-        T = np.ascontiguousarray(A.astype(self.elim_dtype).swapaxes(1, 2))  # (B, C, R)
-        B, C, R = T.shape
-        inv = self.inv_table.astype(self.elim_dtype)
-        used = np.zeros((B, R), dtype=bool)
+        A = np.asarray(A)
+        if A.size and (A.min() < 0 or A.max() >= p):
+            A = np.remainder(A, p, dtype=np.int64)
+        B, R, C = A.shape
+        dt = _narrowest_signed(max(C - 1, 1) * (p - 1) ** 2 + p)
+        T = np.empty((B, C, R), dtype=dt)
+        T[...] = A.swapaxes(1, 2)
+        inv = self.inv_table.astype(dt)
+        free = np.ones((B, R), dtype=bool)
         ranks = np.zeros(B, dtype=np.int64)
         rows = np.arange(B)
         for c in range(C):
             col = T[:, c, :]
-            cand = (col != 0) & ~used
-            has = cand.any(axis=1)
+            if c:
+                col %= p
+            cand = col != 0
+            cand &= free
             piv = np.argmax(cand, axis=1)
-            factor = col * has[:, None]
-            prow = T[rows, c:, piv] * inv[col[rows, piv]][:, None] % p
+            has = cand[rows, piv]
+            # pivot row scaled to a leading 1; zero where column c has no pivot
+            prow = T[rows, c:, piv] % p * (inv[col[rows, piv]] * has)[:, None] % p
             rest = T[:, c:, :]
-            rest -= prow[:, :, None] * factor[:, None, :]
-            rest %= p
+            rest -= prow[:, :, None] * col[:, None, :]
             sel = np.flatnonzero(has)
             T[sel, c:, piv[sel]] = prow[sel]
-            used[sel, piv[sel]] = True
+            free[sel, piv[sel]] = False
             ranks += has
-        return T.swapaxes(1, 2).astype(np.int64), ranks
+        return T, ~free, ranks

@@ -500,7 +500,7 @@ class PrimenessReport:
         }
 
 
-def _normalized_rep_mask(X: np.ndarray, p: int) -> np.ndarray:
+def _normalized_rep_mask(X: np.ndarray) -> np.ndarray:
     """Elements whose first nonzero coordinate is 1 (one per scalar class)."""
     nz = X != 0
     has = nz.any(axis=1)
@@ -513,7 +513,7 @@ def _generator_classes(enum: Enumeration, budget: int) -> tuple[np.ndarray, np.n
     """Leading-coefficient-1 representatives of the nonzero scalar classes,
     in element order, and which of them have a full-rank L_a."""
     X = enum.all_coords(budget)
-    reps = X[_normalized_rep_mask(X, enum.p)]
+    reps = X[_normalized_rep_mask(X)]
     full = enum.rank_batched(enum.left_mul_matrices(reps)) == enum.n
     return reps, full
 
@@ -525,23 +525,24 @@ def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
     Scalar multiples generate the same ideal, so generators run over the
     leading-coefficient-1 representatives.  A screened generator (full-rank
     L_a) has aR = R and needs no closure.  For the others each closure step
-    multiplies the current (compressed echelon) spanning rows by every
-    basis vector on both sides and row-reduces again; a generator is
-    settled once its rank stops growing.  Everything runs batched, in
-    chunks cut over all generators, so ideals are found in the same order
-    as without the screen.
+    stacks the current (compressed echelon) spanning rows x with the
+    transposed multiplication matrices L_x^T and R_x^T, whose rows are the
+    products x*b_j and b_j*x with every basis vector, and row-reduces
+    again; a generator is settled once its rank stops growing.  The stack
+    stays in the narrow `mat_dtype` up to the eliminator.  Everything runs
+    batched, in chunks cut over all generators, so ideals are found in the
+    same order as without the screen.
     """
     n = ring.dim
-    basis = np.eye(n, dtype=np.int64)
     whole = Subspace.from_vectors(ring, [list(ring.basis_coords(i)) for i in range(n)])
     ideals: dict[tuple, Subspace] = {}
 
     def layer(rows):
-        # rows (B, m, n) -> rows plus products with every basis vector, both sides
+        # rows (B, m, n) -> [rows; x*b_j; b_j*x] for every row x and basis vector b_j
         b_count, m = rows.shape[0], rows.shape[1]
-        left = enum.mul_outer(rows.reshape(-1, n), basis).reshape(b_count, m * n, n)
-        right = enum.mul_outer(basis, rows.reshape(-1, n)).transpose(1, 0, 2).reshape(b_count, m * n, n)
-        return np.concatenate([rows, left, right], axis=1)
+        left = enum.left_mul_matrices(rows).swapaxes(-1, -2).reshape(b_count, m * n, n)
+        right = enum.right_mul_matrices(rows).swapaxes(-1, -2).reshape(b_count, m * n, n)
+        return np.concatenate([rows, left, right], axis=1, dtype=enum.mat_dtype)
 
     chunk = 8192
     for lo in range(0, len(reps), chunk):

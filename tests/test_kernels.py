@@ -3,6 +3,7 @@ the exact reference arithmetic of `rings.py` and `linalg.py`, on random
 unital structure-constant rings."""
 
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from altring import PrimeField, center, check_primeness, gen_m2, linalg
 from altring.cli import main
 from altring.enumeration import Enumeration
-from altring.errors import UnsupportedDomain
+from altring.errors import BudgetExceeded, UnsupportedDomain
 from altring.rings import Ring, ring_to_json
 
 
@@ -67,16 +68,20 @@ def check_products(ring, A, B):
 
 
 def check_elimination(ring, mats):
+    """rank_batched and rref_batched against `linalg` on a (B, R, C) stack
+    of any integer dtype, reduced or not: the compressed rows are the rref
+    rows (in pivot-row order), then zero rows."""
     enum = Enumeration(ring)
-    dom = ring.domain
-    mats = np.array(mats, dtype=np.int64)
+    dom, p = ring.domain, ring.domain.p
+    mats = np.asarray(mats)
     ranks = enum.rank_batched(mats)
     rows, rref_ranks = enum.rref_batched(mats)
     assert rows.dtype == np.int64 and rows.shape == (len(mats), mats.shape[2], mats.shape[2])
     for M, got_rank, R, rk in zip(mats, ranks, rows, rref_ranks):
-        want, _ = linalg.rref([ints(r) for r in M], dom)
-        assert int(got_rank) == int(rk) == linalg.rank([ints(r) for r in M], dom)
-        assert linalg.rref([ints(r) for r in R], dom)[0] == want
+        reduced = [[int(x) % p for x in r] for r in M]
+        want, _ = linalg.rref(reduced, dom)
+        assert int(got_rank) == int(rk) == linalg.rank(reduced, dom)
+        assert sorted(tuple(ints(r)) for r in R[:int(rk)]) == sorted(map(tuple, want))
         assert not R[int(rk):].any()
 
 
@@ -236,6 +241,46 @@ def test_elimination_dtype_is_narrowest_exact(p, dtype):
     assert Enumeration(gen_m2(p)).elim_dtype == dtype
 
 
+def worst_case(p, C, last):
+    """C x C matrix whose corner takes C-1 subtractions of (p-1)**2 before
+    its own step: rows e_c + (p-1) e_{C-1} for c < C-1 pivot in order,
+    each clearing the p-1 in column c of the last row (p-1, ..., p-1,
+    last), so the corner reaches last - (C-1)*(p-1)**2."""
+    M = np.zeros((C, C), dtype=np.int64)
+    M[:C - 1, :C - 1] = np.eye(C - 1, dtype=np.int64)
+    M[:C - 1, C - 1] = M[C - 1, :C - 1] = p - 1
+    M[C - 1, C - 1] = last
+    return M
+
+
+# (p, C, working dtype) at each edge of max(C-1, 1)*(p-1)**2 + p
+ELIMINATION_EDGES = [(5, 8, np.int8), (5, 9, np.int16), (7, 4, np.int8), (7, 5, np.int16),
+                     (181, 2, np.int16), (181, 3, np.int32), (191, 2, np.int32),
+                     (13, 1, np.int16)]
+
+
+@pytest.mark.parametrize("p, C, dtype", ELIMINATION_EDGES)
+def test_eliminator_dtype_edges(p, C, dtype):
+    """Every input form at the edges of the per-call dtype rule.  The stack
+    holds the worst case (corner reaching -(C-1)*(p-1)**2), one whose
+    corner ends at 0 mod p (rank C-1, so a wrapped corner shows as rank
+    C) and random matrices, half with a repeated row; it is passed
+    reduced, narrow, narrow and negative, and as unreduced int64."""
+    rng = np.random.default_rng(p * 100 + C)
+    rand = rng.integers(0, p, (6, C, C))
+    rand[::2, -1] = rand[::2, 0]                       # rank-deficient half
+    stack = np.concatenate([worst_case(p, C, 0)[None], worst_case(p, C, (C - 1) % p)[None], rand])
+    narrow = np.int8 if p < 64 else np.int16
+    forms = {"reduced": stack, "narrow": stack.astype(narrow),
+             "narrow_negative": (stack - p).astype(narrow), "negative": stack - 3 * p,
+             "at_least_p": stack + 2 * p, "zero_as_p": np.where(stack == 0, p, stack),
+             "huge": stack + p * rng.integers(-2 ** 40 // p, 2 ** 40 // p, stack.shape)}
+    ring = gen_m2(p)
+    for name, form in forms.items():
+        assert Enumeration(ring)._eliminate_chunk(form)[0].dtype == dtype, name
+        check_elimination(ring, form)
+
+
 def twisted(p):
     """b1 * b1 = (p-1)(b0 + b1): coordinate 1 of a product sums 3 terms,
     one of them up to (p-1)**3, so the int64 guard needs 3 (p-1)**3 < 2**63."""
@@ -255,6 +300,76 @@ def test_int64_limit_is_loud():
     assert ring.mul_coords((0, 1), (0, 1)) == (1_454_098, 1_454_098)   # exact arithmetic works
     with pytest.raises(UnsupportedDomain, match="overflow int64"):
         Enumeration(ring)
+
+
+@pytest.mark.parametrize("p, dtype", [(2, np.int8), (11, np.int8), (13, np.int16),
+                                      (181, np.int16), (191, np.int32)])
+def test_mul_matrices_dtype_follows_weights(p, dtype):
+    """twisted(p): entry (1, 1) of L_a is a_0 + (p-1)*a_1, weight p, so it
+    reaches p*(p-1) before reduction and `mat_dtype` holds p*p."""
+    ring = twisted(p)
+    enum = Enumeration(ring)
+    assert enum.mat_dtype == dtype
+    edge = [0, 1, p - 2, p - 1, -1, 2 ** 40]
+    A = np.array(list(product(edge, repeat=2)), dtype=np.int64)
+    L, R = enum.left_mul_matrices(A), enum.right_mul_matrices(A)
+    assert L.dtype == R.dtype == dtype
+    for a, left, right in zip(A, L, R):
+        a = tuple(int(x) % p for x in a)
+        assert [ints(r) for r in left] == ring.left_mul_matrix(a)
+        assert [ints(r) for r in right] == ring.right_mul_matrix(a)
+
+
+@st.composite
+def ring_and_subspace(draw, **kw):
+    """A random unital ring and an rref basis of a random subspace."""
+    ring = draw(unital_rings(**kw))
+    vec = st.lists(st.integers(0, ring.domain.p - 1), min_size=ring.dim, max_size=ring.dim)
+    basis, pivots = linalg.rref(draw(st.lists(vec, max_size=ring.dim)), ring.domain)
+    return ring, basis, pivots
+
+
+@given(ring_and_subspace(), st.data())
+def test_in_span_mask_matches_reference(case, data):
+    """Members (basis combinations shifted by multiples of p, up to about
+    2**40) and arbitrary unreduced or negative rows against `linalg.in_span`."""
+    ring, basis, pivots = case
+    p, n = ring.domain.p, ring.dim
+    shift = st.integers(-3, 3) | st.integers(-2 ** 40 // p, 2 ** 40 // p)
+    rows = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis)))
+        member = [sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(n)]
+        rows.append([x + p * data.draw(shift) for x in member])
+    entry = st.integers(-3 * p, 3 * p) | st.integers(-2 ** 40, 2 ** 40)
+    rows += data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    V = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    got = Enumeration(ring).in_span_mask([list(b) for b in basis], pivots, V)
+    assert got.shape == (len(rows),)
+    want = [linalg.in_span(basis, pivots, [x % p for x in v], ring.domain) for v in rows]
+    assert got.tolist() == want
+
+
+@given(ring_and_subspace(max_dim=3), st.booleans())
+def test_subspace_points_match_explicit_enumeration(case, unreduced):
+    """Every point, in the documented order (first basis direction
+    fastest), against a Python enumeration in `rings.py` arithmetic."""
+    ring, basis, _ = case
+    p, d = ring.domain.p, len(basis)
+    rows = [[x - (i + 1) * p for i, x in enumerate(row)] for row in basis] if unreduced else basis
+    enum = Enumeration(ring)
+    got = enum.subspace_points(rows)
+    want = []
+    for coeffs in product(range(p), repeat=d):
+        point = ring.zero_coords()
+        for c, row in zip(reversed(coeffs), basis):      # first direction varies fastest
+            point = ring.add_coords(point, ring.smul_coords(c, row))
+        want.append(point)
+    assert got.shape == (p ** d, ring.dim)
+    assert [tuple(ints(v)) for v in got] == want
+    if d:
+        with pytest.raises(BudgetExceeded):
+            enum.subspace_points(rows, budget=p ** d - 1)
 
 
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 64 + 13])

@@ -239,25 +239,45 @@ def test_primeness_m2_and_t2(m2, t2):
     rep = check_primeness(t2)
     assert not rep.prime_by_ideals and not rep.prime_by_elements
     assert rep.criterion_equiv
-    a = [int(x) for x in rep.element_witness["a"]]
-    b = [int(x) for x in rep.element_witness["b"]]
-    ea, eb = t2.element(a), t2.element(b)
-    assert not ea.is_zero() and not eb.is_zero()
-    for k in range(3):
-        assert ((ea * t2.basis_element(k)) * eb).is_zero()
 
 
 def test_primeness_direct_sum_witness_is_valid(dsum):
     rep = check_primeness(dsum)
     assert not rep.prime_by_ideals and not rep.prime_by_elements
     assert rep.criterion_equiv
-    a = dsum.element([int(x) for x in rep.element_witness["a"]])
-    b = dsum.element([int(x) for x in rep.element_witness["b"]])
-    assert not a.is_zero() and not b.is_zero()
-    for k in range(8):
-        assert ((a * dsum.basis_element(k)) * b).is_zero()
-    # ideal route found the two block ideals
+    # ideal route found the two block ideals (witnesses: test_primeness_witnesses_replay)
     assert rep.quantifier_space["minimal_ideals"] == 2
+
+
+@pytest.mark.parametrize("ring_fixture", ["dsum", "t2"])
+def test_primeness_witnesses_replay(ring_fixture, request):
+    """Both witnesses of a non-prime ring, replayed in `rings.py` and
+    `linalg.py` arithmetic: (a b_k) b = 0 for every basis b_k with a, b
+    nonzero; two quoted bases of nonzero two-sided ideals (closed under
+    multiplication by every basis vector on both sides) with zero product."""
+    r = request.getfixturevalue(ring_fixture)
+    dom = r.domain
+    rep = check_primeness(r)
+    basis = [r.basis_coords(k) for k in range(r.dim)]
+
+    def is_zero(v):
+        return all(x == dom.zero for x in v)
+
+    a, b = ([int(x) for x in rep.element_witness[key]] for key in ("a", "b"))
+    assert not is_zero(a) and not is_zero(b)
+    assert all(is_zero(r.mul_coords(r.mul_coords(a, bk), b)) for bk in basis)
+
+    w = rep.ideal_witness
+    ideals = [[[int(x) for x in v] for v in w[key]] for key in ("ideal_a_basis", "ideal_b_basis")]
+    for rows in ideals:
+        span, pivots = linalg.rref(rows, dom)
+        assert 0 < len(span) == len(rows)                  # a basis of a nonzero subspace
+        for v in rows:
+            for bk in basis:
+                assert linalg.in_span(span, pivots, list(r.mul_coords(v, bk)), dom)
+                assert linalg.in_span(span, pivots, list(r.mul_coords(bk, v)), dom)
+    assert all(is_zero(r.mul_coords(u, v)) for u in ideals[0] for v in ideals[1])
+    assert [w["a"], w["b"]] == [ideals[0][0], ideals[1][0]]
 
 
 @pytest.mark.parametrize("key, ring_fixture", [("m2_plus_m2_f5", "dsum"),
