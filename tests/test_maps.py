@@ -12,6 +12,7 @@ from altring.enumeration import Enumeration
 from altring.errors import (DimensionMismatch, NotBijective,
                             NotIdempotentImage, NotInvertible,
                             OffsetNotCentral, ParseError)
+from altring.maps import pair_scan
 
 
 def test_identity_map_passes_everything(id_m2):
@@ -213,3 +214,52 @@ def test_sampled_mode_records_seed(zorn):
     assert rep.mode == "sampled"
     assert rep.seed == 11
     assert 0 < rep.coverage < 1
+
+
+def row_major_first(count, failing):
+    """First failing pair of a pure-Python row-major walk over all pairs."""
+    for a in range(count):
+        for b in range(count):
+            if (a, b) in failing:
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("failing", [set(), {(5, 3)}, {(6, 2), (4, 6), (5, 0)}, {(6, 6)}],
+                         ids=["nowhere", "later_chunk", "first_of_several", "last_pair"])
+def test_exhaustive_pair_scan_is_row_major(failing):
+    """7 elements in chunks of 16 pairs: rows 0-1, 2-3, 4-5 and a partial
+    last chunk of row 6, each passed as broadcast grids."""
+    count, rows = 7, []
+    codes = [a * count + b for a, b in failing]
+
+    def fails(a_idx, b_idx):
+        assert a_idx.shape == (len(a_idx), 1) and b_idx.shape == (1, count)
+        assert b_idx.ravel().tolist() == list(range(count))
+        rows.append(a_idx.ravel().tolist())
+        return np.isin(a_idx * count + b_idx, codes)
+
+    ok, pair, mode, cov, checked = pair_scan(count, 10 ** 6, 0, fails, chunk=16)
+    want = row_major_first(count, failing)
+    assert (ok, pair, mode, cov, checked) == (want is None, want, "exhaustive", None, count ** 2)
+    stop = len(rows) if want is None else want[0] // 2 + 1
+    assert rows == [[0, 1], [2, 3], [4, 5], [6]][:stop]
+
+
+def test_sampled_pair_scan_witness_rederives():
+    """The first failing draw, re-derived from default_rng(seed) with two
+    draws of at most `chunk` pairs per chunk, lands in the second chunk."""
+    count, budget, seed, chunk = 40, 1000, 17, 256
+    rng = np.random.default_rng(seed)
+    draws, left = [], budget
+    while left:
+        m = min(chunk, left)
+        draws += zip(rng.integers(0, count, m).tolist(), rng.integers(0, count, m).tolist())
+        left -= m
+    target = draws[chunk + 100]
+    first = draws.index(target)
+    assert first >= chunk
+
+    ok, pair, mode, cov, checked = pair_scan(
+        count, budget, seed, lambda a, b: (a == target[0]) & (b == target[1]), chunk=chunk)
+    assert (ok, pair, mode, cov, checked) == (False, target, "sampled", budget / count ** 2, first + 1)
