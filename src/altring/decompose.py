@@ -14,6 +14,15 @@ negative of an anti-isomorphism; verify_decomposition certifies both
 claims exhaustively (or by seeded sampling past the pair budget), plus
 centrality of tau and its vanishing on commutators.
 
+Element-sized work runs over element indices, never coordinate rows.
+psi(x) sums the memoized values of the Peirce components of x, looked up
+by the index of each projection (`Enumeration.linear_index`), on (n, N)
+planes.  The element certificates compare index arrays computed once
+from `psi` and `tau`: recomposition is `add_index(psi, tau)` against the
+image index, the matrix check is `linear_index(psi_matrix)`, centrality
+of tau is a gather from a centre mask over all target indices.  Each
+quotes the lowest failing element index as its witness.
+
 Small corners make the corner conditions degenerate: when both hold the
 caller must pick the branch (both constructions can be simultaneously
 valid, e.g. on 2x2 matrix rings, where the two answers differ).
@@ -133,7 +142,7 @@ class DecompositionResult:
             "branch": self.branch,
             "psi_matrix": None if self.psi_matrix is None else
                 [[tgt.domain.fmt(x) for x in row] for row in self.psi_matrix],
-            "tau": self.tau.tolist(),
+            "tau": self.tau,
             "detection": self.detection.to_json(),
             "certificates": [c.to_json() for c in self.certificates],
             "all_required_pass": self.required_pass(),
@@ -228,17 +237,18 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
                 zf = tgt.mul_coords(zcoords, f[fsub])
                 vals[row] = (kept[row] - np.array([int(x) for x in zf], dtype=np.int64)) % et.p
         order = np.argsort(idxs)
-        memo[ij] = (idxs[order], vals[order])
+        memo[ij] = (idxs[order], np.ascontiguousarray(vals[order].T, dtype=et.elim_dtype))
 
-    X = es.all_coords(budget)
-    psi = np.zeros((es.count, tgt.dim), dtype=np.int64)
+    # four cell values in [0, p) stay exact in elim_dtype
+    planes = np.zeros((tgt.dim, es.count), dtype=et.elim_dtype)
     for ij in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        proj = X @ src_frame.projector_np(*ij).T % es.p
         keys, vals = memo[ij]
-        pos = np.searchsorted(keys, es.index_of(proj))
-        psi += vals[pos]
-    psi %= et.p
-    tau = (imgs - psi) % et.p
+        pos = np.searchsorted(keys, es.linear_index(src_frame.projector_np(*ij), budget))
+        planes += vals.take(pos, axis=1)
+    psi = et.reduce(planes).T
+    tau = imgs.astype(et.elim_dtype)
+    tau -= psi
+    et.reduce(tau)
 
     basis_idx = es.index_of(np.eye(m.source.dim, dtype=np.int64))
     psi_matrix = [[dom.parse(int(psi[int(bi)][row])) for bi in basis_idx]
@@ -268,36 +278,37 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
     """
     m = res.map
     es, et = Enumeration(m.source), Enumeration(m.target)
-    X = es.all_coords(budget)
-    imgs = m.images(budget)
     psi, tau = res.psi, res.tau
+    psi_idx, tau_idx = et.index_of(psi), et.index_of(tau)
     p = es.p
     anti = res.branch == BRANCH_DDAGGER
     certs: list[CheckReport] = []
 
-    def elem_witness(k):
-        return {"x": coords_json(m.source, [int(v) for v in X[k]])}
+    def src_json(k):
+        return coords_json(m.source, [int(v) for v in es.coords_of(k)])
+
+    def elem_report(name, bad, witness=None):
+        """Report on an element mask: the witness is the lowest failing index."""
+        bad = np.flatnonzero(bad)
+        wit = None
+        if len(bad):
+            k = int(bad[0])
+            wit = {"x": src_json(k), **(witness(k) if witness else {})}
+        certs.append(CheckReport(name, wit is None, wit, {"elements": int(es.count)}))
 
     # recomposition: psi + tau = phi, asserted on every element
-    bad = np.flatnonzero(((psi + tau) % p != imgs).any(axis=1))
-    certs.append(CheckReport("recomposition", len(bad) == 0,
-                             elem_witness(int(bad[0])) if len(bad) else None,
-                             {"elements": int(es.count)}))
+    elem_report("recomposition", et.add_index(psi_idx, tau_idx, budget) != m.image_index(budget))
 
     def pair_report(name, fails, extra=None):
         ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
         wit = None
         if pair is not None:
-            wit = {"a": coords_json(m.source, [int(v) for v in X[pair[0]]]),
-                   "b": coords_json(m.source, [int(v) for v in X[pair[1]]])}
+            wit = {"a": src_json(pair[0]), "b": src_json(pair[1])}
             if extra:
                 wit.update(extra)
         certs.append(CheckReport(name, ok, wit,
                                  {"pairs": es.count ** 2, "checked": int(checked)},
                                  mode, seed if mode == "sampled" else None, cov))
-
-    psi_idx = et.index_of(psi)
-    tau_idx = et.index_of(tau)
 
     def additive_fails(f_idx):
         def fails(a_idx, b_idx):
@@ -306,12 +317,7 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
         return fails
 
     pair_report("psi_additive", additive_fails(psi_idx))
-
-    Mnp = np.array([[int(x) for x in row] for row in res.psi_matrix], dtype=np.int64)
-    bad = np.flatnonzero((X @ Mnp.T % p != psi).any(axis=1))
-    certs.append(CheckReport("psi_linear_matrix", len(bad) == 0,
-                             elem_witness(int(bad[0])) if len(bad) else None,
-                             {"elements": int(es.count)}))
+    elem_report("psi_linear_matrix", es.linear_index(res.psi_matrix, budget) != psi_idx)
 
     # witness: the first target element hit twice, with two preimages,
     # else the first target element never hit
@@ -321,8 +327,7 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
         k = int(np.flatnonzero(hits > 1)[0])
         a, b = (int(x) for x in np.flatnonzero(psi_idx == k)[:2])
         wit = {"image": coords_json(m.target, [int(v) for v in et.coords_of(k)]),
-               "a": coords_json(m.source, [int(v) for v in X[a]]),
-               "b": coords_json(m.source, [int(v) for v in X[b]])}
+               "a": src_json(a), "b": src_json(b)}
     elif (hits == 0).any():
         k = int(np.flatnonzero(hits == 0)[0])
         wit = {"unreached": coords_json(m.target, [int(v) for v in et.coords_of(k)])}
@@ -393,18 +398,12 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
                    "b": coords_json(m.source, [int(v) for v in B[bb[k]]])}
     certs.append(CheckReport("sandwich_identity", ok, wit, {"triples": triples}))
 
-    zc = center(m.target)
-    central = zc.mask(et, tau)
-    bad = np.flatnonzero(~central)
-    wit = None
-    if len(bad):
-        k = int(bad[0])
-        wit = {"x": coords_json(m.source, [int(v) for v in X[k]]),
-               "tau": coords_json(m.target, [int(v) for v in tau[k]])}
-    certs.append(CheckReport("tau_central", len(bad) == 0, wit,
-                             {"elements": int(es.count)}))
+    central = np.zeros(et.count, dtype=bool)       # the centre, over all target indices
+    central[et.index_of(center(m.target).points(et, budget))] = True
+    elem_report("tau_central", ~central[tau_idx],
+                lambda k: {"tau": coords_json(m.target, [int(v) for v in tau[k]])})
 
-    tau_zero = (tau == 0).all(axis=1)
+    tau_zero = tau_idx == 0
 
     def tau_comm_fails(a_idx, b_idx):
         return ~tau_zero[es.commutator_index(a_idx, b_idx, budget)]

@@ -21,9 +21,9 @@ exact Python arithmetic.
 The product kernels work plane-major: each operand is reduced mod p and
 its coordinate axis moved to the front in one pass, so every A_i is a
 contiguous plane, and the result is returned as a coordinate-last view
-of the (n, ...) accumulator, not copied back.  `index_of` reduces mod p
-only when some entry lies outside [0, p); reduced input, the common case
-after a kernel, is indexed without a pass of divisions.
+of the (n, ...) accumulator, not copied back.  `index_of` and `_planes`
+reduce mod p only when some entry lies outside [0, p); reduced input,
+the common case after a kernel, is indexed without a pass of divisions.
 
 Pair scans work in index space.  The digit table `digits` holds the
 (n, count) coordinate planes of every element in `elim_dtype`, the
@@ -40,6 +40,16 @@ as `mul` and `mul_outer`, which take their operand planes in
 reduce mod p by floor division (`reduce`): numpy vectorises integer
 division by a scalar, and on int16 planes it ran about 9 times faster
 than `remainder` (numpy 2.4, x86-64).
+
+Linear maps run in index space too.  `linear_index(M)` returns the
+element index of M*x for every element x: plane k accumulates c*D_j over
+the nonzero entries c = M[k][j] mod p on the digit planes, so it sums at
+most n terms, each in [0, (p-1)**2], in `lin_dtype`, the narrowest signed
+type holding n*(p-1)**2 + p (int8 for M2 over F_5, int16 for Zorn over
+F_5), before `reduce` and `index_of_planes`.  The ufunc is told that
+type, so a narrow digit plane is widened before it is multiplied: under
+NumPy 1.24's value-based casting an int8 array times a wider scalar
+would stay int8.
 
 Commutators have one core of their own over the antisymmetrised
 constants d = (c_ijk - c_jik) mod p, i < j (`comm_terms`): plane k
@@ -116,6 +126,8 @@ class Enumeration:
         self.acc_dtype = _narrowest_signed(acc_bound)
         # digit table: holds (p-1)**2 + p, so a + b and a - b of two digits stay exact
         self.elim_dtype = _narrowest_signed((self.p - 1) ** 2 + self.p)
+        # linear maps: n terms c*D_j with c and D_j both in [0, p)
+        self.lin_dtype = _narrowest_signed(self.n * (self.p - 1) ** 2 + self.p)
         # entry (k, j) of L_a sums c*a_i over the constants c_ijk, entry (k, i)
         # of R_a sums c*a_j: at most (p-1) times the weight, the sum of those c
         self.mat_weights = {True: Counter(), False: Counter()}      # keyed by `left`
@@ -197,8 +209,11 @@ class Enumeration:
         """A reduced mod p with its coordinate axis first: (n, ...) planes
         in `dtype` (default `elim_dtype`), which must hold p."""
         A = np.asarray(A, dtype=np.int64)
+        if A.size and (A.min() < 0 or A.max() >= self.p):
+            A = self.reduce(A.copy())
         out = np.empty((A.shape[-1],) + A.shape[:-1], dtype=dtype or self.elim_dtype)
-        return np.remainder(np.moveaxis(A, -1, 0), self.p, out=out)
+        out[...] = np.moveaxis(A, -1, 0)
+        return out
 
     def _product_planes(self, A, B) -> np.ndarray:
         """Products of reduced (n, ...) planes, broadcast over the trailing
@@ -298,6 +313,23 @@ class Enumeration:
                 out[k, col] %= self.p
         return np.moveaxis(out, (0, 1), (-2, -1))
 
+    def linear_index(self, M, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Index of M*x for every element x, in element order, for an
+        (n, n) integer matrix M (entries reduced mod p here)."""
+        D = self.digits(budget)
+        dt = self.lin_dtype
+        out = np.zeros((len(M), self.count), dtype=dt)
+        term = np.empty(self.count, dtype=dt)
+        for k, row in enumerate(M):
+            for j, c in enumerate(row):
+                c = int(c) % self.p
+                if c == 1:
+                    out[k] += D[j]
+                elif c:
+                    np.multiply(D[j], c, out=term, dtype=dt)
+                    out[k] += term
+        return self.index_of_planes(self.reduce(out))
+
     def smul_index(self, lam: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """Index table of x -> lam*x over all elements."""
         scaled = (np.arange(self.p, dtype=np.int64) * lam % self.p).astype(self.elim_dtype)
@@ -362,20 +394,21 @@ class Enumeration:
         which are exactly the nonzero rows at the end; and the ranks.
 
         Input is reduced mod p only when some entry lies outside [0, p).
-        The work runs in place on a column-major copy and reduces lazily:
-        step c reduces only column c and the pivot row, then subtracts
-        f*b from the columns c: with f and b both in [0, p).  A column
-        thus takes at most one subtraction below (p-1)**2 per earlier step
-        before its own step reduces it, so every entry lies in
-        [-(C-1)*(p-1)**2, p), and scaling the reduced pivot row by a**-1
-        stays at most (p-1)**2.  The working dtype is the narrowest signed
-        type holding max(C-1, 1)*(p-1)**2 + p.  After its step a column is
-        a unit column or stays reduced, so no final pass is needed.
+        The work runs in place on a column-major copy and reduces lazily,
+        by floor division (`reduce`): step c reduces only column c and the
+        pivot row, then subtracts f*b from the columns c: with f and b both
+        in [0, p).  A column thus takes at most one subtraction below
+        (p-1)**2 per earlier step before its own step reduces it, so every
+        entry lies in [-(C-1)*(p-1)**2, p), and scaling the reduced pivot
+        row by a**-1 stays at most (p-1)**2.  The working dtype is the
+        narrowest signed type holding max(C-1, 1)*(p-1)**2 + p.  After its
+        step a column is a unit column or stays reduced, so no final pass
+        is needed.
         """
         p = self.p
         A = np.asarray(A)
         if A.size and (A.min() < 0 or A.max() >= p):
-            A = np.remainder(A, p, dtype=np.int64)
+            A = self.reduce(A.astype(np.int64))
         B, R, C = A.shape
         dt = _narrowest_signed(max(C - 1, 1) * (p - 1) ** 2 + p)
         T = np.empty((B, C, R), dtype=dt)
@@ -387,13 +420,15 @@ class Enumeration:
         for c in range(C):
             col = T[:, c, :]
             if c:
-                col %= p
+                self.reduce(col)
             cand = col != 0
             cand &= free
             piv = np.argmax(cand, axis=1)
             has = cand[rows, piv]
             # pivot row scaled to a leading 1; zero where column c has no pivot
-            prow = T[rows, c:, piv] % p * (inv[col[rows, piv]] * has)[:, None] % p
+            prow = self.reduce(T[rows, c:, piv])
+            prow *= (inv[col[rows, piv]] * has)[:, None]
+            self.reduce(prow)
             rest = T[:, c:, :]
             rest -= prow[:, :, None] * col[:, None, :]
             sel = np.flatnonzero(has)

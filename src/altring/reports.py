@@ -9,9 +9,10 @@ repeated runs emit byte-identical bundles.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -50,15 +51,18 @@ _BLOCK_ROWS = 1 << 14
 
 
 def dumps(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte,
+    where a 2-D integer ndarray stands for its `tolist()`.
 
     With `indent` set the stdlib falls back to its pure-Python encoder,
     which builds one string per token; a 390,625-row table makes millions.
-    This writer walks dicts itself and formats each integer table (a
-    non-empty list of equal-length, non-empty lists of plain ints, bools
-    excluded) from one row template.  Every other value goes to the
-    stdlib and is re-indented to its depth, which is exact because JSON
-    text never holds a raw newline inside a string.
+    This writer walks dicts itself and formats each integer table, which
+    must come as a non-empty 2-D integer ndarray, from one row template,
+    a block of rows per `%` call.  Every other value, list tables
+    included, goes to the stdlib and is re-indented to its depth, which
+    is exact because JSON text never holds a raw newline inside a string;
+    any other ndarray (bool, float, empty, not 2-D) is refused there with
+    TypeError.
     """
     parts: list[str] = []
     _write(obj, "", parts)
@@ -76,27 +80,18 @@ def _write(obj, pad: str, parts: list[str]) -> None:
             _write(obj[key], inner, parts)
             sep = ",\n"
         parts.append(f"\n{pad}}}")
-    elif _is_int_table(obj):
+    elif type(obj) is np.ndarray and obj.ndim == 2 and obj.size and obj.dtype.kind in "iu":
         inner, cell = pad + "  ", pad + "    "
-        width = len(obj[0])
-        row = f"{inner}[\n{cell}" + f",\n{cell}".join(["%d"] * width) + f"\n{inner}]"
+        row = f"{inner}[\n{cell}" + f",\n{cell}".join(["%d"] * obj.shape[1]) + f"\n{inner}]"
         parts.append("[\n")
         for lo in range(0, len(obj), _BLOCK_ROWS):
             block = obj[lo:lo + _BLOCK_ROWS]
             if lo:
                 parts.append(",\n")
-            parts.append(",\n".join([row] * len(block)) % tuple(itertools.chain.from_iterable(block)))
+            parts.append(",\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
         parts.append(f"\n{pad}]")
     else:
         parts.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
-
-
-def _is_int_table(obj) -> bool:
-    if type(obj) is not list or not obj or type(obj[0]) is not list or not obj[0]:
-        return False
-    width = len(obj[0])
-    return all(type(r) is list and len(r) == width for r in obj) and \
-        set(map(type, itertools.chain.from_iterable(obj))) == {int}
 
 
 def coords_json(ring, coords):

@@ -15,6 +15,31 @@ def required_failures(res):
             if not c.ok and c.condition not in INFORMATIONAL_CERTIFICATES]
 
 
+def assert_element_witnesses(m, certs, psi_ref, tau_ref, psi_matrix):
+    """Every element certificate quotes the lowest failing element, found
+    by a scan in element order in `rings.py` arithmetic with images from
+    `MapTable.__call__`; psi_ref and tau_ref give the coordinates the
+    certified psi and tau take at x."""
+    src, tgt = m.source, m.target
+
+    def central(z):
+        return all(z * tgt.basis_element(k) == tgt.basis_element(k) * z for k in range(tgt.dim))
+
+    want = {}
+    for x in itertools.product(range(src.domain.p), repeat=src.dim):
+        psi, tau = tgt.element(psi_ref(x)), tgt.element(tau_ref(x))
+        fails = {"recomposition": (psi + tau != m(src.element(x)), {}),
+                 "psi_linear_matrix": (psi.coords != tgt.apply_matrix(psi_matrix, x), {}),
+                 "tau_central": (not central(tau), {"tau": list(tau.coords)})}
+        for name, (bad, extra) in fails.items():
+            if bad and name not in want:
+                want[name] = {"x": list(x), **extra}
+    by = {c.condition: c for c in certs}
+    for name in ("recomposition", "psi_linear_matrix", "tau_central"):
+        assert by[name].witness == want.get(name), name
+        assert by[name].ok == (name not in want), name
+
+
 def test_detect_branch_m2_is_degenerate(m2, id_m2, negtr):
     # every corner of M2 relative to a rank-1 idempotent is 1-dimensional
     # and equals Z*f, so both corner conditions hold for any verified map
@@ -106,6 +131,13 @@ def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
     assert cert.witness["x"] == [1, 1, 0, 0]
     assert cert.witness["tau"] == [1, 0, 4, 1]
 
+    def psi(x):
+        return m2.apply_matrix(res.psi_matrix, x)
+
+    assert_element_witnesses(bad, res.certificates, psi,
+                             lambda x: (bad(m2.element(x)) - m2.element(psi(x))).coords,
+                             res.psi_matrix)
+
 
 def test_certify_raises_on_corruption(m2, negtr):
     enum = Enumeration(m2)
@@ -131,6 +163,16 @@ def test_corrupted_psi_breaks_named_case_with_witness(m2, negtr):
     assert by["case_diag_offdiag"].witness is not None
     assert not by["recomposition"].ok   # psi no longer matches phi - tau
 
+    def psi(x):
+        y = m2.apply_matrix(res.psi_matrix, x)
+        return m2.add_coords(y, (1, 0, 0, 0)) if x == (0, 1, 0, 0) else y
+
+    def tau(x):
+        return (negtr(m2.element(x)) - m2.element(m2.apply_matrix(res.psi_matrix, x))).coords
+
+    assert_element_witnesses(negtr, certs, psi, tau, res.psi_matrix)
+    assert by["recomposition"].witness == by["psi_linear_matrix"].witness == {"x": [0, 1, 0, 0]}
+
 
 def test_psi_bijective_witness_replays(m2, negtr):
     res = decompose(negtr, m2.basis_element(0), branch="ddagger")
@@ -140,8 +182,13 @@ def test_psi_bijective_witness_replays(m2, negtr):
     X = Enumeration(m2).all_coords()
     res.psi = X @ np.array(M, dtype=np.int64).T % 5
     res.tau = (negtr.images() - res.psi) % 5
-    cert = next(c for c in verify_decomposition(res) if c.condition == "psi_bijective")
+    certs = verify_decomposition(res)
+    cert = next(c for c in certs if c.condition == "psi_bijective")
     assert not cert.ok
+    assert_element_witnesses(
+        negtr, certs, lambda x: m2.apply_matrix(M, x),
+        lambda x: (negtr(m2.element(x)) - m2.element(m2.apply_matrix(M, x))).coords,
+        res.psi_matrix)
 
     # replay in rings.py arithmetic: psi(x) = sum_i x_i psi(b_i); the witness
     # is the first image (in element order) hit twice, with its first two preimages

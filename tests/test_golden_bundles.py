@@ -1,14 +1,16 @@
-"""Golden `verify-theorem` bundles on M2/F5, and replay of every witness
-they quote.
+"""Golden `verify-theorem` bundles on M2/F5 and Zorn/F5, and replay of
+every witness they quote.
 
 The SHA-256 digests in `tests/data/verify_theorem_golden.json` pin the
-bundle bytes of three maps (identity, neg_transpose_plus_trace and a
-dense neg_transpose_plus_trace table with one swapped pair), each at an
-exhaustive budget and at a sampled one, so a kernel rewrite that changes
-a witness, a count or a sampled draw shows up as a digest change.  Every
-failing report's witness is then re-evaluated in the reference
-arithmetic of `rings.py` and `MapTable.__call__` and must break the
-condition it is quoted for.
+bundle bytes of three M2/F5 maps (identity, neg_transpose_plus_trace and
+a dense neg_transpose_plus_trace table with one swapped pair), each at
+an exhaustive budget and at a sampled one, and of the Zorn/F5 identity
+at seed 0 and budget 10^6 (390,625-element tables, sampled pair
+certificates, a 40 MB bundle), so a kernel rewrite that changes a
+witness, a count, a sampled draw or a table byte shows up as a digest
+change.  Every failing report's witness is then re-evaluated in the
+reference arithmetic of `rings.py` and `MapTable.__call__` and must
+break the condition it is quoted for.
 
 Regenerate the digests (only when a bundle change is intended) with
 `python tests/test_golden_bundles.py`.
@@ -67,6 +69,14 @@ def run_bundles(work: Path) -> dict:
                        "--map", str(mpath), "--idempotent", "1,0,0,0", "--branch", branch,
                        *flags, "--out", str(bundle)])
             out[f"{label}-{mode}"] = (rc, bundle.read_bytes())
+    zorn, ident, bundle = work / "zorn.json", work / "zorn-identity.json", work / "zorn-bundle.json"
+    assert main(["gen", "zorn", "--field", str(P), "--out", str(zorn)]) == 0
+    ident.write_text(json.dumps({"source": "zorn_f5", "target": "zorn_f5",
+                                 "repr": {"kind": "identity"}}))
+    rc = main(["verify-theorem", "--source", str(zorn), "--target", str(zorn), "--map", str(ident),
+               "--idempotent", "1,0,0,0,0,0,0,0", "--branch", "dagger", "--budget", "1000000",
+               "--seed", "0", "--out", str(bundle)])
+    out["zorn-identity-sampled"] = (rc, bundle.read_bytes())
     return out
 
 

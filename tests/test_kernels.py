@@ -141,6 +141,11 @@ def ring_and_index_pairs(draw, **kw):
     return ring, np.array(draw(idx), dtype=np.int64), np.array(draw(idx), dtype=np.int64)
 
 
+def index_in(ring, coords) -> int:
+    p, n = ring.domain.p, ring.dim
+    return sum(int(x) * p ** (n - 1 - i) for i, x in enumerate(coords))
+
+
 def check_index_kernels(ring, a, b):
     """Index kernels against `rings.py` on base-p digits computed in Python."""
     enum = Enumeration(ring)
@@ -149,9 +154,6 @@ def check_index_kernels(ring, a, b):
     def coords(k):
         return tuple(int(k) // p ** (n - 1 - i) % p for i in range(n))
 
-    def index(c):
-        return sum(int(x) * p ** (n - 1 - i) for i, x in enumerate(c))
-
     neg = enum.smul_index(p - 1)
     got = {"mul": enum.mul_index(a, b), "comm": enum.commutator_index(a, b),
            "add": enum.add_index(a, b), "anti": neg[enum.mul_index(b, a)]}
@@ -159,13 +161,13 @@ def check_index_kernels(ring, a, b):
         assert kernel.dtype == np.int64 and kernel.shape == a.shape
     for t, (x, y) in enumerate(zip(map(coords, a), map(coords, b))):
         xy, yx = ring.mul_coords(x, y), ring.mul_coords(y, x)
-        assert int(got["mul"][t]) == index(xy)
-        assert int(got["comm"][t]) == index(ring.sub_coords(xy, yx))
-        assert int(got["add"][t]) == index(ring.add_coords(x, y))
-        assert int(got["anti"][t]) == index(ring.smul_coords(p - 1, yx))
+        assert int(got["mul"][t]) == index_in(ring, xy)
+        assert int(got["comm"][t]) == index_in(ring, ring.sub_coords(xy, yx))
+        assert int(got["add"][t]) == index_in(ring, ring.add_coords(x, y))
+        assert int(got["anti"][t]) == index_in(ring, ring.smul_coords(p - 1, yx))
     lam = int(a[0]) % p
     scaled = enum.smul_index(lam)
-    assert all(int(scaled[k]) == index(ring.smul_coords(lam, coords(k)))
+    assert all(int(scaled[k]) == index_in(ring, ring.smul_coords(lam, coords(k)))
                for k in range(0, enum.count, max(1, enum.count // 50)))
 
 
@@ -179,6 +181,69 @@ def test_index_kernels_match_reference(case):
 @example((skew(97), np.array([912_672, 9_408]), np.array([96, 912_671])))
 def test_index_kernels_match_reference_wide_prime(case):
     check_index_kernels(*case)
+
+
+def check_linear_index(ring, M, elements=None):
+    """`linear_index` against `Ring.apply_matrix` (exact, reducing M's
+    entries mod p) on the given element indices, default every element."""
+    enum = Enumeration(ring)
+    p, n = ring.domain.p, ring.dim
+    got = enum.linear_index(M)
+    assert got.dtype == np.int64 and got.shape == (enum.count,)
+    for k in range(enum.count) if elements is None else elements:
+        x = tuple(int(k) // p ** (n - 1 - i) % p for i in range(n))
+        assert int(got[k]) == index_in(ring, ring.apply_matrix(M, x)), (M, x)
+
+
+@st.composite
+def ring_and_matrix(draw, **kw):
+    """An n x n matrix of entries in [0, p), near it (negative or at
+    least p) or far outside it, or the zero or the identity matrix."""
+    ring = draw(unital_rings(**kw))
+    p, n = ring.domain.p, ring.dim
+    entry = st.integers(0, p - 1) | st.integers(-3 * p, 4 * p) | st.integers(-2 ** 40, 2 ** 40)
+    row = st.lists(entry, min_size=n, max_size=n)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    M = draw(st.lists(row, min_size=n, max_size=n) | st.just([[0] * n] * n) | st.just(eye))
+    return ring, M
+
+
+@given(ring_and_matrix())
+def test_linear_index_matches_reference(case):
+    check_linear_index(*case)
+
+
+@given(ring_and_matrix(primes=(11, 13), max_dim=2))
+def test_linear_index_matches_reference_past_int8_products(case):
+    """p = 13: a product c*D_j reaches (p-1)**2 = 144, past int8."""
+    check_linear_index(*case)
+
+
+# (p, n, dtype) on each side of every edge of n*(p-1)**2 + p
+LINEAR_EDGES = [(5, 7, np.int8), (5, 8, np.int16), (11, 1, np.int8), (11, 2, np.int16),
+                (13, 1, np.int16), (181, 1, np.int16), (181, 2, np.int32), (191, 1, np.int32)]
+
+
+@pytest.mark.parametrize("p, n, dtype", LINEAR_EDGES)
+def test_linear_index_dtype_edges(p, n, dtype):
+    """The linear-map accumulator at the edges of its rule.  The all-(p-1)
+    matrix drives every plane of the all-(p-1) element to n*(p-1)**2;
+    it is passed reduced, negative and far past p, with the zero and
+    identity matrices, on the top element, the basis and random
+    elements."""
+    ring = dense(p, n, 0)
+    enum = Enumeration(ring)
+    bound = n * (p - 1) ** 2 + p
+    assert enum.lin_dtype == dtype and np.iinfo(dtype).max >= bound
+    if dtype is not np.int8:
+        narrower = {np.int16: np.int8, np.int32: np.int16}[dtype]
+        assert np.iinfo(narrower).max < bound
+    top = [[p - 1] * n for _ in range(n)]
+    rng = np.random.default_rng(p * 100 + n)
+    elements = [enum.count - 1, *(p ** i for i in range(n)), *rng.integers(0, enum.count, 20)]
+    for M in (top, [[-1] * n] * n, [[c + p * 2 ** 30 for c in row] for row in top],
+              [[0] * n] * n, [[int(i == j) for j in range(n)] for i in range(n)]):
+        check_linear_index(ring, M, elements)
 
 
 @given(unital_rings() | st.sampled_from([skew(5), skew(7)]))

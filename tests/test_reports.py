@@ -3,9 +3,11 @@ reproduce byte for byte."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from altring.cli import main
 from altring.reports import _BLOCK_ROWS, dumps
@@ -28,8 +30,8 @@ def assert_same(obj):
 
 ints = st.integers(-2 ** 70, 2 ** 70)
 
-# Integer rows the table path must take (rectangular) or leave to the
-# stdlib (ragged, empty, or holding a bool).
+# Integer rows: rectangular, ragged, empty, or holding a bool.  List
+# tables all go to the stdlib; only ndarray tables take the table path.
 int_rows = st.one_of(
     st.integers(0, 4).flatmap(lambda w: st.lists(st.lists(ints, min_size=w, max_size=w), max_size=5)),
     st.lists(st.lists(ints, max_size=4), max_size=5),
@@ -66,9 +68,56 @@ def test_dumps_edge_cases(obj):
     assert_same(obj)
 
 
+def plain(obj):
+    """`obj` with every ndarray replaced by its `tolist()`."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    return obj
+
+
+def assert_table_same(obj):
+    assert dumps(obj) == stdlib(plain(obj))
+
+
+TABLE_DTYPES = [np.int8, np.int16, np.int64, np.uint8]
+
+
+@pytest.mark.parametrize("dtype", TABLE_DTYPES)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (4, 3)])
+def test_dumps_ndarray_tables(dtype, shape):
+    """Integer ndarrays spanning their dtype's range, at the top level and
+    nested at depths 1 to 3, beside other values."""
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    arr = rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
+    arr.flat[0], arr.flat[-1] = info.min, info.max
+    assert_table_same(arr)
+    assert_table_same({"t": arr})
+    assert_table_same({"a": {"t": arr, "u": [1, 2]}, "b": None})
+    assert_table_same({"a": {"b": {"t": arr[::-1].T}, "c": "x"}, "z": arr[:1]})
+
+
+@given(hnp.arrays(st.sampled_from(TABLE_DTYPES),
+                  hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)))
+def test_dumps_ndarray_matches_stdlib(arr):
+    assert_table_same({"a": {"tau": arr}, "b": arr})
+
+
 def test_dumps_table_across_blocks():
-    rows = [[k % 7 - 3, k] for k in range(2 * _BLOCK_ROWS + 5)]
-    assert_same({"outer": {"tau": rows}, "z": rows[:3]})
+    rows = np.array([[k % 7 - 3, k] for k in range(2 * _BLOCK_ROWS + 5)], dtype=np.int64)
+    assert_table_same({"outer": {"tau": rows}, "z": rows[:3]})
+    assert_table_same({"tau": (rows % 5).astype(np.int8)})
+
+
+@pytest.mark.parametrize("arr", [
+    np.zeros((2, 2), dtype=bool), np.zeros((2, 2)), np.zeros((0, 3), dtype=np.int64),
+    np.zeros((3, 0), dtype=np.int8), np.arange(3), np.zeros((2, 2, 2), dtype=np.int64),
+])
+def test_dumps_refuses_other_arrays(arr):
+    with pytest.raises(TypeError):
+        dumps({"a": {"t": arr}})
 
 
 def test_verify_theorem_bundle_is_stdlib_encoding(tmp_path):
