@@ -8,7 +8,8 @@ and certifies every claim exhaustively at desk scale.
 """
 
 from .decompose import (BRANCH_DAGGER, BRANCH_DDAGGER, DecompositionResult,
-                        decompose, detect_branch, verify_decomposition)
+                        decompose, detect_branch, verify_decomposition,
+                        verify_theorem)
 from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
                      BudgetExceeded, CertificationFailed, DimensionMismatch,
@@ -34,6 +35,6 @@ from .structure import (IdempotentCensus, PeirceFrame, PrimenessReport,
                         Subspace, center, check_main_hypotheses,
                         check_primeness, check_spade_club,
                         check_z_of_peirce_cell, idempotents, nucleus,
-                        peirce_frame, peirce_project, verify_peirce_relations)
+                        peirce_frame, verify_peirce_relations)
 
 __version__ = "0.1.0"

@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import maps as maps_mod
-from .decompose import (INFORMATIONAL_CERTIFICATES, decompose as run_decompose,
-                        detect_branch)
+from .decompose import decompose as run_decompose, verify_theorem
 from . import structure as st
 from .enumeration import DEFAULT_BUDGET
 from .errors import AltringError, BudgetExceeded, ParseError, UnsupportedDomain
@@ -29,10 +29,8 @@ from .rings import (Ring, is_alternative, is_associative, is_flexible,
 @dataclass
 class Workspace:
     rings: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
     budget: int = DEFAULT_BUDGET
     seed: int = 0
-    fmt: str = "json"
 
     def load_ring(self, path) -> Ring:
         ring = load_ring(path)
@@ -42,26 +40,21 @@ class Workspace:
         return ring
 
 
-def _emit(args, text: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, obj: dict, lines: list[str] | None) -> None:
+    """Write `lines` under --format text, else `obj` as JSON (`gen`, which
+    passes no lines, always writes JSON), to --out or standard output."""
+    text = "\n".join(lines) + "\n" if args.format == "text" and lines is not None else dumps(obj)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
-def _render(args, obj: dict, lines: list[str]) -> str:
-    if args.format == "text":
-        return "\n".join(lines) + "\n"
-    return dumps(obj)
-
-
-def _report_lines(reports) -> list[str]:
+def _report_lines(reports: list[dict]) -> list[str]:
+    """One line per report, given as its `CheckReport.to_json()` dict."""
     out = []
     for rep in reports:
-        mark = "pass" if rep.ok else "FAIL"
-        wit = "" if rep.witness is None else f"  witness={rep.witness}"
-        out.append(f"  [{mark}] {rep.condition}{wit}")
+        mark = "pass" if rep["pass"] else "FAIL"
+        wit = "" if rep["witness"] is None else f"  witness={rep['witness']}"
+        out.append(f"  [{mark}] {rep['condition']}{wit}")
     return out
 
 
@@ -88,7 +81,7 @@ def cmd_gen(args, ws: Workspace) -> int:
         obj["notes"] = ("vector-matrix product: cross products enter the top-right "
                         "slot with a minus sign and the bottom-left with a plus; "
                         "the alternativity checker validates this convention before emission")
-    _emit(args, dumps(obj))
+    _emit(args, obj, None)
     return 0
 
 
@@ -114,9 +107,7 @@ def cmd_analyze(args, ws: Workspace) -> int:
     }
     try:
         census = st.idempotents(ring, ws.budget)
-        report["idempotents"] = {"total": census.count(), "zero": census.count("zero"),
-                                 "trivial": census.count("trivial"),
-                                 "nontrivial": census.count("nontrivial")}
+        report["idempotents"] = census.counts()
     except (BudgetExceeded, UnsupportedDomain) as exc:
         report["idempotents"] = {"skipped": str(exc)}
     try:
@@ -132,22 +123,20 @@ def cmd_analyze(args, ws: Workspace) -> int:
     if "skipped" not in report["primeness"]:
         lines.append(f"  prime: {report['primeness']['prime']}"
                      f" (criterion agreement: {report['primeness']['criterion_equiv']})")
-    _emit(args, _render(args, report, lines))
+    _emit(args, report, lines)
     return 0
 
 
 def cmd_idempotents(args, ws: Workspace) -> int:
     ring = ws.load_ring(args.ring)
     census = st.idempotents(ring, ws.budget)
-    obj = {"ring": ring.name,
-           "total": census.count(), "zero": census.count("zero"),
-           "trivial": census.count("trivial"), "nontrivial": census.count("nontrivial")}
+    obj = {"ring": ring.name, **census.counts()}
     if census.count() <= 1000:
         obj["elements"] = [{"coords": [ring.domain.fmt(c) for c in e.coords], "tag": t}
                            for e, t in zip(census.elements, census.tags)]
     lines = [f"ring {ring.name}: {obj['total']} idempotents "
              f"({obj['nontrivial']} nontrivial)"]
-    _emit(args, _render(args, obj, lines))
+    _emit(args, obj, lines)
     return 0
 
 
@@ -166,8 +155,8 @@ def cmd_peirce(args, ws: Workspace) -> int:
     }
     lines = [f"peirce frame on {ring.name}: dims "
              + str([frame.components[ij].dim for ij in ((1, 1), (1, 2), (2, 1), (2, 2))])]
-    lines += _report_lines(reports)
-    _emit(args, _render(args, obj, lines))
+    lines += _report_lines(obj["relations"])
+    _emit(args, obj, lines)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -176,12 +165,12 @@ def cmd_check_conditions(args, ws: Workspace) -> int:
     e1 = _parse_coords(ring, args.idempotent)
     frame = st.peirce_frame(ring, e1)
     reports = st.check_main_hypotheses(frame, ws.budget)
-    reports += st.check_spade_club(frame, ws.budget)
+    reports += st.check_spade_club(frame, reports, ws.budget)
     obj = {"ring": ring.name,
            "idempotent": [ring.domain.fmt(c) for c in e1.coords],
            "conditions": [r.to_json() for r in reports]}
-    lines = [f"structural conditions on {ring.name}:"] + _report_lines(reports)
-    _emit(args, _render(args, obj, lines))
+    lines = [f"structural conditions on {ring.name}:"] + _report_lines(obj["conditions"])
+    _emit(args, obj, lines)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -200,69 +189,22 @@ def cmd_decompose(args, ws: Workspace) -> int:
     result = run_decompose(m, e1, branch=args.branch, budget=ws.budget,
                            seed=ws.seed, certify=False)
     obj = result.to_json()
-    lines = [f"branch: {result.branch}"] + _report_lines(result.certificates)
-    _emit(args, _render(args, obj, lines))
+    lines = [f"branch: {result.branch}"] + _report_lines(obj["certificates"])
+    _emit(args, obj, lines)
     return 0 if result.required_pass() else 1
 
 
 def cmd_verify_theorem(args, ws: Workspace) -> int:
     src, _tgt, m = _load_map(args, ws)
     e1 = _parse_coords(src, args.idempotent)
-    bundle = {"config": {"budget": ws.budget, "seed": ws.seed,
-                         "source": m.source.name, "target": m.target.name,
-                         "idempotent": [src.domain.fmt(c) for c in e1.coords],
-                         "branch_request": args.branch},
-              "stages": []}
-    reports = []
-
-    def stage(name, reps):
-        reports.extend(reps)
-        bundle["stages"].append({"stage": name, "reports": [r.to_json() for r in reps]})
-
-    from .reports import CheckReport
-
-    stage("ring_axioms", [
-        CheckReport("source_alternative", is_alternative(m.source).ok, None, {}),
-        CheckReport("target_alternative", is_alternative(m.target).ok, None, {}),
-        CheckReport("source_torsion_free_2", is_k_torsion_free(m.source, 2), None, {}),
-        CheckReport("source_torsion_free_3", is_k_torsion_free(m.source, 3), None, {}),
-    ])
-    branch_label = None
-    error = None
-    try:
-        stage("entry", [maps_mod.verify_surjective(m, ws.budget),
-                        maps_mod.verify_lie_multiplicative(m, ws.budget, ws.seed),
-                        maps_mod.verify_preserves_idempotents(m, ws.budget, ws.seed)])
-        stage("consequences", maps_mod.check_map_consequences(m, ws.budget))
-        stage("almost_additive", [maps_mod.check_almost_additivity(m, ws.budget, ws.seed)])
-        image_reports, src_frame, _ = maps_mod.check_peirce_image(m, e1, ws.budget)
-        stage("peirce_image", image_reports)
-        stage("hypotheses", st.check_main_hypotheses(src_frame, ws.budget))
-        stage("spade_club", st.check_spade_club(src_frame, ws.budget))
-        detection = detect_branch(m, e1, ws.budget)
-        bundle["branch_detection"] = detection.to_json()
-        if all(r.ok for r in reports):
-            result = run_decompose(m, e1, branch=args.branch, budget=ws.budget,
-                                   seed=ws.seed, certify=False)
-            stage("decomposition", result.certificates)
-            bundle["decomposition"] = result.to_json()
-            branch_label = result.branch
-        else:
-            error = "entry or hypothesis certificates failed; decomposition skipped"
-    except (BudgetExceeded, UnsupportedDomain):
-        raise
-    except AltringError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    if error is not None:
-        bundle["error"] = error
-    ok = error is None and all(r.ok for r in reports
-                               if r.condition not in INFORMATIONAL_CERTIFICATES)
-    bundle["all_certificates_pass"] = ok
-    lines = [f"verify-theorem: branch {branch_label}"] + _report_lines(reports)
-    if error is not None:
-        lines.append(f"error: {error}")
+    bundle = verify_theorem(m, e1, args.branch, ws.budget, ws.seed)
+    ok = bundle["all_certificates_pass"]
+    lines = [f"verify-theorem: branch {bundle.get('decomposition', {}).get('branch')}"]
+    lines += _report_lines([r for stage in bundle["stages"] for r in stage["reports"]])
+    if "error" in bundle:
+        lines.append(f"error: {bundle['error']}")
     lines.append("ALL CERTIFICATES PASS" if ok else "CERTIFICATE FAILURE")
-    _emit(args, _render(args, bundle, lines))
+    _emit(args, bundle, lines)
     return 0 if ok else 1
 
 

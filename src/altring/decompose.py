@@ -1,7 +1,19 @@
-"""Splitting a verified map into an additive part and a central part.
+"""The theorem pipeline, and the split of a verified map into an additive
+part and a central part.
+
+`verify_theorem` runs the proof's chain once and returns the bundle dict
+of `altring verify-theorem`, stage by stage: ring axioms; entry (phi
+surjective, Lie multiplicative, idempotent preserving); consequences;
+almost additivity; Peirce image, which builds the frames of e1 and
+phi(e1); hypotheses (1)-(4) on the source frame; (spade)/(club), which
+read those reports; branch detection; and, when all of these pass,
+`decompose` with its certificates.  Each artefact is computed once per
+run: the enumeration, centre and alternativity are memoised on the
+rings, the frames, source hypotheses and branch detection of e1 on the
+map (`MapTable.cached`), so `decompose` finds them built.
 
 Given a surjective idempotent-preserving Lie multiplicative map phi and a
-nontrivial idempotent e1 of the source, the pipeline builds Peirce frames
+nontrivial idempotent e1 of the source, the split builds Peirce frames
 on both sides, tests the two corner conditions
 
     dagger :  f_i phi(R_jj) f_i  inside  Z(target) f_i   (i != j)
@@ -21,7 +33,10 @@ planes.  The element certificates compare index arrays computed once
 from `psi` and `tau`: recomposition is `add_index(psi, tau)` against the
 image index, the matrix check is `linear_index(psi_matrix)`, centrality
 of tau is a gather from a centre mask over all target indices.  Each
-quotes the lowest failing element index as its witness.
+quotes the lowest failing element index as its witness.  The per-cell
+product cases and the sandwich identity run `mul_index` on grids of the
+Peirce cells' element indices, row-major, and quote the first failing
+pair.
 
 Small corners make the corner conditions degenerate: when both hold the
 caller must pick the branch (both constructions can be simultaneously
@@ -36,29 +51,23 @@ import numpy as np
 
 from . import linalg
 from .enumeration import DEFAULT_BUDGET, Enumeration
-from .errors import (AmbiguousCentralSplit, BranchUndetermined,
-                     CertificationFailed, HypothesisFailed, NotBijective,
-                     NotIdempotentImage)
-from .maps import MapTable, pair_scan
+from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
+                     BudgetExceeded, CertificationFailed, HypothesisFailed,
+                     NotBijective, UnsupportedDomain)
+from .maps import (MapTable, check_almost_additivity, check_map_consequences,
+                   check_peirce_image, pair_report, peirce_frames,
+                   verify_lie_multiplicative, verify_preserves_idempotents,
+                   verify_surjective)
 from .reports import CheckReport, coords_json
-from .rings import Element
-from .structure import PeirceFrame, Subspace, center, check_main_hypotheses, peirce_frame
+from .rings import Element, is_alternative, is_k_torsion_free
+from .structure import (PeirceFrame, Subspace, center, center_mask,
+                        check_main_hypotheses, check_spade_club)
 
 BRANCH_DAGGER = "dagger"
 BRANCH_DDAGGER = "ddagger"
 
 INFORMATIONAL_CERTIFICATES = ("tau_additive",)
-
-
-def _frames(m: MapTable, e1: Element):
-    src_frame = peirce_frame(m.source, e1)
-    f1 = m(e1)
-    try:
-        tgt_frame = peirce_frame(m.target, f1)
-    except Exception as exc:
-        raise NotIdempotentImage(
-            f"image of the idempotent is not a nontrivial idempotent: {exc}") from exc
-    return src_frame, tgt_frame
+CELLS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 @dataclass
@@ -73,34 +82,40 @@ class BranchDetection:
 
 
 def detect_branch(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET) -> BranchDetection:
-    """Test both corner conditions, each for both index assignments.
+    """Test both corner conditions, each for both index assignments; run
+    once per map, idempotent and budget.
 
     Both assignments (i = 1 and i = 2) must hold for a branch to count,
     and the per-corner results are reported separately.  Both branches may
     hold at once (degenerate small corners) and neither may hold.
     """
-    src_frame, tgt_frame = _frames(m, e1)
-    return _detect_branch_frames(m, src_frame, tgt_frame, budget)
+    return m.cached(("detection", e1, budget),
+                    lambda: _detect_branch_frames(m, *peirce_frames(m, e1), budget))
+
+
+def _source_hypotheses(m: MapTable, e1: Element, budget: int) -> list[CheckReport]:
+    """`check_main_hypotheses` on the source frame of e1, run once per map,
+    idempotent and budget."""
+    return m.cached(("hypotheses", e1, budget),
+                    lambda: check_main_hypotheses(peirce_frames(m, e1)[0], budget))
 
 
 def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame, tgt_frame: PeirceFrame,
                           budget: int) -> BranchDetection:
-    es, et = Enumeration(m.source), Enumeration(m.target)
+    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     imgs = m.images(budget)
     zc = center(m.target)
     f = {1: tgt_frame.e1.coords, 2: tgt_frame.e2.coords}
+    zf = {i: Subspace.from_vectors(m.target, [list(m.target.mul_coords(list(z), f[i]))
+                                              for z in zc.basis]) for i in (1, 2)}
     reports = []
-    flags = {}
     for tag in (BRANCH_DAGGER, BRANCH_DDAGGER):
-        tag_ok = True
         for i in (1, 2):
             j = 3 - i
             src_cell = (j, j) if tag == BRANCH_DAGGER else (i, i)
-            zf = Subspace.from_vectors(
-                m.target, [list(m.target.mul_coords(list(z), f[i])) for z in zc.basis])
             pts = src_frame.components[src_cell].points(es, budget)
             corners = imgs[es.index_of(pts)] @ tgt_frame.projector_np(i, i).T % et.p
-            inside = zf.mask(et, corners)
+            inside = zf[i].mask(et, corners)
             ok = bool(inside.all())
             wit = None
             if not ok:
@@ -109,9 +124,7 @@ def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame, tgt_frame: Peirce
                        "corner": coords_json(m.target, [int(x) for x in corners[k]])}
             reports.append(CheckReport(f"branch_{tag}_corner_{i}", ok, wit,
                                        {"elements": len(pts)}))
-            tag_ok &= ok
-        flags[tag] = tag_ok
-    return BranchDetection(flags[BRANCH_DAGGER], flags[BRANCH_DDAGGER], reports)
+    return BranchDetection(all(r.ok for r in reports[:2]), all(r.ok for r in reports[2:]), reports)
 
 
 @dataclass
@@ -165,13 +178,11 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     """
     if not m.is_bijective(budget):
         raise NotBijective("decomposition needs a bijective dense table")
-    src_frame, tgt_frame = _frames(m, e1)
-
-    for rep in check_main_hypotheses(src_frame, budget):
+    src_frame, tgt_frame = peirce_frames(m, e1)
+    for rep in _source_hypotheses(m, e1, budget):
         if not rep.ok:
             raise HypothesisFailed(rep.condition.rsplit("_", 1)[1], rep.witness)
-
-    detection = _detect_branch_frames(m, src_frame, tgt_frame, budget)
+    detection = detect_branch(m, e1, budget)
     if branch is None:
         if detection.dagger and not detection.ddagger:
             branch = BRANCH_DAGGER
@@ -184,7 +195,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     if not getattr(detection, branch):
         raise BranchUndetermined(detection.dagger, detection.ddagger)
 
-    es, et = Enumeration(m.source), Enumeration(m.target)
+    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     tgt = m.target
     dom = tgt.domain
     imgs = m.images(budget)
@@ -202,14 +213,13 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     zf_cols = {}
     for i in (1, 2):
         cols = [list(tgt.mul_coords(list(z), f[i])) for z in zc.basis]
-        A = [[cols[k][row] for k in range(len(cols))] for row in range(tgt.dim)]
+        zf_cols[i] = A = [[cols[k][row] for k in range(len(cols))] for row in range(tgt.dim)]
         if zc.dim and linalg.nullspace(A, dom):
             raise AmbiguousCentralSplit(f"central multiples of f_{i} are linearly dependent")
-        zf_cols[i] = (A, cols)
 
     # cellwise psi on the component points, memoized by global element index
     memo = {}
-    for ij in ((1, 1), (1, 2), (2, 1), (2, 2)):
+    for ij in CELLS:
         pts = src_frame.components[ij].points(es, budget)
         idxs = es.index_of(pts)
         img = imgs[idxs]
@@ -222,7 +232,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
                 else ((i, i), (j, j), j)
             corners = img @ tgt_frame.projector_np(*solve_corner).T % et.p
             kept = img @ tgt_frame.projector_np(*keep_corner).T % et.p
-            A, _ = zf_cols[solve_corner[0]]
+            A = zf_cols[solve_corner[0]]
             vals = np.empty_like(kept)
             for row in range(len(pts)):
                 rhs = [dom.parse(int(x)) for x in corners[row]]
@@ -241,7 +251,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
 
     # four cell values in [0, p) stay exact in elim_dtype
     planes = np.zeros((tgt.dim, es.count), dtype=et.elim_dtype)
-    for ij in ((1, 1), (1, 2), (2, 1), (2, 2)):
+    for ij in CELLS:
         keys, vals = memo[ij]
         pos = np.searchsorted(keys, es.linear_index(src_frame.projector_np(*ij), budget))
         planes += vals.take(pos, axis=1)
@@ -277,7 +287,7 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
     opposite off-diagonal pairs checked separately.
     """
     m = res.map
-    es, et = Enumeration(m.source), Enumeration(m.target)
+    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     psi, tau = res.psi, res.tau
     psi_idx, tau_idx = et.index_of(psi), et.index_of(tau)
     p = es.p
@@ -299,24 +309,16 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
     # recomposition: psi + tau = phi, asserted on every element
     elem_report("recomposition", et.add_index(psi_idx, tau_idx, budget) != m.image_index(budget))
 
-    def pair_report(name, fails, extra=None):
-        ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
-        wit = None
-        if pair is not None:
-            wit = {"a": src_json(pair[0]), "b": src_json(pair[1])}
-            if extra:
-                wit.update(extra)
-        certs.append(CheckReport(name, ok, wit,
-                                 {"pairs": es.count ** 2, "checked": int(checked)},
-                                 mode, seed if mode == "sampled" else None, cov))
-
     def additive_fails(f_idx):
         def fails(a_idx, b_idx):
             lhs = f_idx[es.add_index(a_idx, b_idx, budget)]
             return lhs != et.add_index(f_idx[a_idx], f_idx[b_idx], budget)
         return fails
 
-    pair_report("psi_additive", additive_fails(psi_idx))
+    def pair_cert(name, fails):
+        certs.append(pair_report(name, m.source, budget, seed, fails))
+
+    pair_cert("psi_additive", additive_fails(psi_idx))
     elem_report("psi_linear_matrix", es.linear_index(res.psi_matrix, budget) != psi_idx)
 
     # witness: the first target element hit twice, with two preimages,
@@ -342,72 +344,106 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
             return lhs != neg[et.mul_index(psi_idx[b_idx], psi_idx[a_idx], budget)]
         return lhs != et.mul_index(psi_idx[a_idx], psi_idx[b_idx], budget)
 
-    pair_report("psi_anti_multiplicative" if anti else "psi_multiplicative", product_fails)
+    pair_cert("psi_anti_multiplicative" if anti else "psi_multiplicative", product_fails)
 
-    # per-cell cases of the product rule
-    comp_pts = {ij: res.source_frame.components[ij].points(es, budget)
-                for ij in ((1, 1), (1, 2), (2, 1), (2, 2))}
+    # per-cell cases of the product rule and the sandwich identity, on
+    # (|A|, |B|) grids of cell element indices: the first failing pair in
+    # row-major order, i = 1 before i = 2
+    cell_idx = {ij: es.index_of(res.source_frame.components[ij].points(es, budget))
+                for ij in CELLS}
 
-    def case_report(name, cells_fn):
+    def cells_report(name, space, cells_fn, fails, quote_cells):
         ok, wit, pairs = True, None, 0
         for i in (1, 2):
-            j = 3 - i
-            ca, cb = cells_fn(i, j)
-            A, B = comp_pts[ca], comp_pts[cb]
-            aa = np.repeat(np.arange(len(A)), len(B))
-            bb = np.tile(np.arange(len(B)), len(A))
-            pairs += len(aa)
-            prod = es.mul(A[aa], B[bb])
-            lhs = psi[es.index_of(prod)]
-            pa = psi[es.index_of(A[aa])]
-            pb = psi[es.index_of(B[bb])]
-            rhs = (-et.mul(pb, pa)) % p if anti else et.mul(pa, pb)
-            bad = np.flatnonzero((lhs != rhs).any(axis=1))
+            ca, cb = cells_fn(i, 3 - i)
+            A, B = cell_idx[ca], cell_idx[cb]
+            pairs += len(A) * len(B)
+            bad = np.flatnonzero(fails(A[:, None], B[None, :]))
             if len(bad) and ok:
-                k = int(bad[0])
+                a, b = divmod(int(bad[0]), len(B))
                 ok = False
-                wit = {"a": coords_json(m.source, [int(v) for v in A[aa[k]]]),
-                       "b": coords_json(m.source, [int(v) for v in B[bb[k]]]),
-                       "cells": [list(ca), list(cb)]}
-        certs.append(CheckReport(name, ok, wit, {"pairs": pairs}))
+                wit = {"a": src_json(A[a]), "b": src_json(B[b])}
+                if quote_cells:
+                    wit["cells"] = [list(ca), list(cb)]
+        certs.append(CheckReport(name, ok, wit, {space: pairs}))
 
-    case_report("case_diag_offdiag", lambda i, j: ((i, i), (i, j)))
-    case_report("case_offdiag_diag", lambda i, j: ((i, j), (j, j)))
-    case_report("case_diag_diag", lambda i, j: ((i, i), (i, i)))
-    case_report("case_offdiag_same", lambda i, j: ((i, j), (i, j)))
-    case_report("case_offdiag_opposite", lambda i, j: ((i, j), (j, i)))
+    for name, cells_fn in (("case_diag_offdiag", lambda i, j: ((i, i), (i, j))),
+                           ("case_offdiag_diag", lambda i, j: ((i, j), (j, j))),
+                           ("case_diag_diag", lambda i, j: ((i, i), (i, i))),
+                           ("case_offdiag_same", lambda i, j: ((i, j), (i, j))),
+                           ("case_offdiag_opposite", lambda i, j: ((i, j), (j, i)))):
+        cells_report(name, "pairs", cells_fn, product_fails, True)
 
-    # sandwich identity psi((ab)a) = (psi(a) psi(b)) psi(a), opposite cells
-    ok, wit, triples = True, None, 0
-    for i in (1, 2):
-        j = 3 - i
-        A, B = comp_pts[(i, j)], comp_pts[(j, i)]
-        aa = np.repeat(np.arange(len(A)), len(B))
-        bb = np.tile(np.arange(len(B)), len(A))
-        triples += len(aa)
-        aba = es.mul(es.mul(A[aa], B[bb]), A[aa])
-        lhs = psi[es.index_of(aba)]
-        pa = psi[es.index_of(A[aa])]
-        pb = psi[es.index_of(B[bb])]
-        rhs = et.mul(et.mul(pa, pb), pa)
-        bad = np.flatnonzero((lhs != rhs).any(axis=1))
-        if len(bad) and ok:
-            k = int(bad[0])
-            ok = False
-            wit = {"a": coords_json(m.source, [int(v) for v in A[aa[k]]]),
-                   "b": coords_json(m.source, [int(v) for v in B[bb[k]]])}
-    certs.append(CheckReport("sandwich_identity", ok, wit, {"triples": triples}))
+    def sandwich_fails(a_idx, b_idx):
+        # psi((ab)a) = (psi(a) psi(b)) psi(a)
+        lhs = psi_idx[es.mul_index(es.mul_index(a_idx, b_idx, budget), a_idx, budget)]
+        pa = psi_idx[a_idx]
+        return lhs != et.mul_index(et.mul_index(pa, psi_idx[b_idx], budget), pa, budget)
 
-    central = np.zeros(et.count, dtype=bool)       # the centre, over all target indices
-    central[et.index_of(center(m.target).points(et, budget))] = True
+    cells_report("sandwich_identity", "triples", lambda i, j: ((i, j), (j, i)),
+                 sandwich_fails, False)
+
+    central = center_mask(m.target, budget)
     elem_report("tau_central", ~central[tau_idx],
                 lambda k: {"tau": coords_json(m.target, [int(v) for v in tau[k]])})
 
-    tau_zero = tau_idx == 0
-
-    def tau_comm_fails(a_idx, b_idx):
-        return ~tau_zero[es.commutator_index(a_idx, b_idx, budget)]
-
-    pair_report("tau_kills_commutators", tau_comm_fails)
-    pair_report("tau_additive", additive_fails(tau_idx))
+    pair_cert("tau_kills_commutators",
+              lambda a_idx, b_idx: tau_idx[es.commutator_index(a_idx, b_idx, budget)] != 0)
+    pair_cert("tau_additive", additive_fails(tau_idx))
     return certs
+
+
+# -- the theorem pipeline ------------------------------------------------------
+
+def verify_theorem(m: MapTable, e1: Element, branch: str | None, budget: int,
+                   seed: int) -> dict:
+    """Every certificate of the theorem for (m, e1), stage by stage, as the
+    bundle dict (see the module docstring for the order).
+
+    A structural error after the ring axioms (for example phi(e1) not
+    spanning a Peirce frame, or no branch to pick) ends the run with an
+    "error" entry; budget and domain errors propagate.
+    """
+    src = m.source
+    bundle = {"config": {"budget": budget, "seed": seed,
+                         "source": src.name, "target": m.target.name,
+                         "idempotent": [src.domain.fmt(c) for c in e1.coords],
+                         "branch_request": branch},
+              "stages": []}
+    reports: list[CheckReport] = []
+
+    def stage(name, reps):
+        reports.extend(reps)
+        bundle["stages"].append({"stage": name, "reports": [r.to_json() for r in reps]})
+
+    stage("ring_axioms", [
+        CheckReport("source_alternative", is_alternative(src).ok, None, {}),
+        CheckReport("target_alternative", is_alternative(m.target).ok, None, {}),
+        CheckReport("source_torsion_free_2", is_k_torsion_free(src, 2), None, {}),
+        CheckReport("source_torsion_free_3", is_k_torsion_free(src, 3), None, {}),
+    ])
+    try:
+        stage("entry", [verify_surjective(m, budget),
+                        verify_lie_multiplicative(m, budget, seed),
+                        verify_preserves_idempotents(m, budget, seed)])
+        stage("consequences", check_map_consequences(m, budget))
+        stage("almost_additive", [check_almost_additivity(m, budget, seed)])
+        image_reports, src_frame, _ = check_peirce_image(m, e1, budget)
+        stage("peirce_image", image_reports)
+        hypotheses = _source_hypotheses(m, e1, budget)
+        stage("hypotheses", hypotheses)
+        stage("spade_club", check_spade_club(src_frame, hypotheses, budget))
+        bundle["branch_detection"] = detect_branch(m, e1, budget).to_json()
+        if all(r.ok for r in reports):
+            result = decompose(m, e1, branch, budget, seed, certify=False)
+            stage("decomposition", result.certificates)
+            bundle["decomposition"] = result.to_json()
+        else:
+            bundle["error"] = "entry or hypothesis certificates failed; decomposition skipped"
+    except (BudgetExceeded, UnsupportedDomain):
+        raise
+    except AltringError as exc:
+        bundle["error"] = f"{type(exc).__name__}: {exc}"
+    bundle["all_certificates_pass"] = "error" not in bundle and all(
+        r.ok for r in reports if r.condition not in INFORMATIONAL_CERTIFICATES)
+    return bundle

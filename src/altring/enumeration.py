@@ -25,11 +25,21 @@ of the (n, ...) accumulator, not copied back.  `index_of` and `_planes`
 reduce mod p only when some entry lies outside [0, p); reduced input,
 the common case after a kernel, is indexed without a pass of divisions.
 
+One Enumeration serves a ring for the whole run: `Enumeration.of(ring)`
+builds it on first use and keeps it in the ring's memo (`rings.memoised`),
+so the digit table and the idempotent mask are built once per ring.  The
+Enumeration keeps the ring's name, not the ring, so the memo holds no
+reference cycle and the ring is freed, tables included, with its last
+reference.  `all_coords`, the (count, n) int64 transpose of the digit
+table, is not cached: at 390,625 elements it is 25 MB that would stay
+alive for the whole run, raising peak RSS, while its callers need it
+only for a moment.
+
 Pair scans work in index space.  The digit table `digits` holds the
 (n, count) coordinate planes of every element in `elim_dtype`, the
 narrowest signed type holding (p-1)**2 + p, so the sum or difference of
-two digits stays exact in it; it is built once per Enumeration under
-the element budget.  The index kernels `mul_index`, `commutator_index`
+two digits stays exact in it; it is built on first use under the element
+budget.  The index kernels `mul_index`, `commutator_index`
 and `add_index` take element indices (any broadcastable shapes), gather
 their operand planes from the table with `take(idx, axis=1)` and return
 int64 indices by Horner's rule on the planes (`index_of_planes`, run in
@@ -80,7 +90,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, UnsupportedDomain
-from .rings import Ring
+from .rings import Ring, memoised
 
 DEFAULT_BUDGET = 10**6
 
@@ -104,7 +114,7 @@ class Enumeration:
     """Cached element tables and batched arithmetic for one finite ring."""
 
     def __init__(self, ring: Ring):
-        self.ring = ring
+        self.name = ring.name
         self.p = require_finite(ring)
         self.n = ring.dim
         self.count = self.p ** self.n
@@ -140,8 +150,14 @@ class Enumeration:
         # Horner's rule on digit planes: every partial index stays below count
         self.index_dtype = _narrowest_signed(self.count - 1)
         self.unit = np.array([int(x) for x in ring.unit_coords], dtype=np.int64)
-        self._coords = None
         self._digits = None
+        self._idempotents = None
+
+    @staticmethod
+    @memoised
+    def of(ring: Ring) -> "Enumeration":
+        """The ring's one Enumeration, built on first use."""
+        return Enumeration(ring)
 
     @cached_property
     def inv_table(self) -> np.ndarray:
@@ -163,13 +179,12 @@ class Enumeration:
 
     def _check_budget(self, budget: int):
         if self.count > budget:
-            raise BudgetExceeded(self.count, budget, f"enumerating {self.ring.name!r}")
+            raise BudgetExceeded(self.count, budget, f"enumerating {self.name!r}")
 
     def all_coords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        self._check_budget(budget)
-        if self._coords is None:
-            self._coords = np.ascontiguousarray(self.digits(budget).T, dtype=np.int64)
-        return self._coords
+        """(count, n) int64 coordinates of every element, a fresh transpose
+        of the digit table on every call."""
+        return np.ascontiguousarray(self.digits(budget).T, dtype=np.int64)
 
     def digits(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """(n, count) digit table in `elim_dtype`: plane i holds coordinate i
@@ -267,9 +282,6 @@ class Enumeration:
         A, B = self._planes(A), self._planes(B)
         return np.moveaxis(self._product_planes(A[:, :, None], B[:, None, :]), 0, -1)
 
-    def square(self, A) -> np.ndarray:
-        return self.mul(A, A)
-
     def commutator(self, A, B) -> np.ndarray:
         return np.moveaxis(self._commutator_planes(self._planes(A), self._planes(B)), 0, -1)
 
@@ -336,9 +348,11 @@ class Enumeration:
         return self.index_of_planes(scaled.take(self.digits(budget)))
 
     def idempotent_mask(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """Which elements e satisfy e*e = e, squared on the digit table."""
+        """Which elements e satisfy e*e = e, squared on the digit table once."""
         D = self.digits(budget)
-        return (self._product_planes(D, D) == D).all(axis=0)
+        if self._idempotents is None:
+            self._idempotents = (self._product_planes(D, D) == D).all(axis=0)
+        return self._idempotents
 
     # -- subspace points ---------------------------------------------------
 

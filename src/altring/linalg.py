@@ -85,13 +85,6 @@ def in_span(basis, pivots, v, dom: Domain) -> bool:
     return all(x == dom.zero for x in residual(basis, pivots, v, dom))
 
 
-def coefficients_in_span(basis, pivots, v, dom: Domain):
-    """Coefficient vector of v against an rref basis, or None if outside."""
-    if not in_span(basis, pivots, v, dom):
-        return None
-    return [v[p] for p in pivots]
-
-
 def nullspace(rows, dom: Domain) -> list[list[Scalar]]:
     """Canonical basis of {x : A x = 0}, one row per free column of A."""
     if not rows:

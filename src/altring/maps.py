@@ -11,7 +11,6 @@ the dense table and therefore needs a prime-field ring.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +21,8 @@ from .errors import (DimensionMismatch, DomainMismatch, NotBijective,
                      ParseError)
 from .reports import CheckReport, coords_json
 from .rings import Element, Ring, is_associative
-from .structure import center, peirce_frame
+from .structure import (PeirceFrame, center, center_mask, check_main_hypotheses,
+                        peirce_frame)
 
 
 class MapTable:
@@ -37,10 +37,11 @@ class MapTable:
         self.spec = spec or {"kind": "table"}
         self._images = None
         self._image_idx = None
+        self._memo = {}
         if images is not None:
             self.kind = "dense"
             self._images = np.asarray(images, dtype=np.int64)
-            if self._images.shape != (self._source_enum.count, target.dim):
+            if self._images.shape != (Enumeration.of(source).count, target.dim):
                 raise DimensionMismatch("dense table must cover every source element")
         else:
             self.kind = "structured"
@@ -80,7 +81,7 @@ class MapTable:
     def eval_coords(self, coords):
         """Image of one source coordinate vector (any scalar domain)."""
         if self.kind == "dense":
-            k = self._source_enum.index_of(np.array([int(x) for x in coords], dtype=np.int64))
+            k = Enumeration.of(self.source).index_of(np.array([int(x) for x in coords], dtype=np.int64))
             return tuple(int(c) for c in self._images[int(k)])
         dom = self.source.domain
         out = linalg.mat_vec(self.matrix, list(coords), dom)
@@ -89,18 +90,13 @@ class MapTable:
             lam = dom.add(lam, dom.mul(f, x))
         return tuple(dom.add(a, dom.mul(lam, z)) for a, z in zip(out, self.offset_central))
 
-    @cached_property
-    def _source_enum(self) -> Enumeration:
-        """Index arithmetic of the source, built once per map."""
-        return Enumeration(self.source)
-
     def __call__(self, x: Element) -> Element:
         return Element(self.target, self.eval_coords(x.coords))
 
     def images(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """Dense image coordinates over the whole enumerated source."""
         if self._images is None:
-            enum = Enumeration(self.source)
+            enum = Enumeration.of(self.source)
             X = enum.all_coords(budget)
             M = np.array([[int(x) for x in row] for row in self.matrix], dtype=np.int64)
             f = np.array([int(x) for x in self.offset_functional], dtype=np.int64)
@@ -110,8 +106,16 @@ class MapTable:
 
     def image_index(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         if self._image_idx is None:
-            self._image_idx = Enumeration(self.target).index_of(self.images(budget))
+            self._image_idx = Enumeration.of(self.target).index_of(self.images(budget))
         return self._image_idx
+
+    def cached(self, key, build):
+        """build(), computed once per map and key.  A run's Peirce frames,
+        hypothesis reports and branch detection, keyed by the idempotent,
+        are kept here and shared by every stage that needs them."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def replace_entry(self, idx: int, coords) -> "MapTable":
         """Dense copy with one table entry overwritten (for negative controls)."""
@@ -201,17 +205,16 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
                         spec={"kind": "conjugation", "element": [dom.fmt(x) for x in u]})
     if kind == "compose":
         parts = [build_map(source, target, s, budget) for s in spec["parts"]]
-        enum = Enumeration(source)
-        idx = np.arange(enum.count)
+        idx = np.arange(Enumeration.of(source).count)
         for part in parts:
             idx = part.image_index(budget)[idx]
-        images = Enumeration(target).coords_of(idx)
+        images = Enumeration.of(target).coords_of(idx)
         return MapTable(source, target, images=images, spec=spec)
     if kind == "table":
         entries = spec["entries"]
         if isinstance(entries, dict):
             entries = [entries[str(i)] for i in range(len(entries))]
-        enum = Enumeration(source)
+        enum = Enumeration.of(source)
         if len(entries) != enum.count:
             raise ParseError(f"table has {len(entries)} entries, source has {enum.count} elements")
         tgt = target.domain
@@ -298,42 +301,42 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn, chunk: int = 1 << 18)
     return True, None, "sampled", budget / total, checked
 
 
-def _pair_witness(m: MapTable, pair):
-    if pair is None:
-        return None
-    es = Enumeration(m.source)
-    a, b = pair
-    return {"a": coords_json(m.source, [int(x) for x in es.coords_of(a)]),
-            "b": coords_json(m.source, [int(x) for x in es.coords_of(b)])}
+def pair_report(name: str, source: Ring, budget: int, seed: int, fail_fn) -> CheckReport:
+    """`pair_scan` over the source's element pairs as a report; a failing
+    pair is quoted as the witness {"a", "b"} in source coordinates."""
+    es = Enumeration.of(source)
+    ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fail_fn)
+    wit = None if pair is None else {
+        key: coords_json(source, [int(x) for x in es.coords_of(k)]) for key, k in zip("ab", pair)}
+    return CheckReport(name, ok, wit, {"pairs": es.count ** 2, "checked": int(checked)},
+                       mode, seed if mode == "sampled" else None, cov)
 
 
 # -- verifiers ----------------------------------------------------------------
 
 def verify_surjective(m: MapTable, budget: int = DEFAULT_BUDGET) -> CheckReport:
+    et = Enumeration.of(m.target)
     idx = m.image_index(budget)
-    hit = np.bincount(idx, minlength=Enumeration(m.target).count) > 0
+    hit = np.bincount(idx, minlength=et.count) > 0
     ok = bool(hit.all())
     wit = None
     if not ok:
         missing = int(np.flatnonzero(~hit)[0])
-        wit = {"unreached": coords_json(m.target,
-                                        [int(x) for x in Enumeration(m.target).coords_of(missing)])}
+        wit = {"unreached": coords_json(m.target, [int(x) for x in et.coords_of(missing)])}
     return CheckReport("surjective", ok, wit, {"elements": int(len(idx))})
 
 
 def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
                               seed: int = 0) -> CheckReport:
     """phi([x,y]) = [phi(x), phi(y)] over source pairs (sampled past budget)."""
-    es, et = Enumeration(m.source), Enumeration(m.target)
+    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     f_idx = m.image_index(budget)
 
     def fails(a_idx, b_idx):
         lhs = f_idx[es.commutator_index(a_idx, b_idx, budget)]
         return lhs != et.commutator_index(f_idx[a_idx], f_idx[b_idx], budget)
 
-    ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
-    return CheckReport("lie_multiplicative", ok, _pair_witness(m, pair),
-                       {"pairs": es.count ** 2, "checked": int(checked)}, mode, seed if mode == "sampled" else None, cov)
+    return pair_report("lie_multiplicative", m.source, budget, seed, fails)
 
 
 def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
@@ -342,7 +345,7 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
     pairs and every prime-field lam; needs a bijective table first."""
     if not m.is_bijective(budget):
         raise NotBijective("idempotent preservation is a biconditional; the map must be a bijection")
-    es, et = Enumeration(m.source), Enumeration(m.target)
+    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     Ds, Dt = es.digits(budget), et.digits(budget)
     f_idx = m.image_index(budget)
     idem_src = es.idempotent_mask(budget)
@@ -370,28 +373,26 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
             bad = bad | (idem_src[es.index_of_planes(d_src)] != idem_tgt[et.index_of_planes(d_tgt)])
         return bad
 
-    ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
-    wit = _pair_witness(m, pair)
-    if wit is not None:
-        a, b = pair
+    rep = pair_report("preserves_idempotents", m.source, budget, seed, fails)
+    rep.quantifier_space["lambdas"] = p
+    if not rep.ok:
+        a, b = (int(es.index_of(rep.witness[key])) for key in "ab")
         Xa, Xb = es.coords_of(a), es.coords_of(b)
         imgs = m.images(budget)
         for lam in range(p):
             d = (Xa - lam * Xb) % p
             dt = (imgs[a] - lam * imgs[b]) % p
             if bool(idem_src[int(es.index_of(d))]) != bool(idem_tgt[int(et.index_of(dt))]):
-                wit["lambda"] = int(lam)
+                rep.witness["lambda"] = int(lam)
                 break
-    return CheckReport("preserves_idempotents", ok, wit,
-                       {"pairs": es.count ** 2, "lambdas": p, "checked": int(checked)},
-                       mode, seed if mode == "sampled" else None, cov)
+    return rep
 
 
 def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
     """Consequences of surjectivity + idempotent preservation over a
     2-torsion-free ring: injectivity, a fixed zero, and scalar
     homogeneity.  Failures certify an upstream inconsistency."""
-    es, et = Enumeration(m.source), Enumeration(m.target)
+    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     idx = m.image_index(budget)
     counts = np.bincount(idx, minlength=et.count)
     inj = bool((counts <= 1).all())
@@ -424,11 +425,10 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
 def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
                             seed: int = 0) -> CheckReport:
     """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs."""
-    es, et = Enumeration(m.source), Enumeration(m.target)
+    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     Dt = et.digits(budget)
     f_idx = m.image_index(budget)
-    central = np.zeros(et.count, dtype=bool)       # the centre, over all target indices
-    central[et.index_of(center(m.target).points(et, budget))] = True
+    central = center_mask(m.target, budget)
 
     def fails(a_idx, b_idx):
         # digit planes of the defect lie in (-2p, p), exact in elim_dtype
@@ -436,10 +436,21 @@ def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
             Dt.take(f_idx[a_idx], axis=1) + Dt.take(f_idx[b_idx], axis=1))
         return ~central[et.index_of_planes(et.reduce(defect))]
 
-    ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fails)
-    return CheckReport("almost_additive", ok, _pair_witness(m, pair),
-                       {"pairs": es.count ** 2, "checked": int(checked)},
-                       mode, seed if mode == "sampled" else None, cov)
+    return pair_report("almost_additive", m.source, budget, seed, fails)
+
+
+def peirce_frames(m: MapTable, e1: Element) -> tuple[PeirceFrame, PeirceFrame]:
+    """Peirce frames of e1 in the source and of phi(e1) in the target,
+    built once per map and idempotent."""
+    def build():
+        src_frame = peirce_frame(m.source, e1)
+        f1 = m(e1)
+        try:
+            tgt_frame = peirce_frame(m.target, f1)
+        except Exception as exc:
+            raise NotIdempotentImage(f"phi(e1) = {f1!r} does not span a Peirce frame: {exc}") from exc
+        return src_frame, tgt_frame
+    return m.cached(("frames", e1), build)
 
 
 def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
@@ -450,16 +461,8 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
 
     Returns (reports, source_frame, target_frame).
     """
-    from .structure import check_main_hypotheses
-
-    src_frame = peirce_frame(m.source, e1)
-    f1 = m(e1)
-    try:
-        tgt_frame = peirce_frame(m.target, f1)
-    except Exception as exc:
-        raise NotIdempotentImage(f"phi(e1) = {f1!r} does not span a Peirce frame: {exc}") from exc
-
-    es, et = Enumeration(m.source), Enumeration(m.target)
+    src_frame, tgt_frame = peirce_frames(m, e1)
+    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     imgs = m.images(budget)
     reports = []
 
@@ -485,8 +488,7 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
         img = imgs[es.index_of(pts)]
         same = tgt_frame.components[(i, i)].sum(zc)
         swap = tgt_frame.components[(j, j)].sum(zc)
-        in_same = et.in_span_mask([list(r) for r in same.basis], list(same.pivots), img)
-        in_swap = et.in_span_mask([list(r) for r in swap.basis], list(swap.pivots), img)
+        in_same, in_swap = same.mask(et, img), swap.mask(et, img)
         ok = bool(in_same.all() or in_swap.all())
         wit = None
         if not ok:

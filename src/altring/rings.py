@@ -9,8 +9,10 @@ mandatory.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ParseError, RingMismatch
@@ -35,6 +37,7 @@ class Ring:
         if len(unit) != n:
             raise ParseError(f"ring {name!r}: unit vector has length {len(unit)}, dim is {n}")
         self.unit_coords = unit
+        self._memo = {}
         self._check_unit()
 
     def _check_unit(self):
@@ -120,6 +123,19 @@ class Ring:
         return Element(self, self.unit_coords)
 
 
+def memoised(fn):
+    """fn(r), computed once per ring and kept in the ring's memo.  The
+    value must not refer back to the ring, so that no reference cycle
+    keeps a ring and its tables alive after its last reference goes."""
+    @functools.wraps(fn)
+    def once(r):
+        memo = r._memo
+        if fn not in memo:
+            memo[fn] = fn(r)
+        return memo[fn]
+    return once
+
+
 @dataclass(frozen=True)
 class Element:
     """Coordinate vector in a ring's basis; immutable and hashable."""
@@ -195,6 +211,7 @@ def _assoc_coords(r: Ring, a, b, c):
                         r.mul_coords(a, r.mul_coords(b, c)))
 
 
+@memoised
 def is_alternative(r: Ring) -> CheckResult:
     """Left and right alternative laws, via linearization over the basis.
 
@@ -227,31 +244,24 @@ def is_alternative(r: Ring) -> CheckResult:
     return CheckResult(True)
 
 
+def _basis_law(r: Ring, law) -> CheckResult:
+    """law(x, y, z) = 0 on every basis triple, the first failing triple in
+    lexicographic order as the witness."""
+    basis = [r.basis_coords(i) for i in range(r.dim)]
+    for triple in product(basis, repeat=3):
+        if law(*triple) != r.zero_coords():
+            return CheckResult(False, triple)
+    return CheckResult(True)
+
+
 def is_flexible(r: Ring) -> CheckResult:
     """Linearized flexible law (x,y,z) + (z,y,x) = 0 on basis triples."""
-    n = r.dim
-    basis = [r.basis_coords(i) for i in range(n)]
-    zero = r.zero_coords()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = r.add_coords(_assoc_coords(r, basis[i], basis[j], basis[k]),
-                                 _assoc_coords(r, basis[k], basis[j], basis[i]))
-                if s != zero:
-                    return CheckResult(False, (basis[i], basis[j], basis[k]))
-    return CheckResult(True)
+    return _basis_law(r, lambda x, y, z: r.add_coords(_assoc_coords(r, x, y, z),
+                                                      _assoc_coords(r, z, y, x)))
 
 
 def is_associative(r: Ring) -> CheckResult:
-    n = r.dim
-    basis = [r.basis_coords(i) for i in range(n)]
-    zero = r.zero_coords()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if _assoc_coords(r, basis[i], basis[j], basis[k]) != zero:
-                    return CheckResult(False, (basis[i], basis[j], basis[k]))
-    return CheckResult(True)
+    return _basis_law(r, lambda x, y, z: _assoc_coords(r, x, y, z))
 
 
 def is_k_torsion_free(r: Ring, k: int) -> bool:

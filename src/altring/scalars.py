@@ -70,9 +70,6 @@ class Rationals:
     def div(self, a: Scalar, b: Scalar) -> Fraction:
         return self.mul(a, self.inv(b))
 
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
-
     def parse(self, text) -> Fraction:
         try:
             return Fraction(str(text))
@@ -132,9 +129,6 @@ class PrimeField:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def from_int(self, k: int) -> int:
-        return k % self.p
 
     def parse(self, text) -> int:
         if isinstance(text, int):

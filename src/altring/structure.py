@@ -17,7 +17,7 @@ from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible,
                      RingMismatch, TrivialIdempotent, UnsupportedDomain)
 from .reports import CheckReport, coords_json
-from .rings import Element, Ring
+from .rings import Element, Ring, is_alternative, is_k_torsion_free, memoised
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,12 @@ class Subspace:
 
 def center(r: Ring) -> Subspace:
     """Commutative centre: solutions of [z, b_i] = 0 for every basis b_i."""
+    return Subspace(r, *_center_basis(r))
+
+
+@memoised
+def _center_basis(r: Ring) -> tuple[tuple, tuple]:
+    """Echelon rows and pivots of the centre, solved once per ring."""
     dom = r.domain
     rows = []
     for i in range(r.dim):
@@ -70,7 +76,16 @@ def center(r: Ring) -> Subspace:
         R = r.right_mul_matrix(b)
         for k in range(r.dim):
             rows.append([dom.sub(R[k][j], L[k][j]) for j in range(r.dim)])
-    return Subspace.from_vectors(r, linalg.nullspace(rows, dom))
+    zc = Subspace.from_vectors(r, linalg.nullspace(rows, dom))
+    return zc.basis, zc.pivots
+
+
+def center_mask(r: Ring, budget: int) -> np.ndarray:
+    """Which elements of a finite ring are central, over all element indices."""
+    enum = Enumeration.of(r)
+    mask = np.zeros(enum.count, dtype=bool)
+    mask[enum.index_of(center(r).points(enum, budget))] = True
+    return mask
 
 
 def nucleus(r: Ring) -> Subspace:
@@ -113,6 +128,9 @@ class IdempotentCensus:
             return len(self.elements)
         return sum(1 for t in self.tags if t == tag)
 
+    def counts(self) -> dict:
+        return {"total": self.count(), **{t: self.count(t) for t in ("zero", "trivial", "nontrivial")}}
+
     def nontrivial(self) -> list[Element]:
         return [e for e, t in zip(self.elements, self.tags) if t == "nontrivial"]
 
@@ -135,11 +153,9 @@ def idempotents(r: Ring, budget: int = DEFAULT_BUDGET, include_zero: bool = True
             if (e * e).coords == e.coords:
                 found.append(e.coords)
     elif r.domain.kind == "Fp":
-        enum = Enumeration(r)
-        X = enum.all_coords(budget)
-        mask = enum.idempotent_mask(budget)
-        for idx in np.flatnonzero(mask):
-            found.append(tuple(int(c) for c in X[idx]))
+        enum = Enumeration.of(r)
+        idx = np.flatnonzero(enum.idempotent_mask(budget))
+        found = [tuple(int(c) for c in x) for x in enum.coords_of(idx)]
     else:
         raise UnsupportedDomain("idempotent search over Q needs explicit candidates")
     elems, tags = [], []
@@ -224,10 +240,6 @@ def peirce_frame(r: Ring, e1: Element) -> PeirceFrame:
     return PeirceFrame(r, e1, e2, projectors, components)
 
 
-def peirce_project(frame: PeirceFrame, a: Element) -> dict:
-    return frame.project(a)
-
-
 # -- Peirce multiplication relations ----------------------------------------
 
 def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
@@ -298,11 +310,11 @@ def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) ->
     # (iv.a): x^2 = 0 for every x in an off-diagonal component
     ok, wit, n_elems = True, None, 0
     if r.domain.kind == "Fp":
-        enum = Enumeration(r)
+        enum = Enumeration.of(r)
         for ij in ((1, 2), (2, 1)):
             pts = comp[ij].points(enum, budget)
             n_elems += len(pts)
-            sq = enum.square(pts)
+            sq = enum.mul(pts, pts)
             bad = np.flatnonzero((sq != 0).any(axis=1))
             if len(bad) and ok:
                 b = int(bad[0])
@@ -341,24 +353,16 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
     """Annihilation conditions on the corners plus surjectivity of central
     multiplications; all quantifiers run over enumerated F_p points."""
     r = frame.ring
-    enum = Enumeration(r)
+    enum = Enumeration.of(r)
     comp = frame.components
     reports = []
 
-    def ann_right(pts, cell):
-        """Rows of pts whose product with every basis vector of cell vanish."""
+    def annihilated(pts, cell, left):
+        """Rows x of pts with b*x = 0 (left) or x*b = 0 for every basis vector b of cell."""
         ok_mask = np.ones(len(pts), dtype=bool)
         for row in comp[cell].basis:
-            b = np.array([int(x) for x in row], dtype=np.int64)
-            prod = enum.mul(pts, np.broadcast_to(b, pts.shape))
-            ok_mask &= (prod == 0).all(axis=1)
-        return ok_mask
-
-    def ann_left(pts, cell):
-        ok_mask = np.ones(len(pts), dtype=bool)
-        for row in comp[cell].basis:
-            b = np.array([int(x) for x in row], dtype=np.int64)
-            prod = enum.mul(np.broadcast_to(b, pts.shape), pts)
+            b = np.broadcast_to(np.array([int(x) for x in row], dtype=np.int64), pts.shape)
+            prod = enum.mul(b, pts) if left else enum.mul(pts, b)
             ok_mask &= (prod == 0).all(axis=1)
         return ok_mask
 
@@ -374,14 +378,14 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
     for i, j in ((1, 2), (2, 1)):
         pts = comp[(i, j)].points(enum, budget)
         space += len(pts)
-        w = first_bad(pts, ann_right(pts, (j, i)))
+        w = first_bad(pts, annihilated(pts, (j, i), False))
         if w is not None and ok:
             ok, wit = False, {"element": w, "cell": [i, j]}
     reports.append(CheckReport("condition_1", ok, wit, {"elements": space}))
 
     # (2): x_11 R_12 = 0 or R_21 x_11 = 0 forces x_11 = 0
     pts = comp[(1, 1)].points(enum, budget)
-    bad = ann_right(pts, (1, 2)) | ann_left(pts, (2, 1))
+    bad = annihilated(pts, (1, 2), False) | annihilated(pts, (2, 1), True)
     w = first_bad(pts, bad)
     reports.append(CheckReport("condition_2", w is None,
                                None if w is None else {"element": w, "cell": [1, 1]},
@@ -389,7 +393,7 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
 
     # (3): R_12 x_22 = 0 or x_22 R_21 = 0 forces x_22 = 0
     pts = comp[(2, 2)].points(enum, budget)
-    bad = ann_left(pts, (1, 2)) | ann_right(pts, (2, 1))
+    bad = annihilated(pts, (1, 2), True) | annihilated(pts, (2, 1), False)
     w = first_bad(pts, bad)
     reports.append(CheckReport("condition_3", w is None,
                                None if w is None else {"element": w, "cell": [2, 2]},
@@ -411,11 +415,13 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
     return reports
 
 
-def check_spade_club(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
+def check_spade_club(frame: PeirceFrame, hypotheses: list[CheckReport],
+                     budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
     """Diagonal sums commuting with a whole off-diagonal corner must be
-    central; also reports the implication instance from conditions (1)-(3)."""
+    central; also reports the implication instance from conditions (1)-(3),
+    read from `hypotheses`, the frame's `check_main_hypotheses` reports."""
     r = frame.ring
-    enum = Enumeration(r)
+    enum = Enumeration.of(r)
     comp = frame.components
     zc = center(r)
     p11 = comp[(1, 1)].points(enum, budget)
@@ -437,8 +443,7 @@ def check_spade_club(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> list[C
             wit = {"diagonal_sum": coords_json(r, [int(c) for c in sums[int(bad[0])]])}
         reports.append(CheckReport(name, len(bad) == 0, wit, {"diagonal_sums": len(sums)}))
 
-    conds = check_main_hypotheses(frame, budget)
-    premise = all(c.ok for c in conds[:3])
+    premise = all(c.ok for c in hypotheses[:3])
     conclusion = all(rep.ok for rep in reports)
     reports.append(CheckReport("conditions_imply_spade_club", (not premise) or conclusion,
                                None, {"premise_holds": int(premise)}))
@@ -580,9 +585,7 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
     Both routes skip generators a with full-rank L_a: aR = R makes (a) the
     whole ring, and 1 in span{a b_k} forces the stacked kernel to zero.
     """
-    from .rings import is_alternative, is_k_torsion_free
-
-    enum = Enumeration(r)
+    enum = Enumeration.of(r)
     n = r.dim
     reps, screened = _generator_classes(enum, budget)
 

@@ -216,8 +216,9 @@ def test_criterion_8_conditional_never_violated(m2, zorn, t2, dsum,
               peirce_frame(t2, t2.basis_element(0)),
               peirce_frame(m2, m2.element([1, 1, 0, 0]))]
     for frame in frames:
-        conds = {r.condition: r.ok for r in check_main_hypotheses(frame)}
-        sc = {r.condition: r.ok for r in check_spade_club(frame)}
+        hyps = check_main_hypotheses(frame)
+        conds = {r.condition: r.ok for r in hyps}
+        sc = {r.condition: r.ok for r in check_spade_club(frame, hyps)}
         premise = conds["condition_1"] and conds["condition_2"] and conds["condition_3"]
         assert sc["conditions_imply_spade_club"]
         if premise:

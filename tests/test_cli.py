@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ def test_gen_messages_for_small_prime(tmp_path, capsys):
 
 
 def test_gen_outputs_loadable_ring(files):
-    obj = json.loads(open(files["zorn"]).read())
+    obj = json.loads(Path(files["zorn"]).read_text())
     assert obj["dim"] == 8
     assert obj["domain"] == {"Fp": 5}
     assert len(obj["mul"]) == 8
@@ -65,7 +66,7 @@ def test_analyze_rejects_garbage(tmp_path):
 
 
 def test_analyze_rejects_broken_unit(tmp_path, files):
-    obj = json.loads(open(files["m2"]).read())
+    obj = json.loads(Path(files["m2"]).read_text())
     obj["unit"] = [1, 1, 0, 1]
     bad = tmp_path / "badunit.json"
     bad.write_text(json.dumps(obj))

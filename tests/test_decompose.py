@@ -1,9 +1,15 @@
+import importlib
 import itertools
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from altring import build_map, decompose, detect_branch, verify_decomposition
+from altring import (build_map, decompose, detect_branch, verify_decomposition,
+                     verify_theorem)
+from altring.cli import main
+from altring.reports import dumps
 from altring.decompose import INFORMATIONAL_CERTIFICATES
 from altring.enumeration import Enumeration
 from altring.errors import (BranchUndetermined, CertificationFailed,
@@ -225,3 +231,33 @@ def test_tau_additivity_reported_not_required(m2, negtr):
     tau_add = next(c for c in res.certificates if c.condition == "tau_additive")
     assert tau_add.ok    # trace*unit is additive here
     assert "tau_additive" in INFORMATIONAL_CERTIFICATES
+
+
+def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
+    """One M2/F5 run builds the two Peirce frames once, checks the
+    hypotheses once per frame and detects the branch once, counted at
+    every module binding; its bundle is the CLI's output byte for byte."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (importlib.import_module(f"altring.{name}") for name in ("structure", "maps", "decompose")):
+        for name in ("peirce_frame", "check_main_hypotheses", "_detect_branch_frames"):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
+    spec = {"kind": "neg_transpose_plus_trace"}
+    bundle = verify_theorem(build_map(m2, m2, spec), m2.basis_element(0), "ddagger", 10**6, 0)
+    assert calls == {"peirce_frame": 2, "check_main_hypotheses": 2, "_detect_branch_frames": 1}
+    assert bundle["all_certificates_pass"]
+
+    ring, phi, out = tmp_path / "m2.json", tmp_path / "negtr.json", tmp_path / "bundle.json"
+    assert main(["gen", "m2", "--field", "5", "--out", str(ring)]) == 0
+    phi.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5", "repr": spec}))
+    assert main(["verify-theorem", "--source", str(ring), "--target", str(ring), "--map", str(phi),
+                 "--idempotent", "1,0,0,0", "--branch", "ddagger", "--budget", "1000000",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == dumps(bundle)

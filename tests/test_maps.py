@@ -1,13 +1,16 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from altring import (build_map, check_almost_additivity,
-                     check_map_consequences, check_peirce_image, load_map,
-                     map_from_json, map_to_json, save_map,
-                     verify_lie_multiplicative, verify_preserves_idempotents,
-                     verify_surjective)
+from altring import (build_map, center, check_almost_additivity,
+                     check_map_consequences, check_peirce_image, gen_m2,
+                     is_alternative, load_map, map_from_json, map_to_json,
+                     save_map, verify_lie_multiplicative,
+                     verify_preserves_idempotents, verify_surjective,
+                     verify_theorem)
 from altring.enumeration import Enumeration
 from altring.errors import (DimensionMismatch, NotBijective,
                             NotIdempotentImage, NotInvertible,
@@ -67,7 +70,7 @@ def test_transpose_builder_rejects_non_matrix_rings(t2, zorn):
 def test_square_map_fails_lie(m2):
     enum = Enumeration(m2)
     X = enum.all_coords()
-    squares = enum.square(X)
+    squares = enum.mul(X, X)
     m = build_map(m2, m2, {"kind": "table", "entries": [[int(v) for v in row] for row in squares]})
     rep = verify_lie_multiplicative(m)
     assert not rep.ok and rep.witness is not None
@@ -136,19 +139,31 @@ def test_map_json_round_trip(tmp_path, m2, negtr):
     assert (back.images() == dense.images()).all()
 
 
-def test_dense_eval_matches_table_with_one_enumeration(m2, negtr, monkeypatch):
-    negtr.images()
-    built = []
-    init = Enumeration.__init__
-    monkeypatch.setattr(Enumeration, "__init__",
-                        lambda self, ring: built.append(ring.name) or init(self, ring))
-    dense = negtr.replace_entry(0, [0, 0, 0, 0])
-    X = Enumeration(m2).all_coords()
-    imgs = dense.images()
-    for x, want in zip(X, imgs):
-        assert dense(m2.element([int(v) for v in x])).coords == tuple(int(v) for v in want)
-    assert dense.eval_coords((6, -4, 0, 0)) == dense.eval_coords((1, 1, 0, 0))
-    assert built == ["m2_f5", "m2_f5"]     # one for the map, then the test's own
+def test_dense_eval_matches_table_with_one_enumeration():
+    """A dense table evaluates like the structured map it came from, and
+    the per-ring artefacts are memoised once on the ring without a
+    reference cycle: with the cycle collector off, dropping the last
+    reference frees the ring, its Enumeration and tables included."""
+    gc.disable()
+    try:
+        r = gen_m2(5)
+        dense = build_map(r, r, {"kind": "neg_transpose_plus_trace"}).replace_entry(0, [0, 0, 0, 0])
+        X = Enumeration.of(r).all_coords()
+        for x, want in zip(X, dense.images()):
+            assert dense(r.element([int(v) for v in x])).coords == tuple(int(v) for v in want)
+        assert dense.eval_coords((6, -4, 0, 0)) == dense.eval_coords((1, 1, 0, 0))
+        enum = Enumeration.of(r)
+        assert Enumeration.of(r) is enum and enum.digits() is enum.digits()
+        assert enum.all_coords() is not X                       # a fresh transpose each call
+        assert center(r).basis is center(r).basis
+        assert is_alternative(r) is is_alternative(r)
+        assert verify_theorem(build_map(r, r, {"kind": "identity"}), r.basis_element(0),
+                              "dagger", 10**6, 0)["all_certificates_pass"]
+        ring_ref, enum_ref = weakref.ref(r), weakref.ref(enum)
+        del r, dense, enum
+        assert ring_ref() is None and enum_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_table_loader_validates_entry_count(m2):

@@ -68,7 +68,7 @@ def test_domain_json_round_trip():
 @given(stn.sampled_from([5, 7, 11, 13]), stn.integers(0, 200))
 def test_fermat_little(p, s):
     f = PrimeField(p)
-    x = f.from_int(s)
+    x = f.parse(s)
     acc = f.one
     for _ in range(p):
         acc = f.mul(acc, x)

@@ -6,8 +6,7 @@ import pytest
 
 from altring import (center, check_main_hypotheses, check_primeness,
                      check_spade_club, check_z_of_peirce_cell, gen_m2, idempotents, linalg,
-                     nucleus, peirce_frame, peirce_project,
-                     verify_peirce_relations)
+                     nucleus, peirce_frame, verify_peirce_relations)
 from altring.enumeration import Enumeration
 from altring.errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible,
                             TrivialIdempotent, UnsupportedDomain)
@@ -122,14 +121,14 @@ def test_peirce_frame_rejects_trivial(m2):
 
 
 def test_peirce_project_decomposes(m2, m2_frame):
-    parts = peirce_project(m2_frame, m2_frame.e1)
+    parts = m2_frame.project(m2_frame.e1)
     assert parts[(1, 1)].coords == m2_frame.e1.coords
     assert all(parts[ij].is_zero() for ij in ((1, 2), (2, 1), (2, 2)))
-    parts = peirce_project(m2_frame, m2.unit())
+    parts = m2_frame.project(m2.unit())
     assert parts[(1, 1)].coords == m2_frame.e1.coords
     assert parts[(2, 2)].coords == m2_frame.e2.coords
     x = m2.element([1, 2, 3, 4])
-    parts = peirce_project(m2_frame, x)
+    parts = m2_frame.project(x)
     total = parts[(1, 1)] + parts[(1, 2)] + parts[(2, 1)] + parts[(2, 2)]
     assert total.coords == x.coords
     assert parts[(1, 2)].coords == (0, 2, 0, 0)
@@ -215,10 +214,11 @@ def test_condition_1_fails_on_triangular(t2):
 def test_spade_club(m2_frame, zorn_frame, dsum_frame, t2):
     t2_frame = peirce_frame(t2, t2.basis_element(0))
     for frame in (m2_frame, zorn_frame, dsum_frame, t2_frame):
-        reports = {r.condition: r for r in check_spade_club(frame)}
+        hyps = check_main_hypotheses(frame)
+        reports = {r.condition: r for r in check_spade_club(frame, hyps)}
         assert reports["conditions_imply_spade_club"].ok
-    assert all(r.ok for r in check_spade_club(m2_frame))
-    assert all(r.ok for r in check_spade_club(zorn_frame))
+    for frame in (m2_frame, zorn_frame):
+        assert all(r.ok for r in check_spade_club(frame, check_main_hypotheses(frame)))
 
 
 def test_z_of_peirce_cell(m2_frame, zorn_frame):
