@@ -19,7 +19,8 @@ from . import maps as maps_mod
 from .decompose import decompose as run_decompose, verify_theorem
 from . import structure as st
 from .enumeration import DEFAULT_BUDGET
-from .errors import AltringError, BudgetExceeded, ParseError, UnsupportedDomain
+from .errors import (AltringError, BudgetExceeded, DimensionMismatch, DomainMismatch,
+                     ParseError, UnsupportedDomain)
 from .generators import GENERATORS, gen_direct_sum
 from .reports import dumps
 from .rings import (Ring, is_alternative, is_associative, is_flexible,
@@ -275,7 +276,8 @@ def main(argv=None) -> int:
     ws = Workspace(budget=budget, seed=args.seed)
     try:
         return args.fn(args, ws)
-    except (ParseError, FileNotFoundError, ValueError, BudgetExceeded, UnsupportedDomain) as exc:
+    except (ParseError, DimensionMismatch, DomainMismatch, FileNotFoundError, ValueError,
+            BudgetExceeded, UnsupportedDomain) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AltringError as exc:

@@ -26,7 +26,8 @@ negative of an anti-isomorphism; verify_decomposition certifies both
 claims exhaustively (or by seeded sampling past the pair budget), plus
 centrality of tau and its vanishing on commutators.
 
-Element-sized work runs over element indices, never coordinate rows.
+Element-sized work runs over element indices, never coordinate rows;
+only tau = phi - psi reads phi's coordinate table (`MapTable.images`).
 psi(x) sums the memoized values of the Peirce components of x, looked up
 by the index of each projection (`Enumeration.linear_index`), on (n, N)
 planes.  The element certificates compare index arrays computed once
@@ -103,7 +104,7 @@ def _source_hypotheses(m: MapTable, e1: Element, budget: int) -> list[CheckRepor
 def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame, tgt_frame: PeirceFrame,
                           budget: int) -> BranchDetection:
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    imgs = m.images(budget)
+    f_idx = m.image_index(budget)
     zc = center(m.target)
     f = {1: tgt_frame.e1.coords, 2: tgt_frame.e2.coords}
     zf = {i: Subspace.from_vectors(m.target, [list(m.target.mul_coords(list(z), f[i]))
@@ -114,7 +115,7 @@ def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame, tgt_frame: Peirce
             j = 3 - i
             src_cell = (j, j) if tag == BRANCH_DAGGER else (i, i)
             pts = src_frame.components[src_cell].points(es, budget)
-            corners = imgs[es.index_of(pts)] @ tgt_frame.projector_np(i, i).T % et.p
+            corners = et.coords_of(f_idx[es.index_of(pts)]) @ tgt_frame.projector_np(i, i).T % et.p
             inside = zf[i].mask(et, corners)
             ok = bool(inside.all())
             wit = None
@@ -198,7 +199,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     tgt = m.target
     dom = tgt.domain
-    imgs = m.images(budget)
+    f_idx = m.image_index(budget)
     zc = center(tgt)
 
     # unique-split preflight: each diagonal target corner must meet the
@@ -222,7 +223,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     for ij in CELLS:
         pts = src_frame.components[ij].points(es, budget)
         idxs = es.index_of(pts)
-        img = imgs[idxs]
+        img = et.coords_of(f_idx[idxs])
         if ij[0] != ij[1]:
             vals = img
         else:
@@ -256,7 +257,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
         pos = np.searchsorted(keys, es.linear_index(src_frame.projector_np(*ij), budget))
         planes += vals.take(pos, axis=1)
     psi = et.reduce(planes).T
-    tau = imgs.astype(et.elim_dtype)
+    tau = m.images(budget).astype(et.elim_dtype)
     tau -= psi
     et.reduce(tau)
 

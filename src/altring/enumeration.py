@@ -33,7 +33,8 @@ reference cycle and the ring is freed, tables included, with its last
 reference.  `all_coords`, the (count, n) int64 transpose of the digit
 table, is not cached: at 390,625 elements it is 25 MB that would stay
 alive for the whole run, raising peak RSS, while its callers need it
-only for a moment.
+only for a moment: the primeness generator classes, and `MapTable.images`
+for tau = phi - psi in `decompose` and for `map_to_json`.
 
 Pair scans work in index space.  The digit table `digits` holds the
 (n, count) coordinate planes of every element in `elim_dtype`, the
@@ -43,7 +44,7 @@ budget.  The index kernels `mul_index`, `commutator_index`
 and `add_index` take element indices (any broadcastable shapes), gather
 their operand planes from the table with `take(idx, axis=1)` and return
 int64 indices by Horner's rule on the planes (`index_of_planes`, run in
-`index_dtype`, the narrowest signed type holding count - 1): no
+the narrowest signed type holding count - 1): no
 coordinate rows, no transpose.  `mul_index` runs the same product core
 as `mul` and `mul_outer`, which take their operand planes in
 `elim_dtype` and return reduced coordinates in `acc_dtype`.  The cores
@@ -59,7 +60,9 @@ type holding n*(p-1)**2 + p (int8 for M2 over F_5, int16 for Zorn over
 F_5), before `reduce` and `index_of_planes`.  The ufunc is told that
 type, so a narrow digit plane is widened before it is multiplied: under
 NumPy 1.24's value-based casting an int8 array times a wider scalar
-would stay int8.
+would stay int8.  For an (m, n) matrix the m planes index the elements
+of an m-dimensional target, so a structured map's image index is one
+`linear_index` even when the target's dimension differs.
 
 Commutators have one core of their own over the antisymmetrised
 constants d = (c_ijk - c_jik) mod p, i < j (`comm_terms`): plane k
@@ -147,8 +150,6 @@ class Enumeration:
         weight = max((w for ws in self.mat_weights.values() for w in ws.values()), default=0)
         self.mat_dtype = _narrowest_signed(weight * (self.p - 1) + self.p)
         self.radix = self.p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        # Horner's rule on digit planes: every partial index stays below count
-        self.index_dtype = _narrowest_signed(self.count - 1)
         self.unit = np.array([int(x) for x in ring.unit_coords], dtype=np.int64)
         self._digits = None
         self._idempotents = None
@@ -199,10 +200,10 @@ class Enumeration:
         return self._digits
 
     def index_of_planes(self, P) -> np.ndarray:
-        """Element indices of reduced (n, ...) coordinate planes (any
-        integer dtype), by Horner's rule in `index_dtype`; returned in
-        int64."""
-        idx = P[0].astype(self.index_dtype)
+        """Element indices of reduced (m, ...) coordinate planes (any
+        integer dtype), by Horner's rule in the narrowest signed type
+        holding p**m - 1; returned in int64."""
+        idx = P[0].astype(_narrowest_signed(self.p ** len(P) - 1))
         for plane in P[1:]:
             idx *= idx.dtype.type(self.p)
             idx += plane
@@ -327,7 +328,7 @@ class Enumeration:
 
     def linear_index(self, M, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """Index of M*x for every element x, in element order, for an
-        (n, n) integer matrix M (entries reduced mod p here)."""
+        (m, n) integer matrix M (entries reduced mod p here)."""
         D = self.digits(budget)
         dt = self.lin_dtype
         out = np.zeros((len(M), self.count), dtype=dt)

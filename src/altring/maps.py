@@ -1,11 +1,13 @@
 """Maps between finite rings: construction, storage, and the verifier
 battery for surjective idempotent-preserving Lie multiplicative maps.
 
-A map is stored either as a total table over the enumerated source (no
+A map is given either as a total table over the enumerated source (no
 additivity is assumed: multiplicativity on commutators is the only given)
-or in structured form, a linear part plus a central offset.  Structured
-maps evaluate over any scalar domain; every scan-based verifier works on
-the dense table and therefore needs a prime-field ring.
+or in structured form, a linear part M plus a central offset lambda(x)*z,
+which is the one matrix M + z lambda^T and evaluates over any scalar
+domain.  Over a prime field every map is held as one image index, read
+by every verifier; the few that need coordinates of some points take
+them from it (`Enumeration.coords_of`).
 """
 
 from __future__ import annotations
@@ -26,88 +28,74 @@ from .structure import (PeirceFrame, center, center_mask, check_main_hypotheses,
 
 
 class MapTable:
-    """Total map between two rings over one scalar domain."""
+    """Total map between two rings over one scalar domain.  Its only
+    element-sized array is the image index: a table's converted
+    coordinates, or one `linear_index` of a structured map's `matrix`."""
 
-    def __init__(self, source: Ring, target: Ring, *, images: np.ndarray | None = None,
+    def __init__(self, source: Ring, target: Ring, *, index: np.ndarray | None = None,
                  matrix=None, offset_functional=None, offset_central=None, spec=None):
         if source.domain != target.domain:
             raise DomainMismatch(f"{source.name!r} and {target.name!r} have different scalar domains")
         self.source = source
         self.target = target
         self.spec = spec or {"kind": "table"}
-        self._images = None
-        self._image_idx = None
+        self._index = None
         self._memo = {}
-        if images is not None:
+        if index is not None:
             self.kind = "dense"
-            self._images = np.asarray(images, dtype=np.int64)
-            if self._images.shape != (Enumeration.of(source).count, target.dim):
+            self._index = np.asarray(index, dtype=np.int64)
+            if self._index.shape != (Enumeration.of(source).count,):
                 raise DimensionMismatch("dense table must cover every source element")
-        else:
-            self.kind = "structured"
-            if matrix is None or len(matrix) != target.dim or any(len(r) != source.dim for r in matrix):
-                raise DimensionMismatch(f"linear part must be {target.dim}x{source.dim}")
-            dom = source.domain
-            self.matrix = [[dom.parse(x) for x in row] for row in matrix]
-            self.offset_functional = [dom.parse(x) for x in (offset_functional or [dom.zero] * source.dim)]
-            self.offset_central = tuple(dom.parse(x) for x in (offset_central or [dom.zero] * target.dim))
-            if len(self.offset_functional) != source.dim or len(self.offset_central) != target.dim:
-                raise DimensionMismatch("offset shapes do not match the rings")
-            self._validate_offset()
-
-    def _validate_offset(self):
-        dom = self.source.domain
-        if all(x == dom.zero for x in self.offset_functional) or \
-           all(x == dom.zero for x in self.offset_central):
             return
-        if not center(self.target).contains(self.offset_central):
+        self.kind = "structured"
+        if matrix is None or len(matrix) != target.dim or any(len(r) != source.dim for r in matrix):
+            raise DimensionMismatch(f"linear part must be {target.dim}x{source.dim}")
+        dom = source.domain
+        func = [dom.parse(x) for x in (offset_functional or [dom.zero] * source.dim)]
+        z = [dom.parse(x) for x in (offset_central or [dom.zero] * target.dim)]
+        if len(func) != source.dim or len(z) != target.dim:
+            raise DimensionMismatch("offset shapes do not match the rings")
+        self._validate_offset(func, z)
+        self.matrix = [[dom.add(dom.parse(a), dom.mul(zk, f)) for a, f in zip(row, func)]
+                       for row, zk in zip(matrix, z)]
+
+    def _validate_offset(self, func, z):
+        """lambda(x)*z must be central: z central, and lambda vanishing on
+        every commutator, so on each [b_i, b_j]."""
+        src, dom = self.source, self.source.domain
+        if all(x == dom.zero for x in func) or all(x == dom.zero for x in z):
+            return
+        if not center(self.target).contains(z):
             raise OffsetNotCentral("offset element is not in the target centre")
-        comms = []
-        for i in range(self.source.dim):
-            for j in range(i + 1, self.source.dim):
-                bi, bj = self.source.basis_coords(i), self.source.basis_coords(j)
-                comms.append(list(self.source.sub_coords(self.source.mul_coords(bi, bj),
-                                                         self.source.mul_coords(bj, bi))))
-        basis, _ = linalg.rref(comms, dom)
-        for row in basis:
-            acc = dom.zero
-            for f, x in zip(self.offset_functional, row):
-                acc = dom.add(acc, dom.mul(f, x))
-            if acc != dom.zero:
-                raise OffsetNotCentral("offset functional does not vanish on commutators")
+        for i in range(src.dim):
+            for j in range(i + 1, src.dim):
+                bi, bj = src.basis_coords(i), src.basis_coords(j)
+                comm = src.sub_coords(src.mul_coords(bi, bj), src.mul_coords(bj, bi))
+                if linalg.mat_vec([func], list(comm), dom)[0] != dom.zero:
+                    raise OffsetNotCentral("offset functional does not vanish on commutators")
 
     # -- evaluation -------------------------------------------------------
 
     def eval_coords(self, coords):
         """Image of one source coordinate vector (any scalar domain)."""
         if self.kind == "dense":
-            k = Enumeration.of(self.source).index_of(np.array([int(x) for x in coords], dtype=np.int64))
-            return tuple(int(c) for c in self._images[int(k)])
-        dom = self.source.domain
-        out = linalg.mat_vec(self.matrix, list(coords), dom)
-        lam = dom.zero
-        for f, x in zip(self.offset_functional, coords):
-            lam = dom.add(lam, dom.mul(f, x))
-        return tuple(dom.add(a, dom.mul(lam, z)) for a, z in zip(out, self.offset_central))
+            k = Enumeration.of(self.source).index_of([int(x) for x in coords])
+            return tuple(int(c) for c in Enumeration.of(self.target).coords_of(self._index[int(k)]))
+        return tuple(linalg.mat_vec(self.matrix, list(coords), self.source.domain))
 
     def __call__(self, x: Element) -> Element:
         return Element(self.target, self.eval_coords(x.coords))
 
-    def images(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """Dense image coordinates over the whole enumerated source."""
-        if self._images is None:
-            enum = Enumeration.of(self.source)
-            X = enum.all_coords(budget)
-            M = np.array([[int(x) for x in row] for row in self.matrix], dtype=np.int64)
-            f = np.array([int(x) for x in self.offset_functional], dtype=np.int64)
-            z = np.array([int(x) for x in self.offset_central], dtype=np.int64)
-            self._images = (X @ M.T + (X @ f)[:, None] * z) % enum.p
-        return self._images
-
     def image_index(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        if self._image_idx is None:
-            self._image_idx = Enumeration.of(self.target).index_of(self.images(budget))
-        return self._image_idx
+        """Target element index of phi(x) for every source element x."""
+        if self._index is None:
+            self._index = Enumeration.of(self.source).linear_index(self.matrix, budget)
+        return self._index
+
+    def images(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """(N, n) int64 image coordinates over the whole enumerated source,
+        derived from the image index on every call."""
+        return Enumeration.of(self.target).all_coords(budget)[self.image_index(budget)]
 
     def cached(self, key, build):
         """build(), computed once per map and key.  A run's Peirce frames,
@@ -119,9 +107,10 @@ class MapTable:
 
     def replace_entry(self, idx: int, coords) -> "MapTable":
         """Dense copy with one table entry overwritten (for negative controls)."""
-        imgs = self.images().copy()
-        imgs[idx] = np.array([int(self.target.domain.parse(x)) for x in coords], dtype=np.int64)
-        return MapTable(self.source, self.target, images=imgs,
+        index = self.image_index().copy()
+        index[idx] = Enumeration.of(self.target).index_of(
+            [self.target.domain.parse(x) for x in coords])
+        return MapTable(self.source, self.target, index=index,
                         spec={"kind": "table", "note": "perturbed"})
 
     def is_bijective(self, budget: int = DEFAULT_BUDGET) -> bool:
@@ -208,8 +197,7 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
         idx = np.arange(Enumeration.of(source).count)
         for part in parts:
             idx = part.image_index(budget)[idx]
-        images = Enumeration.of(target).coords_of(idx)
-        return MapTable(source, target, images=images, spec=spec)
+        return MapTable(source, target, index=idx, spec=spec)
     if kind == "table":
         entries = spec["entries"]
         if isinstance(entries, dict):
@@ -217,9 +205,13 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
         enum = Enumeration.of(source)
         if len(entries) != enum.count:
             raise ParseError(f"table has {len(entries)} entries, source has {enum.count} elements")
+        if any(len(row) != target.dim for row in entries):
+            raise DimensionMismatch(f"table rows must have {target.dim} entries, "
+                                    f"one per coordinate of {target.name!r}")
         tgt = target.domain
         images = np.array([[int(tgt.parse(x)) for x in row] for row in entries], dtype=np.int64)
-        return MapTable(source, target, images=images, spec={"kind": "table"})
+        return MapTable(source, target, index=Enumeration.of(target).index_of(images),
+                        spec={"kind": "table"})
     raise ParseError(f"unknown map kind {kind!r}")
 
 
@@ -378,10 +370,10 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
     if not rep.ok:
         a, b = (int(es.index_of(rep.witness[key])) for key in "ab")
         Xa, Xb = es.coords_of(a), es.coords_of(b)
-        imgs = m.images(budget)
+        Ya, Yb = et.coords_of(f_idx[a]), et.coords_of(f_idx[b])
         for lam in range(p):
             d = (Xa - lam * Xb) % p
-            dt = (imgs[a] - lam * imgs[b]) % p
+            dt = (Ya - lam * Yb) % p
             if bool(idem_src[int(es.index_of(d))]) != bool(idem_tgt[int(et.index_of(dt))]):
                 rep.witness["lambda"] = int(lam)
                 break
@@ -404,10 +396,10 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
                "b": coords_json(m.source, [int(x) for x in es.coords_of(int(pre[1]))])}
     reports = [CheckReport("injective", inj, wit, {"elements": int(es.count)})]
 
-    zero_ok = bool((m.images(budget)[0] == 0).all())
+    zero_ok = bool(idx[0] == 0)
     reports.append(CheckReport("maps_zero_to_zero", zero_ok,
                                None if zero_ok else {"image_of_zero": coords_json(
-                                   m.target, [int(x) for x in m.images(budget)[0]])},
+                                   m.target, [int(x) for x in et.coords_of(idx[0])])},
                                {"elements": 1}))
 
     ok, wit = True, None
@@ -463,14 +455,13 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
     """
     src_frame, tgt_frame = peirce_frames(m, e1)
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    imgs = m.images(budget)
+    f_idx = m.image_index(budget)
     reports = []
 
     for ij in ((1, 2), (2, 1)):
         pts = src_frame.components[ij].points(es, budget)
-        img = imgs[es.index_of(pts)]
         tgt_pts = tgt_frame.components[ij].points(et, budget)
-        got = np.unique(et.index_of(img))
+        got = np.unique(f_idx[es.index_of(pts)])
         want = np.unique(et.index_of(tgt_pts))
         ok = len(got) == len(want) and bool((got == want).all())
         wit = None
@@ -485,7 +476,7 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
     for i in (1, 2):
         j = 3 - i
         pts = src_frame.components[(i, i)].points(es, budget)
-        img = imgs[es.index_of(pts)]
+        img = et.coords_of(f_idx[es.index_of(pts)])
         same = tgt_frame.components[(i, i)].sum(zc)
         swap = tgt_frame.components[(j, j)].sum(zc)
         in_same, in_swap = same.mask(et, img), swap.mask(et, img)

@@ -166,3 +166,30 @@ def test_text_format(files, capsys):
     assert main(["analyze", files["m2"], "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "alternative: True" in out
+
+
+@pytest.mark.parametrize("repr_, message", [
+    ({"kind": "table", "entries": [[0, 0, 0]] * 625}, "table rows must have 4 entries"),
+    ({"kind": "linear", "matrix": [[1, 0, 0]] * 4}, "linear part must be 4x4"),
+], ids=["table_rows_of_width_3", "linear_4x3"])
+def test_malformed_map_is_an_input_error(files, capsys, repr_, message):
+    path = files["dir"] / "malformed.json"
+    path.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5", "repr": repr_}))
+    assert main(["verify-theorem", "--source", files["m2"], "--target", files["m2"],
+                 "--map", str(path), "--idempotent", "1,0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_map_across_scalar_domains_is_an_input_error(files, capsys):
+    m2_f7 = files["dir"] / "m2_f7.json"
+    assert main(["gen", "m2", "--field", "7", "--out", str(m2_f7)]) == 0
+    path = files["dir"] / "f5_to_f7.json"
+    path.write_text(json.dumps({"source": "m2_f5", "target": "m2_f7",
+                                "repr": {"kind": "linear",
+                                         "matrix": [[int(i == j) for j in range(4)]
+                                                    for i in range(4)]}}))
+    assert main(["verify-theorem", "--source", files["m2"], "--target", str(m2_f7),
+                 "--map", str(path), "--idempotent", "1,0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "different scalar domains" in err

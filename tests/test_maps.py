@@ -16,6 +16,7 @@ from altring.errors import (DimensionMismatch, NotBijective,
                             NotIdempotentImage, NotInvertible,
                             OffsetNotCentral, ParseError)
 from altring.maps import pair_scan
+from altring.rings import Ring
 
 
 def test_identity_map_passes_everything(id_m2):
@@ -164,6 +165,125 @@ def test_dense_eval_matches_table_with_one_enumeration():
         assert ring_ref() is None and enum_ref() is None
     finally:
         gc.enable()
+
+
+def structured_cases(m2):
+    """(builder spec, phi in `rings.py` Element arithmetic) for every
+    structured builder, one with a nonzero central offset."""
+    one = m2.element(m2.unit_coords)
+    u, u_inv = m2.element([1, 1, 0, 1]), m2.element([1, 4, 0, 1])
+    lin = [[1, 2, 0, 0], [0, 1, 0, 3], [4, 0, 1, 0], [0, 0, 2, 1]]
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+
+    def trace(x):
+        return x.coords[0] + x.coords[3]
+
+    return {
+        "identity": ({"kind": "identity"}, lambda x: x),
+        "linear": ({"kind": "linear", "matrix": lin},
+                   lambda x: m2.element(m2.apply_matrix(lin, x.coords))),
+        "neg_transpose_plus_trace": (
+            {"kind": "neg_transpose_plus_trace"},
+            lambda x: one.smul(trace(x)) - m2.element([x.coords[i] for i in (0, 2, 1, 3)])),
+        "conjugation": ({"kind": "conjugation", "element": [1, 1, 0, 1]},
+                        lambda x: u * x * u_inv),
+        "structured_offset": ({"kind": "structured", "matrix": ident,
+                               "offset_functional": [1, 0, 0, 1],
+                               "offset_central": [2, 0, 0, 2]},
+                              lambda x: x + one.smul(2 * trace(x))),
+    }
+
+
+def element_index(coords, p=5):
+    """Element index of reduced coordinates: their base-p digits."""
+    k = 0
+    for c in coords:
+        k = k * p + c
+    return k
+
+
+def assert_map_matches(m, ring, want):
+    """image_index, images, eval_coords and __call__ of m all equal the
+    reference images `want`, listed in element order."""
+    X = Enumeration.of(ring).all_coords().tolist()
+    assert m.image_index().tolist() == [element_index(w) for w in want]
+    assert m.images().tolist() == [list(w) for w in want]
+    assert [m.eval_coords(x) for x in X] == want
+    assert [m(ring.element(x)).coords for x in X] == want
+
+
+@pytest.mark.parametrize("name", ["identity", "linear", "neg_transpose_plus_trace",
+                                  "conjugation", "structured_offset"])
+def test_structured_map_index_matches_exact_arithmetic(m2, name):
+    spec, ref = structured_cases(m2)[name]
+    m = build_map(m2, m2, spec)
+    assert m.kind == "structured"
+    X = Enumeration.of(m2).all_coords().tolist()
+    assert_map_matches(m, m2, [ref(m2.element(x)).coords for x in X])
+
+
+def test_compose_and_replace_entry_match_their_parts(m2):
+    specs = [structured_cases(m2)[k][0] for k in ("conjugation", "neg_transpose_plus_trace")]
+    first, second = (build_map(m2, m2, s) for s in specs)
+    both = build_map(m2, m2, {"kind": "compose", "parts": specs})
+    assert both.kind == "dense"
+    X = Enumeration.of(m2).all_coords().tolist()
+    want = [second(first(m2.element(x))).coords for x in X]
+    assert_map_matches(both, m2, want)
+
+    # one entry changes, in the copy only
+    k = 137
+    new = tuple((c + 1) % 5 for c in want[k])
+    bad = both.replace_entry(k, new)
+    assert (bad.image_index() != both.image_index()).nonzero()[0].tolist() == [k]
+    assert_map_matches(bad, m2, want[:k] + [new] + want[k + 1:])
+    assert_map_matches(both, m2, want)
+
+
+def test_linear_map_into_larger_target_indexes_in_target_dtype(m2, dsum):
+    """x -> (x, x) from M2 into M2+M2 over F_5: element k maps to index
+    626*k, up to 390,624, past int16, which holds the 625 indices of the
+    source."""
+    diag = [[int(i % 4 == j) for j in range(4)] for i in range(8)]
+    m = build_map(m2, dsum, {"kind": "linear", "matrix": diag})
+    idx = m.image_index()
+    assert idx.max() > 625
+    assert idx.tolist() == [626 * k for k in range(625)]
+    for x in Enumeration.of(m2).all_coords()[::61].tolist():
+        assert m(m2.element(x)).coords == tuple(x + x)
+
+
+def held_arrays(obj, seen=None):
+    """Every ndarray reachable from obj through containers and object
+    attributes, except through rings, whose memo holds the per-ring
+    tables."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, Ring):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return
+    for item in items:
+        yield from held_arrays(item, seen)
+
+
+def test_map_holds_only_its_image_index_after_verify_theorem(m2):
+    m = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"})
+    bundle = verify_theorem(m, m2.basis_element(0), "ddagger", 10**6, 0)
+    assert bundle["all_certificates_pass"] and "decomposition" in bundle
+    count = Enumeration.of(m2).count
+    held = [a for a in held_arrays(m) if count in a.shape]
+    assert len(held) == 1 and held[0] is m.image_index()
+    assert held[0].shape == (count,) and held[0].dtype == np.int64
 
 
 def test_table_loader_validates_entry_count(m2):
