@@ -12,12 +12,11 @@ from .decompose import (BRANCH_DAGGER, BRANCH_DDAGGER, DecompositionResult,
                         verify_theorem)
 from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
-                     BudgetExceeded, CertificationFailed, DimensionMismatch,
-                     DomainMismatch, HypothesisFailed, InvalidField,
-                     NotBijective, NotIdempotent, NotIdempotentImage,
-                     NotInvertible, OffsetNotCentral, ParseError,
-                     PeirceIncompatible, RingMismatch, TrivialIdempotent,
-                     UnsupportedDomain)
+                     BudgetExceeded, DimensionMismatch, DomainMismatch,
+                     HypothesisFailed, InvalidField, NotBijective,
+                     NotIdempotent, NotIdempotentImage, NotInvertible,
+                     OffsetNotCentral, ParseError, PeirceIncompatible,
+                     RingMismatch, TrivialIdempotent, UnsupportedDomain)
 from .generators import (gen_direct_sum, gen_m2, gen_triangular2, gen_zorn,
                          zorn_idempotent)
 from .maps import (MapTable, build_map, check_almost_additivity,

@@ -20,7 +20,7 @@ from .decompose import decompose as run_decompose, verify_theorem
 from . import structure as st
 from .enumeration import DEFAULT_BUDGET
 from .errors import (AltringError, BudgetExceeded, DimensionMismatch, DomainMismatch,
-                     ParseError, UnsupportedDomain)
+                     InvalidField, ParseError, UnsupportedDomain)
 from .generators import GENERATORS, gen_direct_sum
 from .reports import dumps
 from .rings import (Ring, is_alternative, is_associative, is_flexible,
@@ -41,12 +41,18 @@ class Workspace:
         return ring
 
 
+# characters per write: the text layer then encodes one slice at a time,
+# never a second whole copy of a 40 MB bundle
+_WRITE_SLICE = 1 << 20
+
+
 def _emit(args, obj: dict, lines: list[str] | None) -> None:
     """Write `lines` under --format text, else `obj` as JSON (`gen`, which
     passes no lines, always writes JSON), to --out or standard output."""
     text = "\n".join(lines) + "\n" if args.format == "text" and lines is not None else dumps(obj)
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        fh.write(text)
+        for lo in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[lo:lo + _WRITE_SLICE])
 
 
 def _report_lines(reports: list[dict]) -> list[str]:
@@ -187,8 +193,7 @@ def _load_map(args, ws: Workspace):
 def cmd_decompose(args, ws: Workspace) -> int:
     src, _tgt, m = _load_map(args, ws)
     e1 = _parse_coords(src, args.idempotent)
-    result = run_decompose(m, e1, branch=args.branch, budget=ws.budget,
-                           seed=ws.seed, certify=False)
+    result = run_decompose(m, e1, branch=args.branch, budget=ws.budget, seed=ws.seed)
     obj = result.to_json()
     lines = [f"branch: {result.branch}"] + _report_lines(obj["certificates"])
     _emit(args, obj, lines)
@@ -276,8 +281,8 @@ def main(argv=None) -> int:
     ws = Workspace(budget=budget, seed=args.seed)
     try:
         return args.fn(args, ws)
-    except (ParseError, DimensionMismatch, DomainMismatch, FileNotFoundError, ValueError,
-            BudgetExceeded, UnsupportedDomain) as exc:
+    except (ParseError, DimensionMismatch, DomainMismatch, InvalidField, FileNotFoundError,
+            ValueError, BudgetExceeded, UnsupportedDomain) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AltringError as exc:

@@ -21,23 +21,24 @@ on both sides, tests the two corner conditions
 
 and constructs psi cellwise: off-diagonal corners copy phi, diagonal
 corners subtract the uniquely solved central component.  tau is phi - psi.
-Under "dagger" psi should be a ring isomorphism, under "ddagger" the
-negative of an anti-isomorphism; verify_decomposition certifies both
-claims exhaustively (or by seeded sampling past the pair budget), plus
+Both are maps, held as `MapTable`s of their image index alone.  Under
+"dagger" psi should be a ring isomorphism, under "ddagger" the negative
+of an anti-isomorphism; verify_decomposition certifies both claims
+exhaustively (or by seeded sampling past the pair budget), plus
 centrality of tau and its vanishing on commutators.
 
-Element-sized work runs over element indices, never coordinate rows;
-only tau = phi - psi reads phi's coordinate table (`MapTable.images`).
+Element-sized work runs over element indices, never coordinate rows.
 psi(x) sums the memoized values of the Peirce components of x, looked up
 by the index of each projection (`Enumeration.linear_index`), on (n, N)
-planes.  The element certificates compare index arrays computed once
-from `psi` and `tau`: recomposition is `add_index(psi, tau)` against the
-image index, the matrix check is `linear_index(psi_matrix)`, centrality
-of tau is a gather from a centre mask over all target indices.  Each
-quotes the lowest failing element index as its witness.  The per-cell
-product cases and the sandwich identity run `mul_index` on grids of the
-Peirce cells' element indices, row-major, and quote the first failing
-pair.
+planes, which give psi's index; tau's is phi's plus that of -psi.  The
+bundle's tau table is `tau.images()`, a narrow gather from the digit
+table.  The element certificates compare the two indices: recomposition
+is `add_index(psi, tau)` against phi's, the matrix check is
+`linear_index(psi_matrix)`, centrality of tau is a gather from a centre
+mask over all target indices.  Each quotes the lowest failing element
+index as its witness.  The per-cell product cases and the sandwich
+identity run `mul_index` on grids of the Peirce cells' element indices,
+row-major, and quote the first failing pair.
 
 Small corners make the corner conditions degenerate: when both hold the
 caller must pick the branch (both constructions can be simultaneously
@@ -53,8 +54,8 @@ import numpy as np
 from . import linalg
 from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
-                     BudgetExceeded, CertificationFailed, HypothesisFailed,
-                     NotBijective, UnsupportedDomain)
+                     BudgetExceeded, HypothesisFailed, NotBijective,
+                     UnsupportedDomain)
 from .maps import (MapTable, check_almost_additivity, check_map_consequences,
                    check_peirce_image, pair_report, peirce_frames,
                    verify_lie_multiplicative, verify_preserves_idempotents,
@@ -135,8 +136,8 @@ class DecompositionResult:
     source_frame: PeirceFrame
     target_frame: PeirceFrame
     branch: str
-    psi: np.ndarray                 # (N, target dim) additive part images
-    tau: np.ndarray                 # (N, target dim) central part images
+    psi: MapTable                   # additive part
+    tau: MapTable                   # central part, phi - psi
     psi_matrix: list | None
     detection: BranchDetection
     budget: int
@@ -156,7 +157,7 @@ class DecompositionResult:
             "branch": self.branch,
             "psi_matrix": None if self.psi_matrix is None else
                 [[tgt.domain.fmt(x) for x in row] for row in self.psi_matrix],
-            "tau": self.tau,
+            "tau": self.tau.images(self.budget),
             "detection": self.detection.to_json(),
             "certificates": [c.to_json() for c in self.certificates],
             "all_required_pass": self.required_pass(),
@@ -166,16 +167,15 @@ class DecompositionResult:
 
 
 def decompose(m: MapTable, e1: Element, branch: str | None = None,
-              budget: int = DEFAULT_BUDGET, seed: int = 0,
-              certify: bool = True) -> DecompositionResult:
-    """Build psi and tau for a map assumed to pass the entry verifiers.
+              budget: int = DEFAULT_BUDGET, seed: int = 0) -> DecompositionResult:
+    """Build psi and tau for a map assumed to pass the entry verifiers, and
+    certify them; `required_pass()` of the result says whether they hold.
 
     Raises HypothesisFailed when a structural condition (1)-(4) fails on
     the source frame, BranchUndetermined when the corner tests do not
-    single out a branch and the caller chose none, AmbiguousCentralSplit
-    when the central component of a diagonal image is not uniquely
-    solvable, and (with certify=True) CertificationFailed on the first
-    broken certificate.
+    single out a branch and the caller chose none, and
+    AmbiguousCentralSplit when the central component of a diagonal image
+    is not uniquely solvable.
     """
     if not m.is_bijective(budget):
         raise NotBijective("decomposition needs a bijective dense table")
@@ -256,30 +256,24 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
         keys, vals = memo[ij]
         pos = np.searchsorted(keys, es.linear_index(src_frame.projector_np(*ij), budget))
         planes += vals.take(pos, axis=1)
-    psi = et.reduce(planes).T
-    tau = m.images(budget).astype(et.elim_dtype)
-    tau -= psi
-    et.reduce(tau)
+    psi_idx = et.index_of_planes(et.reduce(planes))
+    tau_idx = et.add_index(f_idx, et.smul_index(et.p - 1, budget)[psi_idx], budget)
 
     basis_idx = es.index_of(np.eye(m.source.dim, dtype=np.int64))
-    psi_matrix = [[dom.parse(int(psi[int(bi)][row])) for bi in basis_idx]
-                  for row in range(tgt.dim)]
+    psi_matrix = [[dom.parse(int(x)) for x in row] for row in et.coords_of(psi_idx[basis_idx]).T]
 
-    res = DecompositionResult(m, e1, src_frame, tgt_frame, branch, psi, tau,
+    res = DecompositionResult(m, e1, src_frame, tgt_frame, branch,
+                              MapTable(m.source, tgt, index=psi_idx),
+                              MapTable(m.source, tgt, index=tau_idx),
                               psi_matrix, detection, budget, seed)
-    res.certificates = verify_decomposition(res, budget, seed)
-    if certify:
-        for cert in res.certificates:
-            if not cert.ok and cert.condition not in INFORMATIONAL_CERTIFICATES:
-                raise CertificationFailed(cert.condition, cert.witness)
+    res.certificates = verify_decomposition(res)
     return res
 
 
 # -- certificates --------------------------------------------------------------
 
-def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
-                         seed: int = 0) -> list[CheckReport]:
-    """Certificate battery for a decomposition.
+def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
+    """Certificate battery for a decomposition, at its budget and seed.
 
     Element-quantified checks are always exhaustive; pair-quantified ones
     are exhaustive within the budget and seeded-sampled past it.  The
@@ -287,16 +281,18 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
     with the sandwich identity psi((ab)a) = (psi(a)psi(b))psi(a) for
     opposite off-diagonal pairs checked separately.
     """
-    m = res.map
+    m, budget, seed = res.map, res.budget, res.seed
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    psi, tau = res.psi, res.tau
-    psi_idx, tau_idx = et.index_of(psi), et.index_of(tau)
+    psi_idx, tau_idx = res.psi.image_index(budget), res.tau.image_index(budget)
     p = es.p
     anti = res.branch == BRANCH_DDAGGER
     certs: list[CheckReport] = []
 
     def src_json(k):
         return coords_json(m.source, [int(v) for v in es.coords_of(k)])
+
+    def tgt_json(k):
+        return coords_json(m.target, [int(v) for v in et.coords_of(k)])
 
     def elem_report(name, bad, witness=None):
         """Report on an element mask: the witness is the lowest failing index."""
@@ -324,16 +320,12 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
 
     # witness: the first target element hit twice, with two preimages,
     # else the first target element never hit
-    hits = np.bincount(psi_idx, minlength=et.count)
+    twice, missed = res.psi.fibres(budget)
     wit = None
-    if (hits > 1).any():
-        k = int(np.flatnonzero(hits > 1)[0])
-        a, b = (int(x) for x in np.flatnonzero(psi_idx == k)[:2])
-        wit = {"image": coords_json(m.target, [int(v) for v in et.coords_of(k)]),
-               "a": src_json(a), "b": src_json(b)}
-    elif (hits == 0).any():
-        k = int(np.flatnonzero(hits == 0)[0])
-        wit = {"unreached": coords_json(m.target, [int(v) for v in et.coords_of(k)])}
+    if twice is not None:
+        wit = {"image": tgt_json(twice[0]), "a": src_json(twice[1]), "b": src_json(twice[2])}
+    elif missed is not None:
+        wit = {"unreached": tgt_json(missed)}
     certs.append(CheckReport("psi_bijective", wit is None, wit, {"elements": int(es.count)}))
 
     # anti: psi(ab) = -psi(b)psi(a), the sign applied through the index table of x -> -x
@@ -385,8 +377,7 @@ def verify_decomposition(res: DecompositionResult, budget: int = DEFAULT_BUDGET,
                  sandwich_fails, False)
 
     central = center_mask(m.target, budget)
-    elem_report("tau_central", ~central[tau_idx],
-                lambda k: {"tau": coords_json(m.target, [int(v) for v in tau[k]])})
+    elem_report("tau_central", ~central[tau_idx], lambda k: {"tau": tgt_json(tau_idx[k])})
 
     pair_cert("tau_kills_commutators",
               lambda a_idx, b_idx: tau_idx[es.commutator_index(a_idx, b_idx, budget)] != 0)
@@ -436,7 +427,7 @@ def verify_theorem(m: MapTable, e1: Element, branch: str | None, budget: int,
         stage("spade_club", check_spade_club(src_frame, hypotheses, budget))
         bundle["branch_detection"] = detect_branch(m, e1, budget).to_json()
         if all(r.ok for r in reports):
-            result = decompose(m, e1, branch, budget, seed, certify=False)
+            result = decompose(m, e1, branch, budget, seed)
             stage("decomposition", result.certificates)
             bundle["decomposition"] = result.to_json()
         else:

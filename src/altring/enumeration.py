@@ -30,11 +30,10 @@ builds it on first use and keeps it in the ring's memo (`rings.memoised`),
 so the digit table and the idempotent mask are built once per ring.  The
 Enumeration keeps the ring's name, not the ring, so the memo holds no
 reference cycle and the ring is freed, tables included, with its last
-reference.  `all_coords`, the (count, n) int64 transpose of the digit
-table, is not cached: at 390,625 elements it is 25 MB that would stay
-alive for the whole run, raising peak RSS, while its callers need it
-only for a moment: the primeness generator classes, and `MapTable.images`
-for tau = phi - psi in `decompose` and for `map_to_json`.
+reference.  `all_coords` is the read-only transposed view of the digit
+table, (count, n) in `elim_dtype`, so the primeness generator classes
+and `MapTable.images` gather narrow coordinate rows from it with no
+copy; an int64 copy would be 25 MB on Zorn/F5.
 
 Pair scans work in index space.  The digit table `digits` holds the
 (n, count) coordinate planes of every element in `elim_dtype`, the
@@ -96,6 +95,7 @@ from .errors import BudgetExceeded, UnsupportedDomain
 from .rings import Ring, memoised
 
 DEFAULT_BUDGET = 10**6
+RANK_CHUNK = 4096           # matrices per elimination call in `rank_batched`
 
 
 def _narrowest_signed(bound: int):
@@ -183,9 +183,11 @@ class Enumeration:
             raise BudgetExceeded(self.count, budget, f"enumerating {self.name!r}")
 
     def all_coords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """(count, n) int64 coordinates of every element, a fresh transpose
-        of the digit table on every call."""
-        return np.ascontiguousarray(self.digits(budget).T, dtype=np.int64)
+        """(count, n) coordinates of every element in `elim_dtype`: the
+        transposed view of the digit table, not a copy, and read-only."""
+        X = self.digits(budget).T
+        X.flags.writeable = False       # a write would change the digit table
+        return X
 
     def digits(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """(n, count) digit table in `elim_dtype`: plane i holds coordinate i
@@ -381,14 +383,14 @@ class Enumeration:
 
     # -- batched rank over F_p ---------------------------------------------
 
-    def rank_batched(self, mats, chunk: int = 4096) -> np.ndarray:
+    def rank_batched(self, mats) -> np.ndarray:
         """Ranks of a (B, R, C) stack of small matrices of any integer dtype,
         by Gauss-Jordan elimination (`_eliminate_chunk`) in chunks of
-        `chunk` matrices."""
+        `RANK_CHUNK` matrices."""
         mats = np.asarray(mats)
         out = np.empty(len(mats), dtype=np.int64)
-        for lo in range(0, len(mats), chunk):
-            out[lo:lo + chunk] = self._eliminate_chunk(mats[lo:lo + chunk])[2]
+        for lo in range(0, len(mats), RANK_CHUNK):
+            out[lo:lo + RANK_CHUNK] = self._eliminate_chunk(mats[lo:lo + RANK_CHUNK])[2]
         return out
 
     def rref_batched(self, mats) -> tuple[np.ndarray, np.ndarray]:

@@ -90,12 +90,3 @@ class BranchUndetermined(AltringError):
 
 class AmbiguousCentralSplit(AltringError):
     """Central part of a diagonal image is not uniquely solvable."""
-
-
-class CertificationFailed(AltringError):
-    """A decomposition certificate failed on a concrete witness."""
-
-    def __init__(self, certificate: str, witness=None):
-        super().__init__(f"certificate {certificate!r} failed (witness: {witness!r})")
-        self.certificate = certificate
-        self.witness = witness

@@ -93,9 +93,25 @@ class MapTable:
         return self._index
 
     def images(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """(N, n) int64 image coordinates over the whole enumerated source,
-        derived from the image index on every call."""
+        """(N, n) image coordinates over the whole enumerated source, in the
+        target's `elim_dtype`: a gather of the image index from the digit
+        table, on every call."""
         return Enumeration.of(self.target).all_coords(budget)[self.image_index(budget)]
+
+    def fibres(self, budget: int = DEFAULT_BUDGET):
+        """(twice, missed): the first target index hit twice with its first
+        two preimages, as (image, a, b), and the first target index never
+        hit; each None when there is none.  Counted once per map."""
+        def build():
+            idx = self.image_index(budget)
+            hits = np.bincount(idx, minlength=Enumeration.of(self.target).count)
+            dup, missed = np.flatnonzero(hits > 1), np.flatnonzero(hits == 0)
+            twice = None
+            if len(dup):
+                a, b = np.flatnonzero(idx == dup[0])[:2]
+                twice = (int(dup[0]), int(a), int(b))
+            return twice, int(missed[0]) if len(missed) else None
+        return self.cached("fibres", build)
 
     def cached(self, key, build):
         """build(), computed once per map and key.  A run's Peirce frames,
@@ -114,10 +130,7 @@ class MapTable:
                         spec={"kind": "table", "note": "perturbed"})
 
     def is_bijective(self, budget: int = DEFAULT_BUDGET) -> bool:
-        if self.source.dim != self.target.dim:
-            return False
-        idx = self.image_index(budget)
-        return bool((np.bincount(idx, minlength=len(idx)) == 1).all())
+        return self.source.dim == self.target.dim and self.fibres(budget) == (None, None)
 
 
 # -- builders ---------------------------------------------------------------
@@ -141,6 +154,14 @@ def _matrix_unit_order(ring: Ring) -> int:
     return k
 
 
+def _field(obj: dict, key: str, where: str):
+    """obj[key], or ParseError naming the missing field."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ParseError(f"{where} is missing field {key!r}") from None
+
+
 def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDGET) -> MapTable:
     """Construct a MapTable from a builder description.
 
@@ -151,15 +172,16 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
     """
     kind = spec.get("kind")
     dom = source.domain
+    where = f"map of kind {kind!r}"
     if kind == "identity":
         if source.key != target.key or source.sc != target.sc:
             raise DimensionMismatch("identity map needs identical source and target rings")
         return MapTable(source, target, matrix=linalg.mat_identity(source.dim, dom),
                         spec={"kind": "identity"})
     if kind == "linear":
-        return MapTable(source, target, matrix=spec["matrix"], spec=spec)
+        return MapTable(source, target, matrix=_field(spec, "matrix", where), spec=spec)
     if kind == "structured":
-        return MapTable(source, target, matrix=spec["matrix"],
+        return MapTable(source, target, matrix=_field(spec, "matrix", where),
                         offset_functional=spec.get("offset_functional"),
                         offset_central=spec.get("offset_central"), spec=spec)
     if kind == "neg_transpose_plus_trace":
@@ -184,7 +206,7 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
             raise NotInvertible("conjugation builder needs an associative ring")
         if source.key != target.key:
             raise DimensionMismatch("conjugation maps a ring to itself")
-        u = [dom.parse(x) for x in spec["element"]]
+        u = [dom.parse(x) for x in _field(spec, "element", where)]
         L = source.left_mul_matrix(u)
         u_inv, _ = linalg.solve(L, list(source.unit_coords), dom)
         if u_inv is None or source.mul_coords(u_inv, u) != tuple(source.unit_coords):
@@ -193,15 +215,15 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
         return MapTable(source, target, matrix=M,
                         spec={"kind": "conjugation", "element": [dom.fmt(x) for x in u]})
     if kind == "compose":
-        parts = [build_map(source, target, s, budget) for s in spec["parts"]]
+        parts = [build_map(source, target, s, budget) for s in _field(spec, "parts", where)]
         idx = np.arange(Enumeration.of(source).count)
         for part in parts:
             idx = part.image_index(budget)[idx]
         return MapTable(source, target, index=idx, spec=spec)
     if kind == "table":
-        entries = spec["entries"]
+        entries = _field(spec, "entries", where)
         if isinstance(entries, dict):
-            entries = [entries[str(i)] for i in range(len(entries))]
+            entries = [_field(entries, str(i), "table entries") for i in range(len(entries))]
         enum = Enumeration.of(source)
         if len(entries) != enum.count:
             raise ParseError(f"table has {len(entries)} entries, source has {enum.count} elements")
@@ -252,7 +274,10 @@ def save_map(m: MapTable, path) -> None:
 
 # -- pair-quantified scan engine ---------------------------------------------
 
-def pair_scan(count: int, budget: int, seed: int, fail_fn, chunk: int = 1 << 18):
+PAIR_CHUNK = 1 << 18       # pairs per `fail_fn` call in `pair_scan`
+
+
+def pair_scan(count: int, budget: int, seed: int, fail_fn):
     """Run a predicate over all ordered pairs, or a seeded sample of them.
 
     fail_fn(a_idx, b_idx) receives broadcastable int64 index arrays and
@@ -261,7 +286,7 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn, chunk: int = 1 << 18)
     arange(count)[None, :], so the kernels gather only small planes, and
     walks them in enumeration order (row-major): the reported witness is
     always the first failing pair.  Sampled mode passes two 1-D draws of
-    at most `chunk` pairs and records seed and coverage for the report.
+    at most PAIR_CHUNK pairs and records seed and coverage for the report.
     Sampled pairs are drawn uniformly with replacement, so coverage =
     budget/total counts draws, not distinct pairs: a pair can be drawn
     more than once.
@@ -269,7 +294,7 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn, chunk: int = 1 << 18)
     total = count * count
     if total <= budget:
         b_idx = np.arange(count, dtype=np.int64)[None, :]
-        rows_per_chunk = max(1, chunk // count)
+        rows_per_chunk = max(1, PAIR_CHUNK // count)
         for lo in range(0, count, rows_per_chunk):
             hi = min(count, lo + rows_per_chunk)
             a_idx = np.arange(lo, hi, dtype=np.int64)[:, None]
@@ -281,7 +306,7 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn, chunk: int = 1 << 18)
     rng = np.random.default_rng(seed)
     checked = 0
     while checked < budget:
-        m = min(chunk, budget - checked)
+        m = min(PAIR_CHUNK, budget - checked)
         a_idx = rng.integers(0, count, m)
         b_idx = rng.integers(0, count, m)
         fails = fail_fn(a_idx, b_idx)
@@ -307,15 +332,11 @@ def pair_report(name: str, source: Ring, budget: int, seed: int, fail_fn) -> Che
 # -- verifiers ----------------------------------------------------------------
 
 def verify_surjective(m: MapTable, budget: int = DEFAULT_BUDGET) -> CheckReport:
-    et = Enumeration.of(m.target)
-    idx = m.image_index(budget)
-    hit = np.bincount(idx, minlength=et.count) > 0
-    ok = bool(hit.all())
-    wit = None
-    if not ok:
-        missing = int(np.flatnonzero(~hit)[0])
-        wit = {"unreached": coords_json(m.target, [int(x) for x in et.coords_of(missing)])}
-    return CheckReport("surjective", ok, wit, {"elements": int(len(idx))})
+    missed = m.fibres(budget)[1]
+    wit = None if missed is None else {"unreached": coords_json(
+        m.target, [int(x) for x in Enumeration.of(m.target).coords_of(missed)])}
+    return CheckReport("surjective", wit is None, wit,
+                       {"elements": int(Enumeration.of(m.source).count)})
 
 
 def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
@@ -386,15 +407,11 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
     homogeneity.  Failures certify an upstream inconsistency."""
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     idx = m.image_index(budget)
-    counts = np.bincount(idx, minlength=et.count)
-    inj = bool((counts <= 1).all())
-    wit = None
-    if not inj:
-        dup = int(np.flatnonzero(counts > 1)[0])
-        pre = np.flatnonzero(idx == dup)[:2]
-        wit = {"a": coords_json(m.source, [int(x) for x in es.coords_of(int(pre[0]))]),
-               "b": coords_json(m.source, [int(x) for x in es.coords_of(int(pre[1]))])}
-    reports = [CheckReport("injective", inj, wit, {"elements": int(es.count)})]
+    twice = m.fibres(budget)[0]
+    wit = None if twice is None else {
+        key: coords_json(m.source, [int(x) for x in es.coords_of(k)])
+        for key, k in zip("ab", twice[1:])}
+    reports = [CheckReport("injective", wit is None, wit, {"elements": int(es.count)})]
 
     zero_ok = bool(idx[0] == 0)
     reports.append(CheckReport("maps_zero_to_zero", zero_ok,

@@ -291,10 +291,11 @@ def ring_from_json(obj: dict) -> Ring:
     try:
         dom = domain_from_json(obj["domain"])
         ring = Ring(obj["name"], dom, obj["basis"], obj["mul"], obj["unit"])
+        dim = obj["dim"]
     except KeyError as exc:
         raise ParseError(f"ring file is missing field {exc}") from exc
-    if ring.dim != obj["dim"]:
-        raise ParseError(f"ring {ring.name!r}: declared dim {obj['dim']} != basis size {ring.dim}")
+    if ring.dim != dim:
+        raise ParseError(f"ring {ring.name!r}: declared dim {dim} != basis size {ring.dim}")
     return ring
 
 

@@ -248,7 +248,9 @@ def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) ->
     Containments (products land in the right corner) are bilinear, so
     they are decided on component bases.  The off-diagonal square law is
     checked pointwise over F_p components; over Q it follows from basis
-    squares plus basis anticommutation and is checked that way.
+    squares plus basis anticommutation and is checked that way.  Every
+    report counts its whole quantifier space and quotes the first failing
+    case in loop order.
     """
     r = frame.ring
     comp = frame.components
@@ -257,61 +259,50 @@ def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) ->
     def basis_elems(ij):
         return [list(row) for row in comp[ij].basis]
 
+    def nonzero(w):
+        return any(x != r.domain.zero for x in w)
+
+    def basis_pair_report(name, cell_pairs, fails, space=None,
+                          quote=lambda ca, cb: {"cells": [list(ca), list(cb)]}):
+        """Scan the basis pairs of each (left cell, right cell) in loop
+        order: count them all, quote the first failing pair."""
+        ok, wit, n_pairs = True, None, 0
+        for ca, cb in cell_pairs:
+            for u in basis_elems(ca):
+                for v in basis_elems(cb):
+                    n_pairs += 1
+                    if ok and fails(u, v, ca, cb):
+                        ok, wit = False, {"left": coords_json(r, u), "right": coords_json(r, v),
+                                          **quote(ca, cb)}
+        return CheckReport(name, ok, wit, {"basis_pairs": n_pairs, **(space or {})})
+
+    off = ((1, 2), (2, 1))
+    cells = [(a, b) for a in (1, 2) for b in (1, 2)]
     # (i): R_ij R_jl subset R_il
-    ok, wit, n_pairs = True, None, 0
-    for i in (1, 2):
-        for j in (1, 2):
-            for l in (1, 2):
-                for u in basis_elems((i, j)):
-                    for v in basis_elems((j, l)):
-                        n_pairs += 1
-                        w = r.mul_coords(u, v)
-                        if not comp[(i, l)].contains(w):
-                            ok, wit = False, {"left": coords_json(r, u), "right": coords_json(r, v),
-                                              "cells": [[i, j], [j, l]]}
-                            break
-                    if not ok:
-                        break
-    reports.append(CheckReport("peirce_i_compose", ok, wit, {"basis_pairs": n_pairs}))
+    reports.append(basis_pair_report(
+        "peirce_i_compose",
+        [((i, j), (j, l)) for i, j in cells for l in (1, 2)],
+        lambda u, v, ca, cb: not comp[(ca[0], cb[1])].contains(r.mul_coords(u, v))))
 
     # (ii): R_ij R_ij subset R_ji (i != j)
-    ok, wit, n_pairs = True, None, 0
-    nontrivially_nonzero = False
-    for i, j in ((1, 2), (2, 1)):
-        for u in basis_elems((i, j)):
-            for v in basis_elems((i, j)):
-                n_pairs += 1
-                w = r.mul_coords(u, v)
-                if any(x != r.domain.zero for x in w):
-                    nontrivially_nonzero = True
-                if not comp[(j, i)].contains(w):
-                    ok, wit = False, {"left": coords_json(r, u), "right": coords_json(r, v),
-                                      "cells": [[i, j], [i, j]]}
-    reports.append(CheckReport("peirce_ii_swap", ok, wit,
-                               {"basis_pairs": n_pairs, "nonzero_products": int(nontrivially_nonzero)}))
+    some_nonzero = any(nonzero(r.mul_coords(u, v))
+                       for ij in off for u in basis_elems(ij) for v in basis_elems(ij))
+    reports.append(basis_pair_report(
+        "peirce_ii_swap", [(ij, ij) for ij in off],
+        lambda u, v, ca, cb: not comp[ca[::-1]].contains(r.mul_coords(u, v)),
+        {"nonzero_products": int(some_nonzero)}))
 
     # (iii): R_ij R_kl = 0 when j != k and (i,j) != (k,l)
-    ok, wit, n_pairs = True, None, 0
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                for l in (1, 2):
-                    if j == k or (i, j) == (k, l):
-                        continue
-                    for u in basis_elems((i, j)):
-                        for v in basis_elems((k, l)):
-                            n_pairs += 1
-                            w = r.mul_coords(u, v)
-                            if any(x != r.domain.zero for x in w):
-                                ok, wit = False, {"left": coords_json(r, u), "right": coords_json(r, v),
-                                                  "cells": [[i, j], [k, l]]}
-    reports.append(CheckReport("peirce_iii_orthogonal", ok, wit, {"basis_pairs": n_pairs}))
+    reports.append(basis_pair_report(
+        "peirce_iii_orthogonal",
+        [(ca, cb) for ca in cells for cb in cells if ca[1] != cb[0] and ca != cb],
+        lambda u, v, ca, cb: nonzero(r.mul_coords(u, v))))
 
     # (iv.a): x^2 = 0 for every x in an off-diagonal component
     ok, wit, n_elems = True, None, 0
     if r.domain.kind == "Fp":
         enum = Enumeration.of(r)
-        for ij in ((1, 2), (2, 1)):
+        for ij in off:
             pts = comp[ij].points(enum, budget)
             n_elems += len(pts)
             sq = enum.mul(pts, pts)
@@ -320,30 +311,24 @@ def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) ->
                 b = int(bad[0])
                 ok, wit = False, {"element": coords_json(r, [int(c) for c in pts[b]]), "cell": list(ij)}
     else:
-        for ij in ((1, 2), (2, 1)):
+        for ij in off:
             rows = basis_elems(ij)
             for u in rows:
                 n_elems += 1
-                if any(x != r.domain.zero for x in r.mul_coords(u, u)):
+                if ok and nonzero(r.mul_coords(u, u)):
                     ok, wit = False, {"element": coords_json(r, u), "cell": list(ij)}
             for a in range(len(rows)):
                 for b in range(a + 1, len(rows)):
-                    s = r.add_coords(r.mul_coords(rows[a], rows[b]), r.mul_coords(rows[b], rows[a]))
-                    if any(x != r.domain.zero for x in s):
+                    if ok and nonzero(r.add_coords(r.mul_coords(rows[a], rows[b]),
+                                                   r.mul_coords(rows[b], rows[a]))):
                         ok, wit = False, {"element": coords_json(r, rows[a]), "cell": list(ij)}
     reports.append(CheckReport("peirce_iv_a_squares", ok, wit, {"elements": n_elems}))
 
     # (iv.b): xy = -yx on off-diagonal component basis pairs
-    ok, wit, n_pairs = True, None, 0
-    for ij in ((1, 2), (2, 1)):
-        rows = basis_elems(ij)
-        for u in rows:
-            for v in rows:
-                n_pairs += 1
-                s = r.add_coords(r.mul_coords(u, v), r.mul_coords(v, u))
-                if any(x != r.domain.zero for x in s):
-                    ok, wit = False, {"left": coords_json(r, u), "right": coords_json(r, v), "cell": list(ij)}
-    reports.append(CheckReport("peirce_iv_b_anticommute", ok, wit, {"basis_pairs": n_pairs}))
+    reports.append(basis_pair_report(
+        "peirce_iv_b_anticommute", [(ij, ij) for ij in off],
+        lambda u, v, ca, cb: nonzero(r.add_coords(r.mul_coords(u, v), r.mul_coords(v, u))),
+        quote=lambda ca, cb: {"cell": list(ca)}))
     return reports
 
 

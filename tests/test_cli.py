@@ -171,12 +171,29 @@ def test_text_format(files, capsys):
 @pytest.mark.parametrize("repr_, message", [
     ({"kind": "table", "entries": [[0, 0, 0]] * 625}, "table rows must have 4 entries"),
     ({"kind": "linear", "matrix": [[1, 0, 0]] * 4}, "linear part must be 4x4"),
-], ids=["table_rows_of_width_3", "linear_4x3"])
+    ({"kind": "linear"}, "map of kind 'linear' is missing field 'matrix'"),
+    ({"kind": "table", "entries": {str(i): [0, 0, 0, 0] for i in range(626) if i != 1}},
+     "table entries is missing field '1'"),
+], ids=["table_rows_of_width_3", "linear_4x3", "linear_without_matrix", "table_without_entry_1"])
 def test_malformed_map_is_an_input_error(files, capsys, repr_, message):
     path = files["dir"] / "malformed.json"
     path.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5", "repr": repr_}))
     assert main(["verify-theorem", "--source", files["m2"], "--target", files["m2"],
                  "--map", str(path), "--idempotent", "1,0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.pop("dim"), "ring file is missing field 'dim'"),
+    (lambda obj: obj.update(domain={"Fp": 6}), "modulus 6 is not prime"),
+], ids=["without_dim", "composite_modulus"])
+def test_malformed_ring_is_an_input_error(files, capsys, edit, message):
+    obj = json.loads(Path(files["m2"]).read_text())
+    edit(obj)
+    path = files["dir"] / "malformed_ring.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
 

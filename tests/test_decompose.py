@@ -6,14 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from altring import (build_map, decompose, detect_branch, verify_decomposition,
-                     verify_theorem)
+from altring import (build_map, decompose, detect_branch, map_to_json,
+                     verify_decomposition, verify_theorem)
 from altring.cli import main
 from altring.reports import dumps
 from altring.decompose import INFORMATIONAL_CERTIFICATES
 from altring.enumeration import Enumeration
-from altring.errors import (BranchUndetermined, CertificationFailed,
-                            HypothesisFailed, NotBijective)
+from altring.errors import BranchUndetermined, HypothesisFailed, NotBijective
+from altring.maps import MapTable
 
 
 def required_failures(res):
@@ -66,14 +66,14 @@ def test_identity_roundtrip_dagger(m2, id_m2):
     assert res.branch == "dagger"
     assert res.required_pass()
     assert res.psi_matrix == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert (res.tau == 0).all()
+    assert (res.tau.image_index() == 0).all()
 
 
 def test_conjugation_roundtrip_recovers_matrix(m2, conj):
     res = decompose(conj, m2.basis_element(0), branch="dagger")
     assert res.required_pass()
     assert res.psi_matrix == conj.matrix
-    assert (res.tau == 0).all()
+    assert (res.tau.image_index() == 0).all()
 
 
 def test_neg_transpose_roundtrip_ddagger(m2, negtr):
@@ -87,7 +87,7 @@ def test_neg_transpose_roundtrip_ddagger(m2, negtr):
     X = enum.all_coords()
     tr = (X[:, 0] + X[:, 3]) % 5
     expect = np.stack([tr, np.zeros_like(tr), np.zeros_like(tr), tr], axis=1)
-    assert (res.tau == expect).all()
+    assert (res.tau.images() == expect).all()
     names = [c.condition for c in res.certificates]
     assert "psi_anti_multiplicative" in names
     for case in ("case_diag_offdiag", "case_offdiag_diag", "case_diag_diag",
@@ -102,9 +102,26 @@ def test_wrong_branch_value_rejected(m2, id_m2):
 
 def test_recomposition_always_exact(m2, negtr):
     res = decompose(negtr, m2.basis_element(0), branch="ddagger")
-    assert ((res.psi + res.tau) % 5 == negtr.images()).all()
+    assert ((res.psi.images() + res.tau.images()) % 5 == negtr.images()).all()
     rec = next(c for c in res.certificates if c.condition == "recomposition")
     assert rec.ok and rec.mode == "exhaustive"
+
+
+def test_bundle_tau_is_the_tau_map(m2, negtr):
+    """The bundle's tau table is `map_to_json` of the tau map, entry for entry."""
+    res = decompose(negtr, m2.basis_element(0), branch="ddagger")
+    assert isinstance(res.psi, MapTable) and isinstance(res.tau, MapTable)
+    assert res.to_json()["tau"].tolist() == map_to_json(res.tau)["repr"]["entries"]
+
+
+def test_verify_decomposition_reads_budget_and_seed(m2, negtr):
+    """Re-verifying a sampled decomposition draws the same pairs: the
+    battery runs at the result's own budget and seed."""
+    res = decompose(negtr, m2.basis_element(0), branch="ddagger", budget=200_000, seed=3)
+    sampled = [c for c in res.certificates if c.mode == "sampled"]
+    assert sampled and all(c.seed == 3 for c in sampled)
+    assert [c.to_json() for c in verify_decomposition(res)] == \
+        [c.to_json() for c in res.certificates]
 
 
 def test_hypothesis_4_failure_on_direct_sum(dsum):
@@ -131,7 +148,8 @@ def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
     x1 = int(enum.index_of(np.array([1, 2, 0, 0])))
     imgs = negtr.images()
     bad = negtr.replace_entry(x0, imgs[x1]).replace_entry(x1, imgs[x0])
-    res = decompose(bad, m2.basis_element(0), branch="ddagger", certify=False)
+    res = decompose(bad, m2.basis_element(0), branch="ddagger")
+    assert not res.required_pass()
     assert required_failures(res) == ["tau_central"]
     cert = next(c for c in res.certificates if c.condition == "tau_central")
     assert cert.witness["x"] == [1, 1, 0, 0]
@@ -145,24 +163,12 @@ def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
                              res.psi_matrix)
 
 
-def test_certify_raises_on_corruption(m2, negtr):
-    enum = Enumeration(m2)
-    x0 = int(enum.index_of(np.array([1, 1, 0, 0])))
-    x1 = int(enum.index_of(np.array([1, 2, 0, 0])))
-    imgs = negtr.images()
-    bad = negtr.replace_entry(x0, imgs[x1]).replace_entry(x1, imgs[x0])
-    with pytest.raises(CertificationFailed) as exc:
-        decompose(bad, m2.basis_element(0), branch="ddagger")
-    assert exc.value.certificate == "tau_central"
-
-
 def test_corrupted_psi_breaks_named_case_with_witness(m2, negtr):
     res = decompose(negtr, m2.basis_element(0), branch="ddagger")
     enum = Enumeration(m2)
     # corrupt psi at E12 and recertify: the product cases touching R_12 fail
     i = int(enum.index_of(np.array([0, 1, 0, 0])))
-    res.psi = res.psi.copy()
-    res.psi[i] = (res.psi[i] + np.array([1, 0, 0, 0])) % 5
+    res.psi = res.psi.replace_entry(i, (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5)
     certs = verify_decomposition(res)
     by = {c.condition: c for c in certs}
     assert not by["case_diag_offdiag"].ok
@@ -185,9 +191,9 @@ def test_psi_bijective_witness_replays(m2, negtr):
     assert next(c for c in res.certificates if c.condition == "psi_bijective").witness is None
     # replace psi by a singular linear map (negtr's psi with coordinate 0 dropped)
     M = [[0, 0, 0, 0]] + [list(row) for row in res.psi_matrix[1:]]
-    X = Enumeration(m2).all_coords()
-    res.psi = X @ np.array(M, dtype=np.int64).T % 5
-    res.tau = (negtr.images() - res.psi) % 5
+    res.psi = build_map(m2, m2, {"kind": "linear", "matrix": M})
+    tau = (negtr.images().astype(np.int64) - res.psi.images()) % 5
+    res.tau = MapTable(m2, m2, index=Enumeration.of(m2).index_of(tau))
     certs = verify_decomposition(res)
     cert = next(c for c in certs if c.condition == "psi_bijective")
     assert not cert.ok
@@ -218,9 +224,9 @@ def test_psi_bijective_witness_replays(m2, negtr):
 def test_zorn_identity_roundtrip_sampled(zorn):
     ident = build_map(zorn, zorn, {"kind": "identity"})
     res = decompose(ident, zorn.basis_element(0), branch="dagger",
-                    budget=400_000, seed=7, certify=False)
+                    budget=400_000, seed=7)
     assert res.required_pass()
-    assert (res.tau == 0).all()
+    assert (res.tau.image_index() == 0).all()
     assert res.psi_matrix == [[1 if i == j else 0 for j in range(8)] for i in range(8)]
     sampled = [c for c in res.certificates if c.mode == "sampled"]
     assert sampled and all(c.seed == 7 for c in sampled)

@@ -1,5 +1,5 @@
-"""Golden `verify-theorem` bundles on M2/F5 and Zorn/F5, and replay of
-every witness they quote.
+"""Golden `verify-theorem` bundles on M2/F5 and Zorn/F5, golden
+`decompose` outputs on M2/F5, and replay of every witness they quote.
 
 The SHA-256 digests in `tests/data/verify_theorem_golden.json` pin the
 bundle bytes of three M2/F5 maps (identity, neg_transpose_plus_trace and
@@ -8,12 +8,15 @@ an exhaustive budget and at a sampled one, and of the Zorn/F5 identity
 at seed 0 and budget 10^6 (390,625-element tables, sampled pair
 certificates, a 40 MB bundle), so a kernel rewrite that changes a
 witness, a count, a sampled draw or a table byte shows up as a digest
-change.  Every failing report's witness is then re-evaluated in the
-reference arithmetic of `rings.py` and `MapTable.__call__` and must
-break the condition it is quoted for.
+change.  `tests/data/decompose_golden.json` pins the output of
+`altring decompose`, the second emitter of the tau table, for the
+identity (dagger) and neg_transpose_plus_trace (ddagger) maps at the
+same two budgets.  Every failing report's witness is then re-evaluated
+in the reference arithmetic of `rings.py` and `MapTable.__call__` and
+must break the condition it is quoted for.
 
-Regenerate the digests (only when a bundle change is intended) with
-`python tests/test_golden_bundles.py`.
+Regenerate both digest files (only when an output change is intended)
+with `python tests/test_golden_bundles.py`.
 """
 
 import hashlib
@@ -28,7 +31,9 @@ import pytest
 from altring import build_map, gen_m2
 from altring.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "verify_theorem_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "verify_theorem_golden.json"
+DECOMPOSE_GOLDEN = DATA / "decompose_golden.json"
 P = 5
 ELEMENTS = list(product(range(P), repeat=4))      # library element order on M2/F5
 SWAP = (ELEMENTS.index((1, 2, 0, 4)), ELEMENTS.index((2, 0, 3, 1)))   # trace-zero, off-corner
@@ -53,22 +58,35 @@ def swapped_table():
 MAPS = {"identity": ("dagger", {"kind": "identity"}),
         "negtr": ("ddagger", {"kind": "neg_transpose_plus_trace"}),
         "swapped": ("ddagger", {"kind": "table", "entries": swapped_table()})}
+DECOMPOSED = ("identity", "negtr")
+
+
+def run_m2(work: Path, command: str, labels) -> dict:
+    """Write the M2/F5 inputs under `work` and run `command` on each map
+    of `labels` at both budgets; name -> (exit code, bytes)."""
+    ring = work / "m2.json"
+    assert main(["gen", "m2", "--field", str(P), "--out", str(ring)]) == 0
+    out = {}
+    for label in labels:
+        branch, spec = MAPS[label]
+        mpath = work / f"{label}.json"
+        mpath.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5", "repr": spec}))
+        for mode, flags in BUDGETS.items():
+            result = work / f"{command}-{label}-{mode}.json"
+            rc = main([command, "--source", str(ring), "--target", str(ring),
+                       "--map", str(mpath), "--idempotent", "1,0,0,0", "--branch", branch,
+                       *flags, "--out", str(result)])
+            out[f"{label}-{mode}"] = (rc, result.read_bytes())
+    return out
+
+
+def run_decompositions(work: Path) -> dict:
+    return run_m2(work, "decompose", DECOMPOSED)
 
 
 def run_bundles(work: Path) -> dict:
     """Write the inputs under `work`, run every case; name -> (exit code, bytes)."""
-    ring = work / "m2.json"
-    assert main(["gen", "m2", "--field", str(P), "--out", str(ring)]) == 0
-    out = {}
-    for label, (branch, spec) in MAPS.items():
-        mpath = work / f"{label}.json"
-        mpath.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5", "repr": spec}))
-        for mode, flags in BUDGETS.items():
-            bundle = work / f"{label}-{mode}.json"
-            rc = main(["verify-theorem", "--source", str(ring), "--target", str(ring),
-                       "--map", str(mpath), "--idempotent", "1,0,0,0", "--branch", branch,
-                       *flags, "--out", str(bundle)])
-            out[f"{label}-{mode}"] = (rc, bundle.read_bytes())
+    out = run_m2(work, "verify-theorem", MAPS)
     zorn, ident, bundle = work / "zorn.json", work / "zorn-identity.json", work / "zorn-bundle.json"
     assert main(["gen", "zorn", "--field", str(P), "--out", str(zorn)]) == 0
     ident.write_text(json.dumps({"source": "zorn_f5", "target": "zorn_f5",
@@ -85,12 +103,17 @@ def bundles(tmp_path_factory):
     return run_bundles(tmp_path_factory.mktemp("golden"))
 
 
+def digests(results: dict) -> dict:
+    return {name: {"exit_code": rc, "sha256": hashlib.sha256(data).hexdigest()}
+            for name, (rc, data) in results.items()}
+
+
 def test_bundles_match_golden_digests(bundles):
-    golden = json.loads(GOLDEN.read_text())
-    assert sorted(bundles) == sorted(golden)
-    for name, (rc, data) in bundles.items():
-        assert rc == golden[name]["exit_code"], name
-        assert hashlib.sha256(data).hexdigest() == golden[name]["sha256"], name
+    assert digests(bundles) == json.loads(GOLDEN.read_text())
+
+
+def test_decompositions_match_golden_digests(tmp_path):
+    assert digests(run_decompositions(tmp_path)) == json.loads(DECOMPOSE_GOLDEN.read_text())
 
 
 def breaks(m, condition, w) -> bool:
@@ -137,9 +160,7 @@ def test_failing_witnesses_replay(bundles):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        got = run_bundles(Path(tmp))
-    GOLDEN.write_text(json.dumps(
-        {name: {"exit_code": rc, "sha256": hashlib.sha256(data).hexdigest()}
-         for name, (rc, data) in got.items()}, indent=2, sort_keys=True) + "\n")
+    for path, run in ((GOLDEN, run_bundles), (DECOMPOSE_GOLDEN, run_decompositions)):
+        with tempfile.TemporaryDirectory() as tmp:
+            path.write_text(json.dumps(digests(run(Path(tmp))), indent=2, sort_keys=True) + "\n")
     sys.exit(0)

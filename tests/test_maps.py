@@ -15,6 +15,7 @@ from altring.enumeration import Enumeration
 from altring.errors import (DimensionMismatch, NotBijective,
                             NotIdempotentImage, NotInvertible,
                             OffsetNotCentral, ParseError)
+from altring import maps
 from altring.maps import pair_scan
 from altring.rings import Ring
 
@@ -155,7 +156,7 @@ def test_dense_eval_matches_table_with_one_enumeration():
         assert dense.eval_coords((6, -4, 0, 0)) == dense.eval_coords((1, 1, 0, 0))
         enum = Enumeration.of(r)
         assert Enumeration.of(r) is enum and enum.digits() is enum.digits()
-        assert enum.all_coords() is not X                       # a fresh transpose each call
+        assert np.shares_memory(enum.all_coords(), enum.digits())     # a view, not a copy
         assert center(r).basis is center(r).basis
         assert is_alternative(r) is is_alternative(r)
         assert verify_theorem(build_map(r, r, {"kind": "identity"}), r.basis_element(0),
@@ -362,7 +363,7 @@ def row_major_first(count, failing):
 
 @pytest.mark.parametrize("failing", [set(), {(5, 3)}, {(6, 2), (4, 6), (5, 0)}, {(6, 6)}],
                          ids=["nowhere", "later_chunk", "first_of_several", "last_pair"])
-def test_exhaustive_pair_scan_is_row_major(failing):
+def test_exhaustive_pair_scan_is_row_major(failing, monkeypatch):
     """7 elements in chunks of 16 pairs: rows 0-1, 2-3, 4-5 and a partial
     last chunk of row 6, each passed as broadcast grids."""
     count, rows = 7, []
@@ -374,14 +375,15 @@ def test_exhaustive_pair_scan_is_row_major(failing):
         rows.append(a_idx.ravel().tolist())
         return np.isin(a_idx * count + b_idx, codes)
 
-    ok, pair, mode, cov, checked = pair_scan(count, 10 ** 6, 0, fails, chunk=16)
+    monkeypatch.setattr(maps, "PAIR_CHUNK", 16)
+    ok, pair, mode, cov, checked = pair_scan(count, 10 ** 6, 0, fails)
     want = row_major_first(count, failing)
     assert (ok, pair, mode, cov, checked) == (want is None, want, "exhaustive", None, count ** 2)
     stop = len(rows) if want is None else want[0] // 2 + 1
     assert rows == [[0, 1], [2, 3], [4, 5], [6]][:stop]
 
 
-def test_sampled_pair_scan_witness_rederives():
+def test_sampled_pair_scan_witness_rederives(monkeypatch):
     """The first failing draw, re-derived from default_rng(seed) with two
     draws of at most `chunk` pairs per chunk, lands in the second chunk."""
     count, budget, seed, chunk = 40, 1000, 17, 256
@@ -395,6 +397,7 @@ def test_sampled_pair_scan_witness_rederives():
     first = draws.index(target)
     assert first >= chunk
 
+    monkeypatch.setattr(maps, "PAIR_CHUNK", chunk)
     ok, pair, mode, cov, checked = pair_scan(
-        count, budget, seed, lambda a, b: (a == target[0]) & (b == target[1]), chunk=chunk)
+        count, budget, seed, lambda a, b: (a == target[0]) & (b == target[1]))
     assert (ok, pair, mode, cov, checked) == (False, target, "sampled", budget / count ** 2, first + 1)

@@ -6,7 +6,7 @@ import pytest
 
 from altring import (center, check_main_hypotheses, check_primeness,
                      check_spade_club, check_z_of_peirce_cell, gen_m2, idempotents, linalg,
-                     nucleus, peirce_frame, verify_peirce_relations)
+                     nucleus, peirce_frame, verify_peirce_relations, zorn_idempotent)
 from altring.enumeration import Enumeration
 from altring.errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible,
                             TrivialIdempotent, UnsupportedDomain)
@@ -155,6 +155,49 @@ def test_peirce_relations_fail_on_perturbed_m2(m2):
     assert not reports["peirce_iv_a_squares"].ok
     assert reports["peirce_iv_a_squares"].witness is not None
     assert not all(r.ok for r in reports.values())
+
+
+def _perturbed_zorn(zorn, site):
+    sc = [[[int(x) for x in row] for row in plane] for plane in zorn.sc]
+    a, b, c = site
+    sc[a][b][c] += 1
+    return Ring("pert_zorn", PrimeField(5), list(zorn.basis_names), sc, list(zorn.unit_coords))
+
+
+@pytest.mark.parametrize("site, condition", [((1, 4, 1), "peirce_i_compose"),
+                                             ((1, 2, 0), "peirce_iv_b_anticommute")],
+                         ids=["compose", "anticommute"])
+def test_peirce_relations_on_perturbed_zorn(zorn, site, condition):
+    """One perturbed Zorn/F5 constant breaks a relation: its report
+    counts every basis pair and quotes the first failing pair in loop
+    order, both re-derived here in `rings.py` arithmetic."""
+    pert = _perturbed_zorn(zorn, site)
+    frame = peirce_frame(pert, zorn_idempotent(pert))
+    comp = frame.components
+
+    def zero(w):
+        return all(x == 0 for x in w)
+
+    if condition == "peirce_i_compose":
+        cases = [((i, j), (j, l), lambda w, il=(i, l): comp[il].contains(w), "cells")
+                 for i in (1, 2) for j in (1, 2) for l in (1, 2)]
+    else:
+        cases = [(ij, ij, None, "cell") for ij in ((1, 2), (2, 1))]
+    pairs, want = 0, None
+    for ca, cb, holds, key in cases:
+        for u in comp[ca].basis:
+            for v in comp[cb].basis:
+                pairs += 1
+                uv = pert.mul_coords(list(u), list(v))
+                ok = holds(uv) if holds else zero(pert.add_coords(uv, pert.mul_coords(list(v), list(u))))
+                if not ok and want is None:
+                    want = {"left": list(u), "right": list(v),
+                            key: [list(ca), list(cb)] if holds else list(ca)}
+    reports = {r.condition: r for r in verify_peirce_relations(frame)}
+    assert not reports[condition].ok
+    assert reports[condition].quantifier_space == {"basis_pairs": pairs}
+    assert reports[condition].witness == want
+    assert pairs == (32 if condition == "peirce_i_compose" else 18)
 
 
 def test_peirce_relations_fail_on_broken_triangular(broken3):
