@@ -6,8 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from altring import (build_map, decompose, detect_branch, map_to_json,
-                     verify_decomposition, verify_theorem)
+from altring import (build_map, center, decompose, detect_branch, linalg,
+                     map_to_json, verify_decomposition, verify_theorem)
 from altring.cli import main
 from altring.reports import dumps
 from altring.decompose import INFORMATIONAL_CERTIFICATES
@@ -230,6 +230,81 @@ def test_zorn_identity_roundtrip_sampled(zorn):
     assert res.psi_matrix == [[1 if i == j else 0 for j in range(8)] for i in range(8)]
     sampled = [c for c in res.certificates if c.mode == "sampled"]
     assert sampled and all(c.seed == 7 for c in sampled)
+
+
+@pytest.fixture(scope="module")
+def zorn_identity(zorn):
+    """The Zorn/F5 identity decomposed under each branch at budget 10^6, seed 0."""
+    ident = build_map(zorn, zorn, {"kind": "identity"})
+    return {branch: decompose(ident, zorn.basis_element(0), branch=branch)
+            for branch in ("dagger", "ddagger")}
+
+
+def test_zorn_identity_ddagger_closed_form(zorn, zorn_identity):
+    """Under ddagger the Zorn/F5 identity splits as psi(x) = -conj(x), where
+    conj swaps e11 and e22 and negates u and v, and tau(x) = t(x)*1 with
+    t = x_e11 + x_e22, on all 390,625 elements."""
+    res = zorn_identity["ddagger"]
+    assert res.required_pass()
+    enum = Enumeration.of(zorn)
+    X = enum.all_coords().astype(np.int64)
+    conj = np.concatenate([X[:, 7:], -X[:, 1:7], X[:, :1]], axis=1)
+    assert (res.psi.image_index() == enum.index_of(-conj)).all()
+    t = X[:, 0] + X[:, 7]
+    zero = np.zeros((len(X), 6), dtype=np.int64)
+    assert (res.tau.image_index() == enum.index_of(np.column_stack([t, zero, t]))).all()
+    assert int((res.tau.image_index() != 0).sum()) == 312_500
+
+
+def reference_diagonal_psi(res):
+    """psi on every point x of each diagonal source cell (i, i) by the
+    per-point construction, in `rings.py` arithmetic with phi(x) from
+    `MapTable.__call__`: solve f_s phi(x) f_s = z f_s for a central z
+    with `linalg.solve`, then psi(x) = f_k phi(x) f_k - z f_k, where
+    (s, k) = (j, i) under dagger and (i, j) under ddagger.
+    Yields (x, psi(x))."""
+    m, src, tgt = res.map, res.map.source, res.map.target
+    dom = tgt.domain
+    zc = center(tgt).basis
+    f = {1: res.target_frame.e1.coords, 2: res.target_frame.e2.coords}
+    for i in (1, 2):
+        j = 3 - i
+        s, k = (j, i) if res.branch == "dagger" else (i, j)
+        cols = [tgt.mul_coords(z, f[s]) for z in zc]
+        A = [[col[r] for col in cols] for r in range(tgt.dim)]
+        cell = res.source_frame.components[(i, i)]
+        for coeffs in itertools.product(range(dom.p), repeat=cell.dim):
+            x = src.zero()
+            for c, row in zip(coeffs, cell.basis):
+                x = x + src.element(row).smul(c)
+            y = m(x).coords
+            alpha, null = linalg.solve(A, list(tgt.apply_matrix(res.target_frame.projectors[(s, s)], y)), dom)
+            assert alpha is not None and not null
+            z = tgt.zero()
+            for a, row in zip(alpha, zc):
+                z = z + tgt.element(row).smul(a)
+            kept = tgt.element(tgt.apply_matrix(res.target_frame.projectors[(k, k)], y))
+            yield x, kept - z * tgt.element(f[k])
+
+
+@pytest.mark.parametrize("name, branch", [("id_m2", "dagger"), ("conj", "dagger"),
+                                          ("negtr", "ddagger"), ("negtr_table", "ddagger")])
+def test_diagonal_psi_matches_per_point_solve_m2(m2, name, branch, request):
+    m = (build_map(m2, m2, {"kind": "table",
+                            "entries": request.getfixturevalue("negtr").images().tolist()})
+         if name == "negtr_table" else request.getfixturevalue(name))
+    res = decompose(m, m2.basis_element(0), branch=branch)
+    assert res.required_pass()
+    for x, want in reference_diagonal_psi(res):
+        assert res.psi(x) == want, x
+
+
+@pytest.mark.parametrize("branch", ["dagger", "ddagger"])
+def test_diagonal_psi_matches_per_point_solve_zorn(zorn_identity, branch):
+    res = zorn_identity[branch]
+    assert res.required_pass()
+    for x, want in reference_diagonal_psi(res):
+        assert res.psi(x) == want, x
 
 
 def test_tau_additivity_reported_not_required(m2, negtr):

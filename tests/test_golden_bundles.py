@@ -5,10 +5,10 @@ The SHA-256 digests in `tests/data/verify_theorem_golden.json` pin the
 bundle bytes of three M2/F5 maps (identity, neg_transpose_plus_trace and
 a dense neg_transpose_plus_trace table with one swapped pair), each at
 an exhaustive budget and at a sampled one, and of the Zorn/F5 identity
-at seed 0 and budget 10^6 (390,625-element tables, sampled pair
-certificates, a 40 MB bundle), so a kernel rewrite that changes a
-witness, a count, a sampled draw or a table byte shows up as a digest
-change.  `tests/data/decompose_golden.json` pins the output of
+at seed 0 and budget 10^6 under both branches (390,625-element tables,
+sampled pair certificates, 40 MB bundles; under ddagger tau(x) = t(x)*1
+is non-zero), so a kernel rewrite that changes a witness, a count, a
+sampled draw or a table byte shows up as a digest change.  `tests/data/decompose_golden.json` pins the output of
 `altring decompose`, the second emitter of the tau table, for the
 identity (dagger) and neg_transpose_plus_trace (ddagger) maps at the
 same two budgets.  Every failing report's witness is then re-evaluated
@@ -16,7 +16,8 @@ in the reference arithmetic of `rings.py` and `MapTable.__call__` and
 must break the condition it is quoted for.
 
 Regenerate both digest files (only when an output change is intended)
-with `python tests/test_golden_bundles.py`.
+with `python tests/test_golden_bundles.py`; it prints every digest it
+adds, changes or drops.
 """
 
 import hashlib
@@ -91,10 +92,11 @@ def run_bundles(work: Path) -> dict:
     assert main(["gen", "zorn", "--field", str(P), "--out", str(zorn)]) == 0
     ident.write_text(json.dumps({"source": "zorn_f5", "target": "zorn_f5",
                                  "repr": {"kind": "identity"}}))
-    rc = main(["verify-theorem", "--source", str(zorn), "--target", str(zorn), "--map", str(ident),
-               "--idempotent", "1,0,0,0,0,0,0,0", "--branch", "dagger", "--budget", "1000000",
-               "--seed", "0", "--out", str(bundle)])
-    out["zorn-identity-sampled"] = (rc, bundle.read_bytes())
+    for name, branch in (("zorn-identity-sampled", "dagger"), ("zorn-identity-ddagger", "ddagger")):
+        rc = main(["verify-theorem", "--source", str(zorn), "--target", str(zorn),
+                   "--map", str(ident), "--idempotent", "1,0,0,0,0,0,0,0", "--branch", branch,
+                   "--budget", "1000000", "--seed", "0", "--out", str(bundle)])
+        out[name] = (rc, bundle.read_bytes())
     return out
 
 
@@ -159,8 +161,20 @@ def test_failing_witnesses_replay(bundles):
                                              "scalar_homogeneous", "almost_additive"}
 
 
+def regenerate(path: Path, run) -> None:
+    """Rewrite one digest file from `run`, printing each entry it adds,
+    changes or drops."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        new = digests(run(Path(tmp)))
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            verb = "added" if name not in old else "dropped" if name not in new else "changed"
+            print(f"{path.name}: {verb} {name}: {old.get(name)} -> {new.get(name)}")
+    path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
     for path, run in ((GOLDEN, run_bundles), (DECOMPOSE_GOLDEN, run_decompositions)):
-        with tempfile.TemporaryDirectory() as tmp:
-            path.write_text(json.dumps(digests(run(Path(tmp))), indent=2, sort_keys=True) + "\n")
+        regenerate(path, run)
     sys.exit(0)
