@@ -20,25 +20,35 @@ on both sides, tests the two corner conditions
     ddagger:  f_i phi(R_ii) f_i  inside  Z(target) f_i
 
 and constructs psi cellwise: off-diagonal corners copy phi, diagonal
-corners subtract the uniquely solved central component.  tau is phi - psi.
+corners keep one corner of phi(x) and subtract its unique central
+component z*f.  tau is phi - psi.
 Both are maps, held as `MapTable`s of their image index alone.  Under
 "dagger" psi should be a ring isomorphism, under "ddagger" the negative
 of an anti-isomorphism; verify_decomposition certifies both claims
 exhaustively (or by seeded sampling past the pair budget), plus
 centrality of tau and its vanishing on commutators.
 
-Element-sized work runs over element indices, never coordinate rows.
-psi(x) sums the memoized values of the Peirce components of x, looked up
-by the index of each projection (`Enumeration.linear_index`), on (n, N)
-planes, which give psi's index; tau's is phi's plus that of -psi.  The
-bundle's tau table is `tau.images()`, a narrow gather from the digit
-table.  The element certificates compare the two indices: recomposition
-is `add_index(psi, tau)` against phi's, the matrix check is
-`linear_index(psi_matrix)`, centrality of tau is a gather from a centre
-mask over all target indices.  Each quotes the lowest failing element
-index as its witness.  The per-cell product cases and the sandwich
-identity run `mul_index` on grids of the Peirce cells' element indices,
-row-major, and quote the first failing pair.
+Element-sized work runs over element indices, never coordinate rows;
+subspace membership is a gather from `Subspace.mask`.  psi is one
+linear recipe per Peirce cell c, psi(x) = sum_c Q_c phi(P_c x), with
+P_c the source projection onto c: phi's index gathered at
+`linear_index(P_c)`, then `linear_index(Q_c)` gathered at that, and the
+four cells' digit planes summed into psi's index.  Q_c = I off the
+diagonal.  On a diagonal cell Q = P_keep - B A+ P_solve
+(`_diagonal_recipe`) keeps one corner of phi(x) and subtracts z*f_keep,
+where z*f_solve is the other corner.  This is exact: detection proved
+every such corner lies in Z*f_solve, `decompose` refuses a branch
+detection did not pass, and the preflight gives A full column rank, so
+each corner's central multiple is unique and equals A+ times it.  tau's
+index is phi's plus that of -psi.  The bundle's tau table is
+`tau.images()`, a narrow gather from the digit table.  The element
+certificates compare the two indices: recomposition is
+`add_index(psi, tau)` against phi's, the matrix check is
+`linear_index(psi_matrix)`, centrality of tau is a gather from the
+centre's mask.  Each quotes the lowest failing element index as its
+witness.  The per-cell product cases and the sandwich identity run
+`mul_index` on grids of the Peirce cells' element indices, row-major,
+and quote the first failing pair.
 
 Small corners make the corner conditions degenerate: when both hold the
 caller must pick the branch (both constructions can be simultaneously
@@ -62,8 +72,8 @@ from .maps import (MapTable, check_almost_additivity, check_map_consequences,
                    verify_surjective)
 from .reports import CheckReport, coords_json
 from .rings import Element, is_alternative, is_k_torsion_free
-from .structure import (PeirceFrame, Subspace, center, center_mask,
-                        check_main_hypotheses, check_spade_club)
+from .structure import (PeirceFrame, Subspace, center, check_main_hypotheses,
+                        check_spade_club)
 
 BRANCH_DAGGER = "dagger"
 BRANCH_DDAGGER = "ddagger"
@@ -102,28 +112,34 @@ def _source_hypotheses(m: MapTable, e1: Element, budget: int) -> list[CheckRepor
                     lambda: check_main_hypotheses(peirce_frames(m, e1)[0], budget))
 
 
+def _central_multiples(frame: PeirceFrame, i: int) -> list[list]:
+    """z*f_i for each z of the centre's basis: Z*f_i is their span."""
+    r, f = frame.ring, (frame.e1 if i == 1 else frame.e2).coords
+    return [list(r.mul_coords(list(z), f)) for z in center(r).basis]
+
+
 def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame, tgt_frame: PeirceFrame,
                           budget: int) -> BranchDetection:
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     f_idx = m.image_index(budget)
-    zc = center(m.target)
-    f = {1: tgt_frame.e1.coords, 2: tgt_frame.e2.coords}
-    zf = {i: Subspace.from_vectors(m.target, [list(m.target.mul_coords(list(z), f[i]))
-                                              for z in zc.basis]) for i in (1, 2)}
+    # per i: the index of f_i y f_i for every target y, and the Z*f_i mask
+    corner = {i: et.linear_index(tgt_frame.projectors[(i, i)], budget) for i in (1, 2)}
+    inside_zf = {i: Subspace.from_vectors(m.target, _central_multiples(tgt_frame, i))
+                 .mask(et, budget) for i in (1, 2)}
     reports = []
     for tag in (BRANCH_DAGGER, BRANCH_DDAGGER):
         for i in (1, 2):
             j = 3 - i
             src_cell = (j, j) if tag == BRANCH_DAGGER else (i, i)
             pts = src_frame.components[src_cell].points(es, budget)
-            corners = et.coords_of(f_idx[es.index_of(pts)]) @ tgt_frame.projector_np(i, i).T % et.p
-            inside = zf[i].mask(et, corners)
+            corners = corner[i][f_idx[es.index_of(pts)]]
+            inside = inside_zf[i][corners]
             ok = bool(inside.all())
             wit = None
             if not ok:
                 k = int(np.flatnonzero(~inside)[0])
                 wit = {"element": coords_json(m.source, [int(x) for x in pts[k]]),
-                       "corner": coords_json(m.target, [int(x) for x in corners[k]])}
+                       "corner": coords_json(m.target, [int(x) for x in et.coords_of(corners[k])])}
             reports.append(CheckReport(f"branch_{tag}_corner_{i}", ok, wit,
                                        {"elements": len(pts)}))
     return BranchDetection(all(r.ok for r in reports[:2]), all(r.ok for r in reports[2:]), reports)
@@ -174,8 +190,10 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     Raises HypothesisFailed when a structural condition (1)-(4) fails on
     the source frame, BranchUndetermined when the corner tests do not
     single out a branch and the caller chose none, and
-    AmbiguousCentralSplit when the central component of a diagonal image
-    is not uniquely solvable.
+    AmbiguousCentralSplit when a diagonal target corner meets the centre
+    or the central multiples z*f_i are linearly dependent, either of
+    which would leave the central component of a diagonal image
+    ambiguous.
     """
     if not m.is_bijective(budget):
         raise NotBijective("decomposition needs a bijective dense table")
@@ -210,52 +228,22 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
             raise AmbiguousCentralSplit(
                 f"target corner ({i},{i}) meets the centre in dimension {inter.dim}")
 
-    f = {1: tgt_frame.e1.coords, 2: tgt_frame.e2.coords}
+    # columns z_k*f_i; full column rank makes the central solve unique
     zf_cols = {}
     for i in (1, 2):
-        cols = [list(tgt.mul_coords(list(z), f[i])) for z in zc.basis]
-        zf_cols[i] = A = [[cols[k][row] for k in range(len(cols))] for row in range(tgt.dim)]
+        zf_cols[i] = A = [list(col) for col in zip(*_central_multiples(tgt_frame, i))]
         if zc.dim and linalg.nullspace(A, dom):
             raise AmbiguousCentralSplit(f"central multiples of f_{i} are linearly dependent")
 
-    # cellwise psi on the component points, memoized by global element index
-    memo = {}
-    for ij in CELLS:
-        pts = src_frame.components[ij].points(es, budget)
-        idxs = es.index_of(pts)
-        img = et.coords_of(f_idx[idxs])
-        if ij[0] != ij[1]:
-            vals = img
-        else:
-            i = ij[0]
-            j = 3 - i
-            solve_corner, keep_corner, fsub = ((j, j), (i, i), i) if branch == BRANCH_DAGGER \
-                else ((i, i), (j, j), j)
-            corners = img @ tgt_frame.projector_np(*solve_corner).T % et.p
-            kept = img @ tgt_frame.projector_np(*keep_corner).T % et.p
-            A = zf_cols[solve_corner[0]]
-            vals = np.empty_like(kept)
-            for row in range(len(pts)):
-                rhs = [dom.parse(int(x)) for x in corners[row]]
-                alpha, null = linalg.solve(A, rhs, dom)
-                if alpha is None or null:
-                    raise AmbiguousCentralSplit(
-                        "no unique central solution for a diagonal image "
-                        f"(element {coords_json(m.source, [int(x) for x in pts[row]])})")
-                zcoords = [dom.zero] * tgt.dim
-                for a, zrow in zip(alpha, zc.basis):
-                    zcoords = [dom.add(x, dom.mul(a, y)) for x, y in zip(zcoords, zrow)]
-                zf = tgt.mul_coords(zcoords, f[fsub])
-                vals[row] = (kept[row] - np.array([int(x) for x in zf], dtype=np.int64)) % et.p
-        order = np.argsort(idxs)
-        memo[ij] = (idxs[order], np.ascontiguousarray(vals[order].T, dtype=et.elim_dtype))
-
-    # four cell values in [0, p) stay exact in elim_dtype
+    # psi = sum_c Q_c phi(P_c x): cell values in [0, p), four stay exact in elim_dtype
+    Dt = et.digits(budget)
     planes = np.zeros((tgt.dim, es.count), dtype=et.elim_dtype)
     for ij in CELLS:
-        keys, vals = memo[ij]
-        pos = np.searchsorted(keys, es.linear_index(src_frame.projector_np(*ij), budget))
-        planes += vals.take(pos, axis=1)
+        comp = f_idx[es.linear_index(src_frame.projectors[ij], budget)]
+        if ij[0] == ij[1]:
+            comp = et.linear_index(_diagonal_recipe(tgt_frame, zf_cols, branch, ij[0]),
+                                   budget)[comp]
+        planes += Dt.take(comp, axis=1)
     psi_idx = et.index_of_planes(et.reduce(planes))
     tau_idx = et.add_index(f_idx, et.smul_index(et.p - 1, budget)[psi_idx], budget)
 
@@ -268,6 +256,26 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
                               psi_matrix, detection, budget, seed)
     res.certificates = verify_decomposition(res)
     return res
+
+
+def _diagonal_recipe(tgt_frame: PeirceFrame, zf_cols: dict, branch: str, i: int) -> list:
+    """Q = P_keep - B A+ P_solve, which takes phi(x) to psi(x) on the
+    diagonal source cell (i, i) (see the module docstring).
+
+    (solve, keep) is (j, i) under dagger and (i, j) under ddagger; A and
+    B hold the columns z_k*f_solve and z_k*f_keep.  A+ is the left
+    inverse of A read from its pivot rows S, A_S^-1 applied to rows S:
+    for a corner c = A alpha it returns alpha, and B alpha = z*f_keep.
+    """
+    dom = tgt_frame.ring.domain
+    solve, keep = (3 - i, i) if branch == BRANCH_DAGGER else (i, 3 - i)
+    A, B = zf_cols[solve], zf_cols[keep]
+    P_keep = tgt_frame.projectors[(keep, keep)]
+    rows = linalg.rref([list(col) for col in zip(*A)], dom)[1]
+    A_inv = linalg.inverse([A[r] for r in rows], dom)
+    P_solve = tgt_frame.projectors[(solve, solve)]
+    BAP = linalg.mat_mul(linalg.mat_mul(B, A_inv, dom), [P_solve[r] for r in rows], dom)
+    return [[dom.sub(q, c) for q, c in zip(qr, cr)] for qr, cr in zip(P_keep, BAP)]
 
 
 # -- certificates --------------------------------------------------------------
@@ -376,7 +384,7 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     cells_report("sandwich_identity", "triples", lambda i, j: ((i, j), (j, i)),
                  sandwich_fails, False)
 
-    central = center_mask(m.target, budget)
+    central = center(m.target).mask(et, budget)
     elem_report("tau_central", ~central[tau_idx], lambda k: {"tau": tgt_json(tau_idx[k])})
 
     pair_cert("tau_kills_commutators",

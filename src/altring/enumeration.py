@@ -372,15 +372,6 @@ class Enumeration:
         coeffs = (ar[:, None] // self.p ** np.arange(d, dtype=np.int64)) % self.p
         return coeffs @ B % self.p
 
-    def in_span_mask(self, basis_rows, pivots, V) -> np.ndarray:
-        """Which rows of V lie in the span of an rref basis."""
-        V = np.asarray(V, dtype=np.int64) % self.p
-        if not basis_rows:
-            return (V == 0).all(axis=-1)
-        B = np.array([[int(x) for x in row] for row in basis_rows], dtype=np.int64)
-        red = (V - V[..., list(pivots)] @ B) % self.p
-        return (red == 0).all(axis=-1)
-
     # -- batched rank over F_p ---------------------------------------------
 
     def rank_batched(self, mats) -> np.ndarray:

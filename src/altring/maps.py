@@ -23,8 +23,7 @@ from .errors import (DimensionMismatch, DomainMismatch, NotBijective,
                      ParseError)
 from .reports import CheckReport, coords_json
 from .rings import Element, Ring, is_associative
-from .structure import (PeirceFrame, center, center_mask, check_main_hypotheses,
-                        peirce_frame)
+from .structure import PeirceFrame, center, check_main_hypotheses, peirce_frame
 
 
 class MapTable:
@@ -437,7 +436,7 @@ def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     Dt = et.digits(budget)
     f_idx = m.image_index(budget)
-    central = center_mask(m.target, budget)
+    central = center(m.target).mask(et, budget)
 
     def fails(a_idx, b_idx):
         # digit planes of the defect lie in (-2p, p), exact in elim_dtype
@@ -493,16 +492,15 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
     for i in (1, 2):
         j = 3 - i
         pts = src_frame.components[(i, i)].points(es, budget)
-        img = et.coords_of(f_idx[es.index_of(pts)])
-        same = tgt_frame.components[(i, i)].sum(zc)
-        swap = tgt_frame.components[(j, j)].sum(zc)
-        in_same, in_swap = same.mask(et, img), swap.mask(et, img)
+        img = f_idx[es.index_of(pts)]
+        in_same = tgt_frame.components[(i, i)].sum(zc).mask(et, budget)[img]
+        in_swap = tgt_frame.components[(j, j)].sum(zc).mask(et, budget)[img]
         ok = bool(in_same.all() or in_swap.all())
         wit = None
         if not ok:
             k = int(np.flatnonzero(~(in_same & in_swap))[0])
             wit = {"element": coords_json(m.source, [int(x) for x in pts[k]]),
-                   "image": coords_json(m.target, [int(x) for x in img[k]])}
+                   "image": coords_json(m.target, [int(x) for x in et.coords_of(img[k])])}
         reports.append(CheckReport(
             f"diag_image_{i}{i}", ok, wit,
             {"elements": len(pts),

@@ -56,8 +56,14 @@ class Subspace:
     def points(self, enum: Enumeration, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         return enum.subspace_points([list(r) for r in self.basis], budget)
 
-    def mask(self, enum: Enumeration, V) -> np.ndarray:
-        return enum.in_span_mask([list(r) for r in self.basis], list(self.pivots), V)
+    def mask(self, enum: Enumeration, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Membership over all element indices of a finite ring, so a
+        gather answers "is element k in the subspace?"; count-sized, so the
+        ring must fit the element budget."""
+        enum._check_budget(budget)
+        mask = np.zeros(enum.count, dtype=bool)
+        mask[enum.index_of(self.points(enum, budget))] = True
+        return mask
 
 
 def center(r: Ring) -> Subspace:
@@ -78,14 +84,6 @@ def _center_basis(r: Ring) -> tuple[tuple, tuple]:
             rows.append([dom.sub(R[k][j], L[k][j]) for j in range(r.dim)])
     zc = Subspace.from_vectors(r, linalg.nullspace(rows, dom))
     return zc.basis, zc.pivots
-
-
-def center_mask(r: Ring, budget: int) -> np.ndarray:
-    """Which elements of a finite ring are central, over all element indices."""
-    enum = Enumeration.of(r)
-    mask = np.zeros(enum.count, dtype=bool)
-    mask[enum.index_of(center(r).points(enum, budget))] = True
-    return mask
 
 
 def nucleus(r: Ring) -> Subspace:
@@ -187,10 +185,6 @@ class PeirceFrame:
         for ij, P in self.projectors.items():
             out[ij] = Element(self.ring, self.ring.apply_matrix(P, a.coords))
         return out
-
-    def projector_np(self, i: int, j: int) -> np.ndarray:
-        return np.array([[int(x) for x in row] for row in self.projectors[(i, j)]],
-                        dtype=np.int64)
 
 
 def peirce_frame(r: Ring, e1: Element) -> PeirceFrame:
@@ -408,20 +402,19 @@ def check_spade_club(frame: PeirceFrame, hypotheses: list[CheckReport],
     r = frame.ring
     enum = Enumeration.of(r)
     comp = frame.components
-    zc = center(r)
     p11 = comp[(1, 1)].points(enum, budget)
     p22 = comp[(2, 2)].points(enum, budget)
     if len(p11) * len(p22) > budget:
         raise BudgetExceeded(len(p11) * len(p22), budget, "diagonal-sum scan")
     sums = (p11[:, None, :] + p22[None, :, :]).reshape(-1, r.dim) % enum.p
 
+    central = center(r).mask(enum, budget)[enum.index_of(sums)]
     reports = []
     for name, cell in (("spade", (1, 2)), ("club", (2, 1))):
         commutes = np.ones(len(sums), dtype=bool)
         for row in comp[cell].basis:
             b = np.broadcast_to(np.array([int(x) for x in row], dtype=np.int64), sums.shape)
             commutes &= (enum.commutator(sums, b) == 0).all(axis=1)
-        central = zc.mask(enum, sums)
         bad = np.flatnonzero(commutes & ~central)
         wit = None
         if len(bad):

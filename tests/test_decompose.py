@@ -278,7 +278,8 @@ def reference_diagonal_psi(res):
             for c, row in zip(coeffs, cell.basis):
                 x = x + src.element(row).smul(c)
             y = m(x).coords
-            alpha, null = linalg.solve(A, list(tgt.apply_matrix(res.target_frame.projectors[(s, s)], y)), dom)
+            corner = tgt.apply_matrix(res.target_frame.projectors[(s, s)], y)
+            alpha, null = linalg.solve(A, list(corner), dom)
             assert alpha is not None and not null
             z = tgt.zero()
             for a, row in zip(alpha, zc):

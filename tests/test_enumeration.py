@@ -87,14 +87,15 @@ def test_subspace_points_order(m2):
     assert tuple(pts[5]) == (0, 1, 0, 0)
 
 
-def test_in_span_mask_matches_contains(m2):
+def test_subspace_mask_matches_contains(m2):
     enum = Enumeration(m2)
     sub = Subspace.from_vectors(m2, [[1, 0, 0, 4], [0, 2, 0, 0]])
-    X = enum.all_coords()
-    mask = sub.mask(enum, X)
-    for idx in (0, 1, 17, 311, 624):
-        assert bool(mask[idx]) == sub.contains(tuple(int(c) for c in X[idx]))
+    mask = sub.mask(enum)
+    assert mask.shape == (625,)
+    assert mask.tolist() == [sub.contains(x) for x in itertools.product(range(5), repeat=4)]
     assert int(mask.sum()) == 25
+    with pytest.raises(BudgetExceeded):
+        sub.mask(enum, budget=624)
 
 
 def test_rank_batched_matches_exact(m2):
