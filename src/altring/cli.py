@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 from . import maps as maps_mod
@@ -41,18 +41,41 @@ class Workspace:
         return ring
 
 
-# characters per write: the text layer then encodes one slice at a time,
-# never a second whole copy of a 40 MB bundle
-_WRITE_SLICE = 1 << 20
+@contextmanager
+def _sink(out: str | None):
+    """A binary handle on standard output, or on a temporary file beside
+    `out` that replaces `out` only once the whole output is written, so a
+    failed write leaves no partial file.  An existing `out` that is not a
+    regular file (a device, a pipe) is written in place."""
+    if out is None:
+        sys.stdout.flush()
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+        return
+    path = os.path.realpath(out)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _emit(args, obj: dict, lines: list[str] | None) -> None:
     """Write `lines` under --format text, else `obj` as JSON (`gen`, which
     passes no lines, always writes JSON), to --out or standard output."""
-    text = "\n".join(lines) + "\n" if args.format == "text" and lines is not None else dumps(obj)
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        for lo in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[lo:lo + _WRITE_SLICE])
+    with _sink(args.out) as fh:
+        if args.format == "text" and lines is not None:
+            fh.write(("\n".join(lines) + "\n").encode())
+        else:
+            dumps(obj, fh)
 
 
 def _report_lines(reports: list[dict]) -> list[str]:

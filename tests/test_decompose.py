@@ -1,4 +1,5 @@
 import importlib
+import io
 import itertools
 import json
 from collections import Counter
@@ -342,4 +343,6 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
     assert main(["verify-theorem", "--source", str(ring), "--target", str(ring), "--map", str(phi),
                  "--idempotent", "1,0,0,0", "--branch", "ddagger", "--budget", "1000000",
                  "--seed", "0", "--out", str(out)]) == 0
-    assert out.read_text(encoding="utf-8") == dumps(bundle)
+    encoded = io.BytesIO()
+    dumps(bundle, encoded)
+    assert out.read_bytes() == encoded.getvalue()
