@@ -45,10 +45,10 @@ index is phi's plus that of -psi.  The bundle's tau table is
 certificates compare the two indices: recomposition is
 `add_index(psi, tau)` against phi's, the matrix check is
 `linear_index(psi_matrix)`, centrality of tau is a gather from the
-centre's mask.  Each quotes the lowest failing element index as its
-witness.  The per-cell product cases and the sandwich identity run
-`mul_index` on grids of the Peirce cells' element indices, row-major,
-and quote the first failing pair.
+centre's mask.  The per-cell product cases and the sandwich identity run
+`mul_index` on grids of the Peirce cells' element indices, row-major.
+Every one of these, and each corner test of branch detection, ends in a
+failure mask and reports through `reports.first_failure`.
 
 Small corners make the corner conditions degenerate: when both hold the
 caller must pick the branch (both constructions can be simultaneously
@@ -70,7 +70,7 @@ from .maps import (MapTable, check_almost_additivity, check_map_consequences,
                    check_peirce_image, pair_report, peirce_frames,
                    verify_lie_multiplicative, verify_preserves_idempotents,
                    verify_surjective)
-from .reports import CheckReport, coords_json
+from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, is_alternative, is_k_torsion_free
 from .structure import (PeirceFrame, Subspace, center, check_main_hypotheses,
                         check_spade_club)
@@ -133,15 +133,11 @@ def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame, tgt_frame: Peirce
             src_cell = (j, j) if tag == BRANCH_DAGGER else (i, i)
             pts = src_frame.components[src_cell].points(es, budget)
             corners = corner[i][f_idx[es.index_of(pts)]]
-            inside = inside_zf[i][corners]
-            ok = bool(inside.all())
-            wit = None
-            if not ok:
-                k = int(np.flatnonzero(~inside)[0])
-                wit = {"element": coords_json(m.source, [int(x) for x in pts[k]]),
-                       "corner": coords_json(m.target, [int(x) for x in et.coords_of(corners[k])])}
-            reports.append(CheckReport(f"branch_{tag}_corner_{i}", ok, wit,
-                                       {"elements": len(pts)}))
+            reports.append(first_failure(
+                f"branch_{tag}_corner_{i}", ~inside_zf[i][corners],
+                lambda k: {"element": coords_json(m.source, pts[k]),
+                           "corner": coords_json(m.target, et.coords_of(corners[k]))},
+                {"elements": len(pts)}))
     return BranchDetection(all(r.ok for r in reports[:2]), all(r.ok for r in reports[2:]), reports)
 
 
@@ -296,20 +292,10 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     anti = res.branch == BRANCH_DDAGGER
     certs: list[CheckReport] = []
 
-    def src_json(k):
-        return coords_json(m.source, [int(v) for v in es.coords_of(k)])
-
-    def tgt_json(k):
-        return coords_json(m.target, [int(v) for v in et.coords_of(k)])
-
-    def elem_report(name, bad, witness=None):
-        """Report on an element mask: the witness is the lowest failing index."""
-        bad = np.flatnonzero(bad)
-        wit = None
-        if len(bad):
-            k = int(bad[0])
-            wit = {"x": src_json(k), **(witness(k) if witness else {})}
-        certs.append(CheckReport(name, wit is None, wit, {"elements": int(es.count)}))
+    def elem_report(name, bad, quote=lambda k: {}):
+        certs.append(first_failure(
+            name, bad, lambda k: {"x": coords_json(m.source, es.coords_of(k)), **quote(k)},
+            {"elements": int(es.count)}))
 
     # recomposition: psi + tau = phi, asserted on every element
     elem_report("recomposition", et.add_index(psi_idx, tau_idx, budget) != m.image_index(budget))
@@ -331,9 +317,11 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     twice, missed = res.psi.fibres(budget)
     wit = None
     if twice is not None:
-        wit = {"image": tgt_json(twice[0]), "a": src_json(twice[1]), "b": src_json(twice[2])}
+        wit = {"image": coords_json(m.target, et.coords_of(twice[0])),
+               "a": coords_json(m.source, es.coords_of(twice[1])),
+               "b": coords_json(m.source, es.coords_of(twice[2]))}
     elif missed is not None:
-        wit = {"unreached": tgt_json(missed)}
+        wit = {"unreached": coords_json(m.target, et.coords_of(missed))}
     certs.append(CheckReport("psi_bijective", wit is None, wit, {"elements": int(es.count)}))
 
     # anti: psi(ab) = -psi(b)psi(a), the sign applied through the index table of x -> -x
@@ -347,26 +335,25 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
 
     pair_cert("psi_anti_multiplicative" if anti else "psi_multiplicative", product_fails)
 
-    # per-cell cases of the product rule and the sandwich identity, on
-    # (|A|, |B|) grids of cell element indices: the first failing pair in
-    # row-major order, i = 1 before i = 2
+    # per-cell cases of the product rule and the sandwich identity, on the
+    # (|A|, |B|) grids of cell element indices, raveled row-major, i = 1 first
     cell_idx = {ij: es.index_of(res.source_frame.components[ij].points(es, budget))
                 for ij in CELLS}
 
     def cells_report(name, space, cells_fn, fails, quote_cells):
-        ok, wit, pairs = True, None, 0
-        for i in (1, 2):
-            ca, cb = cells_fn(i, 3 - i)
-            A, B = cell_idx[ca], cell_idx[cb]
-            pairs += len(A) * len(B)
-            bad = np.flatnonzero(fails(A[:, None], B[None, :]))
-            if len(bad) and ok:
-                a, b = divmod(int(bad[0]), len(B))
-                ok = False
-                wit = {"a": src_json(A[a]), "b": src_json(B[b])}
-                if quote_cells:
-                    wit["cells"] = [list(ca), list(cb)]
-        certs.append(CheckReport(name, ok, wit, {space: pairs}))
+        cells = [cells_fn(i, 3 - i) for i in (1, 2)]
+        grids = [np.meshgrid(cell_idx[ca], cell_idx[cb], indexing="ij") for ca, cb in cells]
+        a_idx, b_idx = (np.concatenate([g[s].ravel() for g in grids]) for s in (0, 1))
+        owner = np.repeat([0, 1], [g[0].size for g in grids])
+
+        def quote(k):
+            wit = {"a": coords_json(m.source, es.coords_of(a_idx[k])),
+                   "b": coords_json(m.source, es.coords_of(b_idx[k]))}
+            if quote_cells:
+                wit["cells"] = [list(c) for c in cells[owner[k]]]
+            return wit
+
+        certs.append(first_failure(name, fails(a_idx, b_idx), quote, {space: len(a_idx)}))
 
     for name, cells_fn in (("case_diag_offdiag", lambda i, j: ((i, i), (i, j))),
                            ("case_offdiag_diag", lambda i, j: ((i, j), (j, j))),
@@ -385,7 +372,8 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
                  sandwich_fails, False)
 
     central = center(m.target).mask(et, budget)
-    elem_report("tau_central", ~central[tau_idx], lambda k: {"tau": tgt_json(tau_idx[k])})
+    elem_report("tau_central", ~central[tau_idx],
+                lambda k: {"tau": coords_json(m.target, et.coords_of(tau_idx[k]))})
 
     pair_cert("tau_kills_commutators",
               lambda a_idx, b_idx: tau_idx[es.commutator_index(a_idx, b_idx, budget)] != 0)
@@ -416,9 +404,15 @@ def verify_theorem(m: MapTable, e1: Element, branch: str | None, budget: int,
         reports.extend(reps)
         bundle["stages"].append({"stage": name, "reports": [r.to_json() for r in reps]})
 
+    def alternative(name, ring):
+        alt = is_alternative(ring)
+        wit = None if alt.ok else {"law": alt.witness[0], **{
+            v: coords_json(ring, a) for v, a in zip("xyz", alt.witness[1])}}
+        return CheckReport(name, alt.ok, wit, {})
+
     stage("ring_axioms", [
-        CheckReport("source_alternative", is_alternative(src).ok, None, {}),
-        CheckReport("target_alternative", is_alternative(m.target).ok, None, {}),
+        alternative("source_alternative", src),
+        alternative("target_alternative", m.target),
         CheckReport("source_torsion_free_2", is_k_torsion_free(src, 2), None, {}),
         CheckReport("source_torsion_free_3", is_k_torsion_free(src, 3), None, {}),
     ])

@@ -7,7 +7,8 @@ or in structured form, a linear part M plus a central offset lambda(x)*z,
 which is the one matrix M + z lambda^T and evaluates over any scalar
 domain.  Over a prime field every map is held as one image index, read
 by every verifier; the few that need coordinates of some points take
-them from it (`Enumeration.coords_of`).
+them from it (`Enumeration.coords_of`).  An element-quantified verifier
+ends in a failure mask and reports through `reports.first_failure`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (DimensionMismatch, DomainMismatch, NotBijective,
                      NotIdempotentImage, NotInvertible, OffsetNotCentral,
                      ParseError)
-from .reports import CheckReport, coords_json
+from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, Ring, is_associative
 from .structure import PeirceFrame, center, check_main_hypotheses, peirce_frame
 
@@ -323,7 +324,7 @@ def pair_report(name: str, source: Ring, budget: int, seed: int, fail_fn) -> Che
     es = Enumeration.of(source)
     ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fail_fn)
     wit = None if pair is None else {
-        key: coords_json(source, [int(x) for x in es.coords_of(k)]) for key, k in zip("ab", pair)}
+        key: coords_json(source, es.coords_of(k)) for key, k in zip("ab", pair)}
     return CheckReport(name, ok, wit, {"pairs": es.count ** 2, "checked": int(checked)},
                        mode, seed if mode == "sampled" else None, cov)
 
@@ -332,8 +333,8 @@ def pair_report(name: str, source: Ring, budget: int, seed: int, fail_fn) -> Che
 
 def verify_surjective(m: MapTable, budget: int = DEFAULT_BUDGET) -> CheckReport:
     missed = m.fibres(budget)[1]
-    wit = None if missed is None else {"unreached": coords_json(
-        m.target, [int(x) for x in Enumeration.of(m.target).coords_of(missed)])}
+    wit = None if missed is None else {
+        "unreached": coords_json(m.target, Enumeration.of(m.target).coords_of(missed))}
     return CheckReport("surjective", wit is None, wit,
                        {"elements": int(Enumeration.of(m.source).count)})
 
@@ -408,26 +409,16 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
     idx = m.image_index(budget)
     twice = m.fibres(budget)[0]
     wit = None if twice is None else {
-        key: coords_json(m.source, [int(x) for x in es.coords_of(k)])
-        for key, k in zip("ab", twice[1:])}
-    reports = [CheckReport("injective", wit is None, wit, {"elements": int(es.count)})]
-
-    zero_ok = bool(idx[0] == 0)
-    reports.append(CheckReport("maps_zero_to_zero", zero_ok,
-                               None if zero_ok else {"image_of_zero": coords_json(
-                                   m.target, [int(x) for x in et.coords_of(idx[0])])},
-                               {"elements": 1}))
-
-    ok, wit = True, None
-    for lam in range(es.p):
-        bad = np.flatnonzero(idx[es.smul_index(lam, budget)] != et.smul_index(lam, budget)[idx])
-        if len(bad) and ok:
-            k = int(bad[0])
-            ok = False
-            wit = {"x": coords_json(m.source, [int(v) for v in es.coords_of(k)]), "lambda": int(lam)}
-    reports.append(CheckReport("scalar_homogeneous", ok, wit,
-                               {"elements": int(es.count), "lambdas": int(es.p)}))
-    return reports
+        key: coords_json(m.source, es.coords_of(k)) for key, k in zip("ab", twice[1:])}
+    # row lam of the scalar mask: phi(lam x) != lam phi(x), x in element order
+    homogeneous = np.stack([idx[es.smul_index(lam, budget)] != et.smul_index(lam, budget)[idx]
+                            for lam in range(es.p)])
+    return [CheckReport("injective", wit is None, wit, {"elements": int(es.count)}),
+            first_failure("maps_zero_to_zero", idx[:1] != 0, lambda k: {
+                "image_of_zero": coords_json(m.target, et.coords_of(idx[0]))}, {"elements": 1}),
+            first_failure("scalar_homogeneous", homogeneous, lambda k: {
+                "x": coords_json(m.source, es.coords_of(k % es.count)), "lambda": k // es.count},
+                {"elements": int(es.count), "lambdas": int(es.p)})]
 
 
 def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
@@ -476,17 +467,15 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
 
     for ij in ((1, 2), (2, 1)):
         pts = src_frame.components[ij].points(es, budget)
-        tgt_pts = tgt_frame.components[ij].points(et, budget)
-        got = np.unique(f_idx[es.index_of(pts)])
-        want = np.unique(et.index_of(tgt_pts))
-        ok = len(got) == len(want) and bool((got == want).all())
-        wit = None
-        if not ok:
-            stray = np.setdiff1d(got, want)
-            if len(stray):
-                wit = {"image": coords_json(m.target, [int(x) for x in et.coords_of(int(stray[0]))])}
-        reports.append(CheckReport(f"offdiag_image_{ij[0]}{ij[1]}", ok, wit,
-                                   {"elements": len(pts), "target_elements": len(tgt_pts)}))
+        want = tgt_frame.components[ij].mask(et, budget)
+        hit = np.zeros(et.count, dtype=bool)
+        hit[f_idx[es.index_of(pts)]] = True
+        # over target elements: [images outside the corner; corner elements never reached]
+        reports.append(first_failure(
+            f"offdiag_image_{ij[0]}{ij[1]}", np.stack([hit & ~want, want & ~hit]),
+            lambda k: {("image", "unreached")[k // et.count]:
+                       coords_json(m.target, et.coords_of(k % et.count))},
+            {"elements": len(pts), "target_elements": int(want.sum())}))
 
     zc = center(m.target)
     for i in (1, 2):
@@ -495,17 +484,13 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
         img = f_idx[es.index_of(pts)]
         in_same = tgt_frame.components[(i, i)].sum(zc).mask(et, budget)[img]
         in_swap = tgt_frame.components[(j, j)].sum(zc).mask(et, budget)[img]
-        ok = bool(in_same.all() or in_swap.all())
-        wit = None
-        if not ok:
-            k = int(np.flatnonzero(~(in_same & in_swap))[0])
-            wit = {"element": coords_json(m.source, [int(x) for x in pts[k]]),
-                   "image": coords_json(m.target, [int(x) for x in et.coords_of(img[k])])}
-        reports.append(CheckReport(
-            f"diag_image_{i}{i}", ok, wit,
-            {"elements": len(pts),
-             "same_corner_shape": int(bool(in_same.all())),
-             "swapped_corner_shape": int(bool(in_swap.all()))}))
+        # with neither shape, quote the first element whose image misses one
+        reports.append(first_failure(
+            f"diag_image_{i}{i}", ~(in_same & in_swap) & ~(in_same.all() | in_swap.all()),
+            lambda k: {"element": coords_json(m.source, pts[k]),
+                       "image": coords_json(m.target, et.coords_of(img[k]))},
+            {"elements": len(pts), "same_corner_shape": int(in_same.all()),
+             "swapped_corner_shape": int(in_swap.all())}))
 
     transported = check_main_hypotheses(tgt_frame, budget)
     for rep in transported[1:3]:

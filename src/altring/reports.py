@@ -3,6 +3,8 @@
 Every universally quantified check produces one report:
 {"condition", "pass", "witness", "quantifier_space"}, plus sampling
 metadata when a scan ran in seeded-sample mode instead of exhaustively.
+A scan that ends in a boolean failure mask reports through
+`first_failure`, which quotes the lowest failing index.
 Serialization is deterministic (sorted keys, fixed separators) so that
 repeated runs emit byte-identical bundles; `dumps` streams it to a binary
 handle a bounded block at a time, never holding the whole text.
@@ -45,6 +47,15 @@ class CheckReport:
             out["seed"] = self.seed
             out["coverage"] = self.coverage
         return out
+
+
+def first_failure(condition: str, bad, quote, space: dict) -> CheckReport:
+    """The report of a scan whose failures are the set entries of the
+    boolean mask `bad`: it passes when none is set, and otherwise its
+    witness is quote(k) for the lowest failing flat index k (C order), so
+    a failing report always carries a witness."""
+    hits = np.flatnonzero(bad)
+    return CheckReport(condition, not len(hits), quote(int(hits[0])) if len(hits) else None, space)
 
 
 # rows per write: bounds every write and the reusable digit buffer

@@ -218,29 +218,25 @@ def is_alternative(r: Ring) -> CheckResult:
     The linearized forms are checked on all basis triples; the diagonal
     cases (x,x,y) and (y,x,x) are additionally checked directly with x
     ranging over sums of two basis vectors, which avoids polarization
-    pitfalls in small characteristic.
+    pitfalls in small characteristic.  A failure's witness is (law, args):
+    the identity broken, as a string in x, y and z, and the coordinates
+    of x, y (and z) it breaks on.
     """
-    dom = r.domain
-    n = r.dim
-    basis = [r.basis_coords(i) for i in range(n)]
+    basis = [r.basis_coords(i) for i in range(r.dim)]
     zero = r.zero_coords()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lin_left = r.add_coords(_assoc_coords(r, basis[i], basis[j], basis[k]),
-                                        _assoc_coords(r, basis[j], basis[i], basis[k]))
-                if lin_left != zero:
-                    return CheckResult(False, (basis[i], basis[j], basis[k]))
-                lin_right = r.add_coords(_assoc_coords(r, basis[k], basis[i], basis[j]),
-                                         _assoc_coords(r, basis[k], basis[j], basis[i]))
-                if lin_right != zero:
-                    return CheckResult(False, (basis[k], basis[i], basis[j]))
-    for i in range(n):
-        for j in range(i, n):
+    for x, y, z in product(basis, repeat=3):
+        if r.add_coords(_assoc_coords(r, x, y, z), _assoc_coords(r, y, x, z)) != zero:
+            return CheckResult(False, ("(x,y,z) + (y,x,z) = 0", (x, y, z)))
+        if r.add_coords(_assoc_coords(r, z, x, y), _assoc_coords(r, z, y, x)) != zero:
+            return CheckResult(False, ("(x,y,z) + (x,z,y) = 0", (z, x, y)))
+    for i in range(r.dim):
+        for j in range(i, r.dim):
             x = r.add_coords(basis[i], basis[j])
-            for k in range(n):
-                if _assoc_coords(r, x, x, basis[k]) != zero or _assoc_coords(r, basis[k], x, x) != zero:
-                    return CheckResult(False, (x, x, basis[k]))
+            for y in basis:
+                if _assoc_coords(r, x, x, y) != zero:
+                    return CheckResult(False, ("(x,x,y) = 0", (x, y)))
+                if _assoc_coords(r, y, x, x) != zero:
+                    return CheckResult(False, ("(y,x,x) = 0", (x, y)))
     return CheckResult(True)
 
 

@@ -45,7 +45,6 @@ class Rationals:
     """Arbitrary-precision rational arithmetic; no magnitude limits."""
 
     kind = "Q"
-    is_finite = False
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -97,7 +96,6 @@ class PrimeField:
     """F_p with elements represented canonically as ints in range(p)."""
 
     kind = "Fp"
-    is_finite = True
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -105,10 +103,6 @@ class PrimeField:
         self.p = p
         self.zero = 0
         self.one = 1 % p
-
-    @property
-    def size(self) -> int:
-        return self.p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -141,8 +135,9 @@ class PrimeField:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad F_{self.p} scalar {text!r}") from exc
 
-    def fmt(self, a: int):
-        return a % self.p
+    def fmt(self, a) -> int:
+        """a as a Python int in range(p); numpy integers included."""
+        return int(a) % self.p
 
     def to_json(self):
         return {"Fp": self.p}

@@ -9,6 +9,7 @@ as a linear condition is solved exactly over either scalar domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from . import linalg
 from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible,
                      RingMismatch, TrivialIdempotent, UnsupportedDomain)
-from .reports import CheckReport, coords_json
+from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, Ring, is_alternative, is_k_torsion_free, memoised
 
 
@@ -241,10 +242,10 @@ def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) ->
 
     Containments (products land in the right corner) are bilinear, so
     they are decided on component bases.  The off-diagonal square law is
-    checked pointwise over F_p components; over Q it follows from basis
-    squares plus basis anticommutation and is checked that way.  Every
-    report counts its whole quantifier space and quotes the first failing
-    case in loop order.
+    checked pointwise over F_p components; over Q, where x^2 is a
+    quadratic form, on each basis vector u_a and each sum u_a + u_b.
+    Every report counts its whole quantifier space and quotes the first
+    failing case in loop order.
     """
     r = frame.ring
     comp = frame.components
@@ -293,30 +294,19 @@ def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) ->
         lambda u, v, ca, cb: nonzero(r.mul_coords(u, v))))
 
     # (iv.a): x^2 = 0 for every x in an off-diagonal component
-    ok, wit, n_elems = True, None, 0
     if r.domain.kind == "Fp":
         enum = Enumeration.of(r)
-        for ij in off:
-            pts = comp[ij].points(enum, budget)
-            n_elems += len(pts)
-            sq = enum.mul(pts, pts)
-            bad = np.flatnonzero((sq != 0).any(axis=1))
-            if len(bad) and ok:
-                b = int(bad[0])
-                ok, wit = False, {"element": coords_json(r, [int(c) for c in pts[b]]), "cell": list(ij)}
+        reports.append(_cell_scan("peirce_iv_a_squares", frame, off, budget,
+                                  lambda pts, ij: (enum.mul(pts, pts) != 0).any(axis=1)))
     else:
+        ok, wit, n_elems = True, None, 0
         for ij in off:
             rows = basis_elems(ij)
-            for u in rows:
+            for u in rows + [list(r.add_coords(a, b)) for a, b in combinations(rows, 2)]:
                 n_elems += 1
                 if ok and nonzero(r.mul_coords(u, u)):
                     ok, wit = False, {"element": coords_json(r, u), "cell": list(ij)}
-            for a in range(len(rows)):
-                for b in range(a + 1, len(rows)):
-                    if ok and nonzero(r.add_coords(r.mul_coords(rows[a], rows[b]),
-                                                   r.mul_coords(rows[b], rows[a]))):
-                        ok, wit = False, {"element": coords_json(r, rows[a]), "cell": list(ij)}
-    reports.append(CheckReport("peirce_iv_a_squares", ok, wit, {"elements": n_elems}))
+        reports.append(CheckReport("peirce_iv_a_squares", ok, wit, {"elements": n_elems}))
 
     # (iv.b): xy = -yx on off-diagonal component basis pairs
     reports.append(basis_pair_report(
@@ -333,65 +323,54 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
     multiplications; all quantifiers run over enumerated F_p points."""
     r = frame.ring
     enum = Enumeration.of(r)
-    comp = frame.components
-    reports = []
-
-    def annihilated(pts, cell, left):
-        """Rows x of pts with b*x = 0 (left) or x*b = 0 for every basis vector b of cell."""
-        ok_mask = np.ones(len(pts), dtype=bool)
-        for row in comp[cell].basis:
-            b = np.broadcast_to(np.array([int(x) for x in row], dtype=np.int64), pts.shape)
-            prod = enum.mul(b, pts) if left else enum.mul(pts, b)
-            ok_mask &= (prod == 0).all(axis=1)
-        return ok_mask
-
-    def first_bad(pts, bad_mask):
-        nz = (pts != 0).any(axis=1)
-        idxs = np.flatnonzero(bad_mask & nz)
-        if len(idxs) == 0:
-            return None
-        return coords_json(r, [int(c) for c in pts[int(idxs[0])]])
 
     # (1): x_ij R_ji = 0 forces x_ij = 0, for both off-diagonal cells
-    ok, wit, space = True, None, 0
-    for i, j in ((1, 2), (2, 1)):
-        pts = comp[(i, j)].points(enum, budget)
-        space += len(pts)
-        w = first_bad(pts, annihilated(pts, (j, i), False))
-        if w is not None and ok:
-            ok, wit = False, {"element": w, "cell": [i, j]}
-    reports.append(CheckReport("condition_1", ok, wit, {"elements": space}))
-
     # (2): x_11 R_12 = 0 or R_21 x_11 = 0 forces x_11 = 0
-    pts = comp[(1, 1)].points(enum, budget)
-    bad = annihilated(pts, (1, 2), False) | annihilated(pts, (2, 1), True)
-    w = first_bad(pts, bad)
-    reports.append(CheckReport("condition_2", w is None,
-                               None if w is None else {"element": w, "cell": [1, 1]},
-                               {"elements": len(pts)}))
-
     # (3): R_12 x_22 = 0 or x_22 R_21 = 0 forces x_22 = 0
-    pts = comp[(2, 2)].points(enum, budget)
-    bad = annihilated(pts, (1, 2), True) | annihilated(pts, (2, 1), False)
-    w = first_bad(pts, bad)
-    reports.append(CheckReport("condition_3", w is None,
-                               None if w is None else {"element": w, "cell": [2, 2]},
-                               {"elements": len(pts)}))
+    # as cell -> its annihilating sides (cell, from the left)
+    sides = {(1, 2): [((2, 1), False)], (2, 1): [((1, 2), False)],
+             (1, 1): [((1, 2), False), ((2, 1), True)], (2, 2): [((1, 2), True), ((2, 1), False)]}
+
+    def annihilated(pts, ij):
+        """Nonzero rows x of pts annihilated by a whole corner from one of
+        the sides of ij: b*x = 0 (left) or x*b = 0 for every basis vector
+        b of the corner."""
+        out = np.zeros(len(pts), dtype=bool)
+        for cell, left in sides[ij]:
+            killed = np.ones(len(pts), dtype=bool)
+            for row in frame.components[cell].basis:
+                b = np.broadcast_to(np.array(row, dtype=np.int64), pts.shape)
+                killed &= ((enum.mul(b, pts) if left else enum.mul(pts, b)) == 0).all(axis=1)
+            out |= killed
+        return out & (pts != 0).any(axis=1)
+
+    reports = [_cell_scan(name, frame, cells, budget, annihilated)
+               for name, cells in (("condition_1", ((1, 2), (2, 1))),
+                                   ("condition_2", ((1, 1),)), ("condition_3", ((2, 2),)))]
 
     # (4): z != 0 central implies x -> z x is onto (full rank over a field)
-    zc = center(r)
-    zpts = zc.points(enum, budget)
+    zpts = center(r).points(enum, budget)
     nz = (zpts != 0).any(axis=1)
     ranks = enum.rank_batched(enum.left_mul_matrices(zpts))
-    bad = nz & (ranks < r.dim)
-    idxs = np.flatnonzero(bad)
-    wit = None
-    if len(idxs):
-        zbad = zpts[int(idxs[0])]
-        wit = {"central": coords_json(r, [int(c) for c in zbad]), "rank": int(ranks[int(idxs[0])])}
-    reports.append(CheckReport("condition_4", len(idxs) == 0, wit,
-                               {"central_elements": int(nz.sum())}))
+    reports.append(first_failure(
+        "condition_4", nz & (ranks < r.dim),
+        lambda k: {"central": coords_json(r, zpts[k]), "rank": int(ranks[k])},
+        {"central_elements": int(nz.sum())}))
     return reports
+
+
+def _cell_scan(name: str, frame: PeirceFrame, cells, budget: int, fails) -> CheckReport:
+    """`first_failure` over the F_p points of `cells`, cell by cell;
+    fails(pts, ij) is the failure mask of cell ij's points, and a witness
+    is {"element", "cell"}."""
+    enum = Enumeration.of(frame.ring)
+    pts = [frame.components[ij].points(enum, budget) for ij in cells]
+    X = np.concatenate(pts)
+    owner = np.repeat(np.arange(len(cells)), [len(P) for P in pts])
+    return first_failure(
+        name, np.concatenate([fails(P, ij) for P, ij in zip(pts, cells)]),
+        lambda k: {"element": coords_json(frame.ring, X[k]), "cell": list(cells[owner[k]])},
+        {"elements": len(X)})
 
 
 def check_spade_club(frame: PeirceFrame, hypotheses: list[CheckReport],
@@ -413,13 +392,11 @@ def check_spade_club(frame: PeirceFrame, hypotheses: list[CheckReport],
     for name, cell in (("spade", (1, 2)), ("club", (2, 1))):
         commutes = np.ones(len(sums), dtype=bool)
         for row in comp[cell].basis:
-            b = np.broadcast_to(np.array([int(x) for x in row], dtype=np.int64), sums.shape)
+            b = np.broadcast_to(np.array(row, dtype=np.int64), sums.shape)
             commutes &= (enum.commutator(sums, b) == 0).all(axis=1)
-        bad = np.flatnonzero(commutes & ~central)
-        wit = None
-        if len(bad):
-            wit = {"diagonal_sum": coords_json(r, [int(c) for c in sums[int(bad[0])]])}
-        reports.append(CheckReport(name, len(bad) == 0, wit, {"diagonal_sums": len(sums)}))
+        reports.append(first_failure(name, commutes & ~central,
+                                     lambda k: {"diagonal_sum": coords_json(r, sums[k])},
+                                     {"diagonal_sums": len(sums)}))
 
     premise = all(c.ok for c in hypotheses[:3])
     conclusion = all(rep.ok for rep in reports)
@@ -607,10 +584,9 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
         bad = np.flatnonzero(ranks < n)
         if len(bad):
             b0 = int(bad[0])
-            a_coords = [int(c) for c in A[b0]]
             rows = [[int(x) for x in row] for row in S[b0]]
             null = linalg.nullspace(rows, r.domain)
-            element_witness = {"a": coords_json(r, a_coords), "b": coords_json(r, null[0])}
+            element_witness = {"a": coords_json(r, A[b0]), "b": coords_json(r, null[0])}
             prime_element = False
             break
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from altring import (PrimeField, build_map, gen_direct_sum, gen_m2,
+from altring import (PrimeField, Rationals, build_map, gen_direct_sum, gen_m2,
                      gen_triangular2, gen_zorn, peirce_frame, zorn_idempotent)
 from altring.rings import Ring
 
@@ -35,8 +35,7 @@ def dsum(m2):
     return gen_direct_sum(m2, m2)
 
 
-@pytest.fixture(scope="session")
-def broken3():
+def broken3_ring():
     """Triangular 2x2 with E12*E12 = E22 forced in: unit survives, the
     alternative law does not."""
     sc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
@@ -47,6 +46,28 @@ def broken3():
                 sc[i][j][units[(a, d)]] = 1
     sc[1][1][2] = 1
     return Ring("broken3", PrimeField(5), ["E11", "E12", "E22"], sc, [1, 0, 1])
+
+
+def anticommuting_q_ring():
+    """Over Q, basis e1, e2, u1, u2: e1, e2 orthogonal idempotents with
+    e1*u = u = u*e2 for u in R_12 = span(u1, u2), and u1*u2 = u2*u1 = e1.
+    Every basis square is zero but (u1 + u2)^2 = 2*e1 is not."""
+    sc = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    sc[0][0][0] = sc[1][1][1] = 1
+    for u in (2, 3):
+        sc[0][u][u] = sc[u][1][u] = 1
+    sc[2][3][0] = sc[3][2][0] = 1
+    return Ring("anticommuting_q", Rationals(), ["e1", "e2", "u1", "u2"], sc, [1, 1, 0, 0])
+
+
+@pytest.fixture(scope="session")
+def broken3():
+    return broken3_ring()
+
+
+@pytest.fixture(scope="session")
+def anticommuting_q():
+    return anticommuting_q_ring()
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from altring import (build_map, center, decompose, detect_branch, linalg,
-                     map_to_json, verify_decomposition, verify_theorem)
+from altring import (build_map, center, decompose, detect_branch, is_alternative,
+                     linalg, map_to_json, verify_decomposition, verify_theorem)
 from altring.cli import main
 from altring.reports import dumps
 from altring.decompose import INFORMATIONAL_CERTIFICATES
@@ -346,3 +346,14 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
     encoded = io.BytesIO()
     dumps(bundle, encoded)
     assert out.read_bytes() == encoded.getvalue()
+
+
+def test_ring_axioms_quote_the_broken_alternative_law(broken3):
+    ident = build_map(broken3, broken3, {"kind": "identity"})
+    bundle = verify_theorem(ident, broken3.basis_element(0), None, 10**6, 0)
+    axioms = {r["condition"]: r for r in bundle["stages"][0]["reports"]}
+    law, args = is_alternative(broken3).witness
+    for side in ("source", "target"):
+        rep = axioms[f"{side}_alternative"]
+        assert not rep["pass"]
+        assert rep["witness"] == {"law": law, **{v: list(a) for v, a in zip("xyz", args)}}

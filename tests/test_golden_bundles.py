@@ -15,8 +15,13 @@ same two budgets.  Every failing report's witness is then re-evaluated
 in the reference arithmetic of `rings.py` and `MapTable.__call__` and
 must break the condition it is quoted for.
 
-Regenerate both digest files (only when an output change is intended)
-with `python tests/test_golden_bundles.py`; it prints every digest it
+`tests/data/witness_golden.json` holds the exact JSON of every failing
+report of the mask certificates and their neighbours (`run_witnesses`)
+on rings and maps built to break them, so a change to a quoted witness
+or a count shows up by name.
+
+Regenerate the three files (only when an output change is intended)
+with `python tests/test_golden_bundles.py`; it prints every entry it
 adds, changes or drops.
 """
 
@@ -27,14 +32,22 @@ import tempfile
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from altring import build_map, gen_m2
+from altring import (build_map, check_main_hypotheses, check_map_consequences,
+                     check_peirce_image, check_spade_club, decompose,
+                     gen_direct_sum, gen_m2, gen_triangular2, gen_zorn,
+                     peirce_frame, verify_decomposition, verify_peirce_relations,
+                     verify_theorem, zorn_idempotent)
 from altring.cli import main
+from altring.rings import Ring
+from conftest import anticommuting_q_ring, broken3_ring
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "verify_theorem_golden.json"
 DECOMPOSE_GOLDEN = DATA / "decompose_golden.json"
+WITNESS_GOLDEN = DATA / "witness_golden.json"
 P = 5
 ELEMENTS = list(product(range(P), repeat=4))      # library element order on M2/F5
 SWAP = (ELEMENTS.index((1, 2, 0, 4)), ELEMENTS.index((2, 0, 3, 1)))   # trace-zero, off-corner
@@ -161,12 +174,81 @@ def test_failing_witnesses_replay(bundles):
                                              "scalar_homogeneous", "almost_additive"}
 
 
-def regenerate(path: Path, run) -> None:
-    """Rewrite one digest file from `run`, printing each entry it adds,
+def perturbed(ring: Ring, site, value) -> Ring:
+    """`ring` with structure constant sc[a][b][c] set to `value`."""
+    sc = [[[int(x) for x in row] for row in plane] for plane in ring.sc]
+    a, b, c = site
+    sc[a][b][c] = value
+    return Ring(f"{ring.name}_perturbed", ring.domain, list(ring.basis_names), sc,
+                list(ring.unit_coords))
+
+
+def run_witnesses() -> dict:
+    """The exact JSON of every failing report of the scans below, keyed
+    "case/condition": hypotheses (1)-(4) and (spade)/(club), map
+    consequences, the Peirce image, the decomposition certificates, the
+    Peirce relations and the ring axioms, each on a ring or map built to
+    break some of them."""
+    m2, zorn = gen_m2(P), gen_zorn(P)
+    out = {}
+
+    def record(case, reports):
+        for rep in reports:
+            rep = rep if isinstance(rep, dict) else rep.to_json()
+            if not rep["pass"]:
+                out[f"{case}/{rep['condition']}"] = rep
+
+    t2 = gen_triangular2(P)
+    # with e1 = E22, R_12 = 0 and condition (1) first fails in cell (2, 1)
+    for case, ring, e1 in (("t2", t2, [1, 0, 0]), ("t2-e22", t2, [0, 0, 1]),
+                           ("m2+m2", gen_direct_sum(m2, m2), [1, 0, 0, 0, 0, 0, 0, 0])):
+        frame = peirce_frame(ring, ring.element(e1))
+        hypotheses = check_main_hypotheses(frame)
+        record(f"{case}-hypotheses", hypotheses + check_spade_club(frame, hypotheses))
+    record("swapped-consequences", check_map_consequences(build_map(m2, m2, MAPS["swapped"][1])))
+
+    table = [list(negtr(x)) for x in ELEMENTS]
+    i, j = ELEMENTS.index((0, 0, 0, 2)), ELEMENTS.index((0, 1, 0, 0))
+    table[i], table[j] = table[j], table[i]
+    for case, spec in (("negtr-swapped-corners", {"kind": "table", "entries": table}),
+                       ("e12-to-zero", {"kind": "linear", "matrix": [
+                           [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]})):
+        reports = check_peirce_image(build_map(m2, m2, spec), m2.basis_element(0))[0]
+        record(f"{case}-image", reports)
+
+    res = decompose(build_map(m2, m2, MAPS["negtr"][1]), m2.basis_element(0), branch="ddagger")
+    k = ELEMENTS.index((0, 1, 0, 0))
+    res.psi = res.psi.replace_entry(k, (res.psi.images()[k] + np.array([1, 0, 0, 0])) % P)
+    record("corrupted-psi", verify_decomposition(res))
+
+    # E12*E12 = E11, and E21*E21 = E11, whose square law first fails in cell (2, 1)
+    for case, site in (("perturbed-m2", (1, 1, 0)), ("perturbed-m2-e21", (2, 2, 0))):
+        ring = perturbed(m2, site, 1)
+        frame = peirce_frame(ring, ring.basis_element(0))
+        record(f"{case}-relations", verify_peirce_relations(frame))
+    for a, b, c in ((1, 4, 1), (1, 2, 0)):
+        ring = perturbed(zorn, (a, b, c), int(zorn.sc[a][b][c]) + 1)
+        record(f"perturbed-zorn-{a}{b}{c}-relations",
+               verify_peirce_relations(peirce_frame(ring, zorn_idempotent(ring))))
+    ring = anticommuting_q_ring()
+    record("anticommuting-q-relations",
+           verify_peirce_relations(peirce_frame(ring, ring.element([1, 0, 0, 0]))))
+
+    broken3 = broken3_ring()
+    bundle = verify_theorem(build_map(broken3, broken3, {"kind": "identity"}),
+                            broken3.basis_element(0), None, 10**6, 0)
+    record("broken3-theorem", [rep for stage in bundle["stages"] for rep in stage["reports"]])
+    return json.loads(json.dumps(out))
+
+
+def test_failing_reports_match_golden():
+    assert run_witnesses() == json.loads(WITNESS_GOLDEN.read_text())
+
+
+def regenerate(path: Path, new: dict) -> None:
+    """Rewrite one golden file with `new`, printing each entry it adds,
     changes or drops."""
     old = json.loads(path.read_text()) if path.exists() else {}
-    with tempfile.TemporaryDirectory() as tmp:
-        new = digests(run(Path(tmp)))
     for name in sorted(old.keys() | new.keys()):
         if old.get(name) != new.get(name):
             verb = "added" if name not in old else "dropped" if name not in new else "changed"
@@ -175,6 +257,8 @@ def regenerate(path: Path, run) -> None:
 
 
 if __name__ == "__main__":
-    for path, run in ((GOLDEN, run_bundles), (DECOMPOSE_GOLDEN, run_decompositions)):
-        regenerate(path, run)
+    with tempfile.TemporaryDirectory() as tmp:
+        regenerate(GOLDEN, digests(run_bundles(Path(tmp))))
+        regenerate(DECOMPOSE_GOLDEN, digests(run_decompositions(Path(tmp))))
+    regenerate(WITNESS_GOLDEN, run_witnesses())
     sys.exit(0)

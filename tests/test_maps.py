@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import weakref
 
@@ -331,6 +332,20 @@ def test_peirce_image_detects_broken_offdiagonal(m2, negtr):
     by = {r.condition: r for r in reports}
     assert not by["offdiag_image_12"].ok
     assert by["offdiag_image_12"].witness is not None
+
+
+def test_peirce_image_quotes_an_unreached_corner_element(m2):
+    # E12 -> 0: the images of R_12 stay in R_12 but miss every nonzero point
+    flat = build_map(m2, m2, {"kind": "linear", "matrix": [
+        [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]})
+    reports, src, tgt = check_peirce_image(flat, m2.basis_element(0))
+    rep = next(r for r in reports if r.condition == "offdiag_image_12")
+    elements = list(itertools.product(range(5), repeat=4))      # element order
+    reached = {flat(m2.element(x)).coords for x in elements if src.components[(1, 2)].contains(x)}
+    corner = [x for x in elements if tgt.components[(1, 2)].contains(x)]
+    assert not rep.ok
+    assert rep.witness == {"unreached": list(min(set(corner) - reached))}
+    assert rep.witness == {"unreached": [0, 1, 0, 0]}
 
 
 def test_peirce_image_rejects_bad_idempotent_image(m2, id_m2):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
-from altring import (associator, commutator, is_alternative, is_associative,
+from altring import (associator, commutator, gen_m2, is_alternative, is_associative,
                      is_flexible, is_k_torsion_free)
 from altring.errors import ParseError, RingMismatch
-from altring.rings import ring_from_json, ring_to_json
+from altring.rings import Ring, ring_from_json, ring_to_json
 
 
 def test_add_identity_and_unit_split(m2):
@@ -82,6 +82,40 @@ def test_broken_ring_fails_checkers(broken3):
     assert not alt.ok and alt.witness is not None
     assert not is_flexible(broken3).ok
     assert not is_associative(broken3).ok
+
+
+# each law `is_alternative` quotes, evaluated at its witness in Element arithmetic
+ALTERNATIVE_LAWS = {
+    "(x,y,z) + (y,x,z) = 0": lambda x, y, z: associator(x, y, z) + associator(y, x, z),
+    "(x,y,z) + (x,z,y) = 0": lambda x, y, z: associator(x, y, z) + associator(x, z, y),
+    "(x,x,y) = 0": lambda x, y: associator(x, x, y),
+    "(y,x,x) = 0": lambda x, y: associator(y, x, x),
+}
+
+
+def test_alternative_witness_replays(broken3):
+    """Every single-constant perturbation of M2 over F_2 and F_5 that keeps
+    the unit and breaks alternativity quotes a law its witness breaks;
+    over F_2 a diagonal law can fail where both linearized ones hold."""
+    rings = [broken3]
+    for p in (2, 5):
+        m2 = gen_m2(p)
+        for a, b, c in itertools.product(range(4), repeat=3):
+            sc = [[[int(x) for x in row] for row in plane] for plane in m2.sc]
+            sc[a][b][c] = (sc[a][b][c] + 1) % p
+            try:
+                ring = Ring("pert", m2.domain, list(m2.basis_names), sc, list(m2.unit_coords))
+            except ParseError:          # the unit axiom broke
+                continue
+            rings.append(ring)
+    laws = set()
+    for ring in rings:
+        alt = is_alternative(ring)
+        if not alt.ok:
+            law, args = alt.witness
+            assert not ALTERNATIVE_LAWS[law](*(ring.element(x) for x in args)).is_zero()
+            laws.add(law)
+    assert len(laws) == 3 and "(x,x,y) = 0" in laws
 
 
 def test_torsion_freeness(m2, m2q):

@@ -211,6 +211,17 @@ def test_peirce_relations_fail_on_broken_triangular(broken3):
     assert not reports["peirce_iv_b_anticommute"]
 
 
+def test_square_law_over_q_quotes_an_element_with_nonzero_square(anticommuting_q):
+    # every basis square of R_12 is zero, but (u1 + u2)^2 = 2*e1 is not
+    frame = peirce_frame(anticommuting_q, anticommuting_q.element([1, 0, 0, 0]))
+    rep = next(r for r in verify_peirce_relations(frame) if r.condition == "peirce_iv_a_squares")
+    x = anticommuting_q.element(rep.witness["element"])
+    assert not rep.ok and not (x * x).is_zero()
+    assert frame.components[(1, 2)].contains(x.coords) and rep.witness["cell"] == [1, 2]
+    # u1, u2 and u1 + u2
+    assert rep.quantifier_space == {"elements": 3}
+
+
 def test_peirce_frame_incompatible():
     # e x . e != e . x e: corner projections cannot be formed
     sc = [[[0] * 4 for _ in range(4)] for _ in range(4)]
