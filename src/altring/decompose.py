@@ -9,8 +9,8 @@ phi(e1); hypotheses (1)-(4) on the source frame; (spade)/(club), which
 read those reports; branch detection; and, when all of these pass,
 `decompose` with its certificates.  Each artefact is computed once per
 run: the enumeration, centre and alternativity are memoised on the
-rings, the frames, source hypotheses and branch detection of e1 on the
-map (`MapTable.cached`), so `decompose` finds them built.
+rings, the frames, their hypothesis reports and branch detection of e1
+on the map (`MapTable.cached`), so `decompose` finds them built.
 
 Given a surjective idempotent-preserving Lie multiplicative map phi and a
 nontrivial idempotent e1 of the source, the split builds Peirce frames
@@ -67,13 +67,12 @@ from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
                      BudgetExceeded, HypothesisFailed, NotBijective,
                      UnsupportedDomain)
 from .maps import (MapTable, check_almost_additivity, check_map_consequences,
-                   check_peirce_image, pair_report, peirce_frames,
+                   check_peirce_image, frame_hypotheses, pair_report, peirce_frames,
                    verify_lie_multiplicative, verify_preserves_idempotents,
                    verify_surjective)
 from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, is_alternative, is_k_torsion_free
-from .structure import (PeirceFrame, Subspace, center, check_main_hypotheses,
-                        check_spade_club)
+from .structure import PeirceFrame, Subspace, center, check_spade_club
 
 BRANCH_DAGGER = "dagger"
 BRANCH_DDAGGER = "ddagger"
@@ -103,13 +102,6 @@ def detect_branch(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET) -> Bra
     """
     return m.cached(("detection", e1, budget),
                     lambda: _detect_branch_frames(m, *peirce_frames(m, e1), budget))
-
-
-def _source_hypotheses(m: MapTable, e1: Element, budget: int) -> list[CheckReport]:
-    """`check_main_hypotheses` on the source frame of e1, run once per map,
-    idempotent and budget."""
-    return m.cached(("hypotheses", e1, budget),
-                    lambda: check_main_hypotheses(peirce_frames(m, e1)[0], budget))
 
 
 def _central_multiples(frame: PeirceFrame, i: int) -> list[list]:
@@ -194,7 +186,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     if not m.is_bijective(budget):
         raise NotBijective("decomposition needs a bijective dense table")
     src_frame, tgt_frame = peirce_frames(m, e1)
-    for rep in _source_hypotheses(m, e1, budget):
+    for rep in frame_hypotheses(m, src_frame, budget):
         if not rep.ok:
             raise HypothesisFailed(rep.condition.rsplit("_", 1)[1], rep.witness)
     detection = detect_branch(m, e1, budget)
@@ -312,17 +304,14 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     pair_cert("psi_additive", additive_fails(psi_idx))
     elem_report("psi_linear_matrix", es.linear_index(res.psi_matrix, budget) != psi_idx)
 
-    # witness: the first target element hit twice, with two preimages,
-    # else the first target element never hit
-    twice, missed = res.psi.fibres(budget)
-    wit = None
-    if twice is not None:
-        wit = {"image": coords_json(m.target, et.coords_of(twice[0])),
-               "a": coords_json(m.source, es.coords_of(twice[1])),
-               "b": coords_json(m.source, es.coords_of(twice[2]))}
-    elif missed is not None:
-        wit = {"unreached": coords_json(m.target, et.coords_of(missed))}
-    certs.append(CheckReport("psi_bijective", wit is None, wit, {"elements": int(es.count)}))
+    def fibre_witness(k):
+        # a doubly-hit image with its first two preimages, else one never hit
+        row, t = divmod(k, et.count)
+        y = coords_json(m.target, et.coords_of(t))
+        return {"unreached": y} if row else {"image": y, **res.psi.preimages(t)}
+
+    certs.append(first_failure("psi_bijective", res.psi.fibres(budget), fibre_witness,
+                               {"elements": int(es.count)}))
 
     # anti: psi(ab) = -psi(b)psi(a), the sign applied through the index table of x -> -x
     neg = et.smul_index(p - 1, budget) if anti else None
@@ -424,7 +413,7 @@ def verify_theorem(m: MapTable, e1: Element, branch: str | None, budget: int,
         stage("almost_additive", [check_almost_additivity(m, budget, seed)])
         image_reports, src_frame, _ = check_peirce_image(m, e1, budget)
         stage("peirce_image", image_reports)
-        hypotheses = _source_hypotheses(m, e1, budget)
+        hypotheses = frame_hypotheses(m, src_frame, budget)
         stage("hypotheses", hypotheses)
         stage("spade_club", check_spade_club(src_frame, hypotheses, budget))
         bundle["branch_detection"] = detect_branch(m, e1, budget).to_json()

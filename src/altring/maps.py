@@ -13,15 +13,15 @@ ends in a failure mask and reports through `reports.first_failure`.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
 from . import linalg
 from .enumeration import DEFAULT_BUDGET, Enumeration
-from .errors import (DimensionMismatch, DomainMismatch, NotBijective,
-                     NotIdempotentImage, NotInvertible, OffsetNotCentral,
-                     ParseError)
+from .errors import (DimensionMismatch, DomainMismatch, NotIdempotentImage,
+                     NotInvertible, OffsetNotCentral, ParseError)
 from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, Ring, is_associative
 from .structure import PeirceFrame, center, check_main_hypotheses, peirce_frame
@@ -98,20 +98,18 @@ class MapTable:
         table, on every call."""
         return Enumeration.of(self.target).all_coords(budget)[self.image_index(budget)]
 
-    def fibres(self, budget: int = DEFAULT_BUDGET):
-        """(twice, missed): the first target index hit twice with its first
-        two preimages, as (image, a, b), and the first target index never
-        hit; each None when there is none.  Counted once per map."""
-        def build():
-            idx = self.image_index(budget)
-            hits = np.bincount(idx, minlength=Enumeration.of(self.target).count)
-            dup, missed = np.flatnonzero(hits > 1), np.flatnonzero(hits == 0)
-            twice = None
-            if len(dup):
-                a, b = np.flatnonzero(idx == dup[0])[:2]
-                twice = (int(dup[0]), int(a), int(b))
-            return twice, int(missed[0]) if len(missed) else None
-        return self.cached("fibres", build)
+    def fibres(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """(2, target count) boolean mask over target elements: row 0 marks
+        those hit more than once, row 1 those never hit.  Built from one
+        `bincount` on each call; nothing of it is kept."""
+        hits = np.bincount(self.image_index(budget), minlength=Enumeration.of(self.target).count)
+        return np.stack([hits > 1, hits == 0])
+
+    def preimages(self, t: int) -> dict:
+        """The first two preimages of target index t, as the witness {"a", "b"}."""
+        es = Enumeration.of(self.source)
+        return {key: coords_json(self.source, es.coords_of(k))
+                for key, k in zip("ab", np.flatnonzero(self.image_index() == t)[:2])}
 
     def cached(self, key, build):
         """build(), computed once per map and key.  A run's Peirce frames,
@@ -130,7 +128,7 @@ class MapTable:
                         spec={"kind": "table", "note": "perturbed"})
 
     def is_bijective(self, budget: int = DEFAULT_BUDGET) -> bool:
-        return self.source.dim == self.target.dim and self.fibres(budget) == (None, None)
+        return self.source.dim == self.target.dim and not self.fibres(budget).any()
 
 
 # -- builders ---------------------------------------------------------------
@@ -332,11 +330,10 @@ def pair_report(name: str, source: Ring, budget: int, seed: int, fail_fn) -> Che
 # -- verifiers ----------------------------------------------------------------
 
 def verify_surjective(m: MapTable, budget: int = DEFAULT_BUDGET) -> CheckReport:
-    missed = m.fibres(budget)[1]
-    wit = None if missed is None else {
-        "unreached": coords_json(m.target, Enumeration.of(m.target).coords_of(missed))}
-    return CheckReport("surjective", wit is None, wit,
-                       {"elements": int(Enumeration.of(m.source).count)})
+    et = Enumeration.of(m.target)
+    return first_failure("surjective", m.fibres(budget)[1], lambda k: {
+        "unreached": coords_json(m.target, et.coords_of(k))},
+        {"elements": int(Enumeration.of(m.source).count)})
 
 
 def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
@@ -355,15 +352,13 @@ def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
 def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
                                  seed: int = 0) -> CheckReport:
     """e - lam*f idempotent iff phi(e) - lam*phi(f) idempotent, all source
-    pairs and every prime-field lam; needs a bijective table first."""
-    if not m.is_bijective(budget):
-        raise NotBijective("idempotent preservation is a biconditional; the map must be a bijection")
+    pairs and every prime-field lam, on any map, bijective or not; a
+    failing pair quotes as "lambda" the first lam whose mask fails on it."""
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     Ds, Dt = es.digits(budget), et.digits(budget)
     f_idx = m.image_index(budget)
     idem_src = es.idempotent_mask(budget)
     idem_tgt = et.idempotent_mask(budget)
-
     p = es.p
 
     def minus_b(D, a_idx, b_idx):
@@ -373,8 +368,9 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
         A += (A < 0) * A.dtype.type(p)
         return A, B
 
-    def fails(a_idx, b_idx):
-        bad = idem_src[a_idx] != idem_tgt[f_idx[a_idx]]             # lam = 0
+    def lambda_masks(a_idx, b_idx):
+        """The failure mask of each lam = 0, 1, ..., p - 1 in turn."""
+        yield idem_src[a_idx] != idem_tgt[f_idx[a_idx]]
         # planes of a - lam*b on both sides, stepped from lam = 1 by - b mod p
         d_src, b_src = minus_b(Ds, a_idx, b_idx)
         d_tgt, b_tgt = minus_b(Dt, f_idx[a_idx], f_idx[b_idx])
@@ -383,21 +379,14 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
                 for D, B in ((d_src, b_src), (d_tgt, b_tgt)):
                     D -= B
                     D += (D < 0) * D.dtype.type(p)
-            bad = bad | (idem_src[es.index_of_planes(d_src)] != idem_tgt[et.index_of_planes(d_tgt)])
-        return bad
+            yield idem_src[es.index_of_planes(d_src)] != idem_tgt[et.index_of_planes(d_tgt)]
 
-    rep = pair_report("preserves_idempotents", m.source, budget, seed, fails)
+    rep = pair_report("preserves_idempotents", m.source, budget, seed,
+                      lambda a, b: functools.reduce(np.logical_or, lambda_masks(a, b)))
     rep.quantifier_space["lambdas"] = p
     if not rep.ok:
-        a, b = (int(es.index_of(rep.witness[key])) for key in "ab")
-        Xa, Xb = es.coords_of(a), es.coords_of(b)
-        Ya, Yb = et.coords_of(f_idx[a]), et.coords_of(f_idx[b])
-        for lam in range(p):
-            d = (Xa - lam * Xb) % p
-            dt = (Ya - lam * Yb) % p
-            if bool(idem_src[int(es.index_of(d))]) != bool(idem_tgt[int(et.index_of(dt))]):
-                rep.witness["lambda"] = int(lam)
-                break
+        a, b = es.index_of([[rep.witness["a"]], [rep.witness["b"]]])
+        rep.witness["lambda"] = next(lam for lam, bad in enumerate(lambda_masks(a, b)) if bad.any())
     return rep
 
 
@@ -407,13 +396,17 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
     homogeneity.  Failures certify an upstream inconsistency."""
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     idx = m.image_index(budget)
-    twice = m.fibres(budget)[0]
-    wit = None if twice is None else {
-        key: coords_json(m.source, es.coords_of(k)) for key, k in zip("ab", twice[1:])}
-    # row lam of the scalar mask: phi(lam x) != lam phi(x), x in element order
-    homogeneous = np.stack([idx[es.smul_index(lam, budget)] != et.smul_index(lam, budget)[idx]
-                            for lam in range(es.p)])
-    return [CheckReport("injective", wit is None, wit, {"elements": int(es.count)}),
+
+    def inhomogeneous(lam):
+        # phi(lam x) != lam phi(x), x in element order; rows 0 and 1 need no table
+        if lam < 2:
+            return np.full(es.count, lam == 0 and idx[0] != 0)
+        scale = es.smul_index(lam, budget)
+        return idx[scale] != (scale if et is es else et.smul_index(lam, budget))[idx]
+
+    homogeneous = np.stack([inhomogeneous(lam) for lam in range(es.p)])
+    return [first_failure("injective", m.fibres(budget)[0], m.preimages,
+                          {"elements": int(es.count)}),
             first_failure("maps_zero_to_zero", idx[:1] != 0, lambda k: {
                 "image_of_zero": coords_json(m.target, et.coords_of(idx[0]))}, {"elements": 1}),
             first_failure("scalar_homogeneous", homogeneous, lambda k: {
@@ -450,6 +443,15 @@ def peirce_frames(m: MapTable, e1: Element) -> tuple[PeirceFrame, PeirceFrame]:
             raise NotIdempotentImage(f"phi(e1) = {f1!r} does not span a Peirce frame: {exc}") from exc
         return src_frame, tgt_frame
     return m.cached(("frames", e1), build)
+
+
+def frame_hypotheses(m: MapTable, frame: PeirceFrame,
+                     budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
+    """`check_main_hypotheses` on the source or target frame, run once per
+    map, frame ring object, idempotent and budget: the two frames share
+    one run only when phi(e1) = e1 on one ring object."""
+    return m.cached(("hypotheses", frame.ring, frame.e1.coords, budget),
+                    lambda: check_main_hypotheses(frame, budget))
 
 
 def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
@@ -492,8 +494,6 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
             {"elements": len(pts), "same_corner_shape": int(in_same.all()),
              "swapped_corner_shape": int(in_swap.all())}))
 
-    transported = check_main_hypotheses(tgt_frame, budget)
-    for rep in transported[1:3]:
-        reports.append(CheckReport("target_" + rep.condition, rep.ok, rep.witness,
-                                   rep.quantifier_space))
+    reports += [CheckReport("target_" + rep.condition, rep.ok, rep.witness, rep.quantifier_space)
+                for rep in frame_hypotheses(m, tgt_frame, budget)[1:3]]
     return reports, src_frame, tgt_frame

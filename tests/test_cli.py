@@ -144,6 +144,22 @@ def test_verify_theorem_pass_and_fail(files, capsys):
     assert "decomposition" not in rep     # pipeline stops before decomposing
 
 
+def test_verify_theorem_reports_a_non_bijective_map(files, capsys):
+    """E12 -> 0 is neither onto nor one-to-one: every stage still reports,
+    the entry stage quotes the unreached element, and decomposition is
+    skipped."""
+    e12_to_zero = files["dir"] / "e12_to_zero.json"
+    e12_to_zero.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5", "repr": {
+        "kind": "linear", "matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}))
+    assert main(["verify-theorem", "--source", files["m2"], "--target", files["m2"],
+                 "--map", str(e12_to_zero), "--idempotent", "1,0,0,0"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    entry = next(s for s in rep["stages"] if s["stage"] == "entry")
+    surjective = next(r for r in entry["reports"] if r["condition"] == "surjective")
+    assert not surjective["pass"] and surjective["witness"] == {"unreached": [0, 1, 0, 0]}
+    assert "decomposition" not in rep and "skipped" in rep["error"]
+
+
 def test_verify_theorem_deterministic_bytes(files):
     argv = ["verify-theorem", "--source", files["m2"], "--target", files["m2"],
             "--map", files["negtr"], "--idempotent", "1,0,0,0",

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from altring import (build_map, center, decompose, detect_branch, is_alternative,
+from altring import (build_map, center, decompose, detect_branch, gen_m2, is_alternative,
                      linalg, map_to_json, verify_decomposition, verify_theorem)
 from altring.cli import main
 from altring.reports import dumps
@@ -319,7 +319,9 @@ def test_tau_additivity_reported_not_required(m2, negtr):
 def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
     """One M2/F5 run builds the two Peirce frames once, checks the
     hypotheses once per frame and detects the branch once, counted at
-    every module binding; its bundle is the CLI's output byte for byte."""
+    every module binding; its bundle is the CLI's output byte for byte.
+    The identity's two frames are one frame of one ring, checked once,
+    but never shared between two ring objects."""
     calls = Counter()
 
     def counted(name, fn):
@@ -336,6 +338,13 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
     bundle = verify_theorem(build_map(m2, m2, spec), m2.basis_element(0), "ddagger", 10**6, 0)
     assert calls == {"peirce_frame": 2, "check_main_hypotheses": 2, "_detect_branch_frames": 1}
     assert bundle["all_certificates_pass"]
+    for target, hypotheses in ((m2, 1), (gen_m2(5), 2)):
+        calls.clear()
+        ident = verify_theorem(build_map(m2, target, {"kind": "identity"}),
+                               m2.basis_element(0), "dagger", 10**6, 0)
+        assert ident["all_certificates_pass"]
+        assert calls == {"peirce_frame": 2, "check_main_hypotheses": hypotheses,
+                         "_detect_branch_frames": 1}
 
     ring, phi, out = tmp_path / "m2.json", tmp_path / "negtr.json", tmp_path / "bundle.json"
     assert main(["gen", "m2", "--field", "5", "--out", str(ring)]) == 0

@@ -69,6 +69,8 @@ def swapped_table():
     return table
 
 
+# neither onto nor one-to-one: E12 -> 0, every other basis element fixed
+E12_TO_ZERO = {"kind": "linear", "matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
 MAPS = {"identity": ("dagger", {"kind": "identity"}),
         "negtr": ("ddagger", {"kind": "neg_transpose_plus_trace"}),
         "swapped": ("ddagger", {"kind": "table", "entries": swapped_table()})}
@@ -132,8 +134,9 @@ def test_decompositions_match_golden_digests(tmp_path):
 
 
 def breaks(m, condition, w) -> bool:
-    """True when witness `w` violates `condition` for map `m`, evaluated in
-    `Element` arithmetic with images from `MapTable.__call__`."""
+    """True when witness `w` violates `condition` for a map `m` of M2/F5
+    (with e1 = E11 where a frame is read), evaluated in `Element`
+    arithmetic with images from `MapTable.__call__`."""
     ring = m.source
     el = ring.element
 
@@ -141,6 +144,19 @@ def breaks(m, condition, w) -> bool:
         return all(z * ring.basis_element(k) == ring.basis_element(k) * z
                    for k in range(ring.dim))
 
+    if condition == "surjective":
+        y = m.target.element(w["unreached"])
+        return all(m(el(x)) != y for x in ELEMENTS)
+    if condition == "injective":
+        a, b = el(w["a"]), el(w["b"])
+        return a != b and m(a) == m(b)
+    if condition == "offdiag_image_12":
+        # with e1 = E11: the corner element y of the target is no image of R_12
+        e1 = ring.basis_element(0)
+        e2 = el(ring.unit_coords) - e1
+        y = m.target.element(w["unreached"])
+        return (e1 * y) * e2 == y and all(
+            m(x) != y for x in map(el, ELEMENTS) if (e1 * x) * e2 == x)
     if condition == "lie_multiplicative":
         a, b = el(w["a"]), el(w["b"])
         return m(a * b - b * a) != m(a) * m(b) - m(b) * m(a)
@@ -172,6 +188,22 @@ def test_failing_witnesses_replay(bundles):
     # the swapped table breaks every pair and element verifier it reaches
     assert failing["swapped-exhaustive"] == {"lie_multiplicative", "preserves_idempotents",
                                              "scalar_homogeneous", "almost_additive"}
+
+
+def test_non_bijective_witnesses_replay():
+    """The E12 -> 0 map is reported on, not refused: each failing report
+    of its bundle replays, and the entry, consequence and Peirce image
+    stages quote the element E12 that the map misses and collapses."""
+    m2 = gen_m2(P)
+    m = build_map(m2, m2, E12_TO_ZERO)
+    prefix = "e12-to-zero-theorem/"
+    failing = {name[len(prefix):]: rep["witness"]
+               for name, rep in json.loads(WITNESS_GOLDEN.read_text()).items()
+               if name.startswith(prefix)}
+    assert set(failing) == {"surjective", "lie_multiplicative", "preserves_idempotents",
+                            "injective", "offdiag_image_12"}
+    for condition, w in failing.items():
+        assert breaks(m, condition, w), (condition, w)
 
 
 def perturbed(ring: Ring, site, value) -> Ring:
@@ -211,10 +243,11 @@ def run_witnesses() -> dict:
     i, j = ELEMENTS.index((0, 0, 0, 2)), ELEMENTS.index((0, 1, 0, 0))
     table[i], table[j] = table[j], table[i]
     for case, spec in (("negtr-swapped-corners", {"kind": "table", "entries": table}),
-                       ("e12-to-zero", {"kind": "linear", "matrix": [
-                           [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]})):
+                       ("e12-to-zero", E12_TO_ZERO)):
         reports = check_peirce_image(build_map(m2, m2, spec), m2.basis_element(0))[0]
         record(f"{case}-image", reports)
+    record("e12-to-zero-theorem", theorem_reports(build_map(m2, m2, E12_TO_ZERO),
+                                                  m2.basis_element(0)))
 
     res = decompose(build_map(m2, m2, MAPS["negtr"][1]), m2.basis_element(0), branch="ddagger")
     k = ELEMENTS.index((0, 1, 0, 0))
@@ -235,10 +268,15 @@ def run_witnesses() -> dict:
            verify_peirce_relations(peirce_frame(ring, ring.element([1, 0, 0, 0]))))
 
     broken3 = broken3_ring()
-    bundle = verify_theorem(build_map(broken3, broken3, {"kind": "identity"}),
-                            broken3.basis_element(0), None, 10**6, 0)
-    record("broken3-theorem", [rep for stage in bundle["stages"] for rep in stage["reports"]])
+    record("broken3-theorem", theorem_reports(build_map(broken3, broken3, {"kind": "identity"}),
+                                              broken3.basis_element(0)))
     return json.loads(json.dumps(out))
+
+
+def theorem_reports(m, e1) -> list:
+    """Every stage report of `verify_theorem` for (m, e1) at budget 10^6, seed 0."""
+    bundle = verify_theorem(m, e1, None, 10**6, 0)
+    return [rep for stage in bundle["stages"] for rep in stage["reports"]]
 
 
 def test_failing_reports_match_golden():

@@ -13,9 +13,8 @@ from altring import (build_map, center, check_almost_additivity,
                      verify_preserves_idempotents, verify_surjective,
                      verify_theorem)
 from altring.enumeration import Enumeration
-from altring.errors import (DimensionMismatch, NotBijective,
-                            NotIdempotentImage, NotInvertible,
-                            OffsetNotCentral, ParseError)
+from altring.errors import (DimensionMismatch, NotIdempotentImage,
+                            NotInvertible, OffsetNotCentral, ParseError)
 from altring import maps
 from altring.maps import pair_scan
 from altring.rings import Ring
@@ -117,13 +116,18 @@ def test_id_plus_trace_breaks_idempotent_preservation(m2):
     assert (img * img).coords != img.coords
 
 
-def test_non_bijective_map_rejected(m2):
+def test_non_bijective_map_reported(m2):
+    """The entry verifiers report on a map that is not a bijection; only
+    `decompose` refuses one."""
     zero = build_map(m2, m2, {"kind": "linear",
                               "matrix": [[0] * 4 for _ in range(4)]})
     rep = verify_surjective(zero)
     assert not rep.ok and rep.witness is not None
-    with pytest.raises(NotBijective):
-        verify_preserves_idempotents(zero)
+    rep = verify_preserves_idempotents(zero)
+    assert not rep.ok and rep.quantifier_space["lambdas"] == 5
+    a, b = m2.element(rep.witness["a"]), m2.element(rep.witness["b"])
+    g = a - b.smul(rep.witness["lambda"])
+    assert (g * g != g) and zero(g).is_zero()     # 0 is idempotent, g is not
 
 
 def test_map_json_round_trip(tmp_path, m2, negtr):
