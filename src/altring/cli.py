@@ -35,10 +35,10 @@ class Workspace:
 
     def load_ring(self, path) -> Ring:
         ring = load_ring(path)
-        if ring.name in self.rings and self.rings[ring.name].sc != ring.sc:
+        known = self.rings.setdefault(ring.name, ring)
+        if known is not ring and ring_to_json(known) != ring_to_json(ring):
             raise ParseError(f"two different rings share the name {ring.name!r}")
-        self.rings[ring.name] = ring
-        return ring
+        return known
 
 
 @contextmanager
@@ -239,11 +239,20 @@ def cmd_verify_theorem(args, ws: Workspace) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """A budget, from --budget or ALTRING_BUDGET: a positive integer."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer (--budget or ALTRING_BUDGET), got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="altring",
                                  description="exact structure-constant ring toolkit")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=_positive_int,
+                        default=os.environ.get("ALTRING_BUDGET", DEFAULT_BUDGET),
                         help="evaluation budget for exhaustive scans "
                              "(default 10^6, env ALTRING_BUDGET)")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
@@ -296,12 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("ALTRING_BUDGET", DEFAULT_BUDGET))
-    ws = Workspace(budget=budget, seed=args.seed)
+    args = build_parser().parse_args(argv)
+    ws = Workspace(budget=args.budget, seed=args.seed)
     try:
         return args.fn(args, ws)
     except (ParseError, DimensionMismatch, DomainMismatch, InvalidField, FileNotFoundError,

@@ -28,27 +28,27 @@ of an anti-isomorphism; verify_decomposition certifies both claims
 exhaustively (or by seeded sampling past the pair budget), plus
 centrality of tau and its vanishing on commutators.
 
-Element-sized work runs over element indices, never coordinate rows;
-subspace membership is a gather from `Subspace.mask`.  psi is one
-linear recipe per Peirce cell c, psi(x) = sum_c Q_c phi(P_c x), with
-P_c the source projection onto c: phi's index gathered at
-`linear_index(P_c)`, then `linear_index(Q_c)` gathered at that, and the
-four cells' digit planes summed into psi's index.  Q_c = I off the
-diagonal.  On a diagonal cell Q = P_keep - B A+ P_solve
-(`_diagonal_recipe`) keeps one corner of phi(x) and subtracts z*f_keep,
-where z*f_solve is the other corner.  This is exact: detection proved
-every such corner lies in Z*f_solve, `decompose` refuses a branch
-detection did not pass, and the preflight gives A full column rank, so
-each corner's central multiple is unique and equals A+ times it.  tau's
-index is phi's plus that of -psi.  The bundle's tau table is
-`tau.images()`, a narrow gather from the digit table.  The element
-certificates compare the two indices: recomposition is
-`add_index(psi, tau)` against phi's, the matrix check is
-`linear_index(psi_matrix)`, centrality of tau is a gather from the
-centre's mask.  The per-cell product cases and the sandwich identity run
-`mul_index` on grids of the Peirce cells' element indices, row-major.
-Every one of these, and each corner test of branch detection, ends in a
-failure mask and reports through `reports.first_failure`.
+Element-sized work combines element indices and masks, never coordinate
+rows or the digit table, which only `enumeration.py` reads; subspace
+membership is a gather from `Subspace.mask`.  psi is one linear recipe
+per Peirce cell c, psi(x) = sum_c Q_c phi(P_c x), with P_c the source
+projection onto c: phi's index gathered at `linear_index(P_c)`, then
+`linear_index(Q_c)` gathered at that, and psi's index is the running
+`sum_index` of the four cell images.  Q_c = I off the diagonal.  On a
+diagonal cell Q = P_keep - B A+ P_solve (`_diagonal_recipe`) keeps one
+corner of phi(x) and subtracts z*f_keep, where z*f_solve is the other
+corner.  This is exact: detection proved every such corner lies in
+Z*f_solve, `decompose` refuses a branch detection did not pass, and the
+preflight gives A full column rank, so each corner's central multiple is
+unique and equals A+ times it.  tau's index is phi's minus psi's
+(`sum_index`).  The bundle's tau table is `tau.images()`.  The element
+certificates compare indices: recomposition is `sum_index([psi, tau])`
+against phi's, the matrix check is `linear_index(psi_matrix)`,
+centrality of tau is a gather from the centre's mask.  The per-cell
+product cases and the sandwich identity run `mul_index` on grids of the
+Peirce cells' element indices, row-major.  Every one of these, and each
+corner test of branch detection, ends in a failure mask and reports
+through `reports.first_failure`.
 
 Small corners make the corner conditions degenerate: when both hold the
 caller must pick the branch (both constructions can be simultaneously
@@ -223,17 +223,15 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
         if zc.dim and linalg.nullspace(A, dom):
             raise AmbiguousCentralSplit(f"central multiples of f_{i} are linearly dependent")
 
-    # psi = sum_c Q_c phi(P_c x): cell values in [0, p), four stay exact in elim_dtype
-    Dt = et.digits(budget)
-    planes = np.zeros((tgt.dim, es.count), dtype=et.elim_dtype)
+    # psi = sum_c Q_c phi(P_c x), a running sum over the four cells
+    psi_idx = None
     for ij in CELLS:
         comp = f_idx[es.linear_index(src_frame.projectors[ij], budget)]
         if ij[0] == ij[1]:
             comp = et.linear_index(_diagonal_recipe(tgt_frame, zf_cols, branch, ij[0]),
                                    budget)[comp]
-        planes += Dt.take(comp, axis=1)
-    psi_idx = et.index_of_planes(et.reduce(planes))
-    tau_idx = et.add_index(f_idx, et.smul_index(et.p - 1, budget)[psi_idx], budget)
+        psi_idx = comp if psi_idx is None else et.sum_index([psi_idx, comp], budget=budget)
+    tau_idx = et.sum_index([f_idx], [psi_idx], budget)
 
     basis_idx = es.index_of(np.eye(m.source.dim, dtype=np.int64))
     psi_matrix = [[dom.parse(int(x)) for x in row] for row in et.coords_of(psi_idx[basis_idx]).T]
@@ -280,7 +278,6 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     m, budget, seed = res.map, res.budget, res.seed
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
     psi_idx, tau_idx = res.psi.image_index(budget), res.tau.image_index(budget)
-    p = es.p
     anti = res.branch == BRANCH_DDAGGER
     certs: list[CheckReport] = []
 
@@ -290,12 +287,12 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
             {"elements": int(es.count)}))
 
     # recomposition: psi + tau = phi, asserted on every element
-    elem_report("recomposition", et.add_index(psi_idx, tau_idx, budget) != m.image_index(budget))
+    elem_report("recomposition", et.sum_index([psi_idx, tau_idx], (), budget) != m.image_index(budget))
 
     def additive_fails(f_idx):
         def fails(a_idx, b_idx):
-            lhs = f_idx[es.add_index(a_idx, b_idx, budget)]
-            return lhs != et.add_index(f_idx[a_idx], f_idx[b_idx], budget)
+            lhs = f_idx[es.sum_index([a_idx, b_idx], budget=budget)]
+            return lhs != et.sum_index([f_idx[a_idx], f_idx[b_idx]], budget=budget)
         return fails
 
     def pair_cert(name, fails):
@@ -314,7 +311,7 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
                                {"elements": int(es.count)}))
 
     # anti: psi(ab) = -psi(b)psi(a), the sign applied through the index table of x -> -x
-    neg = et.smul_index(p - 1, budget) if anti else None
+    neg = et.smul_index(et.p - 1, budget) if anti else None
 
     def product_fails(a_idx, b_idx):
         lhs = psi_idx[es.mul_index(a_idx, b_idx, budget)]

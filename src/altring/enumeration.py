@@ -35,21 +35,18 @@ table, (count, n) in `elim_dtype`, so the primeness generator classes
 and `MapTable.images` gather narrow coordinate rows from it with no
 copy; an int64 copy would be 25 MB on Zorn/F5.
 
-Pair scans work in index space.  The digit table `digits` holds the
-(n, count) coordinate planes of every element in `elim_dtype`, the
-narrowest signed type holding (p-1)**2 + p, so the sum or difference of
-two digits stays exact in it; it is built on first use under the element
-budget.  The index kernels `mul_index`, `commutator_index`
-and `add_index` take element indices (any broadcastable shapes), gather
-their operand planes from the table with `take(idx, axis=1)` and return
-int64 indices by Horner's rule on the planes (`index_of_planes`, run in
-the narrowest signed type holding count - 1): no
-coordinate rows, no transpose.  `mul_index` runs the same product core
-as `mul` and `mul_outer`, which take their operand planes in
-`elim_dtype` and return reduced coordinates in `acc_dtype`.  The cores
-reduce mod p by floor division (`reduce`): numpy vectorises integer
-division by a scalar, and on int16 planes it ran about 9 times faster
-than `remainder` (numpy 2.4, x86-64).
+Pair scans work in index space, and only this module reads the digit
+table `digits`: the (n, count) coordinate planes of every element in
+`elim_dtype`, which holds (p-1)**2 + p and so any sum of p digits,
+built on first use under the element budget.  The index kernels take
+element indices (any broadcastable shapes), gather their operand planes
+with `take(idx, axis=1)` and return int64 indices by Horner's rule
+(`index_of_planes`).  `mul_index` runs the product core of `mul` and
+`mul_outer`; `sum_index` reduces a signed sum in (-p, 2p), as a + b or
+a - b, by one compare-and-add per side, else by `reduce`; `line_masks`
+steps the planes of a - lam*b in place.  The cores reduce by floor
+division (`reduce`): on int16 planes it ran about 9 times faster than
+`remainder` (numpy 2.4, x86-64).
 
 Linear maps run in index space too.  `linear_index(M)` returns the
 element index of M*x for every element x: plane k accumulates c*D_j over
@@ -300,12 +297,37 @@ class Enumeration:
         D = self.digits(budget)
         return self.index_of_planes(self._commutator_planes(D.take(a, axis=1), D.take(b, axis=1)))
 
-    def add_index(self, a, b, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """Index of a[t] + b[t] for index arrays a, b (broadcast)."""
-        D = self.digits(budget)
-        S = D.take(a, axis=1) + D.take(b, axis=1)       # <= 2p - 2, exact in elim_dtype
-        S -= (S >= self.p) * S.dtype.type(self.p)
+    def sum_index(self, plus, minus=(), budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Index of sum(plus) - sum(minus) for sequences of index arrays
+        (broadcast), `plus` nonempty."""
+        D, p = self.digits(budget), self.p
+        lo, hi = -len(minus) * (p - 1), len(plus) * (p - 1)
+        dt = np.promote_types(self.elim_dtype, _narrowest_signed(hi - lo + p))
+        shape = (self.n,) + np.broadcast_shapes(*(np.shape(t) for t in (*plus, *minus)))
+        S = D.take(plus[0], axis=1).astype(dt, copy=False)
+        for t, op in [(t, np.add) for t in plus[1:]] + [(t, np.subtract) for t in minus]:
+            # in place once S has the full shape; a take lives only as an operand
+            S = op(S, D.take(t, axis=1), out=S if S.shape == shape else None, dtype=dt)
+        if lo <= -p or hi >= 2 * p:
+            return self.index_of_planes(self.reduce(S))
+        if hi >= p:                 # S lies in (-p, 2p): one compare-and-add per side
+            S -= (S >= p) * S.dtype.type(p)
+        if lo < 0:
+            S += (S < 0) * S.dtype.type(p)
         return self.index_of_planes(S)
+
+    def line_masks(self, mask, a, b, budget: int = DEFAULT_BUDGET):
+        """mask[a - lam*b] for lam = 0, 1, ..., p - 1 in turn, for a boolean
+        mask over elements and index arrays a, b (broadcast)."""
+        D, p = self.digits(budget), self.p
+        yield mask[a]
+        B = D.take(b, axis=1)
+        A = D.take(a, axis=1) - B       # the planes of a - lam*b from lam = 1, in (-p, p)
+        for lam in range(1, p):
+            A += (A < 0) * A.dtype.type(p)
+            yield mask[self.index_of_planes(A)]
+            if lam < p - 1:
+                A -= B
 
     def left_mul_matrices(self, A) -> np.ndarray:
         """result[b] = matrix of x -> A[b] * x (column-vector action): column

@@ -93,9 +93,8 @@ class MapTable:
         return self._index
 
     def images(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """(N, n) image coordinates over the whole enumerated source, in the
-        target's `elim_dtype`: a gather of the image index from the digit
-        table, on every call."""
+        """(N, n) narrow image coordinates over the whole enumerated source:
+        a gather of the image index from `Enumeration.all_coords`, every call."""
         return Enumeration.of(self.target).all_coords(budget)[self.image_index(budget)]
 
     def fibres(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -289,6 +288,8 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn):
     budget/total counts draws, not distinct pairs: a pair can be drawn
     more than once.
     """
+    if budget < 1:
+        raise ValueError(f"pair budget must be at least 1, got {budget}")
     total = count * count
     if total <= budget:
         b_idx = np.arange(count, dtype=np.int64)[None, :]
@@ -355,35 +356,16 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
     pairs and every prime-field lam, on any map, bijective or not; a
     failing pair quotes as "lambda" the first lam whose mask fails on it."""
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    Ds, Dt = es.digits(budget), et.digits(budget)
     f_idx = m.image_index(budget)
-    idem_src = es.idempotent_mask(budget)
-    idem_tgt = et.idempotent_mask(budget)
-    p = es.p
-
-    def minus_b(D, a_idx, b_idx):
-        """Planes of a - b mod p, full broadcast shape, and the planes of b."""
-        B = D.take(b_idx, axis=1)
-        A = D.take(a_idx, axis=1) - B
-        A += (A < 0) * A.dtype.type(p)
-        return A, B
 
     def lambda_masks(a_idx, b_idx):
         """The failure mask of each lam = 0, 1, ..., p - 1 in turn."""
-        yield idem_src[a_idx] != idem_tgt[f_idx[a_idx]]
-        # planes of a - lam*b on both sides, stepped from lam = 1 by - b mod p
-        d_src, b_src = minus_b(Ds, a_idx, b_idx)
-        d_tgt, b_tgt = minus_b(Dt, f_idx[a_idx], f_idx[b_idx])
-        for lam in range(1, p):
-            if lam > 1:
-                for D, B in ((d_src, b_src), (d_tgt, b_tgt)):
-                    D -= B
-                    D += (D < 0) * D.dtype.type(p)
-            yield idem_src[es.index_of_planes(d_src)] != idem_tgt[et.index_of_planes(d_tgt)]
+        return map(np.not_equal, es.line_masks(es.idempotent_mask(budget), a_idx, b_idx, budget),
+                   et.line_masks(et.idempotent_mask(budget), f_idx[a_idx], f_idx[b_idx], budget))
 
     rep = pair_report("preserves_idempotents", m.source, budget, seed,
                       lambda a, b: functools.reduce(np.logical_or, lambda_masks(a, b)))
-    rep.quantifier_space["lambdas"] = p
+    rep.quantifier_space["lambdas"] = es.p
     if not rep.ok:
         a, b = es.index_of([[rep.witness["a"]], [rep.witness["b"]]])
         rep.witness["lambda"] = next(lam for lam, bad in enumerate(lambda_masks(a, b)) if bad.any())
@@ -418,15 +400,12 @@ def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
                             seed: int = 0) -> CheckReport:
     """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs."""
     es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    Dt = et.digits(budget)
     f_idx = m.image_index(budget)
     central = center(m.target).mask(et, budget)
 
     def fails(a_idx, b_idx):
-        # digit planes of the defect lie in (-2p, p), exact in elim_dtype
-        defect = Dt.take(f_idx[es.add_index(a_idx, b_idx, budget)], axis=1) - (
-            Dt.take(f_idx[a_idx], axis=1) + Dt.take(f_idx[b_idx], axis=1))
-        return ~central[et.index_of_planes(et.reduce(defect))]
+        ab = f_idx[es.sum_index([a_idx, b_idx], budget=budget)]
+        return ~central[et.sum_index([ab], [f_idx[a_idx], f_idx[b_idx]], budget)]
 
     return pair_report("almost_additive", m.source, budget, seed, fails)
 

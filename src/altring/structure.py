@@ -130,9 +130,6 @@ class IdempotentCensus:
     def counts(self) -> dict:
         return {"total": self.count(), **{t: self.count(t) for t in ("zero", "trivial", "nontrivial")}}
 
-    def nontrivial(self) -> list[Element]:
-        return [e for e, t in zip(self.elements, self.tags) if t == "nontrivial"]
-
 
 def _tag_idempotent(r: Ring, coords) -> str:
     if all(x == r.domain.zero for x in coords):

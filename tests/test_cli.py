@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from altring.cli import main
+from altring.cli import Workspace, main
 
 
 @pytest.fixture()
@@ -226,3 +226,49 @@ def test_map_across_scalar_domains_is_an_input_error(files, capsys):
                  "--map", str(path), "--idempotent", "1,0,0,0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "different scalar domains" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5", ""])
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_budget_must_be_a_positive_integer(files, monkeypatch, capsys, value, source):
+    argv = ["analyze", files["m2"]]
+    if source == "flag":
+        argv += ["--budget", value]
+    else:
+        monkeypatch.setenv("ALTRING_BUDGET", value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --budget: must be a positive integer (--budget or ALTRING_BUDGET), " \
+           f"got {value!r}" in captured.err
+
+
+def test_budget_flag_overrides_the_environment(files, monkeypatch, capsys):
+    monkeypatch.setenv("ALTRING_BUDGET", "100")
+    assert main(["analyze", files["m2"]]) == 0
+    assert "skipped" in json.loads(capsys.readouterr().out)["idempotents"]
+    assert main(["analyze", files["m2"], "--budget", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["idempotents"]["total"] == 32
+
+
+def test_a_second_ring_with_the_same_name_over_another_field_is_refused(files, tmp_path, capsys):
+    """Two `m2_f5` files with equal structure constants, over F_5 and F_7:
+    the second must not replace the first."""
+    f7 = tmp_path / "m2_f7.json"
+    assert main(["gen", "m2", "--field", "7", "--out", str(f7)]) == 0
+    renamed = tmp_path / "m2_f7_named_f5.json"
+    renamed.write_text(json.dumps({**json.loads(f7.read_text()), "name": "m2_f5"}))
+    capsys.readouterr()
+    assert main(["verify-theorem", "--source", files["m2"], "--target", str(renamed),
+                 "--map", files["ident"], "--idempotent", "1,0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: two different rings share the name 'm2_f5'" in captured.err
+
+
+def test_one_ring_file_loaded_twice_is_registered_once(files):
+    ws = Workspace()
+    ring = ws.load_ring(files["m2"])
+    assert ws.load_ring(files["m2"]) is ring and ws.rings == {"m2_f5": ring}

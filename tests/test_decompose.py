@@ -321,8 +321,18 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
     hypotheses once per frame and detects the branch once, counted at
     every module binding; its bundle is the CLI's output byte for byte.
     The identity's two frames are one frame of one ring, checked once,
-    but never shared between two ring objects."""
+    but never shared between two ring objects.  On one ring object the
+    scalar tables x -> lam*x are built once per lam = 2, ..., p - 1, and
+    the ddagger sign reuses none: p - 2 tables under dagger, p - 1 under
+    ddagger (tau = phi - psi builds none)."""
     calls = Counter()
+    smul = Enumeration.smul_index
+
+    def counted_smul(self, *args, **kwargs):
+        calls["smul_index"] += 1
+        return smul(self, *args, **kwargs)
+
+    monkeypatch.setattr(Enumeration, "smul_index", counted_smul)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -336,15 +346,16 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
                 monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
     spec = {"kind": "neg_transpose_plus_trace"}
     bundle = verify_theorem(build_map(m2, m2, spec), m2.basis_element(0), "ddagger", 10**6, 0)
-    assert calls == {"peirce_frame": 2, "check_main_hypotheses": 2, "_detect_branch_frames": 1}
+    assert calls == {"peirce_frame": 2, "check_main_hypotheses": 2, "_detect_branch_frames": 1,
+                     "smul_index": 5 - 1}
     assert bundle["all_certificates_pass"]
-    for target, hypotheses in ((m2, 1), (gen_m2(5), 2)):
+    for target, hypotheses, smul_calls in ((m2, 1, 5 - 2), (gen_m2(5), 2, 2 * (5 - 2))):
         calls.clear()
         ident = verify_theorem(build_map(m2, target, {"kind": "identity"}),
                                m2.basis_element(0), "dagger", 10**6, 0)
         assert ident["all_certificates_pass"]
         assert calls == {"peirce_frame": 2, "check_main_hypotheses": hypotheses,
-                         "_detect_branch_frames": 1}
+                         "_detect_branch_frames": 1, "smul_index": smul_calls}
 
     ring, phi, out = tmp_path / "m2.json", tmp_path / "negtr.json", tmp_path / "bundle.json"
     assert main(["gen", "m2", "--field", "5", "--out", str(ring)]) == 0

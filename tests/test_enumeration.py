@@ -30,7 +30,8 @@ def test_budget_guards(zorn):
         enum.all_coords(budget=1000)
     for kernel in (enum.digits, lambda budget: enum.mul_index([0], [0], budget),
                    lambda budget: enum.commutator_index([0], [0], budget),
-                   lambda budget: enum.add_index([0], [0], budget),
+                   lambda budget: enum.sum_index([[0]], [[0]], budget),
+                   lambda budget: next(enum.line_masks(np.ones(enum.count, bool), [0], [0], budget)),
                    lambda budget: enum.smul_index(2, budget)):
         with pytest.raises(BudgetExceeded):
             kernel(budget=1000)        # 5^8 elements
@@ -53,7 +54,8 @@ def test_index_kernels_on_matrix_units(m2):
     i = int(enum.index_of(np.array([0, 1, 0, 0])))   # E12
     j = int(enum.index_of(np.array([0, 0, 1, 0])))   # E21
     assert int(enum.mul_index([i], [j])[0]) == int(enum.index_of(np.array([1, 0, 0, 0])))
-    assert int(enum.add_index([i], [j])[0]) == int(enum.index_of(np.array([0, 1, 1, 0])))
+    assert int(enum.sum_index([[i], [j]])[0]) == int(enum.index_of(np.array([0, 1, 1, 0])))
+    assert int(enum.sum_index([[i]], [[j]])[0]) == int(enum.index_of(np.array([0, 1, 4, 0])))
     every = np.arange(enum.count)
     unit = np.full(enum.count, int(enum.index_of(enum.unit)))
     assert (enum.commutator_index(every, unit) == 0).all()

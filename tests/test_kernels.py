@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altring import PrimeField, Subspace, center, check_primeness, gen_m2, linalg
@@ -156,7 +156,7 @@ def check_index_kernels(ring, a, b):
 
     neg = enum.smul_index(p - 1)
     got = {"mul": enum.mul_index(a, b), "comm": enum.commutator_index(a, b),
-           "add": enum.add_index(a, b), "anti": neg[enum.mul_index(b, a)]}
+           "add": enum.sum_index([a, b]), "anti": neg[enum.mul_index(b, a)]}
     for kernel in got.values():
         assert kernel.dtype == np.int64 and kernel.shape == a.shape
     for t, (x, y) in enumerate(zip(map(coords, a), map(coords, b))):
@@ -181,6 +181,86 @@ def test_index_kernels_match_reference(case):
 @example((skew(97), np.array([912_672, 9_408]), np.array([96, 912_671])))
 def test_index_kernels_match_reference_wide_prime(case):
     check_index_kernels(*case)
+
+
+@st.composite
+def ring_and_signed_terms(draw, **kw):
+    """A ring and 1-4 signed terms, the first positive, each an (r, 1) or a
+    (1, s) index array."""
+    ring = draw(unital_rings(**kw))
+    count = ring.domain.p ** ring.dim
+    r, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    terms = []
+    for k in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from([(r, 1), (1, s)]))
+        idx = draw(st.lists(st.integers(0, count - 1), min_size=shape[0] * shape[1],
+                            max_size=shape[0] * shape[1]))
+        sign = draw(st.sampled_from([1, -1])) if k else 1
+        terms.append((sign, np.array(idx, dtype=np.int64).reshape(shape)))
+    return ring, terms
+
+
+def check_sum_index(ring, terms):
+    """`sum_index` against `Ring.add_coords`/`sub_coords` on every
+    broadcast position."""
+    enum = Enumeration(ring)
+    p, n = ring.domain.p, ring.dim
+    plus = [t for sign, t in terms if sign > 0]
+    minus = [t for sign, t in terms if sign < 0]
+    got = enum.sum_index(plus, minus)
+    shape = np.broadcast_shapes(*(t.shape for _, t in terms))
+    assert got.dtype == np.int64 and got.shape == shape
+
+    def coords(k):
+        return tuple(int(k) // p ** (n - 1 - i) % p for i in range(n))
+
+    for pos in np.ndindex(shape):
+        want = ring.zero_coords()
+        for sign, t in terms:
+            x = coords(np.broadcast_to(t, shape)[pos])
+            want = (ring.add_coords if sign > 0 else ring.sub_coords)(want, x)
+        assert int(got[pos]) == index_in(ring, want), (terms, pos)
+
+
+@given(ring_and_signed_terms())
+def test_sum_index_matches_reference(case):
+    check_sum_index(*case)
+
+
+@given(ring_and_signed_terms(primes=(191,), max_dim=2))
+def test_sum_index_matches_reference_wide_prime(case):
+    check_sum_index(*case)
+
+
+def check_line_masks(ring, a, b):
+    """`line_masks` on the (r, 1) x (1, 2) grid of a and b's first two
+    entries against a - lam*b computed in Python digit by digit, under a
+    mask that marks a pseudo-random half of the elements."""
+    enum = Enumeration(ring)
+    p, n = ring.domain.p, ring.dim
+    mask = np.random.default_rng(len(a)).random(enum.count) < 0.5
+    b = b[:2]
+    masks = list(enum.line_masks(mask, a[:, None], b[None, :]))
+    assert len(masks) == p
+
+    def digits(k):
+        return [int(k) // p ** (n - 1 - i) % p for i in range(n)]
+
+    for (i, x), (j, y) in product(enumerate(map(digits, a)), enumerate(map(digits, b))):
+        for lam, got in enumerate(masks):
+            line = index_in(ring, [(u - lam * v) % p for u, v in zip(x, y)])
+            assert bool(np.broadcast_to(got, (len(a), len(b)))[i, j]) == mask[line], (lam, i, j)
+
+
+@given(ring_and_index_pairs())
+def test_line_masks_match_reference(case):
+    check_line_masks(*case)
+
+
+@settings(max_examples=20)      # 191 masks per example
+@given(ring_and_index_pairs(primes=(191,), max_dim=2))
+def test_line_masks_match_reference_wide_prime(case):
+    check_line_masks(*case)
 
 
 def check_linear_index(ring, M, elements=None):

@@ -420,3 +420,15 @@ def test_sampled_pair_scan_witness_rederives(monkeypatch):
     ok, pair, mode, cov, checked = pair_scan(
         count, budget, seed, lambda a, b: (a == target[0]) & (b == target[1]))
     assert (ok, pair, mode, cov, checked) == (False, target, "sampled", budget / count ** 2, first + 1)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_pair_scan_refuses_a_budget_below_one(m2, budget):
+    """A budget below 1 would pass having checked nothing: the table whose
+    entry 7 breaks Lie multiplicativity is refused there, not passed."""
+    bad = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"}).replace_entry(7, [1, 2, 3, 4])
+    assert not verify_lie_multiplicative(bad, 10 ** 6).ok
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_lie_multiplicative(bad, budget)
+    with pytest.raises(ValueError, match="at least 1"):
+        pair_scan(7, budget, 0, lambda a, b: np.zeros(np.broadcast_shapes(a.shape, b.shape), bool))
