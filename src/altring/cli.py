@@ -22,7 +22,7 @@ from .enumeration import DEFAULT_BUDGET
 from .errors import (AltringError, BudgetExceeded, DimensionMismatch, DomainMismatch,
                      InvalidField, ParseError, UnsupportedDomain)
 from .generators import GENERATORS, gen_direct_sum
-from .reports import dumps
+from .reports import coords_json, dumps
 from .rings import (Ring, is_alternative, is_associative, is_flexible,
                     is_k_torsion_free, load_ring, ring_to_json)
 
@@ -162,7 +162,7 @@ def cmd_idempotents(args, ws: Workspace) -> int:
     census = st.idempotents(ring, ws.budget)
     obj = {"ring": ring.name, **census.counts()}
     if census.count() <= 1000:
-        obj["elements"] = [{"coords": [ring.domain.fmt(c) for c in e.coords], "tag": t}
+        obj["elements"] = [{"coords": coords_json(ring, e.coords), "tag": t}
                            for e, t in zip(census.elements, census.tags)]
     lines = [f"ring {ring.name}: {obj['total']} idempotents "
              f"({obj['nontrivial']} nontrivial)"]
@@ -178,7 +178,7 @@ def cmd_peirce(args, ws: Workspace) -> int:
     reports += st.check_z_of_peirce_cell(frame)
     obj = {
         "ring": ring.name,
-        "idempotent": [ring.domain.fmt(c) for c in e1.coords],
+        "idempotent": coords_json(ring, e1.coords),
         "component_dims": {f"{i}{j}": frame.components[(i, j)].dim
                            for i in (1, 2) for j in (1, 2)},
         "relations": [r.to_json() for r in reports],
@@ -197,7 +197,7 @@ def cmd_check_conditions(args, ws: Workspace) -> int:
     reports = st.check_main_hypotheses(frame, ws.budget)
     reports += st.check_spade_club(frame, reports, ws.budget)
     obj = {"ring": ring.name,
-           "idempotent": [ring.domain.fmt(c) for c in e1.coords],
+           "idempotent": coords_json(ring, e1.coords),
            "conditions": [r.to_json() for r in reports]}
     lines = [f"structural conditions on {ring.name}:"] + _report_lines(obj["conditions"])
     _emit(args, obj, lines)
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     ws = Workspace(budget=args.budget, seed=args.seed)
     try:
         return args.fn(args, ws)
-    except (ParseError, DimensionMismatch, DomainMismatch, InvalidField, FileNotFoundError,
+    except (ParseError, DimensionMismatch, DomainMismatch, InvalidField, OSError,
             ValueError, BudgetExceeded, UnsupportedDomain) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,18 +112,18 @@ def _central_multiples(frame: PeirceFrame, i: int) -> list[list]:
 
 def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame, tgt_frame: PeirceFrame,
                           budget: int) -> BranchDetection:
-    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    f_idx = m.image_index(budget)
+    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    f_idx = m.image_index()
     # per i: the index of f_i y f_i for every target y, and the Z*f_i mask
-    corner = {i: et.linear_index(tgt_frame.projectors[(i, i)], budget) for i in (1, 2)}
-    inside_zf = {i: Subspace.from_vectors(m.target, _central_multiples(tgt_frame, i))
-                 .mask(et, budget) for i in (1, 2)}
+    corner = {i: et.linear_index(tgt_frame.projectors[(i, i)]) for i in (1, 2)}
+    inside_zf = {i: Subspace.from_vectors(m.target, _central_multiples(tgt_frame, i)).mask(et)
+                 for i in (1, 2)}
     reports = []
     for tag in (BRANCH_DAGGER, BRANCH_DDAGGER):
         for i in (1, 2):
             j = 3 - i
             src_cell = (j, j) if tag == BRANCH_DAGGER else (i, i)
-            pts = src_frame.components[src_cell].points(es, budget)
+            pts = src_frame.components[src_cell].points(es)
             corners = corner[i][f_idx[es.index_of(pts)]]
             reports.append(first_failure(
                 f"branch_{tag}_corner_{i}", ~inside_zf[i][corners],
@@ -160,8 +160,8 @@ class DecompositionResult:
             "idempotent": coords_json(self.map.source, self.e1.coords),
             "branch": self.branch,
             "psi_matrix": None if self.psi_matrix is None else
-                [[tgt.domain.fmt(x) for x in row] for row in self.psi_matrix],
-            "tau": self.tau.images(self.budget),
+                [coords_json(tgt, row) for row in self.psi_matrix],
+            "tau": self.tau.images(),
             "detection": self.detection.to_json(),
             "certificates": [c.to_json() for c in self.certificates],
             "all_required_pass": self.required_pass(),
@@ -183,7 +183,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     which would leave the central component of a diagonal image
     ambiguous.
     """
-    if not m.is_bijective(budget):
+    if not m.is_bijective():
         raise NotBijective("decomposition needs a bijective dense table")
     src_frame, tgt_frame = peirce_frames(m, e1)
     for rep in frame_hypotheses(m, src_frame, budget):
@@ -202,10 +202,10 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     if not getattr(detection, branch):
         raise BranchUndetermined(detection.dagger, detection.ddagger)
 
-    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
+    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
     tgt = m.target
     dom = tgt.domain
-    f_idx = m.image_index(budget)
+    f_idx = m.image_index()
     zc = center(tgt)
 
     # unique-split preflight: each diagonal target corner must meet the
@@ -226,19 +226,18 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     # psi = sum_c Q_c phi(P_c x), a running sum over the four cells
     psi_idx = None
     for ij in CELLS:
-        comp = f_idx[es.linear_index(src_frame.projectors[ij], budget)]
+        comp = f_idx[es.linear_index(src_frame.projectors[ij])]
         if ij[0] == ij[1]:
-            comp = et.linear_index(_diagonal_recipe(tgt_frame, zf_cols, branch, ij[0]),
-                                   budget)[comp]
-        psi_idx = comp if psi_idx is None else et.sum_index([psi_idx, comp], budget=budget)
-    tau_idx = et.sum_index([f_idx], [psi_idx], budget)
+            comp = et.linear_index(_diagonal_recipe(tgt_frame, zf_cols, branch, ij[0]))[comp]
+        psi_idx = comp if psi_idx is None else et.sum_index([psi_idx, comp])
+    tau_idx = et.sum_index([f_idx], [psi_idx])
 
     basis_idx = es.index_of(np.eye(m.source.dim, dtype=np.int64))
     psi_matrix = [[dom.parse(int(x)) for x in row] for row in et.coords_of(psi_idx[basis_idx]).T]
 
     res = DecompositionResult(m, e1, src_frame, tgt_frame, branch,
-                              MapTable(m.source, tgt, index=psi_idx),
-                              MapTable(m.source, tgt, index=tau_idx),
+                              MapTable(m.source, tgt, es, et, psi_idx),
+                              MapTable(m.source, tgt, es, et, tau_idx),
                               psi_matrix, detection, budget, seed)
     res.certificates = verify_decomposition(res)
     return res
@@ -276,8 +275,8 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     opposite off-diagonal pairs checked separately.
     """
     m, budget, seed = res.map, res.budget, res.seed
-    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    psi_idx, tau_idx = res.psi.image_index(budget), res.tau.image_index(budget)
+    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    psi_idx, tau_idx = res.psi.image_index(), res.tau.image_index()
     anti = res.branch == BRANCH_DDAGGER
     certs: list[CheckReport] = []
 
@@ -287,19 +286,19 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
             {"elements": int(es.count)}))
 
     # recomposition: psi + tau = phi, asserted on every element
-    elem_report("recomposition", et.sum_index([psi_idx, tau_idx], (), budget) != m.image_index(budget))
+    elem_report("recomposition", et.sum_index([psi_idx, tau_idx]) != m.image_index())
 
     def additive_fails(f_idx):
         def fails(a_idx, b_idx):
-            lhs = f_idx[es.sum_index([a_idx, b_idx], budget=budget)]
-            return lhs != et.sum_index([f_idx[a_idx], f_idx[b_idx]], budget=budget)
+            lhs = f_idx[es.sum_index([a_idx, b_idx])]
+            return lhs != et.sum_index([f_idx[a_idx], f_idx[b_idx]])
         return fails
 
     def pair_cert(name, fails):
         certs.append(pair_report(name, m.source, budget, seed, fails))
 
     pair_cert("psi_additive", additive_fails(psi_idx))
-    elem_report("psi_linear_matrix", es.linear_index(res.psi_matrix, budget) != psi_idx)
+    elem_report("psi_linear_matrix", es.linear_index(res.psi_matrix) != psi_idx)
 
     def fibre_witness(k):
         # a doubly-hit image with its first two preimages, else one never hit
@@ -307,23 +306,23 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
         y = coords_json(m.target, et.coords_of(t))
         return {"unreached": y} if row else {"image": y, **res.psi.preimages(t)}
 
-    certs.append(first_failure("psi_bijective", res.psi.fibres(budget), fibre_witness,
+    certs.append(first_failure("psi_bijective", res.psi.fibres(), fibre_witness,
                                {"elements": int(es.count)}))
 
     # anti: psi(ab) = -psi(b)psi(a), the sign applied through the index table of x -> -x
-    neg = et.smul_index(et.p - 1, budget) if anti else None
+    neg = et.smul_index(et.p - 1) if anti else None
 
     def product_fails(a_idx, b_idx):
-        lhs = psi_idx[es.mul_index(a_idx, b_idx, budget)]
+        lhs = psi_idx[es.mul_index(a_idx, b_idx)]
         if anti:
-            return lhs != neg[et.mul_index(psi_idx[b_idx], psi_idx[a_idx], budget)]
-        return lhs != et.mul_index(psi_idx[a_idx], psi_idx[b_idx], budget)
+            return lhs != neg[et.mul_index(psi_idx[b_idx], psi_idx[a_idx])]
+        return lhs != et.mul_index(psi_idx[a_idx], psi_idx[b_idx])
 
     pair_cert("psi_anti_multiplicative" if anti else "psi_multiplicative", product_fails)
 
     # per-cell cases of the product rule and the sandwich identity, on the
     # (|A|, |B|) grids of cell element indices, raveled row-major, i = 1 first
-    cell_idx = {ij: es.index_of(res.source_frame.components[ij].points(es, budget))
+    cell_idx = {ij: es.index_of(res.source_frame.components[ij].points(es))
                 for ij in CELLS}
 
     def cells_report(name, space, cells_fn, fails, quote_cells):
@@ -350,19 +349,19 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
 
     def sandwich_fails(a_idx, b_idx):
         # psi((ab)a) = (psi(a) psi(b)) psi(a)
-        lhs = psi_idx[es.mul_index(es.mul_index(a_idx, b_idx, budget), a_idx, budget)]
+        lhs = psi_idx[es.mul_index(es.mul_index(a_idx, b_idx), a_idx)]
         pa = psi_idx[a_idx]
-        return lhs != et.mul_index(et.mul_index(pa, psi_idx[b_idx], budget), pa, budget)
+        return lhs != et.mul_index(et.mul_index(pa, psi_idx[b_idx]), pa)
 
     cells_report("sandwich_identity", "triples", lambda i, j: ((i, j), (j, i)),
                  sandwich_fails, False)
 
-    central = center(m.target).mask(et, budget)
+    central = center(m.target).mask(et)
     elem_report("tau_central", ~central[tau_idx],
                 lambda k: {"tau": coords_json(m.target, et.coords_of(tau_idx[k]))})
 
     pair_cert("tau_kills_commutators",
-              lambda a_idx, b_idx: tau_idx[es.commutator_index(a_idx, b_idx, budget)] != 0)
+              lambda a_idx, b_idx: tau_idx[es.commutator_index(a_idx, b_idx)] != 0)
     pair_cert("tau_additive", additive_fails(tau_idx))
     return certs
 
@@ -381,7 +380,7 @@ def verify_theorem(m: MapTable, e1: Element, branch: str | None, budget: int,
     src = m.source
     bundle = {"config": {"budget": budget, "seed": seed,
                          "source": src.name, "target": m.target.name,
-                         "idempotent": [src.domain.fmt(c) for c in e1.coords],
+                         "idempotent": coords_json(src, e1.coords),
                          "branch_request": branch},
               "stages": []}
     reports: list[CheckReport] = []

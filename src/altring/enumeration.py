@@ -25,20 +25,22 @@ of the (n, ...) accumulator, not copied back.  `index_of` and `_planes`
 reduce mod p only when some entry lies outside [0, p); reduced input,
 the common case after a kernel, is indexed without a pass of divisions.
 
-One Enumeration serves a ring for the whole run: `Enumeration.of(ring)`
-builds it on first use and keeps it in the ring's memo (`rings.memoised`),
-so the digit table and the idempotent mask are built once per ring.  The
-Enumeration keeps the ring's name, not the ring, so the memo holds no
-reference cycle and the ring is freed, tables included, with its last
-reference.  `all_coords` is the read-only transposed view of the digit
-table, (count, n) in `elim_dtype`, so the primeness generator classes
-and `MapTable.images` gather narrow coordinate rows from it with no
-copy; an int64 copy would be 25 MB on Zorn/F5.
+One Enumeration per ring and budget serves a whole run:
+`Enumeration.of(ring, budget)` builds it on first use and keeps it in the
+ring's memo (`rings.memoised`), so the digit table and the idempotent
+mask are built once.  No kernel takes a budget: the digit table and every
+count-sized output need count <= budget, and `subspace_points` p**d <=
+budget.  The Enumeration keeps the ring's name, not the ring, so the
+memo holds no reference cycle and the ring is freed, tables included,
+with its last reference.  `all_coords` is the read-only transposed view
+of the digit table, (count, n) in `elim_dtype`, so the primeness
+generator classes and `MapTable.images` gather narrow coordinate rows
+from it with no copy; an int64 copy would be 25 MB on Zorn/F5.
 
 Pair scans work in index space, and only this module reads the digit
 table `digits`: the (n, count) coordinate planes of every element in
 `elim_dtype`, which holds (p-1)**2 + p and so any sum of p digits,
-built on first use under the element budget.  The index kernels take
+built on first use under the budget.  The index kernels take
 element indices (any broadcastable shapes), gather their operand planes
 with `take(idx, axis=1)` and return int64 indices by Horner's rule
 (`index_of_planes`).  `mul_index` runs the product core of `mul` and
@@ -113,8 +115,9 @@ def require_finite(ring: Ring) -> int:
 class Enumeration:
     """Cached element tables and batched arithmetic for one finite ring."""
 
-    def __init__(self, ring: Ring):
+    def __init__(self, ring: Ring, budget: int):
         self.name = ring.name
+        self.budget = budget
         self.p = require_finite(ring)
         self.n = ring.dim
         self.count = self.p ** self.n
@@ -153,9 +156,9 @@ class Enumeration:
 
     @staticmethod
     @memoised
-    def of(ring: Ring) -> "Enumeration":
-        """The ring's one Enumeration, built on first use."""
-        return Enumeration(ring)
+    def of(ring: Ring, budget: int) -> "Enumeration":
+        """The ring's one Enumeration under `budget`, built on first use."""
+        return Enumeration(ring, budget)
 
     @cached_property
     def inv_table(self) -> np.ndarray:
@@ -175,21 +178,21 @@ class Enumeration:
             C = C % self.p
         return C @ self.radix
 
-    def _check_budget(self, budget: int):
-        if self.count > budget:
-            raise BudgetExceeded(self.count, budget, f"enumerating {self.name!r}")
+    def _check_budget(self):
+        if self.count > self.budget:
+            raise BudgetExceeded(self.count, self.budget, f"enumerating {self.name!r}")
 
-    def all_coords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def all_coords(self) -> np.ndarray:
         """(count, n) coordinates of every element in `elim_dtype`: the
         transposed view of the digit table, not a copy, and read-only."""
-        X = self.digits(budget).T
+        X = self.digits().T
         X.flags.writeable = False       # a write would change the digit table
         return X
 
-    def digits(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def digits(self) -> np.ndarray:
         """(n, count) digit table in `elim_dtype`: plane i holds coordinate i
         of every element, in element order."""
-        self._check_budget(budget)
+        self._check_budget()
         if self._digits is None:
             p, n = self.p, self.n
             self._digits = np.empty((n, self.count), dtype=self.elim_dtype)
@@ -287,20 +290,20 @@ class Enumeration:
 
     # -- index kernels: element indices in, element indices out -----------
 
-    def mul_index(self, a, b, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def mul_index(self, a, b) -> np.ndarray:
         """Index of a[t] * b[t] for index arrays a, b (broadcast)."""
-        D = self.digits(budget)
+        D = self.digits()
         return self.index_of_planes(self._product_planes(D.take(a, axis=1), D.take(b, axis=1)))
 
-    def commutator_index(self, a, b, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def commutator_index(self, a, b) -> np.ndarray:
         """Index of [a[t], b[t]] for index arrays a, b (broadcast)."""
-        D = self.digits(budget)
+        D = self.digits()
         return self.index_of_planes(self._commutator_planes(D.take(a, axis=1), D.take(b, axis=1)))
 
-    def sum_index(self, plus, minus=(), budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def sum_index(self, plus, minus=()) -> np.ndarray:
         """Index of sum(plus) - sum(minus) for sequences of index arrays
         (broadcast), `plus` nonempty."""
-        D, p = self.digits(budget), self.p
+        D, p = self.digits(), self.p
         lo, hi = -len(minus) * (p - 1), len(plus) * (p - 1)
         dt = np.promote_types(self.elim_dtype, _narrowest_signed(hi - lo + p))
         shape = (self.n,) + np.broadcast_shapes(*(np.shape(t) for t in (*plus, *minus)))
@@ -316,10 +319,10 @@ class Enumeration:
             S += (S < 0) * S.dtype.type(p)
         return self.index_of_planes(S)
 
-    def line_masks(self, mask, a, b, budget: int = DEFAULT_BUDGET):
+    def line_masks(self, mask, a, b):
         """mask[a - lam*b] for lam = 0, 1, ..., p - 1 in turn, for a boolean
         mask over elements and index arrays a, b (broadcast)."""
-        D, p = self.digits(budget), self.p
+        D, p = self.digits(), self.p
         yield mask[a]
         B = D.take(b, axis=1)
         A = D.take(a, axis=1) - B       # the planes of a - lam*b from lam = 1, in (-p, p)
@@ -350,10 +353,10 @@ class Enumeration:
                 out[k, col] %= self.p
         return np.moveaxis(out, (0, 1), (-2, -1))
 
-    def linear_index(self, M, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def linear_index(self, M) -> np.ndarray:
         """Index of M*x for every element x, in element order, for an
         (m, n) integer matrix M (entries reduced mod p here)."""
-        D = self.digits(budget)
+        D = self.digits()
         dt = self.lin_dtype
         out = np.zeros((len(M), self.count), dtype=dt)
         term = np.empty(self.count, dtype=dt)
@@ -367,32 +370,39 @@ class Enumeration:
                     out[k] += term
         return self.index_of_planes(self.reduce(out))
 
-    def smul_index(self, lam: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def smul_index(self, lam: int) -> np.ndarray:
         """Index table of x -> lam*x over all elements."""
         scaled = (np.arange(self.p, dtype=np.int64) * lam % self.p).astype(self.elim_dtype)
-        return self.index_of_planes(scaled.take(self.digits(budget)))
+        return self.index_of_planes(scaled.take(self.digits()))
 
-    def idempotent_mask(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def idempotent_mask(self) -> np.ndarray:
         """Which elements e satisfy e*e = e, squared on the digit table once."""
-        D = self.digits(budget)
+        D = self.digits()
         if self._idempotents is None:
             self._idempotents = (self._product_planes(D, D) == D).all(axis=0)
         return self._idempotents
 
     # -- subspace points ---------------------------------------------------
 
-    def subspace_points(self, basis_rows, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def subspace_points(self, basis_rows) -> np.ndarray:
         """All F_p points of a subspace, first basis direction fastest."""
         B = np.array([[int(x) for x in row] for row in basis_rows], dtype=np.int64)
         d = len(B)
         if d == 0:
             return np.zeros((1, self.n), dtype=np.int64)
         total = self.p ** d
-        if total > budget:
-            raise BudgetExceeded(total, budget, "enumerating subspace points")
+        if total > self.budget:
+            raise BudgetExceeded(total, self.budget, "enumerating subspace points")
         ar = np.arange(total, dtype=np.int64)
         coeffs = (ar[:, None] // self.p ** np.arange(d, dtype=np.int64)) % self.p
         return coeffs @ B % self.p
+
+    def subspace_mask(self, basis_rows) -> np.ndarray:
+        """Membership in a subspace over all element indices."""
+        self._check_budget()
+        mask = np.zeros(self.count, dtype=bool)
+        mask[self.index_of(self.subspace_points(basis_rows))] = True
+        return mask
 
     # -- batched rank over F_p ---------------------------------------------
 

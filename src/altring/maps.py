@@ -4,11 +4,12 @@ battery for surjective idempotent-preserving Lie multiplicative maps.
 A map is given either as a total table over the enumerated source (no
 additivity is assumed: multiplicativity on commutators is the only given)
 or in structured form, a linear part M plus a central offset lambda(x)*z,
-which is the one matrix M + z lambda^T and evaluates over any scalar
-domain.  Over a prime field every map is held as one image index, read
-by every verifier; the few that need coordinates of some points take
-them from it (`Enumeration.coords_of`).  An element-quantified verifier
-ends in a failure mask and reports through `reports.first_failure`.
+which is the one matrix M + z lambda^T.  A map is its image index, built
+with the map (a structured map's by one `linear_index`) over prime-field
+rings only, and read by every verifier; the few that need coordinates
+of some points take them from it (`Enumeration.coords_of`).  An
+element-quantified verifier ends in a failure mask and reports through
+`reports.first_failure`.
 """
 
 from __future__ import annotations
@@ -28,87 +29,51 @@ from .structure import PeirceFrame, center, check_main_hypotheses, peirce_frame
 
 
 class MapTable:
-    """Total map between two rings over one scalar domain.  Its only
-    element-sized array is the image index: a table's converted
-    coordinates, or one `linear_index` of a structured map's `matrix`."""
+    """Total map between two finite rings, held as its image index alone:
+    entry x is the target element index of phi(x), over the source and
+    target Enumerations `es` and `et`.  `spec` is the builder spec a
+    structured map is saved as; a table (None) is saved as its entries."""
 
-    def __init__(self, source: Ring, target: Ring, *, index: np.ndarray | None = None,
-                 matrix=None, offset_functional=None, offset_central=None, spec=None):
-        if source.domain != target.domain:
-            raise DomainMismatch(f"{source.name!r} and {target.name!r} have different scalar domains")
-        self.source = source
-        self.target = target
-        self.spec = spec or {"kind": "table"}
-        self._index = None
+    def __init__(self, source: Ring, target: Ring, es: Enumeration, et: Enumeration,
+                 index, spec: dict | None = None):
+        self.source, self.target = source, target
+        self.es, self.et = es, et
+        self.spec = spec
+        self._index = np.asarray(index, dtype=np.int64)
+        if self._index.shape != (es.count,):
+            raise DimensionMismatch("dense table must cover every source element")
         self._memo = {}
-        if index is not None:
-            self.kind = "dense"
-            self._index = np.asarray(index, dtype=np.int64)
-            if self._index.shape != (Enumeration.of(source).count,):
-                raise DimensionMismatch("dense table must cover every source element")
-            return
-        self.kind = "structured"
-        if matrix is None or len(matrix) != target.dim or any(len(r) != source.dim for r in matrix):
-            raise DimensionMismatch(f"linear part must be {target.dim}x{source.dim}")
-        dom = source.domain
-        func = [dom.parse(x) for x in (offset_functional or [dom.zero] * source.dim)]
-        z = [dom.parse(x) for x in (offset_central or [dom.zero] * target.dim)]
-        if len(func) != source.dim or len(z) != target.dim:
-            raise DimensionMismatch("offset shapes do not match the rings")
-        self._validate_offset(func, z)
-        self.matrix = [[dom.add(dom.parse(a), dom.mul(zk, f)) for a, f in zip(row, func)]
-                       for row, zk in zip(matrix, z)]
-
-    def _validate_offset(self, func, z):
-        """lambda(x)*z must be central: z central, and lambda vanishing on
-        every commutator, so on each [b_i, b_j]."""
-        src, dom = self.source, self.source.domain
-        if all(x == dom.zero for x in func) or all(x == dom.zero for x in z):
-            return
-        if not center(self.target).contains(z):
-            raise OffsetNotCentral("offset element is not in the target centre")
-        for i in range(src.dim):
-            for j in range(i + 1, src.dim):
-                bi, bj = src.basis_coords(i), src.basis_coords(j)
-                comm = src.sub_coords(src.mul_coords(bi, bj), src.mul_coords(bj, bi))
-                if linalg.mat_vec([func], list(comm), dom)[0] != dom.zero:
-                    raise OffsetNotCentral("offset functional does not vanish on commutators")
 
     # -- evaluation -------------------------------------------------------
 
     def eval_coords(self, coords):
-        """Image of one source coordinate vector (any scalar domain)."""
-        if self.kind == "dense":
-            k = Enumeration.of(self.source).index_of([int(x) for x in coords])
-            return tuple(int(c) for c in Enumeration.of(self.target).coords_of(self._index[int(k)]))
-        return tuple(linalg.mat_vec(self.matrix, list(coords), self.source.domain))
+        """Image of one source coordinate vector."""
+        k = self.es.index_of([int(x) for x in coords])
+        return tuple(int(c) for c in self.et.coords_of(self._index[int(k)]))
 
     def __call__(self, x: Element) -> Element:
         return Element(self.target, self.eval_coords(x.coords))
 
-    def image_index(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def image_index(self) -> np.ndarray:
         """Target element index of phi(x) for every source element x."""
-        if self._index is None:
-            self._index = Enumeration.of(self.source).linear_index(self.matrix, budget)
         return self._index
 
-    def images(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def images(self) -> np.ndarray:
         """(N, n) narrow image coordinates over the whole enumerated source:
         a gather of the image index from `Enumeration.all_coords`, every call."""
-        return Enumeration.of(self.target).all_coords(budget)[self.image_index(budget)]
+        return self.et.all_coords()[self._index]
 
-    def fibres(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def fibres(self) -> np.ndarray:
         """(2, target count) boolean mask over target elements: row 0 marks
         those hit more than once, row 1 those never hit.  Built from one
         `bincount` on each call; nothing of it is kept."""
-        hits = np.bincount(self.image_index(budget), minlength=Enumeration.of(self.target).count)
+        hits = np.bincount(self._index, minlength=self.et.count)
         return np.stack([hits > 1, hits == 0])
 
     def preimages(self, t: int) -> dict:
         """The first two preimages of target index t, as the witness {"a", "b"}."""
-        es = Enumeration.of(self.source)
-        return {key: coords_json(self.source, es.coords_of(k))
-                for key, k in zip("ab", np.flatnonzero(self.image_index() == t)[:2])}
+        return {key: coords_json(self.source, self.es.coords_of(k))
+                for key, k in zip("ab", np.flatnonzero(self._index == t)[:2])}
 
     def cached(self, key, build):
         """build(), computed once per map and key.  A run's Peirce frames,
@@ -119,15 +84,13 @@ class MapTable:
         return self._memo[key]
 
     def replace_entry(self, idx: int, coords) -> "MapTable":
-        """Dense copy with one table entry overwritten (for negative controls)."""
-        index = self.image_index().copy()
-        index[idx] = Enumeration.of(self.target).index_of(
-            [self.target.domain.parse(x) for x in coords])
-        return MapTable(self.source, self.target, index=index,
-                        spec={"kind": "table", "note": "perturbed"})
+        """Table copy with one entry overwritten (for negative controls)."""
+        index = self._index.copy()
+        index[idx] = self.et.index_of([self.target.domain.parse(x) for x in coords])
+        return MapTable(self.source, self.target, self.es, self.et, index)
 
-    def is_bijective(self, budget: int = DEFAULT_BUDGET) -> bool:
-        return self.source.dim == self.target.dim and not self.fibres(budget).any()
+    def is_bijective(self) -> bool:
+        return self.source.dim == self.target.dim and not self.fibres().any()
 
 
 # -- builders ---------------------------------------------------------------
@@ -159,33 +122,76 @@ def _field(obj: dict, key: str, where: str):
         raise ParseError(f"{where} is missing field {key!r}") from None
 
 
+def _structured_matrix(source: Ring, target: Ring, matrix, offset_functional=None,
+                       offset_central=None) -> list:
+    """The matrix M + z lambda^T of a linear part M plus an offset
+    lambda(x)*z, which must be central: z central, and lambda vanishing on
+    every commutator, so on each [b_i, b_j]."""
+    if len(matrix) != target.dim or any(len(r) != source.dim for r in matrix):
+        raise DimensionMismatch(f"linear part must be {target.dim}x{source.dim}")
+    dom = source.domain
+    func = [dom.parse(x) for x in (offset_functional or [dom.zero] * source.dim)]
+    z = [dom.parse(x) for x in (offset_central or [dom.zero] * target.dim)]
+    if len(func) != source.dim or len(z) != target.dim:
+        raise DimensionMismatch("offset shapes do not match the rings")
+    if any(x != dom.zero for x in func) and any(x != dom.zero for x in z):
+        if not center(target).contains(z):
+            raise OffsetNotCentral("offset element is not in the target centre")
+        for i in range(source.dim):
+            for j in range(i + 1, source.dim):
+                bi, bj = source.basis_coords(i), source.basis_coords(j)
+                comm = source.sub_coords(source.mul_coords(bi, bj), source.mul_coords(bj, bi))
+                if linalg.mat_vec([func], list(comm), dom)[0] != dom.zero:
+                    raise OffsetNotCentral("offset functional does not vanish on commutators")
+    return [[dom.add(dom.parse(a), dom.mul(zk, f)) for a, f in zip(row, func)]
+            for row, zk in zip(matrix, z)]
+
+
 def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDGET) -> MapTable:
-    """Construct a MapTable from a builder description.
+    """Construct a MapTable, and its image index under `budget`, from a
+    builder description.
 
     Kinds: identity, linear, neg_transpose_plus_trace, conjugation,
     compose, table, structured.  Transpose and conjugation builders are
     only offered on rings verified associative (conjugation by a unit is
     not an automorphism without associativity).
     """
+    if source.domain != target.domain:
+        raise DomainMismatch(f"{source.name!r} and {target.name!r} have different scalar domains")
+    es, et = Enumeration.of(source, budget), Enumeration.of(target, budget)
     kind = spec.get("kind")
     dom = source.domain
     where = f"map of kind {kind!r}"
+    if kind == "compose":
+        idx = np.arange(es.count)
+        for part in _field(spec, "parts", where):
+            idx = build_map(source, target, part, budget).image_index()[idx]
+        return MapTable(source, target, es, et, idx)
+    if kind == "table":
+        entries = _field(spec, "entries", where)
+        if isinstance(entries, dict):
+            entries = [_field(entries, str(i), "table entries") for i in range(len(entries))]
+        if len(entries) != es.count:
+            raise ParseError(f"table has {len(entries)} entries, source has {es.count} elements")
+        if any(len(row) != target.dim for row in entries):
+            raise DimensionMismatch(f"table rows must have {target.dim} entries, "
+                                    f"one per coordinate of {target.name!r}")
+        images = np.array([[int(dom.parse(x)) for x in row] for row in entries], dtype=np.int64)
+        return MapTable(source, target, es, et, et.index_of(images))
     if kind == "identity":
         if source.key != target.key or source.sc != target.sc:
             raise DimensionMismatch("identity map needs identical source and target rings")
-        return MapTable(source, target, matrix=linalg.mat_identity(source.dim, dom),
-                        spec={"kind": "identity"})
-    if kind == "linear":
-        return MapTable(source, target, matrix=_field(spec, "matrix", where), spec=spec)
-    if kind == "structured":
-        return MapTable(source, target, matrix=_field(spec, "matrix", where),
-                        offset_functional=spec.get("offset_functional"),
-                        offset_central=spec.get("offset_central"), spec=spec)
-    if kind == "neg_transpose_plus_trace":
+        M, spec = linalg.mat_identity(source.dim, dom), {"kind": "identity"}
+    elif kind == "linear":
+        M = _structured_matrix(source, target, _field(spec, "matrix", where))
+    elif kind == "structured":
+        M = _structured_matrix(source, target, _field(spec, "matrix", where),
+                               spec.get("offset_functional"), spec.get("offset_central"))
+    elif kind == "neg_transpose_plus_trace":
         if not is_associative(source):
             raise DimensionMismatch("transpose builder needs an associative matrix ring")
         k = _matrix_unit_order(source)
-        if target.dim != source.dim or target.domain != dom:
+        if target.dim != source.dim:
             raise DimensionMismatch("transpose builder needs matching rings")
         n = source.dim
         M = [[dom.zero] * n for _ in range(n)]
@@ -197,8 +203,8 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
                 if a == b:
                     for t in range(n):
                         M[t][col] = dom.add(M[t][col], unit[t])
-        return MapTable(source, target, matrix=M, spec={"kind": "neg_transpose_plus_trace"})
-    if kind == "conjugation":
+        spec = {"kind": "neg_transpose_plus_trace"}
+    elif kind == "conjugation":
         if not is_associative(source):
             raise NotInvertible("conjugation builder needs an associative ring")
         if source.key != target.key:
@@ -209,40 +215,21 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
         if u_inv is None or source.mul_coords(u_inv, u) != tuple(source.unit_coords):
             raise NotInvertible("conjugating element has no two-sided inverse")
         M = linalg.mat_mul(L, source.right_mul_matrix(u_inv), dom)
-        return MapTable(source, target, matrix=M,
-                        spec={"kind": "conjugation", "element": [dom.fmt(x) for x in u]})
-    if kind == "compose":
-        parts = [build_map(source, target, s, budget) for s in _field(spec, "parts", where)]
-        idx = np.arange(Enumeration.of(source).count)
-        for part in parts:
-            idx = part.image_index(budget)[idx]
-        return MapTable(source, target, index=idx, spec=spec)
-    if kind == "table":
-        entries = _field(spec, "entries", where)
-        if isinstance(entries, dict):
-            entries = [_field(entries, str(i), "table entries") for i in range(len(entries))]
-        enum = Enumeration.of(source)
-        if len(entries) != enum.count:
-            raise ParseError(f"table has {len(entries)} entries, source has {enum.count} elements")
-        if any(len(row) != target.dim for row in entries):
-            raise DimensionMismatch(f"table rows must have {target.dim} entries, "
-                                    f"one per coordinate of {target.name!r}")
-        tgt = target.domain
-        images = np.array([[int(tgt.parse(x)) for x in row] for row in entries], dtype=np.int64)
-        return MapTable(source, target, index=Enumeration.of(target).index_of(images),
-                        spec={"kind": "table"})
-    raise ParseError(f"unknown map kind {kind!r}")
+        spec = {"kind": "conjugation", "element": [dom.fmt(x) for x in u]}
+    else:
+        raise ParseError(f"unknown map kind {kind!r}")
+    return MapTable(source, target, es, et, es.linear_index(M), spec)
 
 
 def map_to_json(m: MapTable) -> dict:
-    spec = dict(m.spec)
-    if m.kind == "dense" and "entries" not in spec:
-        spec = {"kind": "table",
-                "entries": [[int(x) for x in row] for row in m.images()]}
+    spec = dict(m.spec) if m.spec else {
+        "kind": "table", "entries": [[int(x) for x in row] for row in m.images()]}
     return {"source": m.source.name, "target": m.target.name, "repr": spec}
 
 
 def map_from_json(obj: dict, rings: dict[str, Ring], budget: int = DEFAULT_BUDGET) -> MapTable:
+    if not isinstance(obj, dict):
+        raise ParseError("a map file must hold a JSON object")
     try:
         src = rings[obj["source"]]
         tgt = rings[obj["target"]]
@@ -251,6 +238,8 @@ def map_from_json(obj: dict, rings: dict[str, Ring], budget: int = DEFAULT_BUDGE
         raise ParseError(f"map file references unknown ring or missing field: {exc}") from exc
     if isinstance(spec, str):
         spec = {"kind": spec, **{k: v for k, v in obj.items() if k not in ("source", "target", "repr")}}
+    elif not isinstance(spec, dict):
+        raise ParseError(f"map field 'repr' must be an object or a kind name, got {spec!r}")
     return build_map(src, tgt, spec, budget)
 
 
@@ -320,7 +309,7 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn):
 def pair_report(name: str, source: Ring, budget: int, seed: int, fail_fn) -> CheckReport:
     """`pair_scan` over the source's element pairs as a report; a failing
     pair is quoted as the witness {"a", "b"} in source coordinates."""
-    es = Enumeration.of(source)
+    es = Enumeration.of(source, budget)
     ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fail_fn)
     wit = None if pair is None else {
         key: coords_json(source, es.coords_of(k)) for key, k in zip("ab", pair)}
@@ -331,21 +320,21 @@ def pair_report(name: str, source: Ring, budget: int, seed: int, fail_fn) -> Che
 # -- verifiers ----------------------------------------------------------------
 
 def verify_surjective(m: MapTable, budget: int = DEFAULT_BUDGET) -> CheckReport:
-    et = Enumeration.of(m.target)
-    return first_failure("surjective", m.fibres(budget)[1], lambda k: {
+    et = Enumeration.of(m.target, budget)
+    return first_failure("surjective", m.fibres()[1], lambda k: {
         "unreached": coords_json(m.target, et.coords_of(k))},
-        {"elements": int(Enumeration.of(m.source).count)})
+        {"elements": int(m.es.count)})
 
 
 def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
                               seed: int = 0) -> CheckReport:
     """phi([x,y]) = [phi(x), phi(y)] over source pairs (sampled past budget)."""
-    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    f_idx = m.image_index(budget)
+    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    f_idx = m.image_index()
 
     def fails(a_idx, b_idx):
-        lhs = f_idx[es.commutator_index(a_idx, b_idx, budget)]
-        return lhs != et.commutator_index(f_idx[a_idx], f_idx[b_idx], budget)
+        lhs = f_idx[es.commutator_index(a_idx, b_idx)]
+        return lhs != et.commutator_index(f_idx[a_idx], f_idx[b_idx])
 
     return pair_report("lie_multiplicative", m.source, budget, seed, fails)
 
@@ -355,13 +344,13 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
     """e - lam*f idempotent iff phi(e) - lam*phi(f) idempotent, all source
     pairs and every prime-field lam, on any map, bijective or not; a
     failing pair quotes as "lambda" the first lam whose mask fails on it."""
-    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    f_idx = m.image_index(budget)
+    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    f_idx = m.image_index()
 
     def lambda_masks(a_idx, b_idx):
         """The failure mask of each lam = 0, 1, ..., p - 1 in turn."""
-        return map(np.not_equal, es.line_masks(es.idempotent_mask(budget), a_idx, b_idx, budget),
-                   et.line_masks(et.idempotent_mask(budget), f_idx[a_idx], f_idx[b_idx], budget))
+        return map(np.not_equal, es.line_masks(es.idempotent_mask(), a_idx, b_idx),
+                   et.line_masks(et.idempotent_mask(), f_idx[a_idx], f_idx[b_idx]))
 
     rep = pair_report("preserves_idempotents", m.source, budget, seed,
                       lambda a, b: functools.reduce(np.logical_or, lambda_masks(a, b)))
@@ -376,18 +365,18 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
     """Consequences of surjectivity + idempotent preservation over a
     2-torsion-free ring: injectivity, a fixed zero, and scalar
     homogeneity.  Failures certify an upstream inconsistency."""
-    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    idx = m.image_index(budget)
+    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    idx = m.image_index()
 
     def inhomogeneous(lam):
         # phi(lam x) != lam phi(x), x in element order; rows 0 and 1 need no table
         if lam < 2:
             return np.full(es.count, lam == 0 and idx[0] != 0)
-        scale = es.smul_index(lam, budget)
-        return idx[scale] != (scale if et is es else et.smul_index(lam, budget))[idx]
+        scale = es.smul_index(lam)
+        return idx[scale] != (scale if et is es else et.smul_index(lam))[idx]
 
     homogeneous = np.stack([inhomogeneous(lam) for lam in range(es.p)])
-    return [first_failure("injective", m.fibres(budget)[0], m.preimages,
+    return [first_failure("injective", m.fibres()[0], m.preimages,
                           {"elements": int(es.count)}),
             first_failure("maps_zero_to_zero", idx[:1] != 0, lambda k: {
                 "image_of_zero": coords_json(m.target, et.coords_of(idx[0]))}, {"elements": 1}),
@@ -399,13 +388,13 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
 def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
                             seed: int = 0) -> CheckReport:
     """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs."""
-    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    f_idx = m.image_index(budget)
-    central = center(m.target).mask(et, budget)
+    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    f_idx = m.image_index()
+    central = center(m.target).mask(et)
 
     def fails(a_idx, b_idx):
-        ab = f_idx[es.sum_index([a_idx, b_idx], budget=budget)]
-        return ~central[et.sum_index([ab], [f_idx[a_idx], f_idx[b_idx]], budget)]
+        ab = f_idx[es.sum_index([a_idx, b_idx])]
+        return ~central[et.sum_index([ab], [f_idx[a_idx], f_idx[b_idx]])]
 
     return pair_report("almost_additive", m.source, budget, seed, fails)
 
@@ -442,13 +431,13 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
     Returns (reports, source_frame, target_frame).
     """
     src_frame, tgt_frame = peirce_frames(m, e1)
-    es, et = Enumeration.of(m.source), Enumeration.of(m.target)
-    f_idx = m.image_index(budget)
+    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    f_idx = m.image_index()
     reports = []
 
     for ij in ((1, 2), (2, 1)):
-        pts = src_frame.components[ij].points(es, budget)
-        want = tgt_frame.components[ij].mask(et, budget)
+        pts = src_frame.components[ij].points(es)
+        want = tgt_frame.components[ij].mask(et)
         hit = np.zeros(et.count, dtype=bool)
         hit[f_idx[es.index_of(pts)]] = True
         # over target elements: [images outside the corner; corner elements never reached]
@@ -461,10 +450,10 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
     zc = center(m.target)
     for i in (1, 2):
         j = 3 - i
-        pts = src_frame.components[(i, i)].points(es, budget)
+        pts = src_frame.components[(i, i)].points(es)
         img = f_idx[es.index_of(pts)]
-        in_same = tgt_frame.components[(i, i)].sum(zc).mask(et, budget)[img]
-        in_swap = tgt_frame.components[(j, j)].sum(zc).mask(et, budget)[img]
+        in_same = tgt_frame.components[(i, i)].sum(zc).mask(et)[img]
+        in_swap = tgt_frame.components[(j, j)].sum(zc).mask(et)[img]
         # with neither shape, quote the first element whose image misses one
         reports.append(first_failure(
             f"diag_image_{i}{i}", ~(in_same & in_swap) & ~(in_same.all() | in_swap.all()),

@@ -124,15 +124,16 @@ class Ring:
 
 
 def memoised(fn):
-    """fn(r), computed once per ring and kept in the ring's memo.  The
-    value must not refer back to the ring, so that no reference cycle
-    keeps a ring and its tables alive after its last reference goes."""
+    """fn(r, *args), computed once per ring and args and kept in the
+    ring's memo under fn, or (fn, *args) when there are args.  The value
+    must not refer back to the ring, so that no reference cycle keeps a
+    ring and its tables alive after its last reference goes."""
     @functools.wraps(fn)
-    def once(r):
-        memo = r._memo
-        if fn not in memo:
-            memo[fn] = fn(r)
-        return memo[fn]
+    def once(r, *args):
+        key, memo = (fn, *args) if args else fn, r._memo
+        if key not in memo:
+            memo[key] = fn(r, *args)
+        return memo[key]
     return once
 
 
@@ -284,6 +285,8 @@ def ring_to_json(r: Ring) -> dict:
 
 
 def ring_from_json(obj: dict) -> Ring:
+    if not isinstance(obj, dict):
+        raise ParseError("a ring file must hold a JSON object")
     try:
         dom = domain_from_json(obj["domain"])
         ring = Ring(obj["name"], dom, obj["basis"], obj["mul"], obj["unit"])

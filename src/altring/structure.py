@@ -54,17 +54,13 @@ class Subspace:
                                       [list(r) for r in other.basis], self.ring.domain)
         return Subspace.from_vectors(self.ring, rows)
 
-    def points(self, enum: Enumeration, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        return enum.subspace_points([list(r) for r in self.basis], budget)
+    def points(self, enum: Enumeration) -> np.ndarray:
+        return enum.subspace_points(self.basis)
 
-    def mask(self, enum: Enumeration, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """Membership over all element indices of a finite ring, so a
-        gather answers "is element k in the subspace?"; count-sized, so the
-        ring must fit the element budget."""
-        enum._check_budget(budget)
-        mask = np.zeros(enum.count, dtype=bool)
-        mask[enum.index_of(self.points(enum, budget))] = True
-        return mask
+    def mask(self, enum: Enumeration) -> np.ndarray:
+        """Membership over all element indices of a finite ring
+        (`Enumeration.subspace_mask`)."""
+        return enum.subspace_mask(self.basis)
 
 
 def center(r: Ring) -> Subspace:
@@ -149,8 +145,8 @@ def idempotents(r: Ring, budget: int = DEFAULT_BUDGET, include_zero: bool = True
             if (e * e).coords == e.coords:
                 found.append(e.coords)
     elif r.domain.kind == "Fp":
-        enum = Enumeration.of(r)
-        idx = np.flatnonzero(enum.idempotent_mask(budget))
+        enum = Enumeration.of(r, budget)
+        idx = np.flatnonzero(enum.idempotent_mask())
         found = [tuple(int(c) for c in x) for x in enum.coords_of(idx)]
     else:
         raise UnsupportedDomain("idempotent search over Q needs explicit candidates")
@@ -292,8 +288,8 @@ def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) ->
 
     # (iv.a): x^2 = 0 for every x in an off-diagonal component
     if r.domain.kind == "Fp":
-        enum = Enumeration.of(r)
-        reports.append(_cell_scan("peirce_iv_a_squares", frame, off, budget,
+        enum = Enumeration.of(r, budget)
+        reports.append(_cell_scan("peirce_iv_a_squares", enum, frame, off,
                                   lambda pts, ij: (enum.mul(pts, pts) != 0).any(axis=1)))
     else:
         ok, wit, n_elems = True, None, 0
@@ -319,7 +315,7 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
     """Annihilation conditions on the corners plus surjectivity of central
     multiplications; all quantifiers run over enumerated F_p points."""
     r = frame.ring
-    enum = Enumeration.of(r)
+    enum = Enumeration.of(r, budget)
 
     # (1): x_ij R_ji = 0 forces x_ij = 0, for both off-diagonal cells
     # (2): x_11 R_12 = 0 or R_21 x_11 = 0 forces x_11 = 0
@@ -341,12 +337,12 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
             out |= killed
         return out & (pts != 0).any(axis=1)
 
-    reports = [_cell_scan(name, frame, cells, budget, annihilated)
+    reports = [_cell_scan(name, enum, frame, cells, annihilated)
                for name, cells in (("condition_1", ((1, 2), (2, 1))),
                                    ("condition_2", ((1, 1),)), ("condition_3", ((2, 2),)))]
 
     # (4): z != 0 central implies x -> z x is onto (full rank over a field)
-    zpts = center(r).points(enum, budget)
+    zpts = center(r).points(enum)
     nz = (zpts != 0).any(axis=1)
     ranks = enum.rank_batched(enum.left_mul_matrices(zpts))
     reports.append(first_failure(
@@ -356,12 +352,11 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
     return reports
 
 
-def _cell_scan(name: str, frame: PeirceFrame, cells, budget: int, fails) -> CheckReport:
+def _cell_scan(name: str, enum: Enumeration, frame: PeirceFrame, cells, fails) -> CheckReport:
     """`first_failure` over the F_p points of `cells`, cell by cell;
     fails(pts, ij) is the failure mask of cell ij's points, and a witness
     is {"element", "cell"}."""
-    enum = Enumeration.of(frame.ring)
-    pts = [frame.components[ij].points(enum, budget) for ij in cells]
+    pts = [frame.components[ij].points(enum) for ij in cells]
     X = np.concatenate(pts)
     owner = np.repeat(np.arange(len(cells)), [len(P) for P in pts])
     return first_failure(
@@ -376,15 +371,15 @@ def check_spade_club(frame: PeirceFrame, hypotheses: list[CheckReport],
     central; also reports the implication instance from conditions (1)-(3),
     read from `hypotheses`, the frame's `check_main_hypotheses` reports."""
     r = frame.ring
-    enum = Enumeration.of(r)
+    enum = Enumeration.of(r, budget)
     comp = frame.components
-    p11 = comp[(1, 1)].points(enum, budget)
-    p22 = comp[(2, 2)].points(enum, budget)
+    p11 = comp[(1, 1)].points(enum)
+    p22 = comp[(2, 2)].points(enum)
     if len(p11) * len(p22) > budget:
         raise BudgetExceeded(len(p11) * len(p22), budget, "diagonal-sum scan")
     sums = (p11[:, None, :] + p22[None, :, :]).reshape(-1, r.dim) % enum.p
 
-    central = center(r).mask(enum, budget)[enum.index_of(sums)]
+    central = center(r).mask(enum)[enum.index_of(sums)]
     reports = []
     for name, cell in (("spade", (1, 2)), ("club", (2, 1))):
         commutes = np.ones(len(sums), dtype=bool)
@@ -466,10 +461,10 @@ def _normalized_rep_mask(X: np.ndarray) -> np.ndarray:
     return has & (lead == 1)
 
 
-def _generator_classes(enum: Enumeration, budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _generator_classes(enum: Enumeration) -> tuple[np.ndarray, np.ndarray]:
     """Leading-coefficient-1 representatives of the nonzero scalar classes,
     in element order, and which of them have a full-rank L_a."""
-    X = enum.all_coords(budget)
+    X = enum.all_coords()
     reps = X[_normalized_rep_mask(X)]
     full = enum.rank_batched(enum.left_mul_matrices(reps)) == enum.n
     return reps, full
@@ -537,9 +532,9 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
     Both routes skip generators a with full-rank L_a: aR = R makes (a) the
     whole ring, and 1 in span{a b_k} forces the stacked kernel to zero.
     """
-    enum = Enumeration.of(r)
+    enum = Enumeration.of(r, budget)
     n = r.dim
-    reps, screened = _generator_classes(enum, budget)
+    reps, screened = _generator_classes(enum)
 
     # ideal route
     ideals = _principal_ideals(r, enum, reps, screened)

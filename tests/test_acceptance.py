@@ -18,7 +18,7 @@ from altring import (build_map, check_main_hypotheses, check_map_consequences,
                      verify_surjective)
 from altring.cli import main
 from altring.decompose import INFORMATIONAL_CERTIFICATES
-from altring.enumeration import Enumeration
+from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import HypothesisFailed
 
 
@@ -134,7 +134,7 @@ def test_criterion_5_roundtrip_ddagger(tmp_path, m2):
     assert res.branch == "ddagger"
     assert res.required_pass()
     # psi(x) = -x^T and tau(x) = trace(x) * unit, exactly, on all 625 elements
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     X = enum.all_coords()
     psi_expect = np.stack([(-X[:, 0]) % 5, (-X[:, 2]) % 5,
                            (-X[:, 1]) % 5, (-X[:, 3]) % 5], axis=1)
@@ -184,7 +184,7 @@ def test_criterion_6_negative_controls(m2, dsum, negtr):
     assert exc.value.witness["central"] == [1, 0, 0, 1, 0, 0, 0, 0]
 
     # (c) one corrupted table entry breaks exactly one named certificate
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     x0 = int(enum.index_of(np.array([1, 1, 0, 0])))
     x1 = int(enum.index_of(np.array([1, 2, 0, 0])))
     imgs = negtr.images()

@@ -184,32 +184,55 @@ def test_text_format(files, capsys):
     assert "alternative: True" in out
 
 
-@pytest.mark.parametrize("repr_, message", [
-    ({"kind": "table", "entries": [[0, 0, 0]] * 625}, "table rows must have 4 entries"),
-    ({"kind": "linear", "matrix": [[1, 0, 0]] * 4}, "linear part must be 4x4"),
-    ({"kind": "linear"}, "map of kind 'linear' is missing field 'matrix'"),
-    ({"kind": "table", "entries": {str(i): [0, 0, 0, 0] for i in range(626) if i != 1}},
+def m2_map(repr_, ring="m2_f5"):
+    return {"source": ring, "target": ring, "repr": repr_}
+
+
+@pytest.mark.parametrize("field, doc, message", [
+    ("5", m2_map({"kind": "table", "entries": [[0, 0, 0]] * 625}),
+     "table rows must have 4 entries"),
+    ("5", m2_map({"kind": "linear", "matrix": [[1, 0, 0]] * 4}), "linear part must be 4x4"),
+    ("5", m2_map({"kind": "linear"}), "map of kind 'linear' is missing field 'matrix'"),
+    ("5", m2_map({"kind": "table",
+                  "entries": {str(i): [0, 0, 0, 0] for i in range(626) if i != 1}}),
      "table entries is missing field '1'"),
-], ids=["table_rows_of_width_3", "linear_4x3", "linear_without_matrix", "table_without_entry_1"])
-def test_malformed_map_is_an_input_error(files, capsys, repr_, message):
+    ("5", [m2_map("identity")], "a map file must hold a JSON object"),
+    ("5", m2_map(5), "map field 'repr' must be an object or a kind name"),
+    ("Q", m2_map({"kind": "linear", "matrix": [[int(i == j) for j in range(4)] for i in range(4)]},
+                 "m2_q"), "finite enumeration needs a prime field"),
+], ids=["table_rows_of_width_3", "linear_4x3", "linear_without_matrix", "table_without_entry_1",
+        "top_level_list", "repr_a_number", "linear_over_q"])
+def test_malformed_map_is_an_input_error(files, capsys, field, doc, message):
+    ring = files["m2"]
+    if field == "Q":
+        ring = str(files["dir"] / "m2_q.json")
+        assert main(["gen", "m2", "--field", "Q", "--out", ring]) == 0
     path = files["dir"] / "malformed.json"
-    path.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5", "repr": repr_}))
-    assert main(["verify-theorem", "--source", files["m2"], "--target", files["m2"],
+    path.write_text(json.dumps(doc))
+    assert main(["verify-theorem", "--source", ring, "--target", ring,
                  "--map", str(path), "--idempotent", "1,0,0,0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda obj: obj.pop("dim"), "ring file is missing field 'dim'"),
-    (lambda obj: obj.update(domain={"Fp": 6}), "modulus 6 is not prime"),
-], ids=["without_dim", "composite_modulus"])
-def test_malformed_ring_is_an_input_error(files, capsys, edit, message):
+@pytest.mark.parametrize("edit, out, message", [
+    (lambda obj: {k: v for k, v in obj.items() if k != "dim"}, [],
+     "ring file is missing field 'dim'"),
+    (lambda obj: {**obj, "domain": {"Fp": 6}}, [], "modulus 6 is not prime"),
+    (lambda obj: [obj], [], "a ring file must hold a JSON object"),
+    (None, [], "Is a directory"),
+    (lambda obj: obj, ["--out", "{dir}"], "Is a directory"),
+], ids=["without_dim", "composite_modulus", "top_level_list", "ring_is_a_directory",
+        "out_is_a_directory"])
+def test_malformed_ring_is_an_input_error(files, capsys, edit, out, message):
+    """`edit` makes the ring file from a valid one; None makes it a directory."""
     obj = json.loads(Path(files["m2"]).read_text())
-    edit(obj)
     path = files["dir"] / "malformed_ring.json"
-    path.write_text(json.dumps(obj))
-    assert main(["analyze", str(path)]) == 2
+    if edit is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(edit(obj)))
+    assert main(["analyze", str(path), *(arg.format(**files) for arg in out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
 

@@ -12,7 +12,7 @@ from altring import (build_map, center, decompose, detect_branch, gen_m2, is_alt
 from altring.cli import main
 from altring.reports import dumps
 from altring.decompose import INFORMATIONAL_CERTIFICATES
-from altring.enumeration import Enumeration
+from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BranchUndetermined, HypothesisFailed, NotBijective
 from altring.maps import MapTable
 
@@ -73,12 +73,15 @@ def test_identity_roundtrip_dagger(m2, id_m2):
 def test_conjugation_roundtrip_recovers_matrix(m2, conj):
     res = decompose(conj, m2.basis_element(0), branch="dagger")
     assert res.required_pass()
-    assert res.psi_matrix == conj.matrix
+    # column j of conjugation by u = 1 + E12 is u b_j u^-1
+    u, u_inv = m2.element([1, 1, 0, 1]), m2.element([1, 4, 0, 1])
+    images = [(u * m2.basis_element(j) * u_inv).coords for j in range(4)]
+    assert res.psi_matrix == [[img[k] for img in images] for k in range(4)]
     assert (res.tau.image_index() == 0).all()
 
 
 def test_neg_transpose_roundtrip_ddagger(m2, negtr):
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     res = decompose(negtr, m2.basis_element(0), branch="ddagger")
     assert res.branch == "ddagger"
     assert res.required_pass()
@@ -144,7 +147,7 @@ def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
     # swapping the images of two mixed-corner, nonzero-trace elements keeps
     # the table bijective, psi untouched, and no commutator value hit:
     # only centrality of tau can break
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     x0 = int(enum.index_of(np.array([1, 1, 0, 0])))
     x1 = int(enum.index_of(np.array([1, 2, 0, 0])))
     imgs = negtr.images()
@@ -166,7 +169,7 @@ def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
 
 def test_corrupted_psi_breaks_named_case_with_witness(m2, negtr):
     res = decompose(negtr, m2.basis_element(0), branch="ddagger")
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     # corrupt psi at E12 and recertify: the product cases touching R_12 fail
     i = int(enum.index_of(np.array([0, 1, 0, 0])))
     res.psi = res.psi.replace_entry(i, (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5)
@@ -194,7 +197,8 @@ def test_psi_bijective_witness_replays(m2, negtr):
     M = [[0, 0, 0, 0]] + [list(row) for row in res.psi_matrix[1:]]
     res.psi = build_map(m2, m2, {"kind": "linear", "matrix": M})
     tau = (negtr.images().astype(np.int64) - res.psi.images()) % 5
-    res.tau = MapTable(m2, m2, index=Enumeration.of(m2).index_of(tau))
+    enum = Enumeration.of(m2, DEFAULT_BUDGET)
+    res.tau = MapTable(m2, m2, enum, enum, enum.index_of(tau))
     certs = verify_decomposition(res)
     cert = next(c for c in certs if c.condition == "psi_bijective")
     assert not cert.ok
@@ -247,7 +251,7 @@ def test_zorn_identity_ddagger_closed_form(zorn, zorn_identity):
     t = x_e11 + x_e22, on all 390,625 elements."""
     res = zorn_identity["ddagger"]
     assert res.required_pass()
-    enum = Enumeration.of(zorn)
+    enum = Enumeration.of(zorn, DEFAULT_BUDGET)
     X = enum.all_coords().astype(np.int64)
     conj = np.concatenate([X[:, 7:], -X[:, 1:7], X[:, :1]], axis=1)
     assert (res.psi.image_index() == enum.index_of(-conj)).all()

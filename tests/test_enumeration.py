@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from altring import linalg
-from altring.enumeration import Enumeration
+from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded, UnsupportedDomain
 from altring.structure import Subspace
 
 
 def test_lex_element_order(m2):
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     X = enum.all_coords()
     expect = list(itertools.product(range(5), repeat=4))
     assert [tuple(row) for row in X[:10]] == expect[:10]
@@ -21,26 +21,26 @@ def test_lex_element_order(m2):
 
 def test_requires_prime_field(m2q):
     with pytest.raises(UnsupportedDomain):
-        Enumeration(m2q)
+        Enumeration(m2q, DEFAULT_BUDGET)
 
 
 def test_budget_guards(zorn):
-    enum = Enumeration(zorn)
-    with pytest.raises(BudgetExceeded):
-        enum.all_coords(budget=1000)
-    for kernel in (enum.digits, lambda budget: enum.mul_index([0], [0], budget),
-                   lambda budget: enum.commutator_index([0], [0], budget),
-                   lambda budget: enum.sum_index([[0]], [[0]], budget),
-                   lambda budget: next(enum.line_masks(np.ones(enum.count, bool), [0], [0], budget)),
-                   lambda budget: enum.smul_index(2, budget)):
+    enum = Enumeration(zorn, 1000)      # 5^8 elements
+    centre = Subspace.from_vectors(zorn, [list(zorn.unit_coords)])
+    for kernel in (enum.all_coords, enum.digits, lambda: enum.mul_index([0], [0]),
+                   lambda: enum.commutator_index([0], [0]),
+                   lambda: enum.sum_index([[0]], [[0]]),
+                   lambda: next(enum.line_masks(np.ones(enum.count, bool), [0], [0])),
+                   lambda: enum.smul_index(2), lambda: centre.mask(enum),
+                   lambda: enum.linear_index(np.eye(8, dtype=np.int64))):
         with pytest.raises(BudgetExceeded):
-            kernel(budget=1000)        # 5^8 elements
+            kernel()
 
 
 def test_batched_mul_matches_ring(m2, zorn):
     rng = np.random.default_rng(3)
     for r in (m2, zorn):
-        enum = Enumeration(r)
+        enum = Enumeration(r, DEFAULT_BUDGET)
         A = rng.integers(0, 5, (40, r.dim))
         B = rng.integers(0, 5, (40, r.dim))
         got = enum.mul(A, B)
@@ -50,7 +50,7 @@ def test_batched_mul_matches_ring(m2, zorn):
 
 
 def test_index_kernels_on_matrix_units(m2):
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     i = int(enum.index_of(np.array([0, 1, 0, 0])))   # E12
     j = int(enum.index_of(np.array([0, 0, 1, 0])))   # E21
     assert int(enum.mul_index([i], [j])[0]) == int(enum.index_of(np.array([1, 0, 0, 0])))
@@ -64,7 +64,7 @@ def test_index_kernels_on_matrix_units(m2):
 
 
 def test_left_right_mul_matrices(m2):
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     rng = np.random.default_rng(5)
     v = rng.integers(0, 5, 4)
     L = enum.left_mul_matrices(v[None, :])[0]
@@ -75,12 +75,12 @@ def test_left_right_mul_matrices(m2):
 
 
 def test_idempotent_mask_counts(m2):
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     assert int(enum.idempotent_mask().sum()) == 32
 
 
 def test_subspace_points_order(m2):
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     sub = Subspace.from_vectors(m2, [[1, 0, 0, 1], [0, 1, 0, 0]])
     pts = sub.points(enum)
     assert len(pts) == 25
@@ -90,18 +90,18 @@ def test_subspace_points_order(m2):
 
 
 def test_subspace_mask_matches_contains(m2):
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     sub = Subspace.from_vectors(m2, [[1, 0, 0, 4], [0, 2, 0, 0]])
     mask = sub.mask(enum)
     assert mask.shape == (625,)
     assert mask.tolist() == [sub.contains(x) for x in itertools.product(range(5), repeat=4)]
     assert int(mask.sum()) == 25
     with pytest.raises(BudgetExceeded):
-        sub.mask(enum, budget=624)
+        sub.mask(Enumeration(m2, 624))
 
 
 def test_rank_batched_matches_exact(m2):
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     rng = np.random.default_rng(11)
     mats = rng.integers(0, 5, (200, 6, 4))
     got = enum.rank_batched(mats)
@@ -111,7 +111,7 @@ def test_rank_batched_matches_exact(m2):
 
 
 def test_rref_batched_spans_preserved(m2):
-    enum = Enumeration(m2)
+    enum = Enumeration(m2, DEFAULT_BUDGET)
     rng = np.random.default_rng(13)
     mats = rng.integers(0, 5, (50, 7, 4))
     rows, ranks = enum.rref_batched(mats)

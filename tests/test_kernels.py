@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from altring import PrimeField, Subspace, center, check_primeness, gen_m2, linalg
 from altring.cli import main
-from altring.enumeration import Enumeration
+from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded, UnsupportedDomain
 from altring.rings import Ring, ring_to_json
 
@@ -39,7 +39,7 @@ def ints(arr):
 
 def check_products(ring, A, B):
     """A and B: unreduced (r, s, n) stacks, a rank-2 batch of vectors."""
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     p, n = ring.domain.p, ring.dim
 
     def ref(a, b):
@@ -72,7 +72,7 @@ def check_elimination(ring, mats):
     """rank_batched and rref_batched against `linalg` on a (B, R, C) stack
     of any integer dtype, reduced or not: the compressed rows are the rref
     rows (in pivot-row order), then zero rows."""
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     dom, p = ring.domain, ring.domain.p
     mats = np.asarray(mats)
     ranks = enum.rank_batched(mats)
@@ -148,7 +148,7 @@ def index_in(ring, coords) -> int:
 
 def check_index_kernels(ring, a, b):
     """Index kernels against `rings.py` on base-p digits computed in Python."""
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     p, n = ring.domain.p, ring.dim
 
     def coords(k):
@@ -203,7 +203,7 @@ def ring_and_signed_terms(draw, **kw):
 def check_sum_index(ring, terms):
     """`sum_index` against `Ring.add_coords`/`sub_coords` on every
     broadcast position."""
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     p, n = ring.domain.p, ring.dim
     plus = [t for sign, t in terms if sign > 0]
     minus = [t for sign, t in terms if sign < 0]
@@ -236,7 +236,7 @@ def check_line_masks(ring, a, b):
     """`line_masks` on the (r, 1) x (1, 2) grid of a and b's first two
     entries against a - lam*b computed in Python digit by digit, under a
     mask that marks a pseudo-random half of the elements."""
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     p, n = ring.domain.p, ring.dim
     mask = np.random.default_rng(len(a)).random(enum.count) < 0.5
     b = b[:2]
@@ -266,7 +266,7 @@ def test_line_masks_match_reference_wide_prime(case):
 def check_linear_index(ring, M, elements=None):
     """`linear_index` against `Ring.apply_matrix` (exact, reducing M's
     entries mod p) on the given element indices, default every element."""
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     p, n = ring.domain.p, ring.dim
     got = enum.linear_index(M)
     assert got.dtype == np.int64 and got.shape == (enum.count,)
@@ -312,7 +312,7 @@ def test_linear_index_dtype_edges(p, n, dtype):
     identity matrices, on the top element, the basis and random
     elements."""
     ring = dense(p, n, 0)
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     bound = n * (p - 1) ** 2 + p
     assert enum.lin_dtype == dtype and np.iinfo(dtype).max >= bound
     if dtype is not np.int8:
@@ -331,7 +331,7 @@ def test_antisymmetrised_constants_match_commutator(ring):
     """Every basis commutator, rebuilt from `comm_terms` (d at [i][j][k],
     -d at [j][i][k], zero on the diagonal), equals `commutator` and the
     reference arithmetic."""
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     p, n = ring.domain.p, ring.dim
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, j, k, d in enum.comm_terms:
@@ -349,7 +349,7 @@ def test_antisymmetrised_constants_match_commutator(ring):
 @given(unital_rings(), st.sampled_from(["in_range", "negative", "at_least_p", "mixed"]),
        st.integers(0, 5), st.data())
 def test_index_of_matches_reduced_radix(ring, kind, rows, data):
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     p, n = ring.domain.p, ring.dim
     lo, hi = {"in_range": (0, p - 1), "negative": (-3 * p, -1),
               "at_least_p": (p, 4 * p), "mixed": (-3 * p, 4 * p)}[kind]
@@ -366,7 +366,7 @@ def test_index_of_matches_reduced_radix(ring, kind, rows, data):
 
 @pytest.mark.parametrize("edge, want", [(4, 4), (5, 0), (-1, 4), (-5, 0), (10 ** 12, 0)])
 def test_index_of_range_boundaries(edge, want):
-    enum = Enumeration(gen_m2(5))
+    enum = Enumeration(gen_m2(5), DEFAULT_BUDGET)
     C = np.array([[edge, 0, 0, 0], [0, 0, 0, edge]], dtype=np.int64)
     assert ints(enum.index_of(C)) == [want * 125, want]
 
@@ -384,7 +384,7 @@ def test_elimination_matches_reference_wide_prime(case):
 @pytest.mark.parametrize("p, dtype", [(5, np.int8), (11, np.int8), (13, np.int16),
                                       (181, np.int16), (191, np.int32)])
 def test_elimination_dtype_is_narrowest_exact(p, dtype):
-    assert Enumeration(gen_m2(p)).elim_dtype == dtype
+    assert Enumeration(gen_m2(p), DEFAULT_BUDGET).elim_dtype == dtype
 
 
 def worst_case(p, C, last):
@@ -423,7 +423,7 @@ def test_eliminator_dtype_edges(p, C, dtype):
              "huge": stack + p * rng.integers(-2 ** 40 // p, 2 ** 40 // p, stack.shape)}
     ring = gen_m2(p)
     for name, form in forms.items():
-        assert Enumeration(ring)._eliminate_chunk(form)[0].dtype == dtype, name
+        assert Enumeration(ring, DEFAULT_BUDGET)._eliminate_chunk(form)[0].dtype == dtype, name
         check_elimination(ring, form)
 
 
@@ -454,7 +454,7 @@ def test_accumulator_dtype_edges(p, n, m, dtype):
     against `rings.py`: the all-(p-1) element drives every output to its
     bound, on 1-D index arrays and on broadcast row and column grids."""
     ring = dense(p, n, m)
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     nnz = max(Counter(k for _, _, k, _ in enum.terms).values())
     assert nnz == m + 2 and enum.acc_dtype == dtype
     assert np.iinfo(dtype).max >= nnz * (p - 1) ** 3 + p
@@ -495,14 +495,15 @@ def test_largest_entries_stay_exact():
     p = 1_454_081                     # the largest prime the guard accepts for twisted(p)
     ring = twisted(p)
     top = (p - 1, p - 1)
-    assert tuple(ints(Enumeration(ring).mul([top], [top])[0])) == ring.mul_coords(top, top)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
+    assert tuple(ints(enum.mul([top], [top])[0])) == ring.mul_coords(top, top)
 
 
 def test_int64_limit_is_loud():
     ring = twisted(1_454_099)         # the next prime
     assert ring.mul_coords((0, 1), (0, 1)) == (1_454_098, 1_454_098)   # exact arithmetic works
     with pytest.raises(UnsupportedDomain, match="overflow int64"):
-        Enumeration(ring)
+        Enumeration(ring, DEFAULT_BUDGET)
 
 
 @pytest.mark.parametrize("p, dtype", [(2, np.int8), (11, np.int8), (13, np.int16),
@@ -511,7 +512,7 @@ def test_mul_matrices_dtype_follows_weights(p, dtype):
     """twisted(p): entry (1, 1) of L_a is a_0 + (p-1)*a_1, weight p, so it
     reaches p*(p-1) before reduction and `mat_dtype` holds p*p."""
     ring = twisted(p)
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     assert enum.mat_dtype == dtype
     edge = [0, 1, p - 2, p - 1, -1, 2 ** 40]
     A = np.array(list(product(edge, repeat=2)), dtype=np.int64)
@@ -537,7 +538,7 @@ def test_subspace_mask_matches_reference(case):
     """Membership of every element index against `linalg.in_span` on the
     element's coordinates."""
     ring, basis, pivots = case
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     got = Subspace.from_vectors(ring, basis).mask(enum)
     assert got.shape == (enum.count,)
     want = [linalg.in_span(basis, pivots, list(x), ring.domain)
@@ -552,7 +553,7 @@ def test_subspace_points_match_explicit_enumeration(case, unreduced):
     ring, basis, _ = case
     p, d = ring.domain.p, len(basis)
     rows = [[x - (i + 1) * p for i, x in enumerate(row)] for row in basis] if unreduced else basis
-    enum = Enumeration(ring)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
     got = enum.subspace_points(rows)
     want = []
     for coeffs in product(range(p), repeat=d):
@@ -564,7 +565,7 @@ def test_subspace_points_match_explicit_enumeration(case, unreduced):
     assert [tuple(ints(v)) for v in got] == want
     if d:
         with pytest.raises(BudgetExceeded):
-            enum.subspace_points(rows, budget=p ** d - 1)
+            Enumeration(ring, p ** d - 1).subspace_points(rows)
 
 
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 64 + 13])

@@ -341,15 +341,15 @@ def test_primeness_matches_golden(key, ring_fixture, request):
     unit-rank screen and the sparse kernels."""
     ring = request.getfixturevalue(ring_fixture) if ring_fixture else gen_m2(3)
     assert check_primeness(ring).to_json() == GOLDEN[key]["report"]
-    enum = Enumeration(ring)
-    reps, full = _generator_classes(enum, 10 ** 6)
+    enum = Enumeration(ring, 10 ** 6)
+    reps, full = _generator_classes(enum)
     ideals = _principal_ideals(ring, enum, reps, full)
     assert [[list(row) for row in sub.basis] for sub in ideals] == GOLDEN[key]["ideals"]
 
 
 def test_unit_rank_screen_counts(zorn, dsum):
     for ring, screened in ((zorn, 78000), (dsum, 57600)):
-        reps, full = _generator_classes(Enumeration(ring), 10 ** 6)
+        reps, full = _generator_classes(Enumeration(ring, 10 ** 6))
         assert len(reps) == 97656 and int(full.sum()) == screened
         # a full-rank L_a generates R, so its principal ideal is everything
         a = [int(x) for x in reps[np.flatnonzero(full)[0]]]
