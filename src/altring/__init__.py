@@ -21,7 +21,7 @@ from .generators import (gen_direct_sum, gen_m2, gen_triangular2, gen_zorn,
                          zorn_idempotent)
 from .maps import (MapTable, build_map, check_almost_additivity,
                    check_map_consequences, check_peirce_image, load_map,
-                   map_from_json, map_to_json, save_map,
+                   map_from_json, map_to_json, phi_linear, save_map,
                    verify_lie_multiplicative, verify_preserves_idempotents,
                    verify_surjective)
 from .reports import CheckReport

@@ -306,7 +306,7 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
         y = coords_json(m.target, et.coords_of(t))
         return {"unreached": y} if row else {"image": y, **res.psi.preimages(t)}
 
-    certs.append(first_failure("psi_bijective", res.psi.fibres(), fibre_witness,
+    certs.append(first_failure("psi_bijective", et.fibres(psi_idx), fibre_witness,
                                {"elements": int(es.count)}))
 
     # anti: psi(ab) = -psi(b)psi(a), the sign applied through the index table of x -> -x

@@ -28,14 +28,15 @@ the common case after a kernel, is indexed without a pass of divisions.
 One Enumeration per ring and budget serves a whole run:
 `Enumeration.of(ring, budget)` builds it on first use and keeps it in the
 ring's memo (`rings.memoised`), so the digit table and the idempotent
-mask are built once.  No kernel takes a budget: the digit table and every
-count-sized output need count <= budget, and `subspace_points` p**d <=
-budget.  The Enumeration keeps the ring's name, not the ring, so the
-memo holds no reference cycle and the ring is freed, tables included,
-with its last reference.  `all_coords` is the read-only transposed view
-of the digit table, (count, n) in `elim_dtype`, so the primeness
-generator classes and `MapTable.images` gather narrow coordinate rows
-from it with no copy; an int64 copy would be 25 MB on Zorn/F5.
+mask are built once.  No kernel takes a budget: it must be at least 1,
+the digit table and every count-sized output (a map's `fibres` too) need
+count <= budget, and `subspace_points` p**d <= budget.  The Enumeration
+keeps the ring's name, not the ring, so the memo holds no reference
+cycle and the ring is freed, tables included, with its last reference.
+`all_coords` is the read-only transposed view of the digit table,
+(count, n) in `elim_dtype`, so the primeness generator classes and
+`MapTable.images` gather narrow coordinate rows from it with no copy;
+an int64 copy would be 25 MB on Zorn/F5.
 
 Pair scans work in index space, and only this module reads the digit
 table `digits`: the (n, count) coordinate planes of every element in
@@ -116,6 +117,8 @@ class Enumeration:
     """Cached element tables and batched arithmetic for one finite ring."""
 
     def __init__(self, ring: Ring, budget: int):
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
         self.name = ring.name
         self.budget = budget
         self.p = require_finite(ring)
@@ -369,6 +372,14 @@ class Enumeration:
                     np.multiply(D[j], c, out=term, dtype=dt)
                     out[k] += term
         return self.index_of_planes(self.reduce(out))
+
+    def fibres(self, index) -> np.ndarray:
+        """(2, count) boolean mask over this ring's elements for an index
+        array `index` into them (a map's image index): row 0 marks those hit
+        more than once, row 1 those never hit.  One `bincount`."""
+        self._check_budget()
+        hits = np.bincount(index, minlength=self.count)
+        return np.stack([hits > 1, hits == 0])
 
     def smul_index(self, lam: int) -> np.ndarray:
         """Index table of x -> lam*x over all elements."""

@@ -10,6 +10,14 @@ rings only, and read by every verifier; the few that need coordinates
 of some points take them from it (`Enumeration.coords_of`).  An
 element-quantified verifier ends in a failure mask and reports through
 `reports.first_failure`.
+
+The pair-quantified entry verifiers scan pairs (`pair_scan`),
+exhaustively within the budget and sampled past it, unless phi is
+F_p-linear (`phi_linear`, one O(N) test per map and budget).  A linear
+map's Lie multiplicativity is decided on the basis pairs, its idempotent
+preservation on one element mask, and its almost additivity and scalar
+homogeneity hold outright: each report is, byte for byte, the one an
+exhaustive scan would return, at every budget that covers the elements.
 """
 
 from __future__ import annotations
@@ -63,13 +71,6 @@ class MapTable:
         a gather of the image index from `Enumeration.all_coords`, every call."""
         return self.et.all_coords()[self._index]
 
-    def fibres(self) -> np.ndarray:
-        """(2, target count) boolean mask over target elements: row 0 marks
-        those hit more than once, row 1 those never hit.  Built from one
-        `bincount` on each call; nothing of it is kept."""
-        hits = np.bincount(self._index, minlength=self.et.count)
-        return np.stack([hits > 1, hits == 0])
-
     def preimages(self, t: int) -> dict:
         """The first two preimages of target index t, as the witness {"a", "b"}."""
         return {key: coords_json(self.source, self.es.coords_of(k))
@@ -90,7 +91,7 @@ class MapTable:
         return MapTable(self.source, self.target, self.es, self.et, index)
 
     def is_bijective(self) -> bool:
-        return self.source.dim == self.target.dim and not self.fibres().any()
+        return self.source.dim == self.target.dim and not self.et.fibres(self._index).any()
 
 
 # -- builders ---------------------------------------------------------------
@@ -311,24 +312,67 @@ def pair_report(name: str, source: Ring, budget: int, seed: int, fail_fn) -> Che
     pair is quoted as the witness {"a", "b"} in source coordinates."""
     es = Enumeration.of(source, budget)
     ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fail_fn)
+    return _pair_result(name, source, es, pair, checked, mode,
+                        seed if mode == "sampled" else None, cov)
+
+
+def _pair_result(name: str, source: Ring, es: Enumeration, pair, checked=None,
+                 mode: str = "exhaustive", seed=None, coverage=None) -> CheckReport:
+    """The report of a scan over the source's element pairs whose first
+    failing pair of element indices is `pair` (None when none fails).
+    `checked` defaults to every pair, as an exhaustive scan counts them."""
+    total = es.count ** 2
     wit = None if pair is None else {
         key: coords_json(source, es.coords_of(k)) for key, k in zip("ab", pair)}
-    return CheckReport(name, ok, wit, {"pairs": es.count ** 2, "checked": int(checked)},
-                       mode, seed if mode == "sampled" else None, cov)
+    return CheckReport(name, pair is None, wit,
+                       {"pairs": total, "checked": int(total if checked is None else checked)},
+                       mode, seed, coverage)
+
+
+def _basis_index(es: Enumeration) -> np.ndarray:
+    """Element index of each basis vector b_k, which is p**(n-1-k)."""
+    return es.index_of(np.eye(es.n, dtype=np.int64))
+
+
+def phi_linear(m: MapTable, budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether phi is F_p-linear, that is additive: its image index equals
+    `linear_index` of the matrix whose column k is phi(b_k).  One O(N)
+    pass over the source Enumeration under `budget`, which guards it,
+    computed once per map and budget.  On a linear map the entry battery
+    decides its quantifiers exactly, with no pair scan."""
+    def build():
+        es = Enumeration.of(m.source, budget)
+        images = m.et.coords_of(m.image_index()[_basis_index(es)])
+        return bool(np.array_equal(es.linear_index(images.T), m.image_index()))
+    return m.cached(("linear", budget), build)
 
 
 # -- verifiers ----------------------------------------------------------------
 
 def verify_surjective(m: MapTable, budget: int = DEFAULT_BUDGET) -> CheckReport:
     et = Enumeration.of(m.target, budget)
-    return first_failure("surjective", m.fibres()[1], lambda k: {
+    return first_failure("surjective", et.fibres(m.image_index())[1], lambda k: {
         "unreached": coords_json(m.target, et.coords_of(k))},
         {"elements": int(m.es.count)})
 
 
 def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
                               seed: int = 0) -> CheckReport:
-    """phi([x,y]) = [phi(x), phi(y)] over source pairs (sampled past budget)."""
+    """phi([x,y]) = [phi(x), phi(y)] over source pairs (sampled past budget).
+
+    On a linear map (`phi_linear`) the defect D(a, b) = phi([a,b]) -
+    [phi(a), phi(b)] is bilinear, so it is decided exactly on the n x n
+    grid of basis vectors, taken in ascending element index (b_{n-1}, ...,
+    b_0), and the first failing cell, row-major, is the first failing pair
+    of the exhaustive row-major scan.  The a with D(a, .) != 0 are the
+    complement of a subspace K, and every element of index below
+    p**(n-1-k), the index of b_k, lies in span(b_{k+1}, ...).  So if the
+    lowest-index a outside K has first nonzero coordinate k, then b_k is
+    outside K too (else a would be a sum of two elements of K: a multiple
+    of b_k and a lower-index rest), and its index is at most a's: a is
+    the basis vector b_k.  With a fixed, the b with D(a, b) != 0 are the
+    complement of a subspace as well, and the same argument gives b.
+    """
     es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
     f_idx = m.image_index()
 
@@ -336,6 +380,11 @@ def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
         lhs = f_idx[es.commutator_index(a_idx, b_idx)]
         return lhs != et.commutator_index(f_idx[a_idx], f_idx[b_idx])
 
+    if phi_linear(m, budget):
+        basis = _basis_index(es)[::-1]
+        bad = np.flatnonzero(fails(basis[:, None], basis[None, :]))
+        return _pair_result("lie_multiplicative", m.source, es,
+                            basis[list(divmod(int(bad[0]), es.n))] if len(bad) else None)
     return pair_report("lie_multiplicative", m.source, budget, seed, fails)
 
 
@@ -343,7 +392,15 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
                                  seed: int = 0) -> CheckReport:
     """e - lam*f idempotent iff phi(e) - lam*phi(f) idempotent, all source
     pairs and every prime-field lam, on any map, bijective or not; a
-    failing pair quotes as "lambda" the first lam whose mask fails on it."""
+    failing pair quotes as "lambda" the first lam whose mask fails on it.
+
+    On a linear map phi(e) - lam*phi(f) = phi(e - lam*f), and e - lam*f
+    covers the ring, so the pairs all pass iff no x is in F, the elements
+    whose idempotency phi changes.  0 is idempotent and phi(0) = 0, so 0
+    is not in F and the exhaustive scan's first failing pair is (0, b),
+    b the lowest-index element with a nonzero multiple in F: the
+    `smul_index` tables that find it are built only on failure.
+    """
     es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
     f_idx = m.image_index()
 
@@ -352,8 +409,18 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
         return map(np.not_equal, es.line_masks(es.idempotent_mask(), a_idx, b_idx),
                    et.line_masks(et.idempotent_mask(), f_idx[a_idx], f_idx[b_idx]))
 
-    rep = pair_report("preserves_idempotents", m.source, budget, seed,
-                      lambda a, b: functools.reduce(np.logical_or, lambda_masks(a, b)))
+    if phi_linear(m, budget):
+        flips = es.idempotent_mask() != et.idempotent_mask()[f_idx]
+        pair = None
+        if flips.any():
+            scaled = flips.copy()           # b with lam*b in F for some lam = 1, ..., p - 1
+            for lam in range(2, es.p):
+                scaled |= flips[es.smul_index(lam)]
+            pair = (0, int(np.flatnonzero(scaled)[0]))
+        rep = _pair_result("preserves_idempotents", m.source, es, pair)
+    else:
+        rep = pair_report("preserves_idempotents", m.source, budget, seed,
+                          lambda a, b: functools.reduce(np.logical_or, lambda_masks(a, b)))
     rep.quantifier_space["lambdas"] = es.p
     if not rep.ok:
         a, b = es.index_of([[rep.witness["a"]], [rep.witness["b"]]])
@@ -364,19 +431,21 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
 def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
     """Consequences of surjectivity + idempotent preservation over a
     2-torsion-free ring: injectivity, a fixed zero, and scalar
-    homogeneity.  Failures certify an upstream inconsistency."""
+    homogeneity.  Failures certify an upstream inconsistency.  A linear
+    map (`phi_linear`) is homogeneous: its rows need no scalar table."""
     es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
     idx = m.image_index()
+    linear = phi_linear(m, budget)
 
     def inhomogeneous(lam):
         # phi(lam x) != lam phi(x), x in element order; rows 0 and 1 need no table
-        if lam < 2:
+        if lam < 2 or linear:
             return np.full(es.count, lam == 0 and idx[0] != 0)
         scale = es.smul_index(lam)
         return idx[scale] != (scale if et is es else et.smul_index(lam))[idx]
 
     homogeneous = np.stack([inhomogeneous(lam) for lam in range(es.p)])
-    return [first_failure("injective", m.fibres()[0], m.preimages,
+    return [first_failure("injective", et.fibres(idx)[0], m.preimages,
                           {"elements": int(es.count)}),
             first_failure("maps_zero_to_zero", idx[:1] != 0, lambda k: {
                 "image_of_zero": coords_json(m.target, et.coords_of(idx[0]))}, {"elements": 1}),
@@ -387,10 +456,13 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
 
 def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
                             seed: int = 0) -> CheckReport:
-    """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs."""
+    """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs;
+    on a linear map that defect is 0, so every pair passes."""
     es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
     f_idx = m.image_index()
-    central = center(m.target).mask(et)
+    central = center(m.target).mask(et)     # applies the target's element guard on both routes
+    if phi_linear(m, budget):
+        return _pair_result("almost_additive", m.source, es, None)
 
     def fails(a_idx, b_idx):
         ab = f_idx[es.sum_index([a_idx, b_idx])]

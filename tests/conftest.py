@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from altring import (PrimeField, Rationals, build_map, gen_direct_sum, gen_m2,
                      gen_triangular2, gen_zorn, peirce_frame, zorn_idempotent)
@@ -33,6 +34,21 @@ def m2q():
 @pytest.fixture(scope="session")
 def dsum(m2):
     return gen_direct_sum(m2, m2)
+
+
+@st.composite
+def unital_rings(draw, primes=(2, 3, 5, 7), max_dim=4):
+    """Basis vector 0 is the unit; every other basis product is random."""
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, max_dim))
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        sc[0][j][j] = sc[j][0][j] = 1
+    for i in range(1, n):
+        for j in range(1, n):
+            sc[i][j] = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    return Ring(f"random_f{p}", PrimeField(p), [f"b{i}" for i in range(n)], sc,
+                [1] + [0] * (n - 1))
 
 
 def broken3_ring():

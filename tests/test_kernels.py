@@ -16,21 +16,7 @@ from altring.cli import main
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded, UnsupportedDomain
 from altring.rings import Ring, ring_to_json
-
-
-@st.composite
-def unital_rings(draw, primes=(2, 3, 5, 7), max_dim=4):
-    """Basis vector 0 is the unit; every other basis product is random."""
-    p = draw(st.sampled_from(primes))
-    n = draw(st.integers(1, max_dim))
-    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        sc[0][j][j] = sc[j][0][j] = 1
-    for i in range(1, n):
-        for j in range(1, n):
-            sc[i][j] = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
-    return Ring(f"random_f{p}", PrimeField(p), [f"b{i}" for i in range(n)], sc,
-                [1] + [0] * (n - 1))
+from conftest import unital_rings
 
 
 def ints(arr):

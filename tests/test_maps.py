@@ -6,10 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from altring import (build_map, center, check_almost_additivity,
+from altring import (MapTable, build_map, center, check_almost_additivity,
                      check_map_consequences, check_peirce_image, gen_m2,
                      is_alternative, load_map, map_from_json, map_to_json,
-                     save_map, verify_lie_multiplicative,
+                     phi_linear, save_map, verify_lie_multiplicative,
                      verify_preserves_idempotents, verify_surjective,
                      verify_theorem)
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
@@ -360,8 +360,17 @@ def test_peirce_image_rejects_bad_idempotent_image(m2, id_m2):
 
 
 def test_sampled_mode_records_seed(zorn):
-    ident = build_map(zorn, zorn, {"kind": "identity"})
-    rep = verify_lie_multiplicative(ident, budget=400_000, seed=11)
+    """x -> x + t(x)^2 * 1 on Zorn/F5, t(x) = x_e11 + x_e22 the trace, is
+    Lie multiplicative (a commutator has trace 0 and the unit is central)
+    but not linear, so its pairs are sampled past the budget."""
+    enum = Enumeration.of(zorn, DEFAULT_BUDGET)
+    X = enum.all_coords().astype(np.int64)
+    t = (X[:, 0] + X[:, 7]) % 5
+    unit_multiples = enum.index_of(np.outer(np.arange(5), zorn.unit_coords))
+    shifted = MapTable(zorn, zorn, enum, enum,
+                       enum.sum_index([np.arange(enum.count), unit_multiples[t * t % 5]]))
+    assert not phi_linear(shifted, 400_000)
+    rep = verify_lie_multiplicative(shifted, budget=400_000, seed=11)
     assert rep.ok
     assert rep.mode == "sampled"
     assert rep.seed == 11
