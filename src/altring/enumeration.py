@@ -77,11 +77,19 @@ sums c*a_i over the constants c = c_ijk (entry (k, i) of R_a sums
 c*a_j), so it stays below (p-1) times its weight, the sum of those
 constants.  `left/right_mul_matrices` accumulate in `mat_dtype`, which
 holds the largest weight times (p-1) plus p, reduce only the entries
-whose weight lets them reach p, and return reduced entries in it.  The
-eliminator picks its working type per call from the column count C (see
-`_eliminate_chunk`): it holds max(C-1, 1)*(p-1)**2 + p, so p = 5 runs
-in int8 up to C = 8 and in int16 beyond.  `elim_dtype` sizes only the
-digit table.
+whose weight lets them reach p, and return reduced entries in it.
+
+One eliminator, `_eliminate_chunk`, serves both batched routes.  It
+works on a batch-last copy of a (B, R, C) stack, so each column step is
+a few whole-plane operations over all B matrices.  `rref_batched` runs
+it as Gauss-Jordan and returns each matrix's reduced rows in
+pivot-column order, the rows of `linalg.rref`, padded with zero rows; a
+matrix of rank C is the identity and is not gathered.  `rank_batched`
+runs its rank-only mode, a forward pass that neither scales nor writes
+back the pivot row.  Both modes pick their working type per call from
+the column count C: it holds max(C-1, 1)*(p-1)**2 + p, so p = 5 runs in
+int8 up to C = 8 and in int16 beyond, and p = 191 needs int32.
+`elim_dtype` sizes only the digit table.
 """
 
 from __future__ import annotations
@@ -382,9 +390,9 @@ class Enumeration:
         return np.stack([hits > 1, hits == 0])
 
     def smul_index(self, lam: int) -> np.ndarray:
-        """Index table of x -> lam*x over all elements."""
-        scaled = (np.arange(self.p, dtype=np.int64) * lam % self.p).astype(self.elim_dtype)
-        return self.index_of_planes(scaled.take(self.digits()))
+        """Index table of x -> lam*x over all elements: `linear_index` of
+        lam times the identity."""
+        return self.linear_index(lam * np.eye(self.n, dtype=np.int64))
 
     def idempotent_mask(self) -> np.ndarray:
         """Which elements e satisfy e*e = e, squared on the digit table once."""
@@ -419,42 +427,66 @@ class Enumeration:
 
     def rank_batched(self, mats) -> np.ndarray:
         """Ranks of a (B, R, C) stack of small matrices of any integer dtype,
-        by Gauss-Jordan elimination (`_eliminate_chunk`) in chunks of
+        by the rank-only forward pass of `_eliminate_chunk` in chunks of
         `RANK_CHUNK` matrices."""
         mats = np.asarray(mats)
         out = np.empty(len(mats), dtype=np.int64)
         for lo in range(0, len(mats), RANK_CHUNK):
-            out[lo:lo + RANK_CHUNK] = self._eliminate_chunk(mats[lo:lo + RANK_CHUNK])[2]
+            out[lo:lo + RANK_CHUNK] = self._eliminate_chunk(mats[lo:lo + RANK_CHUNK],
+                                                            rank_only=True)[2]
         return out
 
     def rref_batched(self, mats) -> tuple[np.ndarray, np.ndarray]:
         """Row-reduce a (B, R, C) stack of any integer dtype; returns (rows,
-        ranks), each matrix compressed to its pivot rows (exactly its
-        nonzero reduced rows, in row order) padded with zero rows to C
-        rows.  Only the compressed (B, C, C) rows are widened to int64."""
-        T, used, ranks = self._eliminate_chunk(mats)
-        take = np.argsort(~used, axis=1, kind="stable")[:, :T.shape[1]]
-        rows = T.swapaxes(1, 2)[np.arange(len(T))[:, None], take]
-        return rows.astype(np.int64), ranks
+        ranks) with rows (B, C, C) in int64: the reduced row echelon form
+        of each matrix, its nonzero rows in pivot-column order (the rows of
+        `linalg.rref`), then zero rows.  A matrix of rank C reduces to the
+        identity, so only the others are gathered from the eliminated
+        stack."""
+        T, pivot_rows, ranks = self._eliminate_chunk(mats)
+        C, B = T.shape[0], T.shape[2]
+        rows = np.zeros((B, C, C), dtype=np.int64)
+        rows[ranks == C] = np.eye(C, dtype=np.int64)
+        part = np.flatnonzero(ranks < C)
+        if len(part):
+            src = pivot_rows[part]
+            got = T.reshape(C, -1).take(src * B + part[:, None], axis=1)
+            got *= src >= 0
+            rows[part] = got.transpose(1, 2, 0)
+        return rows, ranks
 
-    def _eliminate_chunk(self, A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gauss-Jordan elimination of a (B, R, C) stack of any integer dtype.
+    def _eliminate_chunk(self, A, rank_only: bool = False) -> tuple[np.ndarray, np.ndarray,
+                                                                     np.ndarray]:
+        """Row elimination of a (B, R, C) stack of any integer dtype.
 
-        Returns the reduced stack column-major, (B, C, R) in the working
-        dtype with every entry in [0, p); the (B, R) mask of pivot rows,
-        which are exactly the nonzero rows at the end; and the ranks.
+        Returns the eliminated stack batch-last, (C, R, B) in the working
+        dtype; the (B, C) pivot rows, in pivot-column order and -1 past
+        the rank; and the ranks.  Gauss-Jordan (the default) leaves every
+        entry in [0, p): each pivot row is the reduced echelon row of its
+        column and every other row is zero.  `rank_only` runs the forward
+        pass alone, and the stack it returns is scratch.
 
-        Input is reduced mod p only when some entry lies outside [0, p).
-        The work runs in place on a column-major copy and reduces lazily,
-        by floor division (`reduce`): step c reduces only column c and the
-        pivot row, then subtracts f*b from the columns c: with f and b both
-        in [0, p).  A column thus takes at most one subtraction below
-        (p-1)**2 per earlier step before its own step reduces it, so every
-        entry lies in [-(C-1)*(p-1)**2, p), and scaling the reduced pivot
-        row by a**-1 stays at most (p-1)**2.  The working dtype is the
+        The work runs in place on a batch-last copy, so each step is a few
+        whole-plane operations over all B matrices and one flat `take` of
+        the pivot rows; the pivot is the first free row with a nonzero
+        entry, found as a max over rows weighted R, ..., 1.  Input is
+        reduced mod p only when some entry lies outside [0, p), and the
+        work reduces lazily, by floor division (`reduce`): step c reduces
+        column c and the pivot row b, then subtracts f*b from the later
+        columns, with f and b both in [0, p).  Gauss-Jordan scales b to a
+        leading 1 and takes f = col, except f = a - 1 at the pivot row
+        itself, whose entry a then leaves it equal to b mod p: column c
+        becomes a unit column with no write-back.  The rank-only pass
+        scales the factors f = a**-1 * col instead of b and skips column c.
+        The pivot row's own factor is then 1, which leaves it 0 mod p in
+        every later column, so a used row is reduced to 0 there and no
+        later step changes it.  Either way a column takes at most one
+        subtraction below (p-1)**2 per earlier step before its own step
+        reduces it, so every entry lies in [-(C-1)*(p-1)**2, p), and every
+        scaling product is at most (p-1)**2.  Both passes thus work in the
         narrowest signed type holding max(C-1, 1)*(p-1)**2 + p.  After its
-        step a column is a unit column or stays reduced, so no final pass
-        is needed.
+        step a Gauss-Jordan column is a unit column or stays reduced, and
+        no later step touches it, so no final pass is needed.
         """
         p = self.p
         A = np.asarray(A)
@@ -462,28 +494,36 @@ class Enumeration:
             A = self.reduce(A.astype(np.int64))
         B, R, C = A.shape
         dt = _narrowest_signed(max(C - 1, 1) * (p - 1) ** 2 + p)
-        T = np.empty((B, C, R), dtype=dt)
-        T[...] = A.swapaxes(1, 2)
+        T = np.empty((C, R, B), dtype=dt)
+        T[...] = A.transpose(2, 1, 0)
         inv = self.inv_table.astype(dt)
-        free = np.ones((B, R), dtype=bool)
+        free = np.ones((R, B), dtype=bool)
+        pivot_rows = np.full((B, C), -1, dtype=np.int64)
         ranks = np.zeros(B, dtype=np.int64)
-        rows = np.arange(B)
+        batch = np.arange(B)
+        first = np.arange(R, 0, -1, dtype=np.min_scalar_type(R))[:, None]
         for c in range(C):
-            col = T[:, c, :]
+            col = T[c]
             if c:
                 self.reduce(col)
             cand = col != 0
             cand &= free
-            piv = np.argmax(cand, axis=1)
-            has = cand[rows, piv]
-            # pivot row scaled to a leading 1; zero where column c has no pivot
-            prow = self.reduce(T[rows, c:, piv])
-            prow *= (inv[col[rows, piv]] * has)[:, None]
-            self.reduce(prow)
-            rest = T[:, c:, :]
-            rest -= prow[:, :, None] * col[:, None, :]
-            sel = np.flatnonzero(has)
-            T[sel, c:, piv[sel]] = prow[sel]
-            free[sel, piv[sel]] = False
+            top = (cand * first).max(axis=0)            # R - pivot row, 0 where there is none
+            has = top > 0
+            piv = (R - top.astype(np.intp)) % R
+            at = piv * B + batch            # (pivot row, matrix) in a flat (R, B) plane
+            scale = inv[col.reshape(-1)[at]] * has      # a**-1, 0 where there is no pivot
+            later = T[c + 1:] if rank_only else T[c:]
+            prow = self.reduce(later.reshape(len(later), R * B).take(at, axis=1))
+            if rank_only:
+                later -= prow[:, None, :] * self.reduce(col * scale)
+            else:
+                prow *= scale
+                self.reduce(prow)
+                f = col.copy()              # factor a - 1 turns the pivot row into prow
+                f.reshape(-1)[at] -= has
+                later -= prow[:, None, :] * f
+            free.reshape(-1)[at] &= ~has
+            pivot_rows[batch, ranks] = np.where(has, piv, -1)
             ranks += has
-        return T, ~free, ranks
+        return T, pivot_rows, ranks

@@ -5,6 +5,13 @@ domain with multiplication given by a rank-3 array of structure
 constants: basis_i * basis_j = sum_k sc[i][j][k] basis_k.  No
 associativity is assumed anywhere; a verified two-sided unit is
 mandatory.
+
+The associator laws read one table per ring, `associators`: the n**3
+basis associators (b_i, b_j, b_k), built once in the ring's own exact
+arithmetic and memoised on the ring (`memoised`).  By trilinearity every
+law these checkers quote is a sum of its entries, so `is_alternative`,
+`is_flexible`, `is_associative` and `structure.nucleus` multiply
+nothing themselves.
 """
 
 from __future__ import annotations
@@ -207,9 +214,17 @@ class CheckResult:
         return self.ok
 
 
-def _assoc_coords(r: Ring, a, b, c):
-    return r.sub_coords(r.mul_coords(r.mul_coords(a, b), c),
-                        r.mul_coords(a, r.mul_coords(b, c)))
+@memoised
+def associators(r: Ring) -> tuple:
+    """The associator table: A[i][j][k] = (b_i, b_j, b_k) = (b_i b_j) b_k -
+    b_i (b_j b_k) as a coordinate tuple, for all n**3 basis triples.
+    Built once per ring in the ring's own arithmetic, so it is exact over
+    F_p and Q alike; every associator law and the nucleus read it."""
+    n = r.dim
+    basis = [r.basis_coords(i) for i in range(n)]
+    return tuple(tuple(tuple(r.sub_coords(r.mul_coords(r.sc[i][j], basis[k]),
+                                          r.mul_coords(basis[i], r.sc[j][k]))
+                             for k in range(n)) for j in range(n)) for i in range(n))
 
 
 @memoised
@@ -219,46 +234,54 @@ def is_alternative(r: Ring) -> CheckResult:
     The linearized forms are checked on all basis triples; the diagonal
     cases (x,x,y) and (y,x,x) are additionally checked directly with x
     ranging over sums of two basis vectors, which avoids polarization
-    pitfalls in small characteristic.  A failure's witness is (law, args):
-    the identity broken, as a string in x, y and z, and the coordinates
-    of x, y (and z) it breaks on.
+    pitfalls in small characteristic.  Every case is a sum of entries of
+    the associator table: at x = b_i + b_j trilinearity gives (x,x,y) =
+    A[i][i][k] + A[i][j][k] + A[j][i][k] + A[j][j][k] for y = b_k, exactly
+    in every characteristic.  A failure's witness is (law, args): the
+    identity broken, as a string in x, y and z, and the coordinates of x,
+    y (and z) it breaks on.
     """
-    basis = [r.basis_coords(i) for i in range(r.dim)]
+    A, n = associators(r), r.dim
+    basis = [r.basis_coords(i) for i in range(n)]
     zero = r.zero_coords()
-    for x, y, z in product(basis, repeat=3):
-        if r.add_coords(_assoc_coords(r, x, y, z), _assoc_coords(r, y, x, z)) != zero:
-            return CheckResult(False, ("(x,y,z) + (y,x,z) = 0", (x, y, z)))
-        if r.add_coords(_assoc_coords(r, z, x, y), _assoc_coords(r, z, y, x)) != zero:
-            return CheckResult(False, ("(x,y,z) + (x,z,y) = 0", (z, x, y)))
-    for i in range(r.dim):
-        for j in range(i, r.dim):
+
+    def total(*terms):
+        return functools.reduce(r.add_coords, terms)
+
+    for i, j, k in product(range(n), repeat=3):
+        if total(A[i][j][k], A[j][i][k]) != zero:
+            return CheckResult(False, ("(x,y,z) + (y,x,z) = 0", (basis[i], basis[j], basis[k])))
+        if total(A[k][i][j], A[k][j][i]) != zero:
+            return CheckResult(False, ("(x,y,z) + (x,z,y) = 0", (basis[k], basis[i], basis[j])))
+    for i in range(n):
+        for j in range(i, n):
             x = r.add_coords(basis[i], basis[j])
-            for y in basis:
-                if _assoc_coords(r, x, x, y) != zero:
-                    return CheckResult(False, ("(x,x,y) = 0", (x, y)))
-                if _assoc_coords(r, y, x, x) != zero:
-                    return CheckResult(False, ("(y,x,x) = 0", (x, y)))
+            for k in range(n):
+                if total(A[i][i][k], A[i][j][k], A[j][i][k], A[j][j][k]) != zero:
+                    return CheckResult(False, ("(x,x,y) = 0", (x, basis[k])))
+                if total(A[k][i][i], A[k][i][j], A[k][j][i], A[k][j][j]) != zero:
+                    return CheckResult(False, ("(y,x,x) = 0", (x, basis[k])))
     return CheckResult(True)
 
 
 def _basis_law(r: Ring, law) -> CheckResult:
-    """law(x, y, z) = 0 on every basis triple, the first failing triple in
-    lexicographic order as the witness."""
-    basis = [r.basis_coords(i) for i in range(r.dim)]
-    for triple in product(basis, repeat=3):
-        if law(*triple) != r.zero_coords():
-            return CheckResult(False, triple)
+    """law(A, i, j, k) = 0 on every basis triple (b_i, b_j, b_k), for A the
+    associator table; the first failing triple in lexicographic order as
+    the witness."""
+    A, zero = associators(r), r.zero_coords()
+    for i, j, k in product(range(r.dim), repeat=3):
+        if law(A, i, j, k) != zero:
+            return CheckResult(False, tuple(r.basis_coords(t) for t in (i, j, k)))
     return CheckResult(True)
 
 
 def is_flexible(r: Ring) -> CheckResult:
     """Linearized flexible law (x,y,z) + (z,y,x) = 0 on basis triples."""
-    return _basis_law(r, lambda x, y, z: r.add_coords(_assoc_coords(r, x, y, z),
-                                                      _assoc_coords(r, z, y, x)))
+    return _basis_law(r, lambda A, i, j, k: r.add_coords(A[i][j][k], A[k][j][i]))
 
 
 def is_associative(r: Ring) -> CheckResult:
-    return _basis_law(r, lambda x, y, z: _assoc_coords(r, x, y, z))
+    return _basis_law(r, lambda A, i, j, k: A[i][j][k])
 
 
 def is_k_torsion_free(r: Ring, k: int) -> bool:

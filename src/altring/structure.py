@@ -8,7 +8,9 @@ as a linear condition is solved exactly over either scalar domain.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +20,8 @@ from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible,
                      RingMismatch, TrivialIdempotent, UnsupportedDomain)
 from .reports import CheckReport, coords_json, first_failure
-from .rings import Element, Ring, is_alternative, is_k_torsion_free, memoised
+from .rings import (Element, Ring, associators, is_alternative, is_k_torsion_free,
+                    memoised)
 
 
 @dataclass(frozen=True)
@@ -84,26 +87,18 @@ def _center_basis(r: Ring) -> tuple[tuple, tuple]:
 
 
 def nucleus(r: Ring) -> Subspace:
-    """Elements with vanishing associator in all three slots against the basis."""
-    dom = r.domain
+    """Elements with vanishing associator in all three slots against the
+    basis: for every basis pair (b_i, b_j) the kernel of x -> (b_i, b_j, x),
+    x -> (b_i, x, b_j) and x -> (x, b_i, b_j), whose matrices have the
+    associator table's entries at x = b_m as columns."""
+    A, n = associators(r), r.dim
     rows = []
-    n = r.dim
-    basis = [r.basis_coords(i) for i in range(n)]
-    lmat = [r.left_mul_matrix(b) for b in basis]
-    rmat = [r.right_mul_matrix(b) for b in basis]
     for i in range(n):
         for j in range(n):
-            prod = r.mul_coords(basis[i], basis[j])
-            # (b_i, b_j, x): (b_i b_j) x - b_i (b_j x)
-            m1 = _mat_sub(r.left_mul_matrix(prod), linalg.mat_mul(lmat[i], lmat[j], dom), dom)
-            # (b_i, x, b_j): (b_i x) b_j - b_i (x b_j)
-            m2 = _mat_sub(linalg.mat_mul(rmat[j], lmat[i], dom), linalg.mat_mul(lmat[i], rmat[j], dom), dom)
-            # (x, b_i, b_j): (x b_i) b_j - x (b_i b_j)
-            m3 = _mat_sub(linalg.mat_mul(rmat[j], rmat[i], dom), r.right_mul_matrix(prod), dom)
-            rows.extend(m1)
-            rows.extend(m2)
-            rows.extend(m3)
-    return Subspace.from_vectors(r, linalg.nullspace(rows, dom))
+            for cols in ([A[i][j][m] for m in range(n)], [A[i][m][j] for m in range(n)],
+                         [A[m][i][j] for m in range(n)]):
+                rows.extend(map(list, zip(*cols)))
+    return Subspace.from_vectors(r, linalg.nullspace(rows, r.domain))
 
 
 def _mat_sub(A, B, dom):
@@ -112,19 +107,54 @@ def _mat_sub(A, B, dom):
 
 # -- idempotents -----------------------------------------------------------
 
-@dataclass(frozen=True)
 class IdempotentCensus:
-    ring: Ring
-    elements: tuple[Element, ...]
-    tags: tuple[str, ...]          # "zero" | "trivial" | "nontrivial"
+    """The idempotents of one ring, each tagged "zero", "trivial" (the unit)
+    or "nontrivial".
 
-    def count(self, tag: str | None = None) -> int:
-        if tag is None:
-            return len(self.elements)
-        return sum(1 for t in self.tags if t == tag)
+    A scan over F_p keeps `index`, the element indices of its mask
+    (`Enumeration.idempotent_mask`) in element order, and counts on it:
+    zero is index 0 and the unit one index of its own.  `elements` and
+    `tags` are built from it on first use, so a census that is only
+    counted builds no `Element`.  Supplied candidates, the one route over
+    Q, have no index: they are kept as coordinate tuples and counted by
+    their tags.
+    """
+
+    def __init__(self, ring: Ring, index: np.ndarray | None = None,
+                 enum: Enumeration | None = None, found: tuple = ()):
+        self.ring = ring
+        self.index = index
+        self._enum = enum
+        self._found = found
+
+    @cached_property
+    def _coords(self) -> tuple:
+        if self.index is None:
+            return self._found
+        return tuple(tuple(int(c) for c in x) for x in self._enum.coords_of(self.index))
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        return tuple(Element(self.ring, c) for c in self._coords)
+
+    @cached_property
+    def tags(self) -> tuple[str, ...]:
+        return tuple(_tag_idempotent(self.ring, c) for c in self._coords)
 
     def counts(self) -> dict:
-        return {"total": self.count(), **{t: self.count(t) for t in ("zero", "trivial", "nontrivial")}}
+        if self.index is None:
+            total, tally = len(self.tags), Counter(self.tags)
+            zero, trivial = tally["zero"], tally["trivial"]
+        else:
+            unit = int(self._enum.index_of(self.ring.unit_coords))
+            total = len(self.index)
+            zero = int(np.count_nonzero(self.index == 0))
+            trivial = int(np.count_nonzero(self.index == unit)) if unit else 0
+        return {"total": total, "zero": zero, "trivial": trivial,
+                "nontrivial": total - zero - trivial}
+
+    def count(self, tag: str | None = None) -> int:
+        return self.counts().get("total" if tag is None else tag, 0)
 
 
 def _tag_idempotent(r: Ring, coords) -> str:
@@ -138,26 +168,18 @@ def _tag_idempotent(r: Ring, coords) -> str:
 def idempotents(r: Ring, budget: int = DEFAULT_BUDGET, include_zero: bool = True,
                 candidates=None) -> IdempotentCensus:
     """All e with e*e = e, by exhaustive scan over F_p or supplied candidates."""
-    found = []
     if candidates is not None:
+        found = []
         for cand in candidates:
             e = cand if isinstance(cand, Element) else r.element(cand)
-            if (e * e).coords == e.coords:
+            if (e * e).coords == e.coords and (include_zero or not e.is_zero()):
                 found.append(e.coords)
-    elif r.domain.kind == "Fp":
-        enum = Enumeration.of(r, budget)
-        idx = np.flatnonzero(enum.idempotent_mask())
-        found = [tuple(int(c) for c in x) for x in enum.coords_of(idx)]
-    else:
+        return IdempotentCensus(r, found=tuple(found))
+    if r.domain.kind != "Fp":
         raise UnsupportedDomain("idempotent search over Q needs explicit candidates")
-    elems, tags = [], []
-    for coords in found:
-        tag = _tag_idempotent(r, coords)
-        if tag == "zero" and not include_zero:
-            continue
-        elems.append(Element(r, tuple(coords)))
-        tags.append(tag)
-    return IdempotentCensus(r, tuple(elems), tuple(tags))
+    enum = Enumeration.of(r, budget)
+    index = np.flatnonzero(enum.idempotent_mask())
+    return IdempotentCensus(r, index if include_zero else index[index != 0], enum)
 
 
 # -- Peirce frames ----------------------------------------------------------
@@ -481,20 +503,26 @@ def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
     transposed multiplication matrices L_x^T and R_x^T, whose rows are the
     products x*b_j and b_j*x with every basis vector, and row-reduces
     again; a generator is settled once its rank stops growing.  The stack
-    stays in the narrow `mat_dtype` up to the eliminator.  Everything runs
-    batched, in chunks cut over all generators, so ideals are found in the
-    same order as without the screen.
+    stays in the narrow `mat_dtype` and is laid out batch-last, as the
+    eliminator works, so it reaches the eliminator with no transposing
+    copy.  Everything runs batched, in chunks cut over all generators, so
+    ideals are found in the same order as without the screen.
     """
     n = ring.dim
     whole = Subspace.from_vectors(ring, [list(ring.basis_coords(i)) for i in range(n)])
     ideals: dict[tuple, Subspace] = {}
 
     def layer(rows):
-        # rows (B, m, n) -> [rows; x*b_j; b_j*x] for every row x and basis vector b_j
+        # rows (B, m, n) -> [rows; x*b_j; b_j*x] for every row x and basis vector b_j,
+        # written batch-last, the eliminator's own layout, and returned as a (B, R, n) view
         b_count, m = rows.shape[0], rows.shape[1]
-        left = enum.left_mul_matrices(rows).swapaxes(-1, -2).reshape(b_count, m * n, n)
-        right = enum.right_mul_matrices(rows).swapaxes(-1, -2).reshape(b_count, m * n, n)
-        return np.concatenate([rows, left, right], axis=1, dtype=enum.mat_dtype)
+        stack = np.empty((n, m * (2 * n + 1), b_count), dtype=enum.mat_dtype)
+        stack[:, :m] = rows.transpose(2, 1, 0)
+        for lo, mats in ((m, enum.left_mul_matrices(rows)),
+                         (m + m * n, enum.right_mul_matrices(rows))):
+            # mats (B, m, k, j): row (x, j) holds coordinate k of x*b_j (or b_j*x)
+            stack[:, lo:lo + m * n].reshape(n, m, n, b_count)[...] = mats.transpose(2, 1, 3, 0)
+        return stack.transpose(2, 1, 0)
 
     chunk = 8192
     for lo in range(0, len(reps), chunk):
@@ -571,7 +599,10 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
     for lo in range(0, len(survivors), chunk):
         A = survivors[lo:lo + chunk]
         AB = enum.mul_outer(A, basis)                      # (B, n, n): rows a*b_k
-        S = enum.left_mul_matrices(AB).reshape(len(A), n * n, n)  # stack left-mult matrices
+        L = enum.left_mul_matrices(AB)                     # (B, k, r, c): L_{a*b_k}
+        # the stacked rows (k, r), written batch-last as the eliminator works
+        S = np.ascontiguousarray(L.transpose(3, 1, 2, 0)).reshape(n, n * n, len(A))
+        S = S.transpose(2, 1, 0)
         ranks = enum.rank_batched(S)
         bad = np.flatnonzero(ranks < n)
         if len(bad):

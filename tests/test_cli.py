@@ -1,8 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from altring import structure as st
 from altring.cli import Workspace, main
 
 
@@ -59,6 +61,19 @@ def test_analyze_json(files, tmp_path, capsys):
     assert rep["primeness"]["prime"] and rep["primeness"]["criterion_equiv"]
 
 
+def test_analyze_counts_the_census_without_elements(files, capsys, monkeypatch):
+    """Zorn/F5 has 15,752 idempotents; `analyze` counts them on their
+    element indices and builds no `Element` or tag for them."""
+    built = []
+    monkeypatch.setattr(st, "Element", lambda *args: built.append(args))
+    monkeypatch.setattr(st, "_tag_idempotent", lambda *args: built.append(args))
+    assert main(["analyze", files["zorn"]]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["idempotents"] == {"total": 5**6 + 5**3 + 2, "zero": 1, "trivial": 1,
+                                  "nontrivial": 5**6 + 5**3}
+    assert built == []
+
+
 def test_analyze_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -85,6 +100,15 @@ def test_idempotents_cmd(files, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["total"] == 32 and rep["nontrivial"] == 30
     assert len(rep["elements"]) == 32
+
+
+def test_idempotents_cmd_output_is_pinned(files):
+    """The whole `altring idempotents` JSON for M2/F5, every element with
+    its tag in element order, pinned byte for byte."""
+    out = files["dir"] / "census.json"
+    assert main(["idempotents", files["m2"], "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "eaf8aa16f97fcd4375185d1a6d9821ac48794627565a879a8d05e054b00e8e84"
 
 
 def test_peirce_cmd(files, capsys):

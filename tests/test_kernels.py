@@ -55,20 +55,24 @@ def check_products(ring, A, B):
 
 
 def check_elimination(ring, mats):
-    """rank_batched and rref_batched against `linalg` on a (B, R, C) stack
-    of any integer dtype, reduced or not: the compressed rows are the rref
-    rows (in pivot-row order), then zero rows."""
+    """rank_batched (the rank-only pass) and rref_batched (Gauss-Jordan)
+    against `linalg` on a (B, R, C) stack of any integer dtype, reduced or
+    not: both ranks are the reference rank, the rows are the `linalg.rref`
+    rows in pivot-column order, then zero rows, and neither call writes
+    into its input."""
     enum = Enumeration(ring, DEFAULT_BUDGET)
     dom, p = ring.domain, ring.domain.p
     mats = np.asarray(mats)
+    before = mats.copy()
     ranks = enum.rank_batched(mats)
     rows, rref_ranks = enum.rref_batched(mats)
+    assert np.array_equal(mats, before) and mats.dtype == before.dtype
     assert rows.dtype == np.int64 and rows.shape == (len(mats), mats.shape[2], mats.shape[2])
     for M, got_rank, R, rk in zip(mats, ranks, rows, rref_ranks):
         reduced = [[int(x) % p for x in r] for r in M]
         want, _ = linalg.rref(reduced, dom)
         assert int(got_rank) == int(rk) == linalg.rank(reduced, dom)
-        assert sorted(tuple(ints(r)) for r in R[:int(rk)]) == sorted(map(tuple, want))
+        assert [ints(r) for r in R[:int(rk)]] == want
         assert not R[int(rk):].any()
 
 
@@ -88,12 +92,23 @@ def ring_and_products(draw, **kw):
 
 @st.composite
 def ring_and_stack(draw, **kw):
+    """A (B, R, C) stack, C > R allowed, whose matrices are all of rank C
+    (unit rows e_c among the rows), all below it (a column zero or a
+    multiple of another), a mix of the two, or drawn freely."""
     ring = draw(unital_rings(**kw))
+    p = ring.domain.p
     cols = draw(st.integers(1, ring.dim + 2))
-    height = draw(st.integers(cols, 3 * cols))
-    coord = st.integers(0, ring.domain.p - 1)
+    kind = draw(st.sampled_from(["free", "full", "deficient", "mixed"]))
+    height = draw(st.integers(cols if kind in ("full", "mixed") else 1, 3 * cols))
+    coord = st.integers(0, p - 1)
     row = st.lists(coord, min_size=cols, max_size=cols)
-    mats = draw(st.lists(st.lists(row, min_size=height, max_size=height), min_size=1, max_size=12))
+    mats = np.array(draw(st.lists(st.lists(row, min_size=height, max_size=height),
+                                  min_size=1, max_size=12)), dtype=np.int64)
+    for b, M in enumerate(mats):
+        if kind == "full" or kind == "mixed" and b % 2:
+            M[draw(st.permutations(range(height)))[:cols]] = np.eye(cols, dtype=np.int64)
+        elif kind != "free":
+            M[:, -1] = draw(coord) * M[:, 0] % p if cols > 1 else 0
     return ring, mats
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
-from altring import (associator, commutator, gen_m2, is_alternative, is_associative,
-                     is_flexible, is_k_torsion_free)
+from altring import (Subspace, associator, commutator, gen_m2, is_alternative,
+                     is_associative, is_flexible, is_k_torsion_free, linalg, nucleus)
 from altring.errors import ParseError, RingMismatch
-from altring.rings import Ring, ring_from_json, ring_to_json
+from altring.rings import CheckResult, Ring, ring_from_json, ring_to_json
+from conftest import unital_rings
 
 
 def test_add_identity_and_unit_split(m2):
@@ -93,11 +94,10 @@ ALTERNATIVE_LAWS = {
 }
 
 
-def test_alternative_witness_replays(broken3):
+def perturbed_m2():
     """Every single-constant perturbation of M2 over F_2 and F_5 that keeps
-    the unit and breaks alternativity quotes a law its witness breaks;
-    over F_2 a diagonal law can fail where both linearized ones hold."""
-    rings = [broken3]
+    the unit."""
+    rings = []
     for p in (2, 5):
         m2 = gen_m2(p)
         for a, b, c in itertools.product(range(4), repeat=3):
@@ -108,6 +108,14 @@ def test_alternative_witness_replays(broken3):
             except ParseError:          # the unit axiom broke
                 continue
             rings.append(ring)
+    return rings
+
+
+def test_alternative_witness_replays(broken3):
+    """Every perturbation of M2 (`perturbed_m2`) that breaks alternativity
+    quotes a law its witness breaks; over F_2 a diagonal law can fail
+    where both linearized ones hold."""
+    rings = [broken3] + perturbed_m2()
     laws = set()
     for ring in rings:
         alt = is_alternative(ring)
@@ -189,3 +197,85 @@ def test_associator_matches_definition(a, b, c):
     ea, eb, ec = r.element(a), r.element(b), r.element(c)
     direct = (ea * eb) * ec - ea * (eb * ec)
     assert associator(ea, eb, ec).coords == direct.coords
+
+
+# -- the associator table against the laws evaluated product by product ----
+#
+# A reference copy of the associator laws and the nucleus as they were
+# computed before the associator table: every law evaluates its
+# associators with `mul_coords`, and the nucleus multiplies the
+# multiplication matrices with `linalg.mat_mul`.
+
+def _assoc_coords(r, a, b, c):
+    return r.sub_coords(r.mul_coords(r.mul_coords(a, b), c),
+                        r.mul_coords(a, r.mul_coords(b, c)))
+
+
+def reference_is_alternative(r):
+    basis = [r.basis_coords(i) for i in range(r.dim)]
+    zero = r.zero_coords()
+    for x, y, z in itertools.product(basis, repeat=3):
+        if r.add_coords(_assoc_coords(r, x, y, z), _assoc_coords(r, y, x, z)) != zero:
+            return CheckResult(False, ("(x,y,z) + (y,x,z) = 0", (x, y, z)))
+        if r.add_coords(_assoc_coords(r, z, x, y), _assoc_coords(r, z, y, x)) != zero:
+            return CheckResult(False, ("(x,y,z) + (x,z,y) = 0", (z, x, y)))
+    for i in range(r.dim):
+        for j in range(i, r.dim):
+            x = r.add_coords(basis[i], basis[j])
+            for y in basis:
+                if _assoc_coords(r, x, x, y) != zero:
+                    return CheckResult(False, ("(x,x,y) = 0", (x, y)))
+                if _assoc_coords(r, y, x, x) != zero:
+                    return CheckResult(False, ("(y,x,x) = 0", (x, y)))
+    return CheckResult(True)
+
+
+def reference_basis_law(r, law):
+    basis = [r.basis_coords(i) for i in range(r.dim)]
+    for triple in itertools.product(basis, repeat=3):
+        if law(*triple) != r.zero_coords():
+            return CheckResult(False, triple)
+    return CheckResult(True)
+
+
+def reference_nucleus(r):
+    dom, n = r.domain, r.dim
+
+    def sub(A, B):
+        return [[dom.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+    basis = [r.basis_coords(i) for i in range(n)]
+    lmat = [r.left_mul_matrix(b) for b in basis]
+    rmat = [r.right_mul_matrix(b) for b in basis]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            prod = r.mul_coords(basis[i], basis[j])
+            rows.extend(sub(r.left_mul_matrix(prod), linalg.mat_mul(lmat[i], lmat[j], dom)))
+            rows.extend(sub(linalg.mat_mul(rmat[j], lmat[i], dom),
+                            linalg.mat_mul(lmat[i], rmat[j], dom)))
+            rows.extend(sub(linalg.mat_mul(rmat[j], rmat[i], dom), r.right_mul_matrix(prod)))
+    return Subspace.from_vectors(r, linalg.nullspace(rows, dom))
+
+
+def check_laws_match_reference(r):
+    """Same verdict and witness for every law, same nucleus basis."""
+    assert is_alternative(r) == reference_is_alternative(r)
+    assert is_flexible(r) == reference_basis_law(
+        r, lambda x, y, z: r.add_coords(_assoc_coords(r, x, y, z), _assoc_coords(r, z, y, x)))
+    assert is_associative(r) == reference_basis_law(r, lambda x, y, z: _assoc_coords(r, x, y, z))
+    assert nucleus(r).basis == reference_nucleus(r).basis
+
+
+@given(unital_rings(primes=(2, 3, 5)))
+def test_associator_laws_match_reference(ring):
+    check_laws_match_reference(ring)
+
+
+def test_associator_laws_match_reference_on_fixed_rings(m2q, zorn, broken3):
+    """Over Q, on a ring that is alternative but not associative, on a
+    broken one and on every perturbation of M2, failing or not."""
+    rings = [m2q, zorn, broken3] + perturbed_m2()
+    for ring in rings:
+        check_laws_match_reference(ring)
+    assert {is_alternative(r).ok for r in rings} == {True, False}

@@ -7,7 +7,7 @@ import pytest
 from altring import (center, check_main_hypotheses, check_primeness,
                      check_spade_club, check_z_of_peirce_cell, gen_m2, idempotents, linalg,
                      nucleus, peirce_frame, verify_peirce_relations, zorn_idempotent)
-from altring.enumeration import Enumeration
+from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible,
                             TrivialIdempotent, UnsupportedDomain)
 from altring.rings import Ring
@@ -15,6 +15,10 @@ from altring.scalars import PrimeField
 from altring.structure import _generator_classes, _principal_ideals
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "primeness_golden.json").read_text())
+
+
+def ints(arr):
+    return [int(x) for x in arr]
 
 
 def test_center_dims(m2, zorn, dsum, t2):
@@ -92,6 +96,45 @@ def test_idempotents_over_q(m2q):
     census = idempotents(m2q, candidates=[[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 1]])
     assert census.count() == 2            # E11 and the unit; E12 is not idempotent
     assert census.count("nontrivial") == 1
+
+
+def element_counts(census) -> dict:
+    """The census counted from its `Element`s, each tagged from its own
+    coordinates."""
+    r = census.ring
+    zero = sum(e.is_zero() for e in census.elements)
+    trivial = sum(e.coords == tuple(r.unit_coords) for e in census.elements)
+    total = len(census.elements)
+    return {"total": total, "zero": zero, "trivial": trivial,
+            "nontrivial": total - zero - trivial}
+
+
+@pytest.mark.parametrize("name", ["m2", "t2", "zorn"])
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_census_counts_from_mask_match_elements(name, include_zero, request):
+    ring = request.getfixturevalue(name)
+    census = idempotents(ring, include_zero=include_zero)
+    counts = census.counts()                # before any Element exists
+    assert census.count() == counts["total"] and census.count("zero") == counts["zero"]
+    assert "elements" not in vars(census) and "tags" not in vars(census)
+    assert counts == element_counts(census)
+    assert {t: census.count(t) for t in counts if t != "total"} == \
+        {t: census.tags.count(t) for t in counts if t != "total"}
+    enum = Enumeration.of(ring, DEFAULT_BUDGET)
+    mask = enum.idempotent_mask().copy()
+    mask[0] &= include_zero
+    assert [e.coords for e in census.elements] == \
+        [tuple(ints(x)) for x in enum.coords_of(np.flatnonzero(mask))]
+
+
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_census_counts_of_candidates_match_elements(m2q, include_zero):
+    cands = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 1], [1, 0, 0, 0],
+             ["1/2", "1/2", "1/2", "1/2"], [0, 0, 0, 1]]
+    census = idempotents(m2q, include_zero=include_zero, candidates=cands)
+    assert census.counts() == element_counts(census)
+    assert census.counts() == {"total": 5 + include_zero, "zero": int(include_zero),
+                               "trivial": 1, "nontrivial": 4}
 
 
 def test_idempotents_budget(zorn):
