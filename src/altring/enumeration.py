@@ -247,10 +247,11 @@ class Enumeration:
     def _product_planes(self, A, B) -> np.ndarray:
         """Products of reduced (n, ...) planes, broadcast over the trailing
         axes: plane k accumulates c*A_i*B_j in `acc_dtype` on contiguous
-        planes.  The one product core behind `mul`, `mul_outer` and
-        `mul_index`, so that no public kernel runs inside another."""
+        planes, a square's one operand (B is A) cast once.  The one product
+        core behind the product kernels, so that none runs inside another."""
         acc = self.acc_dtype
-        A, B = A.astype(acc, copy=False), B.astype(acc, copy=False)
+        cast = A.astype(acc, copy=False)
+        A, B = cast, cast if B is A else B.astype(acc, copy=False)
         shape = np.broadcast_shapes(A.shape[1:], B.shape[1:])
         out = np.zeros((self.n,) + shape, dtype=acc)
         term = np.empty(shape, dtype=acc)

@@ -74,16 +74,16 @@ def center(r: Ring) -> Subspace:
 @memoised
 def _center_basis(r: Ring) -> tuple[tuple, tuple]:
     """Echelon rows and pivots of the centre, solved once per ring."""
-    dom = r.domain
-    rows = []
-    for i in range(r.dim):
-        b = r.basis_coords(i)
-        L = r.left_mul_matrix(b)
-        R = r.right_mul_matrix(b)
-        for k in range(r.dim):
-            rows.append([dom.sub(R[k][j], L[k][j]) for j in range(r.dim)])
-    zc = Subspace.from_vectors(r, linalg.nullspace(rows, dom))
+    zc = _commutant(r, [r.basis_coords(i) for i in range(r.dim)])
     return zc.basis, zc.pivots
+
+
+def _commutant(r: Ring, vectors) -> Subspace:
+    """Elements x with x v = v x for every v in `vectors`: the nullspace of
+    the stacked R_v - L_v.  No vectors give the zero subspace."""
+    rows = [row for v in vectors for row in
+            _mat_sub(r.right_mul_matrix(list(v)), r.left_mul_matrix(list(v)), r.domain)]
+    return Subspace.from_vectors(r, linalg.nullspace(rows, r.domain))
 
 
 def nucleus(r: Ring) -> Subspace:
@@ -204,6 +204,19 @@ class PeirceFrame:
 
 
 def peirce_frame(r: Ring, e1: Element) -> PeirceFrame:
+    """The frame of a nontrivial idempotent e1, from L and R, the matrices
+    of x -> e1 x and x -> x e1.
+
+    By bilinearity and the unit, multiplying by e2 = 1 - e1 is I - L on the
+    left and I - R on the right, so corner (i, j) projects by L_i R_j, with
+    L_1 = L, L_2 = I - L and likewise R_j.  These projectors are compatible
+    (e_i a . e_j = e_i . a e_j), idempotent, pairwise annihilating, sum to
+    I and split the dimension exactly when LR = RL, L^2 = L and R^2 = R:
+    then I - L and I - R are idempotents commuting with L and R; conversely
+    compatibility at (1, 1) is LR = RL, and L = P11 + P12 and R = P11 + P21
+    are sums of orthogonal idempotents.  A component is the column space of
+    its projector.
+    """
     dom = r.domain
     if e1.ring.key != r.key:
         raise RingMismatch("idempotent belongs to a different ring")
@@ -212,41 +225,20 @@ def peirce_frame(r: Ring, e1: Element) -> PeirceFrame:
     if e1.is_zero() or e1.coords == r.unit_coords:
         raise TrivialIdempotent("Peirce frame needs an idempotent other than 0 and 1")
     e2 = Element(r, r.sub_coords(r.unit_coords, e1.coords))
-    es = {1: e1.coords, 2: e2.coords}
-    left = {i: r.left_mul_matrix(es[i]) for i in es}
-    right = {j: r.right_mul_matrix(es[j]) for j in es}
-    for i in (1, 2):
-        for j in (1, 2):
-            # compatibility e_i a . e_j = e_i . a e_j must hold before corners make sense
-            lhs = linalg.mat_mul(right[j], left[i], dom)
-            rhs = linalg.mat_mul(left[i], right[j], dom)
-            if lhs != rhs:
-                raise PeirceIncompatible(f"e_{i} a . e_{j} != e_{i} . a e_{j} on this ring")
+    L, R = r.left_mul_matrix(e1.coords), r.right_mul_matrix(e1.coords)
+    for lhs, rhs, law in ((linalg.mat_mul(L, R, dom), linalg.mat_mul(R, L, dom),
+                           "e1 (a e1) != (e1 a) e1"),
+                          (linalg.mat_mul(L, L, dom), L, "e1 (e1 a) != e1 a"),
+                          (linalg.mat_mul(R, R, dom), R, "(a e1) e1 != a e1")):
+        if lhs != rhs:
+            raise PeirceIncompatible(f"{law} for some a on this ring")
+    ident = linalg.mat_identity(r.dim, dom)
+    left = {1: L, 2: _mat_sub(ident, L, dom)}
+    right = {1: R, 2: _mat_sub(ident, R, dom)}
     projectors = {(i, j): linalg.mat_mul(left[i], right[j], dom)
                   for i in (1, 2) for j in (1, 2)}
-    ident = linalg.mat_identity(r.dim, dom)
-    total = ident
-    keys = list(projectors)
-    for ij in keys:
-        P = projectors[ij]
-        if linalg.mat_mul(P, P, dom) != P:
-            raise PeirceIncompatible(f"corner projection {ij} is not idempotent")
-        for kl in keys:
-            if kl != ij:
-                Q = linalg.mat_mul(P, projectors[kl], dom)
-                if any(x != dom.zero for row in Q for x in row):
-                    raise PeirceIncompatible(f"corner projections {ij} and {kl} do not annihilate")
-    acc = [[dom.zero] * r.dim for _ in range(r.dim)]
-    for P in projectors.values():
-        acc = [[dom.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(acc, P)]
-    if acc != total:
-        raise PeirceIncompatible("corner projections do not sum to the identity")
-    components = {}
-    for ij, P in projectors.items():
-        cols = [r.apply_matrix(P, r.basis_coords(k)) for k in range(r.dim)]
-        components[ij] = Subspace.from_vectors(r, [list(c) for c in cols])
-    if sum(s.dim for s in components.values()) != r.dim:
-        raise PeirceIncompatible("corner dimensions do not add up to the ring dimension")
+    components = {ij: Subspace.from_vectors(r, [list(c) for c in zip(*P)])
+                  for ij, P in projectors.items()}
     return PeirceFrame(r, e1, e2, projectors, components)
 
 
@@ -391,7 +383,12 @@ def check_spade_club(frame: PeirceFrame, hypotheses: list[CheckReport],
                      budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
     """Diagonal sums commuting with a whole off-diagonal corner must be
     central; also reports the implication instance from conditions (1)-(3),
-    read from `hypotheses`, the frame's `check_main_hypotheses` reports."""
+    read from `hypotheses`, the frame's `check_main_hypotheses` reports.
+
+    Centrality is `center`'s own definition, commuting with every basis
+    vector, tested like the corner on the diagonal sums x_11 + x_22 alone:
+    only those need to lie within the budget, not the whole ring.
+    """
     r = frame.ring
     enum = Enumeration.of(r, budget)
     comp = frame.components
@@ -401,14 +398,16 @@ def check_spade_club(frame: PeirceFrame, hypotheses: list[CheckReport],
         raise BudgetExceeded(len(p11) * len(p22), budget, "diagonal-sum scan")
     sums = (p11[:, None, :] + p22[None, :, :]).reshape(-1, r.dim) % enum.p
 
-    central = center(r).mask(enum)[enum.index_of(sums)]
+    def commutes(rows):
+        out = np.ones(len(sums), dtype=bool)
+        for row in rows:            # one element, broadcast against every sum
+            out &= (enum.commutator(sums, row) == 0).all(axis=1)
+        return out
+
+    central = commutes(np.eye(r.dim, dtype=np.int64))
     reports = []
     for name, cell in (("spade", (1, 2)), ("club", (2, 1))):
-        commutes = np.ones(len(sums), dtype=bool)
-        for row in comp[cell].basis:
-            b = np.broadcast_to(np.array(row, dtype=np.int64), sums.shape)
-            commutes &= (enum.commutator(sums, b) == 0).all(axis=1)
-        reports.append(first_failure(name, commutes & ~central,
+        reports.append(first_failure(name, commutes(comp[cell].basis) & ~central,
                                      lambda k: {"diagonal_sum": coords_json(r, sums[k])},
                                      {"diagonal_sums": len(sums)}))
 
@@ -423,18 +422,11 @@ def check_z_of_peirce_cell(frame: PeirceFrame) -> list[CheckReport]:
     """Centre of each off-diagonal corner, with the literal containment in
     R_ij + Z(R) (true by construction) plus intersection diagnostics."""
     r = frame.ring
-    dom = r.domain
     zc = center(r)
     reports = []
     for ij in ((1, 2), (2, 1)):
         cell = frame.components[ij]
-        rows = []
-        for row in cell.basis:
-            L = r.left_mul_matrix(list(row))
-            R = r.right_mul_matrix(list(row))
-            rows.extend(_mat_sub(R, L, dom))
-        kern = Subspace.from_vectors(r, linalg.nullspace(rows, dom))
-        cell_centre = kern.intersect(cell)
+        cell_centre = _commutant(r, cell.basis).intersect(cell)
         ambient = cell.sum(zc)
         contained = all(ambient.contains(list(v)) for v in cell_centre.basis)
         inter = cell_centre.intersect(zc)

@@ -133,6 +133,18 @@ def test_check_conditions_cmd(files, capsys):
     assert failed[0]["witness"]["central"] == [1, 0, 0, 1, 0, 0, 0, 0]
 
 
+def test_check_conditions_on_zorn_within_a_small_budget(files, capsys):
+    """Spade/club tests centrality on the diagonal sums alone, so Zorn/F5
+    (390,625 elements) needs no whole-ring table: at budget 1000 the
+    command passes with the output of budget 10^6."""
+    outs = []
+    for budget in ("1000", "1000000"):
+        assert main(["check-conditions", files["zorn"], "--idempotent", "1,0,0,0,0,0,0,0",
+                     "--budget", budget]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_decompose_cmd(files, capsys):
     assert main(["decompose", "--source", files["m2"], "--target", files["m2"],
                  "--map", files["negtr"], "--idempotent", "1,0,0,0",

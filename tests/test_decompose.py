@@ -7,14 +7,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from altring import (build_map, center, decompose, detect_branch, gen_m2, is_alternative,
-                     linalg, map_to_json, verify_decomposition, verify_theorem)
+from altring import (build_map, center, decompose, detect_branch, gen_direct_sum, gen_m2,
+                     gen_triangular2, is_alternative, linalg, map_to_json,
+                     verify_decomposition, verify_theorem)
 from altring.cli import main
 from altring.reports import dumps
 from altring.decompose import INFORMATIONAL_CERTIFICATES
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
-from altring.errors import BranchUndetermined, HypothesisFailed, NotBijective
+from altring.errors import (AmbiguousCentralSplit, BranchUndetermined, HypothesisFailed,
+                            NotBijective)
 from altring.maps import MapTable
+from altring.rings import Ring
+from altring.scalars import PrimeField
 
 
 def required_failures(res):
@@ -141,6 +145,19 @@ def test_non_bijective_rejected(m2):
     zero = build_map(m2, m2, {"kind": "linear", "matrix": [[0] * 4 for _ in range(4)]})
     with pytest.raises(NotBijective):
         decompose(zero, m2.basis_element(0), branch="dagger")
+
+
+def test_target_corner_meeting_the_centre_is_an_ambiguous_split(m2):
+    """Onto F_5 + T_2(F_5) the image of E11 is (1, E11): its corner (1, 1)
+    holds the central (1, 0), so the central part of a diagonal image is
+    not unique."""
+    f5 = Ring("f5", PrimeField(5), ["u"], [[[1]]], [1])
+    target = gen_direct_sum(f5, gen_triangular2(5))
+    phi = build_map(m2, target, {"kind": "linear",
+                                 "matrix": [[1, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]})
+    with pytest.raises(AmbiguousCentralSplit, match=r"target corner \(1,1\) meets the centre "
+                                                    r"in dimension 1"):
+        decompose(phi, m2.basis_element(0), branch="dagger")
 
 
 def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
@@ -381,3 +398,17 @@ def test_ring_axioms_quote_the_broken_alternative_law(broken3):
         rep = axioms[f"{side}_alternative"]
         assert not rep["pass"]
         assert rep["witness"] == {"law": law, **{v: list(a) for v, a in zip("xyz", args)}}
+
+
+def test_ring_axioms_quote_a_torsion_witness():
+    """On M2/F3, 3*1 = 0: the failing torsion report quotes x = 1, and
+    the witness replays in `rings.py` arithmetic."""
+    m3 = gen_m2(3)
+    bundle = verify_theorem(build_map(m3, m3, {"kind": "identity"}), m3.basis_element(0),
+                            None, 10**6, 0)
+    axioms = {r["condition"]: r for r in bundle["stages"][0]["reports"]}
+    assert axioms["source_torsion_free_2"]["pass"] and axioms["source_torsion_free_2"]["witness"] is None
+    rep = axioms["source_torsion_free_3"]
+    assert not rep["pass"] and rep["witness"] == {"x": [1, 0, 0, 1]}
+    x = m3.element(rep["witness"]["x"])
+    assert not x.is_zero() and (x + x + x).is_zero()

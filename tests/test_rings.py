@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
-from altring import (Subspace, associator, commutator, gen_m2, is_alternative,
+from altring import (Subspace, associator, commutator, gen_m2, gen_zorn, is_alternative,
                      is_associative, is_flexible, is_k_torsion_free, linalg, nucleus)
 from altring.errors import ParseError, RingMismatch
 from altring.rings import CheckResult, Ring, ring_from_json, ring_to_json
@@ -267,9 +267,36 @@ def check_laws_match_reference(r):
     assert nucleus(r).basis == reference_nucleus(r).basis
 
 
-@given(unital_rings(primes=(2, 3, 5)))
-def test_associator_laws_match_reference(ring):
+@stn.composite
+def rebased_rings(draw, primes=(2, 3)):
+    """Zorn or M2 over F_p in a random basis: alternative rings, so every
+    linearized law holds and the diagonal (x,x,y)/(y,x,x) sums decide the
+    verdict.  The new basis vector c_i is column i of T = P L U, with P a
+    permutation, L unit lower and U upper triangular with a nonzero
+    diagonal; the structure constants of c_i c_j and the unit are
+    expressed in it through T^-1."""
+    p = draw(stn.sampled_from(primes))
+    base = draw(stn.sampled_from([gen_zorn, gen_m2]))(p)
+    n, dom = base.dim, base.domain
+
+    def entry(i, j, lower):
+        if i == j:
+            return 1 if lower else draw(stn.integers(1, p - 1))
+        return draw(stn.integers(0, p - 1)) if (i > j) == lower else 0
+
+    L, U = ([[entry(i, j, lower) for j in range(n)] for i in range(n)] for lower in (True, False))
+    T = [linalg.mat_mul(L, U, dom)[k] for k in draw(stn.permutations(range(n)))]
+    T_inv = linalg.inverse(T, dom)
+    cols = [list(col) for col in zip(*T)]
+    sc = [[linalg.mat_vec(T_inv, list(base.mul_coords(ci, cj)), dom) for cj in cols] for ci in cols]
+    return Ring(f"rebased_{base.name}", dom, list(base.basis_names), sc,
+                linalg.mat_vec(T_inv, list(base.unit_coords), dom))
+
+
+@given(unital_rings(primes=(2, 3, 5)), rebased_rings())
+def test_associator_laws_match_reference(ring, rebased):
     check_laws_match_reference(ring)
+    check_laws_match_reference(rebased)
 
 
 def test_associator_laws_match_reference_on_fixed_rings(m2q, zorn, broken3):

@@ -1,18 +1,22 @@
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from altring import (center, check_main_hypotheses, check_primeness,
+from altring import (Subspace, center, check_main_hypotheses, check_primeness,
                      check_spade_club, check_z_of_peirce_cell, gen_m2, idempotents, linalg,
                      nucleus, peirce_frame, verify_peirce_relations, zorn_idempotent)
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
-from altring.errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible,
+from altring.errors import (BudgetExceeded, NotIdempotent, ParseError, PeirceIncompatible,
                             TrivialIdempotent, UnsupportedDomain)
 from altring.rings import Ring
 from altring.scalars import PrimeField
 from altring.structure import _generator_classes, _principal_ideals
+from conftest import unital_rings
+from test_rings import perturbed_m2
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "primeness_golden.json").read_text())
 
@@ -265,8 +269,8 @@ def test_square_law_over_q_quotes_an_element_with_nonzero_square(anticommuting_q
     assert rep.quantifier_space == {"elements": 3}
 
 
-def test_peirce_frame_incompatible():
-    # e x . e != e . x e: corner projections cannot be formed
+def skew_ring():
+    """e x . e != e . x e for the idempotent e = basis 1: no Peirce frame."""
     sc = [[[0] * 4 for _ in range(4)] for _ in range(4)]
     for k in range(4):
         sc[0][k][k] = 1
@@ -275,9 +279,114 @@ def test_peirce_frame_incompatible():
     sc[1][1][1] = 1     # e*e = e
     sc[1][2][3] = 1     # e*x = y
     sc[3][1][3] = 1     # y*e = y
-    ring = Ring("skew", PrimeField(5), ["one", "e", "x", "y"], sc, [1, 0, 0, 0])
+    return Ring("skew", PrimeField(5), ["one", "e", "x", "y"], sc, [1, 0, 0, 0])
+
+
+def test_peirce_frame_incompatible():
+    # e x . e != e . x e: corner projections cannot be formed
+    ring = skew_ring()
     with pytest.raises(PeirceIncompatible):
         peirce_frame(ring, ring.basis_element(1))
+
+
+# -- frames against the validator they replaced ------------------------------
+#
+# A reference copy of the frame validation as it was before frames were
+# decided from L and R alone: 4 compatibility, 4 idempotency and 12
+# annihilation checks on the four corner projectors, their sum, and the
+# corner dimensions, with each component the span of its projector
+# applied to every basis vector.
+
+def reference_frame(r, e1):
+    """(projectors, components) of e1's frame, or None where the
+    reference validation rejects it."""
+    dom = r.domain
+    es = {1: e1.coords, 2: r.sub_coords(r.unit_coords, e1.coords)}
+    left = {i: r.left_mul_matrix(es[i]) for i in es}
+    right = {j: r.right_mul_matrix(es[j]) for j in es}
+    for i in (1, 2):
+        for j in (1, 2):
+            if linalg.mat_mul(right[j], left[i], dom) != linalg.mat_mul(left[i], right[j], dom):
+                return None
+    projectors = {(i, j): linalg.mat_mul(left[i], right[j], dom)
+                  for i in (1, 2) for j in (1, 2)}
+    for ij, P in projectors.items():
+        if linalg.mat_mul(P, P, dom) != P:
+            return None
+        for kl, Q in projectors.items():
+            if kl != ij and any(x != dom.zero for row in linalg.mat_mul(P, Q, dom) for x in row):
+                return None
+    acc = [[dom.zero] * r.dim for _ in range(r.dim)]
+    for P in projectors.values():
+        acc = [[dom.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(acc, P)]
+    if acc != linalg.mat_identity(r.dim, dom):
+        return None
+    components = {ij: Subspace.from_vectors(r, [list(r.apply_matrix(P, r.basis_coords(k)))
+                                                for k in range(r.dim)])
+                  for ij, P in projectors.items()}
+    if sum(c.dim for c in components.values()) != r.dim:
+        return None
+    return projectors, components
+
+
+def frame_verdicts(r, candidates) -> list[bool]:
+    """`peirce_frame` and `reference_frame` agree on every nontrivial
+    idempotent among the candidates (all of them over F_p when None): both
+    reject, or both accept with equal projectors and components.  Returns
+    the verdicts."""
+    verdicts = []
+    for e1 in idempotents(r, candidates=candidates).elements:
+        if e1.is_zero() or e1.coords == r.unit_coords:
+            continue
+        want = reference_frame(r, e1)
+        try:
+            frame = peirce_frame(r, e1)
+        except PeirceIncompatible:
+            assert want is None, (r.name, e1)
+            verdicts.append(False)
+            continue
+        assert want == (frame.projectors, frame.components), (r.name, e1)
+        verdicts.append(True)
+    return verdicts
+
+
+@given(unital_rings())
+def test_frames_match_reference_on_random_rings(ring):
+    frame_verdicts(ring, None)
+
+
+def test_frames_match_reference_on_fixed_rings(m2q, anticommuting_q, broken3):
+    verdicts = frame_verdicts(m2q, [[1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 0],
+                                    ["1/2", "1/2", "1/2", "1/2"]])
+    verdicts += frame_verdicts(anticommuting_q, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    for ring in (broken3, skew_ring()):
+        verdicts += frame_verdicts(ring, None)
+    assert set(verdicts) == {True, False}
+
+
+def test_frames_match_reference_on_perturbed_m2():
+    verdicts = [v for ring in perturbed_m2() for v in frame_verdicts(ring, None)]
+    assert set(verdicts) == {True, False}
+
+
+def test_frames_match_reference_on_perturbed_zorn(zorn):
+    """One unit of a constant of an e11 product moved to the matching e22
+    product, which changes L or R of e1 = e11; those that keep the unit."""
+    verdicts = []
+    for left, b, c in itertools.product((True, False), range(8), range(8)):
+        sc = [[[int(x) for x in row] for row in plane] for plane in zorn.sc]
+        for k, step in ((0, 1), (7, -1)):
+            if left:
+                sc[k][b][c] += step
+            else:
+                sc[b][k][c] += step
+        try:
+            ring = Ring("pert_zorn", PrimeField(5), list(zorn.basis_names), sc,
+                        list(zorn.unit_coords))
+        except ParseError:          # the unit axiom broke
+            continue
+        verdicts += frame_verdicts(ring, [zorn_idempotent(ring).coords])
+    assert set(verdicts) == {True, False}
 
 
 def test_main_hypotheses_pass(m2_frame, zorn_frame):
@@ -316,6 +425,17 @@ def test_spade_club(m2_frame, zorn_frame, dsum_frame, t2):
         assert reports["conditions_imply_spade_club"].ok
     for frame in (m2_frame, zorn_frame):
         assert all(r.ok for r in check_spade_club(frame, check_main_hypotheses(frame)))
+
+
+def test_spade_club_on_zorn_within_a_small_budget(zorn_frame):
+    """Centrality by commutation with the basis: the 25 diagonal sums of
+    Zorn/F5 fit a budget of 1000, and the reports are those at 10^6."""
+    reports = {}
+    for budget in (1000, 10**6):
+        hyps = check_main_hypotheses(zorn_frame, budget)
+        reports[budget] = [r.to_json() for r in check_spade_club(zorn_frame, hyps, budget)]
+    assert reports[1000] == reports[10**6]
+    assert reports[1000][0]["quantifier_space"] == {"diagonal_sums": 25}
 
 
 def test_z_of_peirce_cell(m2_frame, zorn_frame):
