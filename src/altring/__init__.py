@@ -25,10 +25,9 @@ from .maps import (MapTable, build_map, check_almost_additivity,
                    verify_lie_multiplicative, verify_preserves_idempotents,
                    verify_surjective)
 from .reports import CheckReport
-from .rings import (Element, Ring, add, associator, commutator,
-                    is_alternative, is_associative, is_flexible,
-                    is_k_torsion_free, load_ring, mul, ring_from_json,
-                    ring_to_json, save_ring)
+from .rings import (Element, Ring, associator, commutator, is_alternative,
+                    is_associative, is_flexible, is_k_torsion_free,
+                    load_ring, ring_from_json, ring_to_json, save_ring)
 from .scalars import PrimeField, Rationals, is_prime
 from .structure import (IdempotentCensus, PeirceFrame, PrimenessReport,
                         Subspace, center, check_main_hypotheses,

@@ -216,7 +216,7 @@ def _load_map(args, ws: Workspace):
 def cmd_decompose(args, ws: Workspace) -> int:
     src, _tgt, m = _load_map(args, ws)
     e1 = _parse_coords(src, args.idempotent)
-    result = run_decompose(m, e1, branch=args.branch, budget=ws.budget, seed=ws.seed)
+    result = run_decompose(m, e1, branch=args.branch, seed=ws.seed)
     obj = result.to_json()
     lines = [f"branch: {result.branch}"] + _report_lines(obj["certificates"])
     _emit(args, obj, lines)
@@ -226,7 +226,7 @@ def cmd_decompose(args, ws: Workspace) -> int:
 def cmd_verify_theorem(args, ws: Workspace) -> int:
     src, _tgt, m = _load_map(args, ws)
     e1 = _parse_coords(src, args.idempotent)
-    bundle = verify_theorem(m, e1, args.branch, ws.budget, ws.seed)
+    bundle = verify_theorem(m, e1, args.branch, ws.seed)
     ok = bundle["all_certificates_pass"]
     lines = [f"verify-theorem: branch {bundle.get('decomposition', {}).get('branch')}"]
     lines += _report_lines([r for stage in bundle["stages"] for r in stage["reports"]])

@@ -10,7 +10,9 @@ read those reports; branch detection; and, when all of these pass,
 `decompose` with its certificates.  Each artefact is computed once per
 run: the enumeration, centre and alternativity are memoised on the
 rings, the frames, their hypothesis reports and branch detection of e1
-on the map (`MapTable.cached`), so `decompose` finds them built.
+on the map (`MapTable.cached`), so `decompose` finds them built.  Like
+the map verifiers, the pipeline runs at the budget the map was built
+under (`m.es.budget`) and takes none of its own.
 
 Given a surjective idempotent-preserving Lie multiplicative map phi and a
 nontrivial idempotent e1 of the source, the split builds Peirce frames
@@ -62,11 +64,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
                      BudgetExceeded, HypothesisFailed, NotBijective,
                      UnsupportedDomain)
-from .maps import (MapTable, check_almost_additivity, check_map_consequences,
+from .maps import (MapTable, basis_index, check_almost_additivity, check_map_consequences,
                    check_peirce_image, frame_hypotheses, pair_report, peirce_frames,
                    verify_lie_multiplicative, verify_preserves_idempotents,
                    verify_surjective)
@@ -92,16 +93,15 @@ class BranchDetection:
                 "corners": [r.to_json() for r in self.reports]}
 
 
-def detect_branch(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET) -> BranchDetection:
+def detect_branch(m: MapTable, e1: Element) -> BranchDetection:
     """Test both corner conditions, each for both index assignments; run
-    once per map, idempotent and budget.
+    once per map and idempotent.
 
     Both assignments (i = 1 and i = 2) must hold for a branch to count,
     and the per-corner results are reported separately.  Both branches may
     hold at once (degenerate small corners) and neither may hold.
     """
-    return m.cached(("detection", e1, budget),
-                    lambda: _detect_branch_frames(m, *peirce_frames(m, e1), budget))
+    return m.cached(("detection", e1), lambda: _detect_branch_frames(m, *peirce_frames(m, e1)))
 
 
 def _central_multiples(frame: PeirceFrame, i: int) -> list[list]:
@@ -110,9 +110,9 @@ def _central_multiples(frame: PeirceFrame, i: int) -> list[list]:
     return [list(r.mul_coords(list(z), f)) for z in center(r).basis]
 
 
-def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame, tgt_frame: PeirceFrame,
-                          budget: int) -> BranchDetection:
-    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame,
+                          tgt_frame: PeirceFrame) -> BranchDetection:
+    es, et = m.es, m.et
     f_idx = m.image_index()
     # per i: the index of f_i y f_i for every target y, and the Z*f_i mask
     corner = {i: et.linear_index(tgt_frame.projectors[(i, i)]) for i in (1, 2)}
@@ -144,7 +144,6 @@ class DecompositionResult:
     tau: MapTable                   # central part, phi - psi
     psi_matrix: list | None
     detection: BranchDetection
-    budget: int
     seed: int
     certificates: list[CheckReport] = field(default_factory=list)
 
@@ -165,15 +164,16 @@ class DecompositionResult:
             "detection": self.detection.to_json(),
             "certificates": [c.to_json() for c in self.certificates],
             "all_required_pass": self.required_pass(),
-            "budget": self.budget,
+            "budget": self.map.es.budget,
             "seed": self.seed,
         }
 
 
 def decompose(m: MapTable, e1: Element, branch: str | None = None,
-              budget: int = DEFAULT_BUDGET, seed: int = 0) -> DecompositionResult:
+              seed: int = 0) -> DecompositionResult:
     """Build psi and tau for a map assumed to pass the entry verifiers, and
-    certify them; `required_pass()` of the result says whether they hold.
+    certify them at the map's budget; `required_pass()` of the result says
+    whether they hold.
 
     Raises HypothesisFailed when a structural condition (1)-(4) fails on
     the source frame, BranchUndetermined when the corner tests do not
@@ -185,10 +185,10 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     if not m.is_bijective():
         raise NotBijective("decomposition needs a bijective dense table")
     src_frame, tgt_frame = peirce_frames(m, e1)
-    for rep in frame_hypotheses(m, src_frame, budget):
+    for rep in frame_hypotheses(m, src_frame):
         if not rep.ok:
             raise HypothesisFailed(rep.condition.rsplit("_", 1)[1], rep.witness)
-    detection = detect_branch(m, e1, budget)
+    detection = detect_branch(m, e1)
     if branch is None:
         if detection.dagger and not detection.ddagger:
             branch = BRANCH_DAGGER
@@ -201,7 +201,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     if not getattr(detection, branch):
         raise BranchUndetermined(detection.dagger, detection.ddagger)
 
-    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    es, et = m.es, m.et
     tgt = m.target
     dom = tgt.domain
     f_idx = m.image_index()
@@ -228,13 +228,13 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
         psi_idx = comp if psi_idx is None else et.sum_index([psi_idx, comp])
     tau_idx = et.sum_index([f_idx], [psi_idx])
 
-    basis_idx = es.index_of(np.eye(m.source.dim, dtype=np.int64))
-    psi_matrix = [[dom.parse(int(x)) for x in row] for row in et.coords_of(psi_idx[basis_idx]).T]
+    psi_matrix = [[dom.parse(int(x)) for x in row]
+                  for row in et.coords_of(psi_idx[basis_index(es)]).T]
 
     res = DecompositionResult(m, e1, src_frame, tgt_frame, branch,
                               MapTable(m.source, tgt, es, et, psi_idx),
                               MapTable(m.source, tgt, es, et, tau_idx),
-                              psi_matrix, detection, budget, seed)
+                              psi_matrix, detection, seed)
     res.certificates = verify_decomposition(res)
     return res
 
@@ -262,7 +262,8 @@ def _diagonal_recipe(tgt_frame: PeirceFrame, zf_cols: dict, branch: str, i: int)
 # -- certificates --------------------------------------------------------------
 
 def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
-    """Certificate battery for a decomposition, at its budget and seed.
+    """Certificate battery for a decomposition, at its map's budget and its
+    seed.
 
     Element-quantified checks are always exhaustive; pair-quantified ones
     are exhaustive within the budget and seeded-sampled past it.  The
@@ -270,8 +271,8 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     with the sandwich identity psi((ab)a) = (psi(a)psi(b))psi(a) for
     opposite off-diagonal pairs checked separately.
     """
-    m, budget, seed = res.map, res.budget, res.seed
-    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    m, seed = res.map, res.seed
+    es, et = m.es, m.et
     psi_idx, tau_idx = res.psi.image_index(), res.tau.image_index()
     anti = res.branch == BRANCH_DDAGGER
     certs: list[CheckReport] = []
@@ -291,7 +292,7 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
         return fails
 
     def pair_cert(name, fails):
-        certs.append(pair_report(name, m.source, budget, seed, fails))
+        certs.append(pair_report(name, m, seed, fails))
 
     pair_cert("psi_additive", additive_fails(psi_idx))
     elem_report("psi_linear_matrix", es.linear_index(res.psi_matrix) != psi_idx)
@@ -364,16 +365,16 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
 
 # -- the theorem pipeline ------------------------------------------------------
 
-def verify_theorem(m: MapTable, e1: Element, branch: str | None, budget: int,
-                   seed: int) -> dict:
-    """Every certificate of the theorem for (m, e1), stage by stage, as the
-    bundle dict (see the module docstring for the order).
+def verify_theorem(m: MapTable, e1: Element, branch: str | None, seed: int) -> dict:
+    """Every certificate of the theorem for (m, e1) at the map's budget,
+    stage by stage, as the bundle dict (see the module docstring for the
+    order).
 
     A structural error after the ring axioms (for example phi(e1) not
     spanning a Peirce frame, or no branch to pick) ends the run with an
     "error" entry; budget and domain errors propagate.
     """
-    src = m.source
+    src, budget = m.source, m.es.budget
     bundle = {"config": {"budget": budget, "seed": seed,
                          "source": src.name, "target": m.target.name,
                          "idempotent": coords_json(src, e1.coords),
@@ -400,19 +401,18 @@ def verify_theorem(m: MapTable, e1: Element, branch: str | None, budget: int,
                           alternative("target_alternative", m.target),
                           torsion_free(2), torsion_free(3)])
     try:
-        stage("entry", [verify_surjective(m, budget),
-                        verify_lie_multiplicative(m, budget, seed),
-                        verify_preserves_idempotents(m, budget, seed)])
-        stage("consequences", check_map_consequences(m, budget))
-        stage("almost_additive", [check_almost_additivity(m, budget, seed)])
-        image_reports, src_frame, _ = check_peirce_image(m, e1, budget)
+        stage("entry", [verify_surjective(m), verify_lie_multiplicative(m, seed),
+                        verify_preserves_idempotents(m, seed)])
+        stage("consequences", check_map_consequences(m))
+        stage("almost_additive", [check_almost_additivity(m, seed)])
+        image_reports, src_frame, _ = check_peirce_image(m, e1)
         stage("peirce_image", image_reports)
-        hypotheses = frame_hypotheses(m, src_frame, budget)
+        hypotheses = frame_hypotheses(m, src_frame)
         stage("hypotheses", hypotheses)
         stage("spade_club", check_spade_club(src_frame, hypotheses, budget))
-        bundle["branch_detection"] = detect_branch(m, e1, budget).to_json()
+        bundle["branch_detection"] = detect_branch(m, e1).to_json()
         if all(r.ok for r in reports):
-            result = decompose(m, e1, branch, budget, seed)
+            result = decompose(m, e1, branch, seed)
             stage("decomposition", result.certificates)
             bundle["decomposition"] = result.to_json()
         else:

@@ -11,13 +11,16 @@ of some points take them from it (`Enumeration.coords_of`).  An
 element-quantified verifier ends in a failure mask and reports through
 `reports.first_failure`.
 
-The pair-quantified entry verifiers scan pairs (`pair_scan`),
-exhaustively within the budget and sampled past it, unless phi is
-F_p-linear (`phi_linear`, one O(N) test per map and budget).  A linear
-map's Lie multiplicativity is decided on the basis pairs, its idempotent
-preservation on one element mask, and its almost additivity and scalar
-homogeneity hold outright: each report is, byte for byte, the one an
-exhaustive scan would return, at every budget that covers the elements.
+A map is verified at the budget it was built under: every function
+that takes a map reads its Enumerations `m.es` and `m.et`, which share
+one budget, and takes none of its own.  The pair-quantified entry
+verifiers scan pairs (`pair_scan`), exhaustively within that budget and
+sampled past it, unless phi is F_p-linear (`phi_linear`, one O(N) test
+per map).  A linear map's Lie multiplicativity is decided on the basis
+pairs, its idempotent preservation on one element mask, and its almost
+additivity and scalar homogeneity hold outright: each report is, byte
+for byte, the one an exhaustive scan would return, at every budget that
+covers the elements.
 """
 
 from __future__ import annotations
@@ -39,11 +42,15 @@ from .structure import PeirceFrame, center, check_main_hypotheses, peirce_frame
 class MapTable:
     """Total map between two finite rings, held as its image index alone:
     entry x is the target element index of phi(x), over the source and
-    target Enumerations `es` and `et`.  `spec` is the builder spec a
-    structured map is saved as; a table (None) is saved as its entries."""
+    target Enumerations `es` and `et`, which must share one budget: the
+    map's.  `spec` is the builder spec a structured map is saved as; a
+    table (None) is saved as its entries."""
 
     def __init__(self, source: Ring, target: Ring, es: Enumeration, et: Enumeration,
                  index, spec: dict | None = None):
+        if es.budget != et.budget:
+            raise ValueError(f"source and target Enumerations have different budgets, "
+                             f"{es.budget} and {et.budget}")
         self.source, self.target = source, target
         self.es, self.et = es, et
         self.spec = spec
@@ -153,9 +160,10 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
     builder description.
 
     Kinds: identity, linear, neg_transpose_plus_trace, conjugation,
-    compose, table, structured.  Transpose and conjugation builders are
-    only offered on rings verified associative (conjugation by a unit is
-    not an automorphism without associativity).
+    compose, table, structured.  Identity and compose map a ring to
+    itself.  Transpose and conjugation builders are only offered on rings
+    verified associative (conjugation by a unit is not an automorphism
+    without associativity).
     """
     if source.domain != target.domain:
         raise DomainMismatch(f"{source.name!r} and {target.name!r} have different scalar domains")
@@ -163,6 +171,8 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
     kind = spec.get("kind")
     dom = source.domain
     where = f"map of kind {kind!r}"
+    if kind in ("identity", "compose") and (source.key != target.key or source.sc != target.sc):
+        raise DimensionMismatch(f"{kind} map needs identical source and target rings")
     if kind == "compose":
         idx = np.arange(es.count)
         for part in _field(spec, "parts", where):
@@ -180,8 +190,6 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
         images = np.array([[int(dom.parse(x)) for x in row] for row in entries], dtype=np.int64)
         return MapTable(source, target, es, et, et.index_of(images))
     if kind == "identity":
-        if source.key != target.key or source.sc != target.sc:
-            raise DimensionMismatch("identity map needs identical source and target rings")
         M, spec = linalg.mat_identity(source.dim, dom), {"kind": "identity"}
     elif kind == "linear":
         M = _structured_matrix(source, target, _field(spec, "matrix", where))
@@ -307,12 +315,12 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn):
     return True, None, "sampled", budget / total, checked
 
 
-def pair_report(name: str, source: Ring, budget: int, seed: int, fail_fn) -> CheckReport:
-    """`pair_scan` over the source's element pairs as a report; a failing
-    pair is quoted as the witness {"a", "b"} in source coordinates."""
-    es = Enumeration.of(source, budget)
-    ok, pair, mode, cov, checked = pair_scan(es.count, budget, seed, fail_fn)
-    return _pair_result(name, source, es, pair, checked, mode,
+def pair_report(name: str, m: MapTable, seed: int, fail_fn) -> CheckReport:
+    """`pair_scan` over the map's source element pairs, under its budget,
+    as a report; a failing pair is quoted as the witness {"a", "b"} in
+    source coordinates."""
+    ok, pair, mode, cov, checked = pair_scan(m.es.count, m.es.budget, seed, fail_fn)
+    return _pair_result(name, m.source, m.es, pair, checked, mode,
                         seed if mode == "sampled" else None, cov)
 
 
@@ -329,35 +337,32 @@ def _pair_result(name: str, source: Ring, es: Enumeration, pair, checked=None,
                        mode, seed, coverage)
 
 
-def _basis_index(es: Enumeration) -> np.ndarray:
+def basis_index(es: Enumeration) -> np.ndarray:
     """Element index of each basis vector b_k, which is p**(n-1-k)."""
     return es.index_of(np.eye(es.n, dtype=np.int64))
 
 
-def phi_linear(m: MapTable, budget: int = DEFAULT_BUDGET) -> bool:
+def phi_linear(m: MapTable) -> bool:
     """Whether phi is F_p-linear, that is additive: its image index equals
     `linear_index` of the matrix whose column k is phi(b_k).  One O(N)
-    pass over the source Enumeration under `budget`, which guards it,
-    computed once per map and budget.  On a linear map the entry battery
-    decides its quantifiers exactly, with no pair scan."""
+    pass over the source Enumeration, which applies the element guard of
+    the map's budget, computed once per map.  On a linear map the entry
+    battery decides its quantifiers exactly, with no pair scan."""
     def build():
-        es = Enumeration.of(m.source, budget)
-        images = m.et.coords_of(m.image_index()[_basis_index(es)])
-        return bool(np.array_equal(es.linear_index(images.T), m.image_index()))
-    return m.cached(("linear", budget), build)
+        images = m.et.coords_of(m.image_index()[basis_index(m.es)])
+        return bool(np.array_equal(m.es.linear_index(images.T), m.image_index()))
+    return m.cached("linear", build)
 
 
 # -- verifiers ----------------------------------------------------------------
 
-def verify_surjective(m: MapTable, budget: int = DEFAULT_BUDGET) -> CheckReport:
-    et = Enumeration.of(m.target, budget)
-    return first_failure("surjective", et.fibres(m.image_index())[1], lambda k: {
-        "unreached": coords_json(m.target, et.coords_of(k))},
+def verify_surjective(m: MapTable) -> CheckReport:
+    return first_failure("surjective", m.et.fibres(m.image_index())[1], lambda k: {
+        "unreached": coords_json(m.target, m.et.coords_of(k))},
         {"elements": int(m.es.count)})
 
 
-def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
-                              seed: int = 0) -> CheckReport:
+def verify_lie_multiplicative(m: MapTable, seed: int = 0) -> CheckReport:
     """phi([x,y]) = [phi(x), phi(y)] over source pairs (sampled past budget).
 
     On a linear map (`phi_linear`) the defect D(a, b) = phi([a,b]) -
@@ -373,23 +378,22 @@ def verify_lie_multiplicative(m: MapTable, budget: int = DEFAULT_BUDGET,
     the basis vector b_k.  With a fixed, the b with D(a, b) != 0 are the
     complement of a subspace as well, and the same argument gives b.
     """
-    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    es, et = m.es, m.et
     f_idx = m.image_index()
 
     def fails(a_idx, b_idx):
         lhs = f_idx[es.commutator_index(a_idx, b_idx)]
         return lhs != et.commutator_index(f_idx[a_idx], f_idx[b_idx])
 
-    if phi_linear(m, budget):
-        basis = _basis_index(es)[::-1]
+    if phi_linear(m):
+        basis = basis_index(es)[::-1]
         bad = np.flatnonzero(fails(basis[:, None], basis[None, :]))
         return _pair_result("lie_multiplicative", m.source, es,
                             basis[list(divmod(int(bad[0]), es.n))] if len(bad) else None)
-    return pair_report("lie_multiplicative", m.source, budget, seed, fails)
+    return pair_report("lie_multiplicative", m, seed, fails)
 
 
-def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
-                                 seed: int = 0) -> CheckReport:
+def verify_preserves_idempotents(m: MapTable, seed: int = 0) -> CheckReport:
     """e - lam*f idempotent iff phi(e) - lam*phi(f) idempotent, all source
     pairs and every prime-field lam, on any map, bijective or not; a
     failing pair quotes as "lambda" the first lam whose mask fails on it.
@@ -401,7 +405,7 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
     b the lowest-index element with a nonzero multiple in F: the
     `smul_index` tables that find it are built only on failure.
     """
-    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    es, et = m.es, m.et
     f_idx = m.image_index()
 
     def lambda_masks(a_idx, b_idx):
@@ -409,7 +413,7 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
         return map(np.not_equal, es.line_masks(es.idempotent_mask(), a_idx, b_idx),
                    et.line_masks(et.idempotent_mask(), f_idx[a_idx], f_idx[b_idx]))
 
-    if phi_linear(m, budget):
+    if phi_linear(m):
         flips = es.idempotent_mask() != et.idempotent_mask()[f_idx]
         pair = None
         if flips.any():
@@ -419,7 +423,7 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
             pair = (0, int(np.flatnonzero(scaled)[0]))
         rep = _pair_result("preserves_idempotents", m.source, es, pair)
     else:
-        rep = pair_report("preserves_idempotents", m.source, budget, seed,
+        rep = pair_report("preserves_idempotents", m, seed,
                           lambda a, b: functools.reduce(np.logical_or, lambda_masks(a, b)))
     rep.quantifier_space["lambdas"] = es.p
     if not rep.ok:
@@ -428,14 +432,14 @@ def verify_preserves_idempotents(m: MapTable, budget: int = DEFAULT_BUDGET,
     return rep
 
 
-def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
+def check_map_consequences(m: MapTable) -> list[CheckReport]:
     """Consequences of surjectivity + idempotent preservation over a
     2-torsion-free ring: injectivity, a fixed zero, and scalar
     homogeneity.  Failures certify an upstream inconsistency.  A linear
     map (`phi_linear`) is homogeneous: its rows need no scalar table."""
-    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    es, et = m.es, m.et
     idx = m.image_index()
-    linear = phi_linear(m, budget)
+    linear = phi_linear(m)
 
     def inhomogeneous(lam):
         # phi(lam x) != lam phi(x), x in element order; rows 0 and 1 need no table
@@ -454,21 +458,20 @@ def check_map_consequences(m: MapTable, budget: int = DEFAULT_BUDGET) -> list[Ch
                 {"elements": int(es.count), "lambdas": int(es.p)})]
 
 
-def check_almost_additivity(m: MapTable, budget: int = DEFAULT_BUDGET,
-                            seed: int = 0) -> CheckReport:
+def check_almost_additivity(m: MapTable, seed: int = 0) -> CheckReport:
     """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs;
     on a linear map that defect is 0, so every pair passes."""
-    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    es, et = m.es, m.et
     f_idx = m.image_index()
     central = center(m.target).mask(et)     # applies the target's element guard on both routes
-    if phi_linear(m, budget):
+    if phi_linear(m):
         return _pair_result("almost_additive", m.source, es, None)
 
     def fails(a_idx, b_idx):
         ab = f_idx[es.sum_index([a_idx, b_idx])]
         return ~central[et.sum_index([ab], [f_idx[a_idx], f_idx[b_idx]])]
 
-    return pair_report("almost_additive", m.source, budget, seed, fails)
+    return pair_report("almost_additive", m, seed, fails)
 
 
 def peirce_frames(m: MapTable, e1: Element) -> tuple[PeirceFrame, PeirceFrame]:
@@ -485,16 +488,15 @@ def peirce_frames(m: MapTable, e1: Element) -> tuple[PeirceFrame, PeirceFrame]:
     return m.cached(("frames", e1), build)
 
 
-def frame_hypotheses(m: MapTable, frame: PeirceFrame,
-                     budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
-    """`check_main_hypotheses` on the source or target frame, run once per
-    map, frame ring object, idempotent and budget: the two frames share
-    one run only when phi(e1) = e1 on one ring object."""
-    return m.cached(("hypotheses", frame.ring, frame.e1.coords, budget),
-                    lambda: check_main_hypotheses(frame, budget))
+def frame_hypotheses(m: MapTable, frame: PeirceFrame) -> list[CheckReport]:
+    """`check_main_hypotheses` on the source or target frame under the
+    map's budget, run once per map, frame ring object and idempotent: the
+    two frames share one run only when phi(e1) = e1 on one ring object."""
+    return m.cached(("hypotheses", frame.ring, frame.e1.coords),
+                    lambda: check_main_hypotheses(frame, m.es.budget))
 
 
-def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
+def check_peirce_image(m: MapTable, e1: Element):
     """Corner behaviour of the map: off-diagonal corners map onto the
     matching target corners; diagonal corners land in a diagonal corner
     plus the centre, with the shape recorded.  Also transports the
@@ -503,7 +505,7 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
     Returns (reports, source_frame, target_frame).
     """
     src_frame, tgt_frame = peirce_frames(m, e1)
-    es, et = Enumeration.of(m.source, budget), Enumeration.of(m.target, budget)
+    es, et = m.es, m.et
     f_idx = m.image_index()
     reports = []
 
@@ -535,5 +537,5 @@ def check_peirce_image(m: MapTable, e1: Element, budget: int = DEFAULT_BUDGET):
              "swapped_corner_shape": int(in_swap.all())}))
 
     reports += [CheckReport("target_" + rep.condition, rep.ok, rep.witness, rep.quantifier_space)
-                for rep in frame_hypotheses(m, tgt_frame, budget)[1:3]]
+                for rep in frame_hypotheses(m, tgt_frame)[1:3]]
     return reports, src_frame, tgt_frame

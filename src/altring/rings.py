@@ -185,14 +185,6 @@ class Element:
         return " + ".join(terms) if terms else "0"
 
 
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def mul(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def commutator(a: Element, b: Element) -> Element:
     """[a, b] = ab - ba."""
     return a * b - b * a

@@ -89,9 +89,9 @@ def _conjugation_matrix_oracle(a_mat):
 
 def test_criterion_4_roundtrip_dagger(tmp_path, m2):
     t0 = time.time()
-    budget = 10 ** 6     # 625^2 pairs fit, so pair certificates run exhaustively
+    # at the default budget 10^6, 625^2 pairs fit, so pair certificates run exhaustively
     conj = build_map(m2, m2, {"kind": "conjugation", "element": [1, 1, 0, 1]})
-    res = decompose(conj, m2.basis_element(0), branch="dagger", budget=budget)
+    res = decompose(conj, m2.basis_element(0), branch="dagger")
     assert res.required_pass()
     assert res.psi_matrix == _conjugation_matrix_oracle([[1, 1], [0, 1]])
     assert (res.tau.image_index() == 0).all()
@@ -102,7 +102,7 @@ def test_criterion_4_roundtrip_dagger(tmp_path, m2):
     assert case_names <= {c.condition for c in res.certificates if c.ok}
 
     ident = build_map(m2, m2, {"kind": "identity"})
-    res = decompose(ident, m2.basis_element(0), branch="dagger", budget=budget)
+    res = decompose(ident, m2.basis_element(0), branch="dagger")
     assert res.required_pass()
     assert res.psi_matrix == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert (res.tau.image_index() == 0).all()
@@ -125,12 +125,11 @@ def test_criterion_4_roundtrip_dagger(tmp_path, m2):
 
 def test_criterion_5_roundtrip_ddagger(tmp_path, m2):
     t0 = time.time()
-    budget = 10 ** 6
     negtr = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"})
     from altring import detect_branch
-    det = detect_branch(negtr, m2.basis_element(0), budget)
+    det = detect_branch(negtr, m2.basis_element(0))
     assert det.ddagger        # the anti-isomorphism corner condition is detected
-    res = decompose(negtr, m2.basis_element(0), branch="ddagger", budget=budget)
+    res = decompose(negtr, m2.basis_element(0), branch="ddagger")
     assert res.branch == "ddagger"
     assert res.required_pass()
     # psi(x) = -x^T and tau(x) = trace(x) * unit, exactly, on all 625 elements

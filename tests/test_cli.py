@@ -287,6 +287,17 @@ def test_map_across_scalar_domains_is_an_input_error(files, capsys):
     assert err.startswith("error: ") and "different scalar domains" in err
 
 
+def test_compose_between_different_rings_is_an_input_error(files, capsys):
+    """A compose map from M2/F5 to t2/F5 is refused when it is loaded."""
+    path = files["dir"] / "m2_to_t2.json"
+    path.write_text(json.dumps({"source": "m2_f5", "target": "t2_f5",
+                                "repr": {"kind": "compose", "parts": []}}))
+    assert main(["verify-theorem", "--source", files["m2"], "--target", files["triangular2"],
+                 "--map", str(path), "--idempotent", "1,0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: compose map needs identical source and target rings\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5", ""])
 @pytest.mark.parametrize("source", ["flag", "environment"])
 def test_budget_must_be_a_positive_integer(files, monkeypatch, capsys, value, source):

@@ -122,10 +122,12 @@ def test_bundle_tau_is_the_tau_map(m2, negtr):
     assert res.to_json()["tau"].tolist() == map_to_json(res.tau)["repr"]["entries"]
 
 
-def test_verify_decomposition_reads_budget_and_seed(m2, negtr):
+def test_verify_decomposition_reads_budget_and_seed(m2):
     """Re-verifying a sampled decomposition draws the same pairs: the
-    battery runs at the result's own budget and seed."""
-    res = decompose(negtr, m2.basis_element(0), branch="ddagger", budget=200_000, seed=3)
+    battery runs at the budget of the result's map and at its seed."""
+    negtr = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"}, 200_000)
+    res = decompose(negtr, m2.basis_element(0), branch="ddagger", seed=3)
+    assert (res.to_json()["budget"], res.to_json()["seed"]) == (200_000, 3)
     sampled = [c for c in res.certificates if c.mode == "sampled"]
     assert sampled and all(c.seed == 3 for c in sampled)
     assert [c.to_json() for c in verify_decomposition(res)] == \
@@ -244,9 +246,8 @@ def test_psi_bijective_witness_replays(m2, negtr):
 
 
 def test_zorn_identity_roundtrip_sampled(zorn):
-    ident = build_map(zorn, zorn, {"kind": "identity"})
-    res = decompose(ident, zorn.basis_element(0), branch="dagger",
-                    budget=400_000, seed=7)
+    ident = build_map(zorn, zorn, {"kind": "identity"}, 400_000)
+    res = decompose(ident, zorn.basis_element(0), branch="dagger", seed=7)
     assert res.required_pass()
     assert (res.tau.image_index() == 0).all()
     assert res.psi_matrix == [[1 if i == j else 0 for j in range(8)] for i in range(8)]
@@ -366,14 +367,14 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
     spec = {"kind": "neg_transpose_plus_trace"}
-    bundle = verify_theorem(build_map(m2, m2, spec), m2.basis_element(0), "ddagger", 10**6, 0)
+    bundle = verify_theorem(build_map(m2, m2, spec), m2.basis_element(0), "ddagger", 0)
     assert calls == {"peirce_frame": 2, "check_main_hypotheses": 2, "_detect_branch_frames": 1,
                      "smul_index": 1}
     assert bundle["all_certificates_pass"]
     for target, hypotheses in ((m2, 1), (gen_m2(5), 2)):
         calls.clear()
         ident = verify_theorem(build_map(m2, target, {"kind": "identity"}),
-                               m2.basis_element(0), "dagger", 10**6, 0)
+                               m2.basis_element(0), "dagger", 0)
         assert ident["all_certificates_pass"]
         assert calls == Counter({"peirce_frame": 2, "check_main_hypotheses": hypotheses,
                                  "_detect_branch_frames": 1, "smul_index": 0})
@@ -391,7 +392,7 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
 
 def test_ring_axioms_quote_the_broken_alternative_law(broken3):
     ident = build_map(broken3, broken3, {"kind": "identity"})
-    bundle = verify_theorem(ident, broken3.basis_element(0), None, 10**6, 0)
+    bundle = verify_theorem(ident, broken3.basis_element(0), None, 0)
     axioms = {r["condition"]: r for r in bundle["stages"][0]["reports"]}
     law, args = is_alternative(broken3).witness
     for side in ("source", "target"):
@@ -405,7 +406,7 @@ def test_ring_axioms_quote_a_torsion_witness():
     the witness replays in `rings.py` arithmetic."""
     m3 = gen_m2(3)
     bundle = verify_theorem(build_map(m3, m3, {"kind": "identity"}), m3.basis_element(0),
-                            None, 10**6, 0)
+                            None, 0)
     axioms = {r["condition"]: r for r in bundle["stages"][0]["reports"]}
     assert axioms["source_torsion_free_2"]["pass"] and axioms["source_torsion_free_2"]["witness"] is None
     rep = axioms["source_torsion_free_3"]

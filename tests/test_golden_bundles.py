@@ -278,7 +278,7 @@ def run_witnesses() -> dict:
 
 def theorem_reports(m, e1) -> list:
     """Every stage report of `verify_theorem` for (m, e1) at budget 10^6, seed 0."""
-    bundle = verify_theorem(m, e1, None, 10**6, 0)
+    bundle = verify_theorem(m, e1, None, 0)
     return [rep for stage in bundle["stages"] for rep in stage["reports"]]
 
 

@@ -2,16 +2,20 @@
 verifiers and the decomposition combine element indices and masks through
 the `Enumeration` index kernels, so their source (docstrings included)
 names none of the digit-plane internals.  Only `enumeration.py` applies
-the evaluation budget, bound once per Enumeration."""
+the evaluation budget, bound once per Enumeration, and a map is verified
+at the budget it was built under."""
 
+import importlib
 import inspect
 import re
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import altring
-from altring import MapTable, Subspace, build_map
+from altring import DecompositionResult, MapTable, Subspace, build_map, verify_theorem
 from altring.enumeration import Enumeration
 
 DIGIT_TABLE_INTERNALS = re.compile(
@@ -45,6 +49,35 @@ def test_map_table_is_its_image_index(m2):
     m = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"})
     assert set(vars(m)) == {"source", "target", "es", "et", "spec", "_index", "_memo"}
     assert m.image_index() is m._index and m._index.shape == (m.es.count,)
+
+
+def test_no_map_function_takes_a_budget():
+    """Every function of `maps.py` and `decompose.py` with a parameter that
+    is a map or a decomposition reads the budget from the map's
+    Enumerations, so none takes a budget of its own."""
+    takes_a_map = {}
+    for mod in map(importlib.import_module, ("altring.maps", "altring.decompose")):
+        for name, fn in vars(mod).items():
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and \
+                    {MapTable, DecompositionResult} & {
+                        hint for arg, hint in typing.get_type_hints(fn).items() if arg != "return"}:
+                takes_a_map[name] = "budget" in inspect.signature(fn).parameters
+    assert {"phi_linear", "pair_report", "frame_hypotheses", "decompose", "verify_decomposition",
+            "verify_theorem", "_detect_branch_frames"} <= set(takes_a_map)
+    assert [name for name, has_budget in takes_a_map.items() if has_budget] == []
+
+
+def test_map_table_has_one_budget(m2):
+    """The source and target Enumerations of a map share its budget, so
+    no stage of a run verifies under another, and no cache key needs one."""
+    es, et = Enumeration.of(m2, 10**6), Enumeration.of(m2, 1000)
+    with pytest.raises(ValueError, match="different budgets, 1000000 and 1000"):
+        MapTable(m2, m2, es, et, np.arange(es.count))
+    m = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"}, 200_000)
+    bundle = verify_theorem(m, m2.basis_element(0), "ddagger", 3)
+    assert bundle["config"]["budget"] == bundle["decomposition"]["budget"] == 200_000
+    keys = [k if isinstance(k, tuple) else (k,) for k in m._memo]
+    assert keys and not any(200_000 in key for key in keys)
 
 
 def test_budget_check_lives_in_enumeration():

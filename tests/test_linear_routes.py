@@ -167,15 +167,17 @@ ENTRY_VERIFIERS = [verify_surjective, verify_lie_multiplicative, verify_preserve
 @pytest.mark.parametrize("verifier", ENTRY_VERIFIERS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("kind", ["linear", "swapped"])
 def test_entry_verifiers_refuse_a_budget_below_the_element_count(m2, negtr, verifier, kind):
-    """Each route applies the element guard of the budget it is called
-    with, not the one the map was built under, although the linear test
-    already passed at the larger budget."""
+    """Each verifier applies the element guard of the map's budget, on a
+    linear table and on one that takes the scan route: the same index
+    over Enumerations of budget 625 (M2/F5's element count) verifies, and
+    over Enumerations one element short raises."""
     m = negtr
     if kind == "swapped":
         imgs = negtr.images()
         m = negtr.replace_entry(137, imgs[411]).replace_entry(411, imgs[137])
-    count = Enumeration.of(m2, DEFAULT_BUDGET).count
-    assert phi_linear(m, DEFAULT_BUDGET) == (kind == "linear")
-    verifier(m, count)
+    at_count, short = (MapTable(m2, m2, Enumeration.of(m2, b), Enumeration.of(m2, b),
+                                m.image_index()) for b in (625, 624))
+    assert phi_linear(at_count) == (kind == "linear")
+    verifier(at_count)
     with pytest.raises(BudgetExceeded):
-        verifier(m, count - 1)
+        verifier(short)

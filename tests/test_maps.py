@@ -50,6 +50,17 @@ def test_neg_transpose_composes_to_identity(m2, negtr, id_m2):
     assert (twice.image_index() == id_m2.image_index()).all()
 
 
+@pytest.mark.parametrize("parts", [[], [{"kind": "identity"}]], ids=["no_parts", "one_part"])
+def test_compose_maps_a_ring_to_itself(m2, t2, parts):
+    """Compose reads each part's image indices as source indices, so it
+    needs one ring on both sides: with no parts, M2 -> t2 would reach
+    index 624 of t2's 125 elements.  An equal ring object is accepted."""
+    with pytest.raises(DimensionMismatch, match="compose map needs identical"):
+        build_map(m2, t2, {"kind": "compose", "parts": parts})
+    same = build_map(m2, gen_m2(5), {"kind": "compose", "parts": parts})
+    assert (same.image_index() == np.arange(625)).all()
+
+
 def test_conjugation_builder(m2, conj):
     assert verify_lie_multiplicative(conj).ok
     assert verify_preserves_idempotents(conj).ok
@@ -164,7 +175,7 @@ def test_dense_eval_matches_table_with_one_enumeration():
         assert center(r).basis is center(r).basis
         assert is_alternative(r) is is_alternative(r)
         assert verify_theorem(build_map(r, r, {"kind": "identity"}), r.basis_element(0),
-                              "dagger", 10**6, 0)["all_certificates_pass"]
+                              "dagger", 0)["all_certificates_pass"]
         ring_ref, enum_ref = weakref.ref(r), weakref.ref(enum)
         del r, dense, enum
         assert ring_ref() is None and enum_ref() is None
@@ -281,7 +292,7 @@ def held_arrays(obj, seen=None):
 
 def test_map_holds_only_its_image_index_after_verify_theorem(m2):
     m = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"})
-    bundle = verify_theorem(m, m2.basis_element(0), "ddagger", 10**6, 0)
+    bundle = verify_theorem(m, m2.basis_element(0), "ddagger", 0)
     assert bundle["all_certificates_pass"] and "decomposition" in bundle
     count = Enumeration.of(m2, DEFAULT_BUDGET).count
     held = [a for a in held_arrays(m) if count in a.shape]
@@ -362,15 +373,15 @@ def test_peirce_image_rejects_bad_idempotent_image(m2, id_m2):
 def test_sampled_mode_records_seed(zorn):
     """x -> x + t(x)^2 * 1 on Zorn/F5, t(x) = x_e11 + x_e22 the trace, is
     Lie multiplicative (a commutator has trace 0 and the unit is central)
-    but not linear, so its pairs are sampled past the budget."""
-    enum = Enumeration.of(zorn, DEFAULT_BUDGET)
+    but not linear, so its pairs are sampled past the map's budget."""
+    enum = Enumeration.of(zorn, 400_000)
     X = enum.all_coords().astype(np.int64)
     t = (X[:, 0] + X[:, 7]) % 5
     unit_multiples = enum.index_of(np.outer(np.arange(5), zorn.unit_coords))
     shifted = MapTable(zorn, zorn, enum, enum,
                        enum.sum_index([np.arange(enum.count), unit_multiples[t * t % 5]]))
-    assert not phi_linear(shifted, 400_000)
-    rep = verify_lie_multiplicative(shifted, budget=400_000, seed=11)
+    assert not phi_linear(shifted)
+    rep = verify_lie_multiplicative(shifted, seed=11)
     assert rep.ok
     assert rep.mode == "sampled"
     assert rep.seed == 11
@@ -431,10 +442,11 @@ def test_sampled_pair_scan_witness_rederives(monkeypatch):
 @pytest.mark.parametrize("budget", [0, -3])
 def test_pair_scan_refuses_a_budget_below_one(m2, budget):
     """A budget below 1 would pass having checked nothing: the table whose
-    entry 7 breaks Lie multiplicativity is refused there, not passed."""
-    bad = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"}).replace_entry(7, [1, 2, 3, 4])
-    assert not verify_lie_multiplicative(bad, 10 ** 6).ok
+    entry 7 breaks Lie multiplicativity fails at budget 10^6, and no map
+    is built under a budget below 1."""
+    spec = {"kind": "neg_transpose_plus_trace"}
+    assert not verify_lie_multiplicative(build_map(m2, m2, spec).replace_entry(7, [1, 2, 3, 4])).ok
     with pytest.raises(ValueError, match="at least 1"):
-        verify_lie_multiplicative(bad, budget)
+        build_map(m2, m2, spec, budget)
     with pytest.raises(ValueError, match="at least 1"):
         pair_scan(7, budget, 0, lambda a, b: np.zeros(np.broadcast_shapes(a.shape, b.shape), bool))

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as hst
 
 from altring import (Subspace, center, check_main_hypotheses, check_primeness,
                      check_spade_club, check_z_of_peirce_cell, gen_m2, idempotents, linalg,
@@ -16,7 +17,7 @@ from altring.rings import Ring
 from altring.scalars import PrimeField
 from altring.structure import _generator_classes, _principal_ideals
 from conftest import unital_rings
-from test_rings import perturbed_m2
+from test_rings import perturbed_m2, rebased_rings
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "primeness_golden.json").read_text())
 
@@ -350,9 +351,18 @@ def frame_verdicts(r, candidates) -> list[bool]:
     return verdicts
 
 
-@given(unital_rings())
-def test_frames_match_reference_on_random_rings(ring):
+@given(unital_rings(), rebased_rings(), hst.data())
+def test_frames_match_reference_on_random_rings(ring, rebased, data):
+    """Random unital rings reject nearly every frame.  M2 and Zorn over
+    F_2 and F_3 in a random basis are alternative, so every nontrivial
+    idempotent spans a frame: up to 8 of them, drawn (Zorn/F_3 has 756),
+    must be accepted by both validators."""
     frame_verdicts(ring, None)
+    nontrivial = [e.coords for e in idempotents(rebased).elements
+                  if not e.is_zero() and e.coords != rebased.unit_coords]
+    drawn = data.draw(hst.lists(hst.sampled_from(nontrivial), min_size=1, max_size=8, unique=True))
+    verdicts = frame_verdicts(rebased, drawn)
+    assert len(verdicts) == len(drawn) and all(verdicts)
 
 
 def test_frames_match_reference_on_fixed_rings(m2q, anticommuting_q, broken3):
