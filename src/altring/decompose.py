@@ -26,9 +26,12 @@ corners keep one corner of phi(x) and subtract its unique central
 component z*f.  tau is phi - psi.
 Both are maps, held as `MapTable`s of their image index alone.  Under
 "dagger" psi should be a ring isomorphism, under "ddagger" the negative
-of an anti-isomorphism; verify_decomposition certifies both claims
-exhaustively (or by seeded sampling past the pair budget), plus
-centrality of tau and its vanishing on commutators.
+of an anti-isomorphism; verify_decomposition certifies both claims,
+plus centrality of tau, its additivity and its vanishing on commutators.
+psi's and tau's additivity are decided exactly against their linear
+extensions, and a linear psi's product rule on the basis grid, at any
+budget; only a non-linear psi's product rule and tau's vanishing on
+commutators scan pairs, sampled past the pair budget.
 
 Element-sized work combines element indices and masks, never coordinate
 rows or the digit table, which only `enumeration.py` reads; subspace
@@ -68,8 +71,9 @@ from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
                      BudgetExceeded, HypothesisFailed, NotBijective,
                      UnsupportedDomain)
 from .maps import (MapTable, basis_index, check_almost_additivity, check_map_consequences,
-                   check_peirce_image, frame_hypotheses, pair_report, peirce_frames,
-                   verify_lie_multiplicative, verify_preserves_idempotents,
+                   check_peirce_image, first_additive_failure, first_bilinear_failure,
+                   frame_hypotheses, linear_extension, pair_report, pair_result,
+                   peirce_frames, verify_lie_multiplicative, verify_preserves_idempotents,
                    verify_surjective)
 from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, is_alternative, is_k_torsion_free
@@ -261,15 +265,35 @@ def _diagonal_recipe(tgt_frame: PeirceFrame, zf_cols: dict, branch: str, i: int)
 
 # -- certificates --------------------------------------------------------------
 
+def product_rule(es, et, psi_idx, anti: bool):
+    """fails(a_idx, b_idx) of psi's product rule over index arrays:
+    psi(ab) != psi(a)psi(b), or, anti, psi(ab) != -psi(b)psi(a), the sign
+    applied through the index table of x -> -x."""
+    neg = et.smul_index(et.p - 1) if anti else None
+
+    def fails(a_idx, b_idx):
+        lhs = psi_idx[es.mul_index(a_idx, b_idx)]
+        if anti:
+            return lhs != neg[et.mul_index(psi_idx[b_idx], psi_idx[a_idx])]
+        return lhs != et.mul_index(psi_idx[a_idx], psi_idx[b_idx])
+    return fails
+
+
 def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     """Certificate battery for a decomposition, at its map's budget and its
     seed.
 
-    Element-quantified checks are always exhaustive; pair-quantified ones
-    are exhaustive within the budget and seeded-sampled past it.  The
-    product rule is certified globally and again per Peirce-cell case,
-    with the sandwich identity psi((ab)a) = (psi(a)psi(b))psi(a) for
-    opposite off-diagonal pairs checked separately.
+    Element-quantified checks are always exhaustive.  Of the pair
+    certificates, psi's and tau's additivity are decided exactly, with no
+    pair scan, against their linear extensions (`first_additive_failure`),
+    and a linear psi's product rule on the basis grid
+    (`first_bilinear_failure`), each with the bytes of the exhaustive
+    row-major scan; a non-linear psi's product rule and
+    tau_kills_commutators scan pairs, exhaustively within the budget and
+    seeded-sampled past it.  The product rule is certified globally and
+    again per Peirce-cell case, with the sandwich identity psi((ab)a) =
+    (psi(a)psi(b))psi(a) for opposite off-diagonal pairs checked
+    separately.
     """
     m, seed = res.map, res.seed
     es, et = m.es, m.et
@@ -285,17 +309,19 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     # recomposition: psi + tau = phi, asserted on every element
     elem_report("recomposition", et.sum_index([psi_idx, tau_idx]) != m.image_index())
 
-    def additive_fails(f_idx):
-        def fails(a_idx, b_idx):
-            lhs = f_idx[es.sum_index([a_idx, b_idx])]
-            return lhs != et.sum_index([f_idx[a_idx], f_idx[b_idx]])
-        return fails
+    # additivity against a linear extension, exact with no pair scan; psi's is
+    # the index of psi_matrix, its basis images, which psi_linear_matrix reads too
+    zero = np.arange(et.count) == 0
 
-    def pair_cert(name, fails):
-        certs.append(pair_report(name, m, seed, fails))
+    def additive_cert(name, g_idx, lin_idx):
+        certs.append(pair_result(name, m.source, es,
+                                 first_additive_failure(es, et, g_idx, lin_idx, zero)))
 
-    pair_cert("psi_additive", additive_fails(psi_idx))
-    elem_report("psi_linear_matrix", es.linear_index(res.psi_matrix) != psi_idx)
+    psi_lin = es.linear_index(res.psi_matrix)
+    additive_cert("psi_additive", psi_idx, psi_lin)
+    elem_report("psi_linear_matrix", psi_lin != psi_idx)
+    psi_linear = certs[-1].ok
+    del psi_lin     # 3 MB on Zorn/F5 that the pair scans below would hold on top of theirs
 
     def fibre_witness(k):
         # a doubly-hit image with its first two preimages, else one never hit
@@ -306,16 +332,13 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     certs.append(first_failure("psi_bijective", et.fibres(psi_idx), fibre_witness,
                                {"elements": int(es.count)}))
 
-    # anti: psi(ab) = -psi(b)psi(a), the sign applied through the index table of x -> -x
-    neg = et.smul_index(et.p - 1) if anti else None
-
-    def product_fails(a_idx, b_idx):
-        lhs = psi_idx[es.mul_index(a_idx, b_idx)]
-        if anti:
-            return lhs != neg[et.mul_index(psi_idx[b_idx], psi_idx[a_idx])]
-        return lhs != et.mul_index(psi_idx[a_idx], psi_idx[b_idx])
-
-    pair_cert("psi_anti_multiplicative" if anti else "psi_multiplicative", product_fails)
+    product_fails = product_rule(es, et, psi_idx, anti)
+    # on a linear psi the product defect is bilinear: decided on the basis grid
+    name = "psi_anti_multiplicative" if anti else "psi_multiplicative"
+    if psi_linear:
+        certs.append(pair_result(name, m.source, es, first_bilinear_failure(es, product_fails)))
+    else:
+        certs.append(pair_report(name, m, seed, product_fails))
 
     # per-cell cases of the product rule and the sandwich identity, on the
     # (|A|, |B|) grids of cell element indices, raveled row-major, i = 1 first
@@ -357,9 +380,9 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     elem_report("tau_central", ~central[tau_idx],
                 lambda k: {"tau": coords_json(m.target, et.coords_of(tau_idx[k]))})
 
-    pair_cert("tau_kills_commutators",
-              lambda a_idx, b_idx: tau_idx[es.commutator_index(a_idx, b_idx)] != 0)
-    pair_cert("tau_additive", additive_fails(tau_idx))
+    certs.append(pair_report("tau_kills_commutators", m, seed,
+                             lambda a_idx, b_idx: tau_idx[es.commutator_index(a_idx, b_idx)] != 0))
+    additive_cert("tau_additive", tau_idx, linear_extension(es, et, tau_idx))
     return certs
 
 
@@ -404,7 +427,7 @@ def verify_theorem(m: MapTable, e1: Element, branch: str | None, seed: int) -> d
         stage("entry", [verify_surjective(m), verify_lie_multiplicative(m, seed),
                         verify_preserves_idempotents(m, seed)])
         stage("consequences", check_map_consequences(m))
-        stage("almost_additive", [check_almost_additivity(m, seed)])
+        stage("almost_additive", [check_almost_additivity(m)])
         image_reports, src_frame, _ = check_peirce_image(m, e1)
         stage("peirce_image", image_reports)
         hypotheses = frame_hypotheses(m, src_frame)

@@ -13,14 +13,20 @@ element-quantified verifier ends in a failure mask and reports through
 
 A map is verified at the budget it was built under: every function
 that takes a map reads its Enumerations `m.es` and `m.et`, which share
-one budget, and takes none of its own.  The pair-quantified entry
-verifiers scan pairs (`pair_scan`), exhaustively within that budget and
-sampled past it, unless phi is F_p-linear (`phi_linear`, one O(N) test
-per map).  A linear map's Lie multiplicativity is decided on the basis
-pairs, its idempotent preservation on one element mask, and its almost
-additivity and scalar homogeneity hold outright: each report is, byte
-for byte, the one an exhaustive scan would return, at every budget that
-covers the elements.
+one budget, and takes none of its own.  Pair-quantified certificates
+are decided exactly where an argument allows, each with the report, byte
+for byte, that an exhaustive row-major scan would return, at every
+budget that covers the elements:
+- additivity and almost additivity of any table against its linear
+  extension (`first_additive_failure`), with no pair scan;
+- the bilinear ones on the n x n grid of basis vectors
+  (`first_bilinear_failure`): a linear phi's Lie multiplicativity
+  (`phi_linear`, one O(N) test per map), and, in `decompose.py`, a
+  linear psi's product rule;
+- a linear phi's idempotent preservation on one element mask, and its
+  scalar homogeneity outright.
+The rest scan pairs (`pair_scan`), exhaustively within the budget and
+sampled past it.
 """
 
 from __future__ import annotations
@@ -155,15 +161,20 @@ def _structured_matrix(source: Ring, target: Ring, matrix, offset_functional=Non
             for row, zk in zip(matrix, z)]
 
 
+SELF_MAPS = ("identity", "neg_transpose_plus_trace", "conjugation", "compose")
+
+
 def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDGET) -> MapTable:
     """Construct a MapTable, and its image index under `budget`, from a
     builder description.
 
     Kinds: identity, linear, neg_transpose_plus_trace, conjugation,
-    compose, table, structured.  Identity and compose map a ring to
-    itself.  Transpose and conjugation builders are only offered on rings
-    verified associative (conjugation by a unit is not an automorphism
-    without associativity).
+    compose, table, structured.  The self-map kinds (`SELF_MAPS`) map a
+    ring to itself: they write source coordinates as target coordinates,
+    so the two rings must have one key and one table of structure
+    constants.  Transpose and conjugation builders are only offered on
+    rings verified associative (conjugation by a unit is not an
+    automorphism without associativity).
     """
     if source.domain != target.domain:
         raise DomainMismatch(f"{source.name!r} and {target.name!r} have different scalar domains")
@@ -171,7 +182,7 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
     kind = spec.get("kind")
     dom = source.domain
     where = f"map of kind {kind!r}"
-    if kind in ("identity", "compose") and (source.key != target.key or source.sc != target.sc):
+    if kind in SELF_MAPS and (source.key != target.key or source.sc != target.sc):
         raise DimensionMismatch(f"{kind} map needs identical source and target rings")
     if kind == "compose":
         idx = np.arange(es.count)
@@ -200,8 +211,6 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
         if not is_associative(source):
             raise DimensionMismatch("transpose builder needs an associative matrix ring")
         k = _matrix_unit_order(source)
-        if target.dim != source.dim:
-            raise DimensionMismatch("transpose builder needs matching rings")
         n = source.dim
         M = [[dom.zero] * n for _ in range(n)]
         unit = source.unit_coords
@@ -216,8 +225,6 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
     elif kind == "conjugation":
         if not is_associative(source):
             raise NotInvertible("conjugation builder needs an associative ring")
-        if source.key != target.key:
-            raise DimensionMismatch("conjugation maps a ring to itself")
         u = [dom.parse(x) for x in _field(spec, "element", where)]
         L = source.left_mul_matrix(u)
         u_inv, _ = linalg.solve(L, list(source.unit_coords), dom)
@@ -320,12 +327,12 @@ def pair_report(name: str, m: MapTable, seed: int, fail_fn) -> CheckReport:
     as a report; a failing pair is quoted as the witness {"a", "b"} in
     source coordinates."""
     ok, pair, mode, cov, checked = pair_scan(m.es.count, m.es.budget, seed, fail_fn)
-    return _pair_result(name, m.source, m.es, pair, checked, mode,
-                        seed if mode == "sampled" else None, cov)
+    return pair_result(name, m.source, m.es, pair, checked, mode,
+                       seed if mode == "sampled" else None, cov)
 
 
-def _pair_result(name: str, source: Ring, es: Enumeration, pair, checked=None,
-                 mode: str = "exhaustive", seed=None, coverage=None) -> CheckReport:
+def pair_result(name: str, source: Ring, es: Enumeration, pair, checked=None,
+                mode: str = "exhaustive", seed=None, coverage=None) -> CheckReport:
     """The report of a scan over the source's element pairs whose first
     failing pair of element indices is `pair` (None when none fails).
     `checked` defaults to every pair, as an exhaustive scan counts them."""
@@ -342,16 +349,86 @@ def basis_index(es: Enumeration) -> np.ndarray:
     return es.index_of(np.eye(es.n, dtype=np.int64))
 
 
+def linear_extension(es: Enumeration, et: Enumeration, g_idx) -> np.ndarray:
+    """Target index of L(x) for every source element x, where L is the
+    linear map whose column k is g(b_k): one `linear_index`."""
+    return es.linear_index(et.coords_of(np.asarray(g_idx)[basis_index(es)]).T)
+
+
 def phi_linear(m: MapTable) -> bool:
     """Whether phi is F_p-linear, that is additive: its image index equals
-    `linear_index` of the matrix whose column k is phi(b_k).  One O(N)
-    pass over the source Enumeration, which applies the element guard of
-    the map's budget, computed once per map.  On a linear map the entry
-    battery decides its quantifiers exactly, with no pair scan."""
-    def build():
-        images = m.et.coords_of(m.image_index()[basis_index(m.es)])
-        return bool(np.array_equal(m.es.linear_index(images.T), m.image_index()))
-    return m.cached("linear", build)
+    its `linear_extension`.  One O(N) pass over the source Enumeration,
+    which applies the element guard of the map's budget, computed once per
+    map.  On a linear map the entry battery decides its quantifiers
+    exactly, with no pair scan."""
+    return m.cached("linear", lambda: bool(np.array_equal(
+        linear_extension(m.es, m.et, m.image_index()), m.image_index())))
+
+
+def first_additive_failure(es: Enumeration, et: Enumeration, g_idx, lin_idx, inside):
+    """The first failing pair (a, b), row-major, of "g(a+b) - g(a) - g(b)
+    lies in `inside`" over all source pairs, or None when every pair
+    passes; no pair is scanned.  `inside` is a boolean mask over target
+    elements that is a subspace I ({0} for additivity, the centre for
+    almost additivity), and `lin_idx` the index of a linear map L, as a
+    rule g's `linear_extension`.
+
+    Verdict: the defect D(a, b) = g(a+b) - g(a) - g(b) is also
+    d(a+b) - d(a) - d(b) for d = g - L, since L is additive, so every
+    pair passes when d(x) lies in I for every x (when g == L, with no
+    `sum_index`).  Conversely, when every pair passes, g mod I is
+    additive, so F_p-linear, and equals its linear extension mod I: with
+    L that extension, the rows below are tested only on failure.
+
+    Witness: D(0, 0) = -g(0), so if g(0) is outside I the first pair is
+    (0, 0).  Otherwise the rows that pass, K = {a : D(a, b) in I for all
+    b}, hold 0 (D(0, b) = -g(0)) and are closed under addition,
+
+        D(a + a', b) = D(a, a' + b) + D(a', b) - D(a, a'),
+
+    each term in I for a, a' in K, so over F_p they form a subspace.  The
+    lowest-index element outside a subspace is a basis vector (see
+    `first_bilinear_failure`), so the rows b_{n-1}, ..., b_0 are tested in
+    ascending element index, each by one O(N) mask over its columns, and
+    the first failing row with its first failing column is the first
+    failing pair of the exhaustive row-major scan: at most n row tests.
+    When no basis row fails, K is the whole source and every pair passes.
+    """
+    g_idx = np.asarray(g_idx)
+    if np.array_equal(g_idx, lin_idx) or inside[et.sum_index([g_idx], [lin_idx])].all():
+        return None
+    if not inside[g_idx[0]]:
+        return 0, 0
+    every = np.arange(es.count, dtype=np.int64)
+    for a in basis_index(es)[::-1, None]:      # each a of shape (1,), against every b
+        sums = g_idx[es.sum_index([a, every])]
+        bad = np.flatnonzero(~inside[et.sum_index([sums], [g_idx[a], g_idx])])
+        if len(bad):
+            return int(a[0]), int(bad[0])
+    return None
+
+
+def first_bilinear_failure(es: Enumeration, fails):
+    """The first failing pair, row-major, of a bilinear predicate: one
+    whose failure set is {(a, b) : D(a, b) != 0} for a bilinear D, such as
+    a linear map's Lie or product defect, or None when every pair passes.
+
+    It is decided on the n x n grid of basis vectors, taken in ascending
+    element index (b_{n-1}, ..., b_0): `fails(a_idx, b_idx)` is called
+    once, on the (n, 1) and (1, n) index grids, and the first failing
+    cell, row-major, is the first failing pair of the exhaustive row-major
+    scan.  The a with D(a, .) != 0 are the complement of a subspace K,
+    and every element of index below p**(n-1-k), the index of b_k, lies
+    in span(b_{k+1}, ...).  So if the lowest-index a outside K has first
+    nonzero coordinate k, then b_k is outside K too (else a would be a
+    sum of two elements of K: a multiple of b_k and a lower-index rest),
+    and its index is at most a's: a is the basis vector b_k.  With a
+    fixed, the b with D(a, b) != 0 are the complement of a subspace as
+    well, and the same argument gives b.
+    """
+    basis = basis_index(es)[::-1]
+    bad = np.flatnonzero(fails(basis[:, None], basis[None, :]))
+    return None if not len(bad) else tuple(int(k) for k in basis[list(divmod(int(bad[0]), es.n))])
 
 
 # -- verifiers ----------------------------------------------------------------
@@ -365,18 +442,9 @@ def verify_surjective(m: MapTable) -> CheckReport:
 def verify_lie_multiplicative(m: MapTable, seed: int = 0) -> CheckReport:
     """phi([x,y]) = [phi(x), phi(y)] over source pairs (sampled past budget).
 
-    On a linear map (`phi_linear`) the defect D(a, b) = phi([a,b]) -
-    [phi(a), phi(b)] is bilinear, so it is decided exactly on the n x n
-    grid of basis vectors, taken in ascending element index (b_{n-1}, ...,
-    b_0), and the first failing cell, row-major, is the first failing pair
-    of the exhaustive row-major scan.  The a with D(a, .) != 0 are the
-    complement of a subspace K, and every element of index below
-    p**(n-1-k), the index of b_k, lies in span(b_{k+1}, ...).  So if the
-    lowest-index a outside K has first nonzero coordinate k, then b_k is
-    outside K too (else a would be a sum of two elements of K: a multiple
-    of b_k and a lower-index rest), and its index is at most a's: a is
-    the basis vector b_k.  With a fixed, the b with D(a, b) != 0 are the
-    complement of a subspace as well, and the same argument gives b.
+    On a linear map (`phi_linear`) the defect phi([a,b]) - [phi(a),
+    phi(b)] is bilinear, so it is decided exactly on the basis grid
+    (`first_bilinear_failure`), with the witness of the exhaustive scan.
     """
     es, et = m.es, m.et
     f_idx = m.image_index()
@@ -386,10 +454,7 @@ def verify_lie_multiplicative(m: MapTable, seed: int = 0) -> CheckReport:
         return lhs != et.commutator_index(f_idx[a_idx], f_idx[b_idx])
 
     if phi_linear(m):
-        basis = basis_index(es)[::-1]
-        bad = np.flatnonzero(fails(basis[:, None], basis[None, :]))
-        return _pair_result("lie_multiplicative", m.source, es,
-                            basis[list(divmod(int(bad[0]), es.n))] if len(bad) else None)
+        return pair_result("lie_multiplicative", m.source, es, first_bilinear_failure(es, fails))
     return pair_report("lie_multiplicative", m, seed, fails)
 
 
@@ -421,7 +486,7 @@ def verify_preserves_idempotents(m: MapTable, seed: int = 0) -> CheckReport:
             for lam in range(2, es.p):
                 scaled |= flips[es.smul_index(lam)]
             pair = (0, int(np.flatnonzero(scaled)[0]))
-        rep = _pair_result("preserves_idempotents", m.source, es, pair)
+        rep = pair_result("preserves_idempotents", m.source, es, pair)
     else:
         rep = pair_report("preserves_idempotents", m, seed,
                           lambda a, b: functools.reduce(np.logical_or, lambda_masks(a, b)))
@@ -458,20 +523,18 @@ def check_map_consequences(m: MapTable) -> list[CheckReport]:
                 {"elements": int(es.count), "lambdas": int(es.p)})]
 
 
-def check_almost_additivity(m: MapTable, seed: int = 0) -> CheckReport:
-    """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs;
-    on a linear map that defect is 0, so every pair passes."""
+def check_almost_additivity(m: MapTable) -> CheckReport:
+    """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs,
+    decided exactly with no pair scan (`first_additive_failure`).  A
+    linear phi is its own linear extension and passes with one compare;
+    any other phi builds its extension again (one `linear_index`) rather
+    than keep a second count-sized array on the map."""
     es, et = m.es, m.et
     f_idx = m.image_index()
-    central = center(m.target).mask(et)     # applies the target's element guard on both routes
-    if phi_linear(m):
-        return _pair_result("almost_additive", m.source, es, None)
-
-    def fails(a_idx, b_idx):
-        ab = f_idx[es.sum_index([a_idx, b_idx])]
-        return ~central[et.sum_index([ab], [f_idx[a_idx], f_idx[b_idx]])]
-
-    return pair_report("almost_additive", m, seed, fails)
+    central = center(m.target).mask(et)     # applies the target's element guard
+    lin = f_idx if phi_linear(m) else linear_extension(es, et, f_idx)
+    return pair_result("almost_additive", m.source, es,
+                       first_additive_failure(es, et, f_idx, lin, central))
 
 
 def peirce_frames(m: MapTable, e1: Element) -> tuple[PeirceFrame, PeirceFrame]:

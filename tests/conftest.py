@@ -51,6 +51,16 @@ def unital_rings(draw, primes=(2, 3, 5, 7), max_dim=4):
                 [1] + [0] * (n - 1))
 
 
+def reordered_m2(name="m2_f5"):
+    """M2/F5 under the basis order (E22, E12, E21, E11): the same algebra
+    as `gen_m2(5)`, with other coordinates."""
+    m2 = gen_m2(5)
+    order = (3, 1, 2, 0)
+    sc = [[[m2.sc[a][b][c] for c in order] for b in order] for a in order]
+    return Ring(name, m2.domain, [m2.basis_names[k] for k in order], sc,
+                [m2.unit_coords[k] for k in order])
+
+
 def broken3_ring():
     """Triangular 2x2 with E12*E12 = E22 forced in: unit survives, the
     alternative law does not."""

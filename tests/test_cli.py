@@ -6,6 +6,8 @@ import pytest
 
 from altring import structure as st
 from altring.cli import Workspace, main
+from altring.rings import save_ring
+from conftest import reordered_m2
 
 
 @pytest.fixture()
@@ -296,6 +298,23 @@ def test_compose_between_different_rings_is_an_input_error(files, capsys):
                  "--map", str(path), "--idempotent", "1,0,0,0"]) == 2
     err = capsys.readouterr().err
     assert err == "error: compose map needs identical source and target rings\n"
+
+
+@pytest.mark.parametrize("spec", [{"kind": "neg_transpose_plus_trace"},
+                                  {"kind": "conjugation", "element": [1, 1, 0, 1]}],
+                         ids=lambda spec: spec["kind"])
+def test_self_map_onto_a_reordered_ring_is_an_input_error(files, capsys, spec):
+    """M2/F5 -> M2/F5 under the basis order (E22, E12, E21, E11) is
+    refused when the map is loaded, for the transpose and conjugation
+    builders as for compose."""
+    ring = files["dir"] / "m2_reordered.json"
+    save_ring(reordered_m2("m2_f5_reordered"), ring)
+    path = files["dir"] / "m2_to_reordered.json"
+    path.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5_reordered", "repr": spec}))
+    assert main(["verify-theorem", "--source", files["m2"], "--target", str(ring),
+                 "--map", str(path), "--idempotent", "1,0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {spec['kind']} map needs identical source and target rings\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5", ""])

@@ -6,10 +6,11 @@ bundle bytes of three M2/F5 maps (identity, neg_transpose_plus_trace and
 a dense neg_transpose_plus_trace table with one swapped pair), each at
 an exhaustive budget and at a sampled one, and of the Zorn/F5 identity
 at seed 0 and budget 10^6 under both branches (390,625-element tables,
-sampled decomposition pair certificates, 40 MB bundles; under ddagger
-tau(x) = t(x)*1 is non-zero).  Past the pair budget only the swapped
-table's entry scans and the decomposition's pair certificates are
-sampled: the entry battery of a linear map is exact at any budget.
+40 MB bundles; under ddagger tau(x) = t(x)*1 is non-zero).  Past the
+pair budget only the swapped table's Lie and idempotent scans and the
+decomposition's tau_kills_commutators are sampled: additivity and
+almost additivity are exact on any table, and the entry battery of a
+linear map and a linear psi's product rule at any budget.
 So a kernel rewrite that changes a witness, a count, a sampled draw or
 a table byte shows up as a digest change.
 `tests/data/decompose_golden.json` pins the output of `altring decompose`, the second emitter of the tau table, for the

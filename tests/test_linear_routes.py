@@ -1,11 +1,14 @@
-"""The linear route of the entry battery.  On an F_p-linear map
-(`phi_linear`) Lie multiplicativity, idempotent preservation, almost
-additivity and scalar homogeneity are decided without a pair scan; each
-report must be the one an exhaustive row-major scan returns, byte for
-byte.  A pure-Python scan in `rings.py` coordinate arithmetic is the
-reference, on random unital rings with random linear maps and one-entry
-corruptions of them, which take the scan route."""
+"""The exact routes of the pair certificates.  On an F_p-linear map
+(`phi_linear`) Lie multiplicativity, idempotent preservation and scalar
+homogeneity are decided without a pair scan, and on any map additivity
+and almost additivity (`first_additive_failure`) and, when psi is
+linear, psi's product rule (`first_bilinear_failure`); each report must
+be the one an exhaustive row-major scan returns, byte for byte.  A
+pure-Python scan in `rings.py` coordinate arithmetic is the reference,
+on random unital rings with random linear maps, one-entry corruptions
+of them, central perturbations x -> g(x) + c(x)*z and constant shifts."""
 
+import functools
 from itertools import product
 
 import numpy as np
@@ -13,12 +16,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altring import (MapTable, build_map, check_almost_additivity,
-                     check_map_consequences, linalg, phi_linear,
-                     verify_lie_multiplicative, verify_preserves_idempotents,
-                     verify_surjective)
+from altring import (MapTable, build_map, center, check_almost_additivity,
+                     check_map_consequences, decompose, linalg, phi_linear,
+                     verify_decomposition, verify_lie_multiplicative,
+                     verify_preserves_idempotents, verify_surjective)
+from altring.decompose import product_rule
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded
+from altring.maps import (first_additive_failure, first_bilinear_failure,
+                          linear_extension, pair_report)
 from altring.rings import Ring
 from conftest import unital_rings
 from test_maps import structured_cases
@@ -181,3 +187,147 @@ def test_entry_verifiers_refuse_a_budget_below_the_element_count(m2, negtr, veri
     verifier(at_count)
     with pytest.raises(BudgetExceeded):
         verifier(short)
+
+
+def first_failing_pair(X, fails):
+    """The first pair (a, b) of coordinate tuples, row-major over X, with
+    fails(a, b), or None."""
+    return next(((a, b) for a in X for b in X if fails(a, b)), None)
+
+
+def quoted(es, pair):
+    """A library pair of element indices as coordinate tuples."""
+    return None if pair is None else tuple(
+        tuple(int(c) for c in es.coords_of(k)) for k in pair)
+
+
+@st.composite
+def perturbed_maps(draw, changes):
+    """(source, target, g): a random linear map between random unital
+    rings of dim <= 3 over F_p, p in {3, 5}, as a target index array, with
+    the `changes` made: "central", a perturbation x -> g(x) + c(x)*z (c
+    random, z a nonzero central element); "shift", a nonzero constant
+    added, so that g(0) != 0; "entry", one entry changed."""
+    p = draw(st.sampled_from([3, 5]))
+    # a non-central defect needs a target that is not commutative
+    rings = rebased_rings(p) | rebased_rings(p).filter(lambda r: center(r).dim < r.dim)
+    source = draw(rings)
+    target = draw(st.just(source) | rings)
+    es, et = Enumeration.of(source, DEFAULT_BUDGET), Enumeration.of(target, DEFAULT_BUDGET)
+    entry = st.integers(0, p - 1)
+    nonzero = st.lists(entry, min_size=target.dim, max_size=target.dim).filter(any)
+    matrix = draw(st.lists(st.lists(entry, min_size=source.dim, max_size=source.dim),
+                           min_size=target.dim, max_size=target.dim))
+    images = et.coords_of(es.linear_index(matrix)).astype(np.int64)
+    if "central" in changes:
+        zc = center(target)         # holds the unit, so it is never 0
+        z = np.array(draw(st.lists(entry, min_size=zc.dim, max_size=zc.dim).filter(any)))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        images += rng.integers(0, p, es.count)[:, None] * (z @ np.array(zc.basis, dtype=np.int64))
+    if "shift" in changes:
+        images += np.array(draw(nonzero))
+    if "entry" in changes:
+        images[draw(st.integers(0, es.count - 1))] += np.array(draw(nonzero))
+    return source, target, et.index_of(images % p)
+
+
+CHANGES = [(), ("entry",), ("shift",), ("central",), ("central", "entry"),
+           ("central", "shift", "entry")]
+
+
+@pytest.mark.parametrize("changes", CHANGES, ids=lambda c: "+".join(c) or "linear")
+@given(data=st.data())
+def test_additive_failure_matches_reference_scan(changes, data):
+    """The first failing pair of additivity ({0}) and almost additivity
+    (the centre) against the exhaustive scan, on maps that pass, fail at
+    (0, 0), fail only modulo {0} or fail modulo the centre."""
+    S, T, g = data.draw(perturbed_maps(changes))
+    es, et = Enumeration.of(S, DEFAULT_BUDGET), Enumeration.of(T, DEFAULT_BUDGET)
+    X = list(product(range(S.domain.p), repeat=S.dim))
+    img = {x: tuple(int(c) for c in et.coords_of(g[k])) for k, x in enumerate(X)}
+
+    @functools.lru_cache(maxsize=None)
+    def central(z):
+        return all(T.mul_coords(z, T.basis_coords(k)) == T.mul_coords(T.basis_coords(k), z)
+                   for k in range(T.dim))
+
+    # one row-major pass for both subspaces: their first failing pairs
+    inside = [(np.arange(et.count) == 0, lambda z: not any(z)), (center(T).mask(et), central)]
+    want = [None] * len(inside)
+    for a, b in product(X, X):
+        d = T.sub_coords(T.sub_coords(img[S.add_coords(a, b)], img[a]), img[b])
+        want = [w or (None if member(d) else (a, b)) for w, (_, member) in zip(want, inside)]
+        if None not in want:
+            break
+    lin = linear_extension(es, et, g)
+    assert [quoted(es, first_additive_failure(es, et, g, lin, mask))
+            for mask, _ in inside] == want
+
+
+@given(linear_maps(), st.booleans())
+def test_product_grid_matches_reference_scan(maps, anti):
+    """psi's product rule, psi(ab) = psi(a)psi(b) or (anti) -psi(b)psi(a),
+    on a linear psi: the basis grid's first failing cell is the
+    exhaustive scan's first failing pair."""
+    m = maps[0]
+    S, T = m.source, m.target
+    X = list(product(range(S.domain.p), repeat=S.dim))
+    psi = {x: m.eval_coords(x) for x in X}
+
+    def fails(a, b):
+        if anti:
+            rhs = T.sub_coords(T.zero_coords(), T.mul_coords(psi[b], psi[a]))
+        else:
+            rhs = T.mul_coords(psi[a], psi[b])
+        return psi[S.mul_coords(a, b)] != rhs
+
+    got = first_bilinear_failure(m.es, product_rule(m.es, m.et, m.image_index(), anti))
+    assert quoted(m.es, got) == first_failing_pair(X, fails)
+
+
+@pytest.mark.parametrize("spec, branch", [({"kind": "identity"}, "dagger"),
+                                          ({"kind": "neg_transpose_plus_trace"}, "ddagger")])
+def test_linear_psi_certificates_match_the_exhaustive_scan(m2, spec, branch):
+    """A decomposition whose psi is replaced by a linear map that breaks the
+    product rule: psi_additive passes and the product certificate of each
+    branch has the report of the exhaustive scan, which replays."""
+    res = decompose(build_map(m2, m2, spec), m2.basis_element(0), branch)
+    M = [list(row) for row in res.psi_matrix]
+    M[0][1] = (M[0][1] + 1) % 5
+    res.psi, res.psi_matrix = build_map(m2, m2, {"kind": "linear", "matrix": M}), M
+    enum = res.map.es
+    res.tau = MapTable(m2, m2, enum, enum, enum.sum_index([res.map.image_index()],
+                                                          [res.psi.image_index()]))
+    anti = branch == "ddagger"
+    name = "psi_anti_multiplicative" if anti else "psi_multiplicative"
+    certs = {c.condition: c for c in verify_decomposition(res)}
+    assert certs["psi_additive"].ok and certs["tau_additive"].ok
+    scan = pair_report(name, res.psi, 0, product_rule(enum, enum, res.psi.image_index(), anti))
+    assert scan.mode == "exhaustive" and not scan.ok
+    assert certs[name].to_json() == scan.to_json()
+    a, b = (m2.element(certs[name].witness[k]) for k in "ab")
+    want = res.psi(b) * res.psi(a) if anti else res.psi(a) * res.psi(b)
+    assert res.psi(a * b) != (-want if anti else want)
+
+
+def test_zorn_swapped_identity_almost_additive_witness_replays(zorn):
+    """Past the pair budget (390,625**2 pairs against 10**6) the swapped
+    Zorn/F5 identity is refused with an exact almost_additive witness:
+    reported over every pair, it replays in `rings.py` arithmetic, its
+    row a is 0 or a basis vector, and it is the first failure of row a."""
+    es = Enumeration.of(zorn, DEFAULT_BUDGET)
+    idx = np.arange(es.count)
+    i, j = 123456, 271828
+    idx[[i, j]] = idx[[j, i]]
+    m = MapTable(zorn, zorn, es, es, idx)
+    rep = check_almost_additivity(m)
+    assert not rep.ok and rep.mode == "exhaustive" and rep.seed is None
+    assert rep.quantifier_space == {"pairs": es.count ** 2, "checked": es.count ** 2}
+    a, b = (zorn.element(rep.witness[k]) for k in "ab")
+    d = m(a + b) - m(a) - m(b)
+    assert any(d * zorn.basis_element(k) != zorn.basis_element(k) * d for k in range(zorn.dim))
+    assert sum(1 for c in a.coords if c) <= 1 and set(a.coords) <= {0, 1}
+    ka, kb = (int(k) for k in es.index_of([a.coords, b.coords]))
+    row = idx[es.sum_index([np.full(kb, ka), np.arange(kb)])]
+    defects = es.sum_index([row], [np.full(kb, idx[ka]), idx[:kb]])
+    assert center(zorn).mask(es)[defects].all()

@@ -18,6 +18,7 @@ from altring.errors import (DimensionMismatch, NotIdempotentImage,
 from altring import maps
 from altring.maps import pair_scan
 from altring.rings import Ring
+from conftest import reordered_m2
 
 
 def test_identity_map_passes_everything(id_m2):
@@ -59,6 +60,22 @@ def test_compose_maps_a_ring_to_itself(m2, t2, parts):
         build_map(m2, t2, {"kind": "compose", "parts": parts})
     same = build_map(m2, gen_m2(5), {"kind": "compose", "parts": parts})
     assert (same.image_index() == np.arange(625)).all()
+
+
+SELF_MAP_SPECS = [{"kind": "neg_transpose_plus_trace"},
+                  {"kind": "conjugation", "element": [1, 1, 0, 1]}]
+
+
+@pytest.mark.parametrize("spec", SELF_MAP_SPECS, ids=lambda spec: spec["kind"])
+@pytest.mark.parametrize("name", ["m2_f5", "m2_f5_reordered"])
+def test_self_maps_refuse_a_reordered_target(m2, spec, name):
+    """The transpose and conjugation builders write source coordinates as
+    target coordinates, so a target with the same dimension, or the same
+    name, but another basis order is refused, as identity and compose
+    refuse it."""
+    with pytest.raises(DimensionMismatch, match=f"{spec['kind']} map needs identical"):
+        build_map(m2, reordered_m2(name), spec)
+    assert build_map(m2, gen_m2(5), spec).image_index().shape == (625,)
 
 
 def test_conjugation_builder(m2, conj):
