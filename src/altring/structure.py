@@ -23,6 +23,10 @@ from .reports import CheckReport, coords_json, first_failure
 from .rings import (Element, Ring, associators, is_alternative, is_k_torsion_free,
                     memoised)
 
+PRIMENESS_CHUNK = 8192          # generators per batch in both primeness routes
+UNIT_ROUNDS = 12                # certificate rounds after the screen (`_unit_certificates`)
+UNIT_STRIDE = 2654435761        # odd stride of the rounds' element index sequence
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -466,22 +470,52 @@ class PrimenessReport:
         }
 
 
-def _normalized_rep_mask(X: np.ndarray) -> np.ndarray:
-    """Elements whose first nonzero coordinate is 1 (one per scalar class)."""
-    nz = X != 0
-    has = nz.any(axis=1)
-    first = np.argmax(nz, axis=1)
-    lead = X[np.arange(len(X)), first]
-    return has & (lead == 1)
-
-
 def _generator_classes(enum: Enumeration) -> tuple[np.ndarray, np.ndarray]:
     """Leading-coefficient-1 representatives of the nonzero scalar classes,
-    in element order, and which of them have a full-rank L_a."""
+    in element order, and which of them have a full-rank L_a.
+
+    An element whose first nonzero coordinate is coordinate i and equals 1
+    has an index in [p**k, 2*p**k) for k = n-1-i, so the representatives
+    are those index ranges, for k = 0, ..., n-1, already in element order.
+    """
     X = enum.all_coords()
-    reps = X[_normalized_rep_mask(X)]
+    reps = np.concatenate([X[enum.p ** k:2 * enum.p ** k] for k in range(enum.n)])
     full = enum.rank_batched(enum.left_mul_matrices(reps)) == enum.n
     return reps, full
+
+
+def _unit_pair(enum: Enumeration, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The elements u_t, v_t of certificate round t >= 1: indices 2t-1 and
+    2t of the sequence j*UNIT_STRIDE mod count, j = 1, 2, ..., decoded by
+    `coords_of` into (n, 1) planes."""
+    idx = np.array([2 * t - 1, 2 * t], dtype=np.int64) * UNIT_STRIDE % enum.count
+    U = enum._planes(enum.coords_of(idx))
+    return U[:, :1], U[:, 1:]
+
+
+def _unit_certificates(enum: Enumeration, reps: np.ndarray, screened: np.ndarray) -> np.ndarray:
+    """The round that certified (x) = R for each generator x: 0 for the
+    screen (full-rank L_x), t for y = x*u_t + v_t*x with full-rank L_y
+    (`_unit_pair`), -1 for a generator no round certified.
+
+    y lies in (x), and a full-rank L_y gives yR = R, so (x) = R.  The
+    proof needs neither alternativity nor a unit.  Each round runs over
+    every generator left, in one batch, and drops those it certifies.
+    """
+    rounds = np.where(screened, 0, -1)
+    left = np.flatnonzero(~screened)
+    X = enum._planes(reps[left])
+    for t in range(1, UNIT_ROUNDS + 1):
+        if not len(left):
+            break
+        U, V = _unit_pair(enum, t)
+        Y = enum._product_planes(X, U)
+        Y += enum._product_planes(V, X)
+        Y = np.moveaxis(enum.reduce(Y), 0, -1)
+        full = enum.rank_batched(enum.left_mul_matrices(Y)) == enum.n
+        rounds[left[full]] = t
+        left, X = left[~full], X[:, ~full]
+    return rounds
 
 
 def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
@@ -489,20 +523,30 @@ def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
     """Distinct ideals generated by single elements.
 
     Scalar multiples generate the same ideal, so generators run over the
-    leading-coefficient-1 representatives.  A screened generator (full-rank
-    L_a) has aR = R and needs no closure.  For the others each closure step
-    stacks the current (compressed echelon) spanning rows x with the
-    transposed multiplication matrices L_x^T and R_x^T, whose rows are the
-    products x*b_j and b_j*x with every basis vector, and row-reduces
-    again; a generator is settled once its rank stops growing.  The stack
-    stays in the narrow `mat_dtype` and is laid out batch-last, as the
-    eliminator works, so it reaches the eliminator with no transposing
-    copy.  Everything runs batched, in chunks cut over all generators, so
-    ideals are found in the same order as without the screen.
+    leading-coefficient-1 representatives.  A generator x is first
+    certified to generate the whole ring by a unit inside (x)
+    (`_unit_certificates`): y = x*u + v*x lies in (x), and if L_y has
+    full rank then yR = R, so (x) = R.  The screen (full-rank L_x) is
+    round 0.  The certificate is one-sided: a generator it leaves goes
+    through the closure, so no verdict rests on the choice of u and v.
+    Each closure step stacks the current (compressed echelon) spanning
+    rows x with the transposed multiplication matrices L_x^T and R_x^T,
+    whose rows are the products x*b_j and b_j*x with every basis vector,
+    and row-reduces again; a generator is settled once its rank stops
+    growing.  The stack stays in the narrow `mat_dtype` and is laid out
+    batch-last, as the eliminator works, so it reaches the eliminator with
+    no transposing copy.  Everything runs batched, in chunks cut over all
+    generators, so the proper ideals are found in the same order as with
+    no certificate; the whole ring comes first in a chunk that holds a
+    certified generator.  A stable generator's rows are a reduced echelon
+    form, which is canonical, so ideals are told apart by its bytes and
+    each distinct one is built once.
     """
     n = ring.dim
     whole = Subspace.from_vectors(ring, [list(ring.basis_coords(i)) for i in range(n)])
-    ideals: dict[tuple, Subspace] = {}
+    whole_key = np.eye(n, dtype=np.int64).tobytes()
+    ideals: dict[bytes, Subspace] = {}
+    certified = _unit_certificates(enum, reps, screened) >= 0
 
     def layer(rows):
         # rows (B, m, n) -> [rows; x*b_j; b_j*x] for every row x and basis vector b_j,
@@ -516,11 +560,11 @@ def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
             stack[:, lo:lo + m * n].reshape(n, m, n, b_count)[...] = mats.transpose(2, 1, 3, 0)
         return stack.transpose(2, 1, 0)
 
-    chunk = 8192
-    for lo in range(0, len(reps), chunk):
-        if screened[lo:lo + chunk].any():
-            ideals.setdefault(whole.basis, whole)
-        rows = reps[lo:lo + chunk][~screened[lo:lo + chunk]][:, None, :]
+    for lo in range(0, len(reps), PRIMENESS_CHUNK):
+        part = slice(lo, lo + PRIMENESS_CHUNK)
+        if certified[part].any():
+            ideals.setdefault(whole_key, whole)
+        rows = reps[part][~certified[part]][:, None, :]
         ranks = np.ones(len(rows), dtype=np.int64)
         for _ in range(n + 1):
             if not len(rows):
@@ -528,11 +572,12 @@ def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
             grown, new_ranks = enum.rref_batched(layer(rows))
             full = new_ranks == n
             if full.any():
-                ideals.setdefault(whole.basis, whole)
+                ideals.setdefault(whole_key, whole)
             stable = (new_ranks == ranks) & ~full
             for b in np.flatnonzero(stable):
-                sub = Subspace.from_vectors(ring, [[int(x) for x in v] for v in grown[b]])
-                ideals.setdefault(sub.basis, sub)
+                key = grown[b].tobytes()
+                if key not in ideals:
+                    ideals[key] = Subspace.from_vectors(ring, grown[b, :new_ranks[b]].tolist())
             keep = ~stable & ~full
             rows, ranks = grown[keep], new_ranks[keep]
         if len(rows):
@@ -551,6 +596,10 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
 
     Both routes skip generators a with full-rank L_a: aR = R makes (a) the
     whole ring, and 1 in span{a b_k} forces the stacked kernel to zero.
+    The ideal route also skips a generator x with a unit inside (x): for
+    fixed u and v, y = x*u + v*x lies in (x), and a full-rank L_y gives
+    yR = R, so (x) = R (`_unit_certificates`).  A generator that no round
+    certifies runs the closure, so both verdicts stay exact.
     """
     enum = Enumeration.of(r, budget)
     n = r.dim
@@ -586,10 +635,9 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
     survivors = reps[~screened]
     prime_element = True
     element_witness = None
-    chunk = 8192
     basis = np.eye(n, dtype=np.int64)
-    for lo in range(0, len(survivors), chunk):
-        A = survivors[lo:lo + chunk]
+    for lo in range(0, len(survivors), PRIMENESS_CHUNK):
+        A = survivors[lo:lo + PRIMENESS_CHUNK]
         AB = enum.mul_outer(A, basis)                      # (B, n, n): rows a*b_k
         L = enum.left_mul_matrices(AB)                     # (B, k, r, c): L_{a*b_k}
         # the stacked rows (k, r), written batch-last as the eliminator works

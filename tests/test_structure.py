@@ -1,21 +1,25 @@
 import itertools
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from altring import (Subspace, center, check_main_hypotheses, check_primeness,
-                     check_spade_club, check_z_of_peirce_cell, gen_m2, idempotents, linalg,
-                     nucleus, peirce_frame, verify_peirce_relations, zorn_idempotent)
+                     check_spade_club, check_z_of_peirce_cell, gen_direct_sum, gen_m2,
+                     idempotents, is_alternative, linalg, nucleus, peirce_frame,
+                     structure, verify_peirce_relations, zorn_idempotent)
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import (BudgetExceeded, NotIdempotent, ParseError, PeirceIncompatible,
                             TrivialIdempotent, UnsupportedDomain)
-from altring.rings import Ring
+from altring.reports import coords_json
+from altring.rings import Ring, is_k_torsion_free
 from altring.scalars import PrimeField
-from altring.structure import _generator_classes, _principal_ideals
+from altring.structure import (PRIMENESS_CHUNK, _generator_classes, _principal_ideals,
+                               _unit_certificates, _unit_pair)
 from conftest import unital_rings
 from test_rings import perturbed_m2, rebased_rings
 
@@ -527,3 +531,149 @@ def test_unit_rank_screen_counts(zorn, dsum):
         # a full-rank L_a generates R, so its principal ideal is everything
         a = [int(x) for x in reps[np.flatnonzero(full)[0]]]
         assert linalg.rank(ring.left_mul_matrix(a), ring.domain) == ring.dim
+
+
+# -- primeness against a pure-Python reference -------------------------------
+
+def reference_generators(r):
+    """Nonzero coordinate tuples whose first nonzero entry is 1, in element
+    order: one per nonzero scalar class."""
+    p = r.domain.p
+    return [x for x in itertools.product(range(p), repeat=r.dim)
+            if any(x) and next(c for c in x if c) == 1]
+
+
+def reference_closure(r, x):
+    """(echelon rows, step) of the ideal generated by x, grown in
+    `linalg.rref` over `rings.py` products as the batched closure grows
+    it: each step adds x*b_j and b_j*x for every spanning row x, and the
+    step that reaches rank n or stops growing ends it."""
+    basis = [r.basis_coords(j) for j in range(r.dim)]
+    rows, rank = [list(x)], 1
+    for step in itertools.count(1):
+        stack = rows + [list(r.mul_coords(v, b)) for v in rows for b in basis] \
+            + [list(r.mul_coords(b, v)) for v in rows for b in basis]
+        grown, _ = linalg.rref(stack, r.domain)
+        if len(grown) in (r.dim, rank):
+            return grown, step
+        rows, rank = grown, len(grown)
+
+
+def reference_closures(r):
+    """(position, echelon rows, step) of the ideal of every generator class."""
+    return [(pos, *reference_closure(r, x)) for pos, x in enumerate(reference_generators(r))]
+
+
+def reference_proper_ideals(closures, n, chunk):
+    """Distinct proper principal ideals in the order the batched closure
+    finds them with `chunk` generators per batch: chunk, then step, then
+    element order."""
+    ideals = []
+    for _, rows in sorted(((pos // chunk, step, pos), rows)
+                          for pos, rows, step in closures if len(rows) < n):
+        if rows not in ideals:
+            ideals.append(rows)
+    return ideals
+
+
+def reference_element_witness(r):
+    """The element route: the first generator class a, in element order,
+    whose stacked rows of L_{a b_k} have a nonzero kernel vector b."""
+    for a in reference_generators(r):
+        rows = [row for k in range(r.dim)
+                for row in r.left_mul_matrix(r.mul_coords(a, r.basis_coords(k)))]
+        null = linalg.nullspace(rows, r.domain)
+        if null:
+            return {"a": coords_json(r, a), "b": coords_json(r, null[0])}
+    return None
+
+
+def reference_primeness(r, closures, chunk, element_witness) -> dict:
+    """`PrimenessReport.to_json()` in `rings.py` / `linalg.py` arithmetic:
+    every generator class runs both routes, with no screen and no
+    certificate.  `alternative` and `torsion_free_3` are taken from the
+    library, whose own tests check them."""
+    dom, n = r.domain, r.dim
+    whole = [[list(r.basis_coords(j)) for j in range(n)]] \
+        if any(len(rows) == n for _, rows, _ in closures) else []
+    ideals = whole + reference_proper_ideals(closures, n, chunk)
+
+    def contains(big, small):
+        span, piv = linalg.rref(big, dom)
+        return all(linalg.in_span(span, piv, v, dom) for v in small)
+
+    minimal = [A for A in ideals
+               if not any(len(B) < len(A) and contains(A, B) for B in ideals)]
+    ideal_witness = next(
+        ({"ideal_a_basis": [coords_json(r, u) for u in A],
+          "ideal_b_basis": [coords_json(r, v) for v in B],
+          "a": coords_json(r, A[0]), "b": coords_json(r, B[0])}
+         for A in minimal for B in minimal
+         if not any(any(r.mul_coords(u, v)) for u in A for v in B)), None)
+    prime_ideal, prime_element = ideal_witness is None, element_witness is None
+    return {"ring": r.name, "prime": prime_ideal, "prime_by_ideals": prime_ideal,
+            "prime_by_elements": prime_element, "criterion_equiv": prime_ideal == prime_element,
+            "ideal_witness": ideal_witness, "element_witness": element_witness,
+            "quantifier_space": {"elements": dom.p ** n, "generator_classes": len(closures),
+                                 "ideals_found": len(ideals), "minimal_ideals": len(minimal)},
+            "alternative": bool(is_alternative(r)), "torsion_free_3": is_k_torsion_free(r, 3)}
+
+
+def check_primeness_matches_reference(r, chunk):
+    """The library against the reference with its own batches and with
+    `chunk` generators per batch, so that batch boundaries fall inside
+    these small rings."""
+    closures, element_witness = reference_closures(r), reference_element_witness(r)
+    for size in (PRIMENESS_CHUNK, chunk):
+        with patch.object(structure, "PRIMENESS_CHUNK", size):
+            enum = Enumeration(r, DEFAULT_BUDGET)
+            reps, screened = _generator_classes(enum)
+            assert [tuple(ints(x)) for x in reps] == reference_generators(r)
+            ideals = _principal_ideals(r, enum, reps, screened)
+            proper = [[list(row) for row in sub.basis] for sub in ideals if sub.dim < r.dim]
+            assert proper == reference_proper_ideals(closures, r.dim, size)
+            want = reference_primeness(r, closures, size, element_witness)
+            assert check_primeness(r).to_json() == want
+
+
+@hst.composite
+def direct_sums(draw):
+    """The direct sum of two drawn unital rings over one prime: it always
+    has proper ideals, so the closure runs behind the certificate."""
+    p = draw(hst.sampled_from([3, 5]))
+    rings = unital_rings(primes=(p,), max_dim=3 if p == 3 else 2)
+    return gen_direct_sum(draw(rings), draw(rings))
+
+
+@settings(max_examples=30)
+@given(unital_rings(primes=(3, 5, 7)), rebased_rings(primes=(2, 3)).filter(lambda r: r.dim == 4),
+       direct_sums(), hst.integers(1, 16))
+def test_primeness_matches_reference(ring, rebased, dsum, chunk):
+    """Reports and the proper ideals, in order, against a closure in
+    `rings.py` / `linalg.py` arithmetic over every generator class: random
+    unital rings, M2 over F_2 and F_3 in a random basis, and
+    direct sums of two random rings, each also in batches of `chunk`
+    generators."""
+    for r in (ring, rebased, dsum):
+        check_primeness_matches_reference(r, chunk)
+
+
+def test_unit_certificates_replay_on_direct_sum(dsum):
+    """Every generator of M2+M2/F5 certified by a round has y = x*u_t + v_t*x,
+    recomputed in `rings.py` arithmetic, with a full-rank L_y, and no class
+    (a, 0) or (0, b), whose ideal is a block, is certified."""
+    enum = Enumeration(dsum, 10 ** 6)
+    reps, screened = _generator_classes(enum)
+    rounds = _unit_certificates(enum, reps, screened)
+    assert np.array_equal(rounds == 0, screened)
+    pairs = {t: [tuple(ints(P[:, 0])) for P in _unit_pair(enum, t)]
+             for t in set(rounds[rounds > 0].tolist())}
+    for k in np.flatnonzero(rounds > 0):
+        x = tuple(ints(reps[k]))
+        u, v = pairs[int(rounds[k])]
+        y = dsum.add_coords(dsum.mul_coords(x, u), dsum.mul_coords(v, x))
+        assert linalg.rank(dsum.left_mul_matrix(y), dsum.domain) == dsum.dim, (x, u, v)
+    blocks = (reps[:, :4] == 0).all(axis=1) | (reps[:, 4:] == 0).all(axis=1)
+    assert int(blocks.sum()) == 312
+    assert (rounds[blocks] == -1).all()
+    assert int((rounds > 0).sum()) == 39744 and int((rounds == -1).sum()) == 312
