@@ -174,7 +174,7 @@ def cmd_peirce(args, ws: Workspace) -> int:
     ring = ws.load_ring(args.ring)
     e1 = _parse_coords(ring, args.idempotent)
     frame = st.peirce_frame(ring, e1)
-    reports = st.verify_peirce_relations(frame, ws.budget)
+    reports = st.verify_peirce_relations(frame)
     reports += st.check_z_of_peirce_cell(frame)
     obj = {
         "ring": ring.name,

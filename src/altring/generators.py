@@ -29,7 +29,7 @@ def _empty_sc(n):
     return [[[0] * n for _ in range(n)] for _ in range(n)]
 
 
-def gen_m2(field="5", name: str | None = None) -> Ring:
+def gen_m2(field="5") -> Ring:
     """Full 2x2 matrix ring, basis E11, E12, E21, E22 (row-major)."""
     dom = _domain(field)
     sc = _empty_sc(4)
@@ -39,13 +39,13 @@ def gen_m2(field="5", name: str | None = None) -> Ring:
                 for d in range(2):
                     if b == c:
                         sc[a * 2 + b][c * 2 + d][a * 2 + d] = 1
-    ring = Ring(name or f"m2_{_suffix(dom)}", dom, ["E11", "E12", "E21", "E22"],
+    ring = Ring(f"m2_{_suffix(dom)}", dom, ["E11", "E12", "E21", "E22"],
                 sc, [1, 0, 0, 1])
     assert is_associative(ring)
     return ring
 
 
-def gen_triangular2(field="5", name: str | None = None) -> Ring:
+def gen_triangular2(field="5") -> Ring:
     """Upper triangular 2x2 matrices, basis E11, E12, E22."""
     dom = _domain(field)
     units = {(0, 0): 0, (0, 1): 1, (1, 1): 2}
@@ -54,7 +54,7 @@ def gen_triangular2(field="5", name: str | None = None) -> Ring:
         for (c, d), j in units.items():
             if b == c and (a, d) in units:
                 sc[i][j][units[(a, d)]] = 1
-    ring = Ring(name or f"t2_{_suffix(dom)}", dom, ["E11", "E12", "E22"], sc, [1, 0, 1])
+    ring = Ring(f"t2_{_suffix(dom)}", dom, ["E11", "E12", "E22"], sc, [1, 0, 1])
     assert is_associative(ring)
     return ring
 
@@ -63,7 +63,7 @@ _CROSS = {(0, 1): (2, 1), (1, 2): (0, 1), (2, 0): (1, 1),
           (1, 0): (2, -1), (2, 1): (0, -1), (0, 2): (1, -1)}
 
 
-def gen_zorn(field="5", name: str | None = None) -> Ring:
+def gen_zorn(field="5") -> Ring:
     """Zorn vector-matrix algebra (split octonions), dimension 8.
 
     Basis order: e11, u1, u2, u3, v1, v2, v3, e22, with u the top-right
@@ -90,7 +90,7 @@ def gen_zorn(field="5", name: str | None = None) -> Ring:
         sc[U[i]][U[j]][V[k]] += s       # bottom-left: +(u x u')
     unit = [0] * n
     unit[A] = unit[B] = 1
-    ring = Ring(name or f"zorn_{_suffix(dom)}", dom,
+    ring = Ring(f"zorn_{_suffix(dom)}", dom,
                 ["e11", "u1", "u2", "u3", "v1", "v2", "v3", "e22"], sc, unit)
     if not is_alternative(ring):
         raise InvalidField("zorn generator produced a non-alternative table; sign convention broken")
@@ -103,7 +103,7 @@ def zorn_idempotent(ring: Ring):
     return ring.basis_element(0)
 
 
-def gen_direct_sum(left: Ring, right: Ring, name: str | None = None) -> Ring:
+def gen_direct_sum(left: Ring, right: Ring) -> Ring:
     """Componentwise product of two rings over the same domain."""
     if left.domain != right.domain:
         raise InvalidField("direct sum needs a common scalar domain")
@@ -121,7 +121,7 @@ def gen_direct_sum(left: Ring, right: Ring, name: str | None = None) -> Ring:
                 sc[n1 + i][n1 + j][n1 + k] = right.sc[i][j][k]
     unit = list(left.unit_coords) + list(right.unit_coords)
     names = [f"L.{b}" for b in left.basis_names] + [f"R.{b}" for b in right.basis_names]
-    return Ring(name or f"{left.name}+{right.name}", dom, names, sc, unit)
+    return Ring(f"{left.name}+{right.name}", dom, names, sc, unit)
 
 
 def _suffix(dom: Domain) -> str:

@@ -3,22 +3,20 @@ and the hypothesis checkers used by the map-decomposition pipeline.
 
 Universally quantified conditions are checked by exhaustive scans over
 prime-field rings (with a hard evaluation budget); anything expressible
-as a linear condition is solved exactly over either scalar domain.
+as a linear condition, or as the vanishing of a quadratic form, is
+decided exactly over either scalar domain.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from . import linalg
 from .enumeration import DEFAULT_BUDGET, Enumeration
-from .errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible,
-                     RingMismatch, TrivialIdempotent, UnsupportedDomain)
+from .errors import NotIdempotent, PeirceIncompatible, RingMismatch, TrivialIdempotent
 from .reports import CheckReport, coords_json, first_failure
 from .rings import (Element, Ring, associators, is_alternative, is_k_torsion_free,
                     memoised)
@@ -112,48 +110,37 @@ def _mat_sub(A, B, dom):
 # -- idempotents -----------------------------------------------------------
 
 class IdempotentCensus:
-    """The idempotents of one ring, each tagged "zero", "trivial" (the unit)
-    or "nontrivial".
+    """The idempotents of a finite ring, each tagged "zero", "trivial" (the
+    unit) or "nontrivial".
 
-    A scan over F_p keeps `index`, the element indices of its mask
-    (`Enumeration.idempotent_mask`) in element order, and counts on it:
-    zero is index 0 and the unit one index of its own.  `elements` and
-    `tags` are built from it on first use, so a census that is only
-    counted builds no `Element`.  Supplied candidates, the one route over
-    Q, have no index: they are kept as coordinate tuples and counted by
-    their tags.
+    `index` holds the element indices of the idempotent mask
+    (`Enumeration.idempotent_mask`) in element order, and the tags are read
+    from it: index 0 is zero and the unit's index is trivial (in the zero
+    ring, where 1 = 0, the one idempotent is zero).  `counts` works on the
+    index alone; `elements` and `tags` are built on first use, so a census
+    that is only counted builds no `Element`.
     """
 
-    def __init__(self, ring: Ring, index: np.ndarray | None = None,
-                 enum: Enumeration | None = None, found: tuple = ()):
+    def __init__(self, ring: Ring, index: np.ndarray, enum: Enumeration):
         self.ring = ring
         self.index = index
         self._enum = enum
-        self._found = found
-
-    @cached_property
-    def _coords(self) -> tuple:
-        if self.index is None:
-            return self._found
-        return tuple(tuple(int(c) for c in x) for x in self._enum.coords_of(self.index))
+        self._unit = int(enum.index_of(ring.unit_coords))
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        return tuple(Element(self.ring, c) for c in self._coords)
+        return tuple(Element(self.ring, tuple(int(c) for c in x))
+                     for x in self._enum.coords_of(self.index))
 
     @cached_property
     def tags(self) -> tuple[str, ...]:
-        return tuple(_tag_idempotent(self.ring, c) for c in self._coords)
+        return tuple("zero" if k == 0 else "trivial" if k == self._unit else "nontrivial"
+                     for k in self.index.tolist())
 
     def counts(self) -> dict:
-        if self.index is None:
-            total, tally = len(self.tags), Counter(self.tags)
-            zero, trivial = tally["zero"], tally["trivial"]
-        else:
-            unit = int(self._enum.index_of(self.ring.unit_coords))
-            total = len(self.index)
-            zero = int(np.count_nonzero(self.index == 0))
-            trivial = int(np.count_nonzero(self.index == unit)) if unit else 0
+        total = len(self.index)
+        zero = int(np.count_nonzero(self.index == 0))
+        trivial = int(np.count_nonzero(self.index == self._unit)) if self._unit else 0
         return {"total": total, "zero": zero, "trivial": trivial,
                 "nontrivial": total - zero - trivial}
 
@@ -161,29 +148,11 @@ class IdempotentCensus:
         return self.counts().get("total" if tag is None else tag, 0)
 
 
-def _tag_idempotent(r: Ring, coords) -> str:
-    if all(x == r.domain.zero for x in coords):
-        return "zero"
-    if tuple(coords) == tuple(r.unit_coords):
-        return "trivial"
-    return "nontrivial"
-
-
-def idempotents(r: Ring, budget: int = DEFAULT_BUDGET, include_zero: bool = True,
-                candidates=None) -> IdempotentCensus:
-    """All e with e*e = e, by exhaustive scan over F_p or supplied candidates."""
-    if candidates is not None:
-        found = []
-        for cand in candidates:
-            e = cand if isinstance(cand, Element) else r.element(cand)
-            if (e * e).coords == e.coords and (include_zero or not e.is_zero()):
-                found.append(e.coords)
-        return IdempotentCensus(r, found=tuple(found))
-    if r.domain.kind != "Fp":
-        raise UnsupportedDomain("idempotent search over Q needs explicit candidates")
+def idempotents(r: Ring, budget: int = DEFAULT_BUDGET) -> IdempotentCensus:
+    """All e with e*e = e, by exhaustive scan of a finite ring; over Q,
+    `Enumeration.of` raises `UnsupportedDomain`."""
     enum = Enumeration.of(r, budget)
-    index = np.flatnonzero(enum.idempotent_mask())
-    return IdempotentCensus(r, index if include_zero else index[index != 0], enum)
+    return IdempotentCensus(r, np.flatnonzero(enum.idempotent_mask()), enum)
 
 
 # -- Peirce frames ----------------------------------------------------------
@@ -248,15 +217,25 @@ def peirce_frame(r: Ring, e1: Element) -> PeirceFrame:
 
 # -- Peirce multiplication relations ----------------------------------------
 
-def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
+def verify_peirce_relations(frame: PeirceFrame) -> list[CheckReport]:
     """Corner multiplication relations for an alternative ring's frame.
 
     Containments (products land in the right corner) are bilinear, so
-    they are decided on component bases.  The off-diagonal square law is
-    checked pointwise over F_p components; over Q, where x^2 is a
-    quadratic form, on each basis vector u_a and each sum u_a + u_b.
-    Every report counts its whole quantifier space and quotes the first
-    failing case in loop order.
+    they are decided on component bases.  The off-diagonal square law
+    (iv.a) is decided from its polar form, on every field and with no
+    enumeration: q(x) = x^2 is a quadratic form, and
+    q(sum c_a u_a) = sum c_a^2 q(u_a) + sum_{a<b} c_a c_b B(u_a, u_b) with
+    B(u, v) = q(u + v) - q(u) - q(v), so q vanishes on a cell exactly when
+    it vanishes on every basis vector u_k and every sum u_j + u_k.  Nothing
+    is divided by 2, so this holds in characteristic 2 too.  The points
+    are checked in the order u_k, then u_j + u_k for j < k, for k = 1..d.
+    Over F_p the first failure in that order is the first failing point
+    in `Enumeration.subspace_points` order: if q vanishes on the span of
+    u_1..u_{k-1}, then q(u_k + w) = q(u_k) + B(u_k, w) is linear in w from
+    that span, so the first failing point is u_k, or else u_j + u_k for
+    the lowest j with B(u_k, u_j) != 0.  The report counts the points the
+    claim covers: every point of both cells over F_p, the checked points
+    over Q.  Every report quotes the first failing case in loop order.
     """
     r = frame.ring
     comp = frame.components
@@ -305,19 +284,17 @@ def verify_peirce_relations(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) ->
         lambda u, v, ca, cb: nonzero(r.mul_coords(u, v))))
 
     # (iv.a): x^2 = 0 for every x in an off-diagonal component
-    if r.domain.kind == "Fp":
-        enum = Enumeration.of(r, budget)
-        reports.append(_cell_scan("peirce_iv_a_squares", enum, frame, off,
-                                  lambda pts, ij: (enum.mul(pts, pts) != 0).any(axis=1)))
-    else:
-        ok, wit, n_elems = True, None, 0
-        for ij in off:
-            rows = basis_elems(ij)
-            for u in rows + [list(r.add_coords(a, b)) for a, b in combinations(rows, 2)]:
-                n_elems += 1
-                if ok and nonzero(r.mul_coords(u, u)):
-                    ok, wit = False, {"element": coords_json(r, u), "cell": list(ij)}
-        reports.append(CheckReport("peirce_iv_a_squares", ok, wit, {"elements": n_elems}))
+    wit, n_points = None, 0
+    for ij in off:
+        rows = basis_elems(ij)
+        d = len(rows)
+        n_points += r.domain.p ** d if r.domain.kind == "Fp" else d + d * (d - 1) // 2
+        points = (x for k, u in enumerate(rows)
+                  for x in [u] + [r.add_coords(w, u) for w in rows[:k]])
+        bad = next((x for x in points if nonzero(r.mul_coords(x, x))), None)
+        if wit is None and bad is not None:
+            wit = {"element": coords_json(r, bad), "cell": list(ij)}
+    reports.append(CheckReport("peirce_iv_a_squares", wit is None, wit, {"elements": n_points}))
 
     # (iv.b): xy = -yx on off-diagonal component basis pairs
     reports.append(basis_pair_report(
@@ -391,16 +368,15 @@ def check_spade_club(frame: PeirceFrame, hypotheses: list[CheckReport],
 
     Centrality is `center`'s own definition, commuting with every basis
     vector, tested like the corner on the diagonal sums x_11 + x_22 alone:
-    only those need to lie within the budget, not the whole ring.
+    only those need to lie within the budget, not the whole ring.  The
+    sums are the points of R_11 + R_22 from `Enumeration.subspace_points`
+    on the basis of R_22 followed by that of R_11, so x_22 runs fastest
+    and the budget is applied there.
     """
     r = frame.ring
     enum = Enumeration.of(r, budget)
     comp = frame.components
-    p11 = comp[(1, 1)].points(enum)
-    p22 = comp[(2, 2)].points(enum)
-    if len(p11) * len(p22) > budget:
-        raise BudgetExceeded(len(p11) * len(p22), budget, "diagonal-sum scan")
-    sums = (p11[:, None, :] + p22[None, :, :]).reshape(-1, r.dim) % enum.p
+    sums = enum.subspace_points(comp[(2, 2)].basis + comp[(1, 1)].basis)
 
     def commutes(rows):
         out = np.ones(len(sums), dtype=bool)

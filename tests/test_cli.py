@@ -68,7 +68,7 @@ def test_analyze_counts_the_census_without_elements(files, capsys, monkeypatch):
     element indices and builds no `Element` or tag for them."""
     built = []
     monkeypatch.setattr(st, "Element", lambda *args: built.append(args))
-    monkeypatch.setattr(st, "_tag_idempotent", lambda *args: built.append(args))
+    monkeypatch.setattr(st.IdempotentCensus, "tags", property(lambda self: built.append(self)))
     assert main(["analyze", files["zorn"]]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["idempotents"] == {"total": 5**6 + 5**3 + 2, "zero": 1, "trivial": 1,

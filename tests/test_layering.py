@@ -3,7 +3,8 @@ verifiers and the decomposition combine element indices and masks through
 the `Enumeration` index kernels, so their source (docstrings included)
 names none of the digit-plane internals.  Only `enumeration.py` applies
 the evaluation budget, bound once per Enumeration, and a map is verified
-at the budget it was built under."""
+at the budget it was built under.  The Peirce relations enumerate
+nothing, so they take no budget."""
 
 import importlib
 import inspect
@@ -15,8 +16,11 @@ import numpy as np
 import pytest
 
 import altring
-from altring import DecompositionResult, MapTable, Subspace, build_map, verify_theorem
+from altring import (DecompositionResult, MapTable, Subspace, build_map,
+                     verify_peirce_relations, verify_theorem)
+from altring.cli import main
 from altring.enumeration import Enumeration
+from altring.rings import save_ring
 
 DIGIT_TABLE_INTERNALS = re.compile(
     r"\.digits\(|index_of_planes|\b(es|et)\.reduce\(|\.take\(|add_index|elim_dtype")
@@ -85,3 +89,24 @@ def test_budget_check_lives_in_enumeration():
     assert [path.name for path in sorted(root.glob("*.py"))
             if path.name != "enumeration.py"
             and "_check_budget" in path.read_text(encoding="utf-8")] == []
+
+
+def test_budget_exceeded_is_raised_only_by_enumeration():
+    root = Path(altring.__file__).parent
+    assert [path.name for path in sorted(root.glob("*.py"))
+            if "raise BudgetExceeded" in path.read_text(encoding="utf-8")] == ["enumeration.py"]
+
+
+def test_peirce_relations_take_no_budget(zorn, tmp_path, capsys):
+    """Containments are decided on cell bases and the square law from its
+    polar form, so `altring peirce` on Zorn/F5 (390,625 elements, cells of
+    125 points) prints the same bytes at budget 10 as at 10^6."""
+    assert "budget" not in inspect.signature(verify_peirce_relations).parameters
+    path = tmp_path / "zorn.json"
+    save_ring(zorn, path)
+    outs = []
+    for budget in ("10", "1000000"):
+        assert main(["peirce", str(path), "--idempotent", "1,0,0,0,0,0,0,0",
+                     "--budget", budget]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and '"peirce_iv_a_squares"' in outs[0]

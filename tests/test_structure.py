@@ -5,12 +5,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from altring import (Subspace, center, check_main_hypotheses, check_primeness,
                      check_spade_club, check_z_of_peirce_cell, gen_direct_sum, gen_m2,
-                     idempotents, is_alternative, linalg, nucleus, peirce_frame,
+                     gen_zorn, idempotents, is_alternative, linalg, nucleus, peirce_frame,
                      structure, verify_peirce_relations, zorn_idempotent)
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import (BudgetExceeded, NotIdempotent, ParseError, PeirceIncompatible,
@@ -90,8 +90,6 @@ def test_idempotents_always_include_zero_and_unit(m2, zorn):
         coords = {e.coords for e in census.elements}
         assert r.zero().coords in coords
         assert tuple(r.unit_coords) in coords
-    census = idempotents(m2, include_zero=False)
-    assert census.count("zero") == 0
 
 
 def test_zorn_distinguished_idempotent(zorn):
@@ -102,9 +100,6 @@ def test_zorn_distinguished_idempotent(zorn):
 def test_idempotents_over_q(m2q):
     with pytest.raises(UnsupportedDomain):
         idempotents(m2q)
-    census = idempotents(m2q, candidates=[[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 1]])
-    assert census.count() == 2            # E11 and the unit; E12 is not idempotent
-    assert census.count("nontrivial") == 1
 
 
 def element_counts(census) -> dict:
@@ -119,10 +114,9 @@ def element_counts(census) -> dict:
 
 
 @pytest.mark.parametrize("name", ["m2", "t2", "zorn"])
-@pytest.mark.parametrize("include_zero", [True, False])
-def test_census_counts_from_mask_match_elements(name, include_zero, request):
+def test_census_counts_from_mask_match_elements(name, request):
     ring = request.getfixturevalue(name)
-    census = idempotents(ring, include_zero=include_zero)
+    census = idempotents(ring)
     counts = census.counts()                # before any Element exists
     assert census.count() == counts["total"] and census.count("zero") == counts["zero"]
     assert "elements" not in vars(census) and "tags" not in vars(census)
@@ -130,20 +124,8 @@ def test_census_counts_from_mask_match_elements(name, include_zero, request):
     assert {t: census.count(t) for t in counts if t != "total"} == \
         {t: census.tags.count(t) for t in counts if t != "total"}
     enum = Enumeration.of(ring, DEFAULT_BUDGET)
-    mask = enum.idempotent_mask().copy()
-    mask[0] &= include_zero
     assert [e.coords for e in census.elements] == \
-        [tuple(ints(x)) for x in enum.coords_of(np.flatnonzero(mask))]
-
-
-@pytest.mark.parametrize("include_zero", [True, False])
-def test_census_counts_of_candidates_match_elements(m2q, include_zero):
-    cands = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 1], [1, 0, 0, 0],
-             ["1/2", "1/2", "1/2", "1/2"], [0, 0, 0, 1]]
-    census = idempotents(m2q, include_zero=include_zero, candidates=cands)
-    assert census.counts() == element_counts(census)
-    assert census.counts() == {"total": 5 + include_zero, "zero": int(include_zero),
-                               "trivial": 1, "nontrivial": 4}
+        [tuple(ints(x)) for x in enum.coords_of(np.flatnonzero(enum.idempotent_mask()))]
 
 
 def test_idempotents_budget(zorn):
@@ -274,6 +256,99 @@ def test_square_law_over_q_quotes_an_element_with_nonzero_square(anticommuting_q
     assert rep.quantifier_space == {"elements": 3}
 
 
+def square_law_by_points(frame) -> tuple:
+    """(iv.a) over F_p by brute force: every point of both off-diagonal
+    cells, in `subspace_points` order (first basis direction fastest),
+    squared in `Ring.mul_coords`.  Returns (ok, witness, quantifier space)
+    as the report should give them."""
+    r = frame.ring
+    p = r.domain.p
+    wit, count = None, 0
+    for ij in ((1, 2), (2, 1)):
+        basis = frame.components[ij].basis
+        for idx in range(p ** len(basis)):
+            coeffs = [idx // p ** a % p for a in range(len(basis))]
+            x = [sum(c * int(u[m]) for c, u in zip(coeffs, basis)) % p for m in range(r.dim)]
+            count += 1
+            if wit is None and any(int(y) for y in r.mul_coords(x, x)):
+                wit = {"element": x, "cell": list(ij)}
+    return wit is None, wit, {"elements": count}
+
+
+@hst.composite
+def perturbed_square_frames(draw):
+    """The frame of a nontrivial idempotent e1 = [[a, u], [v, 1 - a]] of M2
+    or Zorn over F_p, after one structure constant b_i b_j gains a nonzero
+    multiple of b_k, where i and j are off-diagonal coordinates at which
+    e1 is zero.  The unit and every product with e1 keep their values, so
+    the frame builds with the same cells, on which x^2 = 0 may now fail."""
+    p = draw(hst.sampled_from([2, 3, 5, 7]))
+    base = draw(hst.sampled_from([gen_m2, gen_zorn]))(p)
+    n = base.dim
+    k = (n - 2) // 2
+    uv = [draw(hst.just(0) | hst.integers(0, p - 1)) for _ in range(2 * k)]
+    dot = sum(a * b for a, b in zip(uv[:k], uv[k:]))
+    roots = [a for a in range(p) if (a * a - a + dot) % p == 0]
+    assume(roots)
+    a = draw(hst.sampled_from(roots))
+    e1 = [a] + uv + [(1 - a) % p]
+    zeros = [i for i in range(1, n - 1) if e1[i] == 0]
+    assume(zeros)
+    i, j = draw(hst.sampled_from(zeros)), draw(hst.sampled_from(zeros))
+    sc = [[[int(x) for x in row] for row in plane] for plane in base.sc]
+    sc[i][j][draw(hst.integers(0, n - 1))] += draw(hst.integers(1, p - 1))
+    ring = Ring("pert", base.domain, list(base.basis_names), sc, list(base.unit_coords))
+    return peirce_frame(ring, ring.element(e1))
+
+
+@given(unital_rings(), rebased_rings(), perturbed_square_frames(), hst.data())
+def test_square_law_matches_every_point(ring, rebased, perturbed, data):
+    """The (iv.a) report, decided from the polar form, equals a scan of
+    every cell point in `subspace_points` order: verdict, first failing
+    point and count.  Frames come from every nontrivial idempotent of a
+    random unital ring, up to 3 drawn idempotents of M2 or Zorn in a
+    random basis, and a one-constant perturbation of M2 or Zorn."""
+    frames = []
+    for e1 in idempotents(ring).elements:
+        try:
+            frames.append(peirce_frame(ring, e1))
+        except (PeirceIncompatible, TrivialIdempotent):
+            continue
+    census = idempotents(rebased)
+    nontrivial = [e for e, t in zip(census.elements, census.tags) if t == "nontrivial"]
+    drawn = data.draw(hst.lists(hst.sampled_from(nontrivial), min_size=1, max_size=3, unique=True))
+    frames += [peirce_frame(rebased, e1) for e1 in drawn] + [perturbed]
+    for frame in frames:
+        rep = next(r for r in verify_peirce_relations(frame)
+                   if r.condition == "peirce_iv_a_squares")
+        assert (rep.ok, rep.witness, rep.quantifier_space) == square_law_by_points(frame)
+
+
+def test_square_law_quotes_the_first_point_on_perturbed_zorn():
+    """Zorn/F3 at e1 = e11 + u1 + u2 + u3, whose cells have no coordinate
+    basis, with b_i b_j += b_c for every pair of v coordinates and every c.
+    In the 16 cases b_4 b_5 += b_c and b_5 b_4 += b_c the first failing
+    point of R_12 is the sum of its first two basis vectors while the
+    third fails too, so a scan of the basis vectors before the sums would
+    quote another point."""
+    zorn = gen_zorn(3)
+    e1 = [1, 1, 1, 1, 0, 0, 0, 0]
+    pair_first = 0
+    for i, j, c in itertools.product((4, 5, 6), (4, 5, 6), range(8)):
+        sc = [[[int(x) for x in row] for row in plane] for plane in zorn.sc]
+        sc[i][j][c] += 1
+        ring = Ring("pert_zorn", zorn.domain, list(zorn.basis_names), sc, list(zorn.unit_coords))
+        frame = peirce_frame(ring, ring.element(e1))
+        rep = next(r for r in verify_peirce_relations(frame)
+                   if r.condition == "peirce_iv_a_squares")
+        assert (rep.ok, rep.witness, rep.quantifier_space) == square_law_by_points(frame)
+        if rep.witness:
+            basis = [list(u) for u in frame.components[tuple(rep.witness["cell"])].basis]
+            pair_first += rep.witness["element"] not in basis and \
+                any(any(ring.mul_coords(u, u)) for u in basis)
+    assert pair_first == 16
+
+
 def skew_ring():
     """e x . e != e . x e for the idempotent e = basis 1: no Peirce frame."""
     sc = [[[0] * 4 for _ in range(4)] for _ in range(4)]
@@ -336,11 +411,15 @@ def reference_frame(r, e1):
 
 def frame_verdicts(r, candidates) -> list[bool]:
     """`peirce_frame` and `reference_frame` agree on every nontrivial
-    idempotent among the candidates (all of them over F_p when None): both
-    reject, or both accept with equal projectors and components.  Returns
-    the verdicts."""
+    idempotent among the candidates (the whole census of a finite ring
+    when None): both reject, or both accept with equal projectors and
+    components.  Returns the verdicts."""
+    if candidates is None:
+        found = idempotents(r).elements
+    else:
+        found = [e for e in map(r.element, candidates) if (e * e).coords == e.coords]
     verdicts = []
-    for e1 in idempotents(r, candidates=candidates).elements:
+    for e1 in found:
         if e1.is_zero() or e1.coords == r.unit_coords:
             continue
         want = reference_frame(r, e1)
@@ -443,13 +522,17 @@ def test_spade_club(m2_frame, zorn_frame, dsum_frame, t2):
 
 def test_spade_club_on_zorn_within_a_small_budget(zorn_frame):
     """Centrality by commutation with the basis: the 25 diagonal sums of
-    Zorn/F5 fit a budget of 1000, and the reports are those at 10^6."""
+    Zorn/F5 fit a budget of 1000, and the reports are those at 10^6.  The
+    sums are `subspace_points` under the budget: 25 is enough, 24 is not."""
     reports = {}
     for budget in (1000, 10**6):
         hyps = check_main_hypotheses(zorn_frame, budget)
         reports[budget] = [r.to_json() for r in check_spade_club(zorn_frame, hyps, budget)]
     assert reports[1000] == reports[10**6]
     assert reports[1000][0]["quantifier_space"] == {"diagonal_sums": 25}
+    assert [r.to_json() for r in check_spade_club(zorn_frame, hyps, 25)] == reports[10**6]
+    with pytest.raises(BudgetExceeded, match="needs 25 evaluations, budget is 24"):
+        check_spade_club(zorn_frame, hyps, 24)
 
 
 def test_z_of_peirce_cell(m2_frame, zorn_frame):
