@@ -117,9 +117,8 @@ def cmd_gen(args, ws: Workspace) -> int:
 
 def cmd_analyze(args, ws: Workspace) -> int:
     ring = ws.load_ring(args.ring)
-    alt = is_alternative(ring)
-    flex = is_flexible(ring)
-    assoc = is_associative(ring)
+    axioms = [is_alternative(ring), is_flexible(ring), is_associative(ring),
+              is_k_torsion_free(ring, 2), is_k_torsion_free(ring, 3)]
     centre = st.center(ring)
     nuc = st.nucleus(ring)
     report = {
@@ -127,11 +126,7 @@ def cmd_analyze(args, ws: Workspace) -> int:
         "dim": ring.dim,
         "domain": ring.domain.to_json(),
         "unit_verified": True,
-        "alternative": alt.ok,
-        "flexible": flex.ok,
-        "associative": assoc.ok,
-        "torsion_free_2": is_k_torsion_free(ring, 2),
-        "torsion_free_3": is_k_torsion_free(ring, 3),
+        **{rep.condition: rep.ok for rep in axioms},
         "centre_dim": centre.dim,
         "nucleus_dim": nuc.dim,
     }
@@ -146,8 +141,7 @@ def cmd_analyze(args, ws: Workspace) -> int:
     except (BudgetExceeded, UnsupportedDomain) as exc:
         report["primeness"] = {"skipped": str(exc)}
     lines = [f"ring {ring.name}: dim {ring.dim}"]
-    for k in ("alternative", "flexible", "associative", "torsion_free_2", "torsion_free_3"):
-        lines.append(f"  {k}: {report[k]}")
+    lines.extend(f"  {rep.condition}: {rep.ok}" for rep in axioms)
     lines.append(f"  centre dim {centre.dim}, nucleus dim {nuc.dim}")
     lines.append(f"  idempotents: {report['idempotents']}")
     if "skipped" not in report["primeness"]:

@@ -62,7 +62,7 @@ valid, e.g. on 2x2 matrix rings, where the two answers differ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -409,20 +409,9 @@ def verify_theorem(m: MapTable, e1: Element, branch: str | None, seed: int) -> d
         reports.extend(reps)
         bundle["stages"].append({"stage": name, "reports": [r.to_json() for r in reps]})
 
-    def alternative(name, ring):
-        alt = is_alternative(ring)
-        wit = None if alt.ok else {"law": alt.witness[0], **{
-            v: coords_json(ring, a) for v, a in zip("xyz", alt.witness[1])}}
-        return CheckReport(name, alt.ok, wit, {})
-
-    def torsion_free(k):        # over F_p, k*1 = 0 when p divides k, and 1 != 0
-        ok = is_k_torsion_free(src, k)
-        return CheckReport(f"source_torsion_free_{k}", ok,
-                           None if ok else {"x": coords_json(src, src.unit_coords)}, {})
-
-    stage("ring_axioms", [alternative("source_alternative", src),
-                          alternative("target_alternative", m.target),
-                          torsion_free(2), torsion_free(3)])
+    stage("ring_axioms", [replace(rep, condition=f"{side}_{rep.condition}") for side, rep in (
+        ("source", is_alternative(src)), ("target", is_alternative(m.target)),
+        ("source", is_k_torsion_free(src, 2)), ("source", is_k_torsion_free(src, 3)))])
     try:
         stage("entry", [verify_surjective(m), verify_lie_multiplicative(m, seed),
                         verify_preserves_idempotents(m, seed)])

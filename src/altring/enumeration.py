@@ -161,7 +161,6 @@ class Enumeration:
         weight = max((w for ws in self.mat_weights.values() for w in ws.values()), default=0)
         self.mat_dtype = _narrowest_signed(weight * (self.p - 1) + self.p)
         self.radix = self.p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        self.unit = np.array([int(x) for x in ring.unit_coords], dtype=np.int64)
         self._digits = None
         self._idempotents = None
 

@@ -11,7 +11,13 @@ basis associators (b_i, b_j, b_k), built once in the ring's own exact
 arithmetic and memoised on the ring (`memoised`).  By trilinearity every
 law these checkers quote is a sum of its entries, so `is_alternative`,
 `is_flexible`, `is_associative` and `structure.nucleus` multiply
-nothing themselves.
+nothing themselves.  The alternative and flexible laws are quadratic in
+x, and a quadratic form vanishes on every element exactly when it
+vanishes on each basis vector and its polar form vanishes on each pair
+of them, in every characteristic; so each is decided from its polar
+form (the linearized law) on basis triples and then on single basis
+vectors.  Every law and torsion check returns a `reports.CheckReport`
+whose witness breaks the law it quotes.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Iterable, Sequence
 
 from .errors import ParseError, RingMismatch
 from .linalg import mat_vec
+from .reports import CheckReport, coords_json
 from .scalars import Domain, Scalar, domain_from_json
 
 
@@ -197,15 +204,6 @@ def associator(x: Element, y: Element, z: Element) -> Element:
 
 # -- identity checkers ----------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 @memoised
 def associators(r: Ring) -> tuple:
     """The associator table: A[i][j][k] = (b_i, b_j, b_k) = (b_i b_j) b_k -
@@ -219,70 +217,73 @@ def associators(r: Ring) -> tuple:
                              for k in range(n)) for j in range(n)) for i in range(n))
 
 
-@memoised
-def is_alternative(r: Ring) -> CheckResult:
-    """Left and right alternative laws, via linearization over the basis.
-
-    The linearized forms are checked on all basis triples; the diagonal
-    cases (x,x,y) and (y,x,x) are additionally checked directly with x
-    ranging over sums of two basis vectors, which avoids polarization
-    pitfalls in small characteristic.  Every case is a sum of entries of
-    the associator table: at x = b_i + b_j trilinearity gives (x,x,y) =
-    A[i][i][k] + A[i][j][k] + A[j][i][k] + A[j][j][k] for y = b_k, exactly
-    in every characteristic.  A failure's witness is (law, args): the
-    identity broken, as a string in x, y and z, and the coordinates of x,
-    y (and z) it breaks on.
-    """
-    A, n = associators(r), r.dim
-    basis = [r.basis_coords(i) for i in range(n)]
-    zero = r.zero_coords()
-
-    def total(*terms):
-        return functools.reduce(r.add_coords, terms)
-
-    for i, j, k in product(range(n), repeat=3):
-        if total(A[i][j][k], A[j][i][k]) != zero:
-            return CheckResult(False, ("(x,y,z) + (y,x,z) = 0", (basis[i], basis[j], basis[k])))
-        if total(A[k][i][j], A[k][j][i]) != zero:
-            return CheckResult(False, ("(x,y,z) + (x,z,y) = 0", (basis[k], basis[i], basis[j])))
-    for i in range(n):
-        for j in range(i, n):
-            x = r.add_coords(basis[i], basis[j])
-            for k in range(n):
-                if total(A[i][i][k], A[i][j][k], A[j][i][k], A[j][j][k]) != zero:
-                    return CheckResult(False, ("(x,x,y) = 0", (x, basis[k])))
-                if total(A[k][i][i], A[k][i][j], A[k][j][i], A[k][j][j]) != zero:
-                    return CheckResult(False, ("(y,x,x) = 0", (x, basis[k])))
-    return CheckResult(True)
-
-
-def _basis_law(r: Ring, law) -> CheckResult:
-    """law(A, i, j, k) = 0 on every basis triple (b_i, b_j, b_k), for A the
-    associator table; the first failing triple in lexicographic order as
-    the witness."""
+def _law_report(r: Ring, name: str, arity: int, laws) -> CheckReport:
+    """The report `name` of laws on basis vectors: each law is (text,
+    places, value), where x, y (and z) of the text are the basis vectors
+    of tuple t at t[places[0]], t[places[1]] (and t[places[2]]), and
+    value(A, x, y[, z]) is the law's left side from the associator table
+    A at those indices.  Tuples run in lexicographic order and the laws
+    of one tuple in list order; the first nonzero value fails the report,
+    whose witness is the law's text and its x, y (and z).  A failing
+    report is falsy, so `first and second` is the first pass that fails,
+    or the second."""
     A, zero = associators(r), r.zero_coords()
-    for i, j, k in product(range(r.dim), repeat=3):
-        if law(A, i, j, k) != zero:
-            return CheckResult(False, tuple(r.basis_coords(t) for t in (i, j, k)))
-    return CheckResult(True)
+    for t in product(range(r.dim), repeat=arity):
+        for law, places, value in laws:
+            args = [t[p] for p in places]
+            if value(A, *args) != zero:
+                return CheckReport(name, False, {"law": law, **{
+                    v: coords_json(r, r.basis_coords(a)) for v, a in zip("xyz", args)}}, {})
+    return CheckReport(name, True, None, {})
 
 
-def is_flexible(r: Ring) -> CheckResult:
-    """Linearized flexible law (x,y,z) + (z,y,x) = 0 on basis triples."""
-    return _basis_law(r, lambda A, i, j, k: r.add_coords(A[i][j][k], A[k][j][i]))
+@memoised
+def is_alternative(r: Ring) -> CheckReport:
+    """The left and right alternative laws (x,x,y) = 0 and (y,x,x) = 0.
+
+    For fixed y, q(x) = (x,x,y) is a quadratic form in x, so it vanishes
+    on every x exactly when q(b_i) = 0 for each i and its polar form
+    q(b_i + b_j) - q(b_i) - q(b_j) = (b_i,b_j,y) + (b_j,b_i,y) is 0 for
+    each pair: in every characteristic, F_2 included.  The first pass
+    checks both polar forms, the linearized laws, on all basis triples;
+    the second checks (b_i,b_i,b_k) and (b_k,b_i,b_i).  Outside
+    characteristic 2 the first pass at i = j already gives 2(b_i,b_i,y)
+    = 0, so the second never fails there.
+    """
+    add = r.add_coords
+    return (_law_report(r, "alternative", 3, [
+                ("(x,y,z) + (y,x,z) = 0", (0, 1, 2), lambda A, x, y, z: add(A[x][y][z], A[y][x][z])),
+                ("(x,y,z) + (x,z,y) = 0", (2, 0, 1), lambda A, x, y, z: add(A[x][y][z], A[x][z][y]))])
+            and _law_report(r, "alternative", 2, [
+                ("(x,x,y) = 0", (0, 1), lambda A, x, y: A[x][x][y]),
+                ("(y,x,x) = 0", (0, 1), lambda A, x, y: A[y][x][x])]))
 
 
-def is_associative(r: Ring) -> CheckResult:
-    return _basis_law(r, lambda A, i, j, k: A[i][j][k])
+def is_flexible(r: Ring) -> CheckReport:
+    """The flexible law (x,y,x) = 0: quadratic in x, so decided as in
+    `is_alternative` by its polar form (x,y,z) + (z,y,x) = 0 on all basis
+    triples, then (b_i,b_j,b_i) = 0."""
+    add = r.add_coords
+    return (_law_report(r, "flexible", 3, [
+                ("(x,y,z) + (z,y,x) = 0", (0, 1, 2), lambda A, x, y, z: add(A[x][y][z], A[z][y][x]))])
+            and _law_report(r, "flexible", 2, [
+                ("(x,y,x) = 0", (0, 1), lambda A, x, y: A[x][y][x])]))
 
 
-def is_k_torsion_free(r: Ring, k: int) -> bool:
-    """True when k*x = 0 forces x = 0, i.e. k is invertible as repeated addition."""
+def is_associative(r: Ring) -> CheckReport:
+    """(x,y,z) = 0: trilinear, so decided on basis triples."""
+    return _law_report(r, "associative", 3, [
+        ("(x,y,z) = 0", (0, 1, 2), lambda A, x, y, z: A[x][y][z])])
+
+
+def is_k_torsion_free(r: Ring, k: int) -> CheckReport:
+    """k*x = 0 forces x = 0, i.e. k is invertible as repeated addition.
+    Over F_p with p dividing k, k*1 = 0 and the witness is x = 1."""
     if k <= 0:
         raise ValueError("k must be positive")
-    if r.domain.kind == "Q":
-        return True
-    return k % r.domain.p != 0
+    ok = r.domain.kind == "Q" or k % r.domain.p != 0
+    return CheckReport(f"torsion_free_{k}", ok,
+                       None if ok else {"x": coords_json(r, r.unit_coords)}, {})
 
 
 # -- JSON ring files -------------------------------------------------------

@@ -638,6 +638,6 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
         element_witness=element_witness,
         quantifier_space={"elements": int(enum.count), "generator_classes": int(len(reps)),
                           "ideals_found": len(ideals), "minimal_ideals": len(minimal)},
-        alternative=bool(is_alternative(r)),
-        torsion_free_3=is_k_torsion_free(r, 3),
+        alternative=is_alternative(r).ok,
+        torsion_free_3=is_k_torsion_free(r, 3).ok,
     )

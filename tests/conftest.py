@@ -2,8 +2,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from altring import (PrimeField, Rationals, build_map, gen_direct_sum, gen_m2,
-                     gen_triangular2, gen_zorn, peirce_frame, zorn_idempotent)
+from altring import (PrimeField, Rationals, associator, build_map, gen_direct_sum, gen_m2,
+                     gen_triangular2, gen_zorn, linalg, peirce_frame, zorn_idempotent)
 from altring.rings import Ring
 
 # Property tests draw the same examples on every run and stay cheap.
@@ -49,6 +49,55 @@ def unital_rings(draw, primes=(2, 3, 5, 7), max_dim=4):
             sc[i][j] = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     return Ring(f"random_f{p}", PrimeField(p), [f"b{i}" for i in range(n)], sc,
                 [1] + [0] * (n - 1))
+
+
+@st.composite
+def rebased_unital_rings(draw, p, max_dim=3):
+    """A random unital ring of dim <= max_dim over F_p in a random basis,
+    so that the unit and the commutators sit anywhere in element order."""
+    ring = draw(unital_rings(primes=(p,), max_dim=max_dim))
+    n, dom = ring.dim, ring.domain
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    P = draw(st.lists(row, min_size=n, max_size=n).filter(lambda P: linalg.inverse(P, dom)))
+    P_inv = linalg.inverse(P, dom)
+    new_basis = [[P[k][i] for k in range(n)] for i in range(n)]      # the columns of P
+    sc = [[linalg.mat_vec(P_inv, list(ring.mul_coords(a, b)), dom) for b in new_basis]
+          for a in new_basis]
+    return Ring(ring.name, dom, ring.basis_names, sc,
+                linalg.mat_vec(P_inv, list(ring.unit_coords), dom))
+
+
+# each law a ring-law report quotes, as a function of its x, y (and z)
+ASSOCIATOR_LAWS = {
+    "(x,y,z) + (y,x,z) = 0": lambda x, y, z: associator(x, y, z) + associator(y, x, z),
+    "(x,y,z) + (x,z,y) = 0": lambda x, y, z: associator(x, y, z) + associator(x, z, y),
+    "(x,x,y) = 0": lambda x, y: associator(x, x, y),
+    "(y,x,x) = 0": lambda x, y: associator(y, x, x),
+    "(x,y,z) + (z,y,x) = 0": lambda x, y, z: associator(x, y, z) + associator(z, y, x),
+    "(x,y,x) = 0": lambda x, y: associator(x, y, x),
+    "(x,y,z) = 0": lambda x, y, z: associator(x, y, z),
+}
+
+
+def breaks_law(ring, witness) -> bool:
+    """True when the law a ring-law witness quotes is nonzero at its x, y
+    (and z), evaluated in `Element` arithmetic."""
+    law = ASSOCIATOR_LAWS[witness["law"]]
+    return not law(**{v: ring.element(witness[v]) for v in "xyz" if v in witness}).is_zero()
+
+
+def f2_rings():
+    """Two rings over F_2 with basis b0, b1, b2 on which the linearized
+    flexible law holds but (b0, b0, b0) != 0, so neither is flexible nor
+    alternative.  On the first the linearized alternative laws also hold,
+    and so does (x,x,y) = 0 at every x = b_i + b_j."""
+    dom, names = PrimeField(2), ["b0", "b1", "b2"]
+    return [Ring("f2_diagonal", dom, names,
+                 [[[0, 0, 1], [1, 0, 1], [0, 0, 1]], [[0, 0, 0], [1, 1, 1], [1, 0, 1]],
+                  [[1, 0, 0], [1, 0, 1], [1, 0, 0]]], [0, 1, 1]),
+            Ring("f2_not_flexible", dom, names,
+                 [[[1, 0, 1], [0, 0, 1], [0, 1, 1]], [[0, 0, 1], [0, 1, 1], [0, 1, 0]],
+                  [[1, 0, 0], [1, 0, 1], [1, 1, 0]]], [1, 1, 0])]
 
 
 def reordered_m2(name="m2_f5"):

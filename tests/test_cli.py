@@ -7,7 +7,7 @@ import pytest
 from altring import structure as st
 from altring.cli import Workspace, main
 from altring.rings import save_ring
-from conftest import reordered_m2
+from conftest import f2_rings, reordered_m2
 
 
 @pytest.fixture()
@@ -220,6 +220,24 @@ def test_text_format(files, capsys):
     assert main(["analyze", files["m2"], "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "alternative: True" in out
+
+
+def test_analyze_keys_are_the_law_reports_over_f2(tmp_path, capsys):
+    """On the first of `f2_rings`, (b0, b0, b0) != 0: `analyze` calls it
+    neither alternative nor flexible, in JSON and in text, with the five
+    axiom lines in report order."""
+    path = tmp_path / "f2.json"
+    save_ring(f2_rings()[0], path)
+    assert main(["analyze", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert {k: rep[k] for k in ("alternative", "flexible", "associative",
+                                "torsion_free_2", "torsion_free_3")} == {
+        "alternative": False, "flexible": False, "associative": False,
+        "torsion_free_2": False, "torsion_free_3": True}
+    assert main(["analyze", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:6] == [
+        "  alternative: False", "  flexible: False", "  associative: False",
+        "  torsion_free_2: False", "  torsion_free_3: True"]
 
 
 def m2_map(repr_, ring="m2_f5"):

@@ -57,7 +57,7 @@ def test_index_kernels_on_matrix_units(m2):
     assert int(enum.sum_index([[i], [j]])[0]) == int(enum.index_of(np.array([0, 1, 1, 0])))
     assert int(enum.sum_index([[i]], [[j]])[0]) == int(enum.index_of(np.array([0, 1, 4, 0])))
     every = np.arange(enum.count)
-    unit = np.full(enum.count, int(enum.index_of(enum.unit)))
+    unit = np.full(enum.count, int(enum.index_of(m2.unit_coords)))
     assert (enum.commutator_index(every, unit) == 0).all()
     assert (enum.commutator_index(unit, every) == 0).all()
     assert (enum.digits().T == enum.all_coords()).all()

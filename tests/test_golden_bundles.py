@@ -46,7 +46,7 @@ from altring import (build_map, check_main_hypotheses, check_map_consequences,
                      verify_theorem, zorn_idempotent)
 from altring.cli import main
 from altring.rings import Ring
-from conftest import anticommuting_q_ring, broken3_ring
+from conftest import anticommuting_q_ring, breaks_law, broken3_ring
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "verify_theorem_golden.json"
@@ -208,6 +208,15 @@ def test_non_bijective_witnesses_replay():
                             "injective", "offdiag_image_12"}
     for condition, w in failing.items():
         assert breaks(m, condition, w), (condition, w)
+
+
+def test_golden_ring_axiom_witnesses_replay():
+    """Both failing alternative reports of the broken3 bundle quote a law
+    that their x, y and z break on broken3."""
+    golden = json.loads(WITNESS_GOLDEN.read_text())
+    broken3 = broken3_ring()
+    for side in ("source", "target"):
+        assert breaks_law(broken3, golden[f"broken3-theorem/{side}_alternative"]["witness"])
 
 
 def perturbed(ring: Ring, site, value) -> Ring:

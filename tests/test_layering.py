@@ -4,7 +4,8 @@ the `Enumeration` index kernels, so their source (docstrings included)
 names none of the digit-plane internals.  Only `enumeration.py` applies
 the evaluation budget, bound once per Enumeration, and a map is verified
 at the budget it was built under.  The Peirce relations enumerate
-nothing, so they take no budget."""
+nothing, so they take no budget.  The ring laws report like every other
+check, through `CheckReport`."""
 
 import importlib
 import inspect
@@ -18,8 +19,10 @@ import pytest
 import altring
 from altring import (DecompositionResult, MapTable, Subspace, build_map,
                      verify_peirce_relations, verify_theorem)
+from altring import rings
 from altring.cli import main
 from altring.enumeration import Enumeration
+from altring.reports import CheckReport
 from altring.rings import save_ring
 
 DIGIT_TABLE_INTERNALS = re.compile(
@@ -110,3 +113,13 @@ def test_peirce_relations_take_no_budget(zorn, tmp_path, capsys):
                      "--budget", budget]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and '"peirce_iv_a_squares"' in outs[0]
+
+
+def test_ring_laws_return_check_reports(m2):
+    checks = {"alternative": rings.is_alternative, "flexible": rings.is_flexible,
+              "associative": rings.is_associative,
+              "torsion_free_2": lambda r: rings.is_k_torsion_free(r, 2)}
+    for condition, check in checks.items():
+        rep = check(m2)
+        assert type(rep) is CheckReport and rep.condition == condition
+    assert not hasattr(rings, "CheckResult")

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altring import (MapTable, build_map, center, check_almost_additivity,
-                     check_map_consequences, decompose, linalg, phi_linear,
+                     check_map_consequences, decompose, phi_linear,
                      verify_decomposition, verify_lie_multiplicative,
                      verify_preserves_idempotents, verify_surjective)
 from altring.decompose import product_rule
@@ -25,8 +25,7 @@ from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded
 from altring.maps import (first_additive_failure, first_bilinear_failure,
                           linear_extension, pair_report)
-from altring.rings import Ring
-from conftest import unital_rings
+from conftest import rebased_unital_rings
 from test_maps import structured_cases
 
 
@@ -101,29 +100,13 @@ def library_reports(m) -> dict:
 
 
 @st.composite
-def rebased_rings(draw, p):
-    """A random unital ring of dim <= 3 over F_p in a random basis, so
-    that the unit and the commutators sit anywhere in element order."""
-    ring = draw(unital_rings(primes=(p,), max_dim=3))
-    n, dom = ring.dim, ring.domain
-    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
-    P = draw(st.lists(row, min_size=n, max_size=n).filter(lambda P: linalg.inverse(P, dom)))
-    P_inv = linalg.inverse(P, dom)
-    new_basis = [[P[k][i] for k in range(n)] for i in range(n)]      # the columns of P
-    sc = [[linalg.mat_vec(P_inv, list(ring.mul_coords(a, b)), dom) for b in new_basis]
-          for a in new_basis]
-    return Ring(ring.name, dom, ring.basis_names, sc,
-                linalg.mat_vec(P_inv, list(ring.unit_coords), dom))
-
-
-@st.composite
 def linear_maps(draw):
     """A random F_p-linear map between random unital rings of dim <= 3,
     p in {3, 5}, singular matrices included, and a copy of it with one
     entry changed."""
     p = draw(st.sampled_from([3, 5]))
-    source = draw(rebased_rings(p))
-    target = draw(st.just(source) | rebased_rings(p))
+    source = draw(rebased_unital_rings(p))
+    target = draw(st.just(source) | rebased_unital_rings(p))
     entry = st.integers(0, p - 1)
     row = st.lists(entry, min_size=source.dim, max_size=source.dim)
     rank_one = st.tuples(st.lists(entry, min_size=target.dim, max_size=target.dim), row).map(
@@ -210,7 +193,7 @@ def perturbed_maps(draw, changes):
     added, so that g(0) != 0; "entry", one entry changed."""
     p = draw(st.sampled_from([3, 5]))
     # a non-central defect needs a target that is not commutative
-    rings = rebased_rings(p) | rebased_rings(p).filter(lambda r: center(r).dim < r.dim)
+    rings = rebased_unital_rings(p) | rebased_unital_rings(p).filter(lambda r: center(r).dim < r.dim)
     source = draw(rings)
     target = draw(st.just(source) | rings)
     es, et = Enumeration.of(source, DEFAULT_BUDGET), Enumeration.of(target, DEFAULT_BUDGET)

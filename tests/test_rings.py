@@ -8,8 +8,8 @@ from hypothesis import strategies as stn
 from altring import (Subspace, associator, commutator, gen_m2, gen_zorn, is_alternative,
                      is_associative, is_flexible, is_k_torsion_free, linalg, nucleus)
 from altring.errors import ParseError, RingMismatch
-from altring.rings import CheckResult, Ring, ring_from_json, ring_to_json
-from conftest import unital_rings
+from altring.rings import Ring, ring_from_json, ring_to_json
+from conftest import breaks_law, f2_rings, rebased_unital_rings
 
 
 def test_add_identity_and_unit_split(m2):
@@ -85,15 +85,6 @@ def test_broken_ring_fails_checkers(broken3):
     assert not is_associative(broken3).ok
 
 
-# each law `is_alternative` quotes, evaluated at its witness in Element arithmetic
-ALTERNATIVE_LAWS = {
-    "(x,y,z) + (y,x,z) = 0": lambda x, y, z: associator(x, y, z) + associator(y, x, z),
-    "(x,y,z) + (x,z,y) = 0": lambda x, y, z: associator(x, y, z) + associator(x, z, y),
-    "(x,x,y) = 0": lambda x, y: associator(x, x, y),
-    "(y,x,x) = 0": lambda x, y: associator(y, x, x),
-}
-
-
 def perturbed_m2():
     """Every single-constant perturbation of M2 over F_2 and F_5 that keeps
     the unit."""
@@ -120,9 +111,8 @@ def test_alternative_witness_replays(broken3):
     for ring in rings:
         alt = is_alternative(ring)
         if not alt.ok:
-            law, args = alt.witness
-            assert not ALTERNATIVE_LAWS[law](*(ring.element(x) for x in args)).is_zero()
-            laws.add(law)
+            assert breaks_law(ring, alt.witness)
+            laws.add(alt.witness["law"])
     assert len(laws) == 3 and "(x,x,y) = 0" in laws
 
 
@@ -133,6 +123,10 @@ def test_torsion_freeness(m2, m2q):
     assert not is_k_torsion_free(m2, 10)
     for k in (1, 2, 3, 5, 60):
         assert is_k_torsion_free(m2q, k)
+    rep = is_k_torsion_free(m2, 10)
+    assert rep.condition == "torsion_free_10" and rep.witness == {"x": [1, 0, 0, 1]}
+    x = m2.element(rep.witness["x"])
+    assert not x.is_zero() and sum([x] * 10, m2.zero()).is_zero()
     with pytest.raises(ValueError):
         is_k_torsion_free(m2, 0)
 
@@ -199,43 +193,25 @@ def test_associator_matches_definition(a, b, c):
     assert associator(ea, eb, ec).coords == direct.coords
 
 
-# -- the associator table against the laws evaluated product by product ----
+# -- the laws against their definition -------------------------------------
 #
-# A reference copy of the associator laws and the nucleus as they were
-# computed before the associator table: every law evaluates its
-# associators with `mul_coords`, and the nucleus multiplies the
+# Each law decided on every element of a finite ring, with products by
+# `Ring.mul_coords`, and a reference nucleus that multiplies the
 # multiplication matrices with `linalg.mat_mul`.
 
-def _assoc_coords(r, a, b, c):
-    return r.sub_coords(r.mul_coords(r.mul_coords(a, b), c),
-                        r.mul_coords(a, r.mul_coords(b, c)))
+def laws_by_elements(r):
+    """Each law's verdict from its definition, over every x, y (and z)."""
+    elements = list(itertools.product(range(r.domain.p), repeat=r.dim))
+    prod = {(a, b): r.mul_coords(a, b) for a in elements for b in elements}
 
+    def associates(a, b, c):
+        return prod[prod[a, b], c] == prod[a, prod[b, c]]
 
-def reference_is_alternative(r):
-    basis = [r.basis_coords(i) for i in range(r.dim)]
-    zero = r.zero_coords()
-    for x, y, z in itertools.product(basis, repeat=3):
-        if r.add_coords(_assoc_coords(r, x, y, z), _assoc_coords(r, y, x, z)) != zero:
-            return CheckResult(False, ("(x,y,z) + (y,x,z) = 0", (x, y, z)))
-        if r.add_coords(_assoc_coords(r, z, x, y), _assoc_coords(r, z, y, x)) != zero:
-            return CheckResult(False, ("(x,y,z) + (x,z,y) = 0", (z, x, y)))
-    for i in range(r.dim):
-        for j in range(i, r.dim):
-            x = r.add_coords(basis[i], basis[j])
-            for y in basis:
-                if _assoc_coords(r, x, x, y) != zero:
-                    return CheckResult(False, ("(x,x,y) = 0", (x, y)))
-                if _assoc_coords(r, y, x, x) != zero:
-                    return CheckResult(False, ("(y,x,x) = 0", (x, y)))
-    return CheckResult(True)
-
-
-def reference_basis_law(r, law):
-    basis = [r.basis_coords(i) for i in range(r.dim)]
-    for triple in itertools.product(basis, repeat=3):
-        if law(*triple) != r.zero_coords():
-            return CheckResult(False, triple)
-    return CheckResult(True)
+    pairs = list(itertools.product(elements, repeat=2))
+    return {"alternative": all(associates(x, x, y) and associates(y, x, x) for x, y in pairs),
+            "flexible": all(associates(x, y, x) for x, y in pairs),
+            "associative": all(associates(x, y, z) for (x, y), z in
+                               itertools.product(pairs, elements))}
 
 
 def reference_nucleus(r):
@@ -258,20 +234,23 @@ def reference_nucleus(r):
     return Subspace.from_vectors(r, linalg.nullspace(rows, dom))
 
 
-def check_laws_match_reference(r):
-    """Same verdict and witness for every law, same nucleus basis."""
-    assert is_alternative(r) == reference_is_alternative(r)
-    assert is_flexible(r) == reference_basis_law(
-        r, lambda x, y, z: r.add_coords(_assoc_coords(r, x, y, z), _assoc_coords(r, z, y, x)))
-    assert is_associative(r) == reference_basis_law(r, lambda x, y, z: _assoc_coords(r, x, y, z))
+def check_laws(r):
+    """Every law's verdict is its definition's on a ring of at most 27
+    elements (every ring `small_rings` draws), a failing law's witness
+    breaks the law it quotes, and the nucleus basis is the reference's."""
+    reports = {rep.condition: rep for rep in (is_alternative(r), is_flexible(r), is_associative(r))}
+    if r.domain.kind == "Fp" and r.domain.p ** r.dim <= 27:
+        assert {name: rep.ok for name, rep in reports.items()} == laws_by_elements(r)
+    for rep in reports.values():
+        assert rep.ok or breaks_law(r, rep.witness)
     assert nucleus(r).basis == reference_nucleus(r).basis
 
 
 @stn.composite
 def rebased_rings(draw, primes=(2, 3)):
     """Zorn or M2 over F_p in a random basis: alternative rings, so every
-    linearized law holds and the diagonal (x,x,y)/(y,x,x) sums decide the
-    verdict.  The new basis vector c_i is column i of T = P L U, with P a
+    linearized law holds and the laws on single basis vectors run too.
+    The new basis vector c_i is column i of T = P L U, with P a
     permutation, L unit lower and U upper triangular with a nonzero
     diagonal; the structure constants of c_i c_j and the unit are
     expressed in it through T^-1."""
@@ -293,10 +272,15 @@ def rebased_rings(draw, primes=(2, 3)):
                 linalg.mat_vec(T_inv, list(base.unit_coords), dom))
 
 
-@given(unital_rings(primes=(2, 3, 5)), rebased_rings())
+small_rings = stn.one_of(rebased_unital_rings(2), rebased_unital_rings(3),
+                         rebased_unital_rings(5, max_dim=2))
+
+
+@given(small_rings, rebased_rings())
 def test_associator_laws_match_reference(ring, rebased):
-    check_laws_match_reference(ring)
-    check_laws_match_reference(rebased)
+    check_laws(ring)
+    check_laws(rebased)
+    assert is_alternative(rebased).ok
 
 
 def test_associator_laws_match_reference_on_fixed_rings(m2q, zorn, broken3):
@@ -304,5 +288,18 @@ def test_associator_laws_match_reference_on_fixed_rings(m2q, zorn, broken3):
     broken one and on every perturbation of M2, failing or not."""
     rings = [m2q, zorn, broken3] + perturbed_m2()
     for ring in rings:
-        check_laws_match_reference(ring)
+        check_laws(ring)
     assert {is_alternative(r).ok for r in rings} == {True, False}
+
+
+def test_laws_over_f2_check_single_basis_vectors():
+    """On both `f2_rings` the linearized flexible law holds and (b0, b0,
+    b0) != 0; on the first the alternative laws hold at every b_i + b_j,
+    which is 0 at i = j.  Only the basis vectors themselves show the
+    failure."""
+    diagonal, not_flexible = f2_rings()
+    for ring in (diagonal, not_flexible):
+        check_laws(ring)
+        assert is_flexible(ring).witness == {"law": "(x,y,x) = 0", "x": [1, 0, 0], "y": [1, 0, 0]}
+    assert is_alternative(diagonal).witness == {"law": "(x,x,y) = 0", "x": [1, 0, 0], "y": [1, 0, 0]}
+    assert not is_alternative(not_flexible).ok

@@ -699,7 +699,7 @@ def reference_primeness(r, closures, chunk, element_witness) -> dict:
             "ideal_witness": ideal_witness, "element_witness": element_witness,
             "quantifier_space": {"elements": dom.p ** n, "generator_classes": len(closures),
                                  "ideals_found": len(ideals), "minimal_ideals": len(minimal)},
-            "alternative": bool(is_alternative(r)), "torsion_free_3": is_k_torsion_free(r, 3)}
+            "alternative": is_alternative(r).ok, "torsion_free_3": is_k_torsion_free(r, 3).ok}
 
 
 def check_primeness_matches_reference(r, chunk):
