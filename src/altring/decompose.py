@@ -37,23 +37,31 @@ Element-sized work combines element indices and masks, never coordinate
 rows or the digit table, which only `enumeration.py` reads; subspace
 membership is a gather from `Subspace.mask`.  psi is one linear recipe
 per Peirce cell c, psi(x) = sum_c Q_c phi(P_c x), with P_c the source
-projection onto c: phi's index gathered at `linear_index(P_c)`, then
-`linear_index(Q_c)` gathered at that, and psi's index is the running
-`sum_index` of the four cell images.  Q_c = I off the diagonal.  On a
-diagonal cell Q = P_keep - B A+ P_solve (`_diagonal_recipe`) keeps one
-corner of phi(x) and subtracts z*f_keep, where z*f_solve is the other
-corner.  This is exact: detection proved every such corner lies in
-Z*f_solve, `decompose` refuses a branch detection did not pass, and the
-preflight gives A full column rank, so each corner's central multiple is
-unique and equals A+ times it.  tau's index is phi's minus psi's
-(`sum_index`).  The bundle's tau table is `tau.images()`.  The element
-certificates compare indices: recomposition is `sum_index([psi, tau])`
-against phi's, the matrix check is `linear_index(psi_matrix)`,
-centrality of tau is a gather from the centre's mask.  The per-cell
-product cases and the sandwich identity run `mul_index` on grids of the
-Peirce cells' element indices, row-major.  Every one of these, and each
-corner test of branch detection, ends in a failure mask and reports
-through `reports.first_failure`.
+projection onto c and Q_c = I off the diagonal.  On a diagonal cell
+Q = P_keep - B A+ P_solve (`diagonal_recipes`) keeps one corner of
+phi(x) and subtracts z*f_keep, where z*f_solve is the other corner.
+This is exact: detection proved every such corner lies in Z*f_solve,
+`decompose` refuses a branch detection did not pass, and the preflight
+gives A full column rank, so each corner's central multiple is unique
+and equals A+ times it.  The recipe takes one of two routes:
+- matrix route, when phi is linear (`phi_linear`, which the entry
+  battery has computed): with Phi phi's matrix, psi_matrix is
+  Psi = sum_c Q_c Phi P_c in exact `linalg` arithmetic, and psi's index
+  is one `linear_index(Psi)`;
+- cell route, for any other table (`psi_cell_route`): phi's index
+  gathered at `linear_index(P_c)`, then `linear_index(Q_c)` gathered at
+  that, and psi's index is the running `sum_index` of the four cell
+  images; psi_matrix is read from psi's basis images.
+On both, tau's index is phi's minus psi's (`sum_index`), and the
+bundle's tau table is `tau.images()`.  The element certificates compare
+indices: recomposition is `sum_index([psi, tau])` against phi's, the
+matrix check compares psi's index with psi_matrix's (on the matrix route
+psi's own, carried on the result, else one `linear_index`), centrality
+of tau is a gather from the centre's mask.  The per-cell product cases
+and the sandwich identity run `mul_index` on grids of the Peirce cells'
+element indices, row-major.  Every one of these, and each corner test of
+branch detection, ends in a failure mask and reports through
+`reports.first_failure`.
 
 Small corners make the corner conditions degenerate: when both hold the
 caller must pick the branch (both constructions can be simultaneously
@@ -62,6 +70,7 @@ valid, e.g. on 2x2 matrix rings, where the two answers differ).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,11 +79,11 @@ from . import linalg
 from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
                      BudgetExceeded, HypothesisFailed, NotBijective,
                      UnsupportedDomain)
-from .maps import (MapTable, basis_index, check_almost_additivity, check_map_consequences,
+from .maps import (MapTable, basis_matrix, check_almost_additivity, check_map_consequences,
                    check_peirce_image, first_additive_failure, first_bilinear_failure,
                    frame_hypotheses, linear_extension, pair_report, pair_result,
-                   peirce_frames, verify_lie_multiplicative, verify_preserves_idempotents,
-                   verify_surjective)
+                   peirce_frames, phi_linear, verify_lie_multiplicative,
+                   verify_preserves_idempotents, verify_surjective)
 from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, is_alternative, is_k_torsion_free
 from .structure import PeirceFrame, Subspace, center, check_spade_club
@@ -150,6 +159,8 @@ class DecompositionResult:
     detection: BranchDetection
     seed: int
     certificates: list[CheckReport] = field(default_factory=list)
+    # psi's own index when decompose built it as psi_matrix's (a linear phi)
+    psi_lin: np.ndarray | None = field(default=None, repr=False)
 
     def required_pass(self) -> bool:
         return all(c.ok for c in self.certificates
@@ -207,13 +218,12 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
 
     es, et = m.es, m.et
     tgt = m.target
-    dom = tgt.domain
     f_idx = m.image_index()
     zc = center(tgt)
 
     # unique-split preflight: each diagonal target corner meets the centre
     # trivially.  Then z -> z*f_j is injective on the centre, so the central
-    # solve of `_diagonal_recipe` is unique: a central z != 0 with z*f_j = 0
+    # solve of `diagonal_recipes` is unique: a central z != 0 with z*f_j = 0
     # has z = z*f_i = f_i z (i != j), so f_i (z f_i) = z puts z in corner
     # (i, i) and in the centre, where this loop has raised.
     for i in (1, 2):
@@ -221,31 +231,28 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
         if inter.dim != 0:
             raise AmbiguousCentralSplit(
                 f"target corner ({i},{i}) meets the centre in dimension {inter.dim}")
-    zf_cols = {i: [list(col) for col in zip(*_central_multiples(tgt_frame, i))] for i in (1, 2)}
-
-    # psi = sum_c Q_c phi(P_c x), a running sum over the four cells
-    psi_idx = None
-    for ij in CELLS:
-        comp = f_idx[es.linear_index(src_frame.projectors[ij])]
-        if ij[0] == ij[1]:
-            comp = et.linear_index(_diagonal_recipe(tgt_frame, zf_cols, branch, ij[0]))[comp]
-        psi_idx = comp if psi_idx is None else et.sum_index([psi_idx, comp])
+    # psi = sum_c Q_c phi(P_c x): on a linear phi one matrix, else cell by cell
+    recipes = diagonal_recipes(tgt_frame, branch)
+    if phi_linear(m):
+        psi_matrix = psi_matrix_route(m, src_frame, recipes)
+        psi_idx = psi_lin = es.linear_index(psi_matrix)
+    else:
+        psi_idx, psi_lin = psi_cell_route(m, src_frame, recipes), None
+        psi_matrix = basis_matrix(es, et, psi_idx)
     tau_idx = et.sum_index([f_idx], [psi_idx])
-
-    psi_matrix = [[dom.parse(int(x)) for x in row]
-                  for row in et.coords_of(psi_idx[basis_index(es)]).T]
 
     res = DecompositionResult(m, e1, src_frame, tgt_frame, branch,
                               MapTable(m.source, tgt, es, et, psi_idx),
                               MapTable(m.source, tgt, es, et, tau_idx),
-                              psi_matrix, detection, seed)
+                              psi_matrix, detection, seed, psi_lin=psi_lin)
     res.certificates = verify_decomposition(res)
     return res
 
 
-def _diagonal_recipe(tgt_frame: PeirceFrame, zf_cols: dict, branch: str, i: int) -> list:
-    """Q = P_keep - B A+ P_solve, which takes phi(x) to psi(x) on the
-    diagonal source cell (i, i) (see the module docstring).
+def diagonal_recipes(tgt_frame: PeirceFrame, branch: str) -> dict:
+    """Q_c for each diagonal source cell c = (i, i): the target matrix
+    Q = P_keep - B A+ P_solve, which takes phi(x) to psi(x) on that cell
+    (see the module docstring).  Q_c = I off the diagonal.
 
     (solve, keep) is (j, i) under dagger and (i, j) under ddagger; A and
     B hold the columns z_k*f_solve and z_k*f_keep.  A+ is the left
@@ -253,14 +260,46 @@ def _diagonal_recipe(tgt_frame: PeirceFrame, zf_cols: dict, branch: str, i: int)
     for a corner c = A alpha it returns alpha, and B alpha = z*f_keep.
     """
     dom = tgt_frame.ring.domain
-    solve, keep = (3 - i, i) if branch == BRANCH_DAGGER else (i, 3 - i)
-    A, B = zf_cols[solve], zf_cols[keep]
-    P_keep = tgt_frame.projectors[(keep, keep)]
-    rows = linalg.rref([list(col) for col in zip(*A)], dom)[1]
-    A_inv = linalg.inverse([A[r] for r in rows], dom)
-    P_solve = tgt_frame.projectors[(solve, solve)]
-    BAP = linalg.mat_mul(linalg.mat_mul(B, A_inv, dom), [P_solve[r] for r in rows], dom)
-    return [[dom.sub(q, c) for q, c in zip(qr, cr)] for qr, cr in zip(P_keep, BAP)]
+    zf_cols = {i: [list(col) for col in zip(*_central_multiples(tgt_frame, i))] for i in (1, 2)}
+    recipes = {}
+    for i in (1, 2):
+        solve, keep = (3 - i, i) if branch == BRANCH_DAGGER else (i, 3 - i)
+        A, B = zf_cols[solve], zf_cols[keep]
+        P_keep = tgt_frame.projectors[(keep, keep)]
+        rows = linalg.rref([list(col) for col in zip(*A)], dom)[1]
+        A_inv = linalg.inverse([A[r] for r in rows], dom)
+        P_solve = tgt_frame.projectors[(solve, solve)]
+        BAP = linalg.mat_mul(linalg.mat_mul(B, A_inv, dom), [P_solve[r] for r in rows], dom)
+        recipes[(i, i)] = [[dom.sub(q, c) for q, c in zip(qr, cr)]
+                           for qr, cr in zip(P_keep, BAP)]
+    return recipes
+
+
+def psi_cell_route(m: MapTable, src_frame: PeirceFrame, recipes: dict) -> np.ndarray:
+    """psi's image index for any phi, sum_c Q_c phi(P_c x) over the element
+    table: per cell, phi's index gathered at `linear_index(P_c)`, then on
+    a diagonal cell `linear_index(Q_c)` gathered at that, and the running
+    `sum_index` of the four cell images."""
+    es, et, f_idx = m.es, m.et, m.image_index()
+    psi_idx = None
+    for ij in CELLS:
+        comp = f_idx[es.linear_index(src_frame.projectors[ij])]
+        if ij in recipes:
+            comp = et.linear_index(recipes[ij])[comp]
+        psi_idx = comp if psi_idx is None else et.sum_index([psi_idx, comp])
+    return psi_idx
+
+
+def psi_matrix_route(m: MapTable, src_frame: PeirceFrame, recipes: dict) -> list:
+    """psi's matrix Psi = sum_c Q_c Phi P_c for a linear phi with matrix
+    Phi (its basis images), in exact `linalg` arithmetic: the cell route's
+    recipe with every map a matrix."""
+    dom = m.target.domain
+    Phi = basis_matrix(m.es, m.et, m.image_index())
+    terms = [linalg.mat_mul(linalg.mat_mul(recipes[ij], Phi, dom) if ij in recipes else Phi,
+                            src_frame.projectors[ij], dom) for ij in CELLS]
+    return [[functools.reduce(dom.add, entries) for entries in zip(*rows)]
+            for rows in zip(*terms)]
 
 
 # -- certificates --------------------------------------------------------------
@@ -294,6 +333,13 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     again per Peirce-cell case, with the sandwich identity psi((ab)a) =
     (psi(a)psi(b))psi(a) for opposite off-diagonal pairs checked
     separately.
+
+    psi_additive and psi_linear_matrix compare psi with psi_matrix's
+    index.  After the matrix route that is `res.psi_lin`, psi's index as
+    `decompose` built it; after the cell route, or once psi_matrix has
+    been replaced, it is one `linear_index(psi_matrix)`.  It is never
+    derived from psi or from whether phi is linear, so a psi replaced
+    after `decompose` is still checked against psi_matrix.
     """
     m, seed = res.map, res.seed
     es, et = m.es, m.et
@@ -317,11 +363,18 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
         certs.append(pair_result(name, m.source, es,
                                  first_additive_failure(es, et, g_idx, lin_idx, zero)))
 
-    psi_lin = es.linear_index(res.psi_matrix)
+    # res.psi_lin is a linear index, so it is psi_matrix's exactly when its
+    # basis images are psi_matrix's columns; psi and psi_matrix may have been
+    # replaced since decompose, and psi is never read here to build it
+    psi_lin = res.psi_lin
+    if psi_lin is None or basis_matrix(es, et, psi_lin) != res.psi_matrix:
+        psi_lin = es.linear_index(res.psi_matrix)
     additive_cert("psi_additive", psi_idx, psi_lin)
     elem_report("psi_linear_matrix", psi_lin != psi_idx)
     psi_linear = certs[-1].ok
-    del psi_lin     # 3 MB on Zorn/F5 that the pair scans below would hold on top of theirs
+    # on the cell route, 3 MB on Zorn/F5 that the pair scans below would hold
+    # on top of theirs; on the matrix route it is psi's own index, which stays
+    del psi_lin
 
     def fibre_witness(k):
         # a doubly-hit image with its first two preimages, else one never hit

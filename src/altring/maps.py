@@ -349,10 +349,16 @@ def basis_index(es: Enumeration) -> np.ndarray:
     return es.index_of(np.eye(es.n, dtype=np.int64))
 
 
+def basis_matrix(es: Enumeration, et: Enumeration, g_idx) -> list:
+    """The matrix, as lists of ints in [0, p), whose column k is the
+    target element g(b_k) of an image index g."""
+    return et.coords_of(np.asarray(g_idx)[basis_index(es)]).T.tolist()
+
+
 def linear_extension(es: Enumeration, et: Enumeration, g_idx) -> np.ndarray:
     """Target index of L(x) for every source element x, where L is the
     linear map whose column k is g(b_k): one `linear_index`."""
-    return es.linear_index(et.coords_of(np.asarray(g_idx)[basis_index(es)]).T)
+    return es.linear_index(basis_matrix(es, et, g_idx))
 
 
 def phi_linear(m: MapTable) -> bool:
@@ -360,7 +366,7 @@ def phi_linear(m: MapTable) -> bool:
     its `linear_extension`.  One O(N) pass over the source Enumeration,
     which applies the element guard of the map's budget, computed once per
     map.  On a linear map the entry battery decides its quantifiers
-    exactly, with no pair scan."""
+    exactly, with no pair scan, and `decompose` builds psi as one matrix."""
     return m.cached("linear", lambda: bool(np.array_equal(
         linear_extension(m.es, m.et, m.image_index()), m.image_index())))
 

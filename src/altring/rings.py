@@ -300,15 +300,26 @@ def ring_to_json(r: Ring) -> dict:
     }
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(_holds_bool(v) for v in value))
+
+
 def ring_from_json(obj: dict) -> Ring:
     if not isinstance(obj, dict):
         raise ParseError("a ring file must hold a JSON object")
     try:
         dom = domain_from_json(obj["domain"])
+        for key in ("unit", "mul"):
+            # json loads true/false as bools, which are ints: 1 and 0
+            if _holds_bool(obj[key]):
+                raise ParseError(f"ring file field {key!r} holds a JSON boolean, not a scalar")
         ring = Ring(obj["name"], dom, obj["basis"], obj["mul"], obj["unit"])
         dim = obj["dim"]
     except KeyError as exc:
         raise ParseError(f"ring file is missing field {exc}") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ParseError(f"ring {ring.name!r}: field 'dim' must be a positive integer, got {dim!r}")
     if ring.dim != dim:
         raise ParseError(f"ring {ring.name!r}: declared dim {dim} != basis size {ring.dim}")
     return ring

@@ -210,6 +210,30 @@ def test_corrupted_psi_breaks_named_case_with_witness(m2, negtr):
     assert by["recomposition"].witness == by["psi_linear_matrix"].witness == {"x": [0, 1, 0, 0]}
 
 
+@pytest.mark.parametrize("replacement", ["entry", "linear"])
+def test_replaced_psi_is_checked_against_psi_matrix(m2, negtr, replacement):
+    """psi replaced after `decompose`, by a one-entry corruption or by
+    another linear map, is checked against psi_matrix, not against itself,
+    although phi is linear and decompose built psi from that matrix:
+    recomposition and psi_linear_matrix fail at the first element where
+    the new psi differs, and psi_additive fails only on the corruption."""
+    res = decompose(negtr, m2.basis_element(0), branch="ddagger")
+    if replacement == "entry":
+        i = int(Enumeration.of(m2, DEFAULT_BUDGET).index_of(np.array([0, 1, 0, 0])))
+        res.psi = res.psi.replace_entry(i, (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5)
+        want = {"recomposition": (False, {"x": [0, 1, 0, 0]}),
+                "psi_additive": (False, {"a": [0, 0, 0, 1], "b": [0, 1, 0, 0]}),
+                "psi_linear_matrix": (False, {"x": [0, 1, 0, 0]})}
+    else:
+        res.psi = build_map(m2, m2, {"kind": "conjugation", "element": [1, 1, 0, 1]})
+        want = {"recomposition": (False, {"x": [0, 0, 0, 1]}),
+                "psi_additive": (True, None),
+                "psi_linear_matrix": (False, {"x": [0, 0, 0, 1]})}
+    by = {c.condition: c for c in verify_decomposition(res)}
+    assert {name: (by[name].ok, by[name].witness) for name in want} == want
+    assert by["psi_additive"].quantifier_space == {"pairs": 625 ** 2, "checked": 625 ** 2}
+
+
 def test_psi_bijective_witness_replays(m2, negtr):
     res = decompose(negtr, m2.basis_element(0), branch="ddagger")
     assert next(c for c in res.certificates if c.condition == "psi_bijective").witness is None

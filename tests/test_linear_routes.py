@@ -9,24 +9,27 @@ on random unital rings with random linear maps, one-entry corruptions
 of them, central perturbations x -> g(x) + c(x)*z and constant shifts."""
 
 import functools
+import importlib
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altring import (MapTable, build_map, center, check_almost_additivity,
-                     check_map_consequences, decompose, phi_linear,
+                     check_map_consequences, decompose, gen_m2, gen_zorn, linalg, phi_linear,
                      verify_decomposition, verify_lie_multiplicative,
                      verify_preserves_idempotents, verify_surjective)
-from altring.decompose import product_rule
+from altring.decompose import diagonal_recipes, product_rule, psi_cell_route
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded
-from altring.maps import (first_additive_failure, first_bilinear_failure,
+from altring.maps import (basis_matrix, first_additive_failure, first_bilinear_failure,
                           linear_extension, pair_report)
 from conftest import rebased_unital_rings
 from test_maps import structured_cases
+from test_rings import random_bases, rebase
 
 
 def reference_reports(m) -> dict:
@@ -314,3 +317,67 @@ def test_zorn_swapped_identity_almost_additive_witness_replays(zorn):
     row = idx[es.sum_index([np.full(kb, ka), np.arange(kb)])]
     defects = es.sum_index([row], [np.full(kb, idx[ka]), idx[:kb]])
     assert center(zorn).mask(es)[defects].all()
+
+
+@st.composite
+def rebased_linear_maps(draw, gen, p, branch):
+    """(phi, e1) on gen(p), M2 or Zorn, in a random basis
+    (`test_rings.random_bases`): on M2, conjugation by a random g in GL_2
+    under dagger or x -> -g x^T g^-1 + tr(x)*1 under ddagger, and the
+    identity on Zorn, each built in the standard basis and moved to the
+    random one as T^-1 A T, with e1 = T^-1 e11."""
+    base, T = draw(random_bases((p,), (gen,)))
+    ring, dom = rebase(base, T), base.domain
+    T_inv = linalg.inverse(T, dom)
+    spec = {"kind": "identity"}
+    if gen is gen_m2:
+        g = draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=4)
+                 .filter(lambda g: (g[0] * g[3] - g[1] * g[2]) % p))
+        spec = {"kind": "conjugation", "element": g}
+        if branch == "ddagger":
+            spec = {"kind": "compose", "parts": [{"kind": "neg_transpose_plus_trace"}, spec]}
+    std = build_map(base, base, spec)
+    A = basis_matrix(std.es, std.et, std.image_index())
+    phi = build_map(ring, ring, {"kind": "linear",
+                                 "matrix": linalg.mat_mul(linalg.mat_mul(T_inv, A, dom), T, dom)})
+    return phi, ring.element(linalg.mat_vec(T_inv, list(base.basis_coords(0)), dom))
+
+
+@pytest.mark.parametrize("gen, p, branch", [(gen_m2, 3, "dagger"), (gen_m2, 5, "dagger"),
+                                            (gen_m2, 3, "ddagger"), (gen_m2, 5, "ddagger"),
+                                            (gen_zorn, 3, "dagger")],
+                         ids=["m2_f3-dagger", "m2_f5-dagger", "m2_f3-ddagger", "m2_f5-ddagger",
+                              "zorn_f3-dagger"])
+@settings(max_examples=6)
+@given(data=st.data())
+def test_matrix_route_matches_cell_route(gen, p, branch, data):
+    """On a linear phi `decompose` takes the matrix route; the cell route,
+    called directly on the same frames and recipes, gives the same psi
+    index, and so the same tau = phi - psi."""
+    phi, e1 = data.draw(rebased_linear_maps(gen, p, branch))
+    res = decompose(phi, e1, branch)
+    assert phi_linear(phi) and res.psi_lin is res.psi.image_index()
+    cells = psi_cell_route(phi, res.source_frame, diagonal_recipes(res.target_frame, branch))
+    assert np.array_equal(cells, res.psi.image_index())
+    assert np.array_equal(phi.et.sum_index([phi.image_index()], [cells]), res.tau.image_index())
+
+
+def test_matrix_route_builds_psi_and_tau_with_one_pass_each(zorn, monkeypatch):
+    """On the Zorn/F5 identity, with the frames, hypotheses, branch
+    detection and `phi_linear` cached on the map by a first run and the
+    certificates left out, `decompose` makes one `linear_index` call (psi)
+    and one `sum_index` call (tau) over the element table."""
+    ident = build_map(zorn, zorn, {"kind": "identity"})
+    monkeypatch.setattr(importlib.import_module("altring.decompose"), "verify_decomposition",
+                        lambda res: [])
+    decompose(ident, zorn.basis_element(0), "dagger")
+    calls = Counter()
+    enums = {id(e): e for e in (ident.es, ident.et)}.values()
+    for enum, name in product(enums, ("linear_index", "sum_index")):
+        def counted(*args, _fn=getattr(enum, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(enum, name, counted)
+    res = decompose(ident, zorn.basis_element(0), "dagger")
+    assert calls == {"linear_index": 1, "sum_index": 1}
+    assert (res.tau.image_index() == 0).all()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -170,6 +171,28 @@ def test_loader_rejects_bad_shape(m2):
         ring_from_json(obj)
 
 
+def test_loader_rejects_a_zero_dimensional_ring():
+    """An empty basis, unit and table agree with "dim": 0, and the ring
+    still has no element but 0, so it is refused by its dim field."""
+    obj = {"name": "zero", "domain": {"Fp": 5}, "dim": 0, "basis": [], "unit": [], "mul": []}
+    with pytest.raises(ParseError, match="field 'dim' must be a positive integer, got 0"):
+        ring_from_json(obj)
+
+
+@pytest.mark.parametrize("field, path", [("unit", (0,)), ("mul", (1, 2, 0))])
+def test_loader_rejects_json_booleans_as_scalars(m2, field, path):
+    """true in place of the scalar 1 (unit[0] is E11's coordinate, and
+    mul[1][2][0] that of E11 in E12*E21) would load as 1: it is refused,
+    naming the field."""
+    obj = json.loads(json.dumps(ring_to_json(m2)))
+    *outer, last = path
+    entry = functools.reduce(lambda v, k: v[k], outer, obj[field])
+    assert entry[last] in (1, "1")
+    entry[last] = True
+    with pytest.raises(ParseError, match=f"field '{field}' holds a JSON boolean"):
+        ring_from_json(obj)
+
+
 coords4 = stn.lists(stn.integers(0, 4), min_size=4, max_size=4)
 
 
@@ -247,15 +270,12 @@ def check_laws(r):
 
 
 @stn.composite
-def rebased_rings(draw, primes=(2, 3)):
-    """Zorn or M2 over F_p in a random basis: alternative rings, so every
-    linearized law holds and the laws on single basis vectors run too.
-    The new basis vector c_i is column i of T = P L U, with P a
-    permutation, L unit lower and U upper triangular with a nonzero
-    diagonal; the structure constants of c_i c_j and the unit are
-    expressed in it through T^-1."""
+def random_bases(draw, primes=(2, 3), bases=(gen_zorn, gen_m2)):
+    """(base, T): Zorn or M2 over F_p and a random invertible T = P L U,
+    with P a permutation, L unit lower and U upper triangular with a
+    nonzero diagonal."""
     p = draw(stn.sampled_from(primes))
-    base = draw(stn.sampled_from([gen_zorn, gen_m2]))(p)
+    base = draw(stn.sampled_from(list(bases)))(p)
     n, dom = base.dim, base.domain
 
     def entry(i, j, lower):
@@ -264,12 +284,25 @@ def rebased_rings(draw, primes=(2, 3)):
         return draw(stn.integers(0, p - 1)) if (i > j) == lower else 0
 
     L, U = ([[entry(i, j, lower) for j in range(n)] for i in range(n)] for lower in (True, False))
-    T = [linalg.mat_mul(L, U, dom)[k] for k in draw(stn.permutations(range(n)))]
+    return base, [linalg.mat_mul(L, U, dom)[k] for k in draw(stn.permutations(range(n)))]
+
+
+def rebase(base, T):
+    """base in the basis whose vector c_i is column i of T: the structure
+    constants of c_i c_j and the unit are expressed in it through T^-1."""
+    dom = base.domain
     T_inv = linalg.inverse(T, dom)
     cols = [list(col) for col in zip(*T)]
     sc = [[linalg.mat_vec(T_inv, list(base.mul_coords(ci, cj)), dom) for cj in cols] for ci in cols]
     return Ring(f"rebased_{base.name}", dom, list(base.basis_names), sc,
                 linalg.mat_vec(T_inv, list(base.unit_coords), dom))
+
+
+def rebased_rings(primes=(2, 3)):
+    """Zorn or M2 over F_p in a random basis (`random_bases`): alternative
+    rings, so every linearized law holds and the laws on single basis
+    vectors run too."""
+    return random_bases(primes).map(lambda base_T: rebase(*base_T))
 
 
 small_rings = stn.one_of(rebased_unital_rings(2), rebased_unital_rings(3),
