@@ -81,15 +81,19 @@ whose weight lets them reach p, and return reduced entries in it.
 
 One eliminator, `_eliminate_chunk`, serves both batched routes.  It
 works on a batch-last copy of a (B, R, C) stack, so each column step is
-a few whole-plane operations over all B matrices.  `rref_batched` runs
+a few whole-plane operations over all B matrices, and it gathers each
+step's pivot entry and pivot row with flat `take`s.  `rref_batched` runs
 it as Gauss-Jordan and returns each matrix's reduced rows in
 pivot-column order, the rows of `linalg.rref`, padded with zero rows; a
-matrix of rank C is the identity and is not gathered.  `rank_batched`
-runs its rank-only mode, a forward pass that neither scales nor writes
-back the pivot row.  Both modes pick their working type per call from
-the column count C: it holds max(C-1, 1)*(p-1)**2 + p, so p = 5 runs in
-int8 up to C = 8 and in int16 beyond, and p = 191 needs int32.
-`elim_dtype` sizes only the digit table.
+matrix of rank C is the identity, one of rank 0 is zero rows, and
+neither is gathered.  `rank_batched` runs its lean rank-only mode, a
+forward pass that neither scales nor writes back the pivot row, keeps
+no pivot rows and no record of used rows, and at the last column only
+counts.  A stack with no rows, matrices or columns has rank 0.  Both
+modes pick their working type per call from the column count C: it
+holds max(C-1, 1)*(p-1)**2 + p, so p = 5 runs in int8 up to C = 8 and in
+int16 beyond, and p = 191 needs int32.  `elim_dtype` sizes only the
+digit table.
 """
 
 from __future__ import annotations
@@ -235,10 +239,11 @@ class Enumeration:
 
     def _planes(self, A, dtype=None) -> np.ndarray:
         """A reduced mod p with its coordinate axis first: (n, ...) planes
-        in `dtype` (default `elim_dtype`), which must hold p."""
-        A = np.asarray(A, dtype=np.int64)
+        in `dtype` (default `elim_dtype`), which must hold p.  The range is
+        checked in A's own dtype; only input to reduce is widened."""
+        A = np.asarray(A)
         if A.size and (A.min() < 0 or A.max() >= self.p):
-            A = self.reduce(A.copy())
+            A = self.reduce(A.astype(np.int64))
         out = np.empty((A.shape[-1],) + A.shape[:-1], dtype=dtype or self.elim_dtype)
         out[...] = np.moveaxis(A, -1, 0)
         return out
@@ -441,13 +446,13 @@ class Enumeration:
         ranks) with rows (B, C, C) in int64: the reduced row echelon form
         of each matrix, its nonzero rows in pivot-column order (the rows of
         `linalg.rref`), then zero rows.  A matrix of rank C reduces to the
-        identity, so only the others are gathered from the eliminated
-        stack."""
+        identity and one of rank 0 to zero rows, so only the others are
+        gathered from the eliminated stack."""
         T, pivot_rows, ranks = self._eliminate_chunk(mats)
         C, B = T.shape[0], T.shape[2]
         rows = np.zeros((B, C, C), dtype=np.int64)
         rows[ranks == C] = np.eye(C, dtype=np.int64)
-        part = np.flatnonzero(ranks < C)
+        part = np.flatnonzero((ranks < C) & (ranks > 0))
         if len(part):
             src = pivot_rows[part]
             got = T.reshape(C, -1).take(src * B + part[:, None], axis=1)
@@ -455,38 +460,44 @@ class Enumeration:
             rows[part] = got.transpose(1, 2, 0)
         return rows, ranks
 
-    def _eliminate_chunk(self, A, rank_only: bool = False) -> tuple[np.ndarray, np.ndarray,
+    def _eliminate_chunk(self, A, rank_only: bool = False) -> tuple[np.ndarray, np.ndarray | None,
                                                                      np.ndarray]:
         """Row elimination of a (B, R, C) stack of any integer dtype.
 
         Returns the eliminated stack batch-last, (C, R, B) in the working
         dtype; the (B, C) pivot rows, in pivot-column order and -1 past
-        the rank; and the ranks.  Gauss-Jordan (the default) leaves every
-        entry in [0, p): each pivot row is the reduced echelon row of its
-        column and every other row is zero.  `rank_only` runs the forward
-        pass alone, and the stack it returns is scratch.
+        the rank (None under `rank_only`); and the ranks.  Gauss-Jordan
+        (the default) leaves every entry in [0, p): each pivot row is the
+        reduced echelon row of its column and every other row is zero.
+        `rank_only` runs the forward pass alone, and the stack it returns
+        is scratch.  A stack with no matrices or no rows has rank 0.
 
         The work runs in place on a batch-last copy, so each step is a few
-        whole-plane operations over all B matrices and one flat `take` of
-        the pivot rows; the pivot is the first free row with a nonzero
-        entry, found as a max over rows weighted R, ..., 1.  Input is
-        reduced mod p only when some entry lies outside [0, p), and the
-        work reduces lazily, by floor division (`reduce`): step c reduces
-        column c and the pivot row b, then subtracts f*b from the later
-        columns, with f and b both in [0, p).  Gauss-Jordan scales b to a
-        leading 1 and takes f = col, except f = a - 1 at the pivot row
-        itself, whose entry a then leaves it equal to b mod p: column c
-        becomes a unit column with no write-back.  The rank-only pass
-        scales the factors f = a**-1 * col instead of b and skips column c.
-        The pivot row's own factor is then 1, which leaves it 0 mod p in
-        every later column, so a used row is reduced to 0 there and no
-        later step changes it.  Either way a column takes at most one
-        subtraction below (p-1)**2 per earlier step before its own step
-        reduces it, so every entry lies in [-(C-1)*(p-1)**2, p), and every
-        scaling product is at most (p-1)**2.  Both passes thus work in the
-        narrowest signed type holding max(C-1, 1)*(p-1)**2 + p.  After its
-        step a Gauss-Jordan column is a unit column or stays reduced, and
-        no later step touches it, so no final pass is needed.
+        whole-plane operations over all B matrices and flat `take`s of the
+        pivot entry and pivot row; the pivot is the first candidate row
+        with a nonzero entry, found as a max over rows weighted R-1, ...,
+        0, and the last row where there is none (its entry is then not a
+        candidate, so the step does nothing).  Input is reduced mod p only
+        when some entry lies outside [0, p), and the work reduces lazily,
+        by floor division (`reduce`): step c reduces column c and the
+        pivot row b, then subtracts f*b from the later columns, with f and
+        b both in [0, p).  Gauss-Jordan scales b to a leading 1 and takes
+        f = col, except f = a - 1 at the pivot row itself, whose entry a
+        then leaves it equal to b mod p: column c becomes a unit column
+        with no write-back.  The rank-only pass scales the factors f =
+        a**-1 * col instead of b and skips column c, and its last step only
+        counts.  The pivot row's own factor is then 1, which leaves it 0
+        mod p in every later column, so a used row is reduced to 0 there
+        and no later step changes it: every nonzero entry is a candidate,
+        with no record of used rows, and a column with no pivot has a = 0
+        and so inverse 0, which zeroes its factors with no mask.  Either
+        way a column takes at most one subtraction below (p-1)**2 per
+        earlier step before its own step reduces it, so every entry lies
+        in [-(C-1)*(p-1)**2, p), and every scaling product is at most
+        (p-1)**2.  Both passes thus work in the narrowest signed type
+        holding max(C-1, 1)*(p-1)**2 + p.  After its step a Gauss-Jordan
+        column is a unit column or stays reduced, and no later step
+        touches it, so no final pass is needed.
         """
         p = self.p
         A = np.asarray(A)
@@ -496,34 +507,41 @@ class Enumeration:
         dt = _narrowest_signed(max(C - 1, 1) * (p - 1) ** 2 + p)
         T = np.empty((C, R, B), dtype=dt)
         T[...] = A.transpose(2, 1, 0)
-        inv = self.inv_table.astype(dt)
-        free = np.ones((R, B), dtype=bool)
-        pivot_rows = np.full((B, C), -1, dtype=np.int64)
         ranks = np.zeros(B, dtype=np.int64)
+        pivot_rows = None if rank_only else np.full((B, C), -1, dtype=np.int64)
+        if not (B and R):
+            return T, pivot_rows, ranks
+        inv = self.inv_table.astype(dt)
+        free = None if rank_only else np.ones((R, B), dtype=bool)
         batch = np.arange(B)
-        first = np.arange(R, 0, -1, dtype=np.min_scalar_type(R))[:, None]
+        last = (R - 1) * B + batch          # (last row, matrix) in a flat (R, B) plane
+        weight = np.arange(R - 1, -1, -1, dtype=np.min_scalar_type(R))[:, None]
         for c in range(C):
             col = T[c]
             if c:
                 self.reduce(col)
             cand = col != 0
-            cand &= free
-            top = (cand * first).max(axis=0)            # R - pivot row, 0 where there is none
-            has = top > 0
-            piv = (R - top.astype(np.intp)) % R
-            at = piv * B + batch            # (pivot row, matrix) in a flat (R, B) plane
-            scale = inv[col.reshape(-1)[at]] * has      # a**-1, 0 where there is no pivot
-            later = T[c + 1:] if rank_only else T[c:]
+            if not rank_only:
+                cand &= free
+            at = last - (cand * weight).max(axis=0).astype(np.intp) * B
+            a = col.take(at)                # the pivot entry where there is a pivot
+            if rank_only:                   # where there is none, a = 0
+                ranks += a != 0
+                if c == C - 1:
+                    break
+                later = T[c + 1:]
+                prow = self.reduce(later.reshape(len(later), R * B).take(at, axis=1))
+                later -= prow[:, None, :] * self.reduce(col * inv.take(a))
+                continue
+            has = cand.take(at)
+            later = T[c:]
             prow = self.reduce(later.reshape(len(later), R * B).take(at, axis=1))
-            if rank_only:
-                later -= prow[:, None, :] * self.reduce(col * scale)
-            else:
-                prow *= scale
-                self.reduce(prow)
-                f = col.copy()              # factor a - 1 turns the pivot row into prow
-                f.reshape(-1)[at] -= has
-                later -= prow[:, None, :] * f
+            prow *= inv.take(a) * has
+            self.reduce(prow)
+            f = col.copy()                  # factor a - 1 turns the pivot row into prow
+            f.reshape(-1)[at] -= has
+            later -= prow[:, None, :] * f
             free.reshape(-1)[at] &= ~has
-            pivot_rows[batch, ranks] = np.where(has, piv, -1)
+            pivot_rows[batch, ranks] = np.where(has, at // B, -1)
             ranks += has
         return T, pivot_rows, ranks

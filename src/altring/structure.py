@@ -572,6 +572,13 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
 
     Both routes skip generators a with full-rank L_a: aR = R makes (a) the
     whole ring, and 1 in span{a b_k} forces the stacked kernel to zero.
+    The element route stacks L_w only over a basis w of aR, the pivot rows
+    of one Gauss-Jordan elimination of the rows a b_k, not over all n of
+    them: those rows span aR and y -> L_y is linear, so every L_{a b_k} is
+    a combination of the L_w and each L_w of the L_{a b_k}.  The two stacks
+    have the same row space, so the same kernel and rank, and the same
+    first failing a.  Its witness b is still the first nullspace vector of
+    the full stack of L_{a b_k}, so its bytes do not depend on the basis.
     The ideal route also skips a generator x with a unit inside (x): for
     fixed u and v, y = x*u + v*x lies in (x), and a full-rank L_y gives
     yR = R, so (x) = R (`_unit_certificates`).  A generator that no round
@@ -614,16 +621,23 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
     basis = np.eye(n, dtype=np.int64)
     for lo in range(0, len(survivors), PRIMENESS_CHUNK):
         A = survivors[lo:lo + PRIMENESS_CHUNK]
-        AB = enum.mul_outer(A, basis)                      # (B, n, n): rows a*b_k
-        L = enum.left_mul_matrices(AB)                     # (B, k, r, c): L_{a*b_k}
-        # the stacked rows (k, r), written batch-last as the eliminator works
-        S = np.ascontiguousarray(L.transpose(3, 1, 2, 0)).reshape(n, n * n, len(A))
-        S = S.transpose(2, 1, 0)
-        ranks = enum.rank_batched(S)
+        size = len(A)
+        # Gauss-Jordan on the rows a*b_k: every row of T lies in aR, and the
+        # first m pivot rows of each matrix span it; -1 past a rank takes the
+        # last row, so no stack is empty and none needs a mask
+        T, pivots, dims = enum._eliminate_chunk(enum.mul_outer(A, basis))
+        m = max(int(dims.max()), 1)
+        W = T.reshape(n, -1).take(pivots[:, :m].T * size + np.arange(size), axis=1)
+        L = enum.left_mul_matrices(np.moveaxis(W, 0, -1))   # (w, B, r, c): L_w
+        # the stacked rows (w, r), written batch-last as the eliminator works
+        S = np.ascontiguousarray(L.transpose(3, 0, 2, 1)).reshape(n, m * n, size)
+        ranks = enum.rank_batched(S.transpose(2, 1, 0))
         bad = np.flatnonzero(ranks < n)
         if len(bad):
             b0 = int(bad[0])
-            rows = [[int(x) for x in row] for row in S[b0]]
+            # the witness solves the full stack of L_{a*b_k}, rows (k, r)
+            full = enum.left_mul_matrices(enum.mul_outer(A[b0:b0 + 1], basis))[0]
+            rows = [[int(x) for x in row] for row in full.reshape(n * n, n)]
             null = linalg.nullspace(rows, r.domain)
             element_witness = {"a": coords_json(r, A[b0]), "b": coords_json(r, null[0])}
             prime_element = False

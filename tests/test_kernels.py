@@ -3,6 +3,7 @@ the exact reference arithmetic of `rings.py` and `linalg.py`, on random
 unital structure-constant rings."""
 
 import json
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altring import PrimeField, Subspace, center, check_primeness, gen_m2, linalg
+from altring import PrimeField, Subspace, center, check_primeness, gen_m2, gen_zorn, linalg
 from altring.cli import main
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded, UnsupportedDomain
@@ -426,6 +427,32 @@ def test_eliminator_dtype_edges(p, C, dtype):
     for name, form in forms.items():
         assert Enumeration(ring, DEFAULT_BUDGET)._eliminate_chunk(form)[0].dtype == dtype, name
         check_elimination(ring, form)
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 4), (0, 3, 4), (3, 4, 0)],
+                         ids=["no_rows", "no_matrices", "no_columns"])
+def test_elimination_of_empty_stacks(shape):
+    """A stack with no rows, no matrices or no columns ranks 0 and reduces
+    to zero rows, as `linalg` has it, where numpy's max over no rows
+    would raise."""
+    check_elimination(gen_m2(5), np.zeros(shape, dtype=np.int64))
+
+
+def test_planes_check_range_in_the_input_dtype():
+    """Reduced narrow input is moved into planes without an int64 copy of
+    it, which would take 8 bytes an entry (numpy reports its buffers to
+    tracemalloc), and narrow unreduced input is still reduced."""
+    enum = Enumeration(gen_zorn(3), DEFAULT_BUDGET)
+    X = enum.all_coords()
+    tracemalloc.start()
+    try:
+        planes = enum._planes(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(planes, X.T) and peak < 2 * X.nbytes
+    narrow = np.array([[-1, 3, 7, -128, 127, 0, 2, -3]], dtype=np.int8)
+    assert ints(enum._planes(narrow)[:, 0]) == [int(x) % 3 for x in narrow[0]]
 
 
 def dense(p, n, m):
