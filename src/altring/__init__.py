@@ -30,7 +30,7 @@ from .rings import (Element, Ring, associator, commutator, is_alternative,
                     load_ring, ring_from_json, ring_to_json, save_ring)
 from .scalars import PrimeField, Rationals, is_prime
 from .structure import (IdempotentCensus, PeirceFrame, PrimenessReport,
-                        Subspace, center, check_main_hypotheses,
+                        Subspace, analyze, center, check_main_hypotheses,
                         check_primeness, check_spade_club,
                         check_z_of_peirce_cell, idempotents, nucleus,
                         peirce_frame, verify_peirce_relations)

@@ -23,8 +23,7 @@ from .errors import (AltringError, BudgetExceeded, DimensionMismatch, DomainMism
                      InvalidField, ParseError, UnsupportedDomain)
 from .generators import GENERATORS, gen_direct_sum
 from .reports import coords_json, dumps
-from .rings import (Ring, is_alternative, is_associative, is_flexible,
-                    is_k_torsion_free, load_ring, ring_to_json)
+from .rings import Ring, load_ring, ring_to_json
 
 
 @dataclass
@@ -117,36 +116,13 @@ def cmd_gen(args, ws: Workspace) -> int:
 
 def cmd_analyze(args, ws: Workspace) -> int:
     ring = ws.load_ring(args.ring)
-    axioms = [is_alternative(ring), is_flexible(ring), is_associative(ring),
-              is_k_torsion_free(ring, 2), is_k_torsion_free(ring, 3)]
-    centre = st.center(ring)
-    nuc = st.nucleus(ring)
-    report = {
-        "ring": ring.name,
-        "dim": ring.dim,
-        "domain": ring.domain.to_json(),
-        "unit_verified": True,
-        **{rep.condition: rep.ok for rep in axioms},
-        "centre_dim": centre.dim,
-        "nucleus_dim": nuc.dim,
-    }
-    try:
-        census = st.idempotents(ring, ws.budget)
-        report["idempotents"] = census.counts()
-    except (BudgetExceeded, UnsupportedDomain) as exc:
-        report["idempotents"] = {"skipped": str(exc)}
-    try:
-        prim = st.check_primeness(ring, ws.budget)
-        report["primeness"] = prim.to_json()
-    except (BudgetExceeded, UnsupportedDomain) as exc:
-        report["primeness"] = {"skipped": str(exc)}
-    lines = [f"ring {ring.name}: dim {ring.dim}"]
-    lines.extend(f"  {rep.condition}: {rep.ok}" for rep in axioms)
-    lines.append(f"  centre dim {centre.dim}, nucleus dim {nuc.dim}")
-    lines.append(f"  idempotents: {report['idempotents']}")
-    if "skipped" not in report["primeness"]:
-        lines.append(f"  prime: {report['primeness']['prime']}"
-                     f" (criterion agreement: {report['primeness']['criterion_equiv']})")
+    report, laws = st.analyze(ring, ws.budget)
+    prime = report["primeness"]
+    lines = [f"ring {ring.name}: dim {ring.dim}", *(f"  {rep.condition}: {rep.ok}" for rep in laws),
+             f"  centre dim {report['centre_dim']}, nucleus dim {report['nucleus_dim']}",
+             f"  idempotents: {report['idempotents']}"]
+    if "skipped" not in prime:
+        lines.append(f"  prime: {prime['prime']} (criterion agreement: {prime['criterion_equiv']})")
     _emit(args, report, lines)
     return 0
 

@@ -79,25 +79,23 @@ constants.  `left/right_mul_matrices` accumulate in `mat_dtype`, which
 holds the largest weight times (p-1) plus p, reduce only the entries
 whose weight lets them reach p, and return reduced entries in it.
 
-One eliminator, `_eliminate_chunk`, serves both batched routes.  It
-works on a batch-last copy of a (B, R, C) stack, so each column step is
-a few whole-plane operations over all B matrices, and it gathers each
-step's pivot entry and pivot row with flat `take`s.  `rref_batched` runs
-it as Gauss-Jordan and returns each matrix's reduced rows in
-pivot-column order, the rows of `linalg.rref`, padded with zero rows; a
-matrix of rank C is the identity, one of rank 0 is zero rows, and
-neither is gathered.  `rank_batched` runs its lean rank-only mode, a
-forward pass that neither scales nor writes back the pivot row, keeps
-no pivot rows and no record of used rows, and at the last column only
-counts.  A stack with no rows, matrices or columns has rank 0.  Both
-modes pick their working type per call from the column count C: it
-holds max(C-1, 1)*(p-1)**2 + p, so p = 5 runs in int8 up to C = 8 and in
-int16 beyond, and p = 191 needs int32.  `elim_dtype` sizes only the
-digit table.
+One eliminator, `_eliminate_chunk`, serves both batched routes, and
+only this module knows its layout: it works on a batch-last copy of a
+(B, ..., C) stack, its row axes flattened, so each column step is a few
+whole-plane operations over all B matrices.  `rref_batched` is the one
+Gauss-Jordan entry point, `rank_batched` the lean rank-only pass.  Both
+pick their working type per call from the column count C: it holds
+max(C-1, 1)*(p-1)**2 + p, so p = 5 runs in int8 up to C = 8 and in int16
+beyond, and p = 191 needs int32.  `elim_dtype` sizes only the digit
+table.  `rref_batched` returns a view of a batch-last buffer, and the
+multiplication matrices of a (B, m) batch hold B innermost, so
+primeness's (B, m, n, n) stack of L_w over reduced rows w reaches the
+batch-last copy with its batch axis contiguous.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import cached_property
 
@@ -359,7 +357,11 @@ class Enumeration:
         return self._mul_matrices(A, left=False)
 
     def _mul_matrices(self, A, left: bool) -> np.ndarray:
-        A = self._planes(A, self.mat_dtype)
+        # planes and matrices hold the batch axes in reverse, the first one
+        # innermost, as the batch-last copy of `_eliminate_chunk` reads them
+        A = np.asarray(A)
+        nb = A.ndim - 1                 # batch axes
+        A = self._planes(A.transpose(*range(nb - 1, -1, -1), nb), self.mat_dtype)
         out = np.zeros((self.n, self.n) + A.shape[1:], dtype=self.mat_dtype)
         for i, j, k, c in self.terms:
             a, col = (A[i], j) if left else (A[j], i)
@@ -367,7 +369,7 @@ class Enumeration:
         for (k, col), w in self.mat_weights[left].items():
             if w * (self.p - 1) >= self.p:    # the entry can leave [0, p)
                 out[k, col] %= self.p
-        return np.moveaxis(out, (0, 1), (-2, -1))
+        return out.transpose(*range(nb + 1, 1, -1), 0, 1)
 
     def linear_index(self, M) -> np.ndarray:
         """Index of M*x for every element x, in element order, for an
@@ -431,9 +433,11 @@ class Enumeration:
     # -- batched rank over F_p ---------------------------------------------
 
     def rank_batched(self, mats) -> np.ndarray:
-        """Ranks of a (B, R, C) stack of small matrices of any integer dtype,
-        by the rank-only forward pass of `_eliminate_chunk` in chunks of
-        `RANK_CHUNK` matrices."""
+        """Ranks of a (B, ..., C) stack of small matrices of any integer
+        dtype, whose row axes, all but the first and the last, count as one
+        (a (B, m, r, C) stack ranks each (m*r, C) matrix), by the rank-only
+        forward pass of `_eliminate_chunk` in chunks of `RANK_CHUNK`
+        matrices."""
         mats = np.asarray(mats)
         out = np.empty(len(mats), dtype=np.int64)
         for lo in range(0, len(mats), RANK_CHUNK):
@@ -442,30 +446,31 @@ class Enumeration:
         return out
 
     def rref_batched(self, mats) -> tuple[np.ndarray, np.ndarray]:
-        """Row-reduce a (B, R, C) stack of any integer dtype; returns (rows,
-        ranks) with rows (B, C, C) in int64: the reduced row echelon form
-        of each matrix, its nonzero rows in pivot-column order (the rows of
-        `linalg.rref`), then zero rows.  A matrix of rank C reduces to the
-        identity and one of rank 0 to zero rows, so only the others are
-        gathered from the eliminated stack."""
-        T, pivot_rows, ranks = self._eliminate_chunk(mats)
-        C, B = T.shape[0], T.shape[2]
-        rows = np.zeros((B, C, C), dtype=np.int64)
-        rows[ranks == C] = np.eye(C, dtype=np.int64)
-        part = np.flatnonzero((ranks < C) & (ranks > 0))
-        if len(part):
-            src = pivot_rows[part]
-            got = T.reshape(C, -1).take(src * B + part[:, None], axis=1)
-            got *= src >= 0
-            rows[part] = got.transpose(1, 2, 0)
-        return rows, ranks
+        """Row-reduce a (B, R, C) stack of any integer dtype (more row axes
+        are flattened, as in `rank_batched`); returns (rows, ranks) with
+        rows (B, C, C) in the eliminator's working dtype: the reduced row
+        echelon form of each matrix, its nonzero rows in pivot-column order
+        (the rows of `linalg.rref`), then zero rows.  One `take` gathers
+        the rows from the eliminated stack up to the largest rank, and each
+        matrix's rows past its own rank are zeroed.  The rows are a view of
+        a batch-last (C, C, B) buffer."""
+        T, pivots, ranks = self._eliminate_chunk(mats)
+        C, R, B = T.shape
+        rows = np.zeros((C, C, B), dtype=T.dtype)           # batch-last
+        top = int(ranks.max(initial=0))     # rows past every rank stay zero
+        got = rows[:, :top]
+        got[...] = T.reshape(C, R * B).take(pivots.T[:top], axis=1)
+        got *= pivots.T[:top] >= 0
+        return rows.transpose(2, 1, 0), ranks
 
     def _eliminate_chunk(self, A, rank_only: bool = False) -> tuple[np.ndarray, np.ndarray | None,
                                                                      np.ndarray]:
-        """Row elimination of a (B, R, C) stack of any integer dtype.
+        """Row elimination of a (B, ..., C) stack of any integer dtype, its
+        row axes flattened into R rows, as in `rank_batched`.
 
         Returns the eliminated stack batch-last, (C, R, B) in the working
-        dtype; the (B, C) pivot rows, in pivot-column order and -1 past
+        dtype; the (B, C) pivot positions, each matrix's pivot rows as flat
+        indices into an (R, B) plane, in pivot-column order and -1 past
         the rank (None under `rank_only`); and the ranks.  Gauss-Jordan
         (the default) leaves every entry in [0, p): each pivot row is the
         reduced echelon row of its column and every other row is zero.
@@ -503,14 +508,15 @@ class Enumeration:
         A = np.asarray(A)
         if A.size and (A.min() < 0 or A.max() >= p):
             A = self.reduce(A.astype(np.int64))
-        B, R, C = A.shape
+        B, C, row_axes = A.shape[0], A.shape[-1], A.shape[1:-1]
+        R = math.prod(row_axes)
         dt = _narrowest_signed(max(C - 1, 1) * (p - 1) ** 2 + p)
         T = np.empty((C, R, B), dtype=dt)
-        T[...] = A.transpose(2, 1, 0)
+        T.reshape(C, *row_axes, B)[...] = np.moveaxis(A, (0, -1), (-1, 0))
         ranks = np.zeros(B, dtype=np.int64)
-        pivot_rows = None if rank_only else np.full((B, C), -1, dtype=np.int64)
+        pivots = None if rank_only else np.full((B, C), -1, dtype=np.intp)
         if not (B and R):
-            return T, pivot_rows, ranks
+            return T, pivots, ranks
         inv = self.inv_table.astype(dt)
         free = None if rank_only else np.ones((R, B), dtype=bool)
         batch = np.arange(B)
@@ -542,6 +548,6 @@ class Enumeration:
             f.reshape(-1)[at] -= has
             later -= prow[:, None, :] * f
             free.reshape(-1)[at] &= ~has
-            pivot_rows[batch, ranks] = np.where(has, at // B, -1)
+            pivots[batch, ranks] = np.where(has, at, -1)
             ranks += has
-        return T, pivot_rows, ranks
+        return T, pivots, ranks

@@ -41,7 +41,7 @@ from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (DimensionMismatch, DomainMismatch, NotIdempotentImage,
                      NotInvertible, OffsetNotCentral, ParseError)
 from .reports import CheckReport, coords_json, first_failure
-from .rings import Element, Ring, is_associative
+from .rings import Element, Ring, is_associative, scalar_array
 from .structure import PeirceFrame, center, check_main_hypotheses, peirce_frame
 
 
@@ -141,6 +141,9 @@ def _structured_matrix(source: Ring, target: Ring, matrix, offset_functional=Non
     """The matrix M + z lambda^T of a linear part M plus an offset
     lambda(x)*z, which must be central: z central, and lambda vanishing on
     every commutator, so on each [b_i, b_j]."""
+    for key, value, depth in (("matrix", matrix, 2), ("offset_functional", offset_functional, 1),
+                              ("offset_central", offset_central, 1)):
+        scalar_array([] if value is None else value, depth, f"map field {key!r}")
     if len(matrix) != target.dim or any(len(r) != source.dim for r in matrix):
         raise DimensionMismatch(f"linear part must be {target.dim}x{source.dim}")
     dom = source.domain
@@ -186,13 +189,17 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
         raise DimensionMismatch(f"{kind} map needs identical source and target rings")
     if kind == "compose":
         idx = np.arange(es.count)
-        for part in _field(spec, "parts", where):
+        parts = _field(spec, "parts", where)
+        if not isinstance(parts, list) or not all(isinstance(part, dict) for part in parts):
+            raise ParseError("map field 'parts' must be an array of map objects")
+        for part in parts:
             idx = build_map(source, target, part, budget).image_index()[idx]
         return MapTable(source, target, es, et, idx)
     if kind == "table":
         entries = _field(spec, "entries", where)
         if isinstance(entries, dict):
             entries = [_field(entries, str(i), "table entries") for i in range(len(entries))]
+        scalar_array(entries, 2, "map field 'entries'")
         if len(entries) != es.count:
             raise ParseError(f"table has {len(entries)} entries, source has {es.count} elements")
         if any(len(row) != target.dim for row in entries):
@@ -225,7 +232,8 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
     elif kind == "conjugation":
         if not is_associative(source):
             raise NotInvertible("conjugation builder needs an associative ring")
-        u = [dom.parse(x) for x in _field(spec, "element", where)]
+        u = [dom.parse(x) for x in scalar_array(_field(spec, "element", where), 1,
+                                                "map field 'element'")]
         L = source.left_mul_matrix(u)
         u_inv, _ = linalg.solve(L, list(source.unit_coords), dom)
         if u_inv is None or source.mul_coords(u_inv, u) != tuple(source.unit_coords):
@@ -246,6 +254,9 @@ def map_to_json(m: MapTable) -> dict:
 def map_from_json(obj: dict, rings: dict[str, Ring], budget: int = DEFAULT_BUDGET) -> MapTable:
     if not isinstance(obj, dict):
         raise ParseError("a map file must hold a JSON object")
+    for key in ("source", "target"):
+        if not isinstance(obj.get(key, ""), str):
+            raise ParseError(f"map field {key!r} must be a ring name")
     try:
         src = rings[obj["source"]]
         tgt = rings[obj["target"]]

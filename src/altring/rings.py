@@ -302,7 +302,23 @@ def ring_to_json(r: Ring) -> dict:
 
 def _holds_bool(value) -> bool:
     return isinstance(value, bool) or (
-        isinstance(value, list) and any(_holds_bool(v) for v in value))
+        isinstance(value, (list, tuple)) and any(_holds_bool(v) for v in value))
+
+
+def scalar_array(value, depth: int, field: str):
+    """`value` if it is an array nested `depth` deep with scalar entries (a
+    bool, which json loads for true, is none), else a ParseError naming
+    `field`.  The entries, 3.1 million in a Zorn/F5 table, go by type."""
+    level = [value]
+    for _ in range(depth):
+        if not all(isinstance(v, (list, tuple)) for v in level):
+            break
+        level = [x for v in level for x in v]
+    else:
+        if not {type(x) for x in level} & {list, tuple, dict, bool}:
+            return value
+    raise ParseError(f"{field} holds a JSON boolean, not a scalar" if _holds_bool(value) else
+                     f"{field} must be an array of {'arrays of ' * (depth - 1)}scalars")
 
 
 def ring_from_json(obj: dict) -> Ring:
@@ -310,10 +326,10 @@ def ring_from_json(obj: dict) -> Ring:
         raise ParseError("a ring file must hold a JSON object")
     try:
         dom = domain_from_json(obj["domain"])
-        for key in ("unit", "mul"):
-            # json loads true/false as bools, which are ints: 1 and 0
-            if _holds_bool(obj[key]):
-                raise ParseError(f"ring file field {key!r} holds a JSON boolean, not a scalar")
+        for key, depth in (("basis", 1), ("unit", 1), ("mul", 3)):
+            scalar_array(obj[key], depth, f"ring file field {key!r}")
+        if not isinstance(obj["name"], str):
+            raise ParseError("ring file field 'name' must be a string")
         ring = Ring(obj["name"], dom, obj["basis"], obj["mul"], obj["unit"])
         dim = obj["dim"]
     except KeyError as exc:

@@ -16,10 +16,11 @@ import numpy as np
 
 from . import linalg
 from .enumeration import DEFAULT_BUDGET, Enumeration
-from .errors import NotIdempotent, PeirceIncompatible, RingMismatch, TrivialIdempotent
+from .errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible, RingMismatch,
+                     TrivialIdempotent, UnsupportedDomain)
 from .reports import CheckReport, coords_json, first_failure
-from .rings import (Element, Ring, associators, is_alternative, is_k_torsion_free,
-                    memoised)
+from .rings import (Element, Ring, associators, is_alternative, is_associative, is_flexible,
+                    is_k_torsion_free, memoised)
 
 PRIMENESS_CHUNK = 8192          # generators per batch in both primeness routes
 UNIT_ROUNDS = 12                # certificate rounds after the screen (`_unit_certificates`)
@@ -432,18 +433,9 @@ class PrimenessReport:
     torsion_free_3: bool
 
     def to_json(self) -> dict:
-        return {
-            "ring": self.ring_name,
-            "prime": self.prime_by_ideals,
-            "prime_by_ideals": self.prime_by_ideals,
-            "prime_by_elements": self.prime_by_elements,
-            "criterion_equiv": self.criterion_equiv,
-            "ideal_witness": self.ideal_witness,
-            "element_witness": self.element_witness,
-            "quantifier_space": self.quantifier_space,
-            "alternative": self.alternative,
-            "torsion_free_3": self.torsion_free_3,
-        }
+        """The fields in order, ring_name as "ring", and "prime" (by ideals)."""
+        fields = {k: v for k, v in vars(self).items() if k != "ring_name"}
+        return {"ring": self.ring_name, "prime": self.prime_by_ideals, **fields}
 
 
 def _generator_classes(enum: Enumeration) -> tuple[np.ndarray, np.ndarray]:
@@ -460,13 +452,11 @@ def _generator_classes(enum: Enumeration) -> tuple[np.ndarray, np.ndarray]:
     return reps, full
 
 
-def _unit_pair(enum: Enumeration, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The elements u_t, v_t of certificate round t >= 1: indices 2t-1 and
-    2t of the sequence j*UNIT_STRIDE mod count, j = 1, 2, ..., decoded by
-    `coords_of` into (n, 1) planes."""
-    idx = np.array([2 * t - 1, 2 * t], dtype=np.int64) * UNIT_STRIDE % enum.count
-    U = enum._planes(enum.coords_of(idx))
-    return U[:, :1], U[:, 1:]
+def _unit_pair(enum: Enumeration, t: int) -> np.ndarray:
+    """The (2, n) coordinate rows of u_t and v_t, the elements of
+    certificate round t >= 1: indices 2t-1 and 2t of the sequence
+    j*UNIT_STRIDE mod count, j = 1, 2, ..., decoded by `coords_of`."""
+    return enum.coords_of(np.array([2 * t - 1, 2 * t], dtype=np.int64) * UNIT_STRIDE % enum.count)
 
 
 def _unit_certificates(enum: Enumeration, reps: np.ndarray, screened: np.ndarray) -> np.ndarray:
@@ -476,21 +466,20 @@ def _unit_certificates(enum: Enumeration, reps: np.ndarray, screened: np.ndarray
 
     y lies in (x), and a full-rank L_y gives yR = R, so (x) = R.  The
     proof needs neither alternativity nor a unit.  Each round runs over
-    every generator left, in one batch, and drops those it certifies.
+    every generator left, in one batch of `Enumeration.mul` products with
+    u_t and v_t broadcast against it, and drops those it certifies.
     """
     rounds = np.where(screened, 0, -1)
     left = np.flatnonzero(~screened)
-    X = enum._planes(reps[left])
+    X = reps[left]
     for t in range(1, UNIT_ROUNDS + 1):
         if not len(left):
             break
-        U, V = _unit_pair(enum, t)
-        Y = enum._product_planes(X, U)
-        Y += enum._product_planes(V, X)
-        Y = np.moveaxis(enum.reduce(Y), 0, -1)
+        u, v = _unit_pair(enum, t)
+        Y = enum.reduce(enum.mul(X, u) + enum.mul(v, X))
         full = enum.rank_batched(enum.left_mul_matrices(Y)) == enum.n
         rounds[left[full]] = t
-        left, X = left[~full], X[:, ~full]
+        left, X = left[~full], X[~full]
     return rounds
 
 
@@ -508,38 +497,31 @@ def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
     Each closure step stacks the current (compressed echelon) spanning
     rows x with the transposed multiplication matrices L_x^T and R_x^T,
     whose rows are the products x*b_j and b_j*x with every basis vector,
-    and row-reduces again; a generator is settled once its rank stops
-    growing.  The stack stays in the narrow `mat_dtype` and is laid out
-    batch-last, as the eliminator works, so it reaches the eliminator with
-    no transposing copy.  Everything runs batched, in chunks cut over all
-    generators, so the proper ideals are found in the same order as with
-    no certificate; the whole ring comes first in a chunk that holds a
-    certified generator.  A stable generator's rows are a reduced echelon
-    form, which is canonical, so ideals are told apart by its bytes and
-    each distinct one is built once.
+    and row-reduces again (`Enumeration.rref_batched`); a generator is
+    settled once its rank stops growing.  Everything runs batched, in
+    chunks cut over all generators, so the proper ideals are found in the
+    same order as with no certificate; the whole ring comes first in a
+    chunk that holds a certified generator.  A stable generator's rows
+    are a reduced echelon form, which is canonical, so ideals are told
+    apart by its bytes and each distinct one is built once.
     """
     n = ring.dim
     whole = Subspace.from_vectors(ring, [list(ring.basis_coords(i)) for i in range(n)])
-    whole_key = np.eye(n, dtype=np.int64).tobytes()
-    ideals: dict[bytes, Subspace] = {}
+    ideals: dict[bytes | None, Subspace] = {}       # the whole ring under None
     certified = _unit_certificates(enum, reps, screened) >= 0
 
     def layer(rows):
-        # rows (B, m, n) -> [rows; x*b_j; b_j*x] for every row x and basis vector b_j,
-        # written batch-last, the eliminator's own layout, and returned as a (B, R, n) view
+        # rows (B, m, n) -> [rows; x*b_j; b_j*x] for every row x and basis vector b_j:
+        # row j of L_x^T (R_x^T) holds x*b_j (b_j*x)
         b_count, m = rows.shape[0], rows.shape[1]
-        stack = np.empty((n, m * (2 * n + 1), b_count), dtype=enum.mat_dtype)
-        stack[:, :m] = rows.transpose(2, 1, 0)
-        for lo, mats in ((m, enum.left_mul_matrices(rows)),
-                         (m + m * n, enum.right_mul_matrices(rows))):
-            # mats (B, m, k, j): row (x, j) holds coordinate k of x*b_j (or b_j*x)
-            stack[:, lo:lo + m * n].reshape(n, m, n, b_count)[...] = mats.transpose(2, 1, 3, 0)
-        return stack.transpose(2, 1, 0)
+        return np.concatenate([rows] + [mats.swapaxes(-1, -2).reshape(b_count, m * n, n)
+                                        for mats in (enum.left_mul_matrices(rows),
+                                                     enum.right_mul_matrices(rows))], axis=1)
 
     for lo in range(0, len(reps), PRIMENESS_CHUNK):
         part = slice(lo, lo + PRIMENESS_CHUNK)
         if certified[part].any():
-            ideals.setdefault(whole_key, whole)
+            ideals.setdefault(None, whole)
         rows = reps[part][~certified[part]][:, None, :]
         ranks = np.ones(len(rows), dtype=np.int64)
         for _ in range(n + 1):
@@ -548,7 +530,7 @@ def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
             grown, new_ranks = enum.rref_batched(layer(rows))
             full = new_ranks == n
             if full.any():
-                ideals.setdefault(whole_key, whole)
+                ideals.setdefault(None, whole)
             stable = (new_ranks == ranks) & ~full
             for b in np.flatnonzero(stable):
                 key = grown[b].tobytes()
@@ -572,13 +554,15 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
 
     Both routes skip generators a with full-rank L_a: aR = R makes (a) the
     whole ring, and 1 in span{a b_k} forces the stacked kernel to zero.
-    The element route stacks L_w only over a basis w of aR, the pivot rows
-    of one Gauss-Jordan elimination of the rows a b_k, not over all n of
-    them: those rows span aR and y -> L_y is linear, so every L_{a b_k} is
-    a combination of the L_w and each L_w of the L_{a b_k}.  The two stacks
-    have the same row space, so the same kernel and rank, and the same
-    first failing a.  Its witness b is still the first nullspace vector of
-    the full stack of L_{a b_k}, so its bytes do not depend on the basis.
+    The element route stacks L_w only over a basis w of aR, the nonzero
+    reduced rows of the rows a b_k (`Enumeration.rref_batched`), not over
+    all n of them: those rows span aR and y -> L_y is linear, so every
+    L_{a b_k} is a combination of the L_w and each L_w of the L_{a b_k}.
+    The two stacks have the same row space, so the same kernel and rank
+    (`Enumeration.rank_batched` of the (B, w, r, c) stack of the L_w, its
+    rows (w, r)), and the same first failing a.  Its witness b is still
+    the first nullspace vector of the full stack of L_{a b_k}, so its
+    bytes do not depend on the basis.
     The ideal route also skips a generator x with a unit inside (x): for
     fixed u and v, y = x*u + v*x lies in (x), and a full-rank L_y gives
     yR = R, so (x) = R (`_unit_certificates`).  A generator that no round
@@ -590,48 +574,34 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
 
     # ideal route
     ideals = _principal_ideals(r, enum, reps, screened)
-    minimal = []
-    for sub in ideals:
-        if not any(other.dim < sub.dim and all(sub.contains(list(v)) for v in other.basis)
-                   for other in ideals):
-            minimal.append(sub)
-    ideal_witness = None
-    prime_ideal = True
-    for A in minimal:
-        for B in minimal:
-            if all(all(x == r.domain.zero for x in r.mul_coords(list(u), list(v)))
-                   for u in A.basis for v in B.basis):
-                prime_ideal = False
-                ideal_witness = {
-                    "ideal_a_basis": [coords_json(r, u) for u in A.basis],
-                    "ideal_b_basis": [coords_json(r, v) for v in B.basis],
-                    "a": coords_json(r, A.basis[0]),
-                    "b": coords_json(r, B.basis[0]),
-                }
-                break
-        if not prime_ideal:
-            break
+    minimal = [sub for sub in ideals
+               if not any(other.dim < sub.dim and all(sub.contains(list(v)) for v in other.basis)
+                          for other in ideals)]
+    # the first pair of minimal ideals, in loop order, with zero product
+    zero_pair = next(((A, B) for A in minimal for B in minimal
+                      if all(all(x == r.domain.zero for x in r.mul_coords(list(u), list(v)))
+                             for u in A.basis for v in B.basis)), None)
+    prime_ideal = zero_pair is None
+    ideal_witness = None if prime_ideal else {
+        "ideal_a_basis": [coords_json(r, u) for u in zero_pair[0].basis],
+        "ideal_b_basis": [coords_json(r, v) for v in zero_pair[1].basis],
+        "a": coords_json(r, zero_pair[0].basis[0]),
+        "b": coords_json(r, zero_pair[1].basis[0]),
+    }
 
     # element route: for each nonzero a (one representative per scalar class,
     # which preserves the first witness in element order), the solutions of
     # (a b_k) x = 0 for all k form a kernel; a nonzero kernel refutes primeness.
     survivors = reps[~screened]
-    prime_element = True
     element_witness = None
     basis = np.eye(n, dtype=np.int64)
     for lo in range(0, len(survivors), PRIMENESS_CHUNK):
         A = survivors[lo:lo + PRIMENESS_CHUNK]
-        size = len(A)
-        # Gauss-Jordan on the rows a*b_k: every row of T lies in aR, and the
-        # first m pivot rows of each matrix span it; -1 past a rank takes the
-        # last row, so no stack is empty and none needs a mask
-        T, pivots, dims = enum._eliminate_chunk(enum.mul_outer(A, basis))
+        # the first m reduced rows of the rows a*b_k span aR; zero rows past
+        # a rank add nothing, and m >= 1, so no stack is empty
+        W, dims = enum.rref_batched(enum.mul_outer(A, basis))
         m = max(int(dims.max()), 1)
-        W = T.reshape(n, -1).take(pivots[:, :m].T * size + np.arange(size), axis=1)
-        L = enum.left_mul_matrices(np.moveaxis(W, 0, -1))   # (w, B, r, c): L_w
-        # the stacked rows (w, r), written batch-last as the eliminator works
-        S = np.ascontiguousarray(L.transpose(3, 0, 2, 1)).reshape(n, m * n, size)
-        ranks = enum.rank_batched(S.transpose(2, 1, 0))
+        ranks = enum.rank_batched(enum.left_mul_matrices(W[:, :m]))
         bad = np.flatnonzero(ranks < n)
         if len(bad):
             b0 = int(bad[0])
@@ -640,8 +610,8 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
             rows = [[int(x) for x in row] for row in full.reshape(n * n, n)]
             null = linalg.nullspace(rows, r.domain)
             element_witness = {"a": coords_json(r, A[b0]), "b": coords_json(r, null[0])}
-            prime_element = False
             break
+    prime_element = element_witness is None
 
     return PrimenessReport(
         ring_name=r.name,
@@ -655,3 +625,23 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
         alternative=is_alternative(r).ok,
         torsion_free_3=is_k_torsion_free(r, 3).ok,
     )
+
+
+# -- the whole structural report ----------------------------------------------
+
+def analyze(r: Ring, budget: int = DEFAULT_BUDGET) -> tuple[dict, list[CheckReport]]:
+    """The `altring analyze` report, and the law reports it records: ring
+    laws, centre and nucleus dimensions, the idempotent census and
+    primeness, the last two {"skipped": reason} past the budget or over Q."""
+    laws = [is_alternative(r), is_flexible(r), is_associative(r),
+            is_k_torsion_free(r, 2), is_k_torsion_free(r, 3)]
+    report = {"ring": r.name, "dim": r.dim, "domain": r.domain.to_json(), "unit_verified": True,
+              **{rep.condition: rep.ok for rep in laws},
+              "centre_dim": center(r).dim, "nucleus_dim": nucleus(r).dim}
+    for key, run in (("idempotents", lambda: idempotents(r, budget).counts()),
+                     ("primeness", lambda: check_primeness(r, budget).to_json())):
+        try:
+            report[key] = run()
+        except (BudgetExceeded, UnsupportedDomain) as exc:
+            report[key] = {"skipped": str(exc)}
+    return report, laws

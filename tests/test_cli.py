@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,18 @@ def test_analyze_json(files, tmp_path, capsys):
     assert rep["centre_dim"] == 1 and rep["nucleus_dim"] == 4
     assert rep["idempotents"]["total"] == 32
     assert rep["primeness"]["prime"] and rep["primeness"]["criterion_equiv"]
+
+
+def test_analyze_prints_the_library_report(files, capsys):
+    """`altring analyze` prints `structure.analyze` as it stands, skipped
+    census and primeness included, and the law lines in report order."""
+    ring = Workspace().load_ring(files["dsum"])
+    for budget in (10**6, 1000):
+        report, laws = st.analyze(ring, budget)
+        assert main(["analyze", files["dsum"], "--budget", str(budget)]) == 0
+        assert json.loads(capsys.readouterr().out) == report
+        assert [rep.condition for rep in laws] == list(report)[4:9]
+    assert "skipped" in report["idempotents"] and "skipped" in report["primeness"]
 
 
 def test_analyze_counts_the_census_without_elements(files, capsys, monkeypatch):
@@ -244,6 +257,16 @@ def m2_map(repr_, ring="m2_f5"):
     return {"source": ring, "target": ring, "repr": repr_}
 
 
+M2_IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+def m2_table_with_true():
+    """The M2/F5 identity table with the 1 of element 1 = E22 written as true."""
+    rows = [list(x) for x in product(range(5), repeat=4)]
+    rows[1][3] = True
+    return rows
+
+
 @pytest.mark.parametrize("field, doc, message", [
     ("5", m2_map({"kind": "table", "entries": [[0, 0, 0]] * 625}),
      "table rows must have 4 entries"),
@@ -254,10 +277,30 @@ def m2_map(repr_, ring="m2_f5"):
      "table entries is missing field '1'"),
     ("5", [m2_map("identity")], "a map file must hold a JSON object"),
     ("5", m2_map(5), "map field 'repr' must be an object or a kind name"),
-    ("Q", m2_map({"kind": "linear", "matrix": [[int(i == j) for j in range(4)] for i in range(4)]},
-                 "m2_q"), "finite enumeration needs a prime field"),
+    ("Q", m2_map({"kind": "linear", "matrix": M2_IDENTITY}, "m2_q"),
+     "finite enumeration needs a prime field"),
+    ("5", m2_map({"kind": "table", "entries": 5}),
+     "map field 'entries' must be an array of arrays of scalars"),
+    ("5", m2_map({"kind": "linear", "matrix": 5}),
+     "map field 'matrix' must be an array of arrays of scalars"),
+    ("5", m2_map({"kind": "conjugation", "element": 5}),
+     "map field 'element' must be an array of scalars"),
+    ("5", m2_map({"kind": "compose", "parts": 5}),
+     "map field 'parts' must be an array of map objects"),
+    ("5", m2_map({"kind": "compose", "parts": [{"kind": "identity"}, 5]}),
+     "map field 'parts' must be an array of map objects"),
+    ("5", m2_map({"kind": "structured", "matrix": M2_IDENTITY, "offset_functional": 5,
+                  "offset_central": [1, 0, 0, 1]}),
+     "map field 'offset_functional' must be an array of scalars"),
+    ("5", m2_map({"kind": "table", "entries": m2_table_with_true()}),
+     "map field 'entries' holds a JSON boolean, not a scalar"),
+    ("5", m2_map({"kind": "linear", "matrix": [[True, 0, 0, 0]] + M2_IDENTITY[1:]}),
+     "map field 'matrix' holds a JSON boolean, not a scalar"),
+    ("5", {**m2_map("identity"), "source": ["m2_f5"]}, "map field 'source' must be a ring name"),
 ], ids=["table_rows_of_width_3", "linear_4x3", "linear_without_matrix", "table_without_entry_1",
-        "top_level_list", "repr_a_number", "linear_over_q"])
+        "top_level_list", "repr_a_number", "linear_over_q", "entries_a_number",
+        "matrix_a_number", "element_a_number", "parts_a_number", "compose_part_a_number",
+        "offset_functional_a_number", "table_with_true", "matrix_with_true", "source_a_list"])
 def test_malformed_map_is_an_input_error(files, capsys, field, doc, message):
     ring = files["m2"]
     if field == "Q":
@@ -278,8 +321,13 @@ def test_malformed_map_is_an_input_error(files, capsys, field, doc, message):
     (lambda obj: [obj], [], "a ring file must hold a JSON object"),
     (None, [], "Is a directory"),
     (lambda obj: obj, ["--out", "{dir}"], "Is a directory"),
+    (lambda obj: {**obj, "mul": 5}, [],
+     "ring file field 'mul' must be an array of arrays of arrays of scalars"),
+    (lambda obj: {**obj, "unit": 1}, [], "ring file field 'unit' must be an array of scalars"),
+    (lambda obj: {**obj, "basis": 5}, [], "ring file field 'basis' must be an array of scalars"),
+    (lambda obj: {**obj, "name": [1]}, [], "ring file field 'name' must be a string"),
 ], ids=["without_dim", "composite_modulus", "top_level_list", "ring_is_a_directory",
-        "out_is_a_directory"])
+        "out_is_a_directory", "mul_a_number", "unit_a_number", "basis_a_number", "name_a_list"])
 def test_malformed_ring_is_an_input_error(files, capsys, edit, out, message):
     """`edit` makes the ring file from a valid one; None makes it a directory."""
     obj = json.loads(Path(files["m2"]).read_text())

@@ -55,12 +55,21 @@ def check_products(ring, A, B):
         assert [ints(r) for r in R[idx]] == ring.right_mul_matrix(a)
 
 
+def working_dtype(p, C):
+    """The eliminator's working type for C columns over F_p: the narrowest
+    signed type holding max(C-1, 1)*(p-1)**2 + p."""
+    bound = max(C - 1, 1) * (p - 1) ** 2 + p
+    return next(dt for dt in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(dt).max)
+
+
 def check_elimination(ring, mats):
     """rank_batched (the rank-only pass) and rref_batched (Gauss-Jordan)
     against `linalg` on a (B, R, C) stack of any integer dtype, reduced or
     not: both ranks are the reference rank, the rows are the `linalg.rref`
-    rows in pivot-column order, then zero rows, and neither call writes
-    into its input."""
+    rows in pivot-column order, then zero rows, in the working dtype, and
+    neither call writes into its input.  rank_batched also takes the rows
+    on two axes, (B, a, R/a, C) for every divisor a of R, in place or
+    swapped (a row permutation), and ranks them as the flattened stack."""
     enum = Enumeration(ring, DEFAULT_BUDGET)
     dom, p = ring.domain, ring.domain.p
     mats = np.asarray(mats)
@@ -68,7 +77,12 @@ def check_elimination(ring, mats):
     ranks = enum.rank_batched(mats)
     rows, rref_ranks = enum.rref_batched(mats)
     assert np.array_equal(mats, before) and mats.dtype == before.dtype
-    assert rows.dtype == np.int64 and rows.shape == (len(mats), mats.shape[2], mats.shape[2])
+    count, height, cols = mats.shape
+    assert rows.dtype == working_dtype(p, cols) and rows.shape == (count, cols, cols)
+    for a in (a for a in range(1, height + 1) if height % a == 0):
+        split = mats.reshape(count, a, height // a, cols)
+        assert np.array_equal(enum.rank_batched(split), ranks)
+        assert np.array_equal(enum.rank_batched(split.swapaxes(1, 2)), ranks)
     for M, got_rank, R, rk in zip(mats, ranks, rows, rref_ranks):
         reduced = [[int(x) % p for x in r] for r in M]
         want, _ = linalg.rref(reduced, dom)
@@ -425,7 +439,7 @@ def test_eliminator_dtype_edges(p, C, dtype):
              "huge": stack + p * rng.integers(-2 ** 40 // p, 2 ** 40 // p, stack.shape)}
     ring = gen_m2(p)
     for name, form in forms.items():
-        assert Enumeration(ring, DEFAULT_BUDGET)._eliminate_chunk(form)[0].dtype == dtype, name
+        assert Enumeration(ring, DEFAULT_BUDGET).rref_batched(form)[0].dtype == dtype, name
         check_elimination(ring, form)
 
 

@@ -1,7 +1,9 @@
 """Layering guards.  Only `enumeration.py` reads the digit table: the map
-verifiers and the decomposition combine element indices and masks through
-the `Enumeration` index kernels, so their source (docstrings included)
-names none of the digit-plane internals.  Only `enumeration.py` applies
+verifiers, the decomposition and the structure checks combine element
+indices, masks and coordinate rows through the public `Enumeration`
+kernels, so their source (docstrings included) names none of the
+digit-plane internals, and only `enumeration.py` names an underscore
+member of `Enumeration` or the dtypes of its planes and eliminator.  Only `enumeration.py` applies
 the evaluation budget, bound once per Enumeration, and a map is verified
 at the budget it was built under.  The Peirce relations enumerate
 nothing, so they take no budget.  The ring laws report like every other
@@ -29,11 +31,29 @@ DIGIT_TABLE_INTERNALS = re.compile(
     r"\.digits\(|index_of_planes|\b(es|et)\.reduce\(|\.take\(|add_index|elim_dtype")
 
 
-@pytest.mark.parametrize("module", ["maps.py", "decompose.py"])
+@pytest.mark.parametrize("module", ["maps.py", "decompose.py", "structure.py"])
 def test_module_reads_no_digit_table(module):
     source = (Path(altring.__file__).parent / module).read_text(encoding="utf-8")
     hits = [f"{n}: {line.strip()}" for n, line in enumerate(source.splitlines(), 1)
             if DIGIT_TABLE_INTERNALS.search(line)]
+    assert hits == []
+
+
+def test_only_enumeration_names_its_internals(m2):
+    """Primeness and every other caller use the public kernels: no module
+    but `enumeration.py` names a private method or attribute of an
+    `Enumeration`, such as `_eliminate_chunk`, `_planes` or `_digits`, or
+    its `mat_dtype` and `elim_dtype`."""
+    enum = Enumeration(m2, 10**6)
+    private = {name for name in [*vars(Enumeration), *vars(enum)]
+               if name.startswith("_") and not name.endswith("__")}
+    assert {"_eliminate_chunk", "_planes", "_product_planes", "_digits"} <= private
+    named = re.compile(r"\b(%s|mat_dtype|elim_dtype)\b" % "|".join(sorted(private)))
+    root = Path(altring.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}" for path in sorted(root.glob("*.py"))
+            if path.name != "enumeration.py"
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if named.search(line)]
     assert hits == []
 
 

@@ -749,7 +749,7 @@ def test_unit_certificates_replay_on_direct_sum(dsum):
     reps, screened = _generator_classes(enum)
     rounds = _unit_certificates(enum, reps, screened)
     assert np.array_equal(rounds == 0, screened)
-    pairs = {t: [tuple(ints(P[:, 0])) for P in _unit_pair(enum, t)]
+    pairs = {t: [tuple(ints(P)) for P in _unit_pair(enum, t)]
              for t in set(rounds[rounds > 0].tolist())}
     for k in np.flatnonzero(rounds > 0):
         x = tuple(ints(reps[k]))
