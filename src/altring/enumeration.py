@@ -8,15 +8,19 @@ scalar multiples of the first basis vector come right after zero; scan
 witnesses quote whichever order the scan uses.
 
 All numpy arithmetic stays exact.  Products run over the nonzero
-structure constants only: output coordinate k accumulates c*A_i*B_j for
-each constant c = sc[i][j][k] on operands reduced to [0, p), so it sums
-at most nnz_k terms, each in [0, (p-1)**3], before it is reduced mod p.
-The product and commutator cores accumulate in `acc_dtype`, the
-narrowest signed type (`_narrowest_signed`) holding max(nnz_k)*(p-1)**3
-+ p, the maximum taken over `terms` and `comm_terms`: int16 for M2 and
-Zorn over F_5.  An `Enumeration` refuses (UnsupportedDomain) a prime for
-which that bound passes int64; the ring itself still loads and works in
-exact Python arithmetic.
+structure constants only, each taken centred: c' is the representative
+of c mod p in (-p/2, p/2] (`_centred`).  Output coordinate k
+accumulates c'*A_i*B_j for each constant c = sc[i][j][k] on operands
+reduced to [0, p), so |A_i*B_j| <= (p-1)**2, and every term, partial sum
+and temporary stays within W*(p-1)**2, where W is the largest sum of
+|c'| over the terms feeding one output.  A c' of -1 is a subtraction
+with no multiply.  The product and commutator cores accumulate in
+`acc_dtype`, the narrowest signed type (`_narrowest_signed`) holding
+W*(p-1)**2 + p, since `reduce`'s p*(X // p) is at most |X| + p; W is
+taken over `terms` and `comm_terms`.  M2 and Zorn over F_5 have W = 2
+and 4, bounds 37 and 69: int8.  An `Enumeration` refuses
+(UnsupportedDomain) a prime for which that bound passes int64; the ring
+itself still loads and works in exact Python arithmetic.
 
 The product kernels work plane-major: each operand is reduced mod p and
 its coordinate axis moved to the front in one pass, so every A_i is a
@@ -48,28 +52,30 @@ with `take(idx, axis=1)` and return int64 indices by Horner's rule
 `mul_outer`; `sum_index` reduces a signed sum in (-p, 2p), as a + b or
 a - b, by one compare-and-add per side, else by `reduce`; `line_masks`
 steps the planes of a - lam*b in place.  The cores reduce by floor
-division (`reduce`): on int16 planes it ran about 9 times faster than
-`remainder` (numpy 2.4, x86-64).
+division (`reduce`): on 8 x 2**18 int8 and int16 planes it ran about 25
+and 12 times faster than `remainder` (numpy 2.4.6, x86-64, 2 cores).
 
 Linear maps run in index space too.  `linear_index(M)` returns the
-element index of M*x for every element x: plane k accumulates c*D_j over
-the nonzero entries c = M[k][j] mod p on the digit planes, so it sums at
-most n terms, each in [0, (p-1)**2], in `lin_dtype`, the narrowest signed
-type holding n*(p-1)**2 + p (int8 for M2 over F_5, int16 for Zorn over
-F_5), before `reduce` and `index_of_planes`.  The ufunc is told that
-type, so a narrow digit plane is widened before it is multiplied: under
-NumPy 1.24's value-based casting an int8 array times a wider scalar
-would stay int8.  For an (m, n) matrix the m planes index the elements
-of an m-dimensional target, so a structured map's image index is one
-`linear_index` even when the target's dimension differs.
+element index of M*x for every element x: plane k accumulates c'*D_j
+over the nonzero centred entries c' of row k on the digit planes, so it
+stays within S*(p-1), S the largest sum of |c'| over a row of M.  Each
+call picks the narrowest signed type holding S*(p-1) + p, int8 for every
+matrix over F_5 up to n = 15, before `reduce` and `index_of_planes`; a
+digit plane may be wider, as any type holding p holds every digit.  The
+ufunc is told that type, so a narrow digit plane is widened before it
+is multiplied: under NumPy 1.24's value-based casting an int8 array
+times a wider scalar would stay int8.  For an (m, n) matrix the m planes
+index the elements of an m-dimensional target, so a structured map's
+image index is one `linear_index` even when the target's dimension
+differs.
 
 Commutators have one core of their own over the antisymmetrised
 constants d = (c_ijk - c_jik) mod p, i < j (`comm_terms`): plane k
-accumulates d*(A_i*B_j - A_j*B_i), so the diagonal and the repeated
-half of the basis pairs cost nothing.  Each term lies in (-(p-1)**3,
-(p-1)**3), and output k sums one per nonzero d_ijk; a nonzero d_ijk
-needs c_ijk or c_jik nonzero, so that count never passes nnz_k of the
-products, and `acc_dtype` holds every partial sum.
+accumulates d'*(A_i*B_j - A_j*B_i), d' the centred d, so the diagonal
+and the repeated half of the basis pairs cost nothing.  Each difference
+lies within (p-1)**2, so output k stays within the sum of |d'| feeding
+it times (p-1)**2, part of W; as |d'| <= |c'_ijk| + |c'_jik|, it never
+passes the products' own sum.
 
 Multiplication matrices and elimination run in narrow dtypes, each
 sized by a bound of its own (`_narrowest_signed`).  Entry (k, j) of L_a
@@ -117,6 +123,12 @@ def _narrowest_signed(bound: int):
     raise UnsupportedDomain(f"values up to {bound} do not fit int64")
 
 
+def _centred(c, p: int) -> int:
+    """c mod p as its representative in (-p/2, p/2]."""
+    c = int(c) % p
+    return c - p if 2 * c > p else c
+
+
 def require_finite(ring: Ring) -> int:
     if ring.domain.kind != "Fp":
         raise UnsupportedDomain(f"ring {ring.name!r} is over Q; finite enumeration needs a prime field")
@@ -141,19 +153,22 @@ class Enumeration:
         self.comm_terms = [(i, j, k, d) for i in range(self.n) for j in range(i + 1, self.n)
                            for k in range(self.n)
                            if (d := (int(ring.sc[i][j][k]) - int(ring.sc[j][i][k])) % self.p)]
-        # product and commutator accumulator: nnz_k terms of magnitude <= (p-1)**3
-        per_output = max(max(Counter(t[2] for t in terms).values(), default=1)
-                         for terms in (self.terms, self.comm_terms))
-        acc_bound = per_output * (self.p - 1) ** 3 + self.p
+        # product and commutator accumulator: output k sums c'*X over its
+        # terms, each |X| <= (p-1)**2, so it stays within W*(p-1)**2, W the
+        # largest sum of |c'| feeding one output
+        weights = Counter()
+        for kind, terms in enumerate((self.terms, self.comm_terms)):
+            for _, _, k, c in terms:
+                weights[kind, k] += abs(_centred(c, self.p))
+        weight = max(weights.values(), default=0)
+        acc_bound = weight * (self.p - 1) ** 2 + self.p
         if acc_bound > np.iinfo(np.int64).max:
             raise UnsupportedDomain(
-                f"ring {ring.name!r}: {per_output} products of F_{self.p} entries can "
+                f"ring {ring.name!r}: {weight} products of F_{self.p} entries can "
                 "overflow int64; enumeration needs a smaller prime")
         self.acc_dtype = _narrowest_signed(acc_bound)
         # digit table: holds (p-1)**2 + p, so a + b and a - b of two digits stay exact
         self.elim_dtype = _narrowest_signed((self.p - 1) ** 2 + self.p)
-        # linear maps: n terms c*D_j with c and D_j both in [0, p)
-        self.lin_dtype = _narrowest_signed(self.n * (self.p - 1) ** 2 + self.p)
         # entry (k, j) of L_a sums c*a_i over the constants c_ijk, entry (k, i)
         # of R_a sums c*a_j: at most (p-1) times the weight, the sum of those c
         self.mat_weights = {True: Counter(), False: Counter()}      # keyed by `left`
@@ -248,9 +263,12 @@ class Enumeration:
 
     def _product_planes(self, A, B) -> np.ndarray:
         """Products of reduced (n, ...) planes, broadcast over the trailing
-        axes: plane k accumulates c*A_i*B_j in `acc_dtype` on contiguous
-        planes, a square's one operand (B is A) cast once.  The one product
-        core behind the product kernels, so that none runs inside another."""
+        axes: plane k accumulates c'*A_i*B_j, c' the centred constant, in
+        `acc_dtype` on contiguous planes, a c' of -1 by subtraction, and a
+        square's one operand (B is A) cast once, or not at all where it is
+        in `acc_dtype` already, as the digit table of M2 or Zorn over F_5
+        is.  The one product core behind the product kernels, so that none
+        runs inside another."""
         acc = self.acc_dtype
         cast = A.astype(acc, copy=False)
         A, B = cast, cast if B is A else B.astype(acc, copy=False)
@@ -259,6 +277,10 @@ class Enumeration:
         term = np.empty(shape, dtype=acc)
         for i, j, k, c in self.terms:
             np.multiply(A[i], B[j], out=term)
+            c = _centred(c, self.p)
+            if c == -1:
+                out[k] -= term
+                continue
             if c != 1:
                 term *= acc(c)
             out[k] += term
@@ -266,8 +288,9 @@ class Enumeration:
 
     def _commutator_planes(self, A, B) -> np.ndarray:
         """Commutators of reduced (n, ...) planes: plane k accumulates
-        d*(A_i*B_j - A_j*B_i) in `acc_dtype` over the antisymmetrised
-        constants, one difference per basis pair i < j shared by every k
+        d'*(A_i*B_j - A_j*B_i) in `acc_dtype` over the centred
+        antisymmetrised constants d', a d' of 1 or -1 by addition or
+        subtraction, one difference per basis pair i < j shared by every k
         it feeds.  The one commutator core behind `commutator` and
         `commutator_index`."""
         acc = self.acc_dtype
@@ -283,8 +306,11 @@ class Enumeration:
                 np.multiply(A[i], B[j], out=diff)
                 np.multiply(A[j], B[i], out=swap)
                 diff -= swap
+            d = _centred(d, self.p)
             if d == 1:
                 out[k] += diff
+            elif d == -1:
+                out[k] -= diff
             else:
                 np.multiply(diff, acc(d), out=swap)
                 out[k] += swap
@@ -373,16 +399,22 @@ class Enumeration:
 
     def linear_index(self, M) -> np.ndarray:
         """Index of M*x for every element x, in element order, for an
-        (m, n) integer matrix M (entries reduced mod p here)."""
+        (m, n) integer matrix M, its entries taken centred mod p here.
+        Plane k accumulates c'*D_j in the narrowest signed type holding
+        S*(p-1) + p, S the largest sum of |c'| over a row of M, chosen per
+        call."""
         D = self.digits()
-        dt = self.lin_dtype
-        out = np.zeros((len(M), self.count), dtype=dt)
+        rows = [[_centred(c, self.p) for c in row] for row in M]
+        dt = _narrowest_signed(max((sum(map(abs, row)) for row in rows), default=0)
+                               * (self.p - 1) + self.p)
+        out = np.zeros((len(rows), self.count), dtype=dt)
         term = np.empty(self.count, dtype=dt)
-        for k, row in enumerate(M):
+        for k, row in enumerate(rows):
             for j, c in enumerate(row):
-                c = int(c) % self.p
                 if c == 1:
                     out[k] += D[j]
+                elif c == -1:
+                    out[k] -= D[j]
                 elif c:
                     np.multiply(D[j], c, out=term, dtype=dt)
                     out[k] += term

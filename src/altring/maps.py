@@ -205,7 +205,11 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
         if any(len(row) != target.dim for row in entries):
             raise DimensionMismatch(f"table rows must have {target.dim} entries, "
                                     f"one per coordinate of {target.name!r}")
-        images = np.array([[int(dom.parse(x)) for x in row] for row in entries], dtype=np.int64)
+        # all-int rows in one conversion, reduced by `index_of`; strings,
+        # fractions and ints past int64 go scalar by scalar
+        images = np.asarray(entries)
+        if images.dtype.kind != "i":
+            images = np.array([[dom.parse(x) for x in row] for row in entries], dtype=np.int64)
         return MapTable(source, target, es, et, et.index_of(images))
     if kind == "identity":
         M, spec = linalg.mat_identity(source.dim, dom), {"kind": "identity"}

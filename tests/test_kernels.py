@@ -4,7 +4,6 @@ unital structure-constant rings."""
 
 import json
 import tracemalloc
-from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -12,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altring import PrimeField, Subspace, center, check_primeness, gen_m2, gen_zorn, linalg
+from altring import (PrimeField, Subspace, center, check_primeness, enumeration, gen_m2,
+                     gen_zorn, linalg)
 from altring.cli import main
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded, UnsupportedDomain
@@ -279,10 +279,10 @@ def test_line_masks_match_reference_wide_prime(case):
     check_line_masks(*case)
 
 
-def check_linear_index(ring, M, elements=None):
+def check_linear_index(ring, M, elements=None, enum=None):
     """`linear_index` against `Ring.apply_matrix` (exact, reducing M's
     entries mod p) on the given element indices, default every element."""
-    enum = Enumeration(ring, DEFAULT_BUDGET)
+    enum = enum or Enumeration(ring, DEFAULT_BUDGET)
     p, n = ring.domain.p, ring.dim
     got = enum.linear_index(M)
     assert got.dtype == np.int64 and got.shape == (enum.count,)
@@ -311,35 +311,75 @@ def test_linear_index_matches_reference(case):
 
 @given(ring_and_matrix(primes=(11, 13), max_dim=2))
 def test_linear_index_matches_reference_past_int8_products(case):
-    """p = 13: a product c*D_j reaches (p-1)**2 = 144, past int8."""
+    """p = 11 and 13: a row of two centred entries of magnitude (p-1)/2
+    sums to (p-1)**2 + p on the all-(p-1) element, past int8."""
     check_linear_index(*case)
 
 
-# (p, n, dtype) on each side of every edge of n*(p-1)**2 + p
-LINEAR_EDGES = [(5, 7, np.int8), (5, 8, np.int16), (11, 1, np.int8), (11, 2, np.int16),
-                (13, 1, np.int16), (181, 1, np.int16), (181, 2, np.int32), (191, 1, np.int32)]
+NARROWER = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}
+
+
+def spy_dtype(monkeypatch, bound, narrow=False):
+    """Record the dtype `_narrowest_signed` answers for `bound` (one step
+    narrower under `narrow`) in the returned list, from now on."""
+    real, chosen = enumeration._narrowest_signed, []
+
+    def pick(b):
+        dt = real(b)
+        if b == bound:
+            dt = NARROWER[dt] if narrow else dt
+            chosen.append(dt)
+        return dt
+    monkeypatch.setattr(enumeration, "_narrowest_signed", pick)
+    return chosen
+
+
+# (p, n, dtype) on each side of every edge of the linear-map rule for an
+# n x n matrix of entries of magnitude h = (p-1)/2 once centred,
+# n*h*(p-1) + p, and rows inside int8 and int16
+LINEAR_EDGES = [(11, 2, np.int8), (11, 3, np.int16), (13, 1, np.int8), (13, 2, np.int16),
+                (181, 2, np.int16), (191, 2, np.int32), (65521, 1, np.int32),
+                (65537, 1, np.int64), (5, 7, np.int8), (11, 1, np.int8), (181, 1, np.int16)]
 
 
 @pytest.mark.parametrize("p, n, dtype", LINEAR_EDGES)
-def test_linear_index_dtype_edges(p, n, dtype):
-    """The linear-map accumulator at the edges of its rule.  The all-(p-1)
-    matrix drives every plane of the all-(p-1) element to n*(p-1)**2;
-    it is passed reduced, negative and far past p, with the zero and
-    identity matrices, on the top element, the basis and random
-    elements."""
-    ring = dense(p, n, 0)
+def test_linear_index_dtype_edges(p, n, dtype, monkeypatch):
+    """The linear-map accumulator at the edges of its rule, against
+    `Ring.apply_matrix`.  Every entry (p-1)/2, or (p+1)/2, drives every
+    plane of the all-(p-1) element to +n*h*(p-1), or to -n*h*(p-1), and
+    rows alternating the two, which cancel there, go by the sum of
+    their magnitudes too; each matrix is passed reduced, negative and far
+    past p, with the zero and identity matrices, on the top element, the
+    element with p-1 under every (p-1)/2 of the alternating rows, the
+    basis and random elements.  One step narrower, some case comes out
+    wrong, or p itself does not fit."""
+    ring = halves(p, n, 0, (p - 1) // 2)
     enum = Enumeration(ring, DEFAULT_BUDGET)
-    bound = n * (p - 1) ** 2 + p
-    assert enum.lin_dtype == dtype and np.iinfo(dtype).max >= bound
+    h = (p - 1) // 2
+    bound = n * h * (p - 1) + p
+    assert np.iinfo(dtype).max >= bound
     if dtype is not np.int8:
-        narrower = {np.int16: np.int8, np.int32: np.int16}[dtype]
-        assert np.iinfo(narrower).max < bound
-    top = [[p - 1] * n for _ in range(n)]
+        assert np.iinfo(NARROWER[dtype]).max < bound
     rng = np.random.default_rng(p * 100 + n)
-    elements = [enum.count - 1, *(p ** i for i in range(n)), *rng.integers(0, enum.count, 20)]
-    for M in (top, [[-1] * n] * n, [[c + p * 2 ** 30 for c in row] for row in top],
-              [[0] * n] * n, [[int(i == j) for j in range(n)] for i in range(n)]):
-        check_linear_index(ring, M, elements)
+    alternate = sum((p - 1) * p ** (n - 1 - j) for j in range(0, n, 2))
+    elements = [enum.count - 1, alternate, *(p ** i for i in range(n)),
+                *rng.integers(0, enum.count, 20)]
+    signed = [[[c] * n for _ in range(n)] for c in (h, p - h)]
+    signed.append([[(h, p - h)[j % 2] for j in range(n)] for _ in range(n)])
+    chosen = spy_dtype(monkeypatch, bound)
+    for M in signed:
+        for form in (M, [[c - p for c in row] for row in M],
+                     [[c + p * 2 ** 30 for c in row] for row in M]):
+            check_linear_index(ring, form, elements, enum)
+    assert chosen == [dtype] * 9
+    for M in ([[0] * n] * n, [[int(i == j) for j in range(n)] for i in range(n)]):
+        check_linear_index(ring, M, elements, enum)
+    if dtype is not np.int8:
+        monkeypatch.undo()
+        spy_dtype(monkeypatch, bound, narrow=True)
+        with pytest.raises((AssertionError, OverflowError)):     # the latter: p itself
+            for M in signed:
+                check_linear_index(ring, M, [enum.count - 1], enum)
 
 
 @given(unital_rings() | st.sampled_from([skew(5), skew(7)]))
@@ -387,7 +427,14 @@ def test_index_of_range_boundaries(edge, want):
     assert ints(enum.index_of(C)) == [want * 125, want]
 
 
+# a rank-1 matrix next to a full-rank last one: a -1 pivot past the first
+# matrix's rank gathers the last row of the last matrix, a pivot row, so
+# the rows past each rank must be zeroed
+RANK_GAP = np.array([[[1, 2, 0], [2, 4, 0], [0, 0, 0]], np.eye(3, dtype=np.int64)])
+
+
 @given(ring_and_stack())
+@example((gen_m2(5), RANK_GAP))
 def test_elimination_matches_reference(case):
     check_elimination(*case)
 
@@ -469,81 +516,128 @@ def test_planes_check_range_in_the_input_dtype():
     assert ints(enum._planes(narrow)[:, 0]) == [int(x) % 3 for x in narrow[0]]
 
 
-def dense(p, n, m):
-    """Unital ring with every structure constant p-1: b_0 = -1 (so b_0*b_j
-    = b_j*b_0 = (p-1)b_j, and the unit is (p-1)b_0), and the first m
-    non-unit basis products (row-major) are (p-1)*(b_0 + ... + b_{n-1}).
-    Coordinate k >= 1 of the square of the all-(p-1) element sums m + 2
-    terms of exactly (p-1)**3."""
+def halves(p, n, m, c):
+    """Unital ring over odd F_p whose nonzero structure constants all equal
+    c, (p-1)/2 or (p+1)/2, so that each centred constant is +h or -h, h =
+    (p-1)/2: b_0 = c*1, and the first m products b_i*b_j, i, j >= 1, are
+    c*(b_1 + ... + b_{n-1}), the pairs (1, 2), ..., (1, n-1) first, then
+    the rest row-major.  Coordinate k >= 1 of a product sums m + 2
+    constants, so W = (m+2)*h, and the all-(p-1) element squared reaches
+    c'*(m+2)*(p-1)**2 there.  For m <= n-2 the first m pairs are
+    (1, j), and the commutator of (p-1)b_1 with (p-1)(b_2 + ... + b_{n-1})
+    reaches c'*m*(p-1)**2."""
     sc = [[[0] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
-        sc[0][j][j] = sc[j][0][j] = p - 1
-    for i, j in [(i, j) for i in range(1, n) for j in range(1, n)][:m]:
-        sc[i][j] = [p - 1] * n
-    return Ring(f"dense{m}_f{p}", PrimeField(p), [f"b{i}" for i in range(n)], sc,
-                [p - 1] + [0] * (n - 1))
+        sc[0][j][j] = sc[j][0][j] = c
+    star = [(1, j) for j in range(2, n)]
+    pairs = star + [(i, j) for i in range(1, n) for j in range(1, n) if (i, j) not in star]
+    for i, j in pairs[:m]:
+        sc[i][j] = [0] + [c] * (n - 1)
+    return Ring(f"halves{m}_{c}_f{p}", PrimeField(p), [f"b{i}" for i in range(n)], sc,
+                [pow(c, -1, p)] + [0] * (n - 1))
 
 
-# (p, n, m, acc_dtype) on each side of every edge of max(nnz_k)*(p-1)**3 + p,
-# where nnz_k = m + 2
-ACCUMULATOR_EDGES = [(3, 5, 13, np.int8), (3, 5, 14, np.int16), (17, 4, 5, np.int16),
-                     (17, 4, 6, np.int32), (907, 2, 0, np.int32), (907, 2, 1, np.int64)]
+def accumulator_kernels_wrong(ring, enum, a, b):
+    """The kernels among `mul_index`, `commutator_index` and `mul` that
+    disagree with `rings.py` on some pair (a[t], b[t]); the index kernels
+    also run on the broadcast (a, b) grid, which must agree with them on
+    its diagonal."""
+    coords = enum.coords_of(a), enum.coords_of(b)
+    got = {"mul_index": enum.mul_index(a, b), "commutator_index": enum.commutator_index(a, b),
+           "mul": enum.index_of(enum.mul(*coords))}
+    for name in ("mul_index", "commutator_index"):
+        grid = getattr(enum, name)(a[:, None], b[None, :])
+        assert grid.dtype == np.int64 and grid.shape == (len(a), len(b))
+        assert (np.diagonal(grid) == got[name]).all()
+    wrong = set()
+    for t, (x, y) in enumerate(zip(*coords)):
+        x, y = tuple(ints(x)), tuple(ints(y))
+        xy, yx = ring.mul_coords(x, y), ring.mul_coords(y, x)
+        want = {"mul_index": xy, "commutator_index": ring.sub_coords(xy, yx), "mul": xy}
+        wrong |= {name for name in got if int(got[name][t]) != index_in(ring, want[name])}
+    return wrong
+
+
+def accumulator_cases(p, n, count):
+    """Index pairs (a, b): the all-(p-1) element squared, the all-(p-1)
+    element times each basis vector and back, (p-1)b_1 with (p-1)(b_2 +
+    ... + b_{n-1}) both ways (a != b, so the differences are nonzero), and
+    random pairs."""
+    top = count - 1
+    basis = [p ** (n - 1 - i) for i in range(n)]
+    star = [(p - 1) * p ** (n - 2), p ** (n - 2) - 1]
+    rng = np.random.default_rng(p * 100 + n)
+    a = np.array([top, top, *basis, *star, *rng.integers(0, count, 6)], dtype=np.int64)
+    b = np.array([top, *basis, top, *star[::-1], *rng.integers(0, count, 6)], dtype=np.int64)
+    return a, b
+
+
+# (p, n, m, acc_dtype) on each side of every edge of the accumulator rule
+# for halves(p, n, m, c), W*(p-1)**2 + p with W = (m+2)*(p-1)/2, and one
+# row inside each type
+ACCUMULATOR_EDGES = [(3, 7, 29, np.int8), (3, 7, 30, np.int16), (5, 4, 1, np.int8),
+                     (5, 4, 2, np.int16), (23, 4, 4, np.int16), (23, 4, 5, np.int32),
+                     (1123, 2, 1, np.int32), (1129, 2, 1, np.int64),
+                     (3, 5, 13, np.int8), (17, 4, 5, np.int16), (907, 2, 0, np.int32)]
 
 
 @pytest.mark.parametrize("p, n, m, dtype", ACCUMULATOR_EDGES)
 def test_accumulator_dtype_edges(p, n, m, dtype):
     """The product and commutator accumulator at the edges of its rule,
-    against `rings.py`: the all-(p-1) element drives every output to its
-    bound, on 1-D index arrays and on broadcast row and column grids."""
-    ring = dense(p, n, m)
-    enum = Enumeration(ring, DEFAULT_BUDGET)
-    nnz = max(Counter(k for _, _, k, _ in enum.terms).values())
-    assert nnz == m + 2 and enum.acc_dtype == dtype
-    assert np.iinfo(dtype).max >= nnz * (p - 1) ** 3 + p
+    against `rings.py`, with every constant (p-1)/2 and with every one
+    (p+1)/2, so that output sums reach +W*(p-1)**2 and -W*(p-1)**2.  One
+    step narrower, the square of the all-(p-1) element comes out wrong."""
+    bound = (m + 2) * (p - 1) // 2 * (p - 1) ** 2 + p
+    assert np.iinfo(dtype).max >= bound
     if dtype is not np.int8:
-        narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}[dtype]
-        assert np.iinfo(narrower).max < nnz * (p - 1) ** 3 + p
-    top = enum.count - 1
-    basis = [p ** (n - 1 - i) for i in range(n)]
-    rng = np.random.default_rng(p * 100 + m)
-    a = np.array([top, top, *basis, *rng.integers(0, enum.count, 6)], dtype=np.int64)
-    b = np.array([top, *basis, top, *rng.integers(0, enum.count, 6)], dtype=np.int64)
-    coords = enum.coords_of(a), enum.coords_of(b)
-    got = {"mul": enum.mul_index(a, b), "comm": enum.commutator_index(a, b),
-           "coords": enum.index_of(enum.mul(*coords))}
-    grid = {"mul": enum.mul_index(a[:, None], b[None, :]),
-            "comm": enum.commutator_index(a[:, None], b[None, :])}
-    for t, (x, y) in enumerate(zip(*coords)):
-        x, y = tuple(ints(x)), tuple(ints(y))
-        xy, yx = ring.mul_coords(x, y), ring.mul_coords(y, x)
-        assert int(got["mul"][t]) == int(got["coords"][t]) == int(enum.index_of(xy))
-        assert int(got["comm"][t]) == int(enum.index_of(ring.sub_coords(xy, yx)))
-    for name in grid:
-        assert grid[name].dtype == np.int64 and grid[name].shape == (len(a), len(b))
-        assert (np.diagonal(grid[name]) == got[name]).all()
-    for s, t in [(0, 1), (1, 0), (len(a) - 1, 2)]:
-        x, y = (tuple(ints(enum.coords_of(k))) for k in (a[s], b[t]))
-        assert int(grid["mul"][s, t]) == int(enum.index_of(ring.mul_coords(x, y)))
+        assert np.iinfo(NARROWER[dtype]).max < bound
+    for c in ((p - 1) // 2, (p + 1) // 2):
+        ring = halves(p, n, m, c)
+        enum = Enumeration(ring, max(DEFAULT_BUDGET, p ** n))
+        assert enum.acc_dtype == dtype
+        a, b = accumulator_cases(p, n, enum.count)
+        assert accumulator_kernels_wrong(ring, enum, a, b) == set()
+        if dtype is not np.int8 and 2 * c < p:
+            enum.acc_dtype = NARROWER[dtype]
+            assert {"mul_index", "mul"} <= accumulator_kernels_wrong(ring, enum, a, b)
+
+
+def test_one_step_narrower_accumulator_breaks_the_commutator():
+    """halves(5, 6, 4, 2): W = 12, so int16, and the commutator of
+    (p-1)b_1 with (p-1)(b_2 + ... + b_5) sums 4 differences of 16 with
+    constant 2 to 128, one past int8; in int8 every kernel errs."""
+    ring = halves(5, 6, 4, 2)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
+    assert enum.acc_dtype == np.int16
+    a, b = accumulator_cases(5, 6, enum.count)
+    assert accumulator_kernels_wrong(ring, enum, a, b) == set()
+    enum.acc_dtype = np.int8
+    assert accumulator_kernels_wrong(ring, enum, a, b) == {"mul_index", "commutator_index", "mul"}
 
 
 def twisted(p):
-    """b1 * b1 = (p-1)(b0 + b1): coordinate 1 of a product sums 3 terms,
-    one of them up to (p-1)**3, so the int64 guard needs 3 (p-1)**3 < 2**63."""
+    """b1 * b1 = (p-1)(b0 + b1): coordinate 1 of a product sums the
+    constants 1, 1 and p-1, centred 1, 1 and -1, so W = 3 and the int64
+    guard needs 3*(p-1)**2 + p < 2**63."""
     sc = [[[1, 0], [0, 1]], [[0, 1], [p - 1, p - 1]]]
     return Ring(f"twisted_f{p}", PrimeField(p), ["b0", "b1"], sc, [1, 0])
 
 
 def test_largest_entries_stay_exact():
-    p = 1_454_081                     # the largest prime the guard accepts for twisted(p)
+    p = 1_753_413_037                 # the largest prime the guard accepts for twisted(p)
     ring = twisted(p)
     top = (p - 1, p - 1)
     enum = Enumeration(ring, DEFAULT_BUDGET)
-    assert tuple(ints(enum.mul([top], [top])[0])) == ring.mul_coords(top, top)
+    assert enum.acc_dtype == np.int64
+    for a, b in product([top, (p - 1, 0), (0, p - 1), (1, p - 1)], repeat=2):
+        assert tuple(ints(enum.mul([a], [b])[0])) == ring.mul_coords(a, b)
+        assert tuple(ints(enum.commutator([a], [b])[0])) == ring.sub_coords(
+            ring.mul_coords(a, b), ring.mul_coords(b, a))
 
 
 def test_int64_limit_is_loud():
-    ring = twisted(1_454_099)         # the next prime
-    assert ring.mul_coords((0, 1), (0, 1)) == (1_454_098, 1_454_098)   # exact arithmetic works
+    ring = twisted(1_753_413_059)     # the next prime
+    assert ring.mul_coords((0, 1), (0, 1)) == (1_753_413_058, 1_753_413_058)  # exact arithmetic works
     with pytest.raises(UnsupportedDomain, match="overflow int64"):
         Enumeration(ring, DEFAULT_BUDGET)
 
@@ -612,13 +706,22 @@ def test_subspace_points_match_explicit_enumeration(case, unreduced):
 
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 64 + 13])
 def test_large_prime_ring_loads_and_analyze_skips_enumeration(p, tmp_path, capsys):
+    """M2 has W = 2: at p = 2**31 - 1, 2*(p-1)**2 + p fits int64, so the
+    census and primeness are skipped for their p**4 elements; at 2**64 +
+    13 it does not, and they are skipped for int64."""
     ring = gen_m2(p)
     assert center(ring).dim == 1
-    with pytest.raises(UnsupportedDomain, match="overflow int64"):
+    if p < 2 ** 63:
+        error, reason = BudgetExceeded, (f"enumerating {ring.name!r} needs {p ** 4} evaluations, "
+                                         f"budget is {DEFAULT_BUDGET}")
+    else:
+        error, reason = UnsupportedDomain, "overflow int64"
+    with pytest.raises(error, match=reason):
         check_primeness(ring)
     path = tmp_path / "m2.json"
     path.write_text(json.dumps(ring_to_json(ring)))
     assert main(["analyze", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert "overflow int64" in out["primeness"]["skipped"]
+    for key in ("idempotents", "primeness"):
+        assert reason in out[key]["skipped"]
     assert out["centre_dim"] == 1 and out["alternative"]

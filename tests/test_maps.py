@@ -322,6 +322,24 @@ def test_table_loader_validates_entry_count(m2):
         build_map(m2, m2, {"kind": "table", "entries": [[0, 0, 0, 0]] * 7})
 
 
+@pytest.mark.parametrize("form", ["ints", "unreduced_ints", "past_int64", "mixed"])
+def test_table_entries_parse_like_scalars(m2, negtr, form):
+    """All-int tables take one array conversion, the rest go scalar by
+    scalar: either way the image index is the one `dom.parse` gives entry
+    by entry, and the table's own."""
+    p, dom = m2.domain.p, m2.domain
+    es = Enumeration.of(m2, DEFAULT_BUDGET)
+    rows = es.coords_of(negtr.image_index()).tolist()
+    shift = {"ints": lambda t, x: x,
+             "unreduced_ints": lambda t, x: x + p * (t % 7 - 3) * 1000,
+             "past_int64": lambda t, x: x + p * 2 ** 70 if t == 600 else x,
+             "mixed": lambda t, x: [x, str(x), f"{2 * x}/2", x - p * 2 ** 64][t % 4]}[form]
+    entries = [[shift(t, x) for x in row] for t, row in enumerate(rows)]
+    per_scalar = es.index_of(np.array([[dom.parse(x) for x in row] for row in entries]))
+    got = build_map(m2, m2, {"kind": "table", "entries": entries}).image_index()
+    assert np.array_equal(got, per_scalar) and np.array_equal(got, negtr.image_index())
+
+
 def test_almost_additivity_fails_with_noncentral_defect(negtr):
     enum = Enumeration(negtr.source, DEFAULT_BUDGET)
     x0 = int(enum.index_of(np.array([1, 1, 0, 0])))
