@@ -10,6 +10,7 @@ input or usage errors.  All JSON output is deterministic for a fixed
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -218,11 +219,18 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process for each ALTRING_BUDGET value;
+    the value is checked by `_positive_int` when a command line is parsed
+    without --budget."""
+    return _parser(os.environ.get("ALTRING_BUDGET", DEFAULT_BUDGET))
+
+
+@functools.lru_cache
+def _parser(budget_default) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="altring",
                                  description="exact structure-constant ring toolkit")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=_positive_int,
-                        default=os.environ.get("ALTRING_BUDGET", DEFAULT_BUDGET),
+    common.add_argument("--budget", type=_positive_int, default=budget_default,
                         help="evaluation budget for exhaustive scans "
                              "(default 10^6, env ALTRING_BUDGET)")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled scans")

@@ -30,8 +30,11 @@ of an anti-isomorphism; verify_decomposition certifies both claims,
 plus centrality of tau, its additivity and its vanishing on commutators.
 psi's and tau's additivity are decided exactly against their linear
 extensions, and a linear psi's product rule on the basis grid, at any
-budget; only a non-linear psi's product rule and tau's vanishing on
-commutators scan pairs, sampled past the pair budget.
+budget.  An additive tau's vanishing on commutators is decided on the
+basis grid as well, but only while the pairs fit the budget.  The rest,
+a non-linear psi's product rule and tau's vanishing on commutators
+otherwise, scan pairs, exhaustively within the pair budget and sampled
+past it.
 
 Element-sized work combines element indices and masks, never coordinate
 rows or the digit table, which only `enumeration.py` reads; subspace
@@ -327,12 +330,17 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     pair scan, against their linear extensions (`first_additive_failure`),
     and a linear psi's product rule on the basis grid
     (`first_bilinear_failure`), each with the bytes of the exhaustive
-    row-major scan; a non-linear psi's product rule and
-    tau_kills_commutators scan pairs, exhaustively within the budget and
-    seeded-sampled past it.  The product rule is certified globally and
-    again per Peirce-cell case, with the sandwich identity psi((ab)a) =
-    (psi(a)psi(b))psi(a) for opposite off-diagonal pairs checked
-    separately.
+    row-major scan; a non-linear psi's product rule scans pairs,
+    exhaustively within the budget and seeded-sampled past it.
+    tau_additive is computed before tau_kills_commutators and reported
+    after it.  An additive tau is F_p-linear, so tau([a, b]) is bilinear:
+    when the scan would be exhaustive (count**2 <= budget),
+    tau_kills_commutators is decided on the basis grid with the scan's
+    bytes.  Otherwise it scans pairs as the product rule does, so past
+    the budget it stays sampled even on an additive tau.  The product
+    rule is certified globally and again per Peirce-cell case, with the
+    sandwich identity psi((ab)a) = (psi(a)psi(b))psi(a) for opposite
+    off-diagonal pairs checked separately.
 
     psi_additive and psi_linear_matrix compare psi with psi_matrix's
     index.  After the matrix route that is `res.psi_lin`, psi's index as
@@ -360,8 +368,7 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     zero = np.arange(et.count) == 0
 
     def additive_cert(name, g_idx, lin_idx):
-        certs.append(pair_result(name, m.source, es,
-                                 first_additive_failure(es, et, g_idx, lin_idx, zero)))
+        return pair_result(name, m.source, es, first_additive_failure(es, et, g_idx, lin_idx, zero))
 
     # res.psi_lin is a linear index, so it is psi_matrix's exactly when its
     # basis images are psi_matrix's columns; psi and psi_matrix may have been
@@ -369,7 +376,7 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     psi_lin = res.psi_lin
     if psi_lin is None or basis_matrix(es, et, psi_lin) != res.psi_matrix:
         psi_lin = es.linear_index(res.psi_matrix)
-    additive_cert("psi_additive", psi_idx, psi_lin)
+    certs.append(additive_cert("psi_additive", psi_idx, psi_lin))
     elem_report("psi_linear_matrix", psi_lin != psi_idx)
     psi_linear = certs[-1].ok
     # on the cell route, 3 MB on Zorn/F5 that the pair scans below would hold
@@ -433,9 +440,20 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     elem_report("tau_central", ~central[tau_idx],
                 lambda k: {"tau": coords_json(m.target, et.coords_of(tau_idx[k]))})
 
-    certs.append(pair_report("tau_kills_commutators", m, seed,
-                             lambda a_idx, b_idx: tau_idx[es.commutator_index(a_idx, b_idx)] != 0))
-    additive_cert("tau_additive", tau_idx, linear_extension(es, et, tau_idx))
+    # an additive tau makes tau([a, b]) bilinear (see the docstring); tau's
+    # linear extension, 3 MB on Zorn/F5, is a temporary of this call, so the
+    # sampled scan below does not hold it
+    tau_additive = additive_cert("tau_additive", tau_idx, linear_extension(es, et, tau_idx))
+
+    def kills_fails(a_idx, b_idx):
+        return tau_idx[es.commutator_index(a_idx, b_idx)] != 0
+
+    if tau_additive.ok and es.count ** 2 <= es.budget:
+        certs.append(pair_result("tau_kills_commutators", m.source, es,
+                                 first_bilinear_failure(es, kills_fails)))
+    else:
+        certs.append(pair_report("tau_kills_commutators", m, seed, kills_fails))
+    certs.append(tau_additive)
     return certs
 
 

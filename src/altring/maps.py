@@ -22,11 +22,13 @@ budget that covers the elements:
 - the bilinear ones on the n x n grid of basis vectors
   (`first_bilinear_failure`): a linear phi's Lie multiplicativity
   (`phi_linear`, one O(N) test per map), and, in `decompose.py`, a
-  linear psi's product rule;
+  linear psi's product rule and, only while the pairs fit the budget, an
+  additive tau's vanishing on commutators;
 - a linear phi's idempotent preservation on one element mask, and its
   scalar homogeneity outright.
-The rest scan pairs (`pair_scan`), exhaustively within the budget and
-sampled past it.
+The rest scan pairs (`pair_scan`), exhaustively within the budget, in
+row chunks of 1, 2, 4, ... rows so that an early failure stops early,
+and sampled past it.
 """
 
 from __future__ import annotations
@@ -291,7 +293,7 @@ def save_map(m: MapTable, path) -> None:
 
 # -- pair-quantified scan engine ---------------------------------------------
 
-PAIR_CHUNK = 1 << 18       # pairs per `fail_fn` call in `pair_scan`
+PAIR_CHUNK = 1 << 18       # most pairs per `fail_fn` call in `pair_scan`
 
 
 def pair_scan(count: int, budget: int, seed: int, fail_fn):
@@ -302,25 +304,29 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn):
     mode passes rows of pairs as the grids arange(lo, hi)[:, None] and
     arange(count)[None, :], so the kernels gather only small planes, and
     walks them in enumeration order (row-major): the reported witness is
-    always the first failing pair.  Sampled mode passes two 1-D draws of
-    at most PAIR_CHUNK pairs and records seed and coverage for the report.
-    Sampled pairs are drawn uniformly with replacement, so coverage =
-    budget/total counts draws, not distinct pairs: a pair can be drawn
-    more than once.
+    always the first failing pair.  Its chunks take 1, 2, 4, ... rows, up
+    to PAIR_CHUNK pairs (at least one row), so a failure in the first
+    rows costs a few rows, not a full chunk.  Sampled mode passes two 1-D
+    draws of at most PAIR_CHUNK pairs and records seed and coverage for
+    the report.  Sampled pairs are drawn uniformly with replacement, so
+    coverage = budget/total counts draws, not distinct pairs: a pair can
+    be drawn more than once.
     """
     if budget < 1:
         raise ValueError(f"pair budget must be at least 1, got {budget}")
     total = count * count
     if total <= budget:
         b_idx = np.arange(count, dtype=np.int64)[None, :]
-        rows_per_chunk = max(1, PAIR_CHUNK // count)
-        for lo in range(0, count, rows_per_chunk):
-            hi = min(count, lo + rows_per_chunk)
+        max_rows = max(1, PAIR_CHUNK // count)
+        lo, rows = 0, 1
+        while lo < count:
+            hi = min(count, lo + rows)
             a_idx = np.arange(lo, hi, dtype=np.int64)[:, None]
             bad = np.flatnonzero(np.broadcast_to(fail_fn(a_idx, b_idx), (hi - lo, count)))
             if len(bad):
                 k = int(bad[0])
                 return False, (lo + k // count, k % count), "exhaustive", None, total
+            lo, rows = hi, min(2 * rows, max_rows)
         return True, None, "exhaustive", None, total
     rng = np.random.default_rng(seed)
     checked = 0

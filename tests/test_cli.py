@@ -400,6 +400,16 @@ def test_budget_must_be_a_positive_integer(files, monkeypatch, capsys, value, so
            f"got {value!r}" in captured.err
 
 
+def test_each_environment_budget_is_read_in_one_process(files, monkeypatch, capsys):
+    """The parser is built once per ALTRING_BUDGET value: a second `main`
+    in the same process under another value runs at that budget."""
+    for value, skipped in (("100", True), ("1000", False), ("100", True)):
+        monkeypatch.setenv("ALTRING_BUDGET", value)
+        assert main(["analyze", files["m2"]]) == 0
+        census = json.loads(capsys.readouterr().out)["idempotents"]
+        assert ("skipped" in census) == skipped
+
+
 def test_budget_flag_overrides_the_environment(files, monkeypatch, capsys):
     monkeypatch.setenv("ALTRING_BUDGET", "100")
     assert main(["analyze", files["m2"]]) == 0

@@ -2,11 +2,13 @@
 (`phi_linear`) Lie multiplicativity, idempotent preservation and scalar
 homogeneity are decided without a pair scan, and on any map additivity
 and almost additivity (`first_additive_failure`) and, when psi is
-linear, psi's product rule (`first_bilinear_failure`); each report must
-be the one an exhaustive row-major scan returns, byte for byte.  A
-pure-Python scan in `rings.py` coordinate arithmetic is the reference,
-on random unital rings with random linear maps, one-entry corruptions
-of them, central perturbations x -> g(x) + c(x)*z and constant shifts."""
+linear, psi's product rule (`first_bilinear_failure`), as is tau's
+vanishing on commutators when tau is additive and the pairs fit the
+budget; each report must be the one an exhaustive row-major scan
+returns, byte for byte.  A pure-Python scan in `rings.py` coordinate
+arithmetic is the reference, on random unital rings with random linear
+maps, one-entry corruptions of them, central perturbations
+x -> g(x) + c(x)*z and constant shifts."""
 
 import functools
 import importlib
@@ -294,6 +296,89 @@ def test_linear_psi_certificates_match_the_exhaustive_scan(m2, spec, branch):
     a, b = (m2.element(certs[name].witness[k]) for k in "ab")
     want = res.psi(b) * res.psi(a) if anti else res.psi(a) * res.psi(b)
     assert res.psi(a * b) != (-want if anti else want)
+
+
+def commutator_fails(es, tau_idx):
+    """fails(a_idx, b_idx) of tau([a, b]) = 0 over index arrays."""
+    return lambda a_idx, b_idx: tau_idx[es.commutator_index(a_idx, b_idx)] != 0
+
+
+def first_commutator_failure(tau):
+    """The reference for tau([a, b]) = 0: the first failing pair of
+    coordinate tuples, row-major, in `rings.py` arithmetic."""
+    S = tau.source
+    X = list(product(range(S.domain.p), repeat=S.dim))
+    zero = tau.target.zero_coords()
+    return first_failing_pair(X, lambda a, b: tau.eval_coords(
+        S.sub_coords(S.mul_coords(a, b), S.mul_coords(b, a))) != zero)
+
+
+@given(linear_maps())
+def test_commutator_grid_matches_reference_scan(maps):
+    """A linear map taken as tau: tau([a, b]) is bilinear, so the basis
+    grid's first failing cell is the exhaustive scan's first failing pair."""
+    m = maps[0]
+    got = first_bilinear_failure(m.es, commutator_fails(m.es, m.image_index()))
+    assert quoted(m.es, got) == first_commutator_failure(m)
+
+
+# x -> x_11 * 1 on M2: central and additive, but tau(E11 - E22) = 1, and
+# E11 - E22 = [E12, E21]
+TRACE_CORNER_TAU = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
+
+
+def tau_certificates(res, monkeypatch):
+    """verify_decomposition's reports by condition, and the names of the
+    certificates it decided by a pair scan."""
+    scanned = []
+
+    def recording(name, *args):
+        scanned.append(name)
+        return pair_report(name, *args)
+
+    monkeypatch.setattr(importlib.import_module("altring.decompose"), "pair_report", recording)
+    return {c.condition: c for c in verify_decomposition(res)}, scanned
+
+
+@pytest.mark.parametrize("corrupt", ["linear", "one_entry"])
+@pytest.mark.parametrize("spec, branch", [({"kind": "identity"}, "dagger"),
+                                          ({"kind": "neg_transpose_plus_trace"}, "ddagger")])
+def test_tau_commutator_certificate_is_the_exhaustive_scan(m2, spec, branch, corrupt,
+                                                           monkeypatch):
+    """A decomposition on M2/F5 whose tau is replaced by one that fails to
+    kill commutators: the linear x -> x_11 * 1, decided on the basis grid
+    with no pair scan, or tau with the entry at E12 = [E11, E12] set to E12,
+    which is not additive and keeps the scan.  Either way the report is the
+    exhaustive scan's, its witness is the reference's first failing pair,
+    and it replays."""
+    res = decompose(build_map(m2, m2, spec), m2.basis_element(0), branch)
+    enum = res.map.es
+    if corrupt == "linear":
+        res.tau = build_map(m2, m2, {"kind": "linear", "matrix": TRACE_CORNER_TAU})
+    else:
+        res.tau = res.tau.replace_entry(int(enum.index_of([0, 1, 0, 0])), [0, 1, 0, 0])
+    certs, scanned = tau_certificates(res, monkeypatch)
+    assert certs["tau_additive"].ok == (corrupt == "linear")
+    assert scanned == ([] if corrupt == "linear" else ["tau_kills_commutators"])
+    scan = pair_report("tau_kills_commutators", res.map, 0,
+                       commutator_fails(enum, res.tau.image_index()))
+    assert scan.mode == "exhaustive" and not scan.ok
+    assert certs["tau_kills_commutators"].to_json() == scan.to_json()
+    a, b = (tuple(scan.witness[k]) for k in "ab")
+    assert (a, b) == first_commutator_failure(res.tau)
+    a, b = m2.element(a), m2.element(b)
+    assert res.tau(a * b - b * a) != m2.zero()
+
+
+def test_tau_commutator_certificate_stays_sampled_past_the_budget(m2, monkeypatch):
+    """One pair below the 625**2 pairs of M2/F5, the identity's tau (zero,
+    so additive) still has its commutator certificate sampled."""
+    res = decompose(build_map(m2, m2, {"kind": "identity"}, budget=390_624),
+                    m2.basis_element(0), "dagger", seed=3)
+    certs, scanned = tau_certificates(res, monkeypatch)
+    assert certs["tau_additive"].ok and scanned == ["tau_kills_commutators"]
+    rep = certs["tau_kills_commutators"].to_json()
+    assert rep["pass"] and (rep["mode"], rep["seed"]) == ("sampled", 3)
 
 
 def test_zorn_swapped_identity_almost_additive_witness_replays(zorn):

@@ -432,11 +432,14 @@ def row_major_first(count, failing):
     return None
 
 
-@pytest.mark.parametrize("failing", [set(), {(5, 3)}, {(6, 2), (4, 6), (5, 0)}, {(6, 6)}],
-                         ids=["nowhere", "later_chunk", "first_of_several", "last_pair"])
+@pytest.mark.parametrize("failing", [set(), {(5, 3)}, {(6, 2), (4, 6), (5, 0)}, {(6, 6)},
+                                     {(0, 4), (3, 1)}],
+                         ids=["nowhere", "later_chunk", "first_of_several", "last_pair",
+                              "first_row"])
 def test_exhaustive_pair_scan_is_row_major(failing, monkeypatch):
-    """7 elements in chunks of 16 pairs: rows 0-1, 2-3, 4-5 and a partial
-    last chunk of row 6, each passed as broadcast grids."""
+    """7 elements in chunks of at most 16 pairs, doubling from one row:
+    row 0, then rows 1-2, 3-4 and 5-6, each passed as broadcast grids.  A
+    failure in row 0 costs one call on one row."""
     count, rows = 7, []
     codes = [a * count + b for a, b in failing]
 
@@ -450,8 +453,8 @@ def test_exhaustive_pair_scan_is_row_major(failing, monkeypatch):
     ok, pair, mode, cov, checked = pair_scan(count, 10 ** 6, 0, fails)
     want = row_major_first(count, failing)
     assert (ok, pair, mode, cov, checked) == (want is None, want, "exhaustive", None, count ** 2)
-    stop = len(rows) if want is None else want[0] // 2 + 1
-    assert rows == [[0, 1], [2, 3], [4, 5], [6]][:stop]
+    stop = len(rows) if want is None else (want[0] + 1) // 2 + 1
+    assert rows == [[0], [1, 2], [3, 4], [5, 6]][:stop]
 
 
 def test_sampled_pair_scan_witness_rederives(monkeypatch):
