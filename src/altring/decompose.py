@@ -24,7 +24,7 @@ on both sides, tests the two corner conditions
 and constructs psi cellwise: off-diagonal corners copy phi, diagonal
 corners keep one corner of phi(x) and subtract its unique central
 component z*f.  tau is phi - psi.
-Both are maps, held as `MapTable`s of their image index alone.  Under
+Both are maps, held as `MapTable`s.  Under
 "dagger" psi should be a ring isomorphism, under "ddagger" the negative
 of an anti-isomorphism; verify_decomposition certifies both claims,
 plus centrality of tau, its additivity and its vanishing on commutators.
@@ -48,23 +48,26 @@ This is exact: detection proved every such corner lies in Z*f_solve,
 gives A full column rank, so each corner's central multiple is unique
 and equals A+ times it.  The recipe takes one of two routes:
 - matrix route, when phi is linear (`phi_linear`, which the entry
-  battery has computed): with Phi phi's matrix, psi_matrix is
-  Psi = sum_c Q_c Phi P_c in exact `linalg` arithmetic, and psi's index
-  is one `linear_index(Psi)`;
+  battery has computed): with Phi phi's matrix (kept on the map, else
+  its basis images), psi_matrix is Psi = sum_c Q_c Phi P_c in exact
+  `linalg` arithmetic, and psi and tau are the maps of Psi and Phi - Psi
+  (`MapTable.from_matrix`), one `linear_index` each, which keep them;
 - cell route, for any other table (`psi_cell_route`): phi's index
   gathered at `linear_index(P_c)`, then `linear_index(Q_c)` gathered at
   that, and psi's index is the running `sum_index` of the four cell
-  images; psi_matrix is read from psi's basis images.
-On both, tau's index is phi's minus psi's (`sum_index`), and the
-bundle's tau table is `tau.images()`.  The element certificates compare
-indices: recomposition is `sum_index([psi, tau])` against phi's, the
-matrix check compares psi's index with psi_matrix's (on the matrix route
-psi's own, carried on the result, else one `linear_index`), centrality
-of tau is a gather from the centre's mask.  The per-cell product cases
-and the sandwich identity run `mul_index` on grids of the Peirce cells'
-element indices, row-major.  Every one of these, and each corner test of
-branch detection, ends in a failure mask and reports through
-`reports.first_failure`.
+  images; psi_matrix is read from psi's basis images, and tau's index is
+  phi's minus psi's (`sum_index`).
+The bundle's tau table is `tau.images()`.  The element certificates
+compare indices, or matrices where the maps keep them (see
+`verify_decomposition`): recomposition is `sum_index([psi, tau])`
+against phi's, the matrix check compares psi's index with
+psi_matrix's, centrality of tau is a gather from the centre's mask.  The
+per-cell product cases and the sandwich identity run `mul_index` on
+grids of the Peirce cells' element indices, row-major.  Every one of
+these ends in a failure mask and reports through
+`reports.first_failure`, as does each corner test of branch detection,
+which applies the target's corner projector to the coordinates of the
+images of the cell points only.
 
 Small corners make the corner conditions degenerate: when both hold the
 caller must pick the branch (both constructions can be simultaneously
@@ -130,8 +133,9 @@ def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame,
                           tgt_frame: PeirceFrame) -> BranchDetection:
     es, et = m.es, m.et
     f_idx = m.image_index()
-    # per i: the index of f_i y f_i for every target y, and the Z*f_i mask
-    corner = {i: et.linear_index(tgt_frame.projectors[(i, i)]) for i in (1, 2)}
+    # per i: the projector y -> f_i y f_i, applied only at the images of the
+    # cell points, and the Z*f_i mask
+    corner = {i: np.array(tgt_frame.projectors[(i, i)], dtype=np.int64) for i in (1, 2)}
     inside_zf = {i: Subspace.from_vectors(m.target, _central_multiples(tgt_frame, i)).mask(et)
                  for i in (1, 2)}
     reports = []
@@ -140,7 +144,7 @@ def _detect_branch_frames(m: MapTable, src_frame: PeirceFrame,
             j = 3 - i
             src_cell = (j, j) if tag == BRANCH_DAGGER else (i, i)
             pts = src_frame.components[src_cell].points(es)
-            corners = corner[i][f_idx[es.index_of(pts)]]
+            corners = et.index_of(et.coords_of(f_idx[es.index_of(pts)]) @ corner[i].T)
             reports.append(first_failure(
                 f"branch_{tag}_corner_{i}", ~inside_zf[i][corners],
                 lambda k: {"element": coords_json(m.source, pts[k]),
@@ -162,8 +166,6 @@ class DecompositionResult:
     detection: BranchDetection
     seed: int
     certificates: list[CheckReport] = field(default_factory=list)
-    # psi's own index when decompose built it as psi_matrix's (a linear phi)
-    psi_lin: np.ndarray | None = field(default=None, repr=False)
 
     def required_pass(self) -> bool:
         return all(c.ok for c in self.certificates
@@ -234,20 +236,24 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
         if inter.dim != 0:
             raise AmbiguousCentralSplit(
                 f"target corner ({i},{i}) meets the centre in dimension {inter.dim}")
-    # psi = sum_c Q_c phi(P_c x): on a linear phi one matrix, else cell by cell
+    # psi = sum_c Q_c phi(P_c x): on a linear phi one matrix, and psi and
+    # tau = phi - psi are the maps of Psi and Phi - Psi; else cell by cell
     recipes = diagonal_recipes(tgt_frame, branch)
     if phi_linear(m):
-        psi_matrix = psi_matrix_route(m, src_frame, recipes)
-        psi_idx = psi_lin = es.linear_index(psi_matrix)
+        Phi = m.matrix() or basis_matrix(es, et, f_idx)
+        psi_matrix = psi_matrix_route(Phi, src_frame, recipes, tgt.domain)
+        psi = MapTable.from_matrix(m.source, tgt, es, et, psi_matrix)
+        tau = MapTable.from_matrix(m.source, tgt, es, et, [
+            [tgt.domain.sub(f, s) for f, s in zip(frow, srow)]
+            for frow, srow in zip(Phi, psi_matrix)])
     else:
-        psi_idx, psi_lin = psi_cell_route(m, src_frame, recipes), None
+        psi_idx = psi_cell_route(m, src_frame, recipes)
         psi_matrix = basis_matrix(es, et, psi_idx)
-    tau_idx = et.sum_index([f_idx], [psi_idx])
+        psi = MapTable(m.source, tgt, es, et, psi_idx)
+        tau = MapTable(m.source, tgt, es, et, et.sum_index([f_idx], [psi_idx]))
 
-    res = DecompositionResult(m, e1, src_frame, tgt_frame, branch,
-                              MapTable(m.source, tgt, es, et, psi_idx),
-                              MapTable(m.source, tgt, es, et, tau_idx),
-                              psi_matrix, detection, seed, psi_lin=psi_lin)
+    res = DecompositionResult(m, e1, src_frame, tgt_frame, branch, psi, tau,
+                              psi_matrix, detection, seed)
     res.certificates = verify_decomposition(res)
     return res
 
@@ -293,12 +299,10 @@ def psi_cell_route(m: MapTable, src_frame: PeirceFrame, recipes: dict) -> np.nda
     return psi_idx
 
 
-def psi_matrix_route(m: MapTable, src_frame: PeirceFrame, recipes: dict) -> list:
+def psi_matrix_route(Phi: list, src_frame: PeirceFrame, recipes: dict, dom) -> list:
     """psi's matrix Psi = sum_c Q_c Phi P_c for a linear phi with matrix
-    Phi (its basis images), in exact `linalg` arithmetic: the cell route's
-    recipe with every map a matrix."""
-    dom = m.target.domain
-    Phi = basis_matrix(m.es, m.et, m.image_index())
+    Phi, in exact `linalg` arithmetic over `dom`: the cell route's recipe
+    with every map a matrix."""
     terms = [linalg.mat_mul(linalg.mat_mul(recipes[ij], Phi, dom) if ij in recipes else Phi,
                             src_frame.projectors[ij], dom) for ij in CELLS]
     return [[functools.reduce(dom.add, entries) for entries in zip(*rows)]
@@ -343,11 +347,20 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     off-diagonal pairs checked separately.
 
     psi_additive and psi_linear_matrix compare psi with psi_matrix's
-    index.  After the matrix route that is `res.psi_lin`, psi's index as
-    `decompose` built it; after the cell route, or once psi_matrix has
-    been replaced, it is one `linear_index(psi_matrix)`.  It is never
-    derived from psi or from whether phi is linear, so a psi replaced
-    after `decompose` is still checked against psi_matrix.
+    index.  When psi keeps a matrix equal to psi_matrix, that is psi's own
+    index (`MapTable.from_matrix` derived it from that matrix); otherwise,
+    after the cell route or once psi or psi_matrix has been replaced, it
+    is one `linear_index(psi_matrix)`.  The other facts a kept matrix
+    fixes are read from it as well, never from whether phi is linear, so
+    a psi or tau replaced after `decompose` is checked on its own index:
+    - recomposition passes at once when psi, tau and phi all keep
+      matrices and Psi + T = Phi (mod p), else it compares indices;
+    - psi_bijective passes at once when psi keeps a square matrix of full
+      rank (`MapTable.fibres`);
+    - tau_additive takes tau's own index as its linear extension when tau
+      keeps a matrix.
+    Each gives the report, byte for byte, of the element or pair check it
+    replaces.
     """
     m, seed = res.map, res.seed
     es, et = m.es, m.et
@@ -360,8 +373,14 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
             name, bad, lambda k: {"x": coords_json(m.source, es.coords_of(k)), **quote(k)},
             {"elements": int(es.count)}))
 
-    # recomposition: psi + tau = phi, asserted on every element
-    elem_report("recomposition", et.sum_index([psi_idx, tau_idx]) != m.image_index())
+    # recomposition: psi + tau = phi, asserted on every element, or at once
+    # when all three keep matrices (each map is x -> Mx) and Psi + T = Phi
+    psi_M, tau_M, phi_M = (g.matrix() for g in (res.psi, res.tau, m))
+    if None not in (psi_M, tau_M, phi_M) and phi_M == [
+            list(map(m.target.domain.add, *rows)) for rows in zip(psi_M, tau_M)]:
+        elem_report("recomposition", False)     # no element fails
+    else:
+        elem_report("recomposition", et.sum_index([psi_idx, tau_idx]) != m.image_index())
 
     # additivity against a linear extension, exact with no pair scan; psi's is
     # the index of psi_matrix, its basis images, which psi_linear_matrix reads too
@@ -370,17 +389,15 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     def additive_cert(name, g_idx, lin_idx):
         return pair_result(name, m.source, es, first_additive_failure(es, et, g_idx, lin_idx, zero))
 
-    # res.psi_lin is a linear index, so it is psi_matrix's exactly when its
-    # basis images are psi_matrix's columns; psi and psi_matrix may have been
-    # replaced since decompose, and psi is never read here to build it
-    psi_lin = res.psi_lin
-    if psi_lin is None or basis_matrix(es, et, psi_lin) != res.psi_matrix:
-        psi_lin = es.linear_index(res.psi_matrix)
+    # psi's index is psi_matrix's exactly when psi keeps psi_matrix; psi and
+    # psi_matrix may have been replaced since decompose
+    psi_lin = psi_idx if psi_M is not None and psi_M == res.psi_matrix else \
+        es.linear_index(res.psi_matrix)
     certs.append(additive_cert("psi_additive", psi_idx, psi_lin))
     elem_report("psi_linear_matrix", psi_lin != psi_idx)
     psi_linear = certs[-1].ok
-    # on the cell route, 3 MB on Zorn/F5 that the pair scans below would hold
-    # on top of theirs; on the matrix route it is psi's own index, which stays
+    # a linear_index(psi_matrix) is 3 MB on Zorn/F5 that the pair scans below
+    # would hold on top of theirs
     del psi_lin
 
     def fibre_witness(k):
@@ -389,7 +406,7 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
         y = coords_json(m.target, et.coords_of(t))
         return {"unreached": y} if row else {"image": y, **res.psi.preimages(t)}
 
-    certs.append(first_failure("psi_bijective", et.fibres(psi_idx), fibre_witness,
+    certs.append(first_failure("psi_bijective", res.psi.fibres(), fibre_witness,
                                {"elements": int(es.count)}))
 
     product_fails = product_rule(es, et, psi_idx, anti)
@@ -440,10 +457,12 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     elem_report("tau_central", ~central[tau_idx],
                 lambda k: {"tau": coords_json(m.target, et.coords_of(tau_idx[k]))})
 
-    # an additive tau makes tau([a, b]) bilinear (see the docstring); tau's
-    # linear extension, 3 MB on Zorn/F5, is a temporary of this call, so the
-    # sampled scan below does not hold it
-    tau_additive = additive_cert("tau_additive", tau_idx, linear_extension(es, et, tau_idx))
+    # an additive tau makes tau([a, b]) bilinear (see the docstring); a tau
+    # that keeps a matrix is its own linear extension, any other builds it,
+    # 3 MB on Zorn/F5, as a temporary of this call, so the sampled scan below
+    # does not hold it
+    tau_additive = additive_cert("tau_additive", tau_idx, tau_idx if tau_M is not None else
+                                 linear_extension(es, et, tau_idx))
 
     def kills_fails(a_idx, b_idx):
         return tau_idx[es.commutator_index(a_idx, b_idx)] != 0

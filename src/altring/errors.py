@@ -78,11 +78,15 @@ class HypothesisFailed(AltringError):
 
 
 class BranchUndetermined(AltringError):
-    """Corner test selects no branch, or both and the caller chose none."""
+    """Corner test selects no branch, both and the caller chose none, or
+    one and the caller chose the other."""
 
     def __init__(self, dagger: bool, ddagger: bool):
         state = {(False, False): "neither corner condition holds",
-                 (True, True): "both corner conditions hold; pass branch="}[(dagger, ddagger)]
+                 (True, True): "both corner conditions hold; pass branch=",
+                 (True, False): "the ddagger corner condition fails; only dagger holds",
+                 (False, True): "the dagger corner condition fails; only ddagger holds",
+                 }[(dagger, ddagger)]
         super().__init__(f"cannot choose decomposition branch: {state}")
         self.dagger = dagger
         self.ddagger = ddagger

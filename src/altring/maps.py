@@ -5,10 +5,14 @@ A map is given either as a total table over the enumerated source (no
 additivity is assumed: multiplicativity on commutators is the only given)
 or in structured form, a linear part M plus a central offset lambda(x)*z,
 which is the one matrix M + z lambda^T.  A map is its image index, built
-with the map (a structured map's by one `linear_index`) over prime-field
-rings only, and read by every verifier; the few that need coordinates
-of some points take them from it (`Enumeration.coords_of`).  An
-element-quantified verifier ends in a failure mask and reports through
+with the map over prime-field rings only, and read by every verifier;
+the few that need coordinates of some points take them from it
+(`Enumeration.coords_of`).  A map built from a matrix
+(`MapTable.from_matrix`: every builder kind but table and compose) takes
+one `linear_index` of it and keeps it, so its linear facts are read from
+an n x n matrix: it is linear at once (`phi_linear`), and a square one
+of full rank is bijective with no `fibres` pass.  An element-quantified
+verifier ends in a failure mask and reports through
 `reports.first_failure`.
 
 A map is verified at the budget it was built under: every function
@@ -48,11 +52,13 @@ from .structure import PeirceFrame, center, check_main_hypotheses, peirce_frame
 
 
 class MapTable:
-    """Total map between two finite rings, held as its image index alone:
-    entry x is the target element index of phi(x), over the source and
-    target Enumerations `es` and `et`, which must share one budget: the
-    map's.  `spec` is the builder spec a structured map is saved as; a
-    table (None) is saved as its entries."""
+    """Total map between two finite rings, held as its image index: entry
+    x is the target element index of phi(x), over the source and target
+    Enumerations `es` and `et`, which must share one budget: the map's.
+    `spec` is the builder spec a structured map is saved as; a table
+    (None) is saved as its entries.  A map built from a matrix
+    (`from_matrix`) also keeps that matrix (`matrix`); no other
+    constructor sets it, so the two never disagree."""
 
     def __init__(self, source: Ring, target: Ring, es: Enumeration, et: Enumeration,
                  index, spec: dict | None = None):
@@ -66,6 +72,21 @@ class MapTable:
         if self._index.shape != (es.count,):
             raise DimensionMismatch("dense table must cover every source element")
         self._memo = {}
+
+    @classmethod
+    def from_matrix(cls, source: Ring, target: Ring, es: Enumeration, et: Enumeration,
+                    M, spec: dict | None = None) -> "MapTable":
+        """The map x -> Mx of a target.dim x source.dim matrix M: its index
+        is one `linear_index(M)`, and M, reduced into [0, p), is kept."""
+        m = cls(source, target, es, et, es.linear_index(M), spec)
+        m._memo["matrix"] = [[int(c) % es.p for c in row] for row in M]
+        return m
+
+    def matrix(self) -> list | None:
+        """The matrix, as lists of ints in [0, p), that the map was built
+        from (`from_matrix`), or None for a map built from its index:
+        every linear fact about the map is read from it when kept."""
+        return self._memo.get("matrix")
 
     # -- evaluation -------------------------------------------------------
 
@@ -94,7 +115,8 @@ class MapTable:
     def cached(self, key, build):
         """build(), computed once per map and key.  A run's Peirce frames,
         hypothesis reports and branch detection, keyed by the idempotent,
-        are kept here and shared by every stage that needs them."""
+        are kept here and shared by every stage that needs them, next to
+        the kept matrix (key "matrix")."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -105,8 +127,19 @@ class MapTable:
         index[idx] = self.et.index_of([self.target.domain.parse(x) for x in coords])
         return MapTable(self.source, self.target, self.es, self.et, index)
 
+    def fibres(self) -> np.ndarray:
+        """`Enumeration.fibres` of the image index: (2, count) masks of the
+        target elements hit more than once and never hit.  A kept square
+        matrix of full rank is a bijection, so both are empty, with no
+        pass over the index."""
+        M = self.matrix()
+        if M is not None and len(M) == self.source.dim and \
+                linalg.rank(M, self.target.domain) == len(M):
+            return np.zeros((2, self.et.count), dtype=bool)
+        return self.et.fibres(self._index)
+
     def is_bijective(self) -> bool:
-        return self.source.dim == self.target.dim and not self.et.fibres(self._index).any()
+        return self.source.dim == self.target.dim and not self.fibres().any()
 
 
 # -- builders ---------------------------------------------------------------
@@ -248,7 +281,7 @@ def build_map(source: Ring, target: Ring, spec: dict, budget: int = DEFAULT_BUDG
         spec = {"kind": "conjugation", "element": [dom.fmt(x) for x in u]}
     else:
         raise ParseError(f"unknown map kind {kind!r}")
-    return MapTable(source, target, es, et, es.linear_index(M), spec)
+    return MapTable.from_matrix(source, target, es, et, M, spec)
 
 
 def map_to_json(m: MapTable) -> dict:
@@ -383,12 +416,13 @@ def linear_extension(es: Enumeration, et: Enumeration, g_idx) -> np.ndarray:
 
 
 def phi_linear(m: MapTable) -> bool:
-    """Whether phi is F_p-linear, that is additive: its image index equals
-    its `linear_extension`.  One O(N) pass over the source Enumeration,
-    which applies the element guard of the map's budget, computed once per
-    map.  On a linear map the entry battery decides its quantifiers
-    exactly, with no pair scan, and `decompose` builds psi as one matrix."""
-    return m.cached("linear", lambda: bool(np.array_equal(
+    """Whether phi is F_p-linear, that is additive: true at once when it
+    keeps a matrix, else whether its image index equals its
+    `linear_extension`, one O(N) pass over the source Enumeration, which
+    applies the element guard of the map's budget, computed once per map.
+    On a linear map the entry battery decides its quantifiers exactly,
+    with no pair scan, and `decompose` builds psi as one matrix."""
+    return m.matrix() is not None or m.cached("linear", lambda: bool(np.array_equal(
         linear_extension(m.es, m.et, m.image_index()), m.image_index())))
 
 
@@ -461,7 +495,7 @@ def first_bilinear_failure(es: Enumeration, fails):
 # -- verifiers ----------------------------------------------------------------
 
 def verify_surjective(m: MapTable) -> CheckReport:
-    return first_failure("surjective", m.et.fibres(m.image_index())[1], lambda k: {
+    return first_failure("surjective", m.fibres()[1], lambda k: {
         "unreached": coords_json(m.target, m.et.coords_of(k))},
         {"elements": int(m.es.count)})
 
@@ -541,7 +575,7 @@ def check_map_consequences(m: MapTable) -> list[CheckReport]:
         return idx[scale] != (scale if et is es else et.smul_index(lam))[idx]
 
     homogeneous = np.stack([inhomogeneous(lam) for lam in range(es.p)])
-    return [first_failure("injective", et.fibres(idx)[0], m.preimages,
+    return [first_failure("injective", m.fibres()[0], m.preimages,
                           {"elements": int(es.count)}),
             first_failure("maps_zero_to_zero", idx[:1] != 0, lambda k: {
                 "image_of_zero": coords_json(m.target, et.coords_of(idx[0]))}, {"elements": 1}),

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib
 import json
 from itertools import product
 from pathlib import Path
@@ -193,6 +195,25 @@ def test_verify_theorem_pass_and_fail(files, capsys):
     failing = [r["condition"] for r in entry["reports"] if not r["pass"]]
     assert failing == ["preserves_idempotents"]
     assert "decomposition" not in rep     # pipeline stops before decomposing
+
+
+@pytest.mark.parametrize("held", ["dagger", "ddagger"])
+def test_verify_theorem_refuses_a_branch_detection_ruled_out(files, monkeypatch, held):
+    """With detection patched to find one branch on M2/F5, `--branch` the
+    other exits 1 and writes a bundle whose error names both branches."""
+    dec = importlib.import_module("altring.decompose")
+    real = dec.detect_branch
+    monkeypatch.setattr(dec, "detect_branch", lambda m, e1: dataclasses.replace(
+        real(m, e1), dagger=held == "dagger", ddagger=held == "ddagger"))
+    other = "ddagger" if held == "dagger" else "dagger"
+    out = files["dir"] / "bundle.json"
+    assert main(["verify-theorem", "--source", files["m2"], "--target", files["m2"],
+                 "--map", files["negtr"], "--idempotent", "1,0,0,0", "--branch", other,
+                 "--out", str(out)]) == 1
+    bundle = json.loads(out.read_text())
+    assert bundle["error"] == ("BranchUndetermined: cannot choose decomposition branch: "
+                               f"the {other} corner condition fails; only {held} holds")
+    assert not bundle["all_certificates_pass"] and "decomposition" not in bundle
 
 
 def test_verify_theorem_reports_a_non_bijective_map(files, capsys):

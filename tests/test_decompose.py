@@ -16,9 +16,10 @@ from altring.decompose import INFORMATIONAL_CERTIFICATES
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import (AmbiguousCentralSplit, BranchUndetermined, HypothesisFailed,
                             NotBijective)
-from altring.maps import MapTable
+from altring.maps import MapTable, peirce_frames
 from altring.rings import Ring
 from altring.scalars import PrimeField
+from altring.structure import Subspace
 from conftest import breaks_law
 
 
@@ -62,9 +63,70 @@ def test_detect_branch_m2_is_degenerate(m2, id_m2, negtr):
         assert all(r.ok for r in det.reports)
 
 
+def reference_detection(m, e1) -> list:
+    """The corner reports of branch detection, each corner f_i (y f_i)
+    computed in `rings.py` arithmetic at the image y of every cell point,
+    in the cell's point order, and tested against the span of Z*f_i."""
+    src_frame, tgt_frame = peirce_frames(m, e1)
+    S, T = m.source, m.target
+    out = []
+    for tag in ("dagger", "ddagger"):
+        for i in (1, 2):
+            f = tgt_frame.e1 if i == 1 else tgt_frame.e2
+            zf = Subspace.from_vectors(T, [T.mul_coords(z, f.coords) for z in center(T).basis])
+            cell = (3 - i, 3 - i) if tag == "dagger" else (i, i)
+            pts = src_frame.components[cell].points(m.es).tolist()
+            corners = ((x, f * (m(S.element(x)) * f)) for x in pts)
+            wit = next(({"element": x, "corner": list(c.coords)}
+                        for x, c in corners if not zf.contains(c.coords)), None)
+            out.append({"condition": f"branch_{tag}_corner_{i}", "pass": wit is None,
+                        "witness": wit, "quantifier_space": {"elements": len(pts)}})
+    return out
+
+
+def test_detect_branch_matches_the_reference_corners():
+    """On M2 + t2 over F_3 the (2, 2) corner is bigger than Z*f_2, so
+    ddagger fails: detection's corners, taken at the cell points' images
+    only, are the reference's for the identity, a block conjugation that
+    moves e1, and a table with two entries swapped."""
+    m2_f3 = gen_m2("3")
+    r = gen_direct_sum(m2_f3, gen_triangular2("3"))
+    e1 = r.basis_element(0)
+    g = build_map(m2_f3, m2_f3, {"kind": "conjugation", "element": [1, 1, 0, 1]}).matrix()
+    conj = [[int(i == j) for j in range(7)] for i in range(7)]
+    for row, g_row in zip(conj, g):
+        row[:4] = g_row
+    ident = build_map(r, r, {"kind": "identity"})
+    es = ident.es
+    i, j = (int(k) for k in es.index_of([[0, 0, 0, 1, 0, 1, 2], [0, 0, 0, 2, 1, 0, 1]]))
+    idx = ident.image_index().copy()
+    idx[[i, j]] = idx[[j, i]]
+    maps = [ident, build_map(r, r, {"kind": "linear", "matrix": conj}),
+            MapTable(r, r, es, es, idx)]
+    assert maps[1](e1) != e1
+    for m in maps:
+        det = detect_branch(m, e1)
+        assert [rep.to_json() for rep in det.reports] == reference_detection(m, e1)
+        assert det.dagger and not det.ddagger
+    assert not detect_branch(maps[2], e1).reports[3].ok
+
+
 def test_both_branches_need_explicit_choice(m2, id_m2):
     with pytest.raises(BranchUndetermined):
         decompose(id_m2, m2.basis_element(0))
+
+
+@pytest.mark.parametrize("dagger, ddagger", itertools.product([False, True], repeat=2))
+def test_branch_undetermined_constructs_in_every_state(dagger, ddagger):
+    """Each corner state has a message: a branch the detection ruled out is
+    named as failing, and the one that holds as holding."""
+    exc = BranchUndetermined(dagger, ddagger)
+    assert (exc.dagger, exc.ddagger) == (dagger, ddagger)
+    msg = str(exc)
+    assert msg.startswith("cannot choose decomposition branch: ")
+    if dagger != ddagger:
+        held, failed = ("dagger", "ddagger") if dagger else ("ddagger", "dagger")
+        assert f"the {failed} corner condition fails; only {held} holds" in msg
 
 
 def test_identity_roundtrip_dagger(m2, id_m2):

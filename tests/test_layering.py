@@ -71,8 +71,9 @@ def test_no_public_method_takes_a_budget(cls):
 
 
 def test_map_table_is_its_image_index(m2):
-    """One representation, built with the map: no kind, no matrix and no
-    lazy index."""
+    """One representation, built with the map: no kind and no lazy index.
+    A map built from a matrix keeps it beside its cached artefacts, not
+    as an attribute of its own."""
     m = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"})
     assert set(vars(m)) == {"source", "target", "es", "et", "spec", "_index", "_memo"}
     assert m.image_index() is m._index and m._index.shape == (m.es.count,)

@@ -8,7 +8,9 @@ budget; each report must be the one an exhaustive row-major scan
 returns, byte for byte.  A pure-Python scan in `rings.py` coordinate
 arithmetic is the reference, on random unital rings with random linear
 maps, one-entry corruptions of them, central perturbations
-x -> g(x) + c(x)*z and constant shifts."""
+x -> g(x) + c(x)*z and constant shifts.  A map built from a matrix keeps
+it, and every report read from kept matrices is the one the same image
+indices give with none kept."""
 
 import functools
 import importlib
@@ -436,12 +438,15 @@ def rebased_linear_maps(draw, gen, p, branch):
 @settings(max_examples=6)
 @given(data=st.data())
 def test_matrix_route_matches_cell_route(gen, p, branch, data):
-    """On a linear phi `decompose` takes the matrix route; the cell route,
-    called directly on the same frames and recipes, gives the same psi
-    index, and so the same tau = phi - psi."""
+    """On a linear phi `decompose` takes the matrix route: psi keeps
+    psi_matrix and tau keeps Phi - Psi, each the basis images of its
+    index.  The cell route, called directly on the same frames and
+    recipes, gives the same psi index, and so the same tau = phi - psi."""
     phi, e1 = data.draw(rebased_linear_maps(gen, p, branch))
     res = decompose(phi, e1, branch)
-    assert phi_linear(phi) and res.psi_lin is res.psi.image_index()
+    assert phi_linear(phi) and res.psi.matrix() == res.psi_matrix
+    for g in (res.psi, res.tau):
+        assert g.matrix() == basis_matrix(g.es, g.et, g.image_index())
     cells = psi_cell_route(phi, res.source_frame, diagonal_recipes(res.target_frame, branch))
     assert np.array_equal(cells, res.psi.image_index())
     assert np.array_equal(phi.et.sum_index([phi.image_index()], [cells]), res.tau.image_index())
@@ -450,8 +455,9 @@ def test_matrix_route_matches_cell_route(gen, p, branch, data):
 def test_matrix_route_builds_psi_and_tau_with_one_pass_each(zorn, monkeypatch):
     """On the Zorn/F5 identity, with the frames, hypotheses, branch
     detection and `phi_linear` cached on the map by a first run and the
-    certificates left out, `decompose` makes one `linear_index` call (psi)
-    and one `sum_index` call (tau) over the element table."""
+    certificates left out, `decompose` makes one `linear_index` call each
+    for psi and tau = phi - psi over the element table, and no
+    `sum_index`."""
     ident = build_map(zorn, zorn, {"kind": "identity"})
     monkeypatch.setattr(importlib.import_module("altring.decompose"), "verify_decomposition",
                         lambda res: [])
@@ -464,5 +470,125 @@ def test_matrix_route_builds_psi_and_tau_with_one_pass_each(zorn, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(enum, name, counted)
     res = decompose(ident, zorn.basis_element(0), "dagger")
-    assert calls == {"linear_index": 1, "sum_index": 1}
+    assert calls == {"linear_index": 2}
     assert (res.tau.image_index() == 0).all()
+
+
+# -- kept matrices ---------------------------------------------------------------
+
+def index_built(g):
+    """The same map built from its image index alone: it keeps no matrix."""
+    return MapTable(g.source, g.target, g.es, g.et, g.image_index())
+
+
+@pytest.mark.parametrize("kind", ["identity", "linear", "neg_transpose_plus_trace", "conjugation",
+                                  "structured_offset", "unreduced", "singular"])
+def test_builder_maps_keep_their_matrix(m2, kind):
+    """Every matrix kind keeps its matrix, reduced into [0, p): the basis
+    images of its index.  Its entry reports, bijective by rank or singular,
+    are those of the same index with no matrix."""
+    specs = {name: spec for name, (spec, _) in structured_cases(m2).items()}
+    specs["unreduced"] = {"kind": "linear", "matrix": [[6, -1, 0, 0], [0, 11, 0, -5],
+                                                       [0, 0, -4, 0], [5, 0, 0, 1]]}
+    specs["singular"] = {"kind": "linear", "matrix": [[1, 0, 0, 0], [0, 0, 0, 0],
+                                                      [0, 0, 1, 0], [0, 0, 0, 1]]}
+    m = build_map(m2, m2, specs[kind])
+    M = m.matrix()
+    assert M == basis_matrix(m.es, m.et, m.image_index())
+    assert all(type(c) is int and 0 <= c < 5 for row in M for c in row)
+    bare = index_built(m)
+    assert bare.matrix() is None and phi_linear(m)
+    # x + 2tr(x)*1 has trace 5tr(x) = 0: singular too
+    assert m.is_bijective() == bare.is_bijective() == (kind not in ("singular",
+                                                                   "structured_offset"))
+    assert np.array_equal(m.fibres(), bare.fibres())
+    reports = [[r.to_json() for r in (verify_surjective(g), *check_map_consequences(g))]
+               for g in (m, bare)]
+    assert reports[0] == reports[1]
+
+
+def decomposition_breaks(res, condition, w) -> bool:
+    """True when witness `w` violates `condition` of the decomposition
+    `res`, in `rings.py` Element arithmetic with images from
+    `MapTable.__call__`."""
+    S, T = res.map.source, res.map.target
+    phi, psi, tau = res.map, res.psi, res.tau
+    el = S.element
+    anti = res.branch == "ddagger"
+    if "x" in w:
+        x = el(w["x"])
+        return {"recomposition": lambda: psi(x) + tau(x) != phi(x),
+                "psi_linear_matrix": lambda: list(psi(x).coords) != list(
+                    T.apply_matrix(res.psi_matrix, x.coords)),
+                "tau_central": lambda: list(tau(x).coords) == w["tau"] and any(
+                    tau(x) * T.basis_element(k) != T.basis_element(k) * tau(x)
+                    for k in range(T.dim))}[condition]()
+    if condition == "psi_bijective":
+        if "unreached" in w:
+            y = T.element(w["unreached"])
+            return all(psi(el(x)) != y for x in product(range(S.domain.p), repeat=S.dim))
+        a, b = el(w["a"]), el(w["b"])
+        return a != b and psi(a) == psi(b) == T.element(w["image"])
+    a, b = el(w["a"]), el(w["b"])
+    if condition in ("psi_additive", "tau_additive"):
+        g = psi if condition == "psi_additive" else tau
+        return g(a + b) != g(a) + g(b)
+    if condition == "tau_kills_commutators":
+        return tau(a * b - b * a) != T.zero()
+    if condition == "sandwich_identity":
+        return psi((a * b) * a) != (psi(a) * psi(b)) * psi(a)
+    assert condition.startswith(("psi_", "case_")), condition
+    return psi(a * b) != (-(psi(b) * psi(a)) if anti else psi(a) * psi(b))
+
+
+@pytest.mark.parametrize("corrupt", ["as_built", "one_entry", "linear"])
+@pytest.mark.parametrize("which", ["map", "psi", "tau"])
+@pytest.mark.parametrize("spec, branch", [({"kind": "identity"}, "dagger"),
+                                          ({"kind": "neg_transpose_plus_trace"}, "ddagger")],
+                         ids=["identity", "negtr"])
+def test_certificates_do_not_read_kept_matrices_for_their_verdicts(m2, spec, branch, which,
+                                                                  corrupt):
+    """phi, psi or tau as built, with one entry changed (it drops its
+    matrix), or replaced by another linear map (it keeps one): every
+    certificate's JSON is the same with matrices kept, with that map
+    swapped for an index-built copy, and with all three swapped, and each
+    failing witness replays."""
+    res = decompose(build_map(m2, m2, spec), m2.basis_element(0), branch)
+    g = getattr(res, which)
+    if corrupt == "one_entry":
+        k = int(g.es.index_of([0, 1, 0, 0]))
+        setattr(res, which, g.replace_entry(k, (g.images()[k] + [1, 0, 0, 0]) % 5))
+    elif corrupt == "linear":
+        M = [list(row) for row in g.matrix()]
+        M[0][1] = (M[0][1] + 1) % 5
+        setattr(res, which, build_map(m2, m2, {"kind": "linear", "matrix": M}))
+        assert getattr(res, which).matrix() == M
+    kept = [c.to_json() for c in verify_decomposition(res)]
+    for swapped in ([which], ["map", "psi", "tau"]):
+        for name in swapped:
+            setattr(res, name, index_built(getattr(res, name)))
+        assert [c.to_json() for c in verify_decomposition(res)] == kept, swapped
+    failing = [c for c in kept if not c["pass"]]
+    assert bool(failing) == (corrupt != "as_built")
+    for c in failing:
+        assert decomposition_breaks(res, c["condition"], c["witness"]), c
+
+
+@pytest.mark.parametrize("spec, branch", [({"kind": "identity"}, "dagger"),
+                                          ({"kind": "neg_transpose_plus_trace"}, "ddagger")],
+                         ids=["identity", "negtr"])
+def test_corrupted_tau_without_its_matrix_fails_as_before(m2, spec, branch):
+    """tau with its entry at E12 changed keeps no matrix, so recomposition
+    runs the element check and tau_additive builds tau's linear extension:
+    both fail with the witnesses they had before maps kept matrices."""
+    res = decompose(build_map(m2, m2, spec), m2.basis_element(0), branch)
+    k = int(res.map.es.index_of([0, 1, 0, 0]))
+    res.tau = res.tau.replace_entry(k, (res.tau.images()[k] + [0, 1, 0, 0]) % 5)
+    assert res.tau.matrix() is None
+    certs = {c.condition: c for c in verify_decomposition(res)}
+    assert (certs["recomposition"].ok, certs["recomposition"].witness) == \
+        (False, {"x": [0, 1, 0, 0]})
+    assert (certs["tau_additive"].ok, certs["tau_additive"].witness) == \
+        (False, {"a": [0, 0, 0, 1], "b": [0, 1, 0, 0]})
+    for name in ("recomposition", "tau_additive"):
+        assert decomposition_breaks(res, name, certs[name].witness)
