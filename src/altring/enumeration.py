@@ -25,9 +25,22 @@ itself still loads and works in exact Python arithmetic.
 The product kernels work plane-major: each operand is reduced mod p and
 its coordinate axis moved to the front in one pass, so every A_i is a
 contiguous plane, and the result is returned as a coordinate-last view
-of the (n, ...) accumulator, not copied back.  `index_of` and `_planes`
+of the (n, ...) accumulator, not copied back.  `mul_outer(A, B)` builds
+(n, nB, nA) planes, A's batch innermost, and returns their (nA, nB, n)
+transposed view: the primeness element route multiplies up to 8192
+generators by the n basis vectors, and each product step then runs over
+all of them, not over n entries (4.4 -> 0.6 ms per 8192-row chunk on
+Zorn/F5, numpy 2.4.6, x86-64, 2 cores); `rref_batched`'s batch-last copy
+reads that view with its batch axis contiguous.  `index_of` and `_planes`
 reduce mod p only when some entry lies outside [0, p); reduced input,
 the common case after a kernel, is indexed without a pass of divisions.
+
+`class_position` maps coordinate rows to the position of their scalar
+class among the leading-coefficient-1 representatives in element order,
+the primeness generator classes, and zero to -1: each row is scaled by
+the inverse of its leading entry on `elim_dtype` planes, and its block's
+offset is taken off its Horner index.  Since L_{lam*a} = lam*L_a, a rank
+screen over the representatives then decides every nonzero element.
 
 One Enumeration per ring and budget serves a whole run:
 `Enumeration.of(ring, budget)` builds it on first use and keeps it in the
@@ -321,9 +334,10 @@ class Enumeration:
         return np.moveaxis(self._product_planes(self._planes(A), self._planes(B)), 0, -1)
 
     def mul_outer(self, A, B) -> np.ndarray:
-        """All products: result[a, b] = A[a] * B[b]."""
+        """All products: result[a, b] = A[a] * B[b], a view of (n, nB, nA)
+        planes, so each product step runs over all of A at once."""
         A, B = self._planes(A), self._planes(B)
-        return np.moveaxis(self._product_planes(A[:, :, None], B[:, None, :]), 0, -1)
+        return np.moveaxis(self._product_planes(A[:, None, :], B[:, :, None]), 0, -1).swapaxes(0, 1)
 
     def commutator(self, A, B) -> np.ndarray:
         return np.moveaxis(self._commutator_planes(self._planes(A), self._planes(B)), 0, -1)
@@ -358,6 +372,23 @@ class Enumeration:
         if lo < 0:
             S += (S < 0) * S.dtype.type(p)
         return self.index_of_planes(S)
+
+    def class_position(self, Y) -> np.ndarray:
+        """Position of each (B, n) coordinate row's scalar class among the
+        leading-coefficient-1 representatives in element order, -1 for a
+        zero row.  The representatives whose first nonzero coordinate is
+        coordinate n-1-k have the indices [p**k, 2*p**k), block k, and the
+        blocks run k = 0, ..., n-1, so block k starts at position
+        (p**k - 1)/(p - 1).  Each row is scaled by the inverse of its
+        leading entry on `elim_dtype` planes and indexed by Horner's rule."""
+        P, p = self._planes(Y), self.p
+        lead = (P != 0).argmax(axis=0)      # first nonzero coordinate, 0 for a zero row
+        a = np.take_along_axis(P, lead[None], axis=0)[0]
+        P *= self.inv_table.astype(P.dtype).take(a)
+        block = self.radix          # p**k at coordinate n-1-k
+        pos = self.index_of_planes(self.reduce(P)) - (block - (block - 1) // (p - 1)).take(lead)
+        pos[a == 0] = -1
+        return pos
 
     def line_masks(self, mask, a, b):
         """mask[a - lam*b] for lam = 0, 1, ..., p - 1 in turn, for a boolean

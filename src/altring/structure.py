@@ -444,7 +444,8 @@ def _generator_classes(enum: Enumeration) -> tuple[np.ndarray, np.ndarray]:
 
     An element whose first nonzero coordinate is coordinate i and equals 1
     has an index in [p**k, 2*p**k) for k = n-1-i, so the representatives
-    are those index ranges, for k = 0, ..., n-1, already in element order.
+    are those index ranges, for k = 0, ..., n-1, already in element order,
+    the order `Enumeration.class_position` counts them in.
     """
     X = enum.all_coords()
     reps = np.concatenate([X[enum.p ** k:2 * enum.p ** k] for k in range(enum.n)])
@@ -467,7 +468,10 @@ def _unit_certificates(enum: Enumeration, reps: np.ndarray, screened: np.ndarray
     y lies in (x), and a full-rank L_y gives yR = R, so (x) = R.  The
     proof needs neither alternativity nor a unit.  Each round runs over
     every generator left, in one batch of `Enumeration.mul` products with
-    u_t and v_t broadcast against it, and drops those it certifies.
+    u_t and v_t broadcast against it, and drops those it certifies.  It
+    ranks nothing: L_{lam*a} = lam*L_a, so L_y has full rank exactly when
+    y is nonzero and the representative of its scalar class was screened
+    (`Enumeration.class_position`).
     """
     rounds = np.where(screened, 0, -1)
     left = np.flatnonzero(~screened)
@@ -476,8 +480,8 @@ def _unit_certificates(enum: Enumeration, reps: np.ndarray, screened: np.ndarray
         if not len(left):
             break
         u, v = _unit_pair(enum, t)
-        Y = enum.reduce(enum.mul(X, u) + enum.mul(v, X))
-        full = enum.rank_batched(enum.left_mul_matrices(Y)) == enum.n
+        pos = enum.class_position(enum.reduce(enum.mul(X, u) + enum.mul(v, X)))
+        full = (pos >= 0) & screened[pos]
         rounds[left[full]] = t
         left, X = left[~full], X[~full]
     return rounds
@@ -498,17 +502,27 @@ def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
     rows x with the transposed multiplication matrices L_x^T and R_x^T,
     whose rows are the products x*b_j and b_j*x with every basis vector,
     and row-reduces again (`Enumeration.rref_batched`); a generator is
-    settled once its rank stops growing.  Everything runs batched, in
-    chunks cut over all generators, so the proper ideals are found in the
-    same order as with no certificate; the whole ring comes first in a
-    chunk that holds a certified generator.  A stable generator's rows
-    are a reduced echelon form, which is canonical, so ideals are told
-    apart by its bytes and each distinct one is built once.
+    settled once its rank stops growing.  The closure runs batched over
+    the uncertified generators alone, `PRIMENESS_CHUNK` per batch, and
+    each ideal is keyed by where it is first found: (chunk of `reps` of
+    `PRIMENESS_CHUNK` generators, step, position), the whole ring at
+    step 0 of a chunk that holds a certified generator and ahead of the
+    stable generators of a step where a closure reaches it.  The ideals
+    come out in key order, the order of a closure over every chunk of
+    `reps` in turn with no certificate.  A stable generator's rows are a
+    reduced echelon form, which is canonical, so ideals are told apart by
+    its bytes and each distinct one is built once.
     """
-    n = ring.dim
-    whole = Subspace.from_vectors(ring, [list(ring.basis_coords(i)) for i in range(n)])
-    ideals: dict[bytes | None, Subspace] = {}       # the whole ring under None
+    n, chunk = ring.dim, PRIMENESS_CHUNK
     certified = _unit_certificates(enum, reps, screened) >= 0
+    # (first key, echelon rows) of each ideal, the whole ring under None
+    found: dict[bytes | None, tuple[tuple, list | None]] = {}
+    if certified.any():
+        found[None] = ((int(np.argmax(certified)) // chunk, 0, -1), None)
+
+    def record(ideal, key, rows=None):
+        if ideal not in found or key < found[ideal][0]:
+            found[ideal] = (key, rows)
 
     def layer(rows):
         # rows (B, m, n) -> [rows; x*b_j; b_j*x] for every row x and basis vector b_j:
@@ -518,29 +532,30 @@ def _principal_ideals(ring: Ring, enum: Enumeration, reps: np.ndarray,
                                         for mats in (enum.left_mul_matrices(rows),
                                                      enum.right_mul_matrices(rows))], axis=1)
 
-    for lo in range(0, len(reps), PRIMENESS_CHUNK):
-        part = slice(lo, lo + PRIMENESS_CHUNK)
-        if certified[part].any():
-            ideals.setdefault(None, whole)
-        rows = reps[part][~certified[part]][:, None, :]
+    uncertified = np.flatnonzero(~certified)
+    for lo in range(0, len(uncertified), chunk):
+        pos = uncertified[lo:lo + chunk]
+        rows = reps[pos][:, None, :]
         ranks = np.ones(len(rows), dtype=np.int64)
-        for _ in range(n + 1):
+        for step in range(1, n + 2):
             if not len(rows):
                 break
             grown, new_ranks = enum.rref_batched(layer(rows))
             full = new_ranks == n
             if full.any():
-                ideals.setdefault(None, whole)
+                record(None, (int(pos[full].min()) // chunk, step, -1))
             stable = (new_ranks == ranks) & ~full
             for b in np.flatnonzero(stable):
-                key = grown[b].tobytes()
-                if key not in ideals:
-                    ideals[key] = Subspace.from_vectors(ring, grown[b, :new_ranks[b]].tolist())
+                at = int(pos[b])
+                record(grown[b].tobytes(), (at // chunk, step, at),
+                       grown[b, :new_ranks[b]].tolist())
             keep = ~stable & ~full
-            rows, ranks = grown[keep], new_ranks[keep]
+            rows, ranks, pos = grown[keep], new_ranks[keep], pos[keep]
         if len(rows):
             raise RuntimeError("ideal closure failed to stabilize")
-    return list(ideals.values())
+    whole = [list(ring.basis_coords(i)) for i in range(n)]
+    return [Subspace.from_vectors(ring, whole if rows is None else rows)
+            for _, rows in sorted(found.values(), key=lambda entry: entry[0])]
 
 
 def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
@@ -562,11 +577,16 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
     (`Enumeration.rank_batched` of the (B, w, r, c) stack of the L_w, its
     rows (w, r)), and the same first failing a.  Its witness b is still
     the first nullspace vector of the full stack of L_{a b_k}, so its
-    bytes do not depend on the basis.
+    bytes do not depend on the basis.  The route takes 1, 2, 4, ... up to
+    `PRIMENESS_CHUNK` survivors per batch, so a failure among the first
+    survivors costs a few rows, and stops at the first batch that fails.
     The ideal route also skips a generator x with a unit inside (x): for
     fixed u and v, y = x*u + v*x lies in (x), and a full-rank L_y gives
-    yR = R, so (x) = R (`_unit_certificates`).  A generator that no round
-    certifies runs the closure, so both verdicts stay exact.
+    yR = R, so (x) = R (`_unit_certificates`, which reads L_y's rank off
+    the screen through y's scalar class).  A generator that no round
+    certifies runs the closure, in batches of uncertified generators only,
+    so both verdicts stay exact.  The screen is the one elimination over
+    all generator classes; each other elimination runs once per batch.
     """
     enum = Enumeration.of(r, budget)
     n = r.dim
@@ -595,8 +615,10 @@ def check_primeness(r: Ring, budget: int = DEFAULT_BUDGET) -> PrimenessReport:
     survivors = reps[~screened]
     element_witness = None
     basis = np.eye(n, dtype=np.int64)
-    for lo in range(0, len(survivors), PRIMENESS_CHUNK):
-        A = survivors[lo:lo + PRIMENESS_CHUNK]
+    lo, size = 0, 1
+    while lo < len(survivors):
+        A = survivors[lo:lo + size]
+        lo, size = lo + size, min(2 * size, PRIMENESS_CHUNK)
         # the first m reduced rows of the rows a*b_k span aR; zero rows past
         # a rank add nothing, and m >= 1, so no stack is empty
         W, dims = enum.rref_batched(enum.mul_outer(A, basis))

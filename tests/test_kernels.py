@@ -420,6 +420,33 @@ def test_index_of_matches_reduced_radix(ring, kind, rows, data):
         assert int(enum.index_of(C[0])) == int(got[0])
 
 
+def check_class_position(ring, shift=0):
+    """`class_position` of every element, its coordinates shifted by
+    `shift`*p, against its scalar class in `rings.py` arithmetic: the
+    position of lam**-1 * y, lam the first nonzero coordinate of y, among
+    the tuples whose first nonzero coordinate is 1, in element order."""
+    p, n = ring.domain.p, ring.dim
+    elements = list(product(range(p), repeat=n))
+    reps = {x: k for k, x in
+            enumerate(x for x in elements if any(x) and next(filter(None, x)) == 1)}
+    want = [reps[ring.smul_coords(ring.domain.inv(next(filter(None, y))), y)] if any(y) else -1
+            for y in elements]
+    enum = Enumeration(ring, DEFAULT_BUDGET)
+    got = enum.class_position(np.array(elements, dtype=np.int64) + shift * p)
+    assert got.dtype == np.int64 and ints(got) == want
+    assert sorted(set(want)) == list(range(-1, (p ** n - 1) // (p - 1)))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_class_position_matches_reference_on_m2(p):
+    check_class_position(gen_m2(p))
+
+
+@given(unital_rings(), st.integers(-2, 2))
+def test_class_position_matches_reference(ring, shift):
+    check_class_position(ring, shift)
+
+
 @pytest.mark.parametrize("edge, want", [(4, 4), (5, 0), (-1, 4), (-5, 0), (10 ** 12, 0)])
 def test_index_of_range_boundaries(edge, want):
     enum = Enumeration(gen_m2(5), DEFAULT_BUDGET)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from pathlib import Path
 from unittest.mock import patch
 
@@ -21,7 +22,7 @@ from altring.scalars import PrimeField
 from altring.structure import (PRIMENESS_CHUNK, _generator_classes, _principal_ideals,
                                _unit_certificates, _unit_pair)
 from conftest import unital_rings
-from test_rings import perturbed_m2, rebased_rings
+from test_rings import perturbed_m2, rebase, rebased_rings
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "primeness_golden.json").read_text())
 
@@ -616,6 +617,22 @@ def test_unit_rank_screen_counts(zorn, dsum):
         assert linalg.rank(ring.left_mul_matrix(a), ring.domain) == ring.dim
 
 
+def test_screen_decides_every_element_by_its_class():
+    """The certificate rounds rank nothing: for every element y of M2/F5,
+    the screen's verdict on y's scalar class is the rank test on L_y in
+    `linalg.py`, and y's class representative is a scalar multiple of y."""
+    ring = gen_m2(5)
+    enum = Enumeration(ring, DEFAULT_BUDGET)
+    reps, screened = _generator_classes(enum)
+    elements = list(itertools.product(range(5), repeat=4))
+    pos = enum.class_position(np.array(elements))
+    for y, k in zip(elements, pos.tolist()):
+        full = linalg.rank(ring.left_mul_matrix(y), ring.domain) == ring.dim
+        assert (k >= 0 and bool(screened[k])) == full, y
+        if k >= 0:
+            assert any(ring.smul_coords(lam, ints(reps[k])) == y for lam in range(1, 5))
+
+
 # -- primeness against a pure-Python reference -------------------------------
 
 def reference_generators(r):
@@ -760,3 +777,100 @@ def test_unit_certificates_replay_on_direct_sum(dsum):
     assert int(blocks.sum()) == 312
     assert (rounds[blocks] == -1).all()
     assert int((rounds > 0).sum()) == 39744 and int((rounds == -1).sum()) == 312
+
+
+def test_closure_order_across_batches():
+    """M2+M2/F3 with 5 generators per batch: the 166 uncertified generators
+    fill batches that straddle chunks of `reps` and stabilise at steps 2
+    and 3.  The proper ideals come out in the reference order, the whole
+    ring at its first (chunk, step) key, after a proper ideal, and no
+    elimination sees more than 5 generators."""
+    r, chunk = gen_direct_sum(gen_m2(3), gen_m2(3)), 5
+    closures = reference_closures(r)
+    enum = Enumeration(r, DEFAULT_BUDGET)
+    reps, screened = _generator_classes(enum)
+    rounds = _unit_certificates(enum, reps, screened)
+    uncertified = np.flatnonzero(rounds < 0).tolist()
+    assert len(uncertified) == 166
+    steps = {pos: step for pos, _, step in closures}
+    batches = [uncertified[lo:lo + chunk] for lo in range(0, len(uncertified), chunk)]
+    assert any(len({pos // chunk for pos in b}) > 1 and len({steps[pos] for pos in b}) > 1
+               for b in batches)
+    # first key of each ideal: a certified generator gives the whole ring at step 0
+    first = {}
+    for pos, rows, step in closures:
+        whole = len(rows) == r.dim
+        assert whole or rounds[pos] < 0
+        key = (pos // chunk, 0 if rounds[pos] >= 0 else step, -1 if whole else pos)
+        ideal = None if whole else tuple(map(tuple, rows))
+        first[ideal] = min(first.get(ideal, key), key)
+    identity = [list(r.basis_coords(j)) for j in range(r.dim)]
+    want = [identity if ideal is None else [list(row) for row in ideal]
+            for ideal in sorted(first, key=first.get)]
+    assert want[0] != identity
+
+    sizes = []
+    rref = Enumeration.rref_batched
+
+    def spy(self, mats):
+        sizes.append(len(mats))
+        return rref(self, mats)
+
+    with patch.object(structure, "PRIMENESS_CHUNK", chunk), \
+            patch.object(Enumeration, "rref_batched", spy):
+        ideals = _principal_ideals(r, enum, reps, screened)
+        report = check_primeness(r)
+    got = [[list(row) for row in sub.basis] for sub in ideals]
+    assert got == want
+    assert [rows for rows in got if len(rows) < r.dim] == \
+        reference_proper_ideals(closures, r.dim, chunk)
+    assert sizes and max(sizes) <= chunk
+    assert report.to_json() == reference_primeness(r, closures, chunk,
+                                                   reference_element_witness(r))
+
+
+def first_failing_survivor(r):
+    """Position of the reference element witness among the generator
+    classes with a singular L_a, in element order; None for a prime ring."""
+    witness = reference_element_witness(r)
+    if witness is None:
+        return None
+    survivors = [a for a in reference_generators(r)
+                 if linalg.rank(r.left_mul_matrix(a), r.domain) < r.dim]
+    return survivors.index(tuple(int(x) for x in witness["a"]))
+
+
+def test_element_route_doubles_its_chunks():
+    """M2+M2/F2 in the first of a seeded sequence of random bases (as
+    `rebased_rings` draws them) whose first failing survivor is not among
+    the first 3: the element route takes 1, 2, 4, ... survivors per call,
+    capped at `PRIMENESS_CHUNK`, up to the chunk that holds it, and quotes
+    the reference witness under caps of 1, 3 and the default."""
+    base = gen_direct_sum(gen_m2(2), gen_m2(2))
+    rng = random.Random(32)
+    while True:
+        T = [[rng.randrange(2) for _ in range(base.dim)] for _ in range(base.dim)]
+        if linalg.inverse(T, base.domain):
+            r = rebase(base, T)
+            if first_failing_survivor(r) >= 3:
+                break
+    position = first_failing_survivor(r)
+    assert position == 24
+    want = reference_element_witness(r)
+    calls = []
+    outer = Enumeration.mul_outer
+
+    def spy(self, A, B):
+        calls.append(len(A))
+        return outer(self, A, B)
+
+    for cap in (1, 3, PRIMENESS_CHUNK):
+        calls.clear()
+        with patch.object(structure, "PRIMENESS_CHUNK", cap), \
+                patch.object(Enumeration, "mul_outer", spy):
+            assert check_primeness(r).element_witness == want
+        sizes, lo, size = [], 0, 1
+        while lo <= position:
+            sizes.append(size)
+            lo, size = lo + size, min(2 * size, cap)
+        assert calls == sizes + [1]         # the chunks, then the witness's own stack
