@@ -28,6 +28,9 @@ Both are maps, held as `MapTable`s.  Under
 "dagger" psi should be a ring isomorphism, under "ddagger" the negative
 of an anti-isomorphism; verify_decomposition certifies both claims,
 plus centrality of tau, its additivity and its vanishing on commutators.
+Every certificate is required, tau's additivity included: the theorem
+concludes that tau is an additive map into the centre that kills
+commutators.
 psi's and tau's additivity are decided exactly against their linear
 extensions, and a linear psi's product rule on the basis grid, at any
 budget.  An additive tau's vanishing on commutators is decided on the
@@ -97,7 +100,6 @@ from .structure import PeirceFrame, Subspace, center, check_spade_club
 BRANCH_DAGGER = "dagger"
 BRANCH_DDAGGER = "ddagger"
 
-INFORMATIONAL_CERTIFICATES = ("tau_additive",)
 CELLS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
@@ -168,8 +170,7 @@ class DecompositionResult:
     certificates: list[CheckReport] = field(default_factory=list)
 
     def required_pass(self) -> bool:
-        return all(c.ok for c in self.certificates
-                   if c.condition not in INFORMATIONAL_CERTIFICATES)
+        return all(c.ok for c in self.certificates)
 
     def to_json(self) -> dict:
         tgt = self.map.target
@@ -327,7 +328,8 @@ def product_rule(es, et, psi_idx, anti: bool):
 
 def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     """Certificate battery for a decomposition, at its map's budget and its
-    seed.
+    seed.  Every report is required: `required_pass()` holds only when all
+    pass, tau_additive included.
 
     Element-quantified checks are always exhaustive.  Of the pair
     certificates, psi's and tau's additivity are decided exactly, with no
@@ -523,6 +525,5 @@ def verify_theorem(m: MapTable, e1: Element, branch: str | None, seed: int) -> d
         raise
     except AltringError as exc:
         bundle["error"] = f"{type(exc).__name__}: {exc}"
-    bundle["all_certificates_pass"] = "error" not in bundle and all(
-        r.ok for r in reports if r.condition not in INFORMATIONAL_CERTIFICATES)
+    bundle["all_certificates_pass"] = "error" not in bundle and all(r.ok for r in reports)
     return bundle

@@ -302,10 +302,8 @@ def map_from_json(obj: dict, rings: dict[str, Ring], budget: int = DEFAULT_BUDGE
         spec = obj["repr"]
     except KeyError as exc:
         raise ParseError(f"map file references unknown ring or missing field: {exc}") from exc
-    if isinstance(spec, str):
-        spec = {"kind": spec, **{k: v for k, v in obj.items() if k not in ("source", "target", "repr")}}
-    elif not isinstance(spec, dict):
-        raise ParseError(f"map field 'repr' must be an object or a kind name, got {spec!r}")
+    if not isinstance(spec, dict):
+        raise ParseError(f"map field 'repr' must be an object, got {spec!r}")
     return build_map(src, tgt, spec, budget)
 
 

@@ -168,14 +168,6 @@ class PeirceFrame:
     projectors: dict            # (i, j) -> matrix of a |-> e_i (a e_j)
     components: dict            # (i, j) -> Subspace
 
-    def project(self, a: Element) -> dict:
-        if a.ring.key != self.ring.key:
-            raise RingMismatch("element belongs to a different ring")
-        out = {}
-        for ij, P in self.projectors.items():
-            out[ij] = Element(self.ring, self.ring.apply_matrix(P, a.coords))
-        return out
-
 
 def peirce_frame(r: Ring, e1: Element) -> PeirceFrame:
     """The frame of a nontrivial idempotent e1, from L and R, the matrices

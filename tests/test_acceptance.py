@@ -17,7 +17,6 @@ from altring import (build_map, check_main_hypotheses, check_map_consequences,
                      verify_peirce_relations, verify_preserves_idempotents,
                      verify_surjective)
 from altring.cli import main
-from altring.decompose import INFORMATIONAL_CERTIFICATES
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import HypothesisFailed
 
@@ -182,17 +181,19 @@ def test_criterion_6_negative_controls(m2, dsum, negtr):
     assert exc.value.condition == "4"
     assert exc.value.witness["central"] == [1, 0, 0, 1, 0, 0, 0, 0]
 
-    # (c) one corrupted table entry breaks exactly one named certificate
+    # (c) one corrupted table entry breaks exactly the two named certificates
+    #     of tau: the swap moves tau off the centre at two elements, so it is
+    #     neither central nor additive
     enum = Enumeration(m2, DEFAULT_BUDGET)
     x0 = int(enum.index_of(np.array([1, 1, 0, 0])))
     x1 = int(enum.index_of(np.array([1, 2, 0, 0])))
     imgs = negtr.images()
     bad = negtr.replace_entry(x0, imgs[x1]).replace_entry(x1, imgs[x0])
     res = decompose(bad, m2.basis_element(0), branch="ddagger")
-    failures = [c for c in res.certificates
-                if not c.ok and c.condition not in INFORMATIONAL_CERTIFICATES]
-    assert [c.condition for c in failures] == ["tau_central"]
+    failures = [c for c in res.certificates if not c.ok]
+    assert [c.condition for c in failures] == ["tau_central", "tau_additive"]
     assert failures[0].witness == {"x": [1, 1, 0, 0], "tau": [1, 0, 4, 1]}
+    assert failures[1].witness == {"a": [0, 0, 0, 1], "b": [1, 1, 0, 0]}
     ok(6, "idempotent-preservation, hypothesis (4), and corruption controls all trip")
 
 

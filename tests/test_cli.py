@@ -297,7 +297,8 @@ def m2_table_with_true():
                   "entries": {str(i): [0, 0, 0, 0] for i in range(626) if i != 1}}),
      "table entries is missing field '1'"),
     ("5", [m2_map("identity")], "a map file must hold a JSON object"),
-    ("5", m2_map(5), "map field 'repr' must be an object or a kind name"),
+    ("5", m2_map(5), "map field 'repr' must be an object, got 5"),
+    ("5", m2_map("identity"), "map field 'repr' must be an object, got 'identity'"),
     ("Q", m2_map({"kind": "linear", "matrix": M2_IDENTITY}, "m2_q"),
      "finite enumeration needs a prime field"),
     ("5", m2_map({"kind": "table", "entries": 5}),
@@ -319,7 +320,7 @@ def m2_table_with_true():
      "map field 'matrix' holds a JSON boolean, not a scalar"),
     ("5", {**m2_map("identity"), "source": ["m2_f5"]}, "map field 'source' must be a ring name"),
 ], ids=["table_rows_of_width_3", "linear_4x3", "linear_without_matrix", "table_without_entry_1",
-        "top_level_list", "repr_a_number", "linear_over_q", "entries_a_number",
+        "top_level_list", "repr_a_number", "repr_a_kind_name", "linear_over_q", "entries_a_number",
         "matrix_a_number", "element_a_number", "parts_a_number", "compose_part_a_number",
         "offset_functional_a_number", "table_with_true", "matrix_with_true", "source_a_list"])
 def test_malformed_map_is_an_input_error(files, capsys, field, doc, message):

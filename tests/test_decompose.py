@@ -2,6 +2,7 @@ import importlib
 import io
 import itertools
 import json
+import random
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,6 @@ from altring import (build_map, center, decompose, detect_branch, gen_direct_sum
                      verify_decomposition, verify_theorem)
 from altring.cli import main
 from altring.reports import dumps
-from altring.decompose import INFORMATIONAL_CERTIFICATES
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import (AmbiguousCentralSplit, BranchUndetermined, HypothesisFailed,
                             NotBijective)
@@ -23,9 +23,8 @@ from altring.structure import Subspace
 from conftest import breaks_law
 
 
-def required_failures(res):
-    return [c.condition for c in res.certificates
-            if not c.ok and c.condition not in INFORMATIONAL_CERTIFICATES]
+def failures(res):
+    return [c.condition for c in res.certificates if not c.ok]
 
 
 def assert_element_witnesses(m, certs, psi_ref, tau_ref, psi_matrix):
@@ -228,7 +227,8 @@ def test_target_corner_meeting_the_centre_is_an_ambiguous_split(m2):
 def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
     # swapping the images of two mixed-corner, nonzero-trace elements keeps
     # the table bijective, psi untouched, and no commutator value hit:
-    # only centrality of tau can break
+    # only tau can break: the swap moves it off the centre at two elements,
+    # so it is neither central nor additive
     enum = Enumeration(m2, DEFAULT_BUDGET)
     x0 = int(enum.index_of(np.array([1, 1, 0, 0])))
     x1 = int(enum.index_of(np.array([1, 2, 0, 0])))
@@ -236,10 +236,11 @@ def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
     bad = negtr.replace_entry(x0, imgs[x1]).replace_entry(x1, imgs[x0])
     res = decompose(bad, m2.basis_element(0), branch="ddagger")
     assert not res.required_pass()
-    assert required_failures(res) == ["tau_central"]
+    assert failures(res) == ["tau_central", "tau_additive"]
     cert = next(c for c in res.certificates if c.condition == "tau_central")
     assert cert.witness["x"] == [1, 1, 0, 0]
     assert cert.witness["tau"] == [1, 0, 4, 1]
+    assert res.certificates[-1].witness == {"a": [0, 0, 0, 1], "b": [1, 1, 0, 0]}
 
     def psi(x):
         return m2.apply_matrix(res.psi_matrix, x)
@@ -418,11 +419,81 @@ def test_diagonal_psi_matches_per_point_solve_zorn(zorn_identity, branch):
         assert res.psi(x) == want, x
 
 
-def test_tau_additivity_reported_not_required(m2, negtr):
-    res = decompose(negtr, m2.basis_element(0), branch="ddagger")
-    tau_add = next(c for c in res.certificates if c.condition == "tau_additive")
-    assert tau_add.ok    # trace*unit is additive here
-    assert "tau_additive" in INFORMATIONAL_CERTIFICATES
+@pytest.mark.parametrize("branch", ["dagger", "ddagger"])
+def test_non_additive_tau_fails_the_decomposition(m2, id_m2, branch, tmp_path):
+    """tau's additivity is a required certificate.  The M2/F5 identity with
+    the images of 2*1 and 3*1 swapped is Lie multiplicative and almost
+    additive, with a central tau that is not additive: tau_additive is the
+    one certificate that fails, `decompose` reports failure and the CLI
+    exits 1.  Its witness is the first failing pair of a row-major scan in
+    `rings.py` arithmetic, with phi written out by hand."""
+    es = id_m2.es
+    i, j = (int(k) for k in es.index_of(np.array([[2, 0, 0, 2], [3, 0, 0, 3]])))
+    idx = id_m2.image_index().copy()
+    idx[[i, j]] = idx[[j, i]]
+    m = MapTable(m2, m2, es, es, idx)
+    res = decompose(m, m2.basis_element(0), branch=branch)
+    assert failures(res) == ["tau_additive"]
+    assert not res.required_pass()
+
+    def tau(x):
+        phi = {(2, 0, 0, 2): (3, 0, 0, 3), (3, 0, 0, 3): (2, 0, 0, 2)}.get(x, x)
+        return m2.element(phi) - m2.element(m2.apply_matrix(res.psi_matrix, x))
+
+    elems = list(itertools.product(range(5), repeat=4))
+    want = next({"a": list(a), "b": list(b)} for a in elems for b in elems
+                if tau(tuple((u + v) % 5 for u, v in zip(a, b))) != tau(a) + tau(b))
+    assert res.certificates[-1].witness == want == {"a": [0, 0, 0, 1], "b": [2, 0, 0, 1]}
+
+    ring, phi, out = tmp_path / "m2.json", tmp_path / "swap.json", tmp_path / "dec.json"
+    assert main(["gen", "m2", "--field", "5", "--out", str(ring)]) == 0
+    phi.write_text(json.dumps(map_to_json(m)))
+    assert main(["decompose", "--source", str(ring), "--target", str(ring), "--map", str(phi),
+                 "--idempotent", "1,0,0,0", "--branch", branch, "--out", str(out)]) == 1
+    obj = json.loads(out.read_text())
+    assert not obj["all_required_pass"]
+    assert [c["condition"] for c in obj["certificates"] if not c["pass"]] == ["tau_additive"]
+
+
+def central_perturbation(phi0, seed):
+    """phi0 + h*1 for a seeded scalar function h, nonzero on one or two
+    cosets x + F_5*1 of M2/F5.  phi0 is linear and fixes 1, so
+    phi0(x + t*1) = phi0(x) + t*1; on a drawn coset, with x its trace-zero
+    element, phi(x + t*1) = phi0(x + pi(t)*1) for a drawn permutation pi of
+    F_5.  So phi stays bijective, and pi(0) = 0 keeps it Lie multiplicative:
+    the commutators of M2 are its trace-zero elements, where h vanishes."""
+    rng = random.Random(seed)
+    es, idx = phi0.es, phi0.image_index().copy()
+    for a, b, c in rng.sample(list(itertools.product(range(5), repeat=3)), rng.choice((1, 2))):
+        pi = [0, *rng.sample(range(1, 5), 4)]
+        coset = es.index_of(np.array([[a + t, b, c, t - a] for t in range(5)]) % 5)
+        idx[coset] = idx[coset[pi]]
+    return MapTable(phi0.source, phi0.target, es, es, idx)
+
+
+REACHES_DECOMPOSE = {90, 123}
+
+
+@pytest.mark.parametrize("seed", range(128))
+def test_theorem_holds_on_central_perturbations(m2, id_m2, negtr, seed):
+    """The theorem as oracle: whenever every report before the
+    decomposition passes, every decomposition certificate passes under
+    both branches, tau_additive included.  The pinned seeds are the draws
+    that reach `decompose` (one per phi0), so the property is never
+    vacuous.  Each draws only identity permutations, as the theorem
+    predicts: phi and phi0 both split into additive parts, so h*1 is
+    additive, a multiple of the trace since h vanishes on trace zero, and
+    idempotent preservation leaves only h = 0."""
+    phi0 = (id_m2, negtr)[seed % 2]
+    m, e1 = central_perturbation(phi0, seed), m2.basis_element(0)
+    bundle = verify_theorem(m, e1, "dagger", seed)
+    reached = all(r["pass"] for stage in bundle["stages"] for r in stage["reports"]
+                  if stage["stage"] != "decomposition")
+    assert ("decomposition" in bundle) == reached == (seed in REACHES_DECOMPOSE)
+    if reached:
+        assert bundle["all_certificates_pass"]
+        assert decompose(m, e1, branch="ddagger", seed=seed).required_pass()
+        assert (m.image_index() == phi0.image_index()).all()
 
 
 def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
