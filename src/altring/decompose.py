@@ -65,12 +65,13 @@ compare indices, or matrices where the maps keep them (see
 `verify_decomposition`): recomposition is `sum_index([psi, tau])`
 against phi's, the matrix check compares psi's index with
 psi_matrix's, centrality of tau is a gather from the centre's mask.  The
-per-cell product cases and the sandwich identity run `mul_index` on
-grids of the Peirce cells' element indices, row-major.  Every one of
-these ends in a failure mask and reports through
-`reports.first_failure`, as does each corner test of branch detection,
-which applies the target's corner projector to the coordinates of the
-images of the cell points only.
+per-cell product cases and the sandwich identity are implied by a linear
+psi's exact product rule when it passes (see `verify_decomposition`);
+otherwise they run `mul_index` on grids of the Peirce cells' element
+indices, row-major.  Every scan ends in a failure mask and reports
+through `reports.first_failure`, as does each corner test of branch
+detection, which applies the target's corner projector to the
+coordinates of the images of the cell points only.
 
 Small corners make the corner conditions degenerate: when both hold the
 caller must pick the branch (both constructions can be simultaneously
@@ -348,6 +349,14 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     sandwich identity psi((ab)a) = (psi(a)psi(b))psi(a) for opposite
     off-diagonal pairs checked separately.
 
+    Implied route: when psi is linear and its global product rule passed,
+    the rule holds on every pair, so the five cases pass with their grid
+    sizes and no grid is built.  So does the sandwich identity under
+    dagger, psi((ab)a) = psi(ab)psi(a), and under ddagger, psi((ab)a) =
+    psi(a)(psi(b)psi(a)), when the target is flexible: `is_alternative`
+    of the target passes (alternative implies flexible in every
+    characteristic).  Otherwise the cell grids are scanned.
+
     psi_additive and psi_linear_matrix compare psi with psi_matrix's
     index.  When psi keeps a matrix equal to psi_matrix, that is psi's own
     index (`MapTable.from_matrix` derived it from that matrix); otherwise,
@@ -418,15 +427,24 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
         certs.append(pair_result(name, m.source, es, first_bilinear_failure(es, product_fails)))
     else:
         certs.append(pair_report(name, m, seed, product_fails))
+    # the product rule holds on every pair: each case below restricts it
+    implied = psi_linear and certs[-1].ok
+    comps = res.source_frame.components
+
+    @functools.cache
+    def cell_idx(ij):
+        return es.index_of(comps[ij].points(es))
 
     # per-cell cases of the product rule and the sandwich identity, on the
-    # (|A|, |B|) grids of cell element indices, raveled row-major, i = 1 first
-    cell_idx = {ij: es.index_of(res.source_frame.components[ij].points(es))
-                for ij in CELLS}
-
-    def cells_report(name, space, cells_fn, fails, quote_cells):
+    # (|A|, |B|) grids of cell element indices, raveled row-major, i = 1 first,
+    # or, when `proven` implies them, passed with the grids' size and no grid
+    def cells_report(name, space, cells_fn, fails, quote_cells, proven):
         cells = [cells_fn(i, 3 - i) for i in (1, 2)]
-        grids = [np.meshgrid(cell_idx[ca], cell_idx[cb], indexing="ij") for ca, cb in cells]
+        if proven:
+            certs.append(CheckReport(name, True, None, {
+                space: sum(es.p ** (comps[ca].dim + comps[cb].dim) for ca, cb in cells)}))
+            return
+        grids = [np.meshgrid(cell_idx(ca), cell_idx(cb), indexing="ij") for ca, cb in cells]
         a_idx, b_idx = (np.concatenate([g[s].ravel() for g in grids]) for s in (0, 1))
         owner = np.repeat([0, 1], [g[0].size for g in grids])
 
@@ -444,7 +462,7 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
                            ("case_diag_diag", lambda i, j: ((i, i), (i, i))),
                            ("case_offdiag_same", lambda i, j: ((i, j), (i, j))),
                            ("case_offdiag_opposite", lambda i, j: ((i, j), (j, i)))):
-        cells_report(name, "pairs", cells_fn, product_fails, True)
+        cells_report(name, "pairs", cells_fn, product_fails, True, implied)
 
     def sandwich_fails(a_idx, b_idx):
         # psi((ab)a) = (psi(a) psi(b)) psi(a)
@@ -453,7 +471,7 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
         return lhs != et.mul_index(et.mul_index(pa, psi_idx[b_idx]), pa)
 
     cells_report("sandwich_identity", "triples", lambda i, j: ((i, j), (j, i)),
-                 sandwich_fails, False)
+                 sandwich_fails, False, implied and (not anti or is_alternative(m.target).ok))
 
     central = center(m.target).mask(et)
     elem_report("tau_central", ~central[tau_idx],

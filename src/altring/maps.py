@@ -48,7 +48,8 @@ from .errors import (DimensionMismatch, DomainMismatch, NotIdempotentImage,
                      NotInvertible, OffsetNotCentral, ParseError)
 from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, Ring, is_associative, scalar_array
-from .structure import PeirceFrame, center, check_main_hypotheses, peirce_frame
+from .structure import (PeirceFrame, center, check_annihilation, check_main_hypotheses,
+                        peirce_frame)
 
 
 class MapTable:
@@ -611,9 +612,9 @@ def peirce_frames(m: MapTable, e1: Element) -> tuple[PeirceFrame, PeirceFrame]:
 
 
 def frame_hypotheses(m: MapTable, frame: PeirceFrame) -> list[CheckReport]:
-    """`check_main_hypotheses` on the source or target frame under the
-    map's budget, run once per map, frame ring object and idempotent: the
-    two frames share one run only when phi(e1) = e1 on one ring object."""
+    """`check_main_hypotheses` on the source frame under the map's budget,
+    run once per map, frame ring object and idempotent; the target frame
+    reads it only when it is that frame, phi(e1) = e1 on one ring object."""
     return m.cached(("hypotheses", frame.ring, frame.e1.coords),
                     lambda: check_main_hypotheses(frame, m.es.budget))
 
@@ -622,7 +623,9 @@ def check_peirce_image(m: MapTable, e1: Element):
     """Corner behaviour of the map: off-diagonal corners map onto the
     matching target corners; diagonal corners land in a diagonal corner
     plus the centre, with the shape recorded.  Also transports the
-    annihilation conditions to the target frame.
+    annihilation conditions (2) and (3) to the target frame: read from
+    `frame_hypotheses` when the two frames are one frame of one ring
+    object, else run alone (`check_annihilation`).
 
     Returns (reports, source_frame, target_frame).
     """
@@ -658,6 +661,9 @@ def check_peirce_image(m: MapTable, e1: Element):
             {"elements": len(pts), "same_corner_shape": int(in_same.all()),
              "swapped_corner_shape": int(in_swap.all())}))
 
+    shared = tgt_frame.ring is src_frame.ring and tgt_frame.e1.coords == src_frame.e1.coords
+    target = frame_hypotheses(m, tgt_frame)[1:3] if shared else [
+        check_annihilation(tgt_frame, name, m.es.budget) for name in ("condition_2", "condition_3")]
     reports += [CheckReport("target_" + rep.condition, rep.ok, rep.witness, rep.quantifier_space)
-                for rep in frame_hypotheses(m, tgt_frame)[1:3]]
+                for rep in target]
     return reports, src_frame, tgt_frame

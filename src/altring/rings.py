@@ -6,18 +6,22 @@ constants: basis_i * basis_j = sum_k sc[i][j][k] basis_k.  No
 associativity is assumed anywhere; a verified two-sided unit is
 mandatory.
 
-The associator laws read one table per ring, `associators`: the n**3
-basis associators (b_i, b_j, b_k), built once in the ring's own exact
-arithmetic and memoised on the ring (`memoised`).  By trilinearity every
-law these checkers quote is a sum of its entries, so `is_alternative`,
-`is_flexible`, `is_associative` and `structure.nucleus` multiply
-nothing themselves.  The alternative and flexible laws are quadratic in
-x, and a quadratic form vanishes on every element exactly when it
-vanishes on each basis vector and its polar form vanishes on each pair
-of them, in every characteristic; so each is decided from its polar
-form (the linearized law) on basis triples and then on single basis
-vectors.  Every law and torsion check returns a `reports.CheckReport`
-whose witness breaks the law it quotes.
+The structure constants are also held once per ring as one array,
+`structure_array`, int64 while n*(p-1)**2 < 2**62 and dtype object over
+Q or for a larger p; `Ring.mul_coords` and `Element` stay the
+pure-Python reference.  The associator laws read one array per ring,
+`associators`: the n**3 basis associators (b_i, b_j, b_k), from two
+contractions of the structure array, memoised on the ring (`memoised`).
+By trilinearity every law these checkers quote is a sum of its entries,
+so `is_alternative`, `is_flexible`, `is_associative` and
+`structure.nucleus` multiply nothing themselves, and each law is
+evaluated on all basis tuples at once.  The alternative and flexible
+laws are quadratic in x, and a quadratic form vanishes on every element
+exactly when it vanishes on each basis vector and its polar form
+vanishes on each pair of them, in every characteristic; so each is
+decided from its polar form (the linearized law) on basis triples and
+then on single basis vectors.  Every law and torsion check returns a
+`reports.CheckReport` whose witness breaks the law it quotes.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ParseError, RingMismatch
 from .linalg import mat_vec
-from .reports import CheckReport, coords_json
+from .reports import CheckReport, coords_json, first_failure
 from .scalars import Domain, Scalar, domain_from_json
 
 
@@ -205,36 +210,53 @@ def associator(x: Element, y: Element, z: Element) -> Element:
 # -- identity checkers ----------------------------------------------------
 
 @memoised
-def associators(r: Ring) -> tuple:
-    """The associator table: A[i][j][k] = (b_i, b_j, b_k) = (b_i b_j) b_k -
-    b_i (b_j b_k) as a coordinate tuple, for all n**3 basis triples.
-    Built once per ring in the ring's own arithmetic, so it is exact over
-    F_p and Q alike; every associator law and the nucleus read it."""
-    n = r.dim
-    basis = [r.basis_coords(i) for i in range(n)]
-    return tuple(tuple(tuple(r.sub_coords(r.mul_coords(r.sc[i][j], basis[k]),
-                                          r.mul_coords(basis[i], r.sc[j][k]))
-                             for k in range(n)) for j in range(n)) for i in range(n))
+def structure_array(r: Ring) -> np.ndarray:
+    """S[i, j, k] = sc[i][j][k] as one (n, n, n) array: int64 over F_p
+    while n*(p-1)**2 < 2**62, so that a sum of n products of two entries
+    in [0, p), or the difference of two such sums, is exact; else dtype
+    object, holding the ring's own exact scalars."""
+    dom = r.domain
+    exact = dom.kind == "Fp" and r.dim * (dom.p - 1) ** 2 < 2 ** 62
+    return np.array(r.sc, dtype=np.int64 if exact else object)
+
+
+def reduced(r: Ring, X):
+    """The array X of `structure_array`'s dtype with each entry reduced
+    into [0, p) over F_p; over Q, X itself."""
+    return X % r.domain.p if r.domain.kind == "Fp" else X
+
+
+@memoised
+def associators(r: Ring) -> np.ndarray:
+    """A[i, j, k] = (b_i, b_j, b_k) = (b_i b_j) b_k - b_i (b_j b_k), reduced,
+    its coordinates on the last axis: the two terms are sum_m S[i, j, m]
+    S[m, k, l] and sum_m S[i, m, l] S[j, k, m] of `structure_array`."""
+    S = structure_array(r)
+    outer_first = np.tensordot(S, S, axes=([2], [0]))
+    inner_first = np.tensordot(S, S, axes=([1], [2])).transpose(0, 2, 3, 1)
+    return reduced(r, outer_first - inner_first)
 
 
 def _law_report(r: Ring, name: str, arity: int, laws) -> CheckReport:
     """The report `name` of laws on basis vectors: each law is (text,
     places, value), where x, y (and z) of the text are the basis vectors
     of tuple t at t[places[0]], t[places[1]] (and t[places[2]]), and
-    value(A, x, y[, z]) is the law's left side from the associator table
-    A at those indices.  Tuples run in lexicographic order and the laws
-    of one tuple in list order; the first nonzero value fails the report,
-    whose witness is the law's text and its x, y (and z).  A failing
-    report is falsy, so `first and second` is the first pass that fails,
-    or the second."""
-    A, zero = associators(r), r.zero_coords()
-    for t in product(range(r.dim), repeat=arity):
-        for law, places, value in laws:
-            args = [t[p] for p in places]
-            if value(A, *args) != zero:
-                return CheckReport(name, False, {"law": law, **{
-                    v: coords_json(r, r.basis_coords(a)) for v, a in zip("xyz", args)}}, {})
-    return CheckReport(name, True, None, {})
+    value(A, x, y[, z]) is the law's left side from the associator array
+    A at those indices, open grids over every tuple at once.  Tuples run
+    in lexicographic order and the laws of one tuple in list order; the
+    first nonzero value fails the report, whose witness is the law's text
+    and its x, y (and z).  A failing report is falsy, so `first and
+    second` is the first pass that fails, or the second."""
+    A, t = associators(r), np.ix_(*[np.arange(r.dim)] * arity)
+    bad = np.stack([(reduced(r, value(A, *[t[p] for p in places])) != 0).any(axis=-1)
+                    for _, places, value in laws], axis=-1)
+
+    def quote(k):
+        *tup, law = np.unravel_index(k, bad.shape)
+        text, places, _ = laws[law]
+        return {"law": text, **{v: coords_json(r, r.basis_coords(int(tup[p])))
+                                for v, p in zip("xyz", places)}}
+    return first_failure(name, bad, quote, {})
 
 
 @memoised
@@ -250,30 +272,28 @@ def is_alternative(r: Ring) -> CheckReport:
     characteristic 2 the first pass at i = j already gives 2(b_i,b_i,y)
     = 0, so the second never fails there.
     """
-    add = r.add_coords
     return (_law_report(r, "alternative", 3, [
-                ("(x,y,z) + (y,x,z) = 0", (0, 1, 2), lambda A, x, y, z: add(A[x][y][z], A[y][x][z])),
-                ("(x,y,z) + (x,z,y) = 0", (2, 0, 1), lambda A, x, y, z: add(A[x][y][z], A[x][z][y]))])
+                ("(x,y,z) + (y,x,z) = 0", (0, 1, 2), lambda A, x, y, z: A[x, y, z] + A[y, x, z]),
+                ("(x,y,z) + (x,z,y) = 0", (2, 0, 1), lambda A, x, y, z: A[x, y, z] + A[x, z, y])])
             and _law_report(r, "alternative", 2, [
-                ("(x,x,y) = 0", (0, 1), lambda A, x, y: A[x][x][y]),
-                ("(y,x,x) = 0", (0, 1), lambda A, x, y: A[y][x][x])]))
+                ("(x,x,y) = 0", (0, 1), lambda A, x, y: A[x, x, y]),
+                ("(y,x,x) = 0", (0, 1), lambda A, x, y: A[y, x, x])]))
 
 
 def is_flexible(r: Ring) -> CheckReport:
     """The flexible law (x,y,x) = 0: quadratic in x, so decided as in
     `is_alternative` by its polar form (x,y,z) + (z,y,x) = 0 on all basis
     triples, then (b_i,b_j,b_i) = 0."""
-    add = r.add_coords
     return (_law_report(r, "flexible", 3, [
-                ("(x,y,z) + (z,y,x) = 0", (0, 1, 2), lambda A, x, y, z: add(A[x][y][z], A[z][y][x]))])
+                ("(x,y,z) + (z,y,x) = 0", (0, 1, 2), lambda A, x, y, z: A[x, y, z] + A[z, y, x])])
             and _law_report(r, "flexible", 2, [
-                ("(x,y,x) = 0", (0, 1), lambda A, x, y: A[x][y][x])]))
+                ("(x,y,x) = 0", (0, 1), lambda A, x, y: A[x, y, x])]))
 
 
 def is_associative(r: Ring) -> CheckReport:
     """(x,y,z) = 0: trilinear, so decided on basis triples."""
     return _law_report(r, "associative", 3, [
-        ("(x,y,z) = 0", (0, 1, 2), lambda A, x, y, z: A[x][y][z])])
+        ("(x,y,z) = 0", (0, 1, 2), lambda A, x, y, z: A[x, y, z])])
 
 
 def is_k_torsion_free(r: Ring, k: int) -> CheckReport:

@@ -20,7 +20,7 @@ from .errors import (BudgetExceeded, NotIdempotent, PeirceIncompatible, RingMism
                      TrivialIdempotent, UnsupportedDomain)
 from .reports import CheckReport, coords_json, first_failure
 from .rings import (Element, Ring, associators, is_alternative, is_associative, is_flexible,
-                    is_k_torsion_free, memoised)
+                    is_k_torsion_free, memoised, reduced, structure_array)
 
 PRIMENESS_CHUNK = 8192          # generators per batch in both primeness routes
 UNIT_ROUNDS = 12                # certificate rounds after the screen (`_unit_certificates`)
@@ -83,29 +83,25 @@ def _center_basis(r: Ring) -> tuple[tuple, tuple]:
 
 def _commutant(r: Ring, vectors) -> Subspace:
     """Elements x with x v = v x for every v in `vectors`: the nullspace of
-    the stacked R_v - L_v.  No vectors give the zero subspace."""
-    rows = [row for v in vectors for row in
-            _mat_sub(r.right_mul_matrix(list(v)), r.left_mul_matrix(list(v)), r.domain)]
-    return Subspace.from_vectors(r, linalg.nullspace(rows, r.domain))
+    the stacked R_v - L_v, row (v, k) holding (b_i v - v b_i)_k over i.
+    No vectors give the zero subspace."""
+    S = structure_array(r)
+    V = np.array(vectors, dtype=S.dtype).reshape(-1, r.dim)
+    D = np.tensordot(V, S, axes=([1], [1])) - np.tensordot(V, S, axes=([1], [0]))
+    rows = reduced(r, D).transpose(0, 2, 1).reshape(-1, r.dim)
+    return Subspace.from_vectors(r, linalg.nullspace(rows.tolist(), r.domain))
 
 
 def nucleus(r: Ring) -> Subspace:
     """Elements with vanishing associator in all three slots against the
     basis: for every basis pair (b_i, b_j) the kernel of x -> (b_i, b_j, x),
     x -> (b_i, x, b_j) and x -> (x, b_i, b_j), whose matrices have the
-    associator table's entries at x = b_m as columns."""
-    A, n = associators(r), r.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for cols in ([A[i][j][m] for m in range(n)], [A[i][m][j] for m in range(n)],
-                         [A[m][i][j] for m in range(n)]):
-                rows.extend(map(list, zip(*cols)))
-    return Subspace.from_vectors(r, linalg.nullspace(rows, r.domain))
-
-
-def _mat_sub(A, B, dom):
-    return [[dom.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    associator array's entries at x = b_m as columns: the rows, indexed
+    (i, j, slot, coordinate) over m, are three transposes of the array."""
+    A = associators(r)
+    rows = np.stack([A.transpose(0, 1, 3, 2), A.transpose(0, 2, 3, 1), A.transpose(1, 2, 3, 0)],
+                    axis=2)
+    return Subspace.from_vectors(r, linalg.nullspace(rows.reshape(-1, r.dim).tolist(), r.domain))
 
 
 # -- idempotents -----------------------------------------------------------
@@ -171,7 +167,8 @@ class PeirceFrame:
 
 def peirce_frame(r: Ring, e1: Element) -> PeirceFrame:
     """The frame of a nontrivial idempotent e1, from L and R, the matrices
-    of x -> e1 x and x -> x e1.
+    of x -> e1 x and x -> x e1, each a contraction of e1 with
+    `structure_array`; the projectors are returned as lists.
 
     By bilinearity and the unit, multiplying by e2 = 1 - e1 is I - L on the
     left and I - R on the right, so corner (i, j) projects by L_i R_j, with
@@ -183,7 +180,6 @@ def peirce_frame(r: Ring, e1: Element) -> PeirceFrame:
     are sums of orthogonal idempotents.  A component is the column space of
     its projector.
     """
-    dom = r.domain
     if e1.ring.key != r.key:
         raise RingMismatch("idempotent belongs to a different ring")
     if (e1 * e1).coords != e1.coords:
@@ -191,17 +187,20 @@ def peirce_frame(r: Ring, e1: Element) -> PeirceFrame:
     if e1.is_zero() or e1.coords == r.unit_coords:
         raise TrivialIdempotent("Peirce frame needs an idempotent other than 0 and 1")
     e2 = Element(r, r.sub_coords(r.unit_coords, e1.coords))
-    L, R = r.left_mul_matrix(e1.coords), r.right_mul_matrix(e1.coords)
-    for lhs, rhs, law in ((linalg.mat_mul(L, R, dom), linalg.mat_mul(R, L, dom),
-                           "e1 (a e1) != (e1 a) e1"),
-                          (linalg.mat_mul(L, L, dom), L, "e1 (e1 a) != e1 a"),
-                          (linalg.mat_mul(R, R, dom), R, "(a e1) e1 != a e1")):
-        if lhs != rhs:
+    S = structure_array(r)
+    e = np.array(e1.coords, dtype=S.dtype)
+    # L[k, j] = (e1 b_j)_k and R[k, j] = (b_j e1)_k
+    L = reduced(r, np.tensordot(e, S, axes=([0], [0])).T)
+    R = reduced(r, np.tensordot(S, e, axes=([1], [0])).T)
+    for lhs, rhs, law in ((L @ R, R @ L, "e1 (a e1) != (e1 a) e1"),
+                          (L @ L, L, "e1 (e1 a) != e1 a"),
+                          (R @ R, R, "(a e1) e1 != a e1")):
+        if (reduced(r, lhs - rhs) != 0).any():
             raise PeirceIncompatible(f"{law} for some a on this ring")
-    ident = linalg.mat_identity(r.dim, dom)
-    left = {1: L, 2: _mat_sub(ident, L, dom)}
-    right = {1: R, 2: _mat_sub(ident, R, dom)}
-    projectors = {(i, j): linalg.mat_mul(left[i], right[j], dom)
+    ident = np.eye(r.dim, dtype=S.dtype)
+    left = {1: L, 2: reduced(r, ident - L)}
+    right = {1: R, 2: reduced(r, ident - R)}
+    projectors = {(i, j): reduced(r, left[i] @ right[j]).tolist()
                   for i in (1, 2) for j in (1, 2)}
     components = {ij: Subspace.from_vectors(r, [list(c) for c in zip(*P)])
                   for ij, P in projectors.items()}
@@ -299,18 +298,23 @@ def verify_peirce_relations(frame: PeirceFrame) -> list[CheckReport]:
 
 # -- structural hypotheses for the decomposition theorem --------------------
 
-def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
-    """Annihilation conditions on the corners plus surjectivity of central
-    multiplications; all quantifiers run over enumerated F_p points."""
-    r = frame.ring
-    enum = Enumeration.of(r, budget)
+# annihilation conditions (1)-(3) of a frame, as cell -> its annihilating
+# sides (cell, from the left):
+# (1): x_ij R_ji = 0 forces x_ij = 0, for both off-diagonal cells
+# (2): x_11 R_12 = 0 or R_21 x_11 = 0 forces x_11 = 0
+# (3): R_12 x_22 = 0 or x_22 R_21 = 0 forces x_22 = 0
+ANNIHILATION = {"condition_1": {(1, 2): [((2, 1), False)], (2, 1): [((1, 2), False)]},
+                "condition_2": {(1, 1): [((1, 2), False), ((2, 1), True)]},
+                "condition_3": {(2, 2): [((1, 2), True), ((2, 1), False)]}}
 
-    # (1): x_ij R_ji = 0 forces x_ij = 0, for both off-diagonal cells
-    # (2): x_11 R_12 = 0 or R_21 x_11 = 0 forces x_11 = 0
-    # (3): R_12 x_22 = 0 or x_22 R_21 = 0 forces x_22 = 0
-    # as cell -> its annihilating sides (cell, from the left)
-    sides = {(1, 2): [((2, 1), False)], (2, 1): [((1, 2), False)],
-             (1, 1): [((1, 2), False), ((2, 1), True)], (2, 2): [((1, 2), True), ((2, 1), False)]}
+
+def check_annihilation(frame: PeirceFrame, condition: str,
+                       budget: int = DEFAULT_BUDGET) -> CheckReport:
+    """One condition of `ANNIHILATION` over the enumerated F_p points of
+    its cells, cell by cell, a witness being {"element", "cell"};
+    `maps.check_peirce_image` runs (2) and (3) alone on a target frame."""
+    enum = Enumeration.of(frame.ring, budget)
+    sides = ANNIHILATION[condition]
 
     def annihilated(pts, ij):
         """Nonzero rows x of pts annihilated by a whole corner from one of
@@ -325,9 +329,23 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
             out |= killed
         return out & (pts != 0).any(axis=1)
 
-    reports = [_cell_scan(name, enum, frame, cells, annihilated)
-               for name, cells in (("condition_1", ((1, 2), (2, 1))),
-                                   ("condition_2", ((1, 1),)), ("condition_3", ((2, 2),)))]
+    cells = list(sides)
+    pts = [frame.components[ij].points(enum) for ij in cells]
+    X = np.concatenate(pts)
+    owner = np.repeat(np.arange(len(cells)), [len(P) for P in pts])
+    return first_failure(
+        condition, np.concatenate([annihilated(P, ij) for P, ij in zip(pts, cells)]),
+        lambda k: {"element": coords_json(frame.ring, X[k]), "cell": list(cells[owner[k]])},
+        {"elements": len(X)})
+
+
+def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
+    """Annihilation conditions (1)-(3) on the corners (`check_annihilation`)
+    plus (4), surjectivity of central multiplications; all quantifiers run
+    over enumerated F_p points."""
+    r = frame.ring
+    enum = Enumeration.of(r, budget)
+    reports = [check_annihilation(frame, name, budget) for name in ANNIHILATION]
 
     # (4): z != 0 central implies x -> z x is onto (full rank over a field)
     zpts = center(r).points(enum)
@@ -338,19 +356,6 @@ def check_main_hypotheses(frame: PeirceFrame, budget: int = DEFAULT_BUDGET) -> l
         lambda k: {"central": coords_json(r, zpts[k]), "rank": int(ranks[k])},
         {"central_elements": int(nz.sum())}))
     return reports
-
-
-def _cell_scan(name: str, enum: Enumeration, frame: PeirceFrame, cells, fails) -> CheckReport:
-    """`first_failure` over the F_p points of `cells`, cell by cell;
-    fails(pts, ij) is the failure mask of cell ij's points, and a witness
-    is {"element", "cell"}."""
-    pts = [frame.components[ij].points(enum) for ij in cells]
-    X = np.concatenate(pts)
-    owner = np.repeat(np.arange(len(cells)), [len(P) for P in pts])
-    return first_failure(
-        name, np.concatenate([fails(P, ij) for P, ij in zip(pts, cells)]),
-        lambda k: {"element": coords_json(frame.ring, X[k]), "cell": list(cells[owner[k]])},
-        {"elements": len(X)})
 
 
 def check_spade_club(frame: PeirceFrame, hypotheses: list[CheckReport],

@@ -12,7 +12,8 @@ from altring import (build_map, center, decompose, detect_branch, gen_direct_sum
                      gen_triangular2, is_alternative, linalg, map_to_json,
                      verify_decomposition, verify_theorem)
 from altring.cli import main
-from altring.reports import dumps
+from altring.decompose import CELLS, product_rule
+from altring.reports import CheckReport, dumps
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import (AmbiguousCentralSplit, BranchUndetermined, HypothesisFailed,
                             NotBijective)
@@ -21,6 +22,8 @@ from altring.rings import Ring
 from altring.scalars import PrimeField
 from altring.structure import Subspace
 from conftest import breaks_law
+
+decompose_mod = importlib.import_module("altring.decompose")
 
 
 def failures(res):
@@ -497,11 +500,13 @@ def test_theorem_holds_on_central_perturbations(m2, id_m2, negtr, seed):
 
 
 def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
-    """One M2/F5 run builds the two Peirce frames once, checks the
-    hypotheses once per frame and detects the branch once, counted at
-    every module binding; its bundle is the CLI's output byte for byte.
-    The identity's two frames are one frame of one ring, checked once,
-    but never shared between two ring objects.  Both maps are linear, so
+    """One M2/F5 run builds the two Peirce frames once, checks all four
+    hypotheses on the source frame once, only the annihilation conditions
+    (2) and (3) that the Peirce image reports on a target frame of its
+    own, and detects the branch once, counted at every module binding;
+    its bundle is the CLI's output byte for byte.  The identity's two
+    frames are one frame of one ring, checked once, but never shared
+    between two ring objects.  Both maps are linear, so
     map consequences build no scalar table x -> lam*x: the one table is
     x -> -x for the ddagger sign, and dagger builds none (tau = phi - psi
     builds none either)."""
@@ -521,20 +526,22 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
         return wrapper
 
     for mod in (importlib.import_module(f"altring.{name}") for name in ("structure", "maps", "decompose")):
-        for name in ("peirce_frame", "check_main_hypotheses", "_detect_branch_frames"):
+        for name in ("peirce_frame", "check_main_hypotheses", "check_annihilation",
+                     "_detect_branch_frames"):
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
     spec = {"kind": "neg_transpose_plus_trace"}
     bundle = verify_theorem(build_map(m2, m2, spec), m2.basis_element(0), "ddagger", 0)
-    assert calls == {"peirce_frame": 2, "check_main_hypotheses": 2, "_detect_branch_frames": 1,
-                     "smul_index": 1}
+    assert calls == {"peirce_frame": 2, "check_main_hypotheses": 1, "check_annihilation": 5,
+                     "_detect_branch_frames": 1, "smul_index": 1}
     assert bundle["all_certificates_pass"]
-    for target, hypotheses in ((m2, 1), (gen_m2(5), 2)):
+    for target, annihilation in ((m2, 3), (gen_m2(5), 5)):
         calls.clear()
         ident = verify_theorem(build_map(m2, target, {"kind": "identity"}),
                                m2.basis_element(0), "dagger", 0)
         assert ident["all_certificates_pass"]
-        assert calls == Counter({"peirce_frame": 2, "check_main_hypotheses": hypotheses,
+        assert calls == Counter({"peirce_frame": 2, "check_main_hypotheses": 1,
+                                 "check_annihilation": annihilation,
                                  "_detect_branch_frames": 1, "smul_index": 0})
 
     ring, phi, out = tmp_path / "m2.json", tmp_path / "negtr.json", tmp_path / "bundle.json"
@@ -570,3 +577,142 @@ def test_ring_axioms_quote_a_torsion_witness():
     assert not rep["pass"] and rep["witness"] == {"x": [1, 0, 0, 1]}
     x = m3.element(rep["witness"]["x"])
     assert not x.is_zero() and (x + x + x).is_zero()
+
+
+# -- the implied route of the per-cell cases and the sandwich identity ---------
+
+CELL_CASES = (("case_diag_offdiag", lambda i, j: ((i, i), (i, j))),
+              ("case_offdiag_diag", lambda i, j: ((i, j), (j, j))),
+              ("case_diag_diag", lambda i, j: ((i, i), (i, i))),
+              ("case_offdiag_same", lambda i, j: ((i, j), (i, j))),
+              ("case_offdiag_opposite", lambda i, j: ((i, j), (j, i))))
+IMPLIED = [name for name, _ in CELL_CASES] + ["sandwich_identity"]
+
+
+def scanned_cell_reports(res):
+    """The six reports of the element-grid scan: per case, every pair (a,
+    b) of the cells (i, j) for i = 1 then 2, a outer, each cell's points in
+    `Subspace.points` order, against psi's product rule, or psi((ab)a) =
+    (psi(a)psi(b))psi(a) for the sandwich; the first failing pair is the
+    witness."""
+    m = res.map
+    es, et = m.es, m.et
+    psi_idx = res.psi.image_index()
+    idx = {ij: es.index_of(res.source_frame.components[ij].points(es)) for ij in CELLS}
+
+    def sandwich(a, b):
+        pa = psi_idx[a]
+        return psi_idx[es.mul_index(es.mul_index(a, b), a)] != \
+            et.mul_index(et.mul_index(pa, psi_idx[b]), pa)
+
+    reports = {}
+    for name, cells_fn in CELL_CASES + (("sandwich_identity", lambda i, j: ((i, j), (j, i))),):
+        cells = [cells_fn(i, 3 - i) for i in (1, 2)]
+        a = np.concatenate([np.repeat(idx[ca], len(idx[cb])) for ca, cb in cells])
+        b = np.concatenate([np.tile(idx[cb], len(idx[ca])) for ca, cb in cells])
+        owner = np.concatenate([np.full(len(idx[ca]) * len(idx[cb]), k)
+                                for k, (ca, cb) in enumerate(cells)])
+        fails = sandwich if name == "sandwich_identity" else \
+            product_rule(es, et, psi_idx, res.branch == "ddagger")
+        bad = np.flatnonzero(fails(a, b))
+        wit = None
+        if len(bad):
+            k = int(bad[0])
+            wit = {"a": list(map(int, es.coords_of(a[k]))), "b": list(map(int, es.coords_of(b[k])))}
+            if name != "sandwich_identity":
+                wit["cells"] = [list(c) for c in cells[owner[k]]]
+        space = "triples" if name == "sandwich_identity" else "pairs"
+        reports[name] = {"condition": name, "pass": wit is None, "witness": wit,
+                         "quantifier_space": {space: len(a)}}
+    return reports
+
+
+@pytest.fixture
+def scanned_names(monkeypatch):
+    """The names of the reports `decompose.py` builds through `first_failure`,
+    that is from a failure mask, rather than as implied passes."""
+    names = []
+    real = decompose_mod.first_failure
+
+    def recording(name, *args):
+        names.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(decompose_mod, "first_failure", recording)
+    return names
+
+
+def test_implied_reports_equal_the_grid_scan(m2, zorn_identity, scanned_names):
+    """On the four passing M2/F5 maps of the benchmark (identity and
+    conjugation by 1 + E12 under dagger, neg_transpose_plus_trace and the
+    dense table of their composite under ddagger) and on the Zorn/F5
+    identity, psi is linear and its product rule passes: the six per-cell
+    reports are implied, scan no grid, and equal the grid scan's byte for
+    byte."""
+    conj = {"kind": "conjugation", "element": [1, 1, 0, 1]}
+    negtr = {"kind": "neg_transpose_plus_trace"}
+    composite = build_map(m2, m2, {"kind": "compose", "parts": [conj, negtr]})
+    table = {"kind": "table", "entries": composite.images().tolist()}
+    results = [decompose(build_map(m2, m2, spec), m2.basis_element(0), branch=branch)
+               for spec, branch in (({"kind": "identity"}, "dagger"), (conj, "dagger"),
+                                    (negtr, "ddagger"), (table, "ddagger"))]
+    for res in results + [zorn_identity["dagger"], zorn_identity["ddagger"]]:
+        assert res.required_pass()
+        got = {c.condition: c.to_json() for c in verify_decomposition(res) if c.condition in IMPLIED}
+        assert json.dumps(got, sort_keys=True) == \
+            json.dumps(scanned_cell_reports(res), sort_keys=True)
+    assert not set(IMPLIED) & set(scanned_names)
+
+
+@pytest.mark.parametrize("branch", ["dagger", "ddagger"])
+def test_sandwich_needs_an_alternative_target_under_ddagger(m2, monkeypatch, scanned_names,
+                                                            branch):
+    """Under ddagger psi((ab)a) = psi(a)(psi(b)psi(a)) follows from the
+    product rule, and equals (psi(a)psi(b))psi(a) only on a flexible
+    target: with the target's alternative law failing, the sandwich
+    identity is scanned on its grid, with the scan's report, while the
+    five cases stay implied.  Under dagger it stays implied."""
+    res = decompose(build_map(m2, m2, {"kind": "neg_transpose_plus_trace"}),
+                    m2.basis_element(0), branch=branch)
+    monkeypatch.setattr(decompose_mod, "is_alternative",
+                        lambda r: CheckReport("alternative", False, {"law": "patched"}, {}))
+    scanned_names.clear()
+    certs = {c.condition: c.to_json() for c in verify_decomposition(res)}
+    cells = [name for name in scanned_names if name in IMPLIED]
+    assert cells == (["sandwich_identity"] if branch == "ddagger" else [])
+    reference = scanned_cell_reports(res)
+    assert all(certs[name] == reference[name] for name in IMPLIED)
+
+
+def test_corrupted_psi_scans_the_case_grid_with_its_witness(m2, negtr, scanned_names):
+    """psi corrupted at E12 after `decompose` is not linear, so the cases
+    are scanned: case_diag_offdiag fails at the first pair of its grid,
+    a = 2*E11, b = E12, as the scan reports it."""
+    res = decompose(negtr, m2.basis_element(0), branch="ddagger")
+    i = int(Enumeration.of(m2, DEFAULT_BUDGET).index_of(np.array([0, 1, 0, 0])))
+    res.psi = res.psi.replace_entry(i, (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5)
+    scanned_names.clear()
+    certs = {c.condition: c.to_json() for c in verify_decomposition(res)}
+    assert set(IMPLIED) <= set(scanned_names)
+    assert certs["case_diag_offdiag"] == {
+        "condition": "case_diag_offdiag", "pass": False, "quantifier_space": {"pairs": 50},
+        "witness": {"a": [2, 0, 0, 0], "b": [0, 1, 0, 0], "cells": [[1, 1], [1, 2]]}}
+    reference = scanned_cell_reports(res)
+    assert all(certs[name] == reference[name] for name in IMPLIED)
+
+
+def test_linear_psi_failing_the_product_rule_scans_the_case_grids(m2, id_m2, scanned_names):
+    """psi replaced after `decompose` by x -> 2x, with psi_matrix to match,
+    is linear but not multiplicative (psi(E22 E22) = 2 E22, psi(E22)^2 =
+    4 E22): no report is implied, the six grids are scanned with the
+    scan's reports, and only case_offdiag_same passes, its products all 0."""
+    res = decompose(id_m2, m2.basis_element(0), branch="dagger")
+    res.psi_matrix = [[2 * (i == j) for j in range(4)] for i in range(4)]
+    res.psi = build_map(m2, m2, {"kind": "linear", "matrix": res.psi_matrix})
+    scanned_names.clear()
+    certs = {c.condition: c.to_json() for c in verify_decomposition(res)}
+    assert certs["psi_linear_matrix"]["pass"] and not certs["psi_multiplicative"]["pass"]
+    assert set(IMPLIED) <= set(scanned_names)
+    assert [name for name in IMPLIED if certs[name]["pass"]] == ["case_offdiag_same"]
+    reference = scanned_cell_reports(res)
+    assert all(certs[name] == reference[name] for name in IMPLIED)

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import itertools
 import json
 import weakref
@@ -403,6 +404,47 @@ def test_peirce_image_rejects_bad_idempotent_image(m2, id_m2):
     bad = id_m2.replace_entry(e_idx, imgs[other]).replace_entry(other, imgs[e_idx])
     with pytest.raises(NotIdempotentImage):
         check_peirce_image(bad, m2.basis_element(0))
+
+
+def test_peirce_image_runs_only_the_target_conditions_it_reports(m2, monkeypatch):
+    """Conjugation by 1 + E12 maps E11 to E11 - E12, so the target frame
+    is not the source frame.  Its target_condition_2 and _3 are those of
+    `check_main_hypotheses` on the target frame, and a whole run checks
+    conditions (1) and (4) on the source frame only: (4) is run by
+    `check_main_hypotheses` alone, which sees the source frame once."""
+    structure = importlib.import_module("altring.structure")
+    real_hypotheses = structure.check_main_hypotheses
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(frame, *args):
+            calls.append((name, frame.e1.coords, *args[:1]))
+            return fn(frame, *args)
+        return wrapper
+
+    for mod in (structure, maps):
+        monkeypatch.setattr(mod, "check_annihilation",
+                            recorded("annihilation", vars(mod)["check_annihilation"]))
+        monkeypatch.setattr(mod, "check_main_hypotheses",
+                            recorded("hypotheses", vars(mod)["check_main_hypotheses"]))
+    spec = {"kind": "conjugation", "element": [1, 1, 0, 1]}
+    reports, src, tgt = check_peirce_image(build_map(m2, m2, spec), m2.basis_element(0))
+    e1, f1 = src.e1.coords, tgt.e1.coords
+    assert f1 == (1, 4, 0, 0)
+    assert calls == [("annihilation", f1, "condition_2"), ("annihilation", f1, "condition_3")]
+    want = [rep.to_json() for rep in real_hypotheses(tgt)[1:3]]
+    for rep in want:
+        rep["condition"] = "target_" + rep["condition"]
+    assert [rep.to_json() for rep in reports[-2:]] == want
+    assert [rep["condition"] for rep in want] == ["target_condition_2", "target_condition_3"]
+
+    calls.clear()
+    bundle = verify_theorem(build_map(m2, m2, spec), m2.basis_element(0), "dagger", 0)
+    assert bundle["all_certificates_pass"]
+    assert calls == [("annihilation", f1, "condition_2"), ("annihilation", f1, "condition_3"),
+                     ("hypotheses", e1, DEFAULT_BUDGET),
+                     ("annihilation", e1, "condition_1"), ("annihilation", e1, "condition_2"),
+                     ("annihilation", e1, "condition_3")]
 
 
 def test_sampled_mode_records_seed(zorn):
