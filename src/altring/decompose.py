@@ -37,7 +37,8 @@ budget.  An additive tau's vanishing on commutators is decided on the
 basis grid as well, but only while the pairs fit the budget.  The rest,
 a non-linear psi's product rule and tau's vanishing on commutators
 otherwise, scan pairs, exhaustively within the pair budget and sampled
-past it.
+past it; an additive tau's scan evaluates T [a, b] through the
+commutator constants composed with tau's matrix T.
 
 Element-sized work combines element indices and masks, never coordinate
 rows or the digit table, which only `enumeration.py` reads; subspace
@@ -340,8 +341,13 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     row-major scan; a non-linear psi's product rule scans pairs,
     exhaustively within the budget and seeded-sampled past it.
     tau_additive is computed before tau_kills_commutators and reported
-    after it.  An additive tau is F_p-linear, so tau([a, b]) is bilinear:
-    when the scan would be exhaustive (count**2 <= budget),
+    after it.  An additive tau is x -> T x, T its kept matrix or else its
+    basis images, so tau([a, b]) = T [a, b] is bilinear, and each pair is
+    tested as `commutator_index(a, b, T) != 0`, over the commutator
+    constants composed with T, with no lookup in tau's index; a
+    non-additive tau is looked up at each commutator's index.  Either
+    predicate fails on the same pairs, so the report is the same.  On an
+    additive tau, when the scan would be exhaustive (count**2 <= budget),
     tau_kills_commutators is decided on the basis grid with the scan's
     bytes.  Otherwise it scans pairs as the product rule does, so past
     the budget it stays sampled even on an additive tau.  The product
@@ -484,8 +490,15 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     tau_additive = additive_cert("tau_additive", tau_idx, tau_idx if tau_M is not None else
                                  linear_extension(es, et, tau_idx))
 
-    def kills_fails(a_idx, b_idx):
-        return tau_idx[es.commutator_index(a_idx, b_idx)] != 0
+    if tau_additive.ok:
+        # tau is x -> T x, so tau([a, b]) = T [a, b], composed into one kernel
+        T = tau_M or basis_matrix(es, et, tau_idx)
+
+        def kills_fails(a_idx, b_idx):
+            return es.commutator_index(a_idx, b_idx, T) != 0
+    else:
+        def kills_fails(a_idx, b_idx):
+            return tau_idx[es.commutator_index(a_idx, b_idx)] != 0
 
     if tau_additive.ok and es.count ** 2 <= es.budget:
         certs.append(pair_result("tau_kills_commutators", m.source, es,

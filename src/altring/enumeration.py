@@ -88,7 +88,16 @@ accumulates d'*(A_i*B_j - A_j*B_i), d' the centred d, so the diagonal
 and the repeated half of the basis pairs cost nothing.  Each difference
 lies within (p-1)**2, so output k stays within the sum of |d'| feeding
 it times (p-1)**2, part of W; as |d'| <= |c'_ijk| + |c'_jik|, it never
-passes the products' own sum.
+passes the products' own sum.  Commutators under a matrix run the same
+core: `commutator_index(a, b, M)` is the index of M*[a, b] for an (m, n)
+M, over the composed constants e_ijl = sum_k M_lk*d_ijk mod p
+(`_commutator_terms`), so a linear map of a commutator costs no more
+than the commutator, and no gather through the map's index.  Its
+accumulator holds W_M*(p-1)**2 + p, W_M the largest sum of |e'| feeding
+one output, chosen per call as `linear_index` does.  It gathers the
+digit planes of only the coordinates the composed terms reference; with
+no terms, M kills every basis commutator and every index is 0, with no
+plane gathered.
 
 Multiplication matrices and elimination run in narrow dtypes, each
 sized by a bound of its own (`_narrowest_signed`).  Entry (k, j) of L_a
@@ -299,25 +308,49 @@ class Enumeration:
             out[k] += term
         return self.reduce(out)
 
-    def _commutator_planes(self, A, B) -> np.ndarray:
-        """Commutators of reduced (n, ...) planes: plane k accumulates
-        d'*(A_i*B_j - A_j*B_i) in `acc_dtype` over the centred
-        antisymmetrised constants d', a d' of 1 or -1 by addition or
-        subtraction, one difference per basis pair i < j shared by every k
-        it feeds.  The one commutator core behind `commutator` and
-        `commutator_index`."""
-        acc = self.acc_dtype
-        A, B = A.astype(acc, copy=False), B.astype(acc, copy=False)
-        shape = np.broadcast_shapes(A.shape[1:], B.shape[1:])
-        out = np.zeros((self.n,) + shape, dtype=acc)
+    def _commutator_terms(self, M=None):
+        """The constants of x, y -> M*[x, y] (M = identity when None) as
+        (i, j, l, e) over i < j, grouped by basis pair, e_ijl = sum_k
+        M_lk*d_ijk mod p != 0 for the antisymmetrised constants d
+        (`comm_terms`); their row count m; and the accumulator type.  For
+        M = None that is `comm_terms` in `acc_dtype`; otherwise the
+        narrowest signed type holding W*(p-1)**2 + p, W the largest sum of
+        |e'| over the terms feeding one output, chosen per call."""
+        if M is None:
+            return self.comm_terms, self.n, self.acc_dtype
+        p = self.p
+        rows = [[int(c) % p for c in row] for row in M]
+        composed = Counter()
+        for i, j, k, d in self.comm_terms:
+            for l, row in enumerate(rows):
+                if row[k]:
+                    composed[i, j, l] += row[k] * d
+        terms = [(i, j, l, e) for (i, j, l), v in sorted(composed.items())
+                 if (e := _centred(v, p))]
+        weights = Counter()
+        for _, _, l, e in terms:
+            weights[l] += abs(e)
+        return terms, len(rows), _narrowest_signed(
+            max(weights.values(), default=0) * (p - 1) ** 2 + p)
+
+    def _commutator_planes(self, A, B, shape, terms, m, acc) -> np.ndarray:
+        """(m,) + shape planes of M*[A, B] for reduced planes A, B,
+        indexable by coordinate and broadcast to `shape`, with `terms`, m
+        and `acc` from `_commutator_terms(M)`: plane l accumulates
+        e'*(A_i*B_j - A_j*B_i) in `acc` over the centred constants e', an
+        e' of 1 or -1 by addition or subtraction, one difference per basis
+        pair i < j shared by every l it feeds.  Only the coordinates the
+        terms reference are read.  The one commutator core behind
+        `commutator` and `commutator_index`."""
+        out = np.zeros((m,) + shape, dtype=acc)
         diff = np.empty(shape, dtype=acc)
         swap = np.empty(shape, dtype=acc)
         pair = None
-        for i, j, k, d in self.comm_terms:
+        for i, j, k, d in terms:
             if (i, j) != pair:
                 pair = (i, j)
-                np.multiply(A[i], B[j], out=diff)
-                np.multiply(A[j], B[i], out=swap)
+                np.multiply(A[i], B[j], out=diff, dtype=acc)
+                np.multiply(A[j], B[i], out=swap, dtype=acc)
                 diff -= swap
             d = _centred(d, self.p)
             if d == 1:
@@ -340,7 +373,9 @@ class Enumeration:
         return np.moveaxis(self._product_planes(A[:, None, :], B[:, :, None]), 0, -1).swapaxes(0, 1)
 
     def commutator(self, A, B) -> np.ndarray:
-        return np.moveaxis(self._commutator_planes(self._planes(A), self._planes(B)), 0, -1)
+        A, B = self._planes(A), self._planes(B)
+        shape = np.broadcast_shapes(A.shape[1:], B.shape[1:])
+        return np.moveaxis(self._commutator_planes(A, B, shape, *self._commutator_terms()), 0, -1)
 
     # -- index kernels: element indices in, element indices out -----------
 
@@ -349,10 +384,20 @@ class Enumeration:
         D = self.digits()
         return self.index_of_planes(self._product_planes(D.take(a, axis=1), D.take(b, axis=1)))
 
-    def commutator_index(self, a, b) -> np.ndarray:
-        """Index of [a[t], b[t]] for index arrays a, b (broadcast)."""
+    def commutator_index(self, a, b, M=None) -> np.ndarray:
+        """Index of M*[a[t], b[t]] for index arrays a, b (broadcast), M the
+        identity when None; an (m, n) M indexes an m-dimensional target.
+        Only the digit planes of the coordinates M's composed constants
+        reference are gathered, and with none (M kills every basis
+        commutator) every index is 0, with no plane gathered."""
         D = self.digits()
-        return self.index_of_planes(self._commutator_planes(D.take(a, axis=1), D.take(b, axis=1)))
+        terms, m, acc = self._commutator_terms(M)
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        if not terms:
+            return np.zeros(shape, dtype=np.int64)
+        used = sorted({c for i, j, _, _ in terms for c in (i, j)})
+        A, B = ({i: D[i].take(x) for i in used} for x in (a, b))
+        return self.index_of_planes(self._commutator_planes(A, B, shape, terms, m, acc))
 
     def sum_index(self, plus, minus=()) -> np.ndarray:
         """Index of sum(plus) - sum(minus) for sequences of index arrays

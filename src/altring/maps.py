@@ -122,12 +122,6 @@ class MapTable:
             self._memo[key] = build()
         return self._memo[key]
 
-    def replace_entry(self, idx: int, coords) -> "MapTable":
-        """Table copy with one entry overwritten (for negative controls)."""
-        index = self._index.copy()
-        index[idx] = self.et.index_of([self.target.domain.parse(x) for x in coords])
-        return MapTable(self.source, self.target, self.es, self.et, index)
-
     def fibres(self) -> np.ndarray:
         """`Enumeration.fibres` of the image index: (2, count) masks of the
         target elements hit more than once and never hit.  A kept square

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from altring import (PrimeField, Rationals, associator, build_map, gen_direct_sum, gen_m2,
                      gen_triangular2, gen_zorn, linalg, peirce_frame, zorn_idempotent)
+from altring.maps import MapTable
 from altring.rings import Ring
 
 # Property tests draw the same examples on every run and stay cheap.
@@ -65,6 +66,15 @@ def rebased_unital_rings(draw, p, max_dim=3):
           for a in new_basis]
     return Ring(ring.name, dom, ring.basis_names, sc,
                 linalg.mat_vec(P_inv, list(ring.unit_coords), dom))
+
+
+def replace_entries(m, entries):
+    """A table copy of map m with entries {source index: target coordinates}
+    overwritten, for negative controls."""
+    index = m.image_index().copy()
+    for idx, coords in entries.items():
+        index[idx] = m.et.index_of([m.target.domain.parse(x) for x in coords])
+    return MapTable(m.source, m.target, m.es, m.et, index)
 
 
 # each law a ring-law report quotes, as a function of its x, y (and z)

@@ -19,6 +19,7 @@ from altring import (build_map, check_main_hypotheses, check_map_consequences,
 from altring.cli import main
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import HypothesisFailed
+from conftest import replace_entries
 
 
 def ok(criterion, detail):
@@ -188,7 +189,7 @@ def test_criterion_6_negative_controls(m2, dsum, negtr):
     x0 = int(enum.index_of(np.array([1, 1, 0, 0])))
     x1 = int(enum.index_of(np.array([1, 2, 0, 0])))
     imgs = negtr.images()
-    bad = negtr.replace_entry(x0, imgs[x1]).replace_entry(x1, imgs[x0])
+    bad = replace_entries(negtr, {x0: imgs[x1], x1: imgs[x0]})
     res = decompose(bad, m2.basis_element(0), branch="ddagger")
     failures = [c for c in res.certificates if not c.ok]
     assert [c.condition for c in failures] == ["tau_central", "tau_additive"]

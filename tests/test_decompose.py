@@ -17,11 +17,12 @@ from altring.reports import CheckReport, dumps
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import (AmbiguousCentralSplit, BranchUndetermined, HypothesisFailed,
                             NotBijective)
-from altring.maps import MapTable, peirce_frames
+from altring.maps import (MapTable, first_bilinear_failure, pair_report, pair_result,
+                          peirce_frames)
 from altring.rings import Ring
 from altring.scalars import PrimeField
 from altring.structure import Subspace
-from conftest import breaks_law
+from conftest import breaks_law, replace_entries
 
 decompose_mod = importlib.import_module("altring.decompose")
 
@@ -236,7 +237,7 @@ def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
     x0 = int(enum.index_of(np.array([1, 1, 0, 0])))
     x1 = int(enum.index_of(np.array([1, 2, 0, 0])))
     imgs = negtr.images()
-    bad = negtr.replace_entry(x0, imgs[x1]).replace_entry(x1, imgs[x0])
+    bad = replace_entries(negtr, {x0: imgs[x1], x1: imgs[x0]})
     res = decompose(bad, m2.basis_element(0), branch="ddagger")
     assert not res.required_pass()
     assert failures(res) == ["tau_central", "tau_additive"]
@@ -258,7 +259,7 @@ def test_corrupted_psi_breaks_named_case_with_witness(m2, negtr):
     enum = Enumeration(m2, DEFAULT_BUDGET)
     # corrupt psi at E12 and recertify: the product cases touching R_12 fail
     i = int(enum.index_of(np.array([0, 1, 0, 0])))
-    res.psi = res.psi.replace_entry(i, (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5)
+    res.psi = replace_entries(res.psi, {i: (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5})
     certs = verify_decomposition(res)
     by = {c.condition: c for c in certs}
     assert not by["case_diag_offdiag"].ok
@@ -286,7 +287,7 @@ def test_replaced_psi_is_checked_against_psi_matrix(m2, negtr, replacement):
     res = decompose(negtr, m2.basis_element(0), branch="ddagger")
     if replacement == "entry":
         i = int(Enumeration.of(m2, DEFAULT_BUDGET).index_of(np.array([0, 1, 0, 0])))
-        res.psi = res.psi.replace_entry(i, (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5)
+        res.psi = replace_entries(res.psi, {i: (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5})
         want = {"recomposition": (False, {"x": [0, 1, 0, 0]}),
                 "psi_additive": (False, {"a": [0, 0, 0, 1], "b": [0, 1, 0, 0]}),
                 "psi_linear_matrix": (False, {"x": [0, 1, 0, 0]})}
@@ -456,6 +457,90 @@ def test_non_additive_tau_fails_the_decomposition(m2, id_m2, branch, tmp_path):
     obj = json.loads(out.read_text())
     assert not obj["all_required_pass"]
     assert [c["condition"] for c in obj["certificates"] if not c["pass"]] == ["tau_additive"]
+
+
+def report_bytes(rep) -> bytes:
+    fh = io.BytesIO()
+    dumps(rep.to_json(), fh)
+    return fh.getvalue()
+
+
+def commutator_matrices(monkeypatch) -> list:
+    """The M of every `Enumeration.commutator_index` call from now on."""
+    calls, real = [], Enumeration.commutator_index
+
+    def spy(self, a, b, M=None):
+        calls.append(M)
+        return real(self, a, b, M)
+    monkeypatch.setattr(Enumeration, "commutator_index", spy)
+    return calls
+
+
+def index_predicate_report(res, budget):
+    """tau_kills_commutators through tau's index, tau_idx[[a, b]] != 0: the
+    sampled scan one pair below the 625**2 pairs of M2/F5, the basis grid
+    at them."""
+    es, tau_idx = res.map.es, res.tau.image_index()
+
+    def fails(a_idx, b_idx):
+        return tau_idx[es.commutator_index(a_idx, b_idx)] != 0
+    if budget < es.count ** 2:
+        return pair_report("tau_kills_commutators", res.map, res.seed, fails)
+    return pair_result("tau_kills_commutators", res.map.source, es,
+                       first_bilinear_failure(es, fails))
+
+
+# a linear map of M2/F5 that is neither central nor zero on commutators
+NONCENTRAL_TAU = [[1, 2, 0, 3], [0, 1, 4, 0], [2, 0, 1, 1], [0, 3, 0, 1]]
+
+
+@pytest.mark.parametrize("budget", [390_624, 390_625])
+@pytest.mark.parametrize("kept", [True, False], ids=["kept_matrix", "from_index"])
+def test_additive_tau_commutator_report_equals_the_index_predicate(m2, budget, kept,
+                                                                   monkeypatch):
+    """The M2/F5 identity's tau replaced by a non-central linear map, built
+    from its matrix (kept) or from its index (no kept matrix):
+    tau_kills_commutators evaluates T [a, b] under that matrix, and its
+    report is, byte for byte, the one tau's index gives, sampled one pair
+    below the budget of every pair (same failing draw, checked and seed)
+    and on the basis grid at it.  The witness replays in `rings.py`."""
+    res = decompose(build_map(m2, m2, {"kind": "identity"}, budget), m2.basis_element(0),
+                    "dagger", seed=3)
+    es = res.map.es
+    tau = MapTable.from_matrix(m2, m2, es, es, NONCENTRAL_TAU)
+    res.tau = tau if kept else MapTable(m2, m2, es, es, tau.image_index())
+    assert (res.tau.matrix() is not None) == kept
+    calls = commutator_matrices(monkeypatch)
+    got = {c.condition: c for c in verify_decomposition(res)}
+    assert got["tau_additive"].ok and not got["tau_central"].ok
+    assert calls and all(M == NONCENTRAL_TAU for M in calls)
+    got = got["tau_kills_commutators"]
+    want = index_predicate_report(res, budget)
+    assert got.mode == ("sampled" if budget < 625 ** 2 else "exhaustive")
+    assert not got.ok and report_bytes(got) == report_bytes(want)
+    assert got.seed == (3 if got.mode == "sampled" else None)
+    a, b = (m2.element(got.witness[k]) for k in "ab")
+    assert any(m2.apply_matrix(NONCENTRAL_TAU, (a * b - b * a).coords))
+
+
+def test_non_additive_tau_keeps_the_index_predicate(m2, monkeypatch):
+    """The scalar-swapped M2/F5 identity at budget 390,624: tau is not
+    additive, so tau_kills_commutators looks tau's index up at each
+    commutator (`commutator_index` with no matrix), with that sampled
+    report byte for byte."""
+    ident = build_map(m2, m2, {"kind": "identity"}, 390_624)
+    es = ident.es
+    i, j = (int(k) for k in es.index_of(np.array([[2, 0, 0, 2], [3, 0, 0, 3]])))
+    idx = ident.image_index().copy()
+    idx[[i, j]] = idx[[j, i]]
+    res = decompose(MapTable(m2, m2, es, es, idx), m2.basis_element(0), "dagger", seed=3)
+    calls = commutator_matrices(monkeypatch)
+    got = {c.condition: c for c in verify_decomposition(res)}
+    assert not got["tau_additive"].ok
+    assert calls and all(M is None for M in calls)
+    got = got["tau_kills_commutators"]
+    assert got.mode == "sampled" and got.seed == 3
+    assert report_bytes(got) == report_bytes(index_predicate_report(res, 390_624))
 
 
 def central_perturbation(phi0, seed):
@@ -690,7 +775,7 @@ def test_corrupted_psi_scans_the_case_grid_with_its_witness(m2, negtr, scanned_n
     a = 2*E11, b = E12, as the scan reports it."""
     res = decompose(negtr, m2.basis_element(0), branch="ddagger")
     i = int(Enumeration.of(m2, DEFAULT_BUDGET).index_of(np.array([0, 1, 0, 0])))
-    res.psi = res.psi.replace_entry(i, (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5)
+    res.psi = replace_entries(res.psi, {i: (res.psi.images()[i] + np.array([1, 0, 0, 0])) % 5})
     scanned_names.clear()
     certs = {c.condition: c.to_json() for c in verify_decomposition(res)}
     assert set(IMPLIED) <= set(scanned_names)

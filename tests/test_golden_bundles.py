@@ -46,7 +46,7 @@ from altring import (build_map, check_main_hypotheses, check_map_consequences,
                      verify_theorem, zorn_idempotent)
 from altring.cli import main
 from altring.rings import Ring
-from conftest import anticommuting_q_ring, breaks_law, broken3_ring
+from conftest import anticommuting_q_ring, breaks_law, broken3_ring, replace_entries
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "verify_theorem_golden.json"
@@ -264,7 +264,7 @@ def run_witnesses() -> dict:
 
     res = decompose(build_map(m2, m2, MAPS["negtr"][1]), m2.basis_element(0), branch="ddagger")
     k = ELEMENTS.index((0, 1, 0, 0))
-    res.psi = res.psi.replace_entry(k, (res.psi.images()[k] + np.array([1, 0, 0, 0])) % P)
+    res.psi = replace_entries(res.psi, {k: (res.psi.images()[k] + np.array([1, 0, 0, 0])) % P})
     record("corrupted-psi", verify_decomposition(res))
 
     # E12*E12 = E11, and E21*E21 = E11, whose square law first fails in cell (2, 1)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altring import (PrimeField, Subspace, center, check_primeness, enumeration, gen_m2,
-                     gen_zorn, linalg)
+                     gen_triangular2, gen_zorn, linalg)
 from altring.cli import main
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded, UnsupportedDomain
@@ -380,6 +380,127 @@ def test_linear_index_dtype_edges(p, n, dtype, monkeypatch):
         with pytest.raises((AssertionError, OverflowError)):     # the latter: p itself
             for M in signed:
                 check_linear_index(ring, M, [enum.count - 1], enum)
+
+
+def check_commutator_index(ring, M, a, b, enum=None):
+    """`commutator_index(a, b, M)` against M*(xy - yx) in `Element`
+    arithmetic (`Ring.apply_matrix`, which reduces M's entries mod p) at
+    every broadcast position of the index arrays a, b; an (m, n) M indexes
+    an m-dimensional target."""
+    enum = enum or Enumeration(ring, DEFAULT_BUDGET)
+    p, n, m = ring.domain.p, ring.dim, len(M)
+    got = enum.commutator_index(a, b, M)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    assert got.dtype == np.int64 and got.shape == shape
+
+    def element(k):
+        return ring.element([int(k) // p ** (n - 1 - i) % p for i in range(n)])
+
+    a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+    for pos in np.ndindex(shape):
+        x, y = element(a[pos]), element(b[pos])
+        want = ring.apply_matrix(M, (x * y - y * x).coords)
+        assert int(got[pos]) == sum(int(c) * p ** (m - 1 - i) for i, c in enumerate(want)), \
+            (M, x, y)
+
+
+def random_matrix(rng, p, m, n):
+    """An (m, n) matrix of entries in [-2p, 3p): reduced, negative or past p."""
+    return rng.integers(-2 * p, 3 * p, (m, n)).tolist()
+
+
+@pytest.mark.parametrize("shape", ["square", "short", "tall", "zero"])
+def test_commutator_index_under_a_matrix_on_m2_rows(m2, shape):
+    """M2/F5 on every pair of a three-row slice, (3, 1) against (1, 625):
+    a random 4 x 4 M, a 2 x 4 and a 6 x 4 one, and M = 0."""
+    rng = np.random.default_rng(35)
+    M = {"square": random_matrix(rng, 5, 4, 4), "short": random_matrix(rng, 5, 2, 4),
+         "tall": random_matrix(rng, 5, 6, 4), "zero": [[0] * 4] * 4}[shape]
+    check_commutator_index(m2, M, np.arange(311, 314)[:, None], np.arange(625)[None, :])
+
+
+@pytest.mark.parametrize("ring", [gen_zorn(5), gen_triangular2(5), gen_triangular2(97)],
+                         ids=["zorn_f5", "t2_f5", "t2_f97"])
+def test_commutator_index_under_a_matrix_on_seeded_pairs(ring):
+    """Zorn/F5, t2/F5 and t2/F_97 on 300 seeded pairs and the top element
+    against each basis vector, under a random square M and a random M
+    with one row more than the ring's dimension."""
+    rng = np.random.default_rng(ring.domain.p * 10 + ring.dim)
+    p, n = ring.domain.p, ring.dim
+    enum = Enumeration(ring, max(DEFAULT_BUDGET, p ** n))
+    top, basis = p ** n - 1, [p ** (n - 1 - i) for i in range(n)]
+    a = np.array([*rng.integers(0, p ** n, 300), *[top] * n], dtype=np.int64)
+    b = np.array([*rng.integers(0, p ** n, 300), *basis], dtype=np.int64)
+    for m in (n, n + 1):
+        check_commutator_index(ring, random_matrix(rng, p, m, n), a, b, enum)
+
+
+@st.composite
+def ring_matrix_and_pairs(draw):
+    """A random unital ring, an (m, n) matrix with 1 <= m <= n + 1 whose
+    entries are reduced, near [0, p) or far outside it, and index pairs."""
+    ring, a, b = draw(ring_and_index_pairs())
+    p, n = ring.domain.p, ring.dim
+    entry = st.integers(0, p - 1) | st.integers(-3 * p, 4 * p) | st.integers(-2 ** 40, 2 ** 40)
+    M = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n + 1))
+    return ring, M, a, b
+
+
+@given(ring_matrix_and_pairs())
+def test_commutator_index_under_a_matrix_matches_reference(case):
+    ring, M, a, b = case
+    check_commutator_index(ring, M, a, b)
+
+
+def test_composed_accumulator_is_wider_than_the_rings_own(monkeypatch):
+    """t2/F_97 (912,673 elements): the ring's accumulator holds
+    2*96**2 + 97 = 18,529, int16, but under M = 48 everywhere each output
+    sums two composed constants of 48, and 96*96**2 + 97 needs int32.  The
+    kernel matches the reference at extreme pairs in that type, and one
+    step narrower some pair comes out wrong."""
+    p = 97
+    ring, M = gen_triangular2(p), [[(p - 1) // 2] * 3] * 3
+    enum = Enumeration(ring, DEFAULT_BUDGET)
+    assert enum.acc_dtype == np.int16
+    rng = np.random.default_rng(p)
+    digits = [0, 1, p - 2, p - 1]
+    extreme = [sum(d * p ** (2 - i) for i, d in enumerate(x)) for x in product(digits, repeat=3)]
+    a = np.array(extreme + rng.integers(0, p ** 3, 32).tolist(), dtype=np.int64)
+    bound = 96 * (p - 1) ** 2 + p
+    chosen = spy_dtype(monkeypatch, bound)
+    check_commutator_index(ring, M, a[:, None], a[None, :], enum)
+    assert chosen == [np.int32]
+    monkeypatch.undo()
+    spy_dtype(monkeypatch, bound, narrow=True)
+    with pytest.raises(AssertionError):
+        check_commutator_index(ring, M, a[:, None], a[None, :], enum)
+
+
+class RecordingDigits:
+    """The digit table, recording which coordinate planes are read."""
+
+    def __init__(self, D):
+        self.D, self.read = D, set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return self.D[i]
+
+
+def test_commutator_index_gathers_only_the_referenced_planes(m2, monkeypatch):
+    """On M2/F5 the E11 coordinate of a commutator is a12*b21 - a21*b12,
+    so under M = [[1, 0, 0, 0]] the composed terms reference E12 and E21
+    alone: only their two planes are read, and the index matches the
+    reference.  Under M = 0 no plane is read and every index is 0."""
+    enum = Enumeration(m2, DEFAULT_BUDGET)
+    digits = RecordingDigits(enum.digits())
+    monkeypatch.setattr(enum, "digits", lambda: digits)
+    a, b = np.arange(100, 105)[:, None], np.arange(625)[None, :]
+    check_commutator_index(m2, [[1, 0, 0, 0]], a, b, enum)
+    assert digits.read == {1, 2}
+    digits.read.clear()
+    assert not enum.commutator_index(a, b, [[0] * 4] * 4).any()
+    assert digits.read == set()
 
 
 @given(unital_rings() | st.sampled_from([skew(5), skew(7)]))

@@ -31,7 +31,7 @@ from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded
 from altring.maps import (basis_matrix, first_additive_failure, first_bilinear_failure,
                           linear_extension, pair_report)
-from conftest import rebased_unital_rings
+from conftest import rebased_unital_rings, replace_entries
 from test_maps import structured_cases
 from test_rings import random_bases, rebase
 
@@ -124,7 +124,7 @@ def linear_maps(draw):
     old = m.eval_coords(Enumeration.of(source, DEFAULT_BUDGET).coords_of(k))
     new = draw(st.lists(entry, min_size=target.dim, max_size=target.dim)
                .filter(lambda c: tuple(c) != old))
-    return m, m.replace_entry(k, new)
+    return m, replace_entries(m, {k: new})
 
 
 @given(linear_maps())
@@ -151,7 +151,7 @@ def test_phi_linear_accepts_builder_maps_and_rejects_near_misses(m2, dsum):
     # every element with a smaller last digit are right
     top_digit = enum.coords_of(every)[:, 3] == 4
     off_top = MapTable(m2, m2, enum, enum, np.where(top_digit, (every + 125) % 625, every))
-    near_misses = [ident.replace_entry(137, [1, 2, 3, 4]), shifted, off_top]
+    near_misses = [replace_entries(ident, {137: [1, 2, 3, 4]}), shifted, off_top]
     assert shifted.image_index()[0] != 0
     assert [phi_linear(m) for m in near_misses] == [False] * 3
 
@@ -170,7 +170,7 @@ def test_entry_verifiers_refuse_a_budget_below_the_element_count(m2, negtr, veri
     m = negtr
     if kind == "swapped":
         imgs = negtr.images()
-        m = negtr.replace_entry(137, imgs[411]).replace_entry(411, imgs[137])
+        m = replace_entries(negtr, {137: imgs[411], 411: imgs[137]})
     at_count, short = (MapTable(m2, m2, Enumeration.of(m2, b), Enumeration.of(m2, b),
                                 m.image_index()) for b in (625, 624))
     assert phi_linear(at_count) == (kind == "linear")
@@ -358,7 +358,7 @@ def test_tau_commutator_certificate_is_the_exhaustive_scan(m2, spec, branch, cor
     if corrupt == "linear":
         res.tau = build_map(m2, m2, {"kind": "linear", "matrix": TRACE_CORNER_TAU})
     else:
-        res.tau = res.tau.replace_entry(int(enum.index_of([0, 1, 0, 0])), [0, 1, 0, 0])
+        res.tau = replace_entries(res.tau, {int(enum.index_of([0, 1, 0, 0])): [0, 1, 0, 0]})
     certs, scanned = tau_certificates(res, monkeypatch)
     assert certs["tau_additive"].ok == (corrupt == "linear")
     assert scanned == ([] if corrupt == "linear" else ["tau_kills_commutators"])
@@ -557,7 +557,7 @@ def test_certificates_do_not_read_kept_matrices_for_their_verdicts(m2, spec, bra
     g = getattr(res, which)
     if corrupt == "one_entry":
         k = int(g.es.index_of([0, 1, 0, 0]))
-        setattr(res, which, g.replace_entry(k, (g.images()[k] + [1, 0, 0, 0]) % 5))
+        setattr(res, which, replace_entries(g, {k: (g.images()[k] + [1, 0, 0, 0]) % 5}))
     elif corrupt == "linear":
         M = [list(row) for row in g.matrix()]
         M[0][1] = (M[0][1] + 1) % 5
@@ -583,7 +583,7 @@ def test_corrupted_tau_without_its_matrix_fails_as_before(m2, spec, branch):
     both fail with the witnesses they had before maps kept matrices."""
     res = decompose(build_map(m2, m2, spec), m2.basis_element(0), branch)
     k = int(res.map.es.index_of([0, 1, 0, 0]))
-    res.tau = res.tau.replace_entry(k, (res.tau.images()[k] + [0, 1, 0, 0]) % 5)
+    res.tau = replace_entries(res.tau, {k: (res.tau.images()[k] + [0, 1, 0, 0]) % 5})
     assert res.tau.matrix() is None
     certs = {c.condition: c for c in verify_decomposition(res)}
     assert (certs["recomposition"].ok, certs["recomposition"].witness) == \

@@ -19,7 +19,7 @@ from altring.errors import (DimensionMismatch, NotIdempotentImage,
 from altring import maps
 from altring.maps import pair_scan
 from altring.rings import Ring
-from conftest import reordered_m2
+from conftest import reordered_m2, replace_entries
 
 
 def test_identity_map_passes_everything(id_m2):
@@ -167,7 +167,7 @@ def test_map_json_round_trip(tmp_path, m2, negtr):
     obj = map_to_json(negtr)
     assert obj["repr"]["kind"] == "neg_transpose_plus_trace"
     # dense tables survive the round trip too
-    dense = negtr.replace_entry(0, [0, 0, 0, 0])
+    dense = replace_entries(negtr, {0: [0, 0, 0, 0]})
     obj = map_to_json(dense)
     assert len(obj["repr"]["entries"]) == 625
     back = map_from_json(json.loads(json.dumps(obj)), rings)
@@ -182,7 +182,8 @@ def test_dense_eval_matches_table_with_one_enumeration():
     gc.disable()
     try:
         r = gen_m2(5)
-        dense = build_map(r, r, {"kind": "neg_transpose_plus_trace"}).replace_entry(0, [0, 0, 0, 0])
+        dense = replace_entries(build_map(r, r, {"kind": "neg_transpose_plus_trace"}),
+                                {0: [0, 0, 0, 0]})
         X = Enumeration.of(r, DEFAULT_BUDGET).all_coords()
         for x, want in zip(X, dense.images()):
             assert dense(r.element([int(v) for v in x])).coords == tuple(int(v) for v in want)
@@ -266,7 +267,7 @@ def test_compose_and_replace_entry_match_their_parts(m2):
     # one entry changes, in the copy only
     k = 137
     new = tuple((c + 1) % 5 for c in want[k])
-    bad = both.replace_entry(k, new)
+    bad = replace_entries(both, {k: new})
     assert (bad.image_index() != both.image_index()).nonzero()[0].tolist() == [k]
     assert_map_matches(bad, m2, want[:k] + [new] + want[k + 1:])
     assert_map_matches(both, m2, want)
@@ -346,7 +347,7 @@ def test_almost_additivity_fails_with_noncentral_defect(negtr):
     x0 = int(enum.index_of(np.array([1, 1, 0, 0])))
     x1 = int(enum.index_of(np.array([1, 2, 0, 0])))
     imgs = negtr.images()
-    bad = negtr.replace_entry(x0, imgs[x1]).replace_entry(x1, imgs[x0])
+    bad = replace_entries(negtr, {x0: imgs[x1], x1: imgs[x0]})
     rep = check_almost_additivity(bad)
     assert not rep.ok and rep.witness is not None
 
@@ -375,7 +376,7 @@ def test_peirce_image_detects_broken_offdiagonal(m2, negtr):
     i1 = int(enum.index_of(np.array([0, 1, 0, 0])))   # E12, an off-diagonal point
     i2 = int(enum.index_of(np.array([1, 1, 0, 0])))
     imgs = negtr.images()
-    bad = negtr.replace_entry(i1, imgs[i2]).replace_entry(i2, imgs[i1])
+    bad = replace_entries(negtr, {i1: imgs[i2], i2: imgs[i1]})
     reports, _, _ = check_peirce_image(bad, m2.basis_element(0))
     by = {r.condition: r for r in reports}
     assert not by["offdiag_image_12"].ok
@@ -401,7 +402,7 @@ def test_peirce_image_rejects_bad_idempotent_image(m2, id_m2):
     e_idx = int(enum.index_of(np.array([1, 0, 0, 0])))
     other = int(enum.index_of(np.array([0, 1, 0, 0])))
     imgs = id_m2.images()
-    bad = id_m2.replace_entry(e_idx, imgs[other]).replace_entry(other, imgs[e_idx])
+    bad = replace_entries(id_m2, {e_idx: imgs[other], other: imgs[e_idx]})
     with pytest.raises(NotIdempotentImage):
         check_peirce_image(bad, m2.basis_element(0))
 
@@ -525,7 +526,8 @@ def test_pair_scan_refuses_a_budget_below_one(m2, budget):
     entry 7 breaks Lie multiplicativity fails at budget 10^6, and no map
     is built under a budget below 1."""
     spec = {"kind": "neg_transpose_plus_trace"}
-    assert not verify_lie_multiplicative(build_map(m2, m2, spec).replace_entry(7, [1, 2, 3, 4])).ok
+    bad = replace_entries(build_map(m2, m2, spec), {7: [1, 2, 3, 4]})
+    assert not verify_lie_multiplicative(bad).ok
     with pytest.raises(ValueError, match="at least 1"):
         build_map(m2, m2, spec, budget)
     with pytest.raises(ValueError, match="at least 1"):
