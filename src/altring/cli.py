@@ -103,9 +103,9 @@ def cmd_gen(args, ws: Workspace) -> int:
     else:
         if kind not in GENERATORS:
             raise ParseError(f"unknown generator {kind!r}")
-        if args.field not in ("Q", "q") and int(args.field) < 5:
-            print(f"warning: p = {args.field} is not 2,3-torsion-free", file=sys.stderr)
         ring = GENERATORS[kind](args.field)
+        if ring.domain.kind == "Fp" and ring.domain.p < 5:
+            print(f"warning: p = {ring.domain.p} is not 2,3-torsion-free", file=sys.stderr)
     obj = ring_to_json(ring)
     if kind == "zorn":
         obj["notes"] = ("vector-matrix product: cross products enter the top-right "

@@ -22,7 +22,10 @@ from .scalars import Domain, PrimeField, Rationals
 def _domain(field) -> Domain:
     if field in ("Q", "q", None):
         return Rationals()
-    return PrimeField(int(field))
+    try:
+        return PrimeField(int(field))
+    except ValueError:
+        raise InvalidField(f"field {field!r} is neither a prime nor Q") from None
 
 
 def _empty_sc(n):

@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParseError, RingMismatch
-from .linalg import mat_vec
 from .reports import CheckReport, coords_json, first_failure
 from .scalars import Domain, Scalar, domain_from_json
 
@@ -120,9 +119,6 @@ class Ring:
         """Matrix of x -> x*v acting on coordinate columns."""
         cols = [self.mul_coords(self.basis_coords(j), v) for j in range(self.dim)]
         return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-
-    def apply_matrix(self, M, coords):
-        return tuple(mat_vec(M, list(coords), self.domain))
 
     # -- element factories ----------------------------------------------
 

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from altring import (PrimeField, Rationals, associator, build_map, gen_direct_sum, gen_m2,
                      gen_triangular2, gen_zorn, linalg, peirce_frame, zorn_idempotent)
+from altring.cli import main
 from altring.maps import MapTable
 from altring.rings import Ring
 
@@ -66,6 +69,36 @@ def rebased_unital_rings(draw, p, max_dim=3):
           for a in new_basis]
     return Ring(ring.name, dom, ring.basis_names, sc,
                 linalg.mat_vec(P_inv, list(ring.unit_coords), dom))
+
+
+def apply_matrix(ring, M, coords):
+    """M applied to a coordinate vector of `ring`, in `linalg` arithmetic."""
+    return tuple(linalg.mat_vec(M, list(coords), ring.domain))
+
+
+def write_cli_files(directory):
+    """Under `directory`, ring files written by `altring gen` (M2, Zorn and
+    t2 over F_5, and M2+M2) and three M2/F5 map files; name -> path, with
+    "dir" the directory itself."""
+    paths = {}
+    for kind in ("m2", "zorn", "triangular2"):
+        out = directory / f"{kind}.json"
+        assert main(["gen", kind, "--field", "5", "--out", str(out)]) == 0
+        paths[kind] = str(out)
+    ds = directory / "dsum.json"
+    assert main(["gen", "direct_sum", paths["m2"], paths["m2"], "--out", str(ds)]) == 0
+    paths["dsum"] = str(ds)
+    maps = {"negtr": {"kind": "neg_transpose_plus_trace"}, "ident": {"kind": "identity"},
+            "idtrace": {"kind": "structured",
+                        "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                        "offset_functional": [1, 0, 0, 1],
+                        "offset_central": [1, 0, 0, 1]}}
+    for name, spec in maps.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5", "repr": spec}))
+        paths[name] = str(path)
+    paths["dir"] = directory
+    return paths
 
 
 def replace_entries(m, entries):

@@ -10,44 +10,27 @@ import pytest
 from altring import structure as st
 from altring.cli import Workspace, main
 from altring.rings import save_ring
-from conftest import f2_rings, reordered_m2
+from conftest import f2_rings, reordered_m2, write_cli_files
 
 
 @pytest.fixture()
 def files(tmp_path):
-    """Generated ring files plus a couple of map files."""
-    paths = {}
-    for kind in ("m2", "zorn", "triangular2"):
-        out = tmp_path / f"{kind}.json"
-        assert main([f"gen", kind, "--field", "5", "--out", str(out)]) == 0
-        paths[kind] = str(out)
-    ds = tmp_path / "dsum.json"
-    assert main(["gen", "direct_sum", paths["m2"], paths["m2"], "--out", str(ds)]) == 0
-    paths["dsum"] = str(ds)
-    negtr = tmp_path / "negtr.json"
-    negtr.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5",
-                                 "repr": {"kind": "neg_transpose_plus_trace"}}))
-    paths["negtr"] = str(negtr)
-    ident = tmp_path / "ident.json"
-    ident.write_text(json.dumps({"source": "m2_f5", "target": "m2_f5",
-                                 "repr": {"kind": "identity"}}))
-    paths["ident"] = str(ident)
-    bad = tmp_path / "idtrace.json"
-    bad.write_text(json.dumps({
-        "source": "m2_f5", "target": "m2_f5",
-        "repr": {"kind": "structured",
-                 "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-                 "offset_functional": [1, 0, 0, 1],
-                 "offset_central": [1, 0, 0, 1]}}))
-    paths["idtrace"] = str(bad)
-    paths["dir"] = tmp_path
-    return paths
+    return write_cli_files(tmp_path)
 
 
-def test_gen_messages_for_small_prime(tmp_path, capsys):
-    out = tmp_path / "m2_3.json"
-    assert main(["gen", "m2", "--field", "3", "--out", str(out)]) == 0
-    assert "torsion" in capsys.readouterr().err
+@pytest.mark.parametrize("field, code, err", [
+    ("3", 0, "warning: p = 3 is not 2,3-torsion-free\n"),
+    ("Q", 0, ""),
+    ("4", 2, "error: modulus 4 is not prime\n"),
+    ("25", 2, "error: modulus 25 is not prime\n"),
+    ("-7", 2, "error: modulus -7 is not prime\n"),
+    ("abc", 2, "error: field 'abc' is neither a prime nor Q\n"),
+])
+def test_gen_warns_on_a_small_prime_and_refuses_other_fields(tmp_path, capsys, field, code, err):
+    """The torsion warning is for a prime below 5; a field that is not
+    prime, or not a number, is an input error naming it."""
+    assert main(["gen", "m2", "--field", field, "--out", str(tmp_path / "m2.json")]) == code
+    assert capsys.readouterr().err == err
 
 
 def test_gen_outputs_loadable_ring(files):
@@ -348,8 +331,11 @@ def test_malformed_map_is_an_input_error(files, capsys, field, doc, message):
     (lambda obj: {**obj, "unit": 1}, [], "ring file field 'unit' must be an array of scalars"),
     (lambda obj: {**obj, "basis": 5}, [], "ring file field 'basis' must be an array of scalars"),
     (lambda obj: {**obj, "name": [1]}, [], "ring file field 'name' must be a string"),
+    (lambda obj: {**obj, "dim": 0, "basis": [], "unit": [], "mul": []}, [],
+     "field 'dim' must be a positive integer, got 0"),
 ], ids=["without_dim", "composite_modulus", "top_level_list", "ring_is_a_directory",
-        "out_is_a_directory", "mul_a_number", "unit_a_number", "basis_a_number", "name_a_list"])
+        "out_is_a_directory", "mul_a_number", "unit_a_number", "basis_a_number", "name_a_list",
+        "zero_dim"])
 def test_malformed_ring_is_an_input_error(files, capsys, edit, out, message):
     """`edit` makes the ring file from a valid one; None makes it a directory."""
     obj = json.loads(Path(files["m2"]).read_text())

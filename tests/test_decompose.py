@@ -22,7 +22,7 @@ from altring.maps import (MapTable, first_bilinear_failure, pair_report, pair_re
 from altring.rings import Ring
 from altring.scalars import PrimeField
 from altring.structure import Subspace
-from conftest import breaks_law, replace_entries
+from conftest import apply_matrix, breaks_law, replace_entries
 
 decompose_mod = importlib.import_module("altring.decompose")
 
@@ -45,7 +45,7 @@ def assert_element_witnesses(m, certs, psi_ref, tau_ref, psi_matrix):
     for x in itertools.product(range(src.domain.p), repeat=src.dim):
         psi, tau = tgt.element(psi_ref(x)), tgt.element(tau_ref(x))
         fails = {"recomposition": (psi + tau != m(src.element(x)), {}),
-                 "psi_linear_matrix": (psi.coords != tgt.apply_matrix(psi_matrix, x), {}),
+                 "psi_linear_matrix": (psi.coords != apply_matrix(tgt, psi_matrix, x), {}),
                  "tau_central": (not central(tau), {"tau": list(tau.coords)})}
         for name, (bad, extra) in fails.items():
             if bad and name not in want:
@@ -247,7 +247,7 @@ def test_corrupted_entry_breaks_exactly_one_certificate(m2, negtr):
     assert res.certificates[-1].witness == {"a": [0, 0, 0, 1], "b": [1, 1, 0, 0]}
 
     def psi(x):
-        return m2.apply_matrix(res.psi_matrix, x)
+        return apply_matrix(m2, res.psi_matrix, x)
 
     assert_element_witnesses(bad, res.certificates, psi,
                              lambda x: (bad(m2.element(x)) - m2.element(psi(x))).coords,
@@ -267,11 +267,11 @@ def test_corrupted_psi_breaks_named_case_with_witness(m2, negtr):
     assert not by["recomposition"].ok   # psi no longer matches phi - tau
 
     def psi(x):
-        y = m2.apply_matrix(res.psi_matrix, x)
+        y = apply_matrix(m2, res.psi_matrix, x)
         return m2.add_coords(y, (1, 0, 0, 0)) if x == (0, 1, 0, 0) else y
 
     def tau(x):
-        return (negtr(m2.element(x)) - m2.element(m2.apply_matrix(res.psi_matrix, x))).coords
+        return (negtr(m2.element(x)) - m2.element(apply_matrix(m2, res.psi_matrix, x))).coords
 
     assert_element_witnesses(negtr, certs, psi, tau, res.psi_matrix)
     assert by["recomposition"].witness == by["psi_linear_matrix"].witness == {"x": [0, 1, 0, 0]}
@@ -314,8 +314,8 @@ def test_psi_bijective_witness_replays(m2, negtr):
     cert = next(c for c in certs if c.condition == "psi_bijective")
     assert not cert.ok
     assert_element_witnesses(
-        negtr, certs, lambda x: m2.apply_matrix(M, x),
-        lambda x: (negtr(m2.element(x)) - m2.element(m2.apply_matrix(M, x))).coords,
+        negtr, certs, lambda x: apply_matrix(m2, M, x),
+        lambda x: (negtr(m2.element(x)) - m2.element(apply_matrix(m2, M, x))).coords,
         res.psi_matrix)
 
     # replay in rings.py arithmetic: psi(x) = sum_i x_i psi(b_i); the witness
@@ -393,13 +393,13 @@ def reference_diagonal_psi(res):
             for c, row in zip(coeffs, cell.basis):
                 x = x + src.element(row).smul(c)
             y = m(x).coords
-            corner = tgt.apply_matrix(res.target_frame.projectors[(s, s)], y)
+            corner = apply_matrix(tgt, res.target_frame.projectors[(s, s)], y)
             alpha, null = linalg.solve(A, list(corner), dom)
             assert alpha is not None and not null
             z = tgt.zero()
             for a, row in zip(alpha, zc):
                 z = z + tgt.element(row).smul(a)
-            kept = tgt.element(tgt.apply_matrix(res.target_frame.projectors[(k, k)], y))
+            kept = tgt.element(apply_matrix(tgt, res.target_frame.projectors[(k, k)], y))
             yield x, kept - z * tgt.element(f[k])
 
 
@@ -442,7 +442,7 @@ def test_non_additive_tau_fails_the_decomposition(m2, id_m2, branch, tmp_path):
 
     def tau(x):
         phi = {(2, 0, 0, 2): (3, 0, 0, 3), (3, 0, 0, 3): (2, 0, 0, 2)}.get(x, x)
-        return m2.element(phi) - m2.element(m2.apply_matrix(res.psi_matrix, x))
+        return m2.element(phi) - m2.element(apply_matrix(m2, res.psi_matrix, x))
 
     elems = list(itertools.product(range(5), repeat=4))
     want = next({"a": list(a), "b": list(b)} for a in elems for b in elems
@@ -520,7 +520,7 @@ def test_additive_tau_commutator_report_equals_the_index_predicate(m2, budget, k
     assert not got.ok and report_bytes(got) == report_bytes(want)
     assert got.seed == (3 if got.mode == "sampled" else None)
     a, b = (m2.element(got.witness[k]) for k in "ab")
-    assert any(m2.apply_matrix(NONCENTRAL_TAU, (a * b - b * a).coords))
+    assert any(apply_matrix(m2, NONCENTRAL_TAU, (a * b - b * a).coords))
 
 
 def test_non_additive_tau_keeps_the_index_predicate(m2, monkeypatch):

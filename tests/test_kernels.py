@@ -17,7 +17,7 @@ from altring.cli import main
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded, UnsupportedDomain
 from altring.rings import Ring, ring_to_json
-from conftest import unital_rings
+from conftest import apply_matrix, unital_rings
 
 
 def ints(arr):
@@ -280,7 +280,7 @@ def test_line_masks_match_reference_wide_prime(case):
 
 
 def check_linear_index(ring, M, elements=None, enum=None):
-    """`linear_index` against `Ring.apply_matrix` (exact, reducing M's
+    """`linear_index` against `apply_matrix` (exact, reducing M's
     entries mod p) on the given element indices, default every element."""
     enum = enum or Enumeration(ring, DEFAULT_BUDGET)
     p, n = ring.domain.p, ring.dim
@@ -288,7 +288,7 @@ def check_linear_index(ring, M, elements=None, enum=None):
     assert got.dtype == np.int64 and got.shape == (enum.count,)
     for k in range(enum.count) if elements is None else elements:
         x = tuple(int(k) // p ** (n - 1 - i) % p for i in range(n))
-        assert int(got[k]) == index_in(ring, ring.apply_matrix(M, x)), (M, x)
+        assert int(got[k]) == index_in(ring, apply_matrix(ring, M, x)), (M, x)
 
 
 @st.composite
@@ -345,7 +345,7 @@ LINEAR_EDGES = [(11, 2, np.int8), (11, 3, np.int16), (13, 1, np.int8), (13, 2, n
 @pytest.mark.parametrize("p, n, dtype", LINEAR_EDGES)
 def test_linear_index_dtype_edges(p, n, dtype, monkeypatch):
     """The linear-map accumulator at the edges of its rule, against
-    `Ring.apply_matrix`.  Every entry (p-1)/2, or (p+1)/2, drives every
+    `apply_matrix`.  Every entry (p-1)/2, or (p+1)/2, drives every
     plane of the all-(p-1) element to +n*h*(p-1), or to -n*h*(p-1), and
     rows alternating the two, which cancel there, go by the sum of
     their magnitudes too; each matrix is passed reduced, negative and far
@@ -384,7 +384,7 @@ def test_linear_index_dtype_edges(p, n, dtype, monkeypatch):
 
 def check_commutator_index(ring, M, a, b, enum=None):
     """`commutator_index(a, b, M)` against M*(xy - yx) in `Element`
-    arithmetic (`Ring.apply_matrix`, which reduces M's entries mod p) at
+    arithmetic (`apply_matrix`, which reduces M's entries mod p) at
     every broadcast position of the index arrays a, b; an (m, n) M indexes
     an m-dimensional target."""
     enum = enum or Enumeration(ring, DEFAULT_BUDGET)
@@ -399,7 +399,7 @@ def check_commutator_index(ring, M, a, b, enum=None):
     a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
     for pos in np.ndindex(shape):
         x, y = element(a[pos]), element(b[pos])
-        want = ring.apply_matrix(M, (x * y - y * x).coords)
+        want = apply_matrix(ring, M, (x * y - y * x).coords)
         assert int(got[pos]) == sum(int(c) * p ** (m - 1 - i) for i, c in enumerate(want)), \
             (M, x, y)
 

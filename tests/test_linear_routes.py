@@ -31,7 +31,7 @@ from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded
 from altring.maps import (basis_matrix, first_additive_failure, first_bilinear_failure,
                           linear_extension, pair_report)
-from conftest import rebased_unital_rings, replace_entries
+from conftest import apply_matrix, rebased_unital_rings, replace_entries
 from test_maps import structured_cases
 from test_rings import random_bases, rebase
 
@@ -519,7 +519,7 @@ def decomposition_breaks(res, condition, w) -> bool:
         x = el(w["x"])
         return {"recomposition": lambda: psi(x) + tau(x) != phi(x),
                 "psi_linear_matrix": lambda: list(psi(x).coords) != list(
-                    T.apply_matrix(res.psi_matrix, x.coords)),
+                    apply_matrix(T, res.psi_matrix, x.coords)),
                 "tau_central": lambda: list(tau(x).coords) == w["tau"] and any(
                     tau(x) * T.basis_element(k) != T.basis_element(k) * tau(x)
                     for k in range(T.dim))}[condition]()

@@ -19,7 +19,7 @@ from altring.errors import (DimensionMismatch, NotIdempotentImage,
 from altring import maps
 from altring.maps import pair_scan
 from altring.rings import Ring
-from conftest import reordered_m2, replace_entries
+from conftest import apply_matrix, reordered_m2, replace_entries
 
 
 def test_identity_map_passes_everything(id_m2):
@@ -216,7 +216,7 @@ def structured_cases(m2):
     return {
         "identity": ({"kind": "identity"}, lambda x: x),
         "linear": ({"kind": "linear", "matrix": lin},
-                   lambda x: m2.element(m2.apply_matrix(lin, x.coords))),
+                   lambda x: m2.element(apply_matrix(m2, lin, x.coords))),
         "neg_transpose_plus_trace": (
             {"kind": "neg_transpose_plus_trace"},
             lambda x: one.smul(trace(x)) - m2.element([x.coords[i] for i in (0, 2, 1, 3)])),

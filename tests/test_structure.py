@@ -21,7 +21,7 @@ from altring.rings import Ring, is_k_torsion_free
 from altring.scalars import PrimeField
 from altring.structure import (PRIMENESS_CHUNK, _generator_classes, _principal_ideals,
                                _unit_certificates, _unit_pair)
-from conftest import unital_rings
+from conftest import apply_matrix, unital_rings
 from test_rings import perturbed_m2, rebase, rebased_rings
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "primeness_golden.json").read_text())
@@ -157,7 +157,7 @@ def test_peirce_frame_rejects_trivial(m2):
 
 def test_peirce_project_decomposes(m2, m2_frame):
     def project(a):
-        return {ij: m2.element(m2.apply_matrix(P, a.coords))
+        return {ij: m2.element(apply_matrix(m2, P, a.coords))
                 for ij, P in m2_frame.projectors.items()}
 
     parts = project(m2_frame.e1)
@@ -406,7 +406,7 @@ def reference_frame(r, e1):
         acc = [[dom.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(acc, P)]
     if acc != linalg.mat_identity(r.dim, dom):
         return None
-    components = {ij: Subspace.from_vectors(r, [list(r.apply_matrix(P, r.basis_coords(k)))
+    components = {ij: Subspace.from_vectors(r, [list(apply_matrix(r, P, r.basis_coords(k)))
                                                 for k in range(r.dim)])
                   for ij, P in projectors.items()}
     if sum(c.dim for c in components.values()) != r.dim:
