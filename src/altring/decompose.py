@@ -55,17 +55,20 @@ and equals A+ times it.  The recipe takes one of two routes:
   battery has computed): with Phi phi's matrix (kept on the map, else
   its basis images), psi_matrix is Psi = sum_c Q_c Phi P_c in exact
   `linalg` arithmetic, and psi and tau are the maps of Psi and Phi - Psi
-  (`MapTable.from_matrix`), one `linear_index` each, which keep them;
+  (`MapTable.from_matrix`), which keep them and build no index:
+  `verify_decomposition` reads them from the matrices and at points;
 - cell route, for any other table (`psi_cell_route`): phi's index
   gathered at `linear_index(P_c)`, then `linear_index(Q_c)` gathered at
   that, and psi's index is the running `sum_index` of the four cell
   images; psi_matrix is read from psi's basis images, and tau's index is
   phi's minus psi's (`sum_index`).
-The bundle's tau table is `tau.images()`.  The element certificates
-compare indices, or matrices where the maps keep them (see
-`verify_decomposition`): recomposition is `sum_index([psi, tau])`
-against phi's, the matrix check compares psi's index with
-psi_matrix's, centrality of tau is a gather from the centre's mask.  The
+The bundle's tau table is `tau.images()`: on the matrix route T on the
+digit planes, on the cell route a gather of tau's index.  The element
+certificates compare matrices where the maps keep them (see
+`verify_decomposition`), else indices: recomposition is
+`sum_index([psi, tau])` against phi's, the matrix check compares psi's
+index with psi_matrix's, centrality of tau is a gather from the centre's
+mask, at tau's basis images when tau keeps a matrix.  The
 per-cell product cases and the sandwich identity are implied by a linear
 psi's exact product rule when it passes (see `verify_decomposition`);
 otherwise they run `mul_index` on grids of the Peirce cells' element
@@ -90,10 +93,10 @@ from . import linalg
 from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
                      BudgetExceeded, HypothesisFailed, NotBijective,
                      UnsupportedDomain)
-from .maps import (MapTable, basis_matrix, check_almost_additivity, check_map_consequences,
-                   check_peirce_image, first_additive_failure, first_bilinear_failure,
-                   frame_hypotheses, linear_extension, pair_report, pair_result,
-                   peirce_frames, phi_linear, verify_lie_multiplicative,
+from .maps import (MapTable, basis_index, basis_matrix, check_almost_additivity,
+                   check_map_consequences, check_peirce_image, first_additive_failure,
+                   first_bilinear_failure, frame_hypotheses, linear_extension, pair_report,
+                   pair_result, peirce_frames, phi_linear, verify_lie_multiplicative,
                    verify_preserves_idempotents, verify_surjective)
 from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, is_alternative, is_k_torsion_free
@@ -226,7 +229,6 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
 
     es, et = m.es, m.et
     tgt = m.target
-    f_idx = m.image_index()
     zc = center(tgt)
 
     # unique-split preflight: each diagonal target corner meets the centre
@@ -243,7 +245,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     # tau = phi - psi are the maps of Psi and Phi - Psi; else cell by cell
     recipes = diagonal_recipes(tgt_frame, branch)
     if phi_linear(m):
-        Phi = m.matrix() or basis_matrix(es, et, f_idx)
+        Phi = m.matrix() or basis_matrix(es, et, m.image_index())
         psi_matrix = psi_matrix_route(Phi, src_frame, recipes, tgt.domain)
         psi = MapTable.from_matrix(m.source, tgt, es, et, psi_matrix)
         tau = MapTable.from_matrix(m.source, tgt, es, et, [
@@ -253,7 +255,7 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
         psi_idx = psi_cell_route(m, src_frame, recipes)
         psi_matrix = basis_matrix(es, et, psi_idx)
         psi = MapTable(m.source, tgt, es, et, psi_idx)
-        tau = MapTable(m.source, tgt, es, et, et.sum_index([f_idx], [psi_idx]))
+        tau = MapTable(m.source, tgt, es, et, et.sum_index([m.image_index()], [psi_idx]))
 
     res = DecompositionResult(m, e1, src_frame, tgt_frame, branch, psi, tau,
                               psi_matrix, detection, seed)
@@ -314,17 +316,19 @@ def psi_matrix_route(Phi: list, src_frame: PeirceFrame, recipes: dict, dom) -> l
 
 # -- certificates --------------------------------------------------------------
 
-def product_rule(es, et, psi_idx, anti: bool):
+def product_rule(es, et, psi: MapTable, anti: bool):
     """fails(a_idx, b_idx) of psi's product rule over index arrays:
     psi(ab) != psi(a)psi(b), or, anti, psi(ab) != -psi(b)psi(a), the sign
-    applied through the index table of x -> -x."""
+    applied through the index table of x -> -x; psi is read at the points
+    only (`MapTable.at`)."""
     neg = et.smul_index(et.p - 1) if anti else None
 
     def fails(a_idx, b_idx):
-        lhs = psi_idx[es.mul_index(a_idx, b_idx)]
+        lhs = psi.at(es.mul_index(a_idx, b_idx))
+        pa, pb = psi.at(a_idx), psi.at(b_idx)
         if anti:
-            return lhs != neg[et.mul_index(psi_idx[b_idx], psi_idx[a_idx])]
-        return lhs != et.mul_index(psi_idx[a_idx], psi_idx[b_idx])
+            return lhs != neg[et.mul_index(pb, pa)]
+        return lhs != et.mul_index(pa, pb)
     return fails
 
 
@@ -363,70 +367,79 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     of the target passes (alternative implies flexible in every
     characteristic).  Otherwise the cell grids are scanned.
 
-    psi_additive and psi_linear_matrix compare psi with psi_matrix's
-    index.  When psi keeps a matrix equal to psi_matrix, that is psi's own
-    index (`MapTable.from_matrix` derived it from that matrix); otherwise,
-    after the cell route or once psi or psi_matrix has been replaced, it
-    is one `linear_index(psi_matrix)`.  The other facts a kept matrix
-    fixes are read from it as well, never from whether phi is linear, so
-    a psi or tau replaced after `decompose` is checked on its own index:
+    Facts a kept matrix decides are read from it, never from whether phi
+    is linear, and no index of psi or tau is built for them, so a psi or
+    tau replaced after `decompose` is checked on its own index:
     - recomposition passes at once when psi, tau and phi all keep
       matrices and Psi + T = Phi (mod p), else it compares indices;
+    - psi_additive and psi_linear_matrix pass at once when psi keeps a
+      matrix equal to psi_matrix; otherwise, after the cell route or once
+      psi or psi_matrix has been replaced, they compare psi's index with
+      one `linear_index(psi_matrix)`;
     - psi_bijective passes at once when psi keeps a square matrix of full
       rank (`MapTable.fibres`);
-    - tau_additive takes tau's own index as its linear extension when tau
-      keeps a matrix.
+    - tau_additive passes at once when tau keeps a matrix;
+    - tau_central, when tau keeps a matrix T, tests only the n basis
+      vectors, in ascending element index: {x : Tx central} is a
+      subspace, so its lowest-index outsider is a basis vector (see
+      `first_bilinear_failure`), and every element passes when they do.
     Each gives the report, byte for byte, of the element or pair check it
-    replaces.
+    replaces.  psi and tau are read at points through `MapTable.at`,
+    which applies a kept matrix to those points alone.
     """
     m, seed = res.map, res.seed
     es, et = m.es, m.et
-    psi_idx, tau_idx = res.psi.image_index(), res.tau.image_index()
+    psi, tau = res.psi, res.tau
     anti = res.branch == BRANCH_DDAGGER
     certs: list[CheckReport] = []
 
-    def elem_report(name, bad, quote=lambda k: {}):
-        certs.append(first_failure(
-            name, bad, lambda k: {"x": coords_json(m.source, es.coords_of(k)), **quote(k)},
-            {"elements": int(es.count)}))
+    def elem_report(name, bad, quote=lambda k: {}, xs=None):
+        # bad[k] tests element k, or element xs[k] when only the elements xs are tested
+        def witness(k):
+            return {"x": coords_json(m.source, es.coords_of(k if xs is None else xs[k])),
+                    **quote(k)}
+        certs.append(first_failure(name, bad, witness, {"elements": int(es.count)}))
 
     # recomposition: psi + tau = phi, asserted on every element, or at once
     # when all three keep matrices (each map is x -> Mx) and Psi + T = Phi
-    psi_M, tau_M, phi_M = (g.matrix() for g in (res.psi, res.tau, m))
+    psi_M, tau_M, phi_M = (g.matrix() for g in (psi, tau, m))
     if None not in (psi_M, tau_M, phi_M) and phi_M == [
             list(map(m.target.domain.add, *rows)) for rows in zip(psi_M, tau_M)]:
         elem_report("recomposition", False)     # no element fails
     else:
-        elem_report("recomposition", et.sum_index([psi_idx, tau_idx]) != m.image_index())
+        elem_report("recomposition",
+                    et.sum_index([psi.image_index(), tau.image_index()]) != m.image_index())
 
-    # additivity against a linear extension, exact with no pair scan; psi's is
-    # the index of psi_matrix, its basis images, which psi_linear_matrix reads too
-    zero = np.arange(et.count) == 0
-
+    # additivity against a linear extension, exact with no pair scan
     def additive_cert(name, g_idx, lin_idx):
+        zero = np.zeros(et.count, dtype=bool)
+        zero[0] = True
         return pair_result(name, m.source, es, first_additive_failure(es, et, g_idx, lin_idx, zero))
 
-    # psi's index is psi_matrix's exactly when psi keeps psi_matrix; psi and
-    # psi_matrix may have been replaced since decompose
-    psi_lin = psi_idx if psi_M is not None and psi_M == res.psi_matrix else \
-        es.linear_index(res.psi_matrix)
-    certs.append(additive_cert("psi_additive", psi_idx, psi_lin))
-    elem_report("psi_linear_matrix", psi_lin != psi_idx)
+    if psi_M is not None and psi_M == res.psi_matrix:
+        # psi is x -> Psi x: additive, and psi_matrix's map
+        certs.append(pair_result("psi_additive", m.source, es, None))
+        elem_report("psi_linear_matrix", False)
+    else:
+        # psi_matrix's index is psi's linear extension, its basis images
+        psi_idx = psi.image_index()
+        psi_lin = es.linear_index(res.psi_matrix)
+        certs.append(additive_cert("psi_additive", psi_idx, psi_lin))
+        elem_report("psi_linear_matrix", psi_lin != psi_idx)
+        # 3 MB on Zorn/F5 that the pair scans below would hold on top of theirs
+        del psi_lin
     psi_linear = certs[-1].ok
-    # a linear_index(psi_matrix) is 3 MB on Zorn/F5 that the pair scans below
-    # would hold on top of theirs
-    del psi_lin
 
     def fibre_witness(k):
         # a doubly-hit image with its first two preimages, else one never hit
         row, t = divmod(k, et.count)
         y = coords_json(m.target, et.coords_of(t))
-        return {"unreached": y} if row else {"image": y, **res.psi.preimages(t)}
+        return {"unreached": y} if row else {"image": y, **psi.preimages(t)}
 
-    certs.append(first_failure("psi_bijective", res.psi.fibres(), fibre_witness,
+    certs.append(first_failure("psi_bijective", psi.fibres(), fibre_witness,
                                {"elements": int(es.count)}))
 
-    product_fails = product_rule(es, et, psi_idx, anti)
+    product_fails = product_rule(es, et, psi, anti)
     # on a linear psi the product defect is bilinear: decided on the basis grid
     name = "psi_anti_multiplicative" if anti else "psi_multiplicative"
     if psi_linear:
@@ -472,33 +485,40 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
 
     def sandwich_fails(a_idx, b_idx):
         # psi((ab)a) = (psi(a) psi(b)) psi(a)
-        lhs = psi_idx[es.mul_index(es.mul_index(a_idx, b_idx), a_idx)]
-        pa = psi_idx[a_idx]
-        return lhs != et.mul_index(et.mul_index(pa, psi_idx[b_idx]), pa)
+        lhs = psi.at(es.mul_index(es.mul_index(a_idx, b_idx), a_idx))
+        pa = psi.at(a_idx)
+        return lhs != et.mul_index(et.mul_index(pa, psi.at(b_idx)), pa)
 
     cells_report("sandwich_identity", "triples", lambda i, j: ((i, j), (j, i)),
                  sandwich_fails, False, implied and (not anti or is_alternative(m.target).ok))
 
+    # every element, or, when tau keeps a matrix, the basis vectors in
+    # ascending element index (see the docstring)
     central = center(m.target).mask(et)
-    elem_report("tau_central", ~central[tau_idx],
-                lambda k: {"tau": coords_json(m.target, et.coords_of(tau_idx[k]))})
+    xs = None if tau_M is None else basis_index(es)[::-1]
+    tau_xs = tau.image_index() if xs is None else tau.at(xs)
+    elem_report("tau_central", ~central[tau_xs],
+                lambda k: {"tau": coords_json(m.target, et.coords_of(tau_xs[k]))}, xs)
 
     # an additive tau makes tau([a, b]) bilinear (see the docstring); a tau
-    # that keeps a matrix is its own linear extension, any other builds it,
+    # that keeps a matrix is additive, any other builds its linear extension,
     # 3 MB on Zorn/F5, as a temporary of this call, so the sampled scan below
     # does not hold it
-    tau_additive = additive_cert("tau_additive", tau_idx, tau_idx if tau_M is not None else
-                                 linear_extension(es, et, tau_idx))
+    if tau_M is not None:
+        tau_additive = pair_result("tau_additive", m.source, es, None)
+    else:
+        tau_additive = additive_cert("tau_additive", tau.image_index(),
+                                     linear_extension(es, et, tau.image_index()))
 
     if tau_additive.ok:
         # tau is x -> T x, so tau([a, b]) = T [a, b], composed into one kernel
-        T = tau_M or basis_matrix(es, et, tau_idx)
+        T = tau_M or basis_matrix(es, et, tau.image_index())
 
         def kills_fails(a_idx, b_idx):
             return es.commutator_index(a_idx, b_idx, T) != 0
     else:
         def kills_fails(a_idx, b_idx):
-            return tau_idx[es.commutator_index(a_idx, b_idx)] != 0
+            return tau.at(es.commutator_index(a_idx, b_idx)) != 0
 
     if tau_additive.ok and es.count ** 2 <= es.budget:
         certs.append(pair_result("tau_kills_commutators", m.source, es,

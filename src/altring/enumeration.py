@@ -52,8 +52,8 @@ keeps the ring's name, not the ring, so the memo holds no reference
 cycle and the ring is freed, tables included, with its last reference.
 `all_coords` is the read-only transposed view of the digit table,
 (count, n) in `elim_dtype`, so the primeness generator classes and
-`MapTable.images` gather narrow coordinate rows from it with no copy;
-an int64 copy would be 25 MB on Zorn/F5.
+`MapTable` gather narrow coordinate rows from it with no copy; an int64
+copy would be 25 MB on Zorn/F5.
 
 Pair scans work in index space, and only this module reads the digit
 table `digits`: the (n, count) coordinate planes of every element in
@@ -68,19 +68,24 @@ steps the planes of a - lam*b in place.  The cores reduce by floor
 division (`reduce`): on 8 x 2**18 int8 and int16 planes it ran about 25
 and 12 times faster than `remainder` (numpy 2.4.6, x86-64, 2 cores).
 
-Linear maps run in index space too.  `linear_index(M)` returns the
-element index of M*x for every element x: plane k accumulates c'*D_j
-over the nonzero centred entries c' of row k on the digit planes, so it
-stays within S*(p-1), S the largest sum of |c'| over a row of M.  Each
-call picks the narrowest signed type holding S*(p-1) + p, int8 for every
-matrix over F_5 up to n = 15, before `reduce` and `index_of_planes`; a
-digit plane may be wider, as any type holding p holds every digit.  The
-ufunc is told that type, so a narrow digit plane is widened before it
-is multiplied: under NumPy 1.24's value-based casting an int8 array
-times a wider scalar would stay int8.  For an (m, n) matrix the m planes
-index the elements of an m-dimensional target, so a structured map's
-image index is one `linear_index` even when the target's dimension
-differs.
+Linear maps run in index space too.  `linear_planes(M, P)` returns the
+reduced coordinate planes of M*x for the (n, ...) digit planes P of any
+elements x: plane k accumulates c'*P_j over the nonzero centred entries
+c' of row k, so it stays within S*(p-1), S the largest sum of |c'| over
+a row of M.  Each call picks the narrowest signed type holding
+S*(p-1) + p, int8 for every matrix over F_5 up to n = 15, before
+`reduce`; a digit plane may be wider, as any type holding p holds every
+digit.  The ufunc is told that type, so a narrow digit plane is widened
+before it is multiplied: under NumPy 1.24's value-based casting an int8
+array times a wider scalar would stay int8.  `linear_index(M)` runs it
+on the digit table and indexes the planes (`index_of_planes`): the
+element index of M*x for every element x.  A map that keeps its matrix
+runs it on the transposed `all_coords` for its image table and on the
+coordinate rows of a few points for their images (`MapTable.images` and
+`MapTable.at`), so neither builds that index.  For an (m, n) matrix the
+m planes index the elements of an m-dimensional target, so a structured
+map's image index is one `linear_index` even when the target's
+dimension differs.
 
 Commutators have one core of their own over the antisymmetrised
 constants d = (c_ijk - c_jik) mod p, i < j (`comm_terms`): plane k
@@ -473,28 +478,32 @@ class Enumeration:
                 out[k, col] %= self.p
         return out.transpose(*range(nb + 1, 1, -1), 0, 1)
 
-    def linear_index(self, M) -> np.ndarray:
-        """Index of M*x for every element x, in element order, for an
-        (m, n) integer matrix M, its entries taken centred mod p here.
-        Plane k accumulates c'*D_j in the narrowest signed type holding
-        S*(p-1) + p, S the largest sum of |c'| over a row of M, chosen per
-        call."""
-        D = self.digits()
+    def linear_planes(self, M, P) -> np.ndarray:
+        """Reduced (m, ...) coordinate planes of M*x for the (n, ...) digit
+        planes P of some elements x, for an (m, n) integer matrix M, its
+        entries taken centred mod p here.  Plane k accumulates c'*P_j in
+        the narrowest signed type holding S*(p-1) + p, S the largest sum
+        of |c'| over a row of M, chosen per call."""
         rows = [[_centred(c, self.p) for c in row] for row in M]
         dt = _narrowest_signed(max((sum(map(abs, row)) for row in rows), default=0)
                                * (self.p - 1) + self.p)
-        out = np.zeros((len(rows), self.count), dtype=dt)
-        term = np.empty(self.count, dtype=dt)
+        out = np.zeros((len(rows),) + P.shape[1:], dtype=dt)
+        term = np.empty(P.shape[1:], dtype=dt)
         for k, row in enumerate(rows):
             for j, c in enumerate(row):
                 if c == 1:
-                    out[k] += D[j]
+                    out[k] += P[j]
                 elif c == -1:
-                    out[k] -= D[j]
+                    out[k] -= P[j]
                 elif c:
-                    np.multiply(D[j], c, out=term, dtype=dt)
+                    np.multiply(P[j], c, out=term, dtype=dt)
                     out[k] += term
-        return self.index_of_planes(self.reduce(out))
+        return self.reduce(out)
+
+    def linear_index(self, M) -> np.ndarray:
+        """Index of M*x for every element x, in element order, for an
+        (m, n) integer matrix M: `linear_planes` on the digit table."""
+        return self.index_of_planes(self.linear_planes(M, self.digits()))
 
     def fibres(self, index) -> np.ndarray:
         """(2, count) boolean mask over this ring's elements for an index

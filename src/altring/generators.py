@@ -20,8 +20,13 @@ from .scalars import Domain, PrimeField, Rationals
 
 
 def _domain(field) -> Domain:
+    """Q for "Q", "q" or None, else F_p for a prime p given as an int or
+    a decimal string.  Any other type is refused, not converted: `int()`
+    would truncate a float (2.5 -> F_2) and take True as 1."""
     if field in ("Q", "q", None):
         return Rationals()
+    if type(field) is not int and not isinstance(field, str):
+        raise InvalidField(f"field {field!r} is neither a prime nor Q")
     try:
         return PrimeField(int(field))
     except ValueError:

@@ -4,16 +4,23 @@ battery for surjective idempotent-preserving Lie multiplicative maps.
 A map is given either as a total table over the enumerated source (no
 additivity is assumed: multiplicativity on commutators is the only given)
 or in structured form, a linear part M plus a central offset lambda(x)*z,
-which is the one matrix M + z lambda^T.  A map is its image index, built
-with the map over prime-field rings only, and read by every verifier;
-the few that need coordinates of some points take them from it
-(`Enumeration.coords_of`).  A map built from a matrix
-(`MapTable.from_matrix`: every builder kind but table and compose) takes
-one `linear_index` of it and keeps it, so its linear facts are read from
-an n x n matrix: it is linear at once (`phi_linear`), and a square one
-of full rank is bijective with no `fibres` pass.  An element-quantified
-verifier ends in a failure mask and reports through
-`reports.first_failure`.
+which is the one matrix M + z lambda^T.  Maps live over prime-field
+rings only.  A table or a composite is its image index, read by every
+verifier; the few that need coordinates of some points take them from
+it (`Enumeration.coords_of`).  A map built from a matrix
+(`MapTable.from_matrix`: every builder kind but table and compose) keeps
+it, and each fact is read where it is cheapest:
+- its linear facts from the matrix: it is linear at once (`phi_linear`),
+  and a square one of full rank is bijective with no `fibres` pass;
+- its values at given points (`MapTable.at`, behind `eval_coords`) from
+  the matrix applied to those points' coordinates;
+- its image table (`MapTable.images`) from the matrix on the digit
+  planes, read through `Enumeration.all_coords`;
+- everything else from its image index, one `linear_index` of the
+  matrix, built on the first `image_index` call.  The entry verifiers
+  read phi's; decompose's psi and tau never need theirs.
+An element-quantified verifier ends in a failure mask and reports
+through `reports.first_failure`.
 
 A map is verified at the budget it was built under: every function
 that takes a map reads its Enumerations `m.es` and `m.et`, which share
@@ -53,13 +60,17 @@ from .structure import (PeirceFrame, center, check_annihilation, check_main_hypo
 
 
 class MapTable:
-    """Total map between two finite rings, held as its image index: entry
-    x is the target element index of phi(x), over the source and target
+    """Total map between two finite rings over the source and target
     Enumerations `es` and `et`, which must share one budget: the map's.
-    `spec` is the builder spec a structured map is saved as; a table
-    (None) is saved as its entries.  A map built from a matrix
-    (`from_matrix`) also keeps that matrix (`matrix`); no other
-    constructor sets it, so the two never disagree."""
+    Its image index holds at entry x the target element index of phi(x).
+    A map built from its index (a table or a composite) is that index.  A
+    map built from a matrix (`from_matrix`) keeps the matrix (`matrix`)
+    and builds its index from it only when `image_index` is first called;
+    no other constructor sets a matrix, so the two never disagree.  The
+    image table (`images`) and, for a square matrix of full rank,
+    bijectivity (`fibres`) are read from a kept matrix, and so are points
+    (`at`) while no index is built.  `spec` is the builder spec a
+    structured map is saved as; a table (None) is saved as its entries."""
 
     def __init__(self, source: Ring, target: Ring, es: Enumeration, et: Enumeration,
                  index, spec: dict | None = None):
@@ -69,17 +80,24 @@ class MapTable:
         self.source, self.target = source, target
         self.es, self.et = es, et
         self.spec = spec
+        self._memo = {}
+        if index is None:           # only `from_matrix`, which keeps the matrix
+            self._index = None
+            return
         self._index = np.asarray(index, dtype=np.int64)
         if self._index.shape != (es.count,):
             raise DimensionMismatch("dense table must cover every source element")
-        self._memo = {}
 
     @classmethod
     def from_matrix(cls, source: Ring, target: Ring, es: Enumeration, et: Enumeration,
                     M, spec: dict | None = None) -> "MapTable":
-        """The map x -> Mx of a target.dim x source.dim matrix M: its index
-        is one `linear_index(M)`, and M, reduced into [0, p), is kept."""
-        m = cls(source, target, es, et, es.linear_index(M), spec)
+        """The map x -> Mx of a target.dim x source.dim matrix M, kept
+        reduced into [0, p).  Its index is built on first use; the
+        source's element guard of the budget applies here, through
+        `Enumeration.all_coords`, so a map that could not be enumerated
+        is refused when it is built."""
+        es.all_coords()
+        m = cls(source, target, es, et, None, spec)
         m._memo["matrix"] = [[int(c) % es.p for c in row] for row in M]
         return m
 
@@ -91,27 +109,45 @@ class MapTable:
 
     # -- evaluation -------------------------------------------------------
 
+    def at(self, idx) -> np.ndarray:
+        """Target index of phi(x) for each source element index in the
+        array `idx` (any shape): a gather from the image index once it is
+        built, else M applied to the coordinates of those elements alone
+        (`Enumeration.linear_planes`), with no count-sized pass."""
+        if self._index is None:
+            X = np.moveaxis(self.es.all_coords()[idx], -1, 0)
+            return self.et.index_of(np.moveaxis(self.es.linear_planes(self.matrix(), X), 0, -1))
+        return self._index[idx]
+
     def eval_coords(self, coords):
         """Image of one source coordinate vector."""
-        k = self.es.index_of([int(x) for x in coords])
-        return tuple(int(c) for c in self.et.coords_of(self._index[int(k)]))
+        k = self.es.index_of([[int(x) for x in coords]])
+        return tuple(int(c) for c in self.et.coords_of(self.at(k)[0]))
 
     def __call__(self, x: Element) -> Element:
         return Element(self.target, self.eval_coords(x.coords))
 
     def image_index(self) -> np.ndarray:
-        """Target element index of phi(x) for every source element x."""
+        """Target element index of phi(x) for every source element x; a
+        kept matrix's is one `linear_index`, built on the first call."""
+        if self._index is None:
+            self._index = self.es.linear_index(self.matrix())
         return self._index
 
     def images(self) -> np.ndarray:
-        """(N, n) narrow image coordinates over the whole enumerated source:
-        a gather of the image index from `Enumeration.all_coords`, every call."""
+        """(N, m) narrow image coordinates over the whole enumerated
+        source, every call: from a kept matrix, its planes over the digit
+        planes of `Enumeration.all_coords` (a transposed view); else a
+        gather of the image index from the target's `all_coords`."""
+        M = self.matrix()
+        if M is not None:
+            return self.es.linear_planes(M, self.es.all_coords().T).T
         return self.et.all_coords()[self._index]
 
     def preimages(self, t: int) -> dict:
         """The first two preimages of target index t, as the witness {"a", "b"}."""
         return {key: coords_json(self.source, self.es.coords_of(k))
-                for key, k in zip("ab", np.flatnonzero(self._index == t)[:2])}
+                for key, k in zip("ab", np.flatnonzero(self.image_index() == t)[:2])}
 
     def cached(self, key, build):
         """build(), computed once per map and key.  A run's Peirce frames,
@@ -131,7 +167,7 @@ class MapTable:
         if M is not None and len(M) == self.source.dim and \
                 linalg.rank(M, self.target.domain) == len(M):
             return np.zeros((2, self.et.count), dtype=bool)
-        return self.et.fibres(self._index)
+        return self.et.fibres(self.image_index())
 
     def is_bijective(self) -> bool:
         return self.source.dim == self.target.dim and not self.fibres().any()

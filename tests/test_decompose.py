@@ -584,6 +584,32 @@ def test_theorem_holds_on_central_perturbations(m2, id_m2, negtr, seed):
         assert (m.image_index() == phi0.image_index()).all()
 
 
+@pytest.mark.parametrize("kind", ["identity", "conjugation", "neg_transpose_plus_trace"])
+def test_decomposition_does_not_depend_on_the_idempotent(m2, kind):
+    """Within one branch psi is a function of phi: two splits psi + tau =
+    psi' + tau' differ by an automorphism alpha = psi'^-1 psi with alpha(x)
+    - x central, and alpha fixes a non-central idempotent, which forces
+    alpha = id.  So at every nontrivial idempotent e1 of M2/F5, 28 of the
+    30 not basis vectors, `verify_theorem` passes with one psi_matrix and
+    one tau table per branch."""
+    spec = {"kind": kind, **({"element": [1, 1, 0, 1]} if kind == "conjugation" else {})}
+    m = build_map(m2, m2, spec)
+    es = m.es
+    trivial = {0, int(es.index_of(m2.unit_coords))}
+    idempotents = [m2.element(es.coords_of(k).tolist())
+                   for k in np.flatnonzero(es.idempotent_mask()) if int(k) not in trivial]
+    assert len(idempotents) == 30
+    assert sum(sorted(e.coords) == [0, 0, 0, 1] for e in idempotents) == 2
+    for branch in ("dagger", "ddagger"):
+        splits = set()
+        for e1 in idempotents:
+            bundle = verify_theorem(m, e1, branch, 0)
+            assert bundle["all_certificates_pass"], (branch, e1.coords)
+            dec = bundle["decomposition"]
+            splits.add((json.dumps(dec["psi_matrix"]), np.asarray(dec["tau"], np.int64).tobytes()))
+        assert len(splits) == 1, branch
+
+
 def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
     """One M2/F5 run builds the two Peirce frames once, checks all four
     hypotheses on the source frame once, only the annihilation conditions
@@ -698,7 +724,7 @@ def scanned_cell_reports(res):
         owner = np.concatenate([np.full(len(idx[ca]) * len(idx[cb]), k)
                                 for k, (ca, cb) in enumerate(cells)])
         fails = sandwich if name == "sandwich_identity" else \
-            product_rule(es, et, psi_idx, res.branch == "ddagger")
+            product_rule(es, et, res.psi, res.branch == "ddagger")
         bad = np.flatnonzero(fails(a, b))
         wit = None
         if len(bad):

@@ -71,6 +71,19 @@ def test_invalid_field_rejected():
         gen_zorn(15)
 
 
+@pytest.mark.parametrize("field", [2.5, 7.9, True], ids=repr)
+def test_field_that_is_not_an_int_or_a_string_is_refused(field):
+    """A float is not truncated to a prime, and a bool is not the modulus
+    1: the error names the value given."""
+    with pytest.raises(InvalidField, match=f"field {field!r} is neither a prime nor Q"):
+        gen_m2(field)
+
+
+@pytest.mark.parametrize("field", [7, "7"], ids=repr)
+def test_prime_field_as_int_or_string(field):
+    assert gen_m2(field).name == "m2_f7"
+
+
 def test_alternative_implies_flexible_on_bundled(m2, zorn, t2, dsum, m2q):
     for ring in (m2, zorn, t2, dsum, m2q):
         if is_alternative(ring).ok:

@@ -2,6 +2,7 @@
 the exact reference arithmetic of `rings.py` and `linalg.py`, on random
 unital structure-constant rings."""
 
+import io
 import json
 import tracemalloc
 from itertools import product
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altring import (PrimeField, Subspace, center, check_primeness, enumeration, gen_m2,
-                     gen_triangular2, gen_zorn, linalg)
+from altring import (PrimeField, Subspace, build_map, center, check_primeness, enumeration,
+                     gen_m2, gen_triangular2, gen_zorn, linalg)
 from altring.cli import main
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded, UnsupportedDomain
+from altring.reports import dumps
 from altring.rings import Ring, ring_to_json
 from conftest import apply_matrix, unital_rings
 
@@ -433,6 +435,55 @@ def test_commutator_index_under_a_matrix_on_seeded_pairs(ring):
     b = np.array([*rng.integers(0, p ** n, 300), *basis], dtype=np.int64)
     for m in (n, n + 1):
         check_commutator_index(ring, random_matrix(rng, p, m, n), a, b, enum)
+
+
+KEPT_MATRIX_CASES = ["m2_f5", "m2_f13", "m2_f31", "structured_offset", "singular", "m2_to_t2"]
+
+
+def kept_matrix_map(case):
+    """A map that keeps its matrix: M2/F_p under a seeded random matrix,
+    p = 5 and 13 (int8 and int16 digit tables) and 31; on M2/F5 a
+    structured map with a central offset and a singular matrix; and a
+    3 x 4 matrix from M2/F5 into t2/F5, of dimension 3."""
+    rng = np.random.default_rng(37)
+    p = {"m2_f13": 13, "m2_f31": 31}.get(case, 5)
+    source = gen_m2(p)
+    target = gen_triangular2(5) if case == "m2_to_t2" else source
+    spec = {"kind": "linear", "matrix": random_matrix(rng, p, target.dim, 4)}
+    if case == "structured_offset":
+        spec = {"kind": "structured", "matrix": random_matrix(rng, p, 4, 4),
+                "offset_functional": [1, 0, 0, 1], "offset_central": [2, 0, 0, 2]}
+    elif case == "singular":
+        spec["matrix"][2] = [2 * c for c in spec["matrix"][0]]
+    return build_map(source, target, spec)
+
+
+@pytest.mark.parametrize("case", KEPT_MATRIX_CASES)
+def test_kept_matrix_reads_match_its_index(case, monkeypatch):
+    """With no index built, a kept matrix's image table and its points are
+    those of the index `linear_index(M)`: `images()` equals the gather
+    `all_coords()[linear_index(M)]` and writes the same `reports.dumps`
+    bytes, and `at` and `eval_coords` equal the index at seeded random
+    elements."""
+    m = kept_matrix_map(case)
+    M, es, et = m.matrix(), m.es, m.et
+    assert M is not None and (case != "singular" or linalg.rank(M, m.target.domain) < 4)
+    index = es.linear_index(M)
+    monkeypatch.setattr(Enumeration, "linear_index", None)     # no index from here on
+    images = m.images()
+    gathered = et.all_coords()[index]
+    assert images.shape == gathered.shape == (es.count, et.n)
+    assert np.array_equal(images, gathered)
+    written = []
+    for table in (images, gathered):
+        buf = io.BytesIO()
+        dumps({"tau": table, "n": 1}, buf)
+        written.append(buf.getvalue())
+    assert written[0] == written[1]
+    idx = np.random.default_rng(38).integers(0, es.count, (50, 3))
+    assert np.array_equal(m.at(idx), index[idx])
+    for k in idx[:5, 0]:
+        assert m.eval_coords(es.coords_of(k)) == tuple(int(c) for c in et.coords_of(index[k]))
 
 
 @st.composite

@@ -70,13 +70,23 @@ def test_no_public_method_takes_a_budget(cls):
             is inspect.Parameter.empty
 
 
-def test_map_table_is_its_image_index(m2):
-    """One representation, built with the map: no kind and no lazy index.
-    A map built from a matrix keeps it beside its cached artefacts, not
-    as an attribute of its own."""
+def test_map_table_builds_its_index_once(m2, monkeypatch):
+    """No kind: a map built from a matrix keeps it beside its cached
+    artefacts, not as an attribute of its own, and builds no index until
+    one is asked for; that index is `linear_index` of the matrix, built
+    once.  A map built from its index is the array it was given."""
+    calls = []
+    real = Enumeration.linear_index
+    monkeypatch.setattr(Enumeration, "linear_index",
+                        lambda self, M: calls.append(M) or real(self, M))
     m = build_map(m2, m2, {"kind": "neg_transpose_plus_trace"})
     assert set(vars(m)) == {"source", "target", "es", "et", "spec", "_index", "_memo"}
-    assert m.image_index() is m._index and m._index.shape == (m.es.count,)
+    assert calls == []
+    index = m.image_index()
+    assert m.image_index() is index and calls == [m.matrix()]
+    assert index.shape == (m.es.count,) and np.array_equal(index, real(m.es, m.matrix()))
+    table = MapTable(m2, m2, m.es, m.et, index)
+    assert table.image_index() is index and len(calls) == 1
 
 
 def test_no_map_function_takes_a_budget():

@@ -271,7 +271,7 @@ def test_product_grid_matches_reference_scan(maps, anti):
             rhs = T.mul_coords(psi[a], psi[b])
         return psi[S.mul_coords(a, b)] != rhs
 
-    got = first_bilinear_failure(m.es, product_rule(m.es, m.et, m.image_index(), anti))
+    got = first_bilinear_failure(m.es, product_rule(m.es, m.et, m, anti))
     assert quoted(m.es, got) == first_failing_pair(X, fails)
 
 
@@ -292,7 +292,7 @@ def test_linear_psi_certificates_match_the_exhaustive_scan(m2, spec, branch):
     name = "psi_anti_multiplicative" if anti else "psi_multiplicative"
     certs = {c.condition: c for c in verify_decomposition(res)}
     assert certs["psi_additive"].ok and certs["tau_additive"].ok
-    scan = pair_report(name, res.psi, 0, product_rule(enum, enum, res.psi.image_index(), anti))
+    scan = pair_report(name, res.psi, 0, product_rule(enum, enum, res.psi, anti))
     assert scan.mode == "exhaustive" and not scan.ok
     assert certs[name].to_json() == scan.to_json()
     a, b = (m2.element(certs[name].witness[k]) for k in "ab")
@@ -452,26 +452,25 @@ def test_matrix_route_matches_cell_route(gen, p, branch, data):
     assert np.array_equal(phi.et.sum_index([phi.image_index()], [cells]), res.tau.image_index())
 
 
-def test_matrix_route_builds_psi_and_tau_with_one_pass_each(zorn, monkeypatch):
+def test_matrix_route_builds_no_psi_or_tau_index(zorn, monkeypatch):
     """On the Zorn/F5 identity, with the frames, hypotheses, branch
-    detection and `phi_linear` cached on the map by a first run and the
-    certificates left out, `decompose` makes one `linear_index` call each
-    for psi and tau = phi - psi over the element table, and no
-    `sum_index`."""
+    detection, `phi_linear` and phi's index cached on the map by a first
+    run, `decompose` with its certificates and the bundle's tau table make
+    no `linear_index` or `sum_index` call: psi and tau stay matrices, read
+    at points and, for the table, on the digit planes."""
     ident = build_map(zorn, zorn, {"kind": "identity"})
-    monkeypatch.setattr(importlib.import_module("altring.decompose"), "verify_decomposition",
-                        lambda res: [])
     decompose(ident, zorn.basis_element(0), "dagger")
     calls = Counter()
-    enums = {id(e): e for e in (ident.es, ident.et)}.values()
-    for enum, name in product(enums, ("linear_index", "sum_index")):
-        def counted(*args, _fn=getattr(enum, name), _name=name):
+    for name in ("linear_index", "sum_index"):
+        def counted(self, *args, _fn=getattr(Enumeration, name), _name=name):
             calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(enum, name, counted)
+            return _fn(self, *args)
+        monkeypatch.setattr(Enumeration, name, counted)
     res = decompose(ident, zorn.basis_element(0), "dagger")
-    assert calls == {"linear_index": 2}
-    assert (res.tau.image_index() == 0).all()
+    tau = res.tau.images()
+    assert calls == {}
+    assert res.required_pass() and res.psi.matrix() == res.psi_matrix
+    assert tau.shape == (ident.es.count, zorn.dim) and not tau.any()
 
 
 # -- kept matrices ---------------------------------------------------------------
