@@ -31,14 +31,14 @@ plus centrality of tau, its additivity and its vanishing on commutators.
 Every certificate is required, tau's additivity included: the theorem
 concludes that tau is an additive map into the centre that kills
 commutators.
-psi's and tau's additivity are decided exactly against their linear
-extensions, and a linear psi's product rule on the basis grid, at any
-budget.  An additive tau's vanishing on commutators is decided on the
-basis grid as well, but only while the pairs fit the budget.  The rest,
-a non-linear psi's product rule and tau's vanishing on commutators
-otherwise, scan pairs, exhaustively within the pair budget and sampled
-past it; an additive tau's scan evaluates T [a, b] through the
-commutator constants composed with tau's matrix T.
+Every exact route is taken when the map is linear (`MapTable.linear`):
+psi's and tau's additivity pass at once, a linear psi's product rule is
+decided on the basis grid at any budget, and a linear tau's vanishing on
+commutators on the basis grid as well, but only while the pairs fit the
+budget.  The rest, a non-linear psi's product rule and tau's vanishing
+on commutators otherwise, scan pairs, exhaustively within the pair
+budget and sampled past it; a linear tau's scan evaluates T [a, b]
+through the commutator constants composed with tau's matrix T.
 
 Element-sized work combines element indices and masks, never coordinate
 rows or the digit table, which only `enumeration.py` reads; subspace
@@ -51,11 +51,11 @@ This is exact: detection proved every such corner lies in Z*f_solve,
 `decompose` refuses a branch detection did not pass, and the preflight
 gives A full column rank, so each corner's central multiple is unique
 and equals A+ times it.  The recipe takes one of two routes:
-- matrix route, when phi is linear (`phi_linear`, which the entry
-  battery has computed): with Phi phi's matrix (kept on the map, else
-  its basis images), psi_matrix is Psi = sum_c Q_c Phi P_c in exact
-  `linalg` arithmetic, and psi and tau are the maps of Psi and Phi - Psi
-  (`MapTable.from_matrix`), which keep them and build no index:
+- matrix route, when phi is linear: with Phi = `MapTable.linear()`,
+  which the entry battery has computed, psi_matrix is
+  Psi = sum_c Q_c Phi P_c in exact `linalg` arithmetic, and psi and tau
+  are the maps of Psi and Phi - Psi (`MapTable.from_matrix`), which keep
+  them and build no index:
   `verify_decomposition` reads them from the matrices and at points;
 - cell route, for any other table (`psi_cell_route`): phi's index
   gathered at `linear_index(P_c)`, then `linear_index(Q_c)` gathered at
@@ -64,11 +64,11 @@ and equals A+ times it.  The recipe takes one of two routes:
   phi's minus psi's (`sum_index`).
 The bundle's tau table is `tau.images()`: on the matrix route T on the
 digit planes, on the cell route a gather of tau's index.  The element
-certificates compare matrices where the maps keep them (see
+certificates compare matrices where the maps are linear (see
 `verify_decomposition`), else indices: recomposition is
 `sum_index([psi, tau])` against phi's, the matrix check compares psi's
 index with psi_matrix's, centrality of tau is a gather from the centre's
-mask, at tau's basis images when tau keeps a matrix.  The
+mask, at tau's basis images when tau is linear.  The
 per-cell product cases and the sandwich identity are implied by a linear
 psi's exact product rule when it passes (see `verify_decomposition`);
 otherwise they run `mul_index` on grids of the Peirce cells' element
@@ -95,9 +95,8 @@ from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
                      UnsupportedDomain)
 from .maps import (MapTable, basis_index, basis_matrix, check_almost_additivity,
                    check_map_consequences, check_peirce_image, first_additive_failure,
-                   first_bilinear_failure, frame_hypotheses, linear_extension, pair_report,
-                   pair_result, peirce_frames, phi_linear, verify_lie_multiplicative,
-                   verify_preserves_idempotents, verify_surjective)
+                   frame_hypotheses, pair_report, pair_result, peirce_frames,
+                   verify_lie_multiplicative, verify_preserves_idempotents, verify_surjective)
 from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, is_alternative, is_k_torsion_free
 from .structure import PeirceFrame, Subspace, center, check_spade_club
@@ -244,8 +243,8 @@ def decompose(m: MapTable, e1: Element, branch: str | None = None,
     # psi = sum_c Q_c phi(P_c x): on a linear phi one matrix, and psi and
     # tau = phi - psi are the maps of Psi and Phi - Psi; else cell by cell
     recipes = diagonal_recipes(tgt_frame, branch)
-    if phi_linear(m):
-        Phi = m.matrix() or basis_matrix(es, et, m.image_index())
+    Phi = m.linear()
+    if Phi is not None:
         psi_matrix = psi_matrix_route(Phi, src_frame, recipes, tgt.domain)
         psi = MapTable.from_matrix(m.source, tgt, es, et, psi_matrix)
         tau = MapTable.from_matrix(m.source, tgt, es, et, [
@@ -318,16 +317,14 @@ def psi_matrix_route(Phi: list, src_frame: PeirceFrame, recipes: dict, dom) -> l
 
 def product_rule(es, et, psi: MapTable, anti: bool):
     """fails(a_idx, b_idx) of psi's product rule over index arrays:
-    psi(ab) != psi(a)psi(b), or, anti, psi(ab) != -psi(b)psi(a), the sign
-    applied through the index table of x -> -x; psi is read at the points
-    only (`MapTable.at`)."""
-    neg = et.smul_index(et.p - 1) if anti else None
-
+    psi(ab) != psi(a)psi(b), or, anti, psi(ab) + psi(b)psi(a) != 0 (index
+    0 is the zero element), with no table of x -> -x; psi is read at the
+    points only (`MapTable.at`)."""
     def fails(a_idx, b_idx):
         lhs = psi.at(es.mul_index(a_idx, b_idx))
         pa, pb = psi.at(a_idx), psi.at(b_idx)
         if anti:
-            return lhs != neg[et.mul_index(pb, pa)]
+            return et.sum_index([lhs, et.mul_index(pb, pa)]) != 0
         return lhs != et.mul_index(pa, pb)
     return fails
 
@@ -337,27 +334,39 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     seed.  Every report is required: `required_pass()` holds only when all
     pass, tau_additive included.
 
-    Element-quantified checks are always exhaustive.  Of the pair
-    certificates, psi's and tau's additivity are decided exactly, with no
-    pair scan, against their linear extensions (`first_additive_failure`),
-    and a linear psi's product rule on the basis grid
-    (`first_bilinear_failure`), each with the bytes of the exhaustive
-    row-major scan; a non-linear psi's product rule scans pairs,
-    exhaustively within the budget and seeded-sampled past it.
+    Element-quantified checks are always exhaustive.  psi and tau are
+    each asked once whether they are linear (`MapTable.linear`), and
+    every exact route below is taken when they are; each gives the
+    report, byte for byte, of the element or pair check it replaces:
+    - recomposition passes at once when phi, psi and tau are linear and
+      Psi + T = Phi (mod p), else it compares indices;
+    - psi_additive and tau_additive pass at once on a linear map, and
+      otherwise are decided against the linear extension, with no pair
+      scan (`first_additive_failure`);
+    - psi_linear_matrix passes at once when psi's matrix is psi_matrix,
+      else it compares psi's index with one `linear_index(psi_matrix)`;
+    - psi_bijective passes at once when psi keeps a square matrix of full
+      rank (`MapTable.fibres`);
+    - a linear psi's product rule is decided on the basis grid
+      (`first_bilinear_failure`), at any budget;
+    - tau_central tests, on a linear tau, only the n basis vectors, in
+      ascending element index: {x : Tx central} is a subspace, so its
+      lowest-index outsider is a basis vector (see
+      `first_bilinear_failure`), and every element passes when they do;
+    - a linear tau, x -> T x, makes tau([a, b]) = T [a, b] bilinear:
+      each pair is tested as `commutator_index(a, b, T) != 0`, over the
+      commutator constants composed with T, and, when the scan would be
+      exhaustive (count**2 <= budget), tau_kills_commutators is decided
+      on the basis grid.
+    The rest scan pairs, exhaustively within the budget and
+    seeded-sampled past it: a non-linear psi's product rule, and
+    tau_kills_commutators past the budget even on a linear tau, or on a
+    non-linear tau through a lookup at each commutator's index.
     tau_additive is computed before tau_kills_commutators and reported
-    after it.  An additive tau is x -> T x, T its kept matrix or else its
-    basis images, so tau([a, b]) = T [a, b] is bilinear, and each pair is
-    tested as `commutator_index(a, b, T) != 0`, over the commutator
-    constants composed with T, with no lookup in tau's index; a
-    non-additive tau is looked up at each commutator's index.  Either
-    predicate fails on the same pairs, so the report is the same.  On an
-    additive tau, when the scan would be exhaustive (count**2 <= budget),
-    tau_kills_commutators is decided on the basis grid with the scan's
-    bytes.  Otherwise it scans pairs as the product rule does, so past
-    the budget it stays sampled even on an additive tau.  The product
-    rule is certified globally and again per Peirce-cell case, with the
-    sandwich identity psi((ab)a) = (psi(a)psi(b))psi(a) for opposite
-    off-diagonal pairs checked separately.
+    after it.  The product rule is certified globally and again per
+    Peirce-cell case, with the sandwich identity
+    psi((ab)a) = (psi(a)psi(b))psi(a) for opposite off-diagonal pairs
+    checked separately.
 
     Implied route: when psi is linear and its global product rule passed,
     the rule holds on every pair, so the five cases pass with their grid
@@ -365,31 +374,15 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     dagger, psi((ab)a) = psi(ab)psi(a), and under ddagger, psi((ab)a) =
     psi(a)(psi(b)psi(a)), when the target is flexible: `is_alternative`
     of the target passes (alternative implies flexible in every
-    characteristic).  Otherwise the cell grids are scanned.
-
-    Facts a kept matrix decides are read from it, never from whether phi
-    is linear, and no index of psi or tau is built for them, so a psi or
-    tau replaced after `decompose` is checked on its own index:
-    - recomposition passes at once when psi, tau and phi all keep
-      matrices and Psi + T = Phi (mod p), else it compares indices;
-    - psi_additive and psi_linear_matrix pass at once when psi keeps a
-      matrix equal to psi_matrix; otherwise, after the cell route or once
-      psi or psi_matrix has been replaced, they compare psi's index with
-      one `linear_index(psi_matrix)`;
-    - psi_bijective passes at once when psi keeps a square matrix of full
-      rank (`MapTable.fibres`);
-    - tau_additive passes at once when tau keeps a matrix;
-    - tau_central, when tau keeps a matrix T, tests only the n basis
-      vectors, in ascending element index: {x : Tx central} is a
-      subspace, so its lowest-index outsider is a basis vector (see
-      `first_bilinear_failure`), and every element passes when they do.
-    Each gives the report, byte for byte, of the element or pair check it
-    replaces.  psi and tau are read at points through `MapTable.at`,
-    which applies a kept matrix to those points alone.
+    characteristic).  Otherwise the cell grids are scanned.  A psi or
+    tau replaced after `decompose` is checked as it is, and psi and tau
+    are read at points through `MapTable.at`, which applies a kept
+    matrix to those points alone.
     """
     m, seed = res.map, res.seed
     es, et = m.es, m.et
     psi, tau = res.psi, res.tau
+    psi_M, tau_M = psi.linear(), tau.linear()
     anti = res.branch == BRANCH_DDAGGER
     certs: list[CheckReport] = []
 
@@ -401,8 +394,8 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
         certs.append(first_failure(name, bad, witness, {"elements": int(es.count)}))
 
     # recomposition: psi + tau = phi, asserted on every element, or at once
-    # when all three keep matrices (each map is x -> Mx) and Psi + T = Phi
-    psi_M, tau_M, phi_M = (g.matrix() for g in (psi, tau, m))
+    # when all three are linear (each map is x -> Mx) and Psi + T = Phi
+    phi_M = m.linear()
     if None not in (psi_M, tau_M, phi_M) and phi_M == [
             list(map(m.target.domain.add, *rows)) for rows in zip(psi_M, tau_M)]:
         elem_report("recomposition", False)     # no element fails
@@ -410,25 +403,10 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
         elem_report("recomposition",
                     et.sum_index([psi.image_index(), tau.image_index()]) != m.image_index())
 
-    # additivity against a linear extension, exact with no pair scan
-    def additive_cert(name, g_idx, lin_idx):
-        zero = np.zeros(et.count, dtype=bool)
-        zero[0] = True
-        return pair_result(name, m.source, es, first_additive_failure(es, et, g_idx, lin_idx, zero))
-
-    if psi_M is not None and psi_M == res.psi_matrix:
-        # psi is x -> Psi x: additive, and psi_matrix's map
-        certs.append(pair_result("psi_additive", m.source, es, None))
-        elem_report("psi_linear_matrix", False)
-    else:
-        # psi_matrix's index is psi's linear extension, its basis images
-        psi_idx = psi.image_index()
-        psi_lin = es.linear_index(res.psi_matrix)
-        certs.append(additive_cert("psi_additive", psi_idx, psi_lin))
-        elem_report("psi_linear_matrix", psi_lin != psi_idx)
-        # 3 MB on Zorn/F5 that the pair scans below would hold on top of theirs
-        del psi_lin
-    psi_linear = certs[-1].ok
+    zero = Subspace.from_vectors(m.target, [])
+    certs.append(pair_result("psi_additive", m.source, es, first_additive_failure(psi, zero)))
+    elem_report("psi_linear_matrix", False if psi_M is not None and psi_M == res.psi_matrix
+                else es.linear_index(res.psi_matrix) != psi.image_index())
 
     def fibre_witness(k):
         # a doubly-hit image with its first two preimages, else one never hit
@@ -441,13 +419,10 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
 
     product_fails = product_rule(es, et, psi, anti)
     # on a linear psi the product defect is bilinear: decided on the basis grid
-    name = "psi_anti_multiplicative" if anti else "psi_multiplicative"
-    if psi_linear:
-        certs.append(pair_result(name, m.source, es, first_bilinear_failure(es, product_fails)))
-    else:
-        certs.append(pair_report(name, m, seed, product_fails))
+    certs.append(pair_report("psi_anti_multiplicative" if anti else "psi_multiplicative",
+                             m, seed, product_fails, bilinear=psi_M is not None))
     # the product rule holds on every pair: each case below restricts it
-    implied = psi_linear and certs[-1].ok
+    implied = psi_M is not None and certs[-1].ok
     comps = res.source_frame.components
 
     @functools.cache
@@ -492,39 +467,28 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     cells_report("sandwich_identity", "triples", lambda i, j: ((i, j), (j, i)),
                  sandwich_fails, False, implied and (not anti or is_alternative(m.target).ok))
 
-    # every element, or, when tau keeps a matrix, the basis vectors in
-    # ascending element index (see the docstring)
+    # every element, or, when tau is linear, the basis vectors in ascending
+    # element index (see the docstring)
     central = center(m.target).mask(et)
     xs = None if tau_M is None else basis_index(es)[::-1]
     tau_xs = tau.image_index() if xs is None else tau.at(xs)
     elem_report("tau_central", ~central[tau_xs],
                 lambda k: {"tau": coords_json(m.target, et.coords_of(tau_xs[k]))}, xs)
 
-    # an additive tau makes tau([a, b]) bilinear (see the docstring); a tau
-    # that keeps a matrix is additive, any other builds its linear extension,
-    # 3 MB on Zorn/F5, as a temporary of this call, so the sampled scan below
-    # does not hold it
+    # a non-linear tau's linear extension, 3 MB on Zorn/F5, is a temporary of
+    # this call, so the sampled scan below does not hold it
+    tau_additive = pair_result("tau_additive", m.source, es, first_additive_failure(tau, zero))
+
     if tau_M is not None:
-        tau_additive = pair_result("tau_additive", m.source, es, None)
-    else:
-        tau_additive = additive_cert("tau_additive", tau.image_index(),
-                                     linear_extension(es, et, tau.image_index()))
-
-    if tau_additive.ok:
         # tau is x -> T x, so tau([a, b]) = T [a, b], composed into one kernel
-        T = tau_M or basis_matrix(es, et, tau.image_index())
-
         def kills_fails(a_idx, b_idx):
-            return es.commutator_index(a_idx, b_idx, T) != 0
+            return es.commutator_index(a_idx, b_idx, tau_M) != 0
     else:
         def kills_fails(a_idx, b_idx):
             return tau.at(es.commutator_index(a_idx, b_idx)) != 0
 
-    if tau_additive.ok and es.count ** 2 <= es.budget:
-        certs.append(pair_result("tau_kills_commutators", m.source, es,
-                                 first_bilinear_failure(es, kills_fails)))
-    else:
-        certs.append(pair_report("tau_kills_commutators", m, seed, kills_fails))
+    certs.append(pair_report("tau_kills_commutators", m, seed, kills_fails,
+                             bilinear=tau_M is not None and es.count ** 2 <= es.budget))
     certs.append(tau_additive)
     return certs
 

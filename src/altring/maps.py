@@ -9,32 +9,28 @@ rings only.  A table or a composite is its image index, read by every
 verifier; the few that need coordinates of some points take them from
 it (`Enumeration.coords_of`).  A map built from a matrix
 (`MapTable.from_matrix`: every builder kind but table and compose) keeps
-it, and each fact is read where it is cheapest:
-- its linear facts from the matrix: it is linear at once (`phi_linear`),
-  and a square one of full rank is bijective with no `fibres` pass;
-- its values at given points (`MapTable.at`, behind `eval_coords`) from
-  the matrix applied to those points' coordinates;
-- its image table (`MapTable.images`) from the matrix on the digit
-  planes, read through `Enumeration.all_coords`;
-- everything else from its image index, one `linear_index` of the
-  matrix, built on the first `image_index` call.  The entry verifiers
-  read phi's; decompose's psi and tau never need theirs.
-An element-quantified verifier ends in a failure mask and reports
-through `reports.first_failure`.
+it: a square one of full rank is bijective with no `fibres` pass, its
+values at given points (`MapTable.at`) and its image table
+(`MapTable.images`) are the matrix applied to coordinates, and its
+index, one `linear_index`, is built on the first `image_index` call.
+The entry verifiers read phi's; decompose's psi and tau never need
+theirs.  An element-quantified verifier ends in a failure mask and
+reports through `reports.first_failure`.
 
 A map is verified at the budget it was built under: every function
 that takes a map reads its Enumerations `m.es` and `m.et`, which share
-one budget, and takes none of its own.  Pair-quantified certificates
-are decided exactly where an argument allows, each with the report, byte
-for byte, that an exhaustive row-major scan would return, at every
-budget that covers the elements:
-- additivity and almost additivity of any table against its linear
-  extension (`first_additive_failure`), with no pair scan;
-- the bilinear ones on the n x n grid of basis vectors
-  (`first_bilinear_failure`): a linear phi's Lie multiplicativity
-  (`phi_linear`, one O(N) test per map), and, in `decompose.py`, a
-  linear psi's product rule and, only while the pairs fit the budget, an
-  additive tau's vanishing on commutators;
+one budget, and takes none of its own.  Every exact route is taken when
+the map is linear (`MapTable.linear`, its matrix or None, once per
+map), each with the report, byte for byte, that an exhaustive row-major
+scan would return, at every budget that covers the elements:
+- additivity and almost additivity against the linear extension
+  (`first_additive_failure`), with no pair scan, and at once on a linear
+  map;
+- the bilinear certificates on the n x n grid of basis vectors
+  (`first_bilinear_failure`, through `pair_report`): a linear phi's Lie
+  multiplicativity, and, in `decompose.py`, a linear psi's product rule
+  and, only while the pairs fit the budget, a linear tau's vanishing on
+  commutators;
 - a linear phi's idempotent preservation on one element mask, and its
   scalar homogeneity outright.
 The rest scan pairs (`pair_scan`), exhaustively within the budget, in
@@ -55,8 +51,8 @@ from .errors import (DimensionMismatch, DomainMismatch, NotIdempotentImage,
                      NotInvertible, OffsetNotCentral, ParseError)
 from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, Ring, is_associative, scalar_array
-from .structure import (PeirceFrame, center, check_annihilation, check_main_hypotheses,
-                        peirce_frame)
+from .structure import (PeirceFrame, Subspace, center, check_annihilation,
+                        check_main_hypotheses, peirce_frame)
 
 
 class MapTable:
@@ -69,8 +65,10 @@ class MapTable:
     no other constructor sets a matrix, so the two never disagree.  The
     image table (`images`) and, for a square matrix of full rank,
     bijectivity (`fibres`) are read from a kept matrix, and so are points
-    (`at`) while no index is built.  `spec` is the builder spec a
-    structured map is saved as; a table (None) is saved as its entries."""
+    (`at`) while no index is built.  How a map was built stays inside this
+    class: every exact route is taken when the map is linear, and every
+    caller asks `linear`.  `spec` is the builder spec a structured map is
+    saved as; a table (None) is saved as its entries."""
 
     def __init__(self, source: Ring, target: Ring, es: Enumeration, et: Enumeration,
                  index, spec: dict | None = None):
@@ -103,9 +101,19 @@ class MapTable:
 
     def matrix(self) -> list | None:
         """The matrix, as lists of ints in [0, p), that the map was built
-        from (`from_matrix`), or None for a map built from its index:
-        every linear fact about the map is read from it when kept."""
+        from (`from_matrix`), or None for a map built from its index."""
         return self._memo.get("matrix")
+
+    def linear(self) -> list | None:
+        """The map's matrix, as lists of ints in [0, p), when the map is
+        F_p-linear (over F_p, additive), else None: its kept matrix, or
+        its basis images when their `linear_index` equals its index, one
+        O(N) pass over the source Enumeration, which applies the element
+        guard of the map's budget, computed once per map."""
+        def basis_images():
+            M = basis_matrix(self.es, self.et, self.image_index())
+            return M if np.array_equal(self.es.linear_index(M), self.image_index()) else None
+        return self.matrix() or self.cached("linear", basis_images)
 
     # -- evaluation -------------------------------------------------------
 
@@ -405,10 +413,16 @@ def pair_scan(count: int, budget: int, seed: int, fail_fn):
     return True, None, "sampled", budget / total, checked
 
 
-def pair_report(name: str, m: MapTable, seed: int, fail_fn) -> CheckReport:
-    """`pair_scan` over the map's source element pairs, under its budget,
-    as a report; a failing pair is quoted as the witness {"a", "b"} in
-    source coordinates."""
+def pair_report(name: str, m: MapTable, seed: int, fail_fn,
+                bilinear: bool = False) -> CheckReport:
+    """The report of `fail_fn` over the map's source element pairs, under
+    its budget; a failing pair is quoted as the witness {"a", "b"} in
+    source coordinates.  The one call of every pair certificate that is
+    decided on the basis grid or scanned: when `bilinear` (the failures
+    are those of a bilinear defect) on the grid (`first_bilinear_failure`),
+    with the bytes of the exhaustive scan, else by `pair_scan`."""
+    if bilinear:
+        return pair_result(name, m.source, m.es, first_bilinear_failure(m.es, fail_fn))
     ok, pair, mode, cov, checked = pair_scan(m.es.count, m.es.budget, seed, fail_fn)
     return pair_result(name, m.source, m.es, pair, checked, mode,
                        seed if mode == "sampled" else None, cov)
@@ -438,37 +452,19 @@ def basis_matrix(es: Enumeration, et: Enumeration, g_idx) -> list:
     return et.coords_of(np.asarray(g_idx)[basis_index(es)]).T.tolist()
 
 
-def linear_extension(es: Enumeration, et: Enumeration, g_idx) -> np.ndarray:
-    """Target index of L(x) for every source element x, where L is the
-    linear map whose column k is g(b_k): one `linear_index`."""
-    return es.linear_index(basis_matrix(es, et, g_idx))
-
-
-def phi_linear(m: MapTable) -> bool:
-    """Whether phi is F_p-linear, that is additive: true at once when it
-    keeps a matrix, else whether its image index equals its
-    `linear_extension`, one O(N) pass over the source Enumeration, which
-    applies the element guard of the map's budget, computed once per map.
-    On a linear map the entry battery decides its quantifiers exactly,
-    with no pair scan, and `decompose` builds psi as one matrix."""
-    return m.matrix() is not None or m.cached("linear", lambda: bool(np.array_equal(
-        linear_extension(m.es, m.et, m.image_index()), m.image_index())))
-
-
-def first_additive_failure(es: Enumeration, et: Enumeration, g_idx, lin_idx, inside):
+def first_additive_failure(g: MapTable, inside: Subspace):
     """The first failing pair (a, b), row-major, of "g(a+b) - g(a) - g(b)
-    lies in `inside`" over all source pairs, or None when every pair
-    passes; no pair is scanned.  `inside` is a boolean mask over target
-    elements that is a subspace I ({0} for additivity, the centre for
-    almost additivity), and `lin_idx` the index of a linear map L, as a
-    rule g's `linear_extension`.
+    lies in `inside`" over all source pairs of the map g, or None when
+    every pair passes; no pair is scanned.  `inside` is a subspace I of
+    the target: {0} for additivity, the centre for almost additivity.
 
-    Verdict: the defect D(a, b) = g(a+b) - g(a) - g(b) is also
+    Verdict: a linear g (`MapTable.linear`) passes at once.  Otherwise
+    let L be the linear extension of g's basis images, one
+    `linear_index`.  The defect D(a, b) = g(a+b) - g(a) - g(b) is also
     d(a+b) - d(a) - d(b) for d = g - L, since L is additive, so every
-    pair passes when d(x) lies in I for every x (when g == L, with no
-    `sum_index`).  Conversely, when every pair passes, g mod I is
-    additive, so F_p-linear, and equals its linear extension mod I: with
-    L that extension, the rows below are tested only on failure.
+    pair passes when d(x) lies in I for every x.  Conversely, when every
+    pair passes, g mod I is additive, so F_p-linear, and equals L mod I:
+    the rows below are tested only on failure.
 
     Witness: D(0, 0) = -g(0), so if g(0) is outside I the first pair is
     (0, 0).  Otherwise the rows that pass, K = {a : D(a, b) in I for all
@@ -484,8 +480,11 @@ def first_additive_failure(es: Enumeration, et: Enumeration, g_idx, lin_idx, ins
     failing pair of the exhaustive row-major scan: at most n row tests.
     When no basis row fails, K is the whole source and every pair passes.
     """
-    g_idx = np.asarray(g_idx)
-    if np.array_equal(g_idx, lin_idx) or inside[et.sum_index([g_idx], [lin_idx])].all():
+    if g.linear() is not None:
+        return None
+    es, et, g_idx = g.es, g.et, g.image_index()
+    inside = inside.mask(et)
+    if inside[et.sum_index([g_idx], [es.linear_index(basis_matrix(es, et, g_idx))])].all():
         return None
     if not inside[g_idx[0]]:
         return 0, 0
@@ -532,8 +531,8 @@ def verify_surjective(m: MapTable) -> CheckReport:
 def verify_lie_multiplicative(m: MapTable, seed: int = 0) -> CheckReport:
     """phi([x,y]) = [phi(x), phi(y)] over source pairs (sampled past budget).
 
-    On a linear map (`phi_linear`) the defect phi([a,b]) - [phi(a),
-    phi(b)] is bilinear, so it is decided exactly on the basis grid
+    On a linear map the defect phi([a,b]) - [phi(a), phi(b)] is
+    bilinear, so it is decided exactly on the basis grid
     (`first_bilinear_failure`), with the witness of the exhaustive scan.
     """
     es, et = m.es, m.et
@@ -543,9 +542,7 @@ def verify_lie_multiplicative(m: MapTable, seed: int = 0) -> CheckReport:
         lhs = f_idx[es.commutator_index(a_idx, b_idx)]
         return lhs != et.commutator_index(f_idx[a_idx], f_idx[b_idx])
 
-    if phi_linear(m):
-        return pair_result("lie_multiplicative", m.source, es, first_bilinear_failure(es, fails))
-    return pair_report("lie_multiplicative", m, seed, fails)
+    return pair_report("lie_multiplicative", m, seed, fails, bilinear=m.linear() is not None)
 
 
 def verify_preserves_idempotents(m: MapTable, seed: int = 0) -> CheckReport:
@@ -568,7 +565,7 @@ def verify_preserves_idempotents(m: MapTable, seed: int = 0) -> CheckReport:
         return map(np.not_equal, es.line_masks(es.idempotent_mask(), a_idx, b_idx),
                    et.line_masks(et.idempotent_mask(), f_idx[a_idx], f_idx[b_idx]))
 
-    if phi_linear(m):
+    if m.linear() is not None:
         flips = es.idempotent_mask() != et.idempotent_mask()[f_idx]
         pair = None
         if flips.any():
@@ -591,10 +588,10 @@ def check_map_consequences(m: MapTable) -> list[CheckReport]:
     """Consequences of surjectivity + idempotent preservation over a
     2-torsion-free ring: injectivity, a fixed zero, and scalar
     homogeneity.  Failures certify an upstream inconsistency.  A linear
-    map (`phi_linear`) is homogeneous: its rows need no scalar table."""
+    map is homogeneous: its rows need no scalar table."""
     es, et = m.es, m.et
     idx = m.image_index()
-    linear = phi_linear(m)
+    linear = m.linear() is not None
 
     def inhomogeneous(lam):
         # phi(lam x) != lam phi(x), x in element order; rows 0 and 1 need no table
@@ -615,16 +612,11 @@ def check_map_consequences(m: MapTable) -> list[CheckReport]:
 
 def check_almost_additivity(m: MapTable) -> CheckReport:
     """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs,
-    decided exactly with no pair scan (`first_additive_failure`).  A
-    linear phi is its own linear extension and passes with one compare;
-    any other phi builds its extension again (one `linear_index`) rather
-    than keep a second count-sized array on the map."""
-    es, et = m.es, m.et
-    f_idx = m.image_index()
-    central = center(m.target).mask(et)     # applies the target's element guard
-    lin = f_idx if phi_linear(m) else linear_extension(es, et, f_idx)
-    return pair_result("almost_additive", m.source, es,
-                       first_additive_failure(es, et, f_idx, lin, central))
+    decided exactly with no pair scan (`first_additive_failure`): a
+    linear phi passes at once, and any other builds its linear extension
+    again rather than keep a second count-sized array on the map."""
+    return pair_result("almost_additive", m.source, m.es,
+                       first_additive_failure(m, center(m.target)))
 
 
 def peirce_frames(m: MapTable, e1: Element) -> tuple[PeirceFrame, PeirceFrame]:

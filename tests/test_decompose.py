@@ -17,8 +17,7 @@ from altring.reports import CheckReport, dumps
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import (AmbiguousCentralSplit, BranchUndetermined, HypothesisFailed,
                             NotBijective)
-from altring.maps import (MapTable, first_bilinear_failure, pair_report, pair_result,
-                          peirce_frames)
+from altring.maps import MapTable, pair_report, peirce_frames
 from altring.rings import Ring
 from altring.scalars import PrimeField
 from altring.structure import Subspace
@@ -484,10 +483,8 @@ def index_predicate_report(res, budget):
 
     def fails(a_idx, b_idx):
         return tau_idx[es.commutator_index(a_idx, b_idx)] != 0
-    if budget < es.count ** 2:
-        return pair_report("tau_kills_commutators", res.map, res.seed, fails)
-    return pair_result("tau_kills_commutators", res.map.source, es,
-                       first_bilinear_failure(es, fails))
+    return pair_report("tau_kills_commutators", res.map, res.seed, fails,
+                       bilinear=budget >= es.count ** 2)
 
 
 # a linear map of M2/F5 that is neither central nor zero on commutators
@@ -610,6 +607,30 @@ def test_decomposition_does_not_depend_on_the_idempotent(m2, kind):
         assert len(splits) == 1, branch
 
 
+def test_zorn_decomposition_does_not_depend_on_the_idempotent(zorn):
+    """The same argument on Zorn/F5: the identity, decomposed at six
+    seeded nontrivial idempotents that are not basis vectors, passes under
+    each branch with one psi_matrix and one matrix of tau
+    (`MapTable.linear`) per branch."""
+    m = build_map(zorn, zorn, {"kind": "identity"})
+    es = m.es
+    nontrivial = es.idempotent_mask().copy()
+    nontrivial[[0, int(es.index_of(zorn.unit_coords))]] = False
+    ks = np.flatnonzero(nontrivial)
+    coords = es.coords_of(ks)
+    basis = (np.count_nonzero(coords, axis=1) == 1) & (coords.sum(axis=1) == 1)
+    assert basis.sum() == 2
+    picked = np.random.default_rng(12).choice(ks[~basis], 6, replace=False)
+    for branch in ("dagger", "ddagger"):
+        splits = set()
+        for k in picked:
+            e1 = zorn.element(es.coords_of(k).tolist())
+            res = decompose(m, e1, branch)
+            assert res.required_pass(), (branch, e1.coords)
+            splits.add((json.dumps(res.psi_matrix), json.dumps(res.tau.linear())))
+        assert len(splits) == 1, branch
+
+
 def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
     """One M2/F5 run builds the two Peirce frames once, checks all four
     hypotheses on the source frame once, only the annihilation conditions
@@ -618,8 +639,8 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
     its bundle is the CLI's output byte for byte.  The identity's two
     frames are one frame of one ring, checked once, but never shared
     between two ring objects.  Both maps are linear, so
-    map consequences build no scalar table x -> lam*x: the one table is
-    x -> -x for the ddagger sign, and dagger builds none (tau = phi - psi
+    map consequences build no scalar table x -> lam*x, and neither does
+    the ddagger sign, which adds psi(b)psi(a) to psi(ab) (tau = phi - psi
     builds none either)."""
     calls = Counter()
     smul = Enumeration.smul_index
@@ -643,8 +664,9 @@ def test_verify_theorem_computes_each_artefact_once(m2, tmp_path, monkeypatch):
                 monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
     spec = {"kind": "neg_transpose_plus_trace"}
     bundle = verify_theorem(build_map(m2, m2, spec), m2.basis_element(0), "ddagger", 0)
-    assert calls == {"peirce_frame": 2, "check_main_hypotheses": 1, "check_annihilation": 5,
-                     "_detect_branch_frames": 1, "smul_index": 1}
+    assert calls == Counter({"peirce_frame": 2, "check_main_hypotheses": 1,
+                             "check_annihilation": 5, "_detect_branch_frames": 1,
+                             "smul_index": 0})
     assert bundle["all_certificates_pass"]
     for target, annihilation in ((m2, 3), (gen_m2(5), 5)):
         calls.clear()

@@ -9,6 +9,7 @@ at the budget it was built under.  The Peirce relations enumerate
 nothing, so they take no budget.  The ring laws report like every other
 check, through `CheckReport`."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -89,6 +90,23 @@ def test_map_table_builds_its_index_once(m2, monkeypatch):
     assert table.image_index() is index and len(calls) == 1
 
 
+def test_only_map_table_reads_its_kept_matrix():
+    """How a map was built stays inside `MapTable`: no module calls
+    `.matrix()` outside that class, and every caller asks
+    `MapTable.linear` whether a map is linear."""
+    inside, outside = [], []
+    for path in sorted(Path(altring.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "MapTable"
+               for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "matrix":
+                (inside if id(node) in own else outside).append(f"{path.name}:{node.lineno}")
+    assert inside and outside == []
+
+
 def test_no_map_function_takes_a_budget():
     """Every function of `maps.py` and `decompose.py` with a parameter that
     is a map or a decomposition reads the budget from the map's
@@ -100,8 +118,8 @@ def test_no_map_function_takes_a_budget():
                     {MapTable, DecompositionResult} & {
                         hint for arg, hint in typing.get_type_hints(fn).items() if arg != "return"}:
                 takes_a_map[name] = "budget" in inspect.signature(fn).parameters
-    assert {"phi_linear", "pair_report", "frame_hypotheses", "decompose", "verify_decomposition",
-            "verify_theorem", "_detect_branch_frames"} <= set(takes_a_map)
+    assert {"first_additive_failure", "pair_report", "frame_hypotheses", "decompose",
+            "verify_decomposition", "verify_theorem", "_detect_branch_frames"} <= set(takes_a_map)
     assert [name for name, has_budget in takes_a_map.items() if has_budget] == []
 
 

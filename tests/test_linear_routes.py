@@ -1,5 +1,5 @@
 """The exact routes of the pair certificates.  On an F_p-linear map
-(`phi_linear`) Lie multiplicativity, idempotent preservation and scalar
+(`MapTable.linear`) Lie multiplicativity, idempotent preservation and scalar
 homogeneity are decided without a pair scan, and on any map additivity
 and almost additivity (`first_additive_failure`) and, when psi is
 linear, psi's product rule (`first_bilinear_failure`), as is tau's
@@ -15,7 +15,7 @@ indices give with none kept."""
 import functools
 import importlib
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -23,14 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altring import (MapTable, build_map, center, check_almost_additivity,
-                     check_map_consequences, decompose, gen_m2, gen_zorn, linalg, phi_linear,
+                     check_map_consequences, decompose, gen_m2, gen_zorn, linalg,
                      verify_decomposition, verify_lie_multiplicative,
                      verify_preserves_idempotents, verify_surjective)
 from altring.decompose import diagonal_recipes, product_rule, psi_cell_route
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
 from altring.errors import BudgetExceeded
 from altring.maps import (basis_matrix, first_additive_failure, first_bilinear_failure,
-                          linear_extension, pair_report)
+                          pair_report)
+from altring.structure import Subspace
 from conftest import apply_matrix, rebased_unital_rings, replace_entries
 from test_maps import structured_cases
 from test_rings import random_bases, rebase
@@ -130,18 +131,27 @@ def linear_maps(draw):
 @given(linear_maps())
 def test_entry_battery_matches_reference_scan(maps):
     linear, corrupted = maps
-    assert phi_linear(linear) and not phi_linear(corrupted)
+    assert linear.linear() == index_built(linear).linear() == linear.matrix()
+    assert corrupted.linear() is None
     for m in maps:
         assert library_reports(m) == reference_reports(m)
 
 
-def test_phi_linear_accepts_builder_maps_and_rejects_near_misses(m2, dsum):
+def test_linear_accepts_builder_maps_and_rejects_near_misses(m2, dsum):
+    """`MapTable.linear` is the builder's matrix for every matrix kind and
+    for its index-built copy, the product of the parts' matrices for a
+    composite, and None for three near misses: one entry changed, a
+    constant shift, and a table whose basis images are right."""
     maps = [build_map(m2, m2, spec) for spec, _ in structured_cases(m2).values()]
-    maps.append(build_map(m2, m2, {"kind": "compose", "parts": [
-        {"kind": "conjugation", "element": [1, 1, 0, 1]}, {"kind": "neg_transpose_plus_trace"}]}))
     maps.append(build_map(m2, dsum, {"kind": "linear",
                                      "matrix": [[int(i % 4 == j) for j in range(4)] for i in range(8)]}))
-    assert all(phi_linear(m) for m in maps)
+    for m in maps:
+        assert m.linear() == index_built(m).linear() == m.matrix() is not None
+    parts = [{"kind": "conjugation", "element": [1, 1, 0, 1]},
+             {"kind": "neg_transpose_plus_trace"}]
+    conj, negtr = (build_map(m2, m2, part).matrix() for part in parts)
+    composite = build_map(m2, m2, {"kind": "compose", "parts": parts})
+    assert composite.linear() == linalg.mat_mul(negtr, conj, m2.domain)
 
     enum = Enumeration.of(m2, DEFAULT_BUDGET)
     ident = build_map(m2, m2, {"kind": "identity"})
@@ -153,7 +163,7 @@ def test_phi_linear_accepts_builder_maps_and_rejects_near_misses(m2, dsum):
     off_top = MapTable(m2, m2, enum, enum, np.where(top_digit, (every + 125) % 625, every))
     near_misses = [replace_entries(ident, {137: [1, 2, 3, 4]}), shifted, off_top]
     assert shifted.image_index()[0] != 0
-    assert [phi_linear(m) for m in near_misses] == [False] * 3
+    assert [m.linear() for m in near_misses] == [None] * 3
 
 
 ENTRY_VERIFIERS = [verify_surjective, verify_lie_multiplicative, verify_preserves_idempotents,
@@ -173,7 +183,7 @@ def test_entry_verifiers_refuse_a_budget_below_the_element_count(m2, negtr, veri
         m = replace_entries(negtr, {137: imgs[411], 411: imgs[137]})
     at_count, short = (MapTable(m2, m2, Enumeration.of(m2, b), Enumeration.of(m2, b),
                                 m.image_index()) for b in (625, 624))
-    assert phi_linear(at_count) == (kind == "linear")
+    assert at_count.linear() == (negtr.matrix() if kind == "linear" else None)
     verifier(at_count)
     with pytest.raises(BudgetExceeded):
         verifier(short)
@@ -233,6 +243,7 @@ def test_additive_failure_matches_reference_scan(changes, data):
     (0, 0), fail only modulo {0} or fail modulo the centre."""
     S, T, g = data.draw(perturbed_maps(changes))
     es, et = Enumeration.of(S, DEFAULT_BUDGET), Enumeration.of(T, DEFAULT_BUDGET)
+    m = MapTable(S, T, es, et, g)
     X = list(product(range(S.domain.p), repeat=S.dim))
     img = {x: tuple(int(c) for c in et.coords_of(g[k])) for k, x in enumerate(X)}
 
@@ -242,16 +253,14 @@ def test_additive_failure_matches_reference_scan(changes, data):
                    for k in range(T.dim))
 
     # one row-major pass for both subspaces: their first failing pairs
-    inside = [(np.arange(et.count) == 0, lambda z: not any(z)), (center(T).mask(et), central)]
+    inside = [(Subspace.from_vectors(T, []), lambda z: not any(z)), (center(T), central)]
     want = [None] * len(inside)
     for a, b in product(X, X):
         d = T.sub_coords(T.sub_coords(img[S.add_coords(a, b)], img[a]), img[b])
         want = [w or (None if member(d) else (a, b)) for w, (_, member) in zip(want, inside)]
         if None not in want:
             break
-    lin = linear_extension(es, et, g)
-    assert [quoted(es, first_additive_failure(es, et, g, lin, mask))
-            for mask, _ in inside] == want
+    assert [quoted(es, first_additive_failure(m, space)) for space, _ in inside] == want
 
 
 @given(linear_maps(), st.booleans())
@@ -334,9 +343,10 @@ def tau_certificates(res, monkeypatch):
     certificates it decided by a pair scan."""
     scanned = []
 
-    def recording(name, *args):
-        scanned.append(name)
-        return pair_report(name, *args)
+    def recording(name, *args, bilinear=False):
+        if not bilinear:
+            scanned.append(name)
+        return pair_report(name, *args, bilinear=bilinear)
 
     monkeypatch.setattr(importlib.import_module("altring.decompose"), "pair_report", recording)
     return {c.condition: c for c in verify_decomposition(res)}, scanned
@@ -444,9 +454,10 @@ def test_matrix_route_matches_cell_route(gen, p, branch, data):
     recipes, gives the same psi index, and so the same tau = phi - psi."""
     phi, e1 = data.draw(rebased_linear_maps(gen, p, branch))
     res = decompose(phi, e1, branch)
-    assert phi_linear(phi) and res.psi.matrix() == res.psi_matrix
+    assert phi.linear() == phi.matrix() and res.psi.matrix() == res.psi_matrix
     for g in (res.psi, res.tau):
         assert g.matrix() == basis_matrix(g.es, g.et, g.image_index())
+        assert g.linear() == index_built(g).linear() == g.matrix()
     cells = psi_cell_route(phi, res.source_frame, diagonal_recipes(res.target_frame, branch))
     assert np.array_equal(cells, res.psi.image_index())
     assert np.array_equal(phi.et.sum_index([phi.image_index()], [cells]), res.tau.image_index())
@@ -454,23 +465,32 @@ def test_matrix_route_matches_cell_route(gen, p, branch, data):
 
 def test_matrix_route_builds_no_psi_or_tau_index(zorn, monkeypatch):
     """On the Zorn/F5 identity, with the frames, hypotheses, branch
-    detection, `phi_linear` and phi's index cached on the map by a first
-    run, `decompose` with its certificates and the bundle's tau table make
-    no `linear_index` or `sum_index` call: psi and tau stay matrices, read
-    at points and, for the table, on the digit planes."""
+    detection, `MapTable.linear` and phi's index cached on the map by a
+    first run, `decompose` with its certificates and the bundle's tau
+    table make no `linear_index` or `smul_index` call, under either
+    branch: psi and tau stay matrices, read at points and, for the table,
+    on the digit planes.  Under dagger no `sum_index` runs either; under
+    ddagger the sign of psi's product rule is one `sum_index` over the
+    n x n basis grid."""
     ident = build_map(zorn, zorn, {"kind": "identity"})
-    decompose(ident, zorn.basis_element(0), "dagger")
-    calls = Counter()
-    for name in ("linear_index", "sum_index"):
+    calls, sum_sizes = Counter(), []
+    for name in ("linear_index", "smul_index", "sum_index"):
         def counted(self, *args, _fn=getattr(Enumeration, name), _name=name):
             calls[_name] += 1
+            if _name == "sum_index":
+                sum_sizes.append(np.broadcast(*chain(*args)).size)
             return _fn(self, *args)
         monkeypatch.setattr(Enumeration, name, counted)
-    res = decompose(ident, zorn.basis_element(0), "dagger")
-    tau = res.tau.images()
-    assert calls == {}
-    assert res.required_pass() and res.psi.matrix() == res.psi_matrix
-    assert tau.shape == (ident.es.count, zorn.dim) and not tau.any()
+    for branch in ("dagger", "ddagger"):
+        decompose(ident, zorn.basis_element(0), branch)
+        calls.clear()
+        sum_sizes.clear()
+        res = decompose(ident, zorn.basis_element(0), branch)
+        tau = res.tau.images()
+        assert calls["linear_index"] == calls["smul_index"] == 0, branch
+        assert sum_sizes == ([] if branch == "dagger" else [zorn.dim ** 2])
+        assert res.required_pass() and res.psi.matrix() == res.psi_matrix
+        assert tau.shape == (ident.es.count, zorn.dim) and tau.any() == (branch == "ddagger")
 
 
 # -- kept matrices ---------------------------------------------------------------
@@ -496,7 +516,7 @@ def test_builder_maps_keep_their_matrix(m2, kind):
     assert M == basis_matrix(m.es, m.et, m.image_index())
     assert all(type(c) is int and 0 <= c < 5 for row in M for c in row)
     bare = index_built(m)
-    assert bare.matrix() is None and phi_linear(m)
+    assert bare.matrix() is None and m.linear() == bare.linear() == M
     # x + 2tr(x)*1 has trace 5tr(x) = 0: singular too
     assert m.is_bijective() == bare.is_bijective() == (kind not in ("singular",
                                                                    "structured_offset"))

@@ -10,7 +10,7 @@ import pytest
 from altring import (MapTable, build_map, center, check_almost_additivity,
                      check_map_consequences, check_peirce_image, gen_m2,
                      is_alternative, load_map, map_from_json, map_to_json,
-                     phi_linear, save_map, verify_lie_multiplicative,
+                     save_map, verify_lie_multiplicative,
                      verify_preserves_idempotents, verify_surjective,
                      verify_theorem)
 from altring.enumeration import DEFAULT_BUDGET, Enumeration
@@ -458,7 +458,7 @@ def test_sampled_mode_records_seed(zorn):
     unit_multiples = enum.index_of(np.outer(np.arange(5), zorn.unit_coords))
     shifted = MapTable(zorn, zorn, enum, enum,
                        enum.sum_index([np.arange(enum.count), unit_multiples[t * t % 5]]))
-    assert not phi_linear(shifted)
+    assert shifted.linear() is None
     rep = verify_lie_multiplicative(shifted, seed=11)
     assert rep.ok
     assert rep.mode == "sampled"
