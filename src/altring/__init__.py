@@ -17,8 +17,8 @@ from .errors import (AltringError, AmbiguousCentralSplit, BranchUndetermined,
                      NotIdempotent, NotIdempotentImage, NotInvertible,
                      OffsetNotCentral, ParseError, PeirceIncompatible,
                      RingMismatch, TrivialIdempotent, UnsupportedDomain)
-from .generators import (gen_direct_sum, gen_m2, gen_triangular2, gen_zorn,
-                         zorn_idempotent)
+from .generators import (gen_direct_sum, gen_m2, gen_matrix, gen_triangular2,
+                         gen_zorn, zorn_idempotent)
 from .maps import (MapTable, build_map, check_almost_additivity,
                    check_map_consequences, check_peirce_image, load_map,
                    map_from_json, map_to_json, save_map,

@@ -341,8 +341,8 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     - recomposition passes at once when phi, psi and tau are linear and
       Psi + T = Phi (mod p), else it compares indices;
     - psi_additive and tau_additive pass at once on a linear map, and
-      otherwise are decided against the linear extension, with no pair
-      scan (`first_additive_failure`);
+      otherwise are decided on at most n basis rows, with no pair scan
+      (`first_additive_failure`);
     - psi_linear_matrix passes at once when psi's matrix is psi_matrix,
       else it compares psi's index with one `linear_index(psi_matrix)`;
     - psi_bijective passes at once when psi keeps a square matrix of full
@@ -475,8 +475,8 @@ def verify_decomposition(res: DecompositionResult) -> list[CheckReport]:
     elem_report("tau_central", ~central[tau_xs],
                 lambda k: {"tau": coords_json(m.target, et.coords_of(tau_xs[k]))}, xs)
 
-    # a non-linear tau's linear extension, 3 MB on Zorn/F5, is a temporary of
-    # this call, so the sampled scan below does not hold it
+    # a non-linear tau's row masks, count-sized, are temporaries of this
+    # call, so the sampled scan below does not hold them
     tau_additive = pair_result("tau_additive", m.source, es, first_additive_failure(tau, zero))
 
     if tau_M is not None:

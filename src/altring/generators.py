@@ -1,5 +1,11 @@
 """Bundled example rings: matrix rings, the split octonions, sums.
 
+The matrix rings share one table, `matrix_units`: the structure
+constants of a list of matrix units E_ab in basis order.  `gen_matrix`
+gives M_n with the n**2 units row-major (`gen_m2` is n = 2), and
+`gen_triangular2` the upper triangular units of M_2.  The transpose
+builder in `maps.py` recognises a full matrix ring by the same table.
+
 The Zorn algebra uses the vector-matrix model: elements are 2x2 arrays
 with scalars on the diagonal and 3-vectors off it,
 
@@ -37,32 +43,38 @@ def _empty_sc(n):
     return [[[0] * n for _ in range(n)] for _ in range(n)]
 
 
-def gen_m2(field="5") -> Ring:
-    """Full 2x2 matrix ring, basis E11, E12, E21, E22 (row-major)."""
+def matrix_units(units) -> list:
+    """Structure constants of the matrix units E_ab, one per (a, b) pair
+    of `units` in basis order: E_ab E_cd = E_ad when b = c, else 0."""
+    pos = {u: i for i, u in enumerate(units)}
+    sc = _empty_sc(len(units))
+    for (a, b), i in pos.items():
+        for (c, d), j in pos.items():
+            if b == c and (a, d) in pos:
+                sc[i][j][pos[a, d]] = 1
+    return sc
+
+
+def gen_matrix(n, field="5") -> Ring:
+    """Full n x n matrix ring, basis E11, E12, ..., Enn (row-major)."""
     dom = _domain(field)
-    sc = _empty_sc(4)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    if b == c:
-                        sc[a * 2 + b][c * 2 + d][a * 2 + d] = 1
-    ring = Ring(f"m2_{_suffix(dom)}", dom, ["E11", "E12", "E21", "E22"],
-                sc, [1, 0, 0, 1])
+    units = [(a, b) for a in range(n) for b in range(n)]
+    ring = Ring(f"m{n}_{_suffix(dom)}", dom, [f"E{a + 1}{b + 1}" for a, b in units],
+                matrix_units(units), [int(a == b) for a, b in units])
     assert is_associative(ring)
     return ring
+
+
+def gen_m2(field="5") -> Ring:
+    """Full 2x2 matrix ring, basis E11, E12, E21, E22 (row-major)."""
+    return gen_matrix(2, field)
 
 
 def gen_triangular2(field="5") -> Ring:
     """Upper triangular 2x2 matrices, basis E11, E12, E22."""
     dom = _domain(field)
-    units = {(0, 0): 0, (0, 1): 1, (1, 1): 2}
-    sc = _empty_sc(3)
-    for (a, b), i in units.items():
-        for (c, d), j in units.items():
-            if b == c and (a, d) in units:
-                sc[i][j][units[(a, d)]] = 1
-    ring = Ring(f"t2_{_suffix(dom)}", dom, ["E11", "E12", "E22"], sc, [1, 0, 1])
+    ring = Ring(f"t2_{_suffix(dom)}", dom, ["E11", "E12", "E22"],
+                matrix_units([(0, 0), (0, 1), (1, 1)]), [1, 0, 1])
     assert is_associative(ring)
     return ring
 
@@ -115,21 +127,14 @@ def gen_direct_sum(left: Ring, right: Ring) -> Ring:
     """Componentwise product of two rings over the same domain."""
     if left.domain != right.domain:
         raise InvalidField("direct sum needs a common scalar domain")
-    dom = left.domain
-    n1, n2 = left.dim, right.dim
-    n = n1 + n2
-    sc = [[[dom.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            for k in range(n1):
-                sc[i][j][k] = left.sc[i][j][k]
-    for i in range(n2):
-        for j in range(n2):
-            for k in range(n2):
-                sc[n1 + i][n1 + j][n1 + k] = right.sc[i][j][k]
+    sc = _empty_sc(left.dim + right.dim)
+    for off, factor in ((0, left), (left.dim, right)):
+        for i, plane in enumerate(factor.sc):
+            for j, row in enumerate(plane):
+                sc[off + i][off + j][off:off + factor.dim] = row
     unit = list(left.unit_coords) + list(right.unit_coords)
     names = [f"L.{b}" for b in left.basis_names] + [f"R.{b}" for b in right.basis_names]
-    return Ring(f"{left.name}+{right.name}", dom, names, sc, unit)
+    return Ring(f"{left.name}+{right.name}", left.domain, names, sc, unit)
 
 
 def _suffix(dom: Domain) -> str:

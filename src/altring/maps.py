@@ -23,9 +23,8 @@ one budget, and takes none of its own.  Every exact route is taken when
 the map is linear (`MapTable.linear`, its matrix or None, once per
 map), each with the report, byte for byte, that an exhaustive row-major
 scan would return, at every budget that covers the elements:
-- additivity and almost additivity against the linear extension
-  (`first_additive_failure`), with no pair scan, and at once on a linear
-  map;
+- additivity and almost additivity (`first_additive_failure`), at once
+  on a linear map, else on at most n basis rows, with no pair scan;
 - the bilinear certificates on the n x n grid of basis vectors
   (`first_bilinear_failure`, through `pair_report`): a linear phi's Lie
   multiplicativity, and, in `decompose.py`, a linear psi's product rule
@@ -49,6 +48,7 @@ from . import linalg
 from .enumeration import DEFAULT_BUDGET, Enumeration
 from .errors import (DimensionMismatch, DomainMismatch, NotIdempotentImage,
                      NotInvertible, OffsetNotCentral, ParseError)
+from .generators import matrix_units
 from .reports import CheckReport, coords_json, first_failure
 from .rings import Element, Ring, is_associative, scalar_array
 from .structure import (PeirceFrame, Subspace, center, check_annihilation,
@@ -189,16 +189,8 @@ def _matrix_unit_order(ring: Ring) -> int:
     k = round(n ** 0.5)
     if k * k != n:
         raise DimensionMismatch(f"ring {ring.name!r} is not a full matrix ring (dim {n})")
-    dom = ring.domain
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                for d in range(k):
-                    got = ring.mul_coords(ring.basis_coords(a * k + b), ring.basis_coords(c * k + d))
-                    want = ring.basis_coords(a * k + d) if b == c else ring.zero_coords()
-                    if got != want:
-                        raise DimensionMismatch(
-                            f"ring {ring.name!r}: basis is not in matrix-unit order")
+    if not np.array_equal(ring.sc, matrix_units([(a, b) for a in range(k) for b in range(k)])):
+        raise DimensionMismatch(f"ring {ring.name!r}: basis is not in matrix-unit order")
     return k
 
 
@@ -458,17 +450,12 @@ def first_additive_failure(g: MapTable, inside: Subspace):
     every pair passes; no pair is scanned.  `inside` is a subspace I of
     the target: {0} for additivity, the centre for almost additivity.
 
-    Verdict: a linear g (`MapTable.linear`) passes at once.  Otherwise
-    let L be the linear extension of g's basis images, one
-    `linear_index`.  The defect D(a, b) = g(a+b) - g(a) - g(b) is also
-    d(a+b) - d(a) - d(b) for d = g - L, since L is additive, so every
-    pair passes when d(x) lies in I for every x.  Conversely, when every
-    pair passes, g mod I is additive, so F_p-linear, and equals L mod I:
-    the rows below are tested only on failure.
-
-    Witness: D(0, 0) = -g(0), so if g(0) is outside I the first pair is
-    (0, 0).  Otherwise the rows that pass, K = {a : D(a, b) in I for all
-    b}, hold 0 (D(0, b) = -g(0)) and are closed under addition,
+    A linear g (`MapTable.linear`) passes at once.  Otherwise at most
+    n + 1 tests decide every pair and find the first failure.  With
+    D(a, b) = g(a+b) - g(a) - g(b), D(0, 0) = -g(0), so if g(0) is
+    outside I the first pair is (0, 0).  Otherwise the rows that pass,
+    K = {a : D(a, b) in I for all b}, hold 0 (D(0, b) = -g(0)) and are
+    closed under addition,
 
         D(a + a', b) = D(a, a' + b) + D(a', b) - D(a, a'),
 
@@ -477,15 +464,14 @@ def first_additive_failure(g: MapTable, inside: Subspace):
     `first_bilinear_failure`), so the rows b_{n-1}, ..., b_0 are tested in
     ascending element index, each by one O(N) mask over its columns, and
     the first failing row with its first failing column is the first
-    failing pair of the exhaustive row-major scan: at most n row tests.
-    When no basis row fails, K is the whole source and every pair passes.
+    failing pair of the exhaustive row-major scan.  When no basis row
+    fails, K holds every basis vector, so it is the whole source and
+    every pair passes.
     """
     if g.linear() is not None:
         return None
     es, et, g_idx = g.es, g.et, g.image_index()
     inside = inside.mask(et)
-    if inside[et.sum_index([g_idx], [es.linear_index(basis_matrix(es, et, g_idx))])].all():
-        return None
     if not inside[g_idx[0]]:
         return 0, 0
     every = np.arange(es.count, dtype=np.int64)
@@ -613,8 +599,8 @@ def check_map_consequences(m: MapTable) -> list[CheckReport]:
 def check_almost_additivity(m: MapTable) -> CheckReport:
     """phi(a+b) - phi(a) - phi(b) lands in the target centre, all pairs,
     decided exactly with no pair scan (`first_additive_failure`): a
-    linear phi passes at once, and any other builds its linear extension
-    again rather than keep a second count-sized array on the map."""
+    linear phi passes at once, and any other tests its n basis rows at
+    most."""
     return pair_result("almost_additive", m.source, m.es,
                        first_additive_failure(m, center(m.target)))
 
@@ -669,12 +655,11 @@ def check_peirce_image(m: MapTable, e1: Element):
             {"elements": len(pts), "target_elements": int(want.sum())}))
 
     zc = center(m.target)
+    diag = {i: tgt_frame.components[(i, i)].sum(zc).mask(et) for i in (1, 2)}
     for i in (1, 2):
-        j = 3 - i
         pts = src_frame.components[(i, i)].points(es)
         img = f_idx[es.index_of(pts)]
-        in_same = tgt_frame.components[(i, i)].sum(zc).mask(et)[img]
-        in_swap = tgt_frame.components[(j, j)].sum(zc).mask(et)[img]
+        in_same, in_swap = diag[i][img], diag[3 - i][img]
         # with neither shape, quote the first element whose image misses one
         reports.append(first_failure(
             f"diag_image_{i}{i}", ~(in_same & in_swap) & ~(in_same.all() | in_swap.all()),

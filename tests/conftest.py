@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from altring import (PrimeField, Rationals, associator, build_map, gen_direct_sum, gen_m2,
                      gen_triangular2, gen_zorn, linalg, peirce_frame, zorn_idempotent)
 from altring.cli import main
+from altring.generators import matrix_units
 from altring.maps import MapTable
 from altring.rings import Ring
 
@@ -156,12 +157,7 @@ def reordered_m2(name="m2_f5"):
 def broken3_ring():
     """Triangular 2x2 with E12*E12 = E22 forced in: unit survives, the
     alternative law does not."""
-    sc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    units = {(0, 0): 0, (0, 1): 1, (1, 1): 2}
-    for (a, b), i in units.items():
-        for (c, d), j in units.items():
-            if b == c and (a, d) in units:
-                sc[i][j][units[(a, d)]] = 1
+    sc = matrix_units([(0, 0), (0, 1), (1, 1)])
     sc[1][1][2] = 1
     return Ring("broken3", PrimeField(5), ["E11", "E12", "E22"], sc, [1, 0, 1])
 

@@ -8,6 +8,7 @@ command writes.  Input errors and the other command checks live in
 interpreter.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -123,6 +124,37 @@ def test_neg_transpose_tau_commutators_pass_sampled(files):
     r = tau_kills_commutators(bundle)
     assert (r.get("mode"), r["pass"], r["quantifier_space"]["checked"], r.get("seed")) == \
         ("sampled", True, 390624, 3)
+
+
+# sha256 of the ring file `altring gen` writes, pinned so that a change to
+# a generator that moves a byte fails here; the direct sum is M2 + t2 over F5
+GEN_DIGESTS = {
+    ("m2", "5"): "0b04f24758269dad5e0cf8f07e92f25b661beae8f09781d767a50a307ed37c25",
+    ("m2", "7"): "07e18a00af52b4dbdccff81889bf043f5d70f3ac8cfe2fa54e8a3b4bb9f392b0",
+    ("m2", "Q"): "62d5f222fefd3592337788e489729917887c28c036a754ece7f5f09f2f3accbd",
+    ("triangular2", "5"): "d6cfc2de2f4e4be86bccb86f5b33690ef4aee42e8c0f096118b50ea184b4ef8a",
+    ("triangular2", "7"): "7bf5a1033a74f525da859a02298236caa5f8dcede6a24c49af084ee01eee1a6e",
+    ("triangular2", "Q"): "c76a0fcb75980b8ea38b3cf9ac1f5d52acf42f977c2a2111e7240b4704e0789a",
+    ("zorn", "5"): "5c439f205cea73d34a3cb70cfbd1e29a8ec06371567dc818044a88221779aedb",
+    ("zorn", "7"): "aa21d2fd35651bbe4dc619c93c1e23536d2341f933b9251d6dac535aceeee25b",
+    ("zorn", "Q"): "5995c7ddc98337e4df6b8e632110aed58bfd43400773ecb86d6ff409c9186389",
+    ("direct_sum", "5"): "c219cc692ec224a7c6594724d3c3265354546d123fe6adaebde479dd80d50202",
+}
+
+
+@pytest.mark.parametrize("kind, field", GEN_DIGESTS)
+def test_gen_writes_the_pinned_ring_files(tmp_path, kind, field):
+    def gen(name, *argv):
+        out = tmp_path / f"{name}.json"
+        assert main(["gen", *argv, "--out", str(out)]) == 0
+        return out
+
+    if kind == "direct_sum":
+        out = gen("dsum", "direct_sum", str(gen("m2", "m2", "--field", field)),
+                  str(gen("t2", "triangular2", "--field", field)))
+    else:
+        out = gen(kind, kind, "--field", field)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS[kind, field]
 
 
 def test_module_entry_point_exit_codes(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from altring import (build_map, center, decompose, detect_branch, gen_direct_sum, gen_m2,
-                     gen_triangular2, is_alternative, linalg, map_to_json,
+                     gen_matrix, gen_triangular2, is_alternative, linalg, map_to_json,
                      verify_decomposition, verify_theorem)
 from altring.cli import main
 from altring.decompose import CELLS, product_rule
@@ -171,6 +171,72 @@ def test_neg_transpose_roundtrip_ddagger(m2, negtr):
 def test_wrong_branch_value_rejected(m2, id_m2):
     with pytest.raises(ValueError):
         decompose(id_m2, m2.basis_element(0), branch="sideways")
+
+
+# M3/F5 is cubic, so x -> t(x)1 - x is no anti-automorphism there and at
+# most one corner condition holds: the branch is decided.  It has
+# 1,953,125 elements; maps are built at a budget that covers them, and no
+# bundle is serialised.
+M3_BUDGET = 4_000_000
+M3_CONJUGATOR = [1, 1, 0, 0, 1, 2, 3, 0, 1]     # g = [[1,1,0],[0,1,2],[3,0,1]]
+
+
+@pytest.fixture(scope="module")
+def m3():
+    return gen_matrix(3, 5)
+
+
+def m3_map(m3, spec):
+    return build_map(m3, m3, spec, M3_BUDGET)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "identity"},
+                                  {"kind": "conjugation", "element": M3_CONJUGATOR}],
+                         ids=["identity", "conjugation"])
+def test_m3_automorphism_selects_dagger(m3, spec):
+    """Detection finds dagger only, so `branch=None` selects it, and every
+    certificate passes with psi = phi and tau = 0."""
+    m = m3_map(m3, spec)
+    bundle = verify_theorem(m, m3.basis_element(0), None, 0)
+    assert bundle["all_certificates_pass"] and "error" not in bundle
+    det = bundle["branch_detection"]
+    assert (det["dagger"], det["ddagger"]) == (True, False)
+    dec = bundle["decomposition"]
+    assert dec["branch"] == "dagger" and dec["psi_matrix"] == m.linear()
+    assert not np.any(dec["tau"])
+    g = m3.element(M3_CONJUGATOR if spec["kind"] == "conjugation" else m3.unit_coords)
+    for j in range(9):
+        x = m3.basis_element(j)
+        assert (m(x) * g).coords == (g * x).coords
+
+
+def test_m3_neg_transpose_fails_only_idempotent_preservation(m3):
+    """-x^T + tr(x)1 satisfies ddagger only, and fails exactly
+    preserves_idempotents: psi(e) + c1 is idempotent for an idempotent e
+    other than 0 and 1 only when c = 1, which no additive tau allows.  The
+    witness replays in `rings.py` arithmetic: a - 4b = E22 + E33 is
+    idempotent and phi(a) - 4 phi(b) = 2E11 + E22 + E33 is not."""
+    m = m3_map(m3, {"kind": "neg_transpose_plus_trace"})
+    bundle = verify_theorem(m, m3.basis_element(0), None, 0)
+    det = bundle["branch_detection"]
+    assert (det["dagger"], det["ddagger"]) == (False, True)
+    failing = [rep for stage in bundle["stages"] for rep in stage["reports"] if not rep["pass"]]
+    assert [rep["condition"] for rep in failing] == ["preserves_idempotents"]
+    wit = failing[0]["witness"]
+    assert wit == {"a": [0] * 9, "b": [0, 0, 0, 0, 1, 0, 0, 0, 1], "lambda": 4}
+    a, b = m3.element(wit["a"]), m3.element(wit["b"])
+    x, y = a - b.smul(wit["lambda"]), m(a) - m(b).smul(wit["lambda"])
+    assert y.coords == (2, 0, 0, 0, 1, 0, 0, 0, 1)
+    assert (x * x).coords == x.coords and (y * y).coords != y.coords
+    assert not bundle["all_certificates_pass"] and "decomposition" not in bundle
+
+
+def test_m3_conjugation_forced_to_ddagger_is_undetermined(m3):
+    m = m3_map(m3, {"kind": "conjugation", "element": M3_CONJUGATOR})
+    bundle = verify_theorem(m, m3.basis_element(0), "ddagger", 0)
+    assert bundle["error"].startswith("BranchUndetermined: ")
+    assert bundle["error"].endswith("only dagger holds")
+    assert not bundle["all_certificates_pass"]
 
 
 def test_recomposition_always_exact(m2, negtr):

@@ -1,8 +1,8 @@
 import pytest
 
-from altring import (center, gen_direct_sum, gen_m2, gen_triangular2,
+from altring import (center, gen_direct_sum, gen_m2, gen_matrix, gen_triangular2,
                      gen_zorn, is_alternative, is_associative, is_flexible,
-                     zorn_idempotent)
+                     ring_to_json, zorn_idempotent)
 from altring.errors import InvalidField
 
 
@@ -42,6 +42,23 @@ def test_direct_sum_structure(m2, dsum):
     want = m2.element([1, 2, 3, 4]) * m2.element([0, 1, 1, 0])
     assert (a * b).coords == want.coords + (0, 0, 0, 0)
     assert center(dsum).dim == 2
+
+
+@pytest.mark.parametrize("field", ["5", 7, "Q"])
+def test_gen_matrix_2_is_gen_m2(field):
+    assert ring_to_json(gen_matrix(2, field)) == ring_to_json(gen_m2(field))
+
+
+def test_gen_matrix_3():
+    """M3/F5: basis E11, ..., E33 row-major, E_ab E_cd = E_ad when b = c,
+    and unit E11 + E22 + E33."""
+    m3 = gen_matrix(3, 5)
+    assert (m3.name, m3.dim) == ("m3_f5", 9)
+    assert m3.basis_names == ("E11", "E12", "E13", "E21", "E22", "E23", "E31", "E32", "E33")
+    assert m3.unit_coords == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    e = m3.basis_element
+    assert (e(1) * e(5)).coords == e(2).coords and (e(5) * e(1)).is_zero()
+    assert center(m3).dim == 1
 
 
 def test_direct_sum_needs_common_domain(m2, m2q):

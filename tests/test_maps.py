@@ -2,6 +2,7 @@ import gc
 import importlib
 import itertools
 import json
+import re
 import weakref
 
 import numpy as np
@@ -91,11 +92,22 @@ def test_conjugation_needs_associative(zorn):
         build_map(zorn, zorn, {"kind": "conjugation", "element": list(zorn.unit_coords)})
 
 
-def test_transpose_builder_rejects_non_matrix_rings(t2, zorn):
-    with pytest.raises(DimensionMismatch):
-        build_map(t2, t2, {"kind": "neg_transpose_plus_trace"})
-    with pytest.raises(DimensionMismatch):
-        build_map(zorn, zorn, {"kind": "neg_transpose_plus_trace"})
+def test_transpose_builder_rejects_non_matrix_rings(t2, zorn, dsum):
+    """Zorn is refused as not associative; an associative ring whose
+    dimension is not a square by its size; a square one whose structure
+    constants are not the matrix units' by its basis order, even when
+    the ring is M2 in another basis."""
+    spec = {"kind": "neg_transpose_plus_trace"}
+    with pytest.raises(DimensionMismatch, match="needs an associative matrix ring"):
+        build_map(zorn, zorn, spec)
+    for ring in (t2, dsum):
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                f"ring {ring.name!r} is not a full matrix ring (dim {ring.dim})")):
+            build_map(ring, ring, spec)
+    reordered = reordered_m2()
+    with pytest.raises(DimensionMismatch,
+                       match="ring 'm2_f5': basis is not in matrix-unit order"):
+        build_map(reordered, reordered, spec)
 
 
 def test_square_map_fails_lie(m2):
@@ -350,6 +362,27 @@ def test_almost_additivity_fails_with_noncentral_defect(negtr):
     bad = replace_entries(negtr, {x0: imgs[x1], x1: imgs[x0]})
     rep = check_almost_additivity(bad)
     assert not rep.ok and rep.witness is not None
+
+
+def test_almost_additivity_builds_no_second_linear_extension(m2, monkeypatch):
+    """On a table that is not linear the only `linear_index` call is the
+    one `MapTable.linear()` makes: almost additivity is decided on g(0)
+    and the basis rows, whether it fails (two entries swapped) or passes
+    (x + 1 at one element, a defect that is always central)."""
+    es = Enumeration.of(m2, DEFAULT_BUDGET)
+    swapped = np.arange(es.count)
+    swapped[[7, 123]] = swapped[[123, 7]]
+    shifted = np.arange(es.count)
+    shifted[7] = int(es.index_of(np.array(es.coords_of(7)) + np.array(m2.unit_coords)))
+    calls = []
+    real = Enumeration.linear_index
+    monkeypatch.setattr(Enumeration, "linear_index",
+                        lambda self, M: calls.append(M) or real(self, M))
+    for idx, ok in ((swapped, False), (shifted, True)):
+        calls.clear()
+        m = MapTable(m2, m2, es, es, idx)
+        assert check_almost_additivity(m).ok is ok
+        assert m.linear() is None and len(calls) == 1
 
 
 def test_peirce_image_identity(m2, id_m2):
